@@ -99,9 +99,12 @@ def run_local(args, workload, tally, import_s, tracer):
 def run_serve(args, workload, tally, import_s, spawn_s, tracer, t_ready):
     from tracer import merge_totals
 
+    t0 = time.perf_counter()
+    workload.prefill()
+    prefill_s = time.perf_counter() - t0
     run = workload.run()
     totals_server = workload.stop()
-    result = {"peak_rss_mb": totals_server.get("peak_rss_mb", 0.0)}
+    result = {"peak_rss_mb": totals_server["peak_rss_mb"]}
     if not args.trace:
         run.check(workload.warmup, tally)
         result["metrics"] = run.metrics()
@@ -116,12 +119,13 @@ def run_serve(args, workload, tally, import_s, spawn_s, tracer, t_ready):
     # The same schedule again against a fresh untraced server and store:
     # the overhead baseline, and a repeat of every count.
     workload.start(trace=False)
+    workload.prefill()
     repeat = workload.run()
     workload.stop()
     repeat_counts = repeat.check(workload.warmup, tally)
     if repeat_counts != counts:
         tally.fail(f"serve counts did not repeat: {counts} vs {repeat_counts}")
-    basis = (t_ready - T_START) + run.busy_s
+    basis = (t_ready - T_START) + prefill_s + run.busy_s
     metrics = layer_metrics(totals, tally, workload.expected)
     metrics["startup.import_s"] = import_s
     metrics["serve.spawn_s"] = spawn_s
@@ -161,6 +165,7 @@ def main() -> int:
         ExploreWorkload,
         ServeWorkload,
         Tally,
+        serve_pairs,
         setup_kernels,
     )
 
@@ -176,7 +181,9 @@ def main() -> int:
     elif args.workload == "explore":
         workload = ExploreWorkload(args.seed, workdir)
     else:
-        workload = ServeWorkload(args.seed, workdir, args.seconds)
+        workload = ServeWorkload(
+            args.seed, workdir, serve_pairs(args.seconds, bool(args.trace))
+        )
         spawn_s = workload.start(trace=bool(args.trace))
     t_ready = time.perf_counter()
     print("READY", flush=True)

@@ -308,6 +308,21 @@ class ArtifactsWorkload:
 WARM_PASSES = 5
 
 
+def explorations(plan):
+    """Fresh strategies for a plan's explorations, in order:
+    ``(kernel, space, strategy name, strategy, budget)``."""
+    from repro.explore import AdaptiveStrategy, GridStrategy, RandomStrategy
+
+    for kernel, space, strategy_name, strategy_seed, budget in plan:
+        if strategy_name == "grid":
+            strategy = GridStrategy(space)
+        elif strategy_name == "adaptive":
+            strategy = AdaptiveStrategy(space, seed=strategy_seed)
+        else:
+            strategy = RandomStrategy(space, seed=strategy_seed)
+        yield kernel, space, strategy_name, strategy, budget
+
+
 class ExploreWorkload:
     """``explore``: for each of qrca/qcla/qft-32, ``repro.explore.explore``
     three times — grid over the full 42-point architecture grid, adaptive
@@ -368,25 +383,12 @@ class ExploreWorkload:
 
     def one_pass(self, store):
         """The nine explorations: (results, raw seconds, calibration)."""
-        from repro.explore import (
-            AdaptiveStrategy,
-            AdcrObjective,
-            Evaluator,
-            GridStrategy,
-            RandomStrategy,
-            explore,
-        )
+        from repro.explore import AdcrObjective, Evaluator, explore
 
         results = []
         samples: List[float] = []
         elapsed = 0.0
-        for kernel, space, strategy_name, strategy_seed, budget in self.plan:
-            if strategy_name == "grid":
-                strategy = GridStrategy(space)
-            elif strategy_name == "adaptive":
-                strategy = AdaptiveStrategy(space, seed=strategy_seed)
-            else:
-                strategy = RandomStrategy(space, seed=strategy_seed)
+        for kernel, space, strategy_name, strategy, budget in explorations(self.plan):
             samples.append(calibrate())
             t0 = time.perf_counter()
             try:
@@ -480,20 +482,57 @@ class ExploreWorkload:
 # serve
 
 
-#: Points per request: grid points that repeat across requests (store
-#: hits once warm), then one fresh continuous sample per architecture —
-#: ``SHARED_PER_REQUEST`` of them sent by both clients of a pair (they
-#: overlap and take the single-flight path), the rest private to one
-#: client (misses).
-GRID_PER_REQUEST = 5
-SHARED_PER_REQUEST = 2
+#: Points per request: ``RandomStrategy``'s default batch size and
+#: ``AdaptiveStrategy``'s refinement batch (top_k x children), the size
+#: of two thirds of the requests ``traffic_mix.py`` records.
+POINTS_PER_REQUEST = 8
+#: Shares of the points two clients send when each runs the ``explore``
+#: workload's nine explorations through ``RemoteEvaluator`` against one
+#: server, one request each in flight: already stored (``hit``), also in
+#: the peer's concurrent request (``shared``), or neither (``miss``).
+#: Measured by ``traffic_mix.py``; the same for every seed tried, since
+#: hits and shared points come from the grid and coarse-grid batches,
+#: which do not depend on the seed.
+MEASURED_SHARES = {"hit": 0.099, "shared": 0.173, "miss": 0.728}
+
+
+def split(shares: Dict[str, float], total: int) -> Dict[str, int]:
+    """``total`` points divided in proportion to ``shares`` (largest
+    remainder), in the order of ``shares``."""
+    exact = {name: share * total / sum(shares.values()) for name, share in shares.items()}
+    counts = {name: int(value) for name, value in exact.items()}
+    by_remainder = sorted(exact, key=lambda name: counts[name] - exact[name])
+    for name in by_remainder[: total - sum(counts.values())]:
+        counts[name] += 1
+    return counts
+
+
+#: A request's points by class: grid points (store hits, the whole grid
+#: being stored before the timed window), fresh samples sent by both clients of a pair
+#: (single flight), and fresh samples private to one client (misses).
+MIX = split(MEASURED_SHARES, POINTS_PER_REQUEST)
+#: Architectures a request's fresh points span (the server simulates
+#: one batch per architecture): ``traffic_mix.py`` measures 2.2 on
+#: average over the 8-point requests (random batches span all three,
+#: adaptive refinements one or two).
+ARCHS_PER_REQUEST = 2
 #: Request pairs per second of ``--seconds`` (about the rate one 2-core
 #: machine sustains), but never fewer than ``MIN_PAIRS``: the schedule is
 #: fixed by (seed, seconds), not by the clock, so counts repeat exactly
 #: across runs, and it always holds at least 1,000 requests.
-PAIRS_PER_SECOND = 15
+PAIRS_PER_SECOND = 8
 MIN_PAIRS = 500
+#: Request pairs of a traced run, whatever ``--seconds``: it reports no
+#: percentiles, and sends its schedule twice (traced, then untraced).
+TRACED_PAIRS = 250
 CLIENTS = 2
+
+
+def serve_pairs(seconds: float, trace: bool) -> int:
+    """Request pairs in the ``serve`` schedule of one run."""
+    if trace:
+        return TRACED_PAIRS
+    return max(MIN_PAIRS, int(PAIRS_PER_SECOND * seconds))
 
 
 class ServerProcess:
@@ -558,7 +597,12 @@ class ServerProcess:
             return ""
 
     def stop(self) -> Dict[str, object]:
-        """SIGTERM, wait for the drain, and return the server's totals."""
+        """SIGTERM, wait for the drain, and return the server's totals.
+
+        Raises if the server wrote none: its drain failed or took longer
+        than 60 s and it was killed. Its peak RSS is an end-to-end
+        metric, so a run without it has no result.
+        """
         if self.proc.poll() is None:
             self.proc.terminate()
             try:
@@ -570,7 +614,10 @@ class ServerProcess:
         try:
             return json.loads(self.totals_path.read_text(encoding="utf-8"))
         except (OSError, ValueError):
-            return {}
+            raise RuntimeError(
+                f"server (exit code {self.proc.returncode}) wrote no totals: "
+                "its drain on SIGTERM failed or took over 60 s"
+            ) from None
         finally:
             shutil.rmtree(self.store_dir, ignore_errors=True)
 
@@ -591,21 +638,28 @@ class ServeWorkload:
     """``serve``: one ``repro serve --port 0 --port-file`` subprocess on
     loopback with its own store (one replica, default settings), and
     ``CLIENTS`` (= 2 = ``nproc`` here) client threads calling
-    ``repro.serve.Client.evaluate`` with 8-point batches, the kernel
-    rotating qrca/qcla/qft per request pair.
+    ``repro.serve.Client.evaluate`` with ``POINTS_PER_REQUEST``-point
+    batches, the kernel rotating qrca/qcla/qft per request pair.
 
     Load model: a closed loop in lockstep pairs. Each client sends its
     next request only after its previous one returned, and both clients
     of pair ``i`` wait on a barrier before sending, so the two requests
-    of a pair are always in flight together. A batch holds
-    ``GRID_PER_REQUEST`` grid points drawn from the kernel's 42-point
-    grid (store hits once warm) and one fresh continuous sample per
-    architecture: ``SHARED_PER_REQUEST`` of them sent by both clients of
-    the pair (single-flight coalescing), the last one private (a miss).
-    The schedule has ``max(MIN_PAIRS, PAIRS_PER_SECOND x seconds)``
-    pairs, at least 1,000 requests, so at least ten samples lie beyond
-    p99; being fixed by (seed, seconds), its counts repeat. On a 2-core
-    machine the minimum schedule takes about 35 s.
+    of a pair are always in flight together — as two users' explorations
+    through ``RemoteEvaluator`` are. A batch mixes its points in the
+    shares ``traffic_mix.py`` measured on such traffic
+    (``MEASURED_SHARES``: 9.9% hits, 17.3% shared, 72.8% misses), which
+    at 8 points is ``MIX``: 1 grid point drawn from the kernel's 42-point
+    grid (a store hit), 1 fresh continuous sample sent by both clients
+    of the pair (single-flight coalescing) and 6 fresh samples private
+    to the client (misses), the fresh points spanning
+    ``ARCHS_PER_REQUEST`` architectures (measured: 2.2 on average). The
+    measured traffic carries its hits and shared points in 42- and
+    9-point grid batches; here every request has the same size and mix,
+    so per-request latency is one population.
+    The schedule has ``serve_pairs(seconds, trace)`` pairs: untraced, at
+    least 1,000 requests, so at least ten samples lie beyond p99; traced,
+    ``TRACED_PAIRS``. Being fixed by (seed, seconds, trace), its counts
+    repeat. On a 2-core machine the minimum schedule takes about 60 s.
 
     Why: this is the only workload with the wire, admission, the work
     lock and the ``_Flight`` table on the path — where flight/lease
@@ -618,12 +672,14 @@ class ServeWorkload:
     three server processes would measure the scheduler.
 
     One operation is one request. Set-up includes server spawn until
-    ``/readyz`` answers and one warm-up request per kernel carrying its
-    whole grid, so the server's lazy kernel analysis is not in the timed
-    window and every grid point is a store hit from the first request.
-    That also makes the counts exact: whichever client of a pair
-    registers its flights first, the owner simulates the three fresh
-    points of its batch and the follower its one private point.
+    ``/readyz`` answers and one single-point request per kernel, so the
+    server's lazy kernel analysis is in set-up, not in the timed window.
+    After set-up, untimed, one request per kernel carrying its whole
+    grid fills the store, so every grid point is a store hit from the
+    first request. That also makes the counts exact: whichever client
+    of a pair registers its flights first, the owner simulates the
+    shared point and its private ones and the follower only its private
+    ones.
     """
 
     name = "serve"
@@ -641,7 +697,7 @@ class ServeWorkload:
         "serve.service",
     )
 
-    def __init__(self, seed: int, workdir: Path, seconds: float) -> None:
+    def __init__(self, seed: int, workdir: Path, pairs: int) -> None:
         from repro.explore import architecture_space
         from repro.kernels import analyze_kernel
 
@@ -650,7 +706,6 @@ class ServeWorkload:
         spaces = {k: architecture_space(analyze_kernel(k, WIDTH)) for k in KERNELS}
         grids = {k: spaces[k].grid_points() for k in KERNELS}
         self.warmup = [(k, grids[k]) for k in KERNELS]
-        pairs = max(MIN_PAIRS, int(PAIRS_PER_SECOND * seconds))
         self.schedule: List[List[Tuple[str, List[Dict[str, object]]]]] = [
             [] for _ in range(CLIENTS)
         ]
@@ -658,21 +713,24 @@ class ServeWorkload:
         for pair in range(pairs):
             kernel = KERNELS[pair % len(KERNELS)]
             space = spaces[kernel]
-            # The fresh points of a request cover every architecture once
-            # (architectures are assigned, not drawn), so every request of
-            # a kernel asks for the same simulation work and every seed
-            # for the same mix; only factory areas and grid picks depend
-            # on the seed.
-            order = [archs[(pair + i) % len(archs)] for i in range(len(archs))]
+            # The fresh points of a request take ``ARCHS_PER_REQUEST``
+            # architectures in turn (assigned, not drawn, rotating per
+            # pair), so every request asks for the same number of
+            # simulation batches and every seed for the same mix; only
+            # factory areas and grid picks depend on the seed.
+            order = [archs[(pair + i) % len(archs)] for i in range(ARCHS_PER_REQUEST)]
 
             def fresh(arch: str) -> Dict[str, object]:
                 return {**space.sample(rng), "arch": arch}
 
-            shared = [fresh(arch) for arch in order[:SHARED_PER_REQUEST]]
+            shared = [fresh(order[i % len(order)]) for i in range(MIX["shared"])]
             for client in range(CLIENTS):
-                points = [rng.choice(grids[kernel]) for _ in range(GRID_PER_REQUEST)]
+                points = [rng.choice(grids[kernel]) for _ in range(MIX["hit"])]
                 points += shared
-                points += [fresh(arch) for arch in order[SHARED_PER_REQUEST:]]
+                points += [
+                    fresh(order[(MIX["shared"] + i) % len(order)])
+                    for i in range(MIX["miss"])
+                ]
                 rng.shuffle(points)
                 self.schedule[client].append((kernel, points))
         self.server: Optional[ServerProcess] = None
@@ -682,28 +740,37 @@ class ServeWorkload:
     # -- set-up ---------------------------------------------------------
 
     def start(self, trace: bool) -> float:
-        """Spawn a server, wait for ``/readyz``, send the warm-up requests.
+        """Spawn a server, wait for ``/readyz``, and send each kernel's
+        first grid point, which makes the server analyze the kernel.
 
         Returns the spawn-to-ready seconds (``serve.spawn_s``).
         """
-        from repro.serve import Client
-
         t0 = time.perf_counter()
         self.server = ServerProcess(self.workdir, str(self.servers), trace)
         self.servers += 1
-        url = self.server.wait_ready()
+        self.server.wait_ready()
         spawn_s = time.perf_counter() - t0
-        client = Client(url, timeout=60.0, retries=0)
         self.warmup_stats = []
-        for kernel, points in self.warmup:
-            _, stats = client.evaluate(kernel, WIDTH, points)
-            self.warmup_stats.append(stats)
+        self._send_warmup(lambda points: points[:1])
         return spawn_s
 
+    def prefill(self) -> None:
+        """Store every grid point: the store state the schedule's hits
+        rely on. Untimed, and not set-up: it is the benchmark's input,
+        as the earlier explorations that warmed a user's store are."""
+        self._send_warmup(lambda points: points)
+
+    def _send_warmup(self, pick) -> None:
+        from repro.serve import Client
+
+        client = Client(self.server.url, timeout=60.0, retries=0)
+        for kernel, points in self.warmup:
+            _, stats = client.evaluate(kernel, WIDTH, pick(points))
+            self.warmup_stats.append(stats)
+
     def stop(self) -> Dict[str, object]:
-        totals = self.server.stop() if self.server is not None else {}
-        self.server = None
-        return totals
+        server, self.server = self.server, None
+        return server.stop() if server is not None else {}
 
     # -- timed phase ----------------------------------------------------
 
