@@ -82,7 +82,7 @@ def test_bench_code_level_grid_explore(monkeypatch):
     # Spot-check bit-identical equality against fresh serial runs.
     for evaluation in (result.evaluations[0], result.evaluations[-1]):
         point = dict(evaluation.point)
-        fresh = Evaluator(kernel=kernel, width=width, engine="compiled")
+        fresh = Evaluator(kernel=kernel, width=width)
         from repro.explore.evaluator import (
             KernelSummary,
             _lower_point,
@@ -91,7 +91,7 @@ def test_bench_code_level_grid_explore(monkeypatch):
 
         summary, compiled = fresh._serial_context(point)
         lowered = _lower_point(summary, point)
-        serial = _run_lowered(summary, lowered, compiled, "compiled")
+        serial = _run_lowered(summary, lowered, compiled)
         assert evaluation.result == serial
 
     points_per_s = budget / elapsed

@@ -3,8 +3,9 @@
 Tracks the compiled engine's performance trajectory in the BENCH_*.json
 record: single-point simulation rate, full-sweep wall clock, and the
 compiled-vs-seed speedup on the Figure 15 area sweep. The speedup gate
-(>= 5x on a 32-bit kernel) is this PR's acceptance criterion; the legacy
-engine is the seed per-gate loop, kept as the executable baseline.
+holds at >= 5x on a 32-bit kernel. The seed per-gate loop is the
+reference oracle :mod:`repro.testing.reference`, kept as the executable
+baseline.
 
 Marked ``perf`` so the suite can be deselected (``-m "not perf"``) when
 only correctness matters; the workloads themselves are sized to keep
@@ -17,11 +18,13 @@ import time
 import pytest
 
 import record as bench_record
+from repro.arch import ArchitectureKind
 from repro.arch.provisioning import area_breakdown
 from repro.arch.simulator import DataflowSimulator
 from repro.arch.supply import PI8, ZERO, SteadyRateSupply
 from repro.arch.sweep import area_sweep
 from repro.circuits.compiled import compile_circuit
+from repro.testing.reference import evaluate_reference, run_reference
 
 pytestmark = pytest.mark.perf
 
@@ -60,9 +63,9 @@ def test_bench_single_point_gates_per_second(benchmark, qcla32):
 
     def run_point_legacy():
         supply = SteadyRateSupply(dict(rates))
-        return DataflowSimulator(
-            qcla32.circuit, qcla32.tech, supply=supply
-        ).run_legacy()
+        return run_reference(
+            DataflowSimulator(qcla32.circuit, qcla32.tech, supply=supply)
+        )
 
     result = benchmark.pedantic(run_point, rounds=5, iterations=1)
     assert result.gates == len(qcla32.circuit)
@@ -92,15 +95,27 @@ def test_bench_area_sweep_speedup_vs_seed(benchmark, qcla32):
     matched = area_breakdown(qcla32).factory_area
     areas = [matched * factor for factor in _AREA_FACTORS]
 
-    def run(engine):
-        return area_sweep(qcla32, areas=areas, engine=engine)
+    def run():
+        return area_sweep(qcla32, areas=areas)
 
-    compiled_curves = benchmark.pedantic(
-        lambda: run("compiled"), rounds=1, iterations=1
-    )
-    legacy_elapsed, legacy_curves = _best_of(lambda: run("legacy"))
-    compiled_elapsed, _ = _best_of(lambda: run("compiled"))
-    assert compiled_curves == legacy_curves
+    def run_legacy():
+        # The same slice, each point lowered as the evaluator lowers it
+        # and simulated by the seed loop.
+        return evaluate_reference(
+            qcla32,
+            [
+                {"arch": kind.value, "factory_area": area}
+                for kind in ArchitectureKind
+                for area in areas
+            ],
+        )
+
+    compiled_curves = benchmark.pedantic(run, rounds=1, iterations=1)
+    legacy_elapsed, legacy_evaluations = _best_of(run_legacy)
+    compiled_elapsed, _ = _best_of(run)
+    assert [p.result for curve in compiled_curves.values() for p in curve] == [
+        e.result for e in legacy_evaluations
+    ]
     speedup = legacy_elapsed / compiled_elapsed
     benchmark.extra_info["seed_sweep_ms"] = legacy_elapsed * 1e3
     benchmark.extra_info["compiled_sweep_ms"] = compiled_elapsed * 1e3

@@ -54,14 +54,14 @@ def _cmd_list(ns: argparse.Namespace) -> int:
 def _cmd_all(ns: argparse.Namespace) -> int:
     for key in sorted(EXPERIMENTS):
         print(f"=== {key} ({EXPERIMENTS[key].paper_ref}) ===")
-        print(run_experiment(key, workers=ns.workers, engine=ns.engine))
+        print(run_experiment(key, workers=ns.workers))
         print()
     return 0
 
 
 def _cmd_run(ns: argparse.Namespace) -> int:
     try:
-        print(run_experiment(ns.experiment, workers=ns.workers, engine=ns.engine))
+        print(run_experiment(ns.experiment, workers=ns.workers))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -225,7 +225,6 @@ def _cmd_explore(ns: argparse.Namespace) -> int:
                 client,
                 kernel=kernel,
                 width=width,
-                engine=ns.engine,
                 store=store,
                 workers=ns.workers,
                 retries=ns.retries,
@@ -236,7 +235,6 @@ def _cmd_explore(ns: argparse.Namespace) -> int:
             evaluator = Evaluator(
                 kernel=kernel,
                 width=width,
-                engine=ns.engine,
                 workers=ns.workers,
                 store=store,
                 retries=ns.retries,
@@ -283,9 +281,7 @@ def _cmd_profile(ns: argparse.Namespace) -> int:
     spool = _obs_enable()
     t0 = time.perf_counter()
     try:
-        output = run_experiment(
-            ns.experiment, workers=ns.workers, engine=ns.engine
-        )
+        output = run_experiment(ns.experiment, workers=ns.workers)
         wall = time.perf_counter() - t0
         tracer = obs.tracer()
         tracer.merge_spool()
@@ -362,7 +358,6 @@ def _cmd_serve(ns: argparse.Namespace) -> int:
     try:
         service = ExploreService(
             store=store,
-            engine=ns.engine or "compiled",
             workers=ns.workers,
             retries=ns.retries,
             timeout=ns.timeout,
@@ -422,10 +417,6 @@ def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help="evaluate sweep/exploration points across N worker processes",
-    )
-    parser.add_argument(
-        "--engine", choices=("compiled", "legacy"), default=None,
-        help="dataflow engine (default: compiled)",
     )
 
 
@@ -644,7 +635,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_sweep_options(p_explore)
     _add_lease_options(p_explore)
-    p_explore.set_defaults(func=_cmd_explore, engine="compiled")
+    p_explore.set_defaults(func=_cmd_explore)
 
     p_serve = sub.add_parser(
         "serve",
@@ -724,7 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_sweep_options(p_serve)
     _add_lease_options(p_serve)
-    p_serve.set_defaults(func=_cmd_serve, engine="compiled")
+    p_serve.set_defaults(func=_cmd_serve)
 
     p_profile = sub.add_parser(
         "profile",
@@ -749,7 +740,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the experiment's own output above the breakdown",
     )
     _add_sweep_options(p_profile)
-    p_profile.set_defaults(func=_cmd_profile, engine="compiled")
+    p_profile.set_defaults(func=_cmd_profile)
 
     p_cache = sub.add_parser(
         "cache",
@@ -792,8 +783,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if getattr(ns, "func", None) is None:
         parser.print_help()
         return 0
-    if getattr(ns, "engine", None) is None:
-        ns.engine = "compiled"
     return ns.func(ns)
 
 

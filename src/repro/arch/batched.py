@@ -3,7 +3,7 @@
 Every headline sweep (Figure 8 throughput curves, Figure 15/16 area
 ladders, each ``repro.explore`` round) simulates the same compiled kernel
 at many design points differing only in supply rates and movement
-penalties. The serial engines in :mod:`repro.arch.simulator` re-walk the
+penalties. The serial engine in :mod:`repro.arch.simulator` re-walks the
 full gate list once per point, so sweep cost is ``points x gates``
 interpreted Python. This module carries a leading ``points`` axis
 instead: simulator state becomes ``(points, num_qubits)`` /
@@ -22,7 +22,7 @@ What batches, and why it stays bit-identical:
   :class:`~repro.arch.supply.PooledSupply` alias, or any custom spec
   publisher) stack a ``(points,)`` rate vector into a
   ``(points, gates)`` ready matrix (:func:`steady_ready_matrix`) — the
-  same division :func:`~repro.arch.simulator._steady_ready_times`
+  same division :func:`~repro.arch.simulator._steady_ready_entry`
   performs per point. Dedicated per-qubit kinds (the QLA model):
   consumption order per home qubit is fixed by the gate sequence alone,
   so per-gate counter values are precomputed home-qubit ranks and
@@ -45,17 +45,15 @@ reproduces the serial engine's program-order walk exactly. Every
 floating-point operation keeps the serial evaluation order (max chains,
 port-booking max/add, then movement add, then supply max, then
 ``+ latency`` then ``+ qec``), which makes the batched results
-**bit-identical** to :meth:`DataflowSimulator.run` /
-:meth:`~DataflowSimulator.run_legacy` — the equivalence suite asserts
-exact float equality, not approximation.
+**bit-identical** to :meth:`DataflowSimulator.run` and to the reference
+loop (:func:`repro.testing.reference.run_reference`) — the equivalence
+suite asserts exact float equality, not approximation.
 
 What falls back: only supplies with no honored ready spec — custom
 :class:`AncillaSupply` implementations without ``ready_spec()``,
 subclasses that override availability/state methods without re-declaring
 their spec, and instance-level monkeypatches (see
-:func:`~repro.arch.supply.declared_ready_spec`). Setting
-``REPRO_FORCE_PER_POINT=1`` forces every point down the per-point path —
-a debugging escape hatch, reported via the ``forced`` span attribute.
+:func:`~repro.arch.supply.declared_ready_spec`).
 :func:`simulate_batch` routes fallback points through a per-point
 :class:`DataflowSimulator` transparently — callers never need to
 pre-sort their supplies — and reports the per-path point counts
@@ -65,7 +63,6 @@ pre-sort their supplies — and reports the per-path point counts
 
 from __future__ import annotations
 
-import os
 import weakref
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -283,7 +280,7 @@ def steady_ready_matrix(
     """``(points, gates)`` ancilla-ready lower bounds for steady supplies.
 
     The point-axis generalization of
-    :func:`repro.arch.simulator._steady_ready_times`: the k-th ancilla of
+    :func:`repro.arch.simulator._steady_ready_entry`: the k-th ancilla of
     a kind exists at ``k / rate``, evaluated here as one broadcast
     division per kind. A kind whose rate vector is None is untracked for
     the whole batch (it never constrains); a zero rate divides to
@@ -540,8 +537,8 @@ def _run_cqla_lockstep(
     per trip, each point books its earliest-free port (``argmin`` takes
     the first minimum, matching the heap's ``(free, index)`` tie-break).
     Level-order walking would be wrong here: bookings are not
-    commutative, and program order is the order both serial engines
-    book in. All other per-gate arithmetic replays the serial
+    commutative, and program order is the order the serial engine and
+    the reference loop book in. All other per-gate arithmetic replays the serial
     ``_run_cache`` loop's exact operation order, so every column is
     bit-identical to a serial run of that point.
     """
@@ -640,8 +637,7 @@ def simulate_batch(
     models and any custom publisher) executes through the vectorized
     kernels, including under ``cqla``; only spec-less or
     override-disqualified supplies fall back to a per-point serial
-    simulator, transparently. ``REPRO_FORCE_PER_POINT=1`` forces the
-    per-point path for debugging.
+    simulator, transparently.
     """
     with _span("batched.simulate_batch", points=len(supplies)) as sp:
         return _simulate_batch(
@@ -723,7 +719,6 @@ def _simulate_batch(
             teleports=total_teleports,
         )
 
-    forced = os.environ.get("REPRO_FORCE_PER_POINT", "") == "1"
     out: List[Optional[SimulationResult]] = [None] * len(supplies)
     # Group lowerable points by lowering signature so each group shares
     # one ready matrix (mixed tracked/untracked kinds cannot).
@@ -731,7 +726,7 @@ def _simulate_batch(
     groups: Dict[tuple, List[int]] = {}
     specs: List[Optional[ReadySpec]] = [None] * len(supplies)
     for i, supply in enumerate(supplies):
-        spec = None if forced else declared_ready_spec(supply)
+        spec = declared_ready_spec(supply)
         if spec is None:
             out[i] = fallback(supply)
             continue
@@ -758,7 +753,6 @@ def _simulate_batch(
             len(v) for sig, v in groups.items() if "dedicated" in sig
         ),
         fallback=sum(1 for r in out if r is not None),
-        forced=forced,
     )
 
     # An aliased supply object at several constrained points cannot be

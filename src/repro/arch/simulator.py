@@ -14,27 +14,26 @@ CQLA cache behavior follows the paper's sim-cache-style approach: an LRU
 set of resident qubits, with misses teleporting qubits in through a
 limited number of ports and dirty evictions teleporting out.
 
-Two engines execute this model:
+Two production paths execute this model:
 
-* :meth:`DataflowSimulator.run` — the production engine. It consumes the
+* :meth:`DataflowSimulator.run` — one design point. It consumes the
   struct-of-arrays :class:`~repro.circuits.compiled.CompiledCircuit`
   form, allocates no per-gate objects, and lowers any supply that
   publishes a declarative ready-time description
   (:func:`~repro.arch.supply.declared_ready_spec`) through its closed
   form — steady-rate kinds (the k-th ancilla exists at ``k / rate``)
   evaluate for the whole circuit in one vectorized pass, dedicated
-  per-qubit kinds through the inlined counter loop. It is bit-identical
-  to the reference loop — the equivalence test suite asserts exact
-  equality of every :class:`SimulationResult` field across kernels and
-  supplies.
-* :meth:`DataflowSimulator.run_legacy` — the original per-gate-object
-  reference loop, kept as the executable specification the compiled
-  engine is validated against.
+  per-qubit kinds through the inlined counter loop; spec-less custom
+  supplies go through per-gate ``acquire``.
+* :func:`repro.arch.batched.simulate_batch` — a whole *sweep* of design
+  points (one supply per point) in a single vectorized pass over
+  dependency levels, bit-identical to :meth:`~DataflowSimulator.run`
+  once per point.
 
-A third engine lives in :mod:`repro.arch.batched`: it simulates a whole
-*sweep* of design points (one supply per point) in a single vectorized
-pass over dependency levels, bit-identical to running either engine here
-once per point.
+Both are bit-identical to the per-gate-object reference loop, the test
+oracle :func:`repro.testing.reference.run_reference` — the equivalence
+test suites assert exact equality of every :class:`SimulationResult`
+field across kernels and supplies.
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from heapq import heapify, heapreplace
 from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -62,12 +61,10 @@ from repro.arch.supply import (
     DedicatedKindSpec,
     InfiniteSupply,
     SteadyKindSpec,
-    SteadyRateSupply,
     declared_ready_spec,
 )
 from repro.circuits import Circuit
 from repro.circuits.compiled import CompiledCircuit, compile_circuit
-from repro.circuits.gate import PI8_CONSUMING_GATES
 from repro.circuits.latency import LogicalLatencyModel
 from repro.tech import ION_TRAP, TechnologyParams
 
@@ -169,8 +166,8 @@ def movement_teleports(
 
     A movement penalty at least as long as a teleport is one (two for
     two-qubit gates, which move both operands) — the accounting rule
-    ``run_legacy`` applies per gate, evaluated in closed form here for
-    both fast engines.
+    the reference loop applies per gate, evaluated in closed form here
+    for both production paths.
     """
     t_teleport = teleport_latency(tech)
     teleports = 0
@@ -240,15 +237,14 @@ class DataflowSimulator:
             self._compiled = compile_circuit(self.circuit, self.tech)
         return self._compiled
 
-    # ------------------------------------------------------------------
-    # Compiled engine
-
     def run(self) -> SimulationResult:
         """Execute via the compiled array-form engine.
 
-        Result-identical to :meth:`run_legacy` (exact float equality),
-        several times faster: no per-gate object allocation, inlined
-        dependency updates, and closed-form steady-rate supply queries.
+        Result-identical to the reference loop
+        (:func:`repro.testing.reference.run_reference`, exact float
+        equality), several times faster: no per-gate object allocation,
+        inlined dependency updates, and closed-form steady-rate supply
+        queries.
         """
         with _span("simulate.setup"):
             cc = self.compiled
@@ -341,86 +337,16 @@ class DataflowSimulator:
             teleports=teleports,
         )
 
-    # ------------------------------------------------------------------
-    # Reference engine
-
-    def run_legacy(self) -> SimulationResult:
-        """Execute via the original per-gate-object reference loop.
-
-        Kept as the executable specification: the compiled engine must
-        reproduce this loop's results exactly.
-        """
-        tech = self.tech
-        logical = self._logical
-        qec_interact = logical.qec_interaction_latency()
-        qubit_free = [0.0] * self.circuit.num_qubits
-        bit_ready: Dict[str, float] = {}
-        cache = None
-        ports: Optional[_PortBank] = None
-        misses = 0
-        teleports = 0
-        if self.cqla is not None:
-            cache = _LruCache(self.cqla.cache_size(self.circuit.num_qubits))
-            ports = _PortBank(self.cqla.ports)
-        t_teleport = teleport_latency(tech)
-        zeros = 0
-        pi8s = 0
-        makespan = 0.0
-        for gate in self.circuit:
-            qubits = gate.qubits
-            start = max(qubit_free[q] for q in qubits)
-            if gate.condition is not None:
-                start = max(start, bit_ready.get(gate.condition, 0.0))
-            # Cache fills: each non-resident operand teleports in through
-            # the earliest-free port; dirty evictions teleport out first.
-            if cache is not None:
-                for q in qubits:
-                    if q in cache:
-                        cache.touch(q)
-                        continue
-                    misses += 1
-                    evicted = cache.touch(q)
-                    trips = 1 + (1 if evicted is not None else 0)
-                    for _ in range(trips):
-                        teleports += 1
-                        start = ports.book(start, t_teleport)
-            # Architecture movement for the gate itself.
-            movement = self.move_2q if gate.is_two_qubit else self.move_1q
-            if movement and not (gate.is_prep or gate.is_measurement):
-                if movement >= t_teleport:
-                    teleports += 1 if not gate.is_two_qubit else 2
-                start += movement
-            # Ancilla availability.
-            home = qubits[0]
-            start = max(start, self.supply.acquire(ZERO, home, ZEROS_PER_QEC, start))
-            zeros += ZEROS_PER_QEC
-            if gate.gate_type in PI8_CONSUMING_GATES:
-                start = max(start, self.supply.acquire(PI8, home, 1, start))
-                pi8s += 1
-            finish = start + logical.gate_latency(gate) + qec_interact
-            for q in qubits:
-                qubit_free[q] = finish
-            if gate.result is not None:
-                bit_ready[gate.result] = finish
-            makespan = max(makespan, finish)
-        return SimulationResult(
-            makespan_us=makespan,
-            gates=len(self.circuit),
-            zero_ancillae_consumed=zeros,
-            pi8_ancillae_consumed=pi8s,
-            cache_misses=misses,
-            teleports=teleports,
-        )
-
 
 # ----------------------------------------------------------------------
 # Compiled-engine loop bodies.
 #
 # Each is a module-level function over plain locals: per-gate work is a
 # handful of list index / compare operations and nothing else. Floating-
-# point evaluation order matches run_legacy exactly (same max chains,
-# same addition associativity), which is what makes the engines
-# bit-identical rather than merely approximately equal.
+# point evaluation order matches the reference loop
+# (:func:`repro.testing.reference.run_reference`) exactly (same max
+# chains, same addition associativity), which is what makes the engine
+# bit-identical to it rather than merely approximately equal.
 
 
 #: Memoized steady-supply ready vectors: per compiled circuit (weak), a
@@ -506,20 +432,6 @@ def _steady_ready_entry(
     if len(per_cc) > _READY_CACHE_MAX:
         per_cc.popitem(last=False)
     return entry
-
-
-def _steady_ready_times(
-    cc: CompiledCircuit, supply: SteadyRateSupply
-) -> Optional[np.ndarray]:
-    """Per-gate ancilla-ready lower bounds for a steady-rate supply.
-
-    The ndarray half of :func:`_steady_ready_entry` — the form the
-    point-batched engine stacks into ready matrices. Memoized: the same
-    ``(circuit, rates-fingerprint)`` returns the identical read-only
-    array. ``None`` when the supply never constrains this circuit.
-    """
-    spec = supply.ready_spec()
-    return _steady_ready_entry(cc, spec.kind(ZERO), spec.kind(PI8))[0]
 
 
 def _run_flat(

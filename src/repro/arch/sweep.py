@@ -17,16 +17,15 @@ form exactly once per sweep (or once per worker process under
 is a bare design-point chunk). Simulation is deterministic and points
 come back in order, so parallel results are identical to serial ones.
 
-Under the default compiled engine the evaluator resolves each sweep's
-homogeneous point groups through the **point-batched** engine
-(:mod:`repro.arch.batched`): the whole throughput axis — and each
-QLA/CQLA/Multiplexed area ladder — executes as one vectorized pass over
-a ``(points, qubits)`` state matrix rather than one interpreted walk per
-point, bit-identically (roughly an order of magnitude faster at
-Figure-8/15 grid sizes; see ``benchmarks/test_bench_sweeps.py``). CQLA
-ladders ride a program-order lockstep kernel (port booking couples gates
-within a point, never across points, so the cache model vectorizes over
-the points axis too). Only ``engine="legacy"`` walks points one by one.
+The evaluator resolves each sweep's homogeneous point groups through the
+**point-batched** engine (:mod:`repro.arch.batched`): the whole
+throughput axis — and each QLA/CQLA/Multiplexed area ladder — executes
+as one vectorized pass over a ``(points, qubits)`` state matrix rather
+than one interpreted walk per point, bit-identically (roughly an order
+of magnitude faster at Figure-8/15 grid sizes; see
+``benchmarks/test_bench_sweeps.py``). CQLA ladders ride a program-order
+lockstep kernel (port booking couples gates within a point, never across
+points, so the cache model vectorizes over the points axis too).
 """
 
 from __future__ import annotations
@@ -40,8 +39,6 @@ from repro.arch.architectures import ArchitectureKind, CqlaConfig
 from repro.arch.simulator import SimulationResult
 from repro.circuits.compiled import CompiledCircuit
 from repro.kernels.analysis import KernelAnalysis
-
-_ENGINES = ("compiled", "legacy")
 
 
 @dataclass(frozen=True)
@@ -57,16 +54,12 @@ def _make_evaluator(
     analysis: KernelAnalysis,
     compiled: Optional[CompiledCircuit],
     workers: Optional[int],
-    engine: str,
     cqla: Optional[CqlaConfig] = None,
 ):
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {_ENGINES}")
     from repro.explore.evaluator import Evaluator
 
     return Evaluator(
         analysis=analysis,
-        engine=engine,
         workers=workers,
         compiled=compiled,
         cqla=cqla,
@@ -79,7 +72,6 @@ def throughput_sweep(
     *,
     compiled: Optional[CompiledCircuit] = None,
     workers: Optional[int] = None,
-    engine: str = "compiled",
 ) -> List[SweepPoint]:
     """Figure 8: execution time vs steady encoded-zero throughput.
 
@@ -96,8 +88,6 @@ def throughput_sweep(
             initializer.
         workers: When > 1, farm points out to this many worker processes.
             Results are identical to a serial run.
-        engine: ``"compiled"`` (default) or ``"legacy"`` — the reference
-            per-gate loop, kept selectable for baseline measurement.
     """
     avg = analysis.zero_bandwidth_per_ms
     if throughputs_per_ms is None:
@@ -106,7 +96,7 @@ def throughput_sweep(
     pi8_ratio = (
         analysis.pi8_bandwidth_per_ms / avg if avg > 0 else 0.0
     )
-    evaluator = _make_evaluator(analysis, compiled, workers, engine)
+    evaluator = _make_evaluator(analysis, compiled, workers)
     evaluations = evaluator.evaluate(
         [{"zero_rate": rate, "pi8_ratio": pi8_ratio} for rate in rates]
     )
@@ -122,11 +112,10 @@ def _simulate_architecture(
     area: float,
     cqla: Optional[CqlaConfig] = None,
     compiled: Optional[CompiledCircuit] = None,
-    engine: str = "compiled",
 ) -> SimulationResult:
     """One architecture point under ``analysis.tech`` (shared with the
     Qalypso comparison)."""
-    evaluator = _make_evaluator(analysis, compiled, None, engine, cqla)
+    evaluator = _make_evaluator(analysis, compiled, None, cqla)
     point = {"arch": kind.value, "factory_area": float(area)}
     return evaluator.evaluate([point])[0].result
 
@@ -139,7 +128,6 @@ def area_sweep(
     *,
     compiled: Optional[CompiledCircuit] = None,
     workers: Optional[int] = None,
-    engine: str = "compiled",
 ) -> Dict[ArchitectureKind, List[SweepPoint]]:
     """Figure 15: execution time vs total ancilla-factory area per arch.
 
@@ -155,13 +143,9 @@ def area_sweep(
             initializer.
         workers: When > 1, farm points out to this many worker processes.
             Results are identical to a serial run.
-        engine: ``"compiled"`` (default) or ``"legacy"`` — the reference
-            per-gate loop, kept selectable for baseline measurement.
     """
     from repro.arch.provisioning import area_breakdown
 
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; choose from {_ENGINES}")
     if areas is None:
         matched = area_breakdown(analysis).factory_area
         areas = np.geomspace(matched / 8.0, matched * 512.0, 14)
@@ -170,7 +154,7 @@ def area_sweep(
     flat: List[Tuple[ArchitectureKind, float]] = [
         (kind, area) for kind in kinds for area in areas
     ]
-    evaluator = _make_evaluator(analysis, compiled, workers, engine, cqla)
+    evaluator = _make_evaluator(analysis, compiled, workers, cqla)
     evaluations = evaluator.evaluate(
         [{"arch": kind.value, "factory_area": area} for kind, area in flat]
     )

@@ -16,7 +16,7 @@ the compiled dataflow engine. It
   point, and every QLA/CQLA/Multiplexed architecture point of one
   configuration — become one numpy pass over a ``(points, qubits)``
   state matrix instead of N serial ``run()`` walks, bit-identically.
-  Only ``engine="legacy"`` runs take the per-point path;
+  A single-point batch takes one serial :meth:`DataflowSimulator.run`;
 * shards cache misses across ``workers=N`` processes, compiling the
   kernel **once per worker** via a ``ProcessPoolExecutor`` initializer —
   tasks are bare point-dict chunks, so nothing heavyweight is re-pickled,
@@ -78,8 +78,6 @@ from repro.obs.trace import flush_worker, span as _span, worker_init_from_env
 from repro.tech import ION_TRAP, TechnologyParams
 from repro.testing import faults
 from repro.util.backoff import Backoff
-
-ENGINES = ("compiled", "legacy")
 
 #: Dimension names the lowering understands.
 KNOWN_DIMENSIONS = frozenset(
@@ -319,10 +317,9 @@ def _run_lowered(
     summary: KernelSummary,
     lowered: _LoweredPoint,
     compiled: Optional[CompiledCircuit],
-    engine: str,
 ) -> SimulationResult:
     """One serial simulator run of an already-lowered point."""
-    sim = DataflowSimulator(
+    return DataflowSimulator(
         summary.circuit,
         summary.tech,
         supply=lowered.supply,
@@ -330,8 +327,7 @@ def _run_lowered(
         two_qubit_movement_penalty_us=lowered.move_2q,
         cqla=lowered.cqla,
         compiled=compiled,
-    )
-    return sim.run() if engine == "compiled" else sim.run_legacy()
+    ).run()
 
 
 def _evaluation(
@@ -354,11 +350,10 @@ def evaluate_design_point(
     summary: KernelSummary,
     point: Dict[str, object],
     compiled: Optional[CompiledCircuit],
-    engine: str,
 ) -> Evaluation:
     """Run one *canonical* design point through the dataflow simulator."""
     lowered = _lower_point(summary, point)
-    result = _run_lowered(summary, lowered, compiled, engine)
+    result = _run_lowered(summary, lowered, compiled)
     return _evaluation(summary, point, lowered, result)
 
 
@@ -366,7 +361,7 @@ def evaluate_design_points(
     summary: KernelSummary,
     points: Sequence[Dict[str, object]],
     compiled: Optional[CompiledCircuit],
-    engine: str,
+    engine: str = "compiled",
 ) -> List[Evaluation]:
     """Evaluate many *canonical* points, batching homogeneous runs.
 
@@ -374,14 +369,21 @@ def evaluate_design_points(
     steady-supply points; all architecture points of one
     kind/configuration, cache modes included) resolve through one
     :func:`repro.arch.batched.simulate_batch` call — a single vectorized
-    pass over the whole group — instead of N serial ``run()`` walks.
-    Only the legacy engine takes the per-point path. Results are
-    bit-identical to per-point evaluation either way.
+    pass over the whole group — instead of N serial ``run()`` walks. A
+    single point takes one serial ``run()``. Results are bit-identical
+    to per-point evaluation either way.
+
+    ``engine`` accepts only ``"compiled"`` (anything else raises
+    ``ValueError``): it survives solely so existing four-argument
+    callers keep working, and a later benchmark change removes it.
     """
-    if engine != "compiled" or len(points) < 2:
+    if engine != "compiled":
+        raise ValueError(
+            f"unknown engine {engine!r}; the only dataflow engine is 'compiled'"
+        )
+    if len(points) < 2:
         return [
-            evaluate_design_point(summary, point, compiled, engine)
-            for point in points
+            evaluate_design_point(summary, point, compiled) for point in points
         ]
     lowered = [_lower_point(summary, point) for point in points]
     out: List[Optional[Evaluation]] = [None] * len(points)
@@ -413,28 +415,20 @@ def evaluate_design_points(
 _WORKER: Dict[str, object] = {}
 
 
-def _init_worker_summary(summary: KernelSummary, engine: str) -> None:
+def _init_worker_summary(summary: KernelSummary) -> None:
     """Pool initializer (analysis mode): one compilation per worker."""
     worker_init_from_env()
     _WORKER.clear()
     _WORKER["mode"] = "summary"
-    _WORKER["engine"] = engine
     _WORKER["summary"] = summary
-    _WORKER["compiled"] = (
-        compile_circuit(summary.circuit, summary.tech)
-        if engine == "compiled"
-        else None
-    )
+    _WORKER["compiled"] = compile_circuit(summary.circuit, summary.tech)
 
 
-def _init_worker_spec(
-    kernel: str, width: int, tech: TechnologyParams, engine: str
-) -> None:
+def _init_worker_spec(kernel: str, width: int, tech: TechnologyParams) -> None:
     """Pool initializer (spec mode): workers re-derive analyses lazily."""
     worker_init_from_env()
     _WORKER.clear()
     _WORKER["mode"] = "spec"
-    _WORKER["engine"] = engine
     _WORKER["spec"] = (kernel, width, tech)
     _WORKER["scales"] = {}
 
@@ -443,16 +437,14 @@ def _summary_for_spec(
     kernel: str,
     width: int,
     tech: TechnologyParams,
-    engine: str,
     scale: float,
     level: int = 1,
-) -> Tuple[KernelSummary, Optional[CompiledCircuit]]:
+) -> Tuple[KernelSummary, CompiledCircuit]:
     from repro.kernels.analysis import analyze_kernel
 
     scaled = tech if scale == 1.0 else tech.scaled(scale)
     analysis = analyze_kernel(kernel, width, scaled, code_level=level)
-    compiled = analysis.compiled_circuit() if engine == "compiled" else None
-    return KernelSummary.from_analysis(analysis), compiled
+    return KernelSummary.from_analysis(analysis), analysis.compiled_circuit()
 
 
 def _recharacterize_key(point: Dict[str, object]) -> Tuple[float, int]:
@@ -464,7 +456,7 @@ def _recharacterize_key(point: Dict[str, object]) -> Tuple[float, int]:
 
 
 def _evaluate_grouped(
-    context, points: Sequence[Dict[str, object]], engine: str
+    context, points: Sequence[Dict[str, object]]
 ) -> List[Evaluation]:
     """Evaluate ``points``, batching per (tech_scale, code_level) group.
 
@@ -483,7 +475,7 @@ def _evaluate_grouped(
     for indices in by_key.values():
         summary, compiled = context(points[indices[0]])
         evaluations = evaluate_design_points(
-            summary, [points[i] for i in indices], compiled, engine
+            summary, [points[i] for i in indices], compiled
         )
         for i, evaluation in zip(indices, evaluations):
             out[i] = evaluation
@@ -498,9 +490,7 @@ def _worker_context(point: Dict[str, object]):
     scale, level = _recharacterize_key(point)
     cached = _WORKER["scales"].get((scale, level))
     if cached is None:
-        cached = _summary_for_spec(
-            kernel, width, tech, _WORKER["engine"], scale, level
-        )
+        cached = _summary_for_spec(kernel, width, tech, scale, level)
         _WORKER["scales"][(scale, level)] = cached
     return cached
 
@@ -515,7 +505,7 @@ def _worker_evaluate_chunk(points: List[Dict[str, object]]) -> List[Evaluation]:
     """
     try:
         with _span("evaluate.chunk", points=len(points)):
-            return _evaluate_grouped(_worker_context, points, _WORKER["engine"])
+            return _evaluate_grouped(_worker_context, points)
     finally:
         flush_worker()
 
@@ -535,11 +525,6 @@ class Evaluator:
         width: Kernel bit width (spec mode).
         tech: Technology parameters (spec mode; analysis mode inherits
             the analysis's).
-        engine: ``"compiled"`` (default) or ``"legacy"``. The compiled
-            engine batch-resolves homogeneous misses through the
-            point-batched engine (one numpy pass per group,
-            bit-identical to per-point runs); the legacy engine always
-            runs point by point.
         workers: When > 1, shard store misses across this many worker
             processes (each worker batch-resolves its contiguous slice
             of the points axis). The kernel is compiled once per worker
@@ -585,7 +570,6 @@ class Evaluator:
         kernel: Optional[str] = None,
         width: Optional[int] = None,
         tech: TechnologyParams = ION_TRAP,
-        engine: str = "compiled",
         workers: Optional[int] = None,
         compiled: Optional[CompiledCircuit] = None,
         cqla: Optional[CqlaConfig] = None,
@@ -596,8 +580,6 @@ class Evaluator:
         leases: bool = True,
         heartbeat_interval: Optional[float] = None,
     ) -> None:
-        if engine not in ENGINES:
-            raise ValueError(f"unknown engine {engine!r}; choose from {ENGINES}")
         if (analysis is None) == (kernel is None):
             raise ValueError("pass exactly one of analysis= or kernel=/width=")
         if kernel is not None and width is None:
@@ -621,7 +603,6 @@ class Evaluator:
         self._kernel = kernel
         self._width = width
         self._tech = analysis.tech if analysis is not None else tech
-        self._engine = engine
         self._workers = workers
         self._cqla = cqla
         self.store = store
@@ -650,7 +631,7 @@ class Evaluator:
         )
         self._compiled = compiled
         self._scales: Dict[
-            Tuple[float, int], Tuple[KernelSummary, Optional[CompiledCircuit]]
+            Tuple[float, int], Tuple[KernelSummary, CompiledCircuit]
         ] = {}
         self._gates: Optional[int] = None
 
@@ -667,9 +648,9 @@ class Evaluator:
 
     def _serial_context(
         self, point: Dict[str, object]
-    ) -> Tuple[KernelSummary, Optional[CompiledCircuit]]:
+    ) -> Tuple[KernelSummary, CompiledCircuit]:
         if self._summary is not None:
-            if self._compiled is None and self._engine == "compiled":
+            if self._compiled is None:
                 self._compiled = compile_circuit(
                     self._summary.circuit, self._summary.tech
                 )
@@ -678,7 +659,7 @@ class Evaluator:
         cached = self._scales.get((scale, level))
         if cached is None:
             cached = _summary_for_spec(
-                self._kernel, self._width, self._tech, self._engine, scale, level
+                self._kernel, self._width, self._tech, scale, level
             )
             self._scales[(scale, level)] = cached
         return cached
@@ -712,7 +693,9 @@ class Evaluator:
             **identity,
             "gates": gates,
             "tech": tech_fingerprint(self._tech),
-            "engine": self._engine,
+            # A constant now that there is one engine; kept in the key
+            # so stores and journals written before it stay warm.
+            "engine": "compiled",
             "point": canonical,
         }
 
@@ -900,9 +883,7 @@ class Evaluator:
         failures = 0
         while True:
             try:
-                return _evaluate_grouped(
-                    self._serial_context, [cpoint], self._engine
-                )[0]
+                return _evaluate_grouped(self._serial_context, [cpoint])[0]
             except Exception as exc:
                 failures += 1
                 if failures > self._retries:
@@ -916,7 +897,7 @@ class Evaluator:
     def _run_serial(self, tasks: List[Dict[str, object]]) -> List[Evaluation]:
         """Serial path: batch-resolve; isolate per point on failure."""
         try:
-            return _evaluate_grouped(self._serial_context, tasks, self._engine)
+            return _evaluate_grouped(self._serial_context, tasks)
         except Exception:
             # A poison point sank the batch: evaluate point by point so
             # only the offender is quarantined, not its batch-mates.
@@ -971,13 +952,9 @@ class Evaluator:
                 self._kernel,
                 self._width,
                 self._tech,
-                self._engine,
             )
         else:
-            initializer, initargs = _init_worker_summary, (
-                self._summary,
-                self._engine,
-            )
+            initializer, initargs = _init_worker_summary, (self._summary,)
         return ProcessPoolExecutor(
             max_workers=max_workers,
             initializer=initializer,

@@ -272,11 +272,10 @@ class Client:
         kernel: str,
         width: int,
         points: Sequence[Dict[str, object]],
-        engine: str = "compiled",
         deadline: Optional[float] = None,
     ) -> Tuple[List[Evaluation], Dict[str, int]]:
         """Evaluate ``points`` remotely; returns (evaluations, stat deltas)."""
-        body = protocol.encode_request(kernel, width, points, engine)
+        body = protocol.encode_request(kernel, width, points)
         _, payload, _ = self.request(
             "POST", protocol.EVALUATE_PATH, body=body, deadline=deadline
         )
@@ -352,8 +351,6 @@ class RemoteEvaluator:
             for a fleet with failover.
         kernel/width: Kernel spec (must match what the server will
             analyze — the spec *is* the request).
-        engine: Dataflow engine requested of the server and used by the
-            local fallback.
         store: Local result store for the fallback evaluator; sharing it
             with the server (same cache dir) makes the fallback warm.
         workers/retries/timeout/heartbeat_interval: Fallback evaluator
@@ -366,7 +363,6 @@ class RemoteEvaluator:
         *,
         kernel: str,
         width: int,
-        engine: str = "compiled",
         store: Optional[ResultStore] = None,
         workers: Optional[int] = None,
         retries: int = 2,
@@ -376,11 +372,9 @@ class RemoteEvaluator:
         self.client = client
         self._kernel = kernel
         self._width = width
-        self._engine = engine
         self._local = Evaluator(
             kernel=kernel,
             width=width,
-            engine=engine,
             workers=workers,
             store=store,
             retries=retries,
@@ -441,7 +435,7 @@ class RemoteEvaluator:
         if not self.degraded:
             try:
                 evaluations, stats = self.client.evaluate(
-                    self._kernel, self._width, points, engine=self._engine
+                    self._kernel, self._width, points
                 )
                 for name, value in stats.items():
                     if isinstance(value, (int, float)):

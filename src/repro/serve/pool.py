@@ -314,7 +314,6 @@ class ReplicaSet:
         kernel: str,
         width: int,
         points: Sequence[Dict[str, object]],
-        engine: str = "compiled",
         deadline: Optional[float] = None,
     ) -> Tuple[List[Evaluation], Dict[str, int]]:
         """Evaluate ``points`` on the first replica that answers.
@@ -331,7 +330,7 @@ class ReplicaSet:
 
         def call(replica: _Replica, remaining: Optional[float]):
             return replica.client.evaluate(
-                kernel, width, points, engine=engine, deadline=remaining
+                kernel, width, points, deadline=remaining
             )
 
         return self._route(call, cutoff)

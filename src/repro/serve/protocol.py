@@ -5,8 +5,12 @@ client so the two can never drift:
 
 * request (``POST /evaluate``)::
 
-      {"kernel": "qcla", "width": 32, "engine": "compiled",
+      {"kernel": "qcla", "width": 32,
        "points": [{"arch": "qla", "factory_area": 80.0}, ...]}
+
+  An ``"engine"`` field, which older clients still send, is ignored:
+  there is one dataflow engine, and the engines it replaced were
+  bit-identical to it, so every answer is the same either way.
 
 * response (200)::
 
@@ -33,7 +37,7 @@ from dataclasses import asdict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.arch.simulator import SimulationResult
-from repro.explore.evaluator import ENGINES, Evaluation
+from repro.explore.evaluator import Evaluation
 
 #: Routes the server exposes.
 EVALUATE_PATH = "/evaluate"
@@ -59,13 +63,11 @@ class ProtocolError(ValueError):
 
 
 def encode_request(
-    kernel: str, width: int, points: Sequence[Dict[str, object]],
-    engine: str = "compiled",
+    kernel: str, width: int, points: Sequence[Dict[str, object]]
 ) -> bytes:
     document = {
         "kernel": kernel,
         "width": width,
-        "engine": engine,
         "points": [dict(point) for point in points],
     }
     try:
@@ -84,20 +86,17 @@ def decode_request(payload: bytes) -> Dict[str, object]:
         raise ProtocolError("request body must be a JSON object")
     kernel = document.get("kernel")
     width = document.get("width")
-    engine = document.get("engine", "compiled")
     points = document.get("points")
     if not isinstance(kernel, str) or not kernel:
         raise ProtocolError("request needs a non-empty string 'kernel'")
     if not isinstance(width, int) or isinstance(width, bool) or width < 1:
         raise ProtocolError(f"request needs a positive integer 'width', got {width!r}")
-    if engine not in ENGINES:
-        raise ProtocolError(f"unknown engine {engine!r}; choose from {ENGINES}")
     if not isinstance(points, list) or not points:
         raise ProtocolError("request needs a non-empty 'points' list")
     for point in points:
         if not isinstance(point, dict):
             raise ProtocolError(f"each point must be an object, got {point!r}")
-    return {"kernel": kernel, "width": width, "engine": engine, "points": points}
+    return {"kernel": kernel, "width": width, "points": points}
 
 
 # ----------------------------------------------------------------------

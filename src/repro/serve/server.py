@@ -2,11 +2,10 @@
 
 Stdlib only. One :class:`ExploreService` owns a shared
 :class:`~repro.explore.store.ResultStore` and a warm
-:class:`~repro.explore.evaluator.Evaluator` per ``(kernel, width,
-engine)`` — the kernel is analyzed and compiled once, then every
-request against it reuses the hot state, so cache-hit batches answer
-with zero simulation. The HTTP front-end
-(:class:`ExploreServer`) is deliberately thin:
+:class:`~repro.explore.evaluator.Evaluator` per ``(kernel, width)`` —
+the kernel is analyzed and compiled once, then every request against it
+reuses the hot state, so cache-hit batches answer with zero simulation.
+The HTTP front-end (:class:`ExploreServer`) is deliberately thin:
 
 * ``POST /evaluate`` — a design-point batch in, evaluations plus the
   evaluator's counter deltas out (:mod:`repro.serve.protocol`);
@@ -96,7 +95,6 @@ class ExploreService:
     Args:
         store: Shared result store (``None`` disables persistence and
             lease coordination — every request simulates).
-        engine: Dataflow engine for the warm evaluators.
         workers: Worker processes per evaluator (see :class:`Evaluator`).
         retries: Per-point retry budget forwarded to the evaluators.
         timeout: Per-chunk evaluation timeout forwarded to the evaluators.
@@ -118,7 +116,6 @@ class ExploreService:
         self,
         *,
         store: Optional[ResultStore] = None,
-        engine: str = "compiled",
         workers: Optional[int] = None,
         retries: int = 2,
         timeout: Optional[float] = None,
@@ -130,7 +127,6 @@ class ExploreService:
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         self.store = store
-        self._engine = engine
         self._workers = workers
         self._retries = retries
         self._timeout = timeout
@@ -138,13 +134,13 @@ class ExploreService:
         self.max_queue = max_queue
         self.coalesce = coalesce
         self.replica_id = replica_id
-        self._evaluators: Dict[Tuple[str, int, str], Evaluator] = {}
+        self._evaluators: Dict[Tuple[str, int], Evaluator] = {}
         self._evaluators_lock = threading.Lock()
         self._work_lock = threading.Lock()
         self._admission = threading.Condition()
         self._inflight = 0
         self._draining = False
-        self._flights: Dict[Tuple[str, int, str, str], _Flight] = {}
+        self._flights: Dict[Tuple[str, int, str], _Flight] = {}
         self._flights_lock = threading.Lock()
         _metrics.counter(
             "repro_serve_shed_total",
@@ -216,16 +212,15 @@ class ExploreService:
 
     # -- evaluation -----------------------------------------------------
 
-    def evaluator_for(self, kernel: str, width: int, engine: str) -> Evaluator:
+    def evaluator_for(self, kernel: str, width: int) -> Evaluator:
         """The warm evaluator for one kernel spec (created on first use)."""
-        key = (kernel, width, engine)
+        key = (kernel, width)
         with self._evaluators_lock:
             evaluator = self._evaluators.get(key)
             if evaluator is None:
                 evaluator = Evaluator(
                     kernel=kernel,
                     width=width,
-                    engine=engine,
                     workers=self._workers,
                     store=self.store,
                     retries=self._retries,
@@ -236,8 +231,7 @@ class ExploreService:
             return evaluator
 
     def evaluate(
-        self, kernel: str, width: int, engine: str,
-        points: Sequence[Dict[str, object]],
+        self, kernel: str, width: int, points: Sequence[Dict[str, object]]
     ) -> Tuple[List[Evaluation], Dict[str, int]]:
         """Evaluate one admitted batch; returns (evaluations, stat deltas).
 
@@ -248,15 +242,14 @@ class ExploreService:
         a time; it parallelizes internally across worker processes).
         """
         if not self.coalesce:
-            return self._evaluate_serialized(kernel, width, engine, points)
-        return self._evaluate_coalesced(kernel, width, engine, points)
+            return self._evaluate_serialized(kernel, width, points)
+        return self._evaluate_coalesced(kernel, width, points)
 
     def _evaluate_serialized(
-        self, kernel: str, width: int, engine: str,
-        points: Sequence[Dict[str, object]],
+        self, kernel: str, width: int, points: Sequence[Dict[str, object]]
     ) -> Tuple[List[Evaluation], Dict[str, int]]:
         with self._work_lock:
-            evaluator = self.evaluator_for(kernel, width, engine)
+            evaluator = self.evaluator_for(kernel, width)
             before = evaluator.stats()
             with _span("serve.evaluate", points=len(points)):
                 evaluations = evaluator.evaluate(points)
@@ -265,8 +258,7 @@ class ExploreService:
             return evaluations, delta
 
     def _evaluate_coalesced(
-        self, kernel: str, width: int, engine: str,
-        points: Sequence[Dict[str, object]],
+        self, kernel: str, width: int, points: Sequence[Dict[str, object]]
     ) -> Tuple[List[Evaluation], Dict[str, int]]:
         """Single-flight evaluation: one simulation pass per canonical
         point across all concurrent requests.
@@ -280,8 +272,8 @@ class ExploreService:
         redundant queue slot. A follower whose owner failed re-enters
         here for the stray points and becomes their owner.
         """
-        evaluator = self.evaluator_for(kernel, width, engine)
-        spec = (kernel, width, engine)
+        evaluator = self.evaluator_for(kernel, width)
+        spec = (kernel, width)
         # May raise ValueError on a malformed point: the caller's 400.
         keys = [evaluator.canonical_key(point) for point in points]
 
@@ -306,7 +298,7 @@ class ExploreService:
             if owned_keys:
                 owned_points = [points[i] for i in owned_keys.values()]
                 evaluations, owned_delta = self._evaluate_serialized(
-                    kernel, width, engine, owned_points
+                    kernel, width, owned_points
                 )
                 for name, value in owned_delta.items():
                     delta[name] = delta.get(name, 0) + value
@@ -342,7 +334,7 @@ class ExploreService:
             # recursion claims ownership and actually evaluates (or
             # raises the owner's error as our own).
             stray_evals, stray_delta = self._evaluate_coalesced(
-                kernel, width, engine, [points[i] for i in stray.values()]
+                kernel, width, [points[i] for i in stray.values()]
             )
             for key, evaluation in zip(stray, stray_evals):
                 results[key] = evaluation
@@ -496,8 +488,7 @@ class _Handler(BaseHTTPRequestHandler):
             return 429
         try:
             evaluations, stats = self.service.evaluate(
-                request["kernel"], request["width"], request["engine"],
-                request["points"],
+                request["kernel"], request["width"], request["points"]
             )
             payload = protocol.encode_response(evaluations, stats)
         except ValueError as exc:

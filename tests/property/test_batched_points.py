@@ -2,7 +2,7 @@
 
 For any vector of supply rates (zero-rate starvation included), any
 point count and any supply model mix, ``simulate_batch`` must equal the
-serial reference loop (``run_legacy``) point for point with exact float
+serial reference loop (``run_reference``) point for point with exact float
 equality — the batching axis must never perturb a single bit of the
 simulation.
 """
@@ -14,6 +14,7 @@ from repro.arch import simulate_batch
 from repro.arch.simulator import DataflowSimulator
 from repro.arch.supply import PI8, ZERO, DedicatedSupply, SteadyRateSupply
 from repro.circuits import Circuit
+from repro.testing.reference import run_reference
 
 NUM_QUBITS = 5
 
@@ -66,7 +67,7 @@ def test_steady_batches_match_reference(rates):
 
     batched = simulate_batch(CIRCUIT, supplies())
     reference = [
-        DataflowSimulator(CIRCUIT, supply=supply).run_legacy()
+        run_reference(DataflowSimulator(CIRCUIT, supply=supply))
         for supply in supplies()
     ]
     assert batched == reference
@@ -93,12 +94,14 @@ def test_dedicated_batches_match_reference(rates, movement):
         two_qubit_movement_penalty_us=movement * 2.0,
     )
     reference = [
-        DataflowSimulator(
-            CIRCUIT,
-            supply=supply,
-            movement_penalty_us=movement,
-            two_qubit_movement_penalty_us=movement * 2.0,
-        ).run_legacy()
+        run_reference(
+            DataflowSimulator(
+                CIRCUIT,
+                supply=supply,
+                movement_penalty_us=movement,
+                two_qubit_movement_penalty_us=movement * 2.0,
+            )
+        )
         for supply in supplies()
     ]
     assert batched == reference
@@ -131,7 +134,7 @@ def test_mixed_model_batches_match_reference(picks):
 
     batched = simulate_batch(CIRCUIT, supplies())
     reference = [
-        DataflowSimulator(CIRCUIT, supply=supply).run_legacy()
+        run_reference(DataflowSimulator(CIRCUIT, supply=supply))
         for supply in supplies()
     ]
     assert batched == reference

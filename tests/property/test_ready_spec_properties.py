@@ -2,7 +2,7 @@
 
 The tentpole invariant of the ready-spec protocol: for every supply that
 declares a spec, lowering that spec into the closed-form / array kernels
-must equal the gate-by-gate ``acquire()`` reference loop (``run_legacy``)
+must equal the gate-by-gate ``acquire()`` reference loop (``run_reference``)
 with exact float equality — and must leave the supply's observable state
 (consumed counters, per-qubit vectors) identical too. Exercised over
 random rate vectors (zero and infinite rates included), mixed tracked
@@ -23,6 +23,7 @@ from repro.arch.supply import (
     SteadyRateSupply,
 )
 from repro.circuits import Circuit
+from repro.testing.reference import run_reference
 
 NUM_QUBITS = 5
 
@@ -83,7 +84,7 @@ def _dedicated_state(supply):
 
 def _reference(supplies, cqla=None):
     return [
-        DataflowSimulator(CIRCUIT, supply=supply, cqla=cqla).run_legacy()
+        run_reference(DataflowSimulator(CIRCUIT, supply=supply, cqla=cqla))
         for supply in supplies
     ]
 
@@ -138,12 +139,14 @@ def test_dedicated_lowering_matches_acquire_loop_and_state(rates, movement):
         two_qubit_movement_penalty_us=movement * 2.0,
     )
     reference = [
-        DataflowSimulator(
-            CIRCUIT,
-            supply=supply,
-            movement_penalty_us=movement,
-            two_qubit_movement_penalty_us=movement * 2.0,
-        ).run_legacy()
+        run_reference(
+            DataflowSimulator(
+                CIRCUIT,
+                supply=supply,
+                movement_penalty_us=movement,
+                two_qubit_movement_penalty_us=movement * 2.0,
+            )
+        )
         for supply in reference_supplies
     ]
     assert batched == reference

@@ -1,13 +1,14 @@
-"""Equivalence tests: point-batched engine vs the serial dataflow engines.
+"""Equivalence tests: point-batched engine vs the serial dataflow paths.
 
 The point-batched engine (:mod:`repro.arch.batched`) must be
-*bit-identical* to both serial engines — every ``SimulationResult`` field
-compared with exact equality, never approx — across all supply models
-(infinite, steady, pooled, dedicated, zero-rate and untracked edge
-cases), with identical observable supply state afterwards. CQLA cache
-mode rides a program-order lockstep kernel; only supplies without a
-declared ready-spec fall back to the per-point serial path, and
-``REPRO_FORCE_PER_POINT=1`` forces that path for debugging.
+*bit-identical* to both the serial engine (``DataflowSimulator.run``)
+and the reference loop (:func:`repro.testing.reference.run_reference`)
+— every ``SimulationResult`` field compared with exact equality, never
+approx — across all supply models (infinite, steady, pooled, dedicated,
+zero-rate and untracked edge cases), with identical observable supply
+state afterwards. CQLA cache mode rides a program-order lockstep kernel;
+only supplies without a declared ready-spec fall back to the per-point
+serial path.
 """
 
 import math
@@ -27,7 +28,7 @@ from repro.arch.batched import (
     dedicated_ready_matrix,
     steady_ready_matrix,
 )
-from repro.arch.simulator import DataflowSimulator, _steady_ready_times
+from repro.arch.simulator import DataflowSimulator, _steady_ready_entry
 from repro.arch.supply import (
     PI8,
     ZERO,
@@ -37,6 +38,12 @@ from repro.arch.supply import (
     SteadyRateSupply,
 )
 from repro.circuits import Circuit
+from repro.explore.evaluator import (
+    Evaluator,
+    KernelSummary,
+    evaluate_design_point,
+)
+from repro.testing.reference import evaluate_reference, run_reference
 
 KERNELS = ("qrca", "qcla", "qft")
 
@@ -50,8 +57,9 @@ class _CeilingSupply:
         return math.ceil(earliest / 1000.0) * 1000.0
 
 
-def _serial(analysis, supplies, config=None, engine="compiled", cqla=None):
-    """Per-point serial results for ``supplies`` (fresh simulator each)."""
+def _serial(analysis, supplies, config=None, reference=False, cqla=None):
+    """Per-point serial results for ``supplies`` (fresh simulator each),
+    from ``run()`` or, with ``reference=True``, from the reference loop."""
     out = []
     move_1q = config.movement_penalty(False, analysis.tech) if config else 0.0
     move_2q = config.movement_penalty(True, analysis.tech) if config else 0.0
@@ -64,7 +72,7 @@ def _serial(analysis, supplies, config=None, engine="compiled", cqla=None):
             two_qubit_movement_penalty_us=move_2q,
             cqla=cqla,
         )
-        out.append(sim.run() if engine == "compiled" else sim.run_legacy())
+        out.append(run_reference(sim) if reference else sim.run())
     return out
 
 
@@ -79,6 +87,17 @@ def _batched(analysis, supplies, config=None, cqla=None):
         two_qubit_movement_penalty_us=move_2q,
         cqla=cqla,
     )
+
+
+class _SpecLess:
+    """Delegates ``acquire`` to a built-in supply but publishes no ready
+    spec, so every point takes the per-point serial path."""
+
+    def __init__(self, supply):
+        self._supply = supply
+
+    def acquire(self, kind, qubit, count, earliest):
+        return self._supply.acquire(kind, qubit, count, earliest)
 
 
 def _steady_rates(analysis):
@@ -101,7 +120,7 @@ class TestSteadyBatches:
 
         batched = _batched(analysis, supplies())
         assert batched == _serial(analysis, supplies())
-        assert batched == _serial(analysis, supplies(), engine="legacy")
+        assert batched == _serial(analysis, supplies(), reference=True)
 
     def test_supply_state_advanced_identically(self, qrca8):
         rate = qrca8.zero_bandwidth_per_ms / 2.0
@@ -178,7 +197,7 @@ class TestArchitectureBatches:
 
         batched = _batched(analysis, supplies(), config)
         assert batched == _serial(analysis, supplies(), config)
-        assert batched == _serial(analysis, supplies(), config, engine="legacy")
+        assert batched == _serial(analysis, supplies(), config, reference=True)
 
     def test_dedicated_counters_advanced_identically(self, qrca8):
         nq = qrca8.circuit.num_qubits
@@ -241,7 +260,7 @@ class TestCqlaBatches:
             analysis,
             self._cqla_supplies(analysis, config),
             config,
-            engine="legacy",
+            reference=True,
             cqla=config,
         )
         assert any(r.cache_misses > 0 for r in batched)
@@ -329,9 +348,9 @@ class TestFallbacks:
         results = simulate_batch(qrca8.circuit, supplies, qrca8.tech)
         assert results == _serial(qrca8, [_CeilingSupply(), _CeilingSupply()])
 
-    def test_force_per_point_hatch_matches_batched(self, qrca8, monkeypatch):
-        """REPRO_FORCE_PER_POINT=1 sends every point down the serial path
-        without changing a single result bit."""
+    def test_per_point_path_matches_batched(self, qrca8, monkeypatch):
+        """Spec-less wrappers send every point down the per-point serial
+        path without changing a single result bit."""
         import repro.arch.batched as batched_module
 
         def boom(*args, **kwargs):
@@ -346,10 +365,10 @@ class TestFallbacks:
             ]
 
         vectorized = _batched(qrca8, supplies())
-        monkeypatch.setenv("REPRO_FORCE_PER_POINT", "1")
         monkeypatch.setattr(batched_module, "_run_levels", boom)
         monkeypatch.setattr(batched_module, "_run_cqla_lockstep", boom)
-        assert _batched(qrca8, supplies()) == vectorized
+        wrapped = [_SpecLess(supply) for supply in supplies()]
+        assert _batched(qrca8, wrapped) == vectorized
 
     def test_instance_level_acquire_override_falls_back(self, qrca8):
         def supplies():
@@ -424,11 +443,11 @@ class TestEdgeShapes:
         serial = [
             DataflowSimulator(circuit, supply=s).run() for s in supplies()
         ]
-        legacy = [
-            DataflowSimulator(circuit, supply=s).run_legacy()
+        reference = [
+            run_reference(DataflowSimulator(circuit, supply=s))
             for s in supplies()
         ]
-        assert batched == serial == legacy
+        assert batched == serial == reference
 
 
 class TestSweepGrids:
@@ -438,15 +457,22 @@ class TestSweepGrids:
         from repro.arch.sweep import throughput_sweep
 
         batched = throughput_sweep(qrca8)  # default Figure 8 grid
-        legacy = throughput_sweep(qrca8, engine="legacy")
-        assert batched == legacy
+        ratio = qrca8.pi8_bandwidth_per_ms / qrca8.zero_bandwidth_per_ms
+        points = [{"zero_rate": p.x, "pi8_ratio": ratio} for p in batched]
+        reference = evaluate_reference(qrca8, points)
+        assert [p.result for p in batched] == [e.result for e in reference]
 
     def test_figure15_grid_bit_identical_across_engines(self, qcla8):
         from repro.arch.sweep import area_sweep
 
         batched = area_sweep(qcla8)  # default Figure 15 grid
-        legacy = area_sweep(qcla8, engine="legacy")
-        assert batched == legacy
+        points = [
+            {"arch": kind.value, "factory_area": p.x}
+            for kind, curve in batched.items()
+            for p in curve
+        ]
+        results = [p.result for curve in batched.values() for p in curve]
+        assert results == [e.result for e in evaluate_reference(qcla8, points)]
 
     @pytest.fixture
     def traced(self):
@@ -481,17 +507,10 @@ class TestSweepGrids:
         spans = self._batch_spans(traced)
         assert spans, "paper sweeps must route through simulate_batch"
         assert sum(span["fallback"] for span in spans) == 0
-        assert all(not span["forced"] for span in spans)
 
     def test_evaluator_batch_equals_per_point_evaluation(self, qrca8):
         """A mixed miss batch resolves to the same evaluations as N
         single-point calls (the pre-batching code path)."""
-        from repro.explore.evaluator import (
-            Evaluator,
-            KernelSummary,
-            evaluate_design_point,
-        )
-
         points = (
             [{"zero_rate": r, "pi8_ratio": 0.3} for r in (1.0, 8.0, 64.0)]
             + [{"arch": "qla", "factory_area": a} for a in (200.0, 900.0)]
@@ -502,9 +521,7 @@ class TestSweepGrids:
         batch = evaluator.evaluate(points)
         summary = KernelSummary.from_analysis(qrca8)
         singles = [
-            evaluate_design_point(
-                summary, evaluator.canonicalize(p), None, "compiled"
-            )
+            evaluate_design_point(summary, evaluator.canonicalize(p), None)
             for p in points
         ]
         assert batch == singles
@@ -523,12 +540,10 @@ class TestReadyMatrices:
         )
         assert matrix.shape == (3, cc.num_gates)
         for row, rate in zip(matrix, rates):
-            serial = _steady_ready_times(
-                cc,
-                SteadyRateSupply(
-                    {ZERO: rate * 1000.0, PI8: rate * 500.0}
-                ),
-            )
+            spec = SteadyRateSupply(
+                {ZERO: rate * 1000.0, PI8: rate * 500.0}
+            ).ready_spec()
+            serial = _steady_ready_entry(cc, spec.kind(ZERO), spec.kind(PI8))[0]
             assert np.array_equal(row, serial)
 
     def test_gate_major_is_exact_transpose(self, qrca8):
@@ -558,21 +573,26 @@ class TestReadyMatrices:
 
 
 class TestSerialReadyMemo:
+    @staticmethod
+    def _ready(cc, supply):
+        spec = supply.ready_spec()
+        return _steady_ready_entry(cc, spec.kind(ZERO), spec.kind(PI8))[0]
+
     def test_ready_vector_memoized_per_rates_fingerprint(self, qrca8):
         cc = qrca8.compiled_circuit()
-        first = _steady_ready_times(cc, SteadyRateSupply({ZERO: 3.0, PI8: 1.0}))
-        again = _steady_ready_times(cc, SteadyRateSupply({ZERO: 3.0, PI8: 1.0}))
+        first = self._ready(cc, SteadyRateSupply({ZERO: 3.0, PI8: 1.0}))
+        again = self._ready(cc, SteadyRateSupply({ZERO: 3.0, PI8: 1.0}))
         assert first is again  # same object: served from the memo
         assert isinstance(first, np.ndarray)
         assert not first.flags.writeable
-        other = _steady_ready_times(cc, SteadyRateSupply({ZERO: 4.0, PI8: 1.0}))
+        other = self._ready(cc, SteadyRateSupply({ZERO: 4.0, PI8: 1.0}))
         assert other is not first
 
     def test_consumed_state_lands_on_different_entry(self, qrca8):
         cc = qrca8.compiled_circuit()
         supply = SteadyRateSupply({ZERO: 3.0, PI8: 1.0})
-        fresh = _steady_ready_times(cc, supply)
+        fresh = self._ready(cc, supply)
         supply.advance(ZERO, 10)
-        shifted = _steady_ready_times(cc, supply)
+        shifted = self._ready(cc, supply)
         assert shifted is not fresh
         assert shifted[0] > fresh[0]

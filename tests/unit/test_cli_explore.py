@@ -41,6 +41,8 @@ class TestSubcommands:
 
     def test_run_rejects_bad_engine(self, capsys):
         assert main(["run", "fig15", "--engine", "warp"]) == 2
+        # There is one dataflow engine: the flag itself is gone.
+        assert main(["run", "fig15", "--engine", "legacy"]) == 2
 
     def test_parser_prog_names_module(self):
         assert build_parser().prog == "python -m repro"

@@ -1,6 +1,7 @@
-"""Equivalence tests: compiled dataflow engine vs the legacy per-gate loop.
+"""Equivalence tests: compiled dataflow engine vs the reference loop.
 
-The compiled engine must be *bit-identical* to the reference loop — every
+The compiled engine must be *bit-identical* to the per-gate reference loop
+(:func:`repro.testing.reference.run_reference`) — every
 ``SimulationResult`` field compared with exact equality (no approx), for
 all three kernels under all five supply/architecture models. The fixtures
 run the 8-bit kernels; engine dispatch does not depend on width.
@@ -18,6 +19,7 @@ from repro.arch.supply import PI8, ZERO, SteadyRateSupply
 from repro.circuits import Circuit, CompiledCircuit, compile_circuit
 from repro.kernels import analyze_kernel
 from repro.tech import ION_TRAP
+from repro.testing.reference import run_reference
 
 KERNELS = ("qrca", "qcla", "qft")
 SUPPLY_MODES = ("infinite", "steady-rate", "qla", "cqla", "multiplexed")
@@ -61,7 +63,7 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_identical_results_across_kernels_and_supplies(self, kernel, mode):
         analysis = analyze_kernel(kernel, 8)
-        legacy = _build_simulator(analysis, mode).run_legacy()
+        legacy = run_reference(_build_simulator(analysis, mode))
         compiled = _build_simulator(analysis, mode).run()
         # Dataclass equality covers makespan, gate count, both ancilla
         # counts, cache misses and teleports — all exactly.
@@ -74,9 +76,11 @@ class TestEngineEquivalence:
             )
 
         legacy_supply, compiled_supply = fresh(), fresh()
-        DataflowSimulator(
-            qrca8.circuit, qrca8.tech, supply=legacy_supply
-        ).run_legacy()
+        run_reference(
+            DataflowSimulator(
+                qrca8.circuit, qrca8.tech, supply=legacy_supply
+            )
+        )
         DataflowSimulator(
             qrca8.circuit, qrca8.tech, supply=compiled_supply
         ).run()
@@ -88,9 +92,11 @@ class TestEngineEquivalence:
     def test_zero_rate_supply_starves_both_engines(self):
         circuit = Circuit(1).h(0)
         starved = SteadyRateSupply({ZERO: 0.0})
-        legacy = DataflowSimulator(
-            circuit, supply=SteadyRateSupply({ZERO: 0.0})
-        ).run_legacy()
+        legacy = run_reference(
+            DataflowSimulator(
+                circuit, supply=SteadyRateSupply({ZERO: 0.0})
+            )
+        )
         compiled = DataflowSimulator(circuit, supply=starved).run()
         assert legacy.makespan_us == float("inf")
         assert compiled == legacy
@@ -106,7 +112,7 @@ class TestEngineEquivalence:
             .measure_x(3, "m1")
             .z(0, condition="m1")
         )
-        legacy = DataflowSimulator(circuit).run_legacy()
+        legacy = run_reference(DataflowSimulator(circuit))
         compiled = DataflowSimulator(circuit).run()
         assert compiled == legacy
 
@@ -120,9 +126,11 @@ class TestEngineEquivalence:
                 return math.ceil(earliest / 1000.0) * 1000.0
 
         circuit = Circuit(2).h(0).cx(0, 1).t(1)
-        legacy = DataflowSimulator(
-            circuit, supply=EveryOtherMillisecond()
-        ).run_legacy()
+        legacy = run_reference(
+            DataflowSimulator(
+                circuit, supply=EveryOtherMillisecond()
+            )
+        )
         compiled = DataflowSimulator(circuit, supply=EveryOtherMillisecond()).run()
         assert compiled == legacy
 
@@ -141,7 +149,7 @@ class TestEngineEquivalence:
             supply.acquire = delayed
             return supply
 
-        legacy = DataflowSimulator(circuit, supply=patched()).run_legacy()
+        legacy = run_reference(DataflowSimulator(circuit, supply=patched()))
         compiled = DataflowSimulator(circuit, supply=patched()).run()
         assert compiled == legacy
         # And the delay really was applied (not the infinite fast path).
@@ -149,7 +157,7 @@ class TestEngineEquivalence:
 
     def test_empty_circuit(self):
         result = DataflowSimulator(Circuit(3)).run()
-        assert result == DataflowSimulator(Circuit(3)).run_legacy()
+        assert result == run_reference(DataflowSimulator(Circuit(3)))
         assert result.makespan_us == 0.0
 
 
@@ -213,4 +221,5 @@ class TestCompilation:
         compiled = qrca8.compiled_circuit()
         sim = DataflowSimulator(qrca8.circuit, qrca8.tech, compiled=compiled)
         assert sim.compiled is compiled
-        assert sim.run() == DataflowSimulator(qrca8.circuit, qrca8.tech).run_legacy()
+        reference = DataflowSimulator(qrca8.circuit, qrca8.tech)
+        assert sim.run() == run_reference(reference)

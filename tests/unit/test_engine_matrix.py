@@ -1,13 +1,13 @@
 """The cross-engine equivalence test matrix.
 
-One parameterized suite asserting ``run_legacy() == run() ==
+One parameterized suite asserting ``run_reference() == run() ==
 simulate_batch()`` — exact equality of every ``SimulationResult`` field —
 across every architecture/supply model x kernel x code level. This
-consolidates what test_compiled_engine (legacy vs compiled) and
+consolidates what test_compiled_engine (reference vs compiled) and
 test_batched_sweep (compiled vs batched) assert piecemeal, and extends
 the matrix along the concatenation-level axis: at ``code_level`` L the
-same three engines run under ``tech.at_level(L)``'s re-characterized
-latency tables and must still agree bit for bit.
+reference loop and both engines run under ``tech.at_level(L)``'s
+re-characterized latency tables and must still agree bit for bit.
 
 Supplies are constructed fresh per engine (rate-limited supplies carry
 consumption state), and the batched engine is exercised both as a
@@ -26,6 +26,7 @@ from repro.arch.simulator import DataflowSimulator
 from repro.arch.supply import PI8, ZERO, SteadyRateSupply
 from repro.kernels import analyze_kernel
 from repro.tech import ION_TRAP
+from repro.testing.reference import run_reference
 
 KERNELS = ("qrca", "qcla", "qft")
 
@@ -118,19 +119,19 @@ def code_level(request):
 
 
 class TestEngineMatrix:
-    """run_legacy == run == simulate_batch, everywhere."""
+    """run_reference == run == simulate_batch, everywhere."""
 
     @pytest.mark.parametrize("mode", SUPPLY_MODES)
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_three_engines_identical(self, kernel, mode, code_level):
         analysis = analyze_kernel(kernel, 8, code_level=code_level)
-        legacy = _simulator(analysis, mode).run_legacy()
+        reference = run_reference(_simulator(analysis, mode))
         compiled = _simulator(analysis, mode).run()
         batched = _batched(analysis, mode)
         # Dataclass equality covers makespan, gate count, both ancilla
         # counts, cache misses and teleports — all exactly.
-        assert compiled == legacy
-        assert batched == legacy
+        assert compiled == reference
+        assert batched == reference
 
     @pytest.mark.parametrize("mode", ("steady-rate", "qla", "multiplexed"))
     def test_grouped_batch_matches_serial_runs(self, mode, code_level):
@@ -194,9 +195,11 @@ class TestEngineMatrix:
 
         states = []
         for runner in (
-            lambda s: DataflowSimulator(
-                analysis.circuit, analysis.tech, supply=s
-            ).run_legacy(),
+            lambda s: run_reference(
+                DataflowSimulator(
+                    analysis.circuit, analysis.tech, supply=s
+                )
+            ),
             lambda s: DataflowSimulator(
                 analysis.circuit, analysis.tech, supply=s
             ).run(),

@@ -10,8 +10,7 @@ batching topology of :mod:`repro.explore.evaluator`:
   spec-coupled method without re-declaring ``ready_spec``) routes
   through the per-point serial engine transparently, with identical
   results;
-* the legacy engine and singleton batches never touch the batched
-  engine at all;
+* singleton batches never touch the batched engine at all;
 * the aliased rate-limited supply guard fires if a lowering ever hands
   the same supply object to two points — and the real lowering never
   does, even for duplicate design points.
@@ -28,6 +27,7 @@ from repro.explore.evaluator import (
     evaluate_design_point,
     evaluate_design_points,
 )
+from repro.testing.reference import evaluate_reference
 
 POINTS = [
     {"arch": "qla", "factory_area": 400.0},
@@ -58,11 +58,8 @@ class TestCqlaBatching:
     def test_every_point_batches_cqla_included(self, qrca8, spy_batch):
         summary = KernelSummary.from_analysis(qrca8)
         canonical = [dict(p) for p in POINTS]
-        batch = evaluate_design_points(summary, canonical, None, "compiled")
-        serial = [
-            evaluate_design_point(summary, dict(p), None, "compiled")
-            for p in POINTS
-        ]
+        batch = evaluate_design_points(summary, canonical, None)
+        serial = [evaluate_design_point(summary, dict(p), None) for p in POINTS]
         assert [e.result for e in batch] == [e.result for e in serial]
         assert [e.point for e in batch] == [e.point for e in serial]
         # Every point entered the batched engine: the two QLA points
@@ -73,11 +70,10 @@ class TestCqlaBatching:
         assert sorted(len(call) for call in spy_batch) == [1, 2, 2]
 
     def test_cqla_results_match_legacy_engine(self, qrca8):
-        compiled = Evaluator(analysis=qrca8).evaluate([POINTS[2]])[0]
-        legacy = Evaluator(analysis=qrca8, engine="legacy").evaluate(
-            [POINTS[2]]
-        )[0]
-        assert compiled.result == legacy.result
+        """Batched CQLA points equal the reference loop's results."""
+        compiled = Evaluator(analysis=qrca8).evaluate(POINTS[2:4])
+        reference = evaluate_reference(qrca8, POINTS[2:4])
+        assert [e.result for e in compiled] == [e.result for e in reference]
 
 
 class TestCustomSupplyFallback:
@@ -116,25 +112,12 @@ class TestCustomSupplyFallback:
             {"arch": "multiplexed", "factory_area": 900.0, "region_span": 8},
         ]
         monkeypatch.setattr(evaluator_module, "_lower_point", lowering)
-        custom = evaluate_design_points(
-            summary, [dict(p) for p in points], None, "compiled"
-        )
+        custom = evaluate_design_points(summary, [dict(p) for p in points], None)
         monkeypatch.setattr(evaluator_module, "_lower_point", real_lower)
-        plain = evaluate_design_points(
-            summary, [dict(p) for p in points], None, "compiled"
-        )
+        plain = evaluate_design_points(summary, [dict(p) for p in points], None)
         # The subclass changes dispatch (per-point fallback inside
         # simulate_batch), not arithmetic: results are identical.
         assert [e.result for e in custom] == [e.result for e in plain]
-
-    def test_legacy_engine_never_calls_batched(self, qrca8, monkeypatch):
-        def boom(*args, **kwargs):  # pragma: no cover - guard
-            raise AssertionError("legacy engine must not batch")
-
-        monkeypatch.setattr(batched_module, "simulate_batch", boom)
-        evaluator = Evaluator(analysis=qrca8, engine="legacy")
-        results = evaluator.evaluate([dict(p) for p in POINTS[:2]])
-        assert len(results) == 2
 
     def test_single_point_short_circuits_batching(self, qrca8, monkeypatch):
         def boom(*args, **kwargs):  # pragma: no cover - guard
@@ -142,9 +125,7 @@ class TestCustomSupplyFallback:
 
         monkeypatch.setattr(batched_module, "simulate_batch", boom)
         summary = KernelSummary.from_analysis(qrca8)
-        result = evaluate_design_points(
-            summary, [dict(POINTS[0])], None, "compiled"
-        )
+        result = evaluate_design_points(summary, [dict(POINTS[0])], None)
         assert len(result) == 1
 
 
@@ -172,7 +153,6 @@ class TestAliasedSupplyRejection:
                      "region_span": 8},
                 ],
                 None,
-                "compiled",
             )
 
     def test_real_lowering_never_aliases(self, qrca8):

@@ -33,6 +33,9 @@ from repro.explore import (
     pareto_front,
     throughput_space,
 )
+from repro.explore.evaluator import KernelSummary, evaluate_design_points
+from repro.explore.store import key_digest
+from repro.testing.reference import evaluate_reference
 
 
 def sweep_adcr_optimum(analysis, curves):
@@ -150,6 +153,19 @@ class TestResultStoreIntegration:
         assert warm.best_score == cold.best_score
         assert warm.best.point_dict == cold.best.point_dict
 
+    def test_store_key_digest_pinned(self):
+        """The store key keeps its ``"engine": "compiled"`` field, so the
+        digest of a fixed point is unchanged and existing stores and
+        journals stay warm."""
+        evaluator = Evaluator(kernel="qrca", width=8)
+        key = evaluator._store_key(
+            evaluator.canonicalize({"arch": "cqla", "factory_area": 400.0})
+        )
+        assert key["engine"] == "compiled"
+        assert key_digest(key) == (
+            "e48fcbd81909220b53513d5a37e75245d865440d262d3a42620c66d492169aa4"
+        )
+
     def test_refinement_is_incremental(self, tmp_path, qrca8):
         """A refined search only simulates points it has never seen."""
         store = ResultStore(tmp_path)
@@ -256,10 +272,10 @@ class TestEvaluator:
         assert parallel == serial
 
     def test_legacy_engine_identical(self, qrca8):
+        """The evaluator matches the reference loop, areas included."""
         point = {"arch": "multiplexed", "factory_area": 300.0}
         compiled = Evaluator(analysis=qrca8).evaluate([point])
-        legacy = Evaluator(analysis=qrca8, engine="legacy").evaluate([point])
-        assert compiled[0].result == legacy[0].result
+        assert compiled == evaluate_reference(qrca8, [point])
 
     def test_tech_scale_requires_spec_mode(self, qrca8):
         evaluator = Evaluator(analysis=qrca8)
@@ -286,8 +302,17 @@ class TestEvaluator:
             )
 
     def test_bad_engine_rejected(self, qrca8):
+        """The four-argument ``evaluate_design_points`` call keeps working
+        with ``"compiled"``; any other engine name is refused."""
+        summary = KernelSummary.from_analysis(qrca8)
+        points = [{"arch": "qla", "factory_area": a} for a in (100.0, 400.0)]
+        assert evaluate_design_points(summary, points, None, "compiled") == (
+            evaluate_design_points(summary, points, None)
+        )
         with pytest.raises(ValueError, match="engine"):
-            Evaluator(analysis=qrca8, engine="vectorized")
+            evaluate_design_points(summary, points, None, "legacy")
+        with pytest.raises(TypeError, match="engine"):
+            Evaluator(analysis=qrca8, engine="legacy")
 
     def test_needs_exactly_one_mode(self, qrca8):
         with pytest.raises(ValueError):

@@ -16,18 +16,17 @@ POINTS = [
 
 class TestRequestRoundtrip:
     def test_roundtrip(self):
-        body = protocol.encode_request("qcla", 32, POINTS, engine="legacy")
+        body = protocol.encode_request("qcla", 32, POINTS)
         request = protocol.decode_request(body)
-        assert request["kernel"] == "qcla"
-        assert request["width"] == 32
-        assert request["engine"] == "legacy"
-        assert request["points"] == POINTS
+        assert request == {"kernel": "qcla", "width": 32, "points": POINTS}
 
-    def test_engine_defaults_to_compiled(self):
+    def test_engine_field_from_older_clients_ignored(self):
         raw = json.dumps(
-            {"kernel": "qrca", "width": 8, "points": POINTS}
+            {"kernel": "qrca", "width": 8, "engine": "legacy", "points": POINTS}
         ).encode()
-        assert protocol.decode_request(raw)["engine"] == "compiled"
+        assert protocol.decode_request(raw) == {
+            "kernel": "qrca", "width": 8, "points": POINTS,
+        }
 
     @pytest.mark.parametrize(
         "mutation, match",
@@ -37,17 +36,14 @@ class TestRequestRoundtrip:
             ({"width": 0}, "width"),
             ({"width": True}, "width"),
             ({"width": "32"}, "width"),
-            ({"engine": "warp"}, "engine"),
+            ({"width": -8}, "width"),
             ({"points": []}, "points"),
             ({"points": "all"}, "points"),
             ({"points": [["arch", "qla"]]}, "point"),
         ],
     )
     def test_invalid_requests_rejected(self, mutation, match):
-        document = {
-            "kernel": "qrca", "width": 8,
-            "engine": "compiled", "points": POINTS,
-        }
+        document = {"kernel": "qrca", "width": 8, "points": POINTS}
         document.update(mutation)
         with pytest.raises(ProtocolError, match=match):
             protocol.decode_request(json.dumps(document).encode())

@@ -74,10 +74,22 @@ class TestEvaluate:
             client.evaluate("nosuchkernel", 8, POINTS[:1])
         assert excinfo.value.status == 400
 
-    def test_unknown_engine_is_terminal_400(self, client):
-        with pytest.raises(RequestError) as excinfo:
-            client.evaluate("qrca", 8, POINTS[:1], engine="warp")
-        assert excinfo.value.status == 400
+    def test_legacy_engine_field_answered_identically(self, client, reference):
+        """An older client's ``"engine": "legacy"`` is ignored: the answer
+        is bit-identical to the same request without the field."""
+        from repro.serve import protocol
+
+        def post(document):
+            _, payload, _ = client.request(
+                "POST", protocol.EVALUATE_PATH,
+                body=json.dumps(document).encode(),
+            )
+            return protocol.decode_response(payload)[0]
+
+        plain = {"kernel": "qrca", "width": 8, "points": POINTS}
+        legacy = post({**plain, "engine": "legacy"})
+        assert legacy == post(plain)
+        assert_identical(legacy, reference)
 
 
 class TestEndpoints:
@@ -290,17 +302,15 @@ class TestCoalescing:
         from repro.serve.server import _Flight
 
         service = self._service(tmp_path)
-        evaluator = service.evaluator_for("qrca", 8, "compiled")
+        evaluator = service.evaluator_for("qrca", 8)
         point = dict(POINTS[0])
-        key = ("qrca", 8, "compiled", evaluator.canonical_key(point))
+        key = ("qrca", 8, evaluator.canonical_key(point))
         flight = _Flight()
         service._flights[key] = flight
         outcome = {}
 
         def follow():
-            evaluations, delta = service.evaluate(
-                "qrca", 8, "compiled", [point]
-            )
+            evaluations, delta = service.evaluate("qrca", 8, [point])
             outcome["evaluations"] = evaluations
             outcome["delta"] = delta
 
@@ -322,17 +332,15 @@ class TestCoalescing:
         from repro.serve.server import _Flight
 
         service = self._service(tmp_path)
-        evaluator = service.evaluator_for("qrca", 8, "compiled")
+        evaluator = service.evaluator_for("qrca", 8)
         point = dict(POINTS[1])
-        key = ("qrca", 8, "compiled", evaluator.canonical_key(point))
+        key = ("qrca", 8, evaluator.canonical_key(point))
         flight = _Flight()
         service._flights[key] = flight
         outcome = {}
 
         def follow():
-            evaluations, delta = service.evaluate(
-                "qrca", 8, "compiled", [point]
-            )
+            evaluations, delta = service.evaluate("qrca", 8, [point])
             outcome["evaluations"] = evaluations
             outcome["delta"] = delta
 
@@ -355,7 +363,7 @@ class TestCoalescing:
         service = self._service(tmp_path)
         point = dict(POINTS[2])
         evaluations, delta = service.evaluate(
-            "qrca", 8, "compiled", [point, dict(point)]
+            "qrca", 8, [point, dict(point)]
         )
         assert len(evaluations) == 2
         assert evaluations[0].result == evaluations[1].result
@@ -365,6 +373,6 @@ class TestCoalescing:
     def test_no_coalesce_service_still_correct(self, tmp_path, reference):
         store = ResultStore(tmp_path / "plain-store")
         service = ExploreService(store=store, coalesce=False)
-        evaluations, delta = service.evaluate("qrca", 8, "compiled", POINTS)
+        evaluations, delta = service.evaluate("qrca", 8, POINTS)
         assert_identical(evaluations, reference)
         assert delta["simulations_run"] == len(POINTS)

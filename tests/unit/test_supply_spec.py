@@ -26,6 +26,7 @@ from repro.arch.supply import (
     SteadyRateSupply,
     declared_ready_spec,
 )
+from repro.testing.reference import run_reference
 
 
 class TestBuiltinSpecs:
@@ -136,7 +137,7 @@ class TestOptInDispatch:
 
         reference = supply()
         legacy = DataflowSimulator(qrca8.circuit, qrca8.tech, supply=reference)
-        legacy_result = legacy.run_legacy()
+        legacy_result = run_reference(legacy)
 
         serial_supply = supply()
         run_result = DataflowSimulator(
@@ -163,9 +164,11 @@ class TestZeroRateStatePinning:
 
     def _state_triplet(self, analysis, make_supply, state):
         legacy_supply = make_supply()
-        DataflowSimulator(
-            analysis.circuit, analysis.tech, supply=legacy_supply
-        ).run_legacy()
+        run_reference(
+            DataflowSimulator(
+                analysis.circuit, analysis.tech, supply=legacy_supply
+            )
+        )
         run_supply = make_supply()
         DataflowSimulator(
             analysis.circuit, analysis.tech, supply=run_supply

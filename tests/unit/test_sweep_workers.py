@@ -1,8 +1,9 @@
 """Sweep-level reuse and parallel-execution tests.
 
 Simulation is deterministic, so ``workers=N`` must reproduce the serial
-sweep exactly (same points, same order, same floats), and the legacy
-engine must agree with the compiled one at the sweep level too.
+sweep exactly (same points, same order, same floats), and the reference
+loop (:mod:`repro.testing.reference`) must agree with the production
+engines at the sweep level too.
 """
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from repro.arch import ArchitectureKind
 from repro.arch.sweep import area_sweep, throughput_sweep
 from repro.circuits.compiled import compile_circuit
+from repro.testing.reference import evaluate_reference
 
 AREAS = (100.0, 400.0, 1600.0)
 RATES = (5.0, 50.0, 500.0, 5000.0)
@@ -22,9 +24,12 @@ class TestThroughputSweep:
         assert parallel == serial
 
     def test_legacy_engine_identical(self, qrca8):
-        assert throughput_sweep(qrca8, RATES) == throughput_sweep(
-            qrca8, RATES, engine="legacy"
+        ratio = qrca8.pi8_bandwidth_per_ms / qrca8.zero_bandwidth_per_ms
+        reference = evaluate_reference(
+            qrca8, [{"zero_rate": r, "pi8_ratio": ratio} for r in RATES]
         )
+        sweep = throughput_sweep(qrca8, RATES)
+        assert [p.result for p in sweep] == [e.result for e in reference]
 
     def test_prebuilt_compiled_circuit_accepted(self, qrca8):
         compiled = compile_circuit(qrca8.circuit, qrca8.tech)
@@ -33,8 +38,9 @@ class TestThroughputSweep:
         )
 
     def test_unknown_engine_rejected(self, qrca8):
-        with pytest.raises(ValueError, match="engine"):
-            throughput_sweep(qrca8, RATES, engine="vectorized")
+        """There is one engine: sweeps take no engine option at all."""
+        with pytest.raises(TypeError, match="engine"):
+            throughput_sweep(qrca8, RATES, engine="legacy")
 
 
 class TestAreaSweep:
@@ -51,9 +57,17 @@ class TestAreaSweep:
         assert parallel == serial
 
     def test_legacy_engine_identical(self, qcla8):
-        assert area_sweep(qcla8, areas=AREAS) == area_sweep(
-            qcla8, areas=AREAS, engine="legacy"
+        curves = area_sweep(qcla8, areas=AREAS)
+        reference = evaluate_reference(
+            qcla8,
+            [
+                {"arch": kind.value, "factory_area": area}
+                for kind in curves
+                for area in AREAS
+            ],
         )
+        results = [p.result for curve in curves.values() for p in curve]
+        assert results == [e.result for e in reference]
 
     def test_prebuilt_compiled_circuit_accepted(self, qcla8):
         compiled = qcla8.compiled_circuit()
