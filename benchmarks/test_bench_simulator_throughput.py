@@ -5,7 +5,8 @@ record: single-point simulation rate, full-sweep wall clock, and the
 compiled-vs-seed speedup on the Figure 15 area sweep. The speedup gate
 holds at >= 5x on a 32-bit kernel. The seed per-gate loop is the
 reference oracle :mod:`repro.testing.reference`, kept as the executable
-baseline.
+baseline. A small-batch gate holds ``simulate_batch`` to the cost of
+per-point ``run()`` calls where a kernel pass would not pay off.
 
 Marked ``perf`` so the suite can be deselected (``-m "not perf"``) when
 only correctness matters; the workloads themselves are sized to keep
@@ -13,12 +14,14 @@ tier-1 fast.
 """
 
 import os
+import statistics
 import time
 
 import pytest
 
 import record as bench_record
-from repro.arch import ArchitectureKind
+from repro.arch import ArchitectureKind, simulate_batch
+from repro.arch.architectures import QlaConfig
 from repro.arch.provisioning import area_breakdown
 from repro.arch.simulator import DataflowSimulator
 from repro.arch.supply import PI8, ZERO, SteadyRateSupply
@@ -137,3 +140,80 @@ def test_bench_full_default_area_sweep(benchmark, qft32):
     """Wall clock of the full default Figure 15 sweep, largest kernel."""
     curves = benchmark.pedantic(lambda: area_sweep(qft32), rounds=1, iterations=1)
     assert all(len(points) == 14 for points in curves.values())
+
+
+@pytest.mark.parametrize("kernel", ("qrca", "qft"))
+def test_bench_small_batch_no_slower_than_serial(kernel, request):
+    """A 4-point QLA batch on a deep kernel costs what 4 run() calls do.
+
+    qrca-32 (986 dependency levels) and qft-32 (3,074) are deep enough
+    that one level-kernel pass over 4 points costs ~2.8-3.5x four serial
+    runs, so ``simulate_batch`` must route such a batch to ``run()``.
+    Both sides are timed back to back in the same run, so machine speed
+    cancels; 1.25x leaves room for timing noise and routing overhead.
+    """
+    analysis = request.getfixturevalue(f"{kernel}32")
+    compiled = analysis.compiled_circuit()
+    config = QlaConfig()
+    tech = analysis.tech
+    move_1q = config.movement_penalty(False, tech)
+    move_2q = config.movement_penalty(True, tech)
+
+    def supplies():
+        return [
+            config.build_supply(
+                area,
+                analysis.circuit.num_qubits,
+                analysis.zero_bandwidth_per_ms,
+                analysis.pi8_bandwidth_per_ms,
+                tech,
+            )
+            for area in (250.0, 500.0, 1000.0, 2000.0)
+        ]
+
+    def batched(points):
+        return simulate_batch(
+            analysis.circuit,
+            points,
+            tech,
+            movement_penalty_us=move_1q,
+            two_qubit_movement_penalty_us=move_2q,
+            compiled=compiled,
+        )
+
+    def serial(points):
+        return [
+            DataflowSimulator(
+                analysis.circuit,
+                tech,
+                supply=supply,
+                movement_penalty_us=move_1q,
+                two_qubit_movement_penalty_us=move_2q,
+                compiled=compiled,
+            ).run()
+            for supply in points
+        ]
+
+    def timed(fn):
+        points = supplies()
+        t0 = time.perf_counter()
+        result = fn(points)
+        return time.perf_counter() - t0, result
+
+    # Back-to-back pairs, first side alternating, then the median of the
+    # per-pair ratios: a burst of load from other processes lands on one
+    # pair instead of skewing one side's whole run.
+    ratios = []
+    for round_ in range(11):
+        order = (batched, serial) if round_ % 2 else (serial, batched)
+        timings = {fn: timed(fn) for fn in order}
+        batch_s, batch_results = timings[batched]
+        serial_s, serial_results = timings[serial]
+        assert batch_results == serial_results
+        ratios.append(batch_s / serial_s)
+    ratio = statistics.median(ratios)
+    print()
+    print(f"  {kernel} 4-point QLA batch vs 4 x run(): median of "
+          f"{len(ratios)} paired ratios {ratio:.2f}x")
+    if not PERF_SMOKE:
+        assert ratio <= 1.25

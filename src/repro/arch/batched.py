@@ -49,22 +49,34 @@ port-booking max/add, then movement add, then supply max, then
 loop (:func:`repro.testing.reference.run_reference`) — the equivalence
 suite asserts exact float equality, not approximation.
 
-What falls back: only supplies with no honored ready spec — custom
-:class:`AncillaSupply` implementations without ``ready_spec()``,
-subclasses that override availability/state methods without re-declaring
-their spec, and instance-level monkeypatches (see
-:func:`~repro.arch.supply.declared_ready_spec`).
-:func:`simulate_batch` routes fallback points through a per-point
-:class:`DataflowSimulator` transparently — callers never need to
-pre-sort their supplies — and reports the per-path point counts
-(``unconstrained`` / ``steady`` / ``dedicated`` / ``fallback``) on its
-``batched.simulate_batch`` span.
+What runs per point instead, through :meth:`DataflowSimulator.run`:
+
+* **Small groups, by shape.** A kernel pass costs a fixed ~6-9 us per
+  dependency level (level kernel) or ~3.5-5.5 us per gate (CQLA
+  lockstep) almost regardless of point count, so a few points on a deep
+  circuit run faster serially: 2 points on qrca-32 (986 levels) take
+  ~8 ms batched against ~0.8 ms serially. Each lowering-signature group
+  (and the shared unconstrained column) takes whichever route
+  :func:`_vectorize` predicts is cheaper from its point count, the
+  circuit's gate and level counts, and whether CQLA is on — never from
+  the caller or the supply model. Both routes are bit-identical and
+  advance supply state identically.
+* **Supplies with no honored ready spec** — custom
+  :class:`AncillaSupply` implementations without ``ready_spec()``,
+  subclasses that override availability/state methods without
+  re-declaring their spec, and instance-level monkeypatches (see
+  :func:`~repro.arch.supply.declared_ready_spec`).
+
+Callers never need to pre-sort their supplies. The
+``batched.simulate_batch`` span reports per-path point counts:
+``unconstrained`` / ``steady`` / ``dedicated`` (vectorized), ``serial``
+(sent to ``run()`` by shape) and ``fallback`` (no honored ready spec).
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -612,6 +624,44 @@ def _lowering_signature(cc: CompiledCircuit, spec: ReadySpec):
     return zero_mode, pi8_mode
 
 
+#: Shape rule constants (see :func:`_vectorize`).
+_GATE_POINTS_PER_LEVEL = 40
+_CQLA_MIN_POINTS = 6
+
+
+def _vectorize(points: int, gates: int, levels: int, cqla: bool) -> bool:
+    """Whether one ``points``-column kernel pass beats ``points`` runs.
+
+    The level kernel pays ~6-9 us of numpy dispatch per dependency level
+    almost regardless of point count, plus ~0.04-0.2 us per gate-point;
+    a serial :meth:`DataflowSimulator.run` pays ~0.2-0.45 us per gate
+    per point. So the kernel wins once ``points * gates`` outgrows
+    ``levels`` by a constant factor. Crossovers measured as min of 5
+    runs (Python 3.11, numpy, one 2-core x86 host), in units of
+    ``points * gates / levels``:
+
+    ========================  =====  ======  ========  ===========
+    kernel (gates, levels)    QLA    steady  multipl.  crossover pts
+    ========================  =====  ======  ========  ===========
+    qcla-32 (2,211, 123)      45     56      57        2.5-3.2
+    qrca-32 (2,018, 986)      29     41      47        14-23
+    qft-32 (7,552, 3,074)     28     44      48        11.5-19.5
+    ========================  =====  ======  ========  ===========
+
+    40 sits inside every model's range, within ~25% of the faster route
+    at any shape. Under CQLA the lockstep kernel walks program order at
+    ~3.5-5.5 us per gate whatever the point count, against ~0.7-1.8 us
+    per gate-point for ``run()``, so the rule is a point count alone:
+    crossovers 6.1 (qcla-32), 5.8 (qrca-32), 6.6 (qft-32) points.
+
+    Both routes are bit-identical, so the rule only moves time. It
+    reads the batch's shape and nothing else.
+    """
+    if cqla:
+        return points >= _CQLA_MIN_POINTS
+    return points * gates >= _GATE_POINTS_PER_LEVEL * levels
+
+
 def simulate_batch(
     circuit: Circuit,
     supplies: Sequence[AncillaSupply],
@@ -632,12 +682,13 @@ def simulate_batch(
     supply state afterwards (steady and dedicated counters advance by
     the same amounts).
 
-    Any supply with an honored declarative ready spec
+    Points whose supply has an honored declarative ready spec
     (:func:`~repro.arch.supply.declared_ready_spec` — the built-in
-    models and any custom publisher) executes through the vectorized
-    kernels, including under ``cqla``; only spec-less or
-    override-disqualified supplies fall back to a per-point serial
-    simulator, transparently.
+    models and any custom publisher) execute through the vectorized
+    kernels, including under ``cqla``, when their group is large enough
+    for a kernel pass to beat per-point runs (:func:`_vectorize`);
+    smaller groups, and spec-less or override-disqualified supplies, run
+    per point through :meth:`DataflowSimulator.run`, transparently.
     """
     with _span("batched.simulate_batch", points=len(supplies)) as sp:
         return _simulate_batch(
@@ -657,7 +708,7 @@ def _simulate_batch(
     sp,
 ) -> List[SimulationResult]:
 
-    def fallback(supply: AncillaSupply) -> SimulationResult:
+    def serial(supply: Optional[AncillaSupply]) -> SimulationResult:
         return DataflowSimulator(
             circuit,
             tech,
@@ -681,6 +732,86 @@ def _simulate_batch(
     n = cc.num_gates
     if n == 0:
         return [SimulationResult(0.0, 0, 0, 0, 0, 0) for _ in supplies]
+
+    out: List[Optional[SimulationResult]] = [None] * len(supplies)
+    # Group lowerable points by lowering signature so each group shares
+    # one ready matrix (mixed tracked/untracked kinds cannot).
+    unconstrained: List[int] = []
+    groups: Dict[tuple, List[int]] = {}
+    specs: List[Optional[ReadySpec]] = [None] * len(supplies)
+    for i, supply in enumerate(supplies):
+        spec = declared_ready_spec(supply)
+        if spec is None:
+            out[i] = serial(supply)
+            continue
+        signature = _lowering_signature(cc, spec)
+        if "unknown" in signature:
+            # A spec type this engine cannot lower — treat like any
+            # custom supply.
+            out[i] = serial(supply)
+            continue
+        specs[i] = spec
+        if signature == (None, None):
+            unconstrained.append(i)
+        else:
+            groups.setdefault(signature, []).append(i)
+    fallback = sum(1 for r in out if r is not None)
+
+    # An aliased supply object at several constrained points cannot be
+    # batched faithfully: serial per-point runs would thread its consumed
+    # state from one point into the next, while a batch snapshots the
+    # state once. Fail loud rather than silently diverge — on either
+    # route, so the outcome never depends on the batch's shape.
+    # (Stateless / unconstrained duplicates are harmless; per-point
+    # fallbacks replay state sequentially in index order, like a serial
+    # loop.)
+    seen_ids: Dict[int, int] = {}
+    for indices in groups.values():
+        for i in indices:
+            j = seen_ids.setdefault(id(supplies[i]), i)
+            if j != i:
+                raise ValueError(
+                    f"supplies[{j}] and supplies[{i}] are the same "
+                    "object; rate-limited supplies must be distinct "
+                    "per point (consumption state cannot be shared "
+                    "within one batch)"
+                )
+
+    # Route each group by its shape (see _vectorize). The unconstrained
+    # points share one column, so they route as a 1-point group; a
+    # serial run() advances each supply exactly as advance() below does
+    # (unconstrained kinds consume nothing).
+    levels = dataflow_metadata(cc).num_levels
+    serial_points = 0
+    if unconstrained and not _vectorize(1, n, levels, cqla is not None):
+        shared = serial(None)
+        for i in unconstrained:
+            out[i] = replace(shared)
+        serial_points += len(unconstrained)
+        unconstrained = []
+    for signature, indices in list(groups.items()):
+        if not _vectorize(len(indices), n, levels, cqla is not None):
+            for i in indices:
+                out[i] = serial(supplies[i])
+            serial_points += len(indices)
+            del groups[signature]
+    # Per-path point counts on the batch span: ``serial`` counts points
+    # the shape rule sent to run(), ``fallback`` those with no honored
+    # ready spec. The paper sweeps (Figures 8/15/16) assert fallback == 0.
+    sp.set(
+        unconstrained=len(unconstrained),
+        steady=sum(
+            len(v) for sig, v in groups.items() if "dedicated" not in sig
+        ),
+        dedicated=sum(
+            len(v) for sig, v in groups.items() if "dedicated" in sig
+        ),
+        serial=serial_points,
+        fallback=fallback,
+    )
+    if not unconstrained and not groups:
+        return out
+
     qec = LogicalLatencyModel(tech).qec_interaction_latency()
     move_1q = movement_penalty_us
     move_2q = (
@@ -689,13 +820,14 @@ def _simulate_batch(
         else movement_penalty_us
     )
     teleports = movement_teleports(cc, move_1q, move_2q, tech)
+    ba = _batch_arrays(cc)
     movement = None
     if move_1q or move_2q:
         table = np.zeros(3)
         table[MOVE_NONE] = 0.0
         table[MOVE_ONE_QUBIT] = move_1q
         table[MOVE_TWO_QUBIT] = move_2q
-        movement = table[_batch_arrays(cc).move_kind]
+        movement = table[ba.move_kind]
 
     schedule: Optional[_CacheSchedule] = None
     t_teleport = 0.0
@@ -718,62 +850,6 @@ def _simulate_batch(
             cache_misses=misses,
             teleports=total_teleports,
         )
-
-    out: List[Optional[SimulationResult]] = [None] * len(supplies)
-    # Group lowerable points by lowering signature so each group shares
-    # one ready matrix (mixed tracked/untracked kinds cannot).
-    unconstrained: List[int] = []
-    groups: Dict[tuple, List[int]] = {}
-    specs: List[Optional[ReadySpec]] = [None] * len(supplies)
-    for i, supply in enumerate(supplies):
-        spec = declared_ready_spec(supply)
-        if spec is None:
-            out[i] = fallback(supply)
-            continue
-        signature = _lowering_signature(cc, spec)
-        if "unknown" in signature:
-            # A spec type this engine cannot lower — treat like any
-            # custom supply.
-            out[i] = fallback(supply)
-            continue
-        specs[i] = spec
-        if signature == (None, None):
-            unconstrained.append(i)
-        else:
-            groups.setdefault(signature, []).append(i)
-    # Per-group point counts on the batch span: how much of the sweep
-    # took the vectorized path vs the per-point fallback. The paper
-    # sweeps (Figures 8/15/16) assert fallback == 0 on this attribute.
-    sp.set(
-        unconstrained=len(unconstrained),
-        steady=sum(
-            len(v) for sig, v in groups.items() if "dedicated" not in sig
-        ),
-        dedicated=sum(
-            len(v) for sig, v in groups.items() if "dedicated" in sig
-        ),
-        fallback=sum(1 for r in out if r is not None),
-    )
-
-    # An aliased supply object at several constrained points cannot be
-    # batched faithfully: serial per-point runs would thread its consumed
-    # state from one point into the next, while a batch snapshots the
-    # state once. Fail loud rather than silently diverge. (Stateless /
-    # unconstrained duplicates are harmless; per-point fallbacks replay
-    # state sequentially in index order, like a serial loop.)
-    seen_ids: Dict[int, int] = {}
-    for indices in groups.values():
-        for i in indices:
-            j = seen_ids.setdefault(id(supplies[i]), i)
-            if j != i:
-                raise ValueError(
-                    f"supplies[{j}] and supplies[{i}] are the same "
-                    "object; rate-limited supplies must be distinct "
-                    "per point (consumption state cannot be shared "
-                    "within one batch)"
-                )
-
-    ba = _batch_arrays(cc)
 
     def advance(index: int) -> None:
         # Commit exactly what a per-gate acquire walk would have

@@ -349,24 +349,25 @@ class DataflowSimulator:
 # bit-identical to it rather than merely approximately equal.
 
 
-#: Memoized steady-supply ready vectors: per compiled circuit (weak), a
-#: small LRU of rates-fingerprint -> ``(read-only ndarray, list)``.
-#: Sweeps construct a fresh supply per design point, so within one sweep
-#: each fingerprint is computed once; across repeated evaluations of the
-#: same point the whole vector is reused. Bounded so pathological rate
-#: churn cannot accumulate unbounded float matrices.
+#: Memoized steady-supply ready vectors: per compiled circuit (weak), an
+#: LRU of rates-fingerprint -> ``(read-only ndarray, list)``. It holds
+#: one entry: repeated runs of the same point (the single-point
+#: benchmark, a re-simulated design point) reuse the vector, while a
+#: sweep's distinct points each compute theirs once anyway. Small
+#: batches route to ``run()`` (see ``repro.arch.batched._vectorize``),
+#: so every distinct steady point of an exploration passes through
+#: here; at 128 entries the retained vectors (up to ~300 KB each on
+#: qft-32) roughly doubled an exploration's peak RSS.
 #:
-#: Both forms are cached because they serve different consumers: the
-#: point-batched engine stacks the ndarrays into ready matrices, while
-#: the serial loops here iterate element by element — and iterating an
-#: ndarray yields np.float64 scalars whose compare/add boxing is ~2x
-#: slower than plain floats (the PR 4/5 single-point throughput
-#: regression). ``.tolist()`` preserves every float bit, so both
-#: consumers stay bit-identical to the reference loop.
+#: The list companion exists because the serial loops iterate element
+#: by element, and iterating an ndarray yields np.float64 scalars whose
+#: compare/add boxing is ~2x slower than plain floats. ``.tolist()``
+#: preserves every float bit, so both stay bit-identical to the
+#: reference loop.
 _READY_CACHE: "weakref.WeakKeyDictionary[CompiledCircuit, OrderedDict]" = (
     weakref.WeakKeyDictionary()
 )
-_READY_CACHE_MAX = 128
+_READY_CACHE_MAX = 1
 
 _ReadyEntry = Tuple[Optional[np.ndarray], Optional[List[float]]]
 

@@ -10,13 +10,14 @@ the compiled dataflow engine. It
 * deduplicates repeated points within a batch;
 * consults a :class:`~repro.explore.store.ResultStore` so warm re-runs
   and refined searches perform zero repeat simulations;
-* resolves homogeneous miss batches through the **point-batched** engine
-  (:func:`repro.arch.batched.simulate_batch`): misses sharing a kernel,
+* resolves homogeneous miss batches through
+  :func:`repro.arch.batched.simulate_batch`: misses sharing a kernel,
   movement discipline, and CQLA configuration — every steady-supply
   point, and every QLA/CQLA/Multiplexed architecture point of one
-  configuration — become one numpy pass over a ``(points, qubits)``
-  state matrix instead of N serial ``run()`` walks, bit-identically.
-  A single-point batch takes one serial :meth:`DataflowSimulator.run`;
+  configuration — go in one call, which picks per group, from its
+  shape alone, between one numpy pass over a ``(points, qubits)`` state
+  matrix and N serial :meth:`DataflowSimulator.run` walks,
+  bit-identically either way;
 * shards cache misses across ``workers=N`` processes, compiling the
   kernel **once per worker** via a ``ProcessPoolExecutor`` initializer —
   tasks are bare point-dict chunks, so nothing heavyweight is re-pickled,
@@ -368,10 +369,10 @@ def evaluate_design_points(
     Points sharing a movement discipline and CQLA configuration (all
     steady-supply points; all architecture points of one
     kind/configuration, cache modes included) resolve through one
-    :func:`repro.arch.batched.simulate_batch` call — a single vectorized
-    pass over the whole group — instead of N serial ``run()`` walks. A
-    single point takes one serial ``run()``. Results are bit-identical
-    to per-point evaluation either way.
+    :func:`repro.arch.batched.simulate_batch` call, which chooses from
+    the group's shape between a single vectorized pass and per-point
+    ``run()`` walks. Results are bit-identical to per-point evaluation
+    either way.
 
     ``engine`` accepts only ``"compiled"`` (anything else raises
     ``ValueError``): it survives solely so existing four-argument
@@ -381,10 +382,6 @@ def evaluate_design_points(
         raise ValueError(
             f"unknown engine {engine!r}; the only dataflow engine is 'compiled'"
         )
-    if len(points) < 2:
-        return [
-            evaluate_design_point(summary, point, compiled) for point in points
-        ]
     lowered = [_lower_point(summary, point) for point in points]
     out: List[Optional[Evaluation]] = [None] * len(points)
     groups: Dict[

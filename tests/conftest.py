@@ -7,7 +7,37 @@ few seconds each, and they are immutable once constructed.
 
 import pytest
 
+import repro.arch.batched as batched_module
 from repro.kernels import analyze_kernel
+
+#: simulate_batch's two routes for a lowerable group: one vectorized
+#: kernel pass, or per-point ``DataflowSimulator.run()``.
+BATCH_ROUTES = ("vectorized", "serial")
+
+
+@pytest.fixture
+def batch_routes(monkeypatch):
+    """Run a test body once per ``simulate_batch`` route.
+
+    ``for route in batch_routes(): ...`` forces the private shape rule
+    (``repro.arch.batched._vectorize``) to each route in turn, so the
+    equivalence suites keep the vectorized kernels under the oracle at
+    shapes the rule would send to ``run()`` (1-point batches, tiny
+    circuits), and the serial route under it at shapes it would batch.
+    ``batch_routes("vectorized")`` forces one route. The last forced
+    route holds until the test ends.
+    """
+
+    def routes(*only):
+        for route in only or BATCH_ROUTES:
+            monkeypatch.setattr(
+                batched_module,
+                "_vectorize",
+                lambda *shape, vectorize=route == "vectorized": vectorize,
+            )
+            yield route
+
+    return routes
 
 
 @pytest.fixture(scope="session")

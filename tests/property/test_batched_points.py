@@ -4,10 +4,13 @@ For any vector of supply rates (zero-rate starvation included), any
 point count and any supply model mix, ``simulate_batch`` must equal the
 serial reference loop (``run_reference``) point for point with exact float
 equality — the batching axis must never perturb a single bit of the
-simulation.
+simulation. Every example runs on both of ``simulate_batch``'s routes
+(vectorized kernel and per-point ``run()``; see the ``batch_routes``
+fixture), since the shape rule alone would send this small circuit's
+batches to ``run()``.
 """
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.arch import simulate_batch
@@ -40,6 +43,12 @@ def _protocol_circuit() -> Circuit:
 
 CIRCUIT = _protocol_circuit()
 
+#: ``batch_routes`` re-forces its route inside every example.
+ROUTED = dict(
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
 # Rates in ancillae/ms. 0.0 exercises starvation (infinite makespans);
 # the wide spread exercises both supply-bound and data-bound points.
 rate_values = st.one_of(
@@ -53,46 +62,40 @@ rate_values = st.one_of(
 )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, **ROUTED)
 @given(
     rates=st.lists(
         st.tuples(rate_values, rate_values), min_size=1, max_size=12
     )
 )
-def test_steady_batches_match_reference(rates):
+def test_steady_batches_match_reference(rates, batch_routes):
     def supplies():
         return [
             SteadyRateSupply({ZERO: zero, PI8: pi8}) for zero, pi8 in rates
         ]
 
-    batched = simulate_batch(CIRCUIT, supplies())
     reference = [
         run_reference(DataflowSimulator(CIRCUIT, supply=supply))
         for supply in supplies()
     ]
-    assert batched == reference
+    for _ in batch_routes():
+        assert simulate_batch(CIRCUIT, supplies()) == reference
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40, **ROUTED)
 @given(
     rates=st.lists(
         st.tuples(rate_values, rate_values), min_size=1, max_size=8
     ),
     movement=st.floats(min_value=0.0, max_value=500.0, allow_nan=False),
 )
-def test_dedicated_batches_match_reference(rates, movement):
+def test_dedicated_batches_match_reference(rates, movement, batch_routes):
     def supplies():
         return [
             DedicatedSupply({ZERO: zero, PI8: pi8}, NUM_QUBITS)
             for zero, pi8 in rates
         ]
 
-    batched = simulate_batch(
-        CIRCUIT,
-        supplies(),
-        movement_penalty_us=movement,
-        two_qubit_movement_penalty_us=movement * 2.0,
-    )
     reference = [
         run_reference(
             DataflowSimulator(
@@ -104,10 +107,17 @@ def test_dedicated_batches_match_reference(rates, movement):
         )
         for supply in supplies()
     ]
-    assert batched == reference
+    for _ in batch_routes():
+        batched = simulate_batch(
+            CIRCUIT,
+            supplies(),
+            movement_penalty_us=movement,
+            two_qubit_movement_penalty_us=movement * 2.0,
+        )
+        assert batched == reference
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, **ROUTED)
 @given(
     picks=st.lists(
         st.tuples(st.sampled_from(["steady", "dedicated", "infinite"]),
@@ -116,7 +126,7 @@ def test_dedicated_batches_match_reference(rates, movement):
         max_size=10,
     )
 )
-def test_mixed_model_batches_match_reference(picks):
+def test_mixed_model_batches_match_reference(picks, batch_routes):
     from repro.arch.supply import InfiniteSupply
 
     def supplies():
@@ -132,9 +142,9 @@ def test_mixed_model_batches_match_reference(picks):
                 built.append(InfiniteSupply())
         return built
 
-    batched = simulate_batch(CIRCUIT, supplies())
     reference = [
         run_reference(DataflowSimulator(CIRCUIT, supply=supply))
         for supply in supplies()
     ]
-    assert batched == reference
+    for _ in batch_routes():
+        assert simulate_batch(CIRCUIT, supplies()) == reference

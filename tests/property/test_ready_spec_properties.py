@@ -6,10 +6,12 @@ must equal the gate-by-gate ``acquire()`` reference loop (``run_reference``)
 with exact float equality — and must leave the supply's observable state
 (consumed counters, per-qubit vectors) identical too. Exercised over
 random rate vectors (zero and infinite rates included), mixed tracked
-kinds, CQLA configurations, and point counts up to 128.
+kinds, CQLA configurations, and point counts up to 128 — every example
+on both of ``simulate_batch``'s routes (vectorized kernels and per-point
+``run()``; see the ``batch_routes`` fixture).
 """
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.arch import simulate_batch
@@ -48,6 +50,12 @@ def _protocol_circuit() -> Circuit:
 
 
 CIRCUIT = _protocol_circuit()
+
+#: ``batch_routes`` re-forces its route inside every example.
+ROUTED = dict(
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
 
 # Rates in ancillae/ms. Zero exercises starvation (infinite ready times,
 # no consumption recorded); infinity exercises the always-ready-but-still-
@@ -89,7 +97,7 @@ def _reference(supplies, cqla=None):
     ]
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50, **ROUTED)
 @given(
     points=st.lists(
         st.tuples(kind_subsets, rate_values, rate_values),
@@ -97,7 +105,9 @@ def _reference(supplies, cqla=None):
         max_size=12,
     )
 )
-def test_steady_lowering_matches_acquire_loop_and_state(points):
+def test_steady_lowering_matches_acquire_loop_and_state(
+    points, batch_routes
+):
     def supplies():
         return [
             SteadyRateSupply(
@@ -106,38 +116,36 @@ def test_steady_lowering_matches_acquire_loop_and_state(points):
             for kinds, zero, pi8 in points
         ]
 
-    batch_supplies = supplies()
     reference_supplies = supplies()
-    batched = simulate_batch(CIRCUIT, batch_supplies)
-    assert batched == _reference(reference_supplies)
-    for batch_supply, reference_supply in zip(
-        batch_supplies, reference_supplies
-    ):
-        assert _steady_state(batch_supply) == _steady_state(reference_supply)
+    reference = _reference(reference_supplies)
+    for _ in batch_routes():
+        batch_supplies = supplies()
+        assert simulate_batch(CIRCUIT, batch_supplies) == reference
+        for batch_supply, reference_supply in zip(
+            batch_supplies, reference_supplies
+        ):
+            assert _steady_state(batch_supply) == (
+                _steady_state(reference_supply)
+            )
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, **ROUTED)
 @given(
     rates=st.lists(
         st.tuples(rate_values, rate_values), min_size=1, max_size=8
     ),
     movement=st.floats(min_value=0.0, max_value=500.0, allow_nan=False),
 )
-def test_dedicated_lowering_matches_acquire_loop_and_state(rates, movement):
+def test_dedicated_lowering_matches_acquire_loop_and_state(
+    rates, movement, batch_routes
+):
     def supplies():
         return [
             DedicatedSupply({ZERO: zero, PI8: pi8}, NUM_QUBITS)
             for zero, pi8 in rates
         ]
 
-    batch_supplies = supplies()
     reference_supplies = supplies()
-    batched = simulate_batch(
-        CIRCUIT,
-        batch_supplies,
-        movement_penalty_us=movement,
-        two_qubit_movement_penalty_us=movement * 2.0,
-    )
     reference = [
         run_reference(
             DataflowSimulator(
@@ -149,16 +157,24 @@ def test_dedicated_lowering_matches_acquire_loop_and_state(rates, movement):
         )
         for supply in reference_supplies
     ]
-    assert batched == reference
-    for batch_supply, reference_supply in zip(
-        batch_supplies, reference_supplies
-    ):
-        assert _dedicated_state(batch_supply) == (
-            _dedicated_state(reference_supply)
+    for _ in batch_routes():
+        batch_supplies = supplies()
+        batched = simulate_batch(
+            CIRCUIT,
+            batch_supplies,
+            movement_penalty_us=movement,
+            two_qubit_movement_penalty_us=movement * 2.0,
         )
+        assert batched == reference
+        for batch_supply, reference_supply in zip(
+            batch_supplies, reference_supplies
+        ):
+            assert _dedicated_state(batch_supply) == (
+                _dedicated_state(reference_supply)
+            )
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, **ROUTED)
 @given(
     cache_fraction=st.floats(min_value=0.05, max_value=1.0, allow_nan=False),
     ports=st.integers(min_value=1, max_value=4),
@@ -169,7 +185,7 @@ def test_dedicated_lowering_matches_acquire_loop_and_state(rates, movement):
     ),
 )
 def test_cqla_lockstep_matches_acquire_loop_and_state(
-    cache_fraction, ports, picks
+    cache_fraction, ports, picks, batch_routes
 ):
     cqla = CqlaConfig(cache_fraction=cache_fraction, ports=ports)
 
@@ -181,26 +197,27 @@ def test_cqla_lockstep_matches_acquire_loop_and_state(
             for model, rate in picks
         ]
 
-    batch_supplies = supplies()
     reference_supplies = supplies()
-    batched = simulate_batch(CIRCUIT, batch_supplies, cqla=cqla)
-    assert batched == _reference(reference_supplies, cqla=cqla)
-    for batch_supply, reference_supply in zip(
-        batch_supplies, reference_supplies
-    ):
-        if isinstance(batch_supply, SteadyRateSupply):
-            assert _steady_state(batch_supply) == (
-                _steady_state(reference_supply)
-            )
+    reference = _reference(reference_supplies, cqla=cqla)
+    for _ in batch_routes():
+        batch_supplies = supplies()
+        assert simulate_batch(CIRCUIT, batch_supplies, cqla=cqla) == reference
+        for batch_supply, reference_supply in zip(
+            batch_supplies, reference_supplies
+        ):
+            if isinstance(batch_supply, SteadyRateSupply):
+                assert _steady_state(batch_supply) == (
+                    _steady_state(reference_supply)
+                )
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10, **ROUTED)
 @given(
     count=st.integers(min_value=1, max_value=128),
     base=st.floats(min_value=1e-2, max_value=1e3, allow_nan=False),
     cqla_on=st.booleans(),
 )
-def test_point_count_axis_up_to_128(count, base, cqla_on):
+def test_point_count_axis_up_to_128(count, base, cqla_on, batch_routes):
     """The batching axis itself — 1 through 128 points, distinct rates
     per point — never perturbs a bit, with or without CQLA."""
     cqla = CqlaConfig() if cqla_on else None
@@ -213,5 +230,6 @@ def test_point_count_axis_up_to_128(count, base, cqla_on):
             for i in range(count)
         ]
 
-    batched = simulate_batch(CIRCUIT, supplies(), cqla=cqla)
-    assert batched == _reference(supplies(), cqla=cqla)
+    reference = _reference(supplies(), cqla=cqla)
+    for _ in batch_routes():
+        assert simulate_batch(CIRCUIT, supplies(), cqla=cqla) == reference

@@ -8,7 +8,9 @@ approx — across all supply models (infinite, steady, pooled, dedicated,
 zero-rate and untracked edge cases), with identical observable supply
 state afterwards. CQLA cache mode rides a program-order lockstep kernel;
 only supplies without a declared ready-spec fall back to the per-point
-serial path.
+serial path. The equivalence classes run every case on both routes the
+shape rule chooses between (the ``batch_routes`` fixture): the vectorized
+kernels and per-point ``run()``.
 """
 
 import math
@@ -108,7 +110,9 @@ def _steady_rates(analysis):
 
 class TestSteadyBatches:
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_rate_sweep_identical_to_both_engines(self, kernel, request):
+    def test_rate_sweep_identical_to_both_engines(
+        self, kernel, request, batch_routes
+    ):
         analysis = request.getfixturevalue(f"{kernel}8")
         ratio = analysis.pi8_bandwidth_per_ms / analysis.zero_bandwidth_per_ms
 
@@ -118,39 +122,44 @@ class TestSteadyBatches:
                 for rate in _steady_rates(analysis)
             ]
 
-        batched = _batched(analysis, supplies())
-        assert batched == _serial(analysis, supplies())
-        assert batched == _serial(analysis, supplies(), reference=True)
+        serial = _serial(analysis, supplies())
+        assert serial == _serial(analysis, supplies(), reference=True)
+        for _ in batch_routes():
+            assert _batched(analysis, supplies()) == serial
 
-    def test_supply_state_advanced_identically(self, qrca8):
+    def test_supply_state_advanced_identically(self, qrca8, batch_routes):
         rate = qrca8.zero_bandwidth_per_ms / 2.0
-        batch_supply = SteadyRateSupply({ZERO: rate, PI8: rate})
         serial_supply = SteadyRateSupply({ZERO: rate, PI8: rate})
-        _batched(qrca8, [batch_supply])
         _serial(qrca8, [serial_supply])
-        for kind in (ZERO, PI8):
-            assert batch_supply.consumed_so_far(kind) == (
-                serial_supply.consumed_so_far(kind)
-            )
+        for _ in batch_routes():
+            batch_supply = SteadyRateSupply({ZERO: rate, PI8: rate})
+            _batched(qrca8, [batch_supply])
+            for kind in (ZERO, PI8):
+                assert batch_supply.consumed_so_far(kind) == (
+                    serial_supply.consumed_so_far(kind)
+                )
 
-    def test_zero_rate_starves_every_point(self, qrca8):
-        supplies = [SteadyRateSupply({ZERO: 0.0}) for _ in range(3)]
-        results = _batched(qrca8, supplies)
-        assert all(r.makespan_us == float("inf") for r in results)
-        assert results == _serial(
-            qrca8, [SteadyRateSupply({ZERO: 0.0}) for _ in range(3)]
-        )
+    def test_zero_rate_starves_every_point(self, qrca8, batch_routes):
+        def supplies():
+            return [SteadyRateSupply({ZERO: 0.0}) for _ in range(3)]
 
-    def test_zero_rate_pi8_only(self, qrca8):
+        serial = _serial(qrca8, supplies())
+        for _ in batch_routes():
+            results = _batched(qrca8, supplies())
+            assert all(r.makespan_us == float("inf") for r in results)
+            assert results == serial
+
+    def test_zero_rate_pi8_only(self, qrca8, batch_routes):
         """Starved pi/8, healthy zeros — the mixed-infinity edge."""
         rate = qrca8.zero_bandwidth_per_ms
 
         def supplies():
             return [SteadyRateSupply({ZERO: rate, PI8: 0.0})]
 
-        assert _batched(qrca8, supplies()) == _serial(qrca8, supplies())
+        for _ in batch_routes():
+            assert _batched(qrca8, supplies()) == _serial(qrca8, supplies())
 
-    def test_untracked_kinds_mix_in_one_call(self, qrca8):
+    def test_untracked_kinds_mix_in_one_call(self, qrca8, batch_routes):
         """Points with different tracked-kind signatures sub-batch safely."""
         rate = qrca8.zero_bandwidth_per_ms / 2.0
 
@@ -163,9 +172,10 @@ class TestSteadyBatches:
                 InfiniteSupply(),
             ]
 
-        assert _batched(qrca8, supplies()) == _serial(qrca8, supplies())
+        for _ in batch_routes():
+            assert _batched(qrca8, supplies()) == _serial(qrca8, supplies())
 
-    def test_consumed_supply_resumes_exactly(self, qrca8):
+    def test_consumed_supply_resumes_exactly(self, qrca8, batch_routes):
         """A supply with prior consumption batches from its real state."""
 
         def supplies():
@@ -174,13 +184,16 @@ class TestSteadyBatches:
             supply.acquire(PI8, 0, 3, 0.0)
             return [supply]
 
-        assert _batched(qrca8, supplies()) == _serial(qrca8, supplies())
+        for _ in batch_routes():
+            assert _batched(qrca8, supplies()) == _serial(qrca8, supplies())
 
 
 class TestArchitectureBatches:
     @pytest.mark.parametrize("config", [QlaConfig(), MultiplexedConfig()])
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_area_ladder_identical(self, kernel, config, request):
+    def test_area_ladder_identical(
+        self, kernel, config, request, batch_routes
+    ):
         analysis = request.getfixturevalue(f"{kernel}8")
 
         def supplies():
@@ -195,43 +208,51 @@ class TestArchitectureBatches:
                 for area in _FACTORY_AREAS
             ]
 
-        batched = _batched(analysis, supplies(), config)
-        assert batched == _serial(analysis, supplies(), config)
-        assert batched == _serial(analysis, supplies(), config, reference=True)
+        serial = _serial(analysis, supplies(), config)
+        assert serial == _serial(analysis, supplies(), config, reference=True)
+        for _ in batch_routes():
+            assert _batched(analysis, supplies(), config) == serial
 
-    def test_dedicated_counters_advanced_identically(self, qrca8):
+    def test_dedicated_counters_advanced_identically(
+        self, qrca8, batch_routes
+    ):
         nq = qrca8.circuit.num_qubits
 
         def supply():
             return DedicatedSupply({ZERO: 0.05, PI8: 0.01}, nq)
 
-        batch_supply, serial_supply = supply(), supply()
-        _batched(qrca8, [batch_supply])
+        serial_supply = supply()
         _serial(qrca8, [serial_supply])
-        for kind in (ZERO, PI8):
-            assert batch_supply.dedicated_state(kind) == (
-                serial_supply.dedicated_state(kind)
-            )
+        for _ in batch_routes():
+            batch_supply = supply()
+            _batched(qrca8, [batch_supply])
+            for kind in (ZERO, PI8):
+                assert batch_supply.dedicated_state(kind) == (
+                    serial_supply.dedicated_state(kind)
+                )
 
-    def test_dedicated_zero_rate_starves(self, qrca8):
+    def test_dedicated_zero_rate_starves(self, qrca8, batch_routes):
         nq = qrca8.circuit.num_qubits
 
         def supplies():
             return [DedicatedSupply({ZERO: 0.0, PI8: 1.0}, nq)]
 
-        batched = _batched(qrca8, supplies())
-        assert batched[0].makespan_us == float("inf")
-        assert batched == _serial(qrca8, supplies())
+        for _ in batch_routes():
+            batched = _batched(qrca8, supplies())
+            assert batched[0].makespan_us == float("inf")
+            assert batched == _serial(qrca8, supplies())
 
-    def test_pooled_supply_takes_steady_path(self, qrca8):
+    def test_pooled_supply_takes_steady_path(self, qrca8, batch_routes):
         def supplies():
             return [PooledSupply({ZERO: 2.0, PI8: 0.5}) for _ in range(3)]
 
-        assert _batched(qrca8, supplies()) == _serial(qrca8, supplies())
+        for _ in batch_routes():
+            assert _batched(qrca8, supplies()) == _serial(qrca8, supplies())
 
 
 class TestCqlaBatches:
-    """CQLA cache mode rides the lockstep kernel — no per-point fallback."""
+    """CQLA cache mode rides the lockstep kernel at large enough point
+    counts — never the per-point fallback."""
 
     @staticmethod
     def _cqla_supplies(analysis, config, areas=_FACTORY_AREAS):
@@ -247,27 +268,38 @@ class TestCqlaBatches:
         ]
 
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_area_ladder_identical_to_both_engines(self, kernel, request):
+    def test_area_ladder_identical_to_both_engines(
+        self, kernel, request, batch_routes
+    ):
         analysis = request.getfixturevalue(f"{kernel}8")
         config = CqlaConfig()
-        batched = _batched(
+        serial = _serial(
             analysis, self._cqla_supplies(analysis, config), config, cqla=config
         )
-        assert batched == _serial(
-            analysis, self._cqla_supplies(analysis, config), config, cqla=config
-        )
-        assert batched == _serial(
+        assert serial == _serial(
             analysis,
             self._cqla_supplies(analysis, config),
             config,
             reference=True,
             cqla=config,
         )
-        assert any(r.cache_misses > 0 for r in batched)
+        assert any(r.cache_misses > 0 for r in serial)
+        for _ in batch_routes():
+            batched = _batched(
+                analysis,
+                self._cqla_supplies(analysis, config),
+                config,
+                cqla=config,
+            )
+            assert batched == serial
 
-    def test_every_cqla_point_takes_lockstep_kernel(self, qrca8, monkeypatch):
-        """The ladder must route through the vectorized CQLA kernel, not
-        the per-point fallback and not the level kernel."""
+    def test_every_cqla_point_takes_lockstep_kernel(
+        self, qrca8, monkeypatch, batch_routes
+    ):
+        """On the vectorized route the ladder must run the CQLA lockstep
+        kernel, not the per-point fallback and not the level kernel. (Its
+        4 points are below the shape rule's CQLA crossover, so the route
+        is forced here; test_batch_routing pins the rule itself.)"""
         import repro.arch.batched as batched_module
 
         real = batched_module._run_cqla_lockstep
@@ -284,44 +316,59 @@ class TestCqlaBatches:
         monkeypatch.setattr(batched_module, "_run_levels", boom)
         config = CqlaConfig()
         supplies = self._cqla_supplies(qrca8, config)
-        _batched(qrca8, supplies, config, cqla=config)
+        for _ in batch_routes("vectorized"):
+            _batched(qrca8, supplies, config, cqla=config)
         assert sum(calls) == len(supplies)
 
     @pytest.mark.parametrize(
         "config",
         [CqlaConfig(cache_fraction=0.5, ports=1), CqlaConfig(ports=4)],
     )
-    def test_cache_and_port_variants_identical(self, qrca8, config):
-        batched = _batched(
+    def test_cache_and_port_variants_identical(
+        self, qrca8, config, batch_routes
+    ):
+        serial = _serial(
             qrca8, self._cqla_supplies(qrca8, config), config, cqla=config
         )
-        assert batched == _serial(
-            qrca8, self._cqla_supplies(qrca8, config), config, cqla=config
-        )
+        for _ in batch_routes():
+            batched = _batched(
+                qrca8, self._cqla_supplies(qrca8, config), config, cqla=config
+            )
+            assert batched == serial
 
-    def test_cqla_supply_state_advanced_identically(self, qrca8):
+    def test_cqla_supply_state_advanced_identically(self, qrca8, batch_routes):
         config = CqlaConfig()
-        batch_supplies = self._cqla_supplies(qrca8, config)
         serial_supplies = self._cqla_supplies(qrca8, config)
-        _batched(qrca8, batch_supplies, config, cqla=config)
         _serial(qrca8, serial_supplies, config, cqla=config)
-        for batch_supply, serial_supply in zip(batch_supplies, serial_supplies):
-            for kind in (ZERO, PI8):
-                assert batch_supply.consumed_so_far(kind) == (
-                    serial_supply.consumed_so_far(kind)
-                )
+        for _ in batch_routes():
+            batch_supplies = self._cqla_supplies(qrca8, config)
+            _batched(qrca8, batch_supplies, config, cqla=config)
+            for batch_supply, serial_supply in zip(
+                batch_supplies, serial_supplies
+            ):
+                for kind in (ZERO, PI8):
+                    assert batch_supply.consumed_so_far(kind) == (
+                        serial_supply.consumed_so_far(kind)
+                    )
 
-    def test_unconstrained_supply_with_cqla_broadcasts(self, qrca8):
+    def test_unconstrained_supply_with_cqla_broadcasts(
+        self, qrca8, batch_routes
+    ):
         config = CqlaConfig()
 
         def supplies():
             return [InfiniteSupply(), InfiniteSupply(), InfiniteSupply()]
 
-        batched = _batched(qrca8, supplies(), config, cqla=config)
-        assert batched == _serial(qrca8, supplies(), config, cqla=config)
-        assert batched[0] == batched[1] == batched[2]
+        serial = _serial(qrca8, supplies(), config, cqla=config)
+        for _ in batch_routes():
+            batched = _batched(qrca8, supplies(), config, cqla=config)
+            assert batched == serial
+            assert batched[0] == batched[1] == batched[2]
+            assert batched[0] is not batched[1]
 
-    def test_mixed_batch_with_custom_supply_under_cqla(self, qrca8):
+    def test_mixed_batch_with_custom_supply_under_cqla(
+        self, qrca8, batch_routes
+    ):
         """Spec-less supplies still fall back, CQLA neighbors still batch."""
         config = CqlaConfig()
 
@@ -330,9 +377,10 @@ class TestCqlaBatches:
                 _CeilingSupply()
             ]
 
-        assert _batched(qrca8, supplies(), config, cqla=config) == _serial(
-            qrca8, supplies(), config, cqla=config
-        )
+        for _ in batch_routes():
+            assert _batched(qrca8, supplies(), config, cqla=config) == (
+                _serial(qrca8, supplies(), config, cqla=config)
+            )
 
 
 class TestFallbacks:
@@ -348,7 +396,9 @@ class TestFallbacks:
         results = simulate_batch(qrca8.circuit, supplies, qrca8.tech)
         assert results == _serial(qrca8, [_CeilingSupply(), _CeilingSupply()])
 
-    def test_per_point_path_matches_batched(self, qrca8, monkeypatch):
+    def test_per_point_path_matches_batched(
+        self, qrca8, monkeypatch, batch_routes
+    ):
         """Spec-less wrappers send every point down the per-point serial
         path without changing a single result bit."""
         import repro.arch.batched as batched_module
@@ -364,7 +414,8 @@ class TestFallbacks:
                 DedicatedSupply({ZERO: 0.05, PI8: 0.01}, qrca8.circuit.num_qubits),
             ]
 
-        vectorized = _batched(qrca8, supplies())
+        for _ in batch_routes("vectorized"):
+            vectorized = _batched(qrca8, supplies())
         monkeypatch.setattr(batched_module, "_run_levels", boom)
         monkeypatch.setattr(batched_module, "_run_cqla_lockstep", boom)
         wrapped = [_SpecLess(supply) for supply in supplies()]
@@ -378,7 +429,7 @@ class TestFallbacks:
 
         assert _batched(qrca8, supplies()) == _serial(qrca8, supplies())
 
-    def test_mixed_batch_of_every_model(self, qrca8):
+    def test_mixed_batch_of_every_model(self, qrca8, batch_routes):
         """One call: infinite + steady + dedicated + custom, order kept."""
         nq = qrca8.circuit.num_qubits
 
@@ -391,29 +442,38 @@ class TestFallbacks:
                 SteadyRateSupply({ZERO: 30.0, PI8: 5.0}),
             ]
 
-        assert _batched(qrca8, supplies()) == _serial(qrca8, supplies())
+        for _ in batch_routes():
+            assert _batched(qrca8, supplies()) == _serial(qrca8, supplies())
 
 
 class TestEdgeShapes:
     def test_empty_supply_list(self, qrca8):
         assert simulate_batch(qrca8.circuit, [], qrca8.tech) == []
 
-    def test_aliased_rate_limited_supply_rejected(self, qrca8):
+    def test_aliased_rate_limited_supply_rejected(self, qrca8, batch_routes):
         """Serial runs thread one object's consumption point to point; a
-        batch cannot, so sharing an instance must fail loud."""
-        shared = SteadyRateSupply({ZERO: 5.0, PI8: 1.0})
-        with pytest.raises(ValueError, match="same object"):
-            simulate_batch(qrca8.circuit, [shared, shared], qrca8.tech)
+        batch cannot, so sharing an instance must fail loud — whichever
+        route the batch's shape picks."""
         nq = qrca8.circuit.num_qubits
-        dedicated = DedicatedSupply({ZERO: 0.1}, nq)
-        with pytest.raises(ValueError, match="same object"):
-            simulate_batch(qrca8.circuit, [dedicated, dedicated], qrca8.tech)
+        for _ in batch_routes():
+            shared = SteadyRateSupply({ZERO: 5.0, PI8: 1.0})
+            with pytest.raises(ValueError, match="same object"):
+                simulate_batch(qrca8.circuit, [shared, shared], qrca8.tech)
+            assert shared.consumed_so_far(ZERO) == 0
+            dedicated = DedicatedSupply({ZERO: 0.1}, nq)
+            with pytest.raises(ValueError, match="same object"):
+                simulate_batch(
+                    qrca8.circuit, [dedicated, dedicated], qrca8.tech
+                )
 
-    def test_aliased_stateless_supply_allowed(self, qrca8):
+    def test_aliased_stateless_supply_allowed(self, qrca8, batch_routes):
         """InfiniteSupply carries no state: duplicates are harmless."""
         shared = InfiniteSupply()
-        results = simulate_batch(qrca8.circuit, [shared, shared], qrca8.tech)
-        assert results[0] == results[1]
+        for _ in batch_routes():
+            results = simulate_batch(
+                qrca8.circuit, [shared, shared], qrca8.tech
+            )
+            assert results[0] == results[1]
 
     def test_empty_circuit(self):
         circuit = Circuit(2)
@@ -423,7 +483,7 @@ class TestEdgeShapes:
         assert [r.makespan_us for r in results] == [0.0, 0.0]
         assert all(r.gates == 0 for r in results)
 
-    def test_conditional_toffoli_circuit(self):
+    def test_conditional_toffoli_circuit(self, batch_routes):
         """Arity-3 gates, measurements and condition bits, batched."""
         circuit = (
             Circuit(4)
@@ -439,7 +499,6 @@ class TestEdgeShapes:
         def supplies():
             return [SteadyRateSupply({ZERO: r, PI8: r}) for r in rates]
 
-        batched = simulate_batch(circuit, supplies())
         serial = [
             DataflowSimulator(circuit, supply=s).run() for s in supplies()
         ]
@@ -447,32 +506,41 @@ class TestEdgeShapes:
             run_reference(DataflowSimulator(circuit, supply=s))
             for s in supplies()
         ]
-        assert batched == serial == reference
+        assert serial == reference
+        for _ in batch_routes():
+            assert simulate_batch(circuit, supplies()) == reference
 
 
 class TestSweepGrids:
     """The acceptance shape: Figure 8 / Figure 15 grids, batched vs serial."""
 
-    def test_figure8_grid_bit_identical_across_engines(self, qrca8):
+    def test_figure8_grid_bit_identical_across_engines(
+        self, qrca8, batch_routes
+    ):
         from repro.arch.sweep import throughput_sweep
 
-        batched = throughput_sweep(qrca8)  # default Figure 8 grid
-        ratio = qrca8.pi8_bandwidth_per_ms / qrca8.zero_bandwidth_per_ms
-        points = [{"zero_rate": p.x, "pi8_ratio": ratio} for p in batched]
-        reference = evaluate_reference(qrca8, points)
-        assert [p.result for p in batched] == [e.result for e in reference]
+        for _ in batch_routes():
+            batched = throughput_sweep(qrca8)  # default Figure 8 grid
+            ratio = qrca8.pi8_bandwidth_per_ms / qrca8.zero_bandwidth_per_ms
+            points = [{"zero_rate": p.x, "pi8_ratio": ratio} for p in batched]
+            reference = evaluate_reference(qrca8, points)
+            assert [p.result for p in batched] == [e.result for e in reference]
 
-    def test_figure15_grid_bit_identical_across_engines(self, qcla8):
+    def test_figure15_grid_bit_identical_across_engines(
+        self, qcla8, batch_routes
+    ):
         from repro.arch.sweep import area_sweep
 
-        batched = area_sweep(qcla8)  # default Figure 15 grid
-        points = [
-            {"arch": kind.value, "factory_area": p.x}
-            for kind, curve in batched.items()
-            for p in curve
-        ]
-        results = [p.result for curve in batched.values() for p in curve]
-        assert results == [e.result for e in evaluate_reference(qcla8, points)]
+        for _ in batch_routes():
+            batched = area_sweep(qcla8)  # default Figure 15 grid
+            points = [
+                {"arch": kind.value, "factory_area": p.x}
+                for kind, curve in batched.items()
+                for p in curve
+            ]
+            results = [p.result for curve in batched.values() for p in curve]
+            reference = evaluate_reference(qcla8, points)
+            assert results == [e.result for e in reference]
 
     @pytest.fixture
     def traced(self):
@@ -492,23 +560,26 @@ class TestSweepGrids:
             if event["name"] == "batched.simulate_batch"
         ]
 
-    def test_paper_sweeps_never_fall_back(self, qrca8, traced):
+    def test_paper_sweeps_never_fall_back(self, qrca8, traced, batch_routes):
         """Figures 8, 15 and the Figure-16 CQLA comparison sweep must show
-        a fleet-wide batched fallback count of zero."""
+        a fleet-wide batched fallback count of zero on either route."""
         from repro.arch.sweep import area_sweep, throughput_sweep
 
-        throughput_sweep(qrca8)  # Figure 8
-        area_sweep(qrca8)  # Figure 15 (QLA + CQLA + Multiplexed ladders)
-        area_sweep(
-            qrca8,
-            kinds=[ArchitectureKind.CQLA],
-            cqla=CqlaConfig(cache_fraction=0.25),
-        )  # Figure-16-shaped: the Qalypso-vs-CQLA cache configuration
+        for _ in batch_routes():
+            throughput_sweep(qrca8)  # Figure 8
+            area_sweep(qrca8)  # Figure 15 (QLA + CQLA + Multiplexed ladders)
+            area_sweep(
+                qrca8,
+                kinds=[ArchitectureKind.CQLA],
+                cqla=CqlaConfig(cache_fraction=0.25),
+            )  # Figure-16-shaped: the Qalypso-vs-CQLA cache configuration
         spans = self._batch_spans(traced)
         assert spans, "paper sweeps must route through simulate_batch"
         assert sum(span["fallback"] for span in spans) == 0
 
-    def test_evaluator_batch_equals_per_point_evaluation(self, qrca8):
+    def test_evaluator_batch_equals_per_point_evaluation(
+        self, qrca8, batch_routes
+    ):
         """A mixed miss batch resolves to the same evaluations as N
         single-point calls (the pre-batching code path)."""
         points = (
@@ -517,14 +588,14 @@ class TestSweepGrids:
             + [{"arch": "multiplexed", "factory_area": a} for a in (200.0, 900.0)]
             + [{"arch": "cqla", "factory_area": 400.0}]
         )
-        evaluator = Evaluator(analysis=qrca8)
-        batch = evaluator.evaluate(points)
         summary = KernelSummary.from_analysis(qrca8)
-        singles = [
-            evaluate_design_point(summary, evaluator.canonicalize(p), None)
-            for p in points
-        ]
-        assert batch == singles
+        for _ in batch_routes():
+            evaluator = Evaluator(analysis=qrca8)
+            singles = [
+                evaluate_design_point(summary, evaluator.canonicalize(p), None)
+                for p in points
+            ]
+            assert evaluator.evaluate(points) == singles
 
 
 class TestReadyMatrices:

@@ -11,7 +11,9 @@ re-characterized latency tables and must still agree bit for bit.
 
 Supplies are constructed fresh per engine (rate-limited supplies carry
 consumption state), and the batched engine is exercised both as a
-singleton batch and as one grouped batch of rate-scaled variants.
+singleton batch and as one grouped batch of rate-scaled variants, each
+on both of its routes (the ``batch_routes`` fixture forces the shape
+rule): the vectorized kernels and per-point ``run()``.
 """
 
 import pytest
@@ -123,18 +125,22 @@ class TestEngineMatrix:
 
     @pytest.mark.parametrize("mode", SUPPLY_MODES)
     @pytest.mark.parametrize("kernel", KERNELS)
-    def test_three_engines_identical(self, kernel, mode, code_level):
+    def test_three_engines_identical(
+        self, kernel, mode, code_level, batch_routes
+    ):
         analysis = analyze_kernel(kernel, 8, code_level=code_level)
         reference = run_reference(_simulator(analysis, mode))
         compiled = _simulator(analysis, mode).run()
-        batched = _batched(analysis, mode)
         # Dataclass equality covers makespan, gate count, both ancilla
         # counts, cache misses and teleports — all exactly.
         assert compiled == reference
-        assert batched == reference
+        for _ in batch_routes():
+            assert _batched(analysis, mode) == reference
 
     @pytest.mark.parametrize("mode", ("steady-rate", "qla", "multiplexed"))
-    def test_grouped_batch_matches_serial_runs(self, mode, code_level):
+    def test_grouped_batch_matches_serial_runs(
+        self, mode, code_level, batch_routes
+    ):
         """A real multi-point batch equals N independent serial runs."""
         analysis = analyze_kernel("qrca", 8, code_level=code_level)
 
@@ -162,15 +168,16 @@ class TestEngineMatrix:
             ).run()
             for supply, m1, m2 in variants()
         ]
-        fresh = variants()
-        batched = simulate_batch(
-            analysis.circuit,
-            [supply for supply, _, _ in fresh],
-            analysis.tech,
-            movement_penalty_us=fresh[0][1],
-            two_qubit_movement_penalty_us=fresh[0][2],
-        )
-        assert batched == serial
+        for _ in batch_routes():
+            fresh = variants()
+            batched = simulate_batch(
+                analysis.circuit,
+                [supply for supply, _, _ in fresh],
+                analysis.tech,
+                movement_penalty_us=fresh[0][1],
+                two_qubit_movement_penalty_us=fresh[0][2],
+            )
+            assert batched == serial
 
     def test_level_two_actually_recharacterizes(self):
         """The level axis is not a no-op: leveled latencies slow the run."""
@@ -181,7 +188,9 @@ class TestEngineMatrix:
         m2 = DataflowSimulator(level2.circuit, level2.tech).run().makespan_us
         assert m2 > 2.0 * m1
 
-    def test_supply_state_identical_across_engines(self, code_level):
+    def test_supply_state_identical_across_engines(
+        self, code_level, batch_routes
+    ):
         """Observable supply state advances identically in all engines."""
         analysis = analyze_kernel("qcla", 8, code_level=code_level)
 
@@ -193,21 +202,22 @@ class TestEngineMatrix:
                 }
             )
 
-        states = []
-        for runner in (
-            lambda s: run_reference(
-                DataflowSimulator(
-                    analysis.circuit, analysis.tech, supply=s
-                )
-            ),
-            lambda s: DataflowSimulator(
-                analysis.circuit, analysis.tech, supply=s
-            ).run(),
-            lambda s: simulate_batch(analysis.circuit, [s], analysis.tech),
-        ):
+        def state_after(runner):
             supply = fresh()
             runner(supply)
-            states.append(
-                (supply.consumed_so_far(ZERO), supply.consumed_so_far(PI8))
+            return supply.consumed_so_far(ZERO), supply.consumed_so_far(PI8)
+
+        reference = state_after(
+            lambda s: run_reference(
+                DataflowSimulator(analysis.circuit, analysis.tech, supply=s)
             )
-        assert states[0] == states[1] == states[2]
+        )
+        assert reference == state_after(
+            lambda s: DataflowSimulator(
+                analysis.circuit, analysis.tech, supply=s
+            ).run()
+        )
+        for _ in batch_routes():
+            assert reference == state_after(
+                lambda s: simulate_batch(analysis.circuit, [s], analysis.tech)
+            )

@@ -10,7 +10,8 @@ batching topology of :mod:`repro.explore.evaluator`:
   spec-coupled method without re-declaring ``ready_spec``) routes
   through the per-point serial engine transparently, with identical
   results;
-* singleton batches never touch the batched engine at all;
+* singleton batches go through ``simulate_batch`` like any group, whose
+  shape rule sends them to ``run()`` rather than a kernel pass;
 * the aliased rate-limited supply guard fires if a lowering ever hands
   the same supply object to two points — and the real lowering never
   does, even for duplicate design points.
@@ -119,14 +120,24 @@ class TestCustomSupplyFallback:
         # simulate_batch), not arithmetic: results are identical.
         assert [e.result for e in custom] == [e.result for e in plain]
 
-    def test_single_point_short_circuits_batching(self, qrca8, monkeypatch):
+    def test_single_point_short_circuits_batching(
+        self, qrca8, monkeypatch, spy_batch
+    ):
+        """A single point enters simulate_batch like any group, and its
+        shape rule sends it to run(), never to a kernel pass."""
+
         def boom(*args, **kwargs):  # pragma: no cover - guard
             raise AssertionError("singleton batches take the serial path")
 
-        monkeypatch.setattr(batched_module, "simulate_batch", boom)
+        monkeypatch.setattr(batched_module, "_run_levels", boom)
+        monkeypatch.setattr(batched_module, "_run_cqla_lockstep", boom)
         summary = KernelSummary.from_analysis(qrca8)
-        result = evaluate_design_points(summary, [dict(POINTS[0])], None)
-        assert len(result) == 1
+        for point in POINTS:
+            single = evaluate_design_point(summary, dict(point), None)
+            assert evaluate_design_points(summary, [dict(point)], None) == [
+                single
+            ]
+        assert [len(call) for call in spy_batch] == [1] * len(POINTS)
 
 
 class TestAliasedSupplyRejection:
