@@ -5,12 +5,15 @@ Paper targets (gate error 1e-4, movement 1e-6):
     basic 1.8e-3 | verify-only 3.7e-4 | correct-only 1.1e-3
     verify-and-correct 2.9e-5 | verification failure ~0.2%
 
-Shape targets asserted here (measured values recorded in EXPERIMENTS.md):
+Shape targets asserted here:
 
 * every strategy lands within one decade of the paper's value;
 * verify-only and verify-and-correct sit an order of magnitude below
   basic and correct-only ("correction alone loses to verification alone");
 * the verification discard rate reproduces ~0.2%.
+
+Measured values, and the open gap on verify-only, are recorded under
+the paper-fidelity ledger item in ROADMAP.md.
 
 Uses the batched engine (the Figure 4 drivers in repro.error.vectorized
 are thin wrappers over the general batched protocol engine in

@@ -363,7 +363,6 @@ def _cmd_serve(ns: argparse.Namespace) -> int:
             timeout=ns.timeout,
             heartbeat_interval=ns.heartbeat_interval,
             max_queue=ns.max_queue,
-            coalesce=ns.coalesce,
             replica_id=ns.replica_id,
         )
         server = ExploreServer(service, host=ns.host, port=ns.port)
@@ -383,11 +382,9 @@ def _cmd_serve(ns: argparse.Namespace) -> int:
             return 2
     cache = "disabled" if store is None else str(store.root)
     replica = f", replica: {ns.replica_id}" if ns.replica_id else ""
-    coalesce = "on" if ns.coalesce else "off"
     print(
         f"repro serve: listening on http://{host}:{port} "
-        f"(store: {cache}, max queue: {ns.max_queue}, "
-        f"coalesce: {coalesce}{replica})",
+        f"(store: {cache}, max queue: {ns.max_queue}{replica})",
         flush=True,
     )
 
@@ -666,14 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "write the actually-bound port to FILE after binding "
             "(scripting aid for --port 0)"
-        ),
-    )
-    p_serve.add_argument(
-        "--coalesce", action=argparse.BooleanOptionalAction, default=True,
-        help=(
-            "single-flight concurrent evaluate requests whose point "
-            "sets overlap: one simulation pass per canonical point "
-            "(default: on; --no-coalesce disables)"
         ),
     )
     p_serve.add_argument(

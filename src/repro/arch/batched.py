@@ -16,20 +16,18 @@ across all points and all gates of the level at once.
 What batches, and why it stays bit-identical:
 
 * **Any supply with a declarative ready spec**
-  (:func:`~repro.arch.supply.declared_ready_spec`): each kind's closed
-  form lowers to one broadcast division. Steady-rate kinds
-  (:class:`~repro.arch.supply.SteadyRateSupply` and its
-  :class:`~repro.arch.supply.PooledSupply` alias, or any custom spec
-  publisher) stack a ``(points,)`` rate vector into a
-  ``(points, gates)`` ready matrix (:func:`steady_ready_matrix`) — the
-  same division :func:`~repro.arch.simulator._steady_ready_entry`
-  performs per point. Dedicated per-qubit kinds (the QLA model):
-  consumption order per home qubit is fixed by the gate sequence alone,
-  so per-gate counter values are precomputed home-qubit ranks and
-  availability is again one broadcast division
-  (:func:`dedicated_ready_matrix`). Supplies whose specs constrain
-  nothing (:class:`~repro.arch.supply.InfiniteSupply`, untracked kinds)
-  share one column of work.
+  (:func:`~repro.arch.supply.declared_ready_spec`): points group by
+  lowering signature (:func:`~repro.arch.simulator.lowerable_spec`), and
+  each group's ready times come from the same lowering
+  :meth:`DataflowSimulator.run` uses
+  (:func:`~repro.arch.simulator.lower_ready`), one column per point:
+  one broadcast division per kind, steady-rate kinds over the global
+  draw sequence and dedicated per-qubit kinds (the QLA model) over each
+  home qubit's draw rank. Consumption is committed afterwards through
+  :func:`~repro.arch.simulator.commit_draws`, as ``run()`` commits it.
+  Supplies whose specs constrain nothing
+  (:class:`~repro.arch.supply.InfiniteSupply`, untracked kinds) share
+  one column of work.
 * **CQLA cache mode**: the LRU miss/eviction pattern depends only on the
   operand sequence and cache size — never on time — so the per-gate
   teleport-trip schedule is precomputed once per (circuit, cache size).
@@ -64,8 +62,9 @@ What runs per point instead, through :meth:`DataflowSimulator.run`:
 * **Supplies with no honored ready spec** — custom
   :class:`AncillaSupply` implementations without ``ready_spec()``,
   subclasses that override availability/state methods without
-  re-declaring their spec, and instance-level monkeypatches (see
-  :func:`~repro.arch.supply.declared_ready_spec`).
+  re-declaring their spec, instance-level monkeypatches (see
+  :func:`~repro.arch.supply.declared_ready_spec`), and specs of a type
+  the lowering does not know.
 
 Callers never need to pre-sort their supplies. The
 ``batched.simulate_batch`` span reports per-path point counts:
@@ -87,18 +86,12 @@ from repro.arch.simulator import (
     DataflowSimulator,
     SimulationResult,
     _LruCache,
+    commit_draws,
+    lower_ready,
+    lowerable_spec,
     movement_teleports,
-    spec_kind_mode,
 )
-from repro.arch.supply import (
-    PI8,
-    ZERO,
-    AncillaSupply,
-    DedicatedKindSpec,
-    ReadySpec,
-    SteadyKindSpec,
-    declared_ready_spec,
-)
+from repro.arch.supply import AncillaSupply, ReadySpec
 from repro.circuits import Circuit
 from repro.circuits.compiled import (
     CompiledCircuit,
@@ -111,11 +104,7 @@ from repro.circuits.latency import LogicalLatencyModel
 from repro.obs.trace import span as _span
 from repro.tech import ION_TRAP, TechnologyParams
 
-__all__ = [
-    "simulate_batch",
-    "steady_ready_matrix",
-    "dedicated_ready_matrix",
-]
+__all__ = ["simulate_batch"]
 
 
 # ----------------------------------------------------------------------
@@ -156,24 +145,9 @@ class _BatchArrays:
 
     levels: Tuple[_Level, ...]
     move_kind: np.ndarray  # (gates,) int8: MOVE_* class per gate
-    #: Steady-supply cumulative draws: the i-th gate's zeros are the
-    #: ``zero_seq[i]``-th ... drawn from the global pool (program order).
-    zero_seq: np.ndarray  # (gates,) float64: ZEROS_PER_QEC * (1..n)
-    pi8_seq: np.ndarray  # (pi8_count,) float64: 1..pi8_count
-    #: Dedicated-supply cumulative draws per home qubit: gate i's zeros
-    #: bring its home generator's counter to ``home_zero_rank[i]``.
-    home: np.ndarray  # (gates,) intp: q0 — where ancillae are acquired
-    pi8_home: np.ndarray  # (pi8_count,) intp: home of each pi/8 consumer
-    home_zero_rank: np.ndarray  # (gates,) float64
-    home_pi8_rank: np.ndarray  # (pi8_count,) float64
-    #: Total per-qubit consumption, for advancing dedicated counters
-    #: (plain int lists: consumed by DedicatedSupply.advance_per_qubit).
-    zero_home_totals: List[int]
-    pi8_home_totals: List[int]
 
 
 def _build_batch_arrays(cc: CompiledCircuit) -> _BatchArrays:
-    n = cc.num_gates
     nq, nb = cc.num_qubits, cc.num_bits
     q0 = np.array(cc.q0, dtype=np.intp)
     q1 = np.array(cc.q1, dtype=np.intp)
@@ -205,29 +179,9 @@ def _build_batch_arrays(cc: CompiledCircuit) -> _BatchArrays:
                 has_result=bool((result[g] != nb).any()),
             )
         )
-    zero_count = [0] * nq
-    pi8_count = [0] * nq
-    home_zero_rank = np.empty(n, dtype=np.float64)
-    home_pi8_rank = []
-    pi8_home = []
-    for i, a in enumerate(cc.q0):
-        zero_count[a] += ZEROS_PER_QEC
-        home_zero_rank[i] = zero_count[a]
-        if cc.pi8_flag[i]:
-            pi8_count[a] += 1
-            pi8_home.append(a)
-            home_pi8_rank.append(pi8_count[a])
     return _BatchArrays(
         levels=tuple(levels),
         move_kind=np.array(cc.move_kind, dtype=np.int8),
-        zero_seq=ZEROS_PER_QEC * np.arange(1, n + 1, dtype=np.float64),
-        pi8_seq=np.arange(1, cc.pi8_count + 1, dtype=np.float64),
-        home=q0,
-        pi8_home=np.array(pi8_home, dtype=np.intp),
-        home_zero_rank=home_zero_rank,
-        home_pi8_rank=np.array(home_pi8_rank, dtype=np.float64),
-        zero_home_totals=zero_count,
-        pi8_home_totals=pi8_count,
     )
 
 
@@ -242,175 +196,6 @@ def _batch_arrays(cc: CompiledCircuit) -> _BatchArrays:
         arrays = _build_batch_arrays(cc)
         _BATCH_CACHE[cc] = arrays
     return arrays
-
-
-# ----------------------------------------------------------------------
-# Ready matrices: supply availability as (points, gates) lower bounds.
-
-
-def _steady_kind_rows(rates, consumed, seq):
-    """``(len(seq), points)`` ready rows for one pooled steady kind.
-
-    consumed == 0 for fresh supplies (every sweep point): the add
-    contributes nothing bit-exactly (0 + x == x), so skip it.
-    """
-    if consumed.any():
-        needed = seq[:, None] + consumed[None, :]
-    else:
-        needed = seq[:, None]
-    with np.errstate(divide="ignore"):
-        return needed / rates[None, :]
-
-
-def _dedicated_kind_rows(rates, consumed, home, rank):
-    """``(len(rank), points)`` ready rows for one per-qubit kind.
-
-    ``rates``/``consumed`` are ``(points, num_qubits)``; transposed to
-    (qubits, points) contiguous so home-row gathers are cheap. A
-    consumed matrix of zeros (fresh supplies) skips the add, which is
-    bit-exactly a no-op.
-    """
-    rates_t = np.ascontiguousarray(rates.T)
-    if consumed.any():
-        needed = np.ascontiguousarray(consumed.T)[home]
-        needed += rank[:, None]
-    else:
-        needed = rank[:, None]
-    with np.errstate(divide="ignore"):
-        return needed / rates_t[home]
-
-
-def steady_ready_matrix(
-    cc: CompiledCircuit,
-    zero_rates: Optional[np.ndarray],
-    zero_consumed: Optional[np.ndarray],
-    pi8_rates: Optional[np.ndarray],
-    pi8_consumed: Optional[np.ndarray],
-    *,
-    gate_major: bool = False,
-) -> Optional[np.ndarray]:
-    """``(points, gates)`` ancilla-ready lower bounds for steady supplies.
-
-    The point-axis generalization of
-    :func:`repro.arch.simulator._steady_ready_entry`: the k-th ancilla of
-    a kind exists at ``k / rate``, evaluated here as one broadcast
-    division per kind. A kind whose rate vector is None is untracked for
-    the whole batch (it never constrains); a zero rate divides to
-    infinity, matching ``_RateCounter.acquire``'s starvation behavior.
-
-    ``gate_major=True`` returns the transposed ``(gates, points)``
-    layout the level kernel gathers from (contiguous per-level rows);
-    the default is a transposed view of the same storage — element
-    values are identical either way.
-    """
-    ba = _batch_arrays(cc)
-    points = len(zero_rates if zero_rates is not None else pi8_rates)
-    with _span("batched.ready_matrix", kind="steady", points=points,
-               gates=cc.num_gates):
-        ready = None
-        if zero_rates is not None:
-            ready = _steady_kind_rows(zero_rates, zero_consumed, ba.zero_seq)
-        if pi8_rates is not None and cc.pi8_count:
-            pi8_ready = _steady_kind_rows(pi8_rates, pi8_consumed, ba.pi8_seq)
-            if ready is None:
-                ready = np.zeros((cc.num_gates, points))
-            index = cc.pi8_indices
-            ready[index] = np.maximum(ready[index], pi8_ready)
-    if ready is None:
-        return None
-    return ready if gate_major else ready.T
-
-
-def dedicated_ready_matrix(
-    cc: CompiledCircuit,
-    zero_rates: Optional[np.ndarray],
-    zero_consumed: Optional[np.ndarray],
-    pi8_rates: Optional[np.ndarray],
-    pi8_consumed: Optional[np.ndarray],
-    *,
-    gate_major: bool = False,
-) -> Optional[np.ndarray]:
-    """``(points, gates)`` ready lower bounds for per-qubit generators.
-
-    Rate/consumed inputs are ``(points, num_qubits)`` matrices (from
-    :meth:`DedicatedSupply.dedicated_state`). Consumption per generator
-    is fixed by the gate sequence alone — gate ``i`` brings its home
-    qubit's counter to a precomputed rank — so availability is again one
-    broadcast division per kind, with zero-rate generators dividing to
-    infinity exactly like the inlined counters in ``_run_dedicated``.
-    ``gate_major=True`` returns the ``(gates, points)`` layout; the
-    default is a transposed view of the same storage.
-    """
-    ba = _batch_arrays(cc)
-    points = len(zero_rates if zero_rates is not None else pi8_rates)
-    with _span("batched.ready_matrix", kind="dedicated", points=points,
-               gates=cc.num_gates):
-        ready = None
-        if zero_rates is not None:
-            ready = _dedicated_kind_rows(
-                zero_rates, zero_consumed, ba.home, ba.home_zero_rank
-            )
-        if pi8_rates is not None and cc.pi8_count:
-            pi8_ready = _dedicated_kind_rows(
-                pi8_rates, pi8_consumed, ba.pi8_home, ba.home_pi8_rank
-            )
-            if ready is None:
-                ready = np.zeros((cc.num_gates, points))
-            index = cc.pi8_indices
-            ready[index] = np.maximum(ready[index], pi8_ready)
-    if ready is None:
-        return None
-    return ready if gate_major else ready.T
-
-
-def _spec_ready_matrix(
-    cc: CompiledCircuit,
-    signature: Tuple[Optional[str], Optional[str]],
-    specs: Sequence[ReadySpec],
-) -> Optional[np.ndarray]:
-    """Gate-major ready matrix for one lowering-signature group.
-
-    ``signature`` is the group's ``(zero_mode, pi8_mode)`` pair from
-    :func:`repro.arch.simulator.spec_kind_mode` — every spec in the
-    group lowers each kind the same way, so each kind is one stacked
-    broadcast division; kinds may mix modes freely (e.g. a steady zero
-    pool over dedicated pi/8 generators) because the per-gate constraint
-    is just the elementwise max of the kinds' rows, exactly the order
-    the serial loops apply them in.
-    """
-    ba = _batch_arrays(cc)
-    zero_mode, pi8_mode = signature
-    points = len(specs)
-
-    def stack(kind, mode, seq, home, rank):
-        kind_specs = [spec.kinds[kind] for spec in specs]
-        if mode == "steady":
-            return _steady_kind_rows(
-                np.array([k.rate_per_us for k in kind_specs]),
-                np.array([float(k.consumed) for k in kind_specs]),
-                seq,
-            )
-        return _dedicated_kind_rows(
-            np.array([k.rates_per_us for k in kind_specs], dtype=np.float64),
-            np.array([k.consumed for k in kind_specs], dtype=np.float64),
-            home,
-            rank,
-        )
-
-    with _span("batched.ready_matrix", kind=f"{zero_mode}/{pi8_mode}",
-               points=points, gates=cc.num_gates):
-        ready = None
-        if zero_mode is not None:
-            ready = stack(ZERO, zero_mode, ba.zero_seq, ba.home,
-                          ba.home_zero_rank)
-        if pi8_mode is not None and cc.pi8_count:
-            pi8_ready = stack(PI8, pi8_mode, ba.pi8_seq, ba.pi8_home,
-                              ba.home_pi8_rank)
-            if ready is None:
-                ready = np.zeros((cc.num_gates, points))
-            index = cc.pi8_indices
-            ready[index] = np.maximum(ready[index], pi8_ready)
-    return ready
 
 
 # ----------------------------------------------------------------------
@@ -611,19 +396,6 @@ def _run_cqla_lockstep(
 # Supply classification and the public batch entry point
 
 
-def _lowering_signature(cc: CompiledCircuit, spec: ReadySpec):
-    """``(zero_mode, pi8_mode)`` grouping key for one point's spec.
-
-    Modes are :func:`spec_kind_mode` strings; a kind irrelevant to this
-    circuit (untracked, or pi/8 with no pi/8 gates) is None. Points with
-    equal signatures lower each kind the same way and share one ready
-    matrix; ``(None, None)`` points are unconstrained.
-    """
-    zero_mode = spec_kind_mode(spec.kind(ZERO))
-    pi8_mode = spec_kind_mode(spec.kind(PI8)) if cc.pi8_count else None
-    return zero_mode, pi8_mode
-
-
 #: Shape rule constants (see :func:`_vectorize`).
 _GATE_POINTS_PER_LEVEL = 40
 _CQLA_MIN_POINTS = 6
@@ -636,23 +408,23 @@ def _vectorize(points: int, gates: int, levels: int, cqla: bool) -> bool:
     almost regardless of point count, plus ~0.04-0.2 us per gate-point;
     a serial :meth:`DataflowSimulator.run` pays ~0.2-0.45 us per gate
     per point. So the kernel wins once ``points * gates`` outgrows
-    ``levels`` by a constant factor. Crossovers measured as min of 5
-    runs (Python 3.11, numpy, one 2-core x86 host), in units of
-    ``points * gates / levels``:
+    ``levels`` by a constant factor. Crossovers, each the median of 5
+    runs that interleave both routes (Python 3.11, numpy, one 2-core
+    x86 host), in units of ``points * gates / levels``:
 
     ========================  =====  ======  ========  ===========
     kernel (gates, levels)    QLA    steady  multipl.  crossover pts
     ========================  =====  ======  ========  ===========
-    qcla-32 (2,211, 123)      45     56      57        2.5-3.2
-    qrca-32 (2,018, 986)      29     41      47        14-23
-    qft-32 (7,552, 3,074)     28     44      48        11.5-19.5
+    qcla-32 (2,211, 123)      54     59      60        2.9-3.3
+    qrca-32 (2,018, 986)      34     30      37        14.8-17.9
+    qft-32 (7,552, 3,074)     46     43      40        16.4-18.5
     ========================  =====  ======  ========  ===========
 
-    40 sits inside every model's range, within ~25% of the faster route
+    40 sits inside every model's range, within ~35% of the faster route
     at any shape. Under CQLA the lockstep kernel walks program order at
     ~3.5-5.5 us per gate whatever the point count, against ~0.7-1.8 us
     per gate-point for ``run()``, so the rule is a point count alone:
-    crossovers 6.1 (qcla-32), 5.8 (qrca-32), 6.6 (qft-32) points.
+    crossovers 6.2 (qcla-32), 5.6 (qrca-32), 6.6 (qft-32) points.
 
     Both routes are bit-identical, so the rule only moves time. It
     reads the batch's shape and nothing else.
@@ -740,17 +512,11 @@ def _simulate_batch(
     groups: Dict[tuple, List[int]] = {}
     specs: List[Optional[ReadySpec]] = [None] * len(supplies)
     for i, supply in enumerate(supplies):
-        spec = declared_ready_spec(supply)
-        if spec is None:
+        lowering = lowerable_spec(cc, supply)
+        if lowering is None:
             out[i] = serial(supply)
             continue
-        signature = _lowering_signature(cc, spec)
-        if "unknown" in signature:
-            # A spec type this engine cannot lower — treat like any
-            # custom supply.
-            out[i] = serial(supply)
-            continue
-        specs[i] = spec
+        specs[i], signature = lowering
         if signature == (None, None):
             unconstrained.append(i)
         else:
@@ -779,8 +545,8 @@ def _simulate_batch(
 
     # Route each group by its shape (see _vectorize). The unconstrained
     # points share one column, so they route as a 1-point group; a
-    # serial run() advances each supply exactly as advance() below does
-    # (unconstrained kinds consume nothing).
+    # serial run() commits each supply exactly as the vectorized route
+    # does (unconstrained kinds consume nothing).
     levels = dataflow_metadata(cc).num_levels
     serial_points = 0
     if unconstrained and not _vectorize(1, n, levels, cqla is not None):
@@ -851,25 +617,6 @@ def _simulate_batch(
             teleports=total_teleports,
         )
 
-    def advance(index: int) -> None:
-        # Commit exactly what a per-gate acquire walk would have
-        # recorded, per the point's declared spec: aggregate counts for
-        # steady kinds, per-home totals for dedicated kinds. (advance /
-        # advance_per_qubit skip zero-rate counters internally, matching
-        # acquire's return-inf-without-recording behavior.)
-        supply = supplies[index]
-        spec = specs[index]
-        zero_spec = spec.kind(ZERO)
-        if isinstance(zero_spec, SteadyKindSpec):
-            supply.advance(ZERO, ZEROS_PER_QEC * n)
-        elif isinstance(zero_spec, DedicatedKindSpec):
-            supply.advance_per_qubit(ZERO, ba.zero_home_totals)
-        pi8_spec = spec.kind(PI8)
-        if isinstance(pi8_spec, SteadyKindSpec):
-            supply.advance(PI8, cc.pi8_count)
-        elif isinstance(pi8_spec, DedicatedKindSpec):
-            supply.advance_per_qubit(PI8, ba.pi8_home_totals)
-
     def run_group(count: int, ready: Optional[np.ndarray]) -> np.ndarray:
         if schedule is None:
             return _run_levels(cc, count, movement, ready, qec)
@@ -883,15 +630,13 @@ def _simulate_batch(
         makespan = run_group(1, None)[0]
         for i in unconstrained:
             out[i] = result(makespan)
-            advance(i)
+            commit_draws(cc, supplies[i], specs[i])
 
     for signature, indices in groups.items():
-        ready = _spec_ready_matrix(
-            cc, signature, [specs[i] for i in indices]
-        )
+        ready = lower_ready(cc, signature, [specs[i] for i in indices])
         makespans = run_group(len(indices), ready)
         for i, makespan in zip(indices, makespans):
             out[i] = result(makespan)
-            advance(i)
+            commit_draws(cc, supplies[i], specs[i])
 
     return out

@@ -18,17 +18,20 @@ Two production paths execute this model:
 
 * :meth:`DataflowSimulator.run` — one design point. It consumes the
   struct-of-arrays :class:`~repro.circuits.compiled.CompiledCircuit`
-  form, allocates no per-gate objects, and lowers any supply that
-  publishes a declarative ready-time description
-  (:func:`~repro.arch.supply.declared_ready_spec`) through its closed
-  form — steady-rate kinds (the k-th ancilla exists at ``k / rate``)
-  evaluate for the whole circuit in one vectorized pass, dedicated
-  per-qubit kinds through the inlined counter loop; spec-less custom
-  supplies go through per-gate ``acquire``.
+  form and allocates no per-gate objects; spec-less custom supplies go
+  through per-gate ``acquire``.
 * :func:`repro.arch.batched.simulate_batch` — a whole *sweep* of design
   points (one supply per point) in a single vectorized pass over
   dependency levels, bit-identical to :meth:`~DataflowSimulator.run`
   once per point.
+
+The two paths lower any supply that publishes a declarative ready-time
+description (:func:`~repro.arch.supply.declared_ready_spec`) through the
+same functions defined here: :func:`lowerable_spec` classifies it,
+:func:`lower_ready` turns a group of specs into one ready time per gate
+and point (steady kinds: the k-th ancilla exists at ``k / rate``;
+dedicated per-qubit kinds: the same division over each home qubit's own
+counter), and :func:`commit_draws` records the consumption afterwards.
 
 Both are bit-identical to the per-gate-object reference loop, the test
 oracle :func:`repro.testing.reference.run_reference` — the equivalence
@@ -49,17 +52,14 @@ import numpy as np
 
 from repro.obs.trace import span as _span
 
-from repro.arch.architectures import (
-    ArchitectureKind,
-    CqlaConfig,
-    teleport_latency,
-)
+from repro.arch.architectures import CqlaConfig, teleport_latency
 from repro.arch.supply import (
     PI8,
     ZERO,
     AncillaSupply,
     DedicatedKindSpec,
     InfiniteSupply,
+    ReadySpec,
     SteadyKindSpec,
     declared_ready_spec,
 )
@@ -70,8 +70,6 @@ from repro.tech import ION_TRAP, TechnologyParams
 
 #: Encoded zeros per QEC step (bit + phase correction).
 ZEROS_PER_QEC = 2
-
-_INF = float("inf")
 
 
 @dataclass
@@ -243,8 +241,9 @@ class DataflowSimulator:
         Result-identical to the reference loop
         (:func:`repro.testing.reference.run_reference`, exact float
         equality), several times faster: no per-gate object allocation,
-        inlined dependency updates, and closed-form steady-rate supply
-        queries.
+        inlined dependency updates, and a supply's declared ready spec
+        lowered to one precomputed ready time per gate
+        (:func:`lower_ready`) in place of per-gate ``acquire`` calls.
         """
         with _span("simulate.setup"):
             cc = self.compiled
@@ -260,74 +259,31 @@ class DataflowSimulator:
             if move_1q or move_2q:
                 table = (0.0, move_1q, move_2q)
                 movement = [table[k] for k in cc.move_kind]
-            spec = declared_ready_spec(supply)
-            supply_ready: Optional[List[float]] = None
-            zero_spec = pi8_spec = None
-            dedicated = False
-            generic = None
-            if spec is None:
-                generic = supply.acquire
-            else:
-                zero_spec = spec.kind(ZERO)
-                pi8_spec = spec.kind(PI8)
-                zero_mode = spec_kind_mode(zero_spec)
-                pi8_mode = spec_kind_mode(pi8_spec)
-                modes = {zero_mode, pi8_mode}
-                if "unknown" in modes:
-                    # A spec type this engine cannot lower: per-gate
-                    # acquire threads state exactly, like any custom
-                    # supply.
-                    generic = supply.acquire
-                    spec = None
-                elif "dedicated" in modes and (
-                    self.cqla is not None or "steady" in modes
-                ):
-                    # Per-gate acquire keeps home-qubit counters exact
-                    # under cache reordering concerns and mixed
-                    # steady/dedicated kinds; state advances in place.
-                    generic = supply.acquire
-                    spec = None
-                elif "dedicated" in modes:
-                    dedicated = True
-                else:
-                    # Steady and/or unconstrained kinds: the whole
-                    # circuit's ready times in one closed form. The list
-                    # companion of the memoized ready vector: the serial
-                    # loops iterate it element by element, and plain
-                    # floats are ~2x faster there than np.float64
-                    # scalars.
-                    supply_ready = _steady_ready_entry(
-                        cc, zero_spec, pi8_spec
-                    )[1]
+            lowering = lowerable_spec(cc, supply)
+            ready: Optional[List[float]] = None
+            acquire = None
+            if lowering is None:
+                acquire = supply.acquire
+            elif lowering[1] != (None, None):
+                spec, signature = lowering
+                # Plain floats: the loops iterate element by element, and
+                # np.float64 scalars are ~2x slower there; ``.tolist()``
+                # keeps every bit.
+                ready = lower_ready(cc, signature, [spec])[:, 0].tolist()
         with _span("simulate.level_walk", gates=n):
             if self.cqla is not None:
                 makespan, misses, cache_teleports = _run_cache(
-                    cc, self.cqla, self.tech, movement, supply_ready, generic,
-                    qec
+                    cc, self.cqla, self.tech, movement, ready, acquire, qec
                 )
                 teleports += cache_teleports
-            elif dedicated:
-                makespan = _run_dedicated(cc, movement, zero_spec, pi8_spec,
-                                          qec)
-                misses = 0
-            elif generic is not None:
-                makespan = _run_generic(cc, movement, generic, qec)
+            elif acquire is not None:
+                makespan = _run_generic(cc, movement, acquire, qec)
                 misses = 0
             else:
-                makespan = _run_flat(cc, movement, supply_ready, qec)
+                makespan = _run_flat(cc, movement, ready, qec)
                 misses = 0
-        if spec is not None and not dedicated:
-            # Commit the aggregate consumption the lowered run skipped
-            # (dedicated lowering mutates the spec's live lists in
-            # place, so only steady kinds need an explicit commit).
-            advance_zero = isinstance(zero_spec, SteadyKindSpec)
-            advance_pi8 = isinstance(pi8_spec, SteadyKindSpec)
-            if advance_zero or advance_pi8:
-                with _span("simulate.supply_advance"):
-                    if advance_zero:
-                        supply.advance(ZERO, ZEROS_PER_QEC * n)
-                    if advance_pi8:
-                        supply.advance(PI8, cc.pi8_count)
+        if lowering is not None:
+            commit_draws(cc, supply, lowering[0])
         return SimulationResult(
             makespan_us=float(makespan),
             gates=n,
@@ -336,6 +292,179 @@ class DataflowSimulator:
             cache_misses=misses,
             teleports=teleports,
         )
+
+
+# ----------------------------------------------------------------------
+# Ready-time lowering, shared by run() and repro.arch.batched.
+#
+# Under the reference loop every gate draws its ancillae in program
+# order: two zeros per gate and one pi/8 per T-type gate, from a global
+# pool (steady kinds) or from its home qubit's private generator
+# (dedicated kinds). Neither order depends on timing, so the time the
+# i-th gate's ancillae exist is a pure function of i and the spec's
+# rates and prior consumption: one broadcast division per kind.
+
+
+@dataclass(frozen=True, eq=False)
+class _Draws:
+    """The order in which one circuit's gates draw ancillae."""
+
+    #: Steady kinds: the i-th gate's zeros are the ``zero_seq[i]``-th
+    #: drawn from the pool.
+    zero_seq: np.ndarray  # (gates,) float64: ZEROS_PER_QEC * (1..n)
+    pi8_seq: np.ndarray  # (pi8_count,) float64: 1..pi8_count
+    #: Dedicated kinds: gate i's zeros bring its home generator's counter
+    #: to ``home_zero_rank[i]``.
+    home: np.ndarray  # (gates,) intp: q0, where ancillae are acquired
+    pi8_home: np.ndarray  # (pi8_count,) intp: home of each pi/8 consumer
+    home_zero_rank: np.ndarray  # (gates,) float64
+    home_pi8_rank: np.ndarray  # (pi8_count,) float64
+    #: Whole-circuit consumption per home qubit (plain int lists, for
+    #: DedicatedSupply.advance_per_qubit).
+    zero_home_totals: List[int]
+    pi8_home_totals: List[int]
+
+
+_DRAWS: "weakref.WeakKeyDictionary[CompiledCircuit, _Draws]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _draws(cc: CompiledCircuit) -> _Draws:
+    draws = _DRAWS.get(cc)
+    if draws is not None:
+        return draws
+    zero_count = [0] * cc.num_qubits
+    pi8_count = [0] * cc.num_qubits
+    home_zero_rank = []
+    home_pi8_rank = []
+    pi8_home = []
+    for a, pi8 in zip(cc.q0, cc.pi8_flag):
+        zero_count[a] += ZEROS_PER_QEC
+        home_zero_rank.append(zero_count[a])
+        if pi8:
+            pi8_count[a] += 1
+            pi8_home.append(a)
+            home_pi8_rank.append(pi8_count[a])
+    draws = _Draws(
+        zero_seq=ZEROS_PER_QEC
+        * np.arange(1, cc.num_gates + 1, dtype=np.float64),
+        pi8_seq=np.arange(1, cc.pi8_count + 1, dtype=np.float64),
+        home=np.array(cc.q0, dtype=np.intp),
+        pi8_home=np.array(pi8_home, dtype=np.intp),
+        home_zero_rank=np.array(home_zero_rank, dtype=np.float64),
+        home_pi8_rank=np.array(home_pi8_rank, dtype=np.float64),
+        zero_home_totals=zero_count,
+        pi8_home_totals=pi8_count,
+    )
+    _DRAWS[cc] = draws
+    return draws
+
+
+Signature = Tuple[Optional[str], Optional[str]]
+
+
+def lowerable_spec(
+    cc: CompiledCircuit, supply: AncillaSupply
+) -> Optional[Tuple[ReadySpec, Signature]]:
+    """``supply``'s honored ready spec and its lowering signature.
+
+    The signature is the ``(zero_mode, pi8_mode)`` pair of
+    :func:`spec_kind_mode` strings, with a kind irrelevant to this
+    circuit (untracked, or pi/8 with no pi/8 gates) as None; specs with
+    equal signatures lower together (:func:`lower_ready`), and
+    ``(None, None)`` constrains nothing. Returns None when the supply
+    must run through per-gate ``acquire`` instead: no honored spec
+    (:func:`~repro.arch.supply.declared_ready_spec`), or a spec type
+    neither engine can lower.
+    """
+    spec = declared_ready_spec(supply)
+    if spec is None:
+        return None
+    signature = (
+        spec_kind_mode(spec.kind(ZERO)),
+        spec_kind_mode(spec.kind(PI8)) if cc.pi8_count else None,
+    )
+    if "unknown" in signature:
+        return None
+    return spec, signature
+
+
+def _kind_ready(kind_specs, mode, seq, home, rank) -> np.ndarray:
+    """``(draws, points)`` ready times for one kind across ``kind_specs``.
+
+    A zero rate divides to infinity, matching ``acquire``'s starvation
+    behavior. Fresh supplies (no prior consumption) skip the add, which
+    is bit-exactly a no-op.
+    """
+    consumed = [k.consumed for k in kind_specs]
+    if mode == "steady":
+        needed = seq[:, None]
+        if any(consumed):
+            needed = needed + np.array(consumed, dtype=np.float64)
+        rates = np.array([k.rate_per_us for k in kind_specs])
+    else:
+        # Gathered from (qubits, points) rows: one row per draw.
+        needed = rank[:, None]
+        if any(map(any, consumed)):
+            consumed = np.array(consumed, dtype=np.float64).T
+            needed = np.ascontiguousarray(consumed)[home] + needed
+        rates = np.array([k.rates_per_us for k in kind_specs], dtype=np.float64)
+        rates = np.ascontiguousarray(rates.T)[home]
+    with np.errstate(divide="ignore"):
+        return needed / rates
+
+
+def lower_ready(
+    cc: CompiledCircuit, signature: Signature, specs: Sequence[ReadySpec]
+) -> Optional[np.ndarray]:
+    """Gate-major ``(gates, points)`` ancilla-ready times, one column per
+    spec of one lowering-signature group (see :func:`lowerable_spec`).
+
+    Kinds may mix modes (e.g. a steady zero pool over dedicated pi/8
+    generators): a gate's constraint is the elementwise max of its
+    kinds' ready times, the order per-gate ``acquire`` applies them in.
+    Returns None when no kind constrains this circuit.
+    """
+    draws = _draws(cc)
+    zero_mode, pi8_mode = signature
+    with _span("simulate.ready_lowering", kind=f"{zero_mode}/{pi8_mode}",
+               points=len(specs), gates=cc.num_gates):
+        ready = None
+        if zero_mode is not None:
+            ready = _kind_ready(
+                [spec.kinds[ZERO] for spec in specs], zero_mode,
+                draws.zero_seq, draws.home, draws.home_zero_rank,
+            )
+        if pi8_mode is not None:
+            pi8_ready = _kind_ready(
+                [spec.kinds[PI8] for spec in specs], pi8_mode,
+                draws.pi8_seq, draws.pi8_home, draws.home_pi8_rank,
+            )
+            if ready is None:
+                ready = np.zeros((cc.num_gates, len(specs)))
+            index = cc.pi8_indices
+            ready[index] = np.maximum(ready[index], pi8_ready, out=pi8_ready)
+    return ready
+
+
+def commit_draws(
+    cc: CompiledCircuit, supply: AncillaSupply, spec: ReadySpec
+) -> None:
+    """Record on ``supply`` what a per-gate ``acquire`` walk of ``cc``
+    would have: aggregate counts for steady kinds, per-home totals for
+    dedicated kinds. (``advance`` / ``advance_per_qubit`` skip zero-rate
+    counters, matching acquire's return-inf-without-recording.)"""
+    draws = _draws(cc)
+    for kind, total, home_totals in (
+        (ZERO, ZEROS_PER_QEC * cc.num_gates, draws.zero_home_totals),
+        (PI8, cc.pi8_count, draws.pi8_home_totals),
+    ):
+        kind_spec = spec.kind(kind)
+        if isinstance(kind_spec, SteadyKindSpec):
+            supply.advance(kind, total)
+        elif isinstance(kind_spec, DedicatedKindSpec):
+            supply.advance_per_qubit(kind, home_totals)
 
 
 # ----------------------------------------------------------------------
@@ -349,104 +478,18 @@ class DataflowSimulator:
 # bit-identical to it rather than merely approximately equal.
 
 
-#: Memoized steady-supply ready vectors: per compiled circuit (weak), an
-#: LRU of rates-fingerprint -> ``(read-only ndarray, list)``. It holds
-#: one entry: repeated runs of the same point (the single-point
-#: benchmark, a re-simulated design point) reuse the vector, while a
-#: sweep's distinct points each compute theirs once anyway. Small
-#: batches route to ``run()`` (see ``repro.arch.batched._vectorize``),
-#: so every distinct steady point of an exploration passes through
-#: here; at 128 entries the retained vectors (up to ~300 KB each on
-#: qft-32) roughly doubled an exploration's peak RSS.
-#:
-#: The list companion exists because the serial loops iterate element
-#: by element, and iterating an ndarray yields np.float64 scalars whose
-#: compare/add boxing is ~2x slower than plain floats. ``.tolist()``
-#: preserves every float bit, so both stay bit-identical to the
-#: reference loop.
-_READY_CACHE: "weakref.WeakKeyDictionary[CompiledCircuit, OrderedDict]" = (
-    weakref.WeakKeyDictionary()
-)
-_READY_CACHE_MAX = 1
-
-_ReadyEntry = Tuple[Optional[np.ndarray], Optional[List[float]]]
-
-
-def _steady_ready_entry(
-    cc: CompiledCircuit,
-    zero: Optional[SteadyKindSpec],
-    pi8: Optional[SteadyKindSpec],
-) -> _ReadyEntry:
-    """Memoized ``(ndarray, list)`` ready-vector pair for steady specs.
-
-    Consumption order under the reference loop is program order (two
-    zeros per gate, one pi/8 per T-type gate), so the time the i-th
-    gate's ancillae exist is a pure function of i — computed here for
-    the whole circuit in one vectorized pass from the kinds' declarative
-    :class:`SteadyKindSpec` forms. A zero-rate kind yields infinity
-    (matching ``_RateCounter.acquire``); an unconstrained kind (None)
-    contributes no constraint. Returns ``(None, None)`` when no kind
-    constrains this circuit.
-    """
-    n = cc.num_gates
-    fingerprint = (
-        zero.rate_per_us if zero is not None else None,
-        zero.consumed if zero is not None else 0,
-        pi8.rate_per_us if pi8 is not None else None,
-        pi8.consumed if pi8 is not None else 0,
-    )
-    per_cc = _READY_CACHE.get(cc)
-    if per_cc is None:
-        per_cc = OrderedDict()
-        _READY_CACHE[cc] = per_cc
-    elif fingerprint in per_cc:
-        per_cc.move_to_end(fingerprint)
-        return per_cc[fingerprint]
-    with _span("simulate.ready_vector", gates=n):
-        ready = None
-        if zero is not None:
-            if zero.rate_per_us == 0.0:
-                ready = np.full(n, np.inf)
-            else:
-                consumed = zero.consumed + (
-                    ZEROS_PER_QEC * np.arange(1, n + 1, dtype=np.float64)
-                )
-                ready = consumed / zero.rate_per_us
-        if pi8 is not None and cc.pi8_count:
-            if pi8.rate_per_us == 0.0:
-                pi8_ready = np.full(cc.pi8_count, np.inf)
-            else:
-                consumed = pi8.consumed + np.arange(
-                    1, cc.pi8_count + 1, dtype=np.float64
-                )
-                pi8_ready = consumed / pi8.rate_per_us
-            if ready is None:
-                ready = np.zeros(n)
-            index = cc.pi8_indices
-            ready[index] = np.maximum(ready[index], pi8_ready)
-        if ready is not None:
-            ready.setflags(write=False)
-            entry = (ready, ready.tolist())
-        else:
-            entry = (None, None)
-    per_cc[fingerprint] = entry
-    if len(per_cc) > _READY_CACHE_MAX:
-        per_cc.popitem(last=False)
-    return entry
-
-
 def _run_flat(
     cc: CompiledCircuit,
     movement: Optional[List[float]],
     supply_ready: Optional[Sequence[float]],
     qec: float,
 ) -> float:
-    """Hot loop for infinite / steady-rate supplies without a cache.
+    """Hot loop for lowered supplies (:func:`lower_ready`) without a
+    cache.
 
-    ``supply_ready`` must be a list of plain floats (the list half of
-    :func:`_steady_ready_entry`): iterating an ndarray here yields
-    np.float64 scalars whose per-element boxing roughly halves
-    throughput, while ``.tolist()`` floats are bit-identical.
+    ``supply_ready`` must be a list of plain floats: iterating an ndarray
+    here yields np.float64 scalars whose per-element boxing roughly
+    halves throughput, while ``.tolist()`` floats are bit-identical.
     """
     qubit_free = [0.0] * cc.num_qubits
     bits = [0.0] * cc.num_bits
@@ -473,75 +516,6 @@ def _run_flat(
             t += move
         if ready > t:
             t = ready
-        finish = t + latency + qec
-        qubit_free[a] = finish
-        if b >= 0:
-            qubit_free[b] = finish
-            if c >= 0:
-                qubit_free[c] = finish
-        if result >= 0:
-            bits[result] = finish
-    return max(qubit_free) if qubit_free else 0.0
-
-
-def _run_dedicated(
-    cc: CompiledCircuit,
-    movement: Optional[List[float]],
-    zero: Optional[DedicatedKindSpec],
-    pi8_spec: Optional[DedicatedKindSpec],
-    qec: float,
-) -> float:
-    """Hot loop for per-qubit dedicated generators (the QLA model).
-
-    Counter arithmetic is inlined over the specs' live rate/consumed
-    lists (mutated in place, so observable state matches a per-gate
-    ``acquire`` walk): availability depends on the consuming gate's home
-    qubit, so there is no closed form over gate index alone.
-    """
-    qubit_free = [0.0] * cc.num_qubits
-    bits = [0.0] * cc.num_bits
-    move_iter = movement if movement is not None else repeat(0.0)
-    zero_rates = zero.rates_per_us if zero is not None else None
-    zero_consumed = zero.consumed if zero is not None else None
-    pi8_rates = pi8_spec.rates_per_us if pi8_spec is not None else None
-    pi8_consumed = pi8_spec.consumed if pi8_spec is not None else None
-    for a, b, c, cond, move, pi8, latency, result in zip(
-        cc.q0, cc.q1, cc.q2, cc.cond_id, move_iter, cc.pi8_flag,
-        cc.latency_us, cc.result_id,
-    ):
-        t = qubit_free[a]
-        if b >= 0:
-            v = qubit_free[b]
-            if v > t:
-                t = v
-            if c >= 0:
-                v = qubit_free[c]
-                if v > t:
-                    t = v
-        if cond >= 0:
-            v = bits[cond]
-            if v > t:
-                t = v
-        if move:
-            t += move
-        if zero_rates is not None:
-            rate = zero_rates[a]
-            if rate == 0.0:
-                t = _INF
-            else:
-                zero_consumed[a] += ZEROS_PER_QEC
-                v = zero_consumed[a] / rate
-                if v > t:
-                    t = v
-        if pi8 and pi8_rates is not None:
-            rate = pi8_rates[a]
-            if rate == 0.0:
-                t = _INF
-            else:
-                pi8_consumed[a] += 1
-                v = pi8_consumed[a] / rate
-                if v > t:
-                    t = v
         finish = t + latency + qec
         qubit_free[a] = finish
         if b >= 0:
@@ -612,9 +586,9 @@ def _run_cache(
     """Hot loop with CQLA compute-cache modeling.
 
     Returns ``(makespan, cache_misses, teleports)``. Supply constraints
-    come either from a precomputed steady-rate ready list (plain floats,
-    as in :func:`_run_flat`) or from per-gate ``acquire`` calls
-    (``acquire`` may be None for infinite).
+    come either from a lowered ready list (plain floats, as in
+    :func:`_run_flat`) or from per-gate ``acquire`` calls; both may be
+    None when nothing constrains.
     """
     qubit_free = [0.0] * cc.num_qubits
     bits = [0.0] * cc.num_bits

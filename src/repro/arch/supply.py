@@ -51,9 +51,8 @@ class DedicatedKindSpec:
 
     ``rates_per_us[q]`` / ``consumed[q]`` describe qubit ``q``'s private
     generator. The lists are the supply's *live* state, not a snapshot:
-    the serial engine may replay consumption into them in place (exactly
-    as per-gate ``acquire`` would), while the batched engine treats them
-    as read-only and commits via ``advance_per_qubit(kind, counts)``.
+    engines read them when lowering and never write them, committing
+    consumption afterwards via ``advance_per_qubit(kind, counts)``.
     """
 
     rates_per_us: List[float]
@@ -97,7 +96,6 @@ SPEC_COUPLED_METHODS = (
     "acquire",
     "advance",
     "advance_per_qubit",
-    "steady_state",
     "dedicated_state",
     "rate_per_us",
     "consumed_so_far",
@@ -113,7 +111,7 @@ def declared_ready_spec(supply: object) -> Optional[ReadySpec]:
     A spec is honored only when the class that defines ``ready_spec`` in
     the instance's MRO is at least as derived as every class defining one
     of :data:`SPEC_COUPLED_METHODS`; otherwise a subclass overriding only
-    ``advance`` or ``steady_state`` would be *half-batched* — lowered
+    ``advance`` or ``rate_per_us`` would be *half-batched* — lowered
     with the parent's math but committed with the child's. Instance-level
     attribute overrides of any coupled method (monkeypatching) likewise
     disqualify the supply.
@@ -187,10 +185,10 @@ class SteadyRateSupply:
     """One global production rate per ancilla kind (Figure 8's model).
 
     Because consumption is FIFO from a constant rate, availability has a
-    closed form: the k-th ancilla of a kind exists at ``k / rate``. The
-    accessors below expose the counters so the compiled dataflow engine
-    can evaluate that closed form for a whole circuit at once instead of
-    calling :meth:`acquire` per gate; :meth:`advance` lets it commit the
+    closed form: the k-th ancilla of a kind exists at ``k / rate``.
+    :meth:`ready_spec` publishes the counters so the dataflow engines
+    evaluate that closed form for a whole circuit at once instead of
+    calling :meth:`acquire` per gate; :meth:`advance` lets them commit the
     aggregate consumption afterwards so supply state stays identical to a
     gate-by-gate run.
 
@@ -234,20 +232,6 @@ class SteadyRateSupply:
         if counter is not None and counter.rate != 0 and count > 0:
             counter.consumed += count
 
-    def steady_state(self, kind: str) -> Optional[Tuple[float, int]]:
-        """``(rate_per_us, consumed_so_far)`` for ``kind``, or None.
-
-        The array form the point-batched dataflow engine consumes: one
-        ``(rate, consumed)`` pair per sweep point stacks into the rate
-        vector behind its ``(points, gates)`` ready matrix
-        (:func:`repro.arch.batched.steady_ready_matrix`). None means the
-        kind is untracked and never constrains.
-        """
-        counter = self._counters.get(kind)
-        if counter is None:
-            return None
-        return counter.rate, counter.consumed
-
     def ready_spec(self) -> ReadySpec:
         """One :class:`SteadyKindSpec` snapshot per tracked kind."""
         return ReadySpec(
@@ -275,9 +259,8 @@ class DedicatedSupply:
     for QLA's two-orders-of-magnitude area overhead.
 
     Per-qubit state lives in flat parallel lists (rates, consumed counts)
-    rather than counter objects: the compiled dataflow engine indexes the
-    lists directly in its hot loop, and the point-batched engine lifts
-    them wholesale into ``(points, qubits)`` matrices — both without any
+    rather than counter objects, so the dataflow engines' shared lowering
+    lifts them wholesale into ``(qubits, points)`` matrices without any
     per-counter attribute traffic.
 
     Args:
@@ -315,13 +298,11 @@ class DedicatedSupply:
     ) -> Optional[Tuple[List[float], List[int]]]:
         """Per-qubit ``(rates, consumed)`` vectors for ``kind``, or None.
 
-        The array form both fast engines consume: the compiled serial
-        loop indexes (and mutates) the live lists in place of per-gate
-        :meth:`acquire` dispatch, and the point-batched engine stacks one
-        pair per sweep point into the ``(points, qubits)`` matrices
-        behind :func:`repro.arch.batched.dedicated_ready_matrix`. The
-        returned lists are this supply's live state — treat them as
-        read-only unless you are replaying consumption exactly.
+        The same live lists :meth:`ready_spec` publishes. The dataflow
+        engines only read them (stacked per point by
+        :func:`repro.arch.simulator.lower_ready`) and commit consumption
+        through :meth:`advance_per_qubit`; treat them as read-only unless
+        you are replaying consumption exactly.
         """
         rates = self._rates.get(kind)
         if rates is None:

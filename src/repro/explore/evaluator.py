@@ -990,7 +990,10 @@ class Evaluator:
         Each chunk is one future. Chunk failure (worker crash, raised
         exception, timeout) bisects multi-point chunks to isolate the
         poison; singleton failures retry with backoff up to ``retries``
-        times, then quarantine. Pool breakage rebuilds the pool (with
+        times, then quarantine. A broken pool fails every in-flight
+        future alike, so when several chunks were in flight none is
+        charged: each re-runs alone until a crash has one suspect.
+        Pool breakage rebuilds the pool (with
         backoff, up to a rebuild budget); beyond the budget the
         remaining work degrades to serial in-process evaluation.
         Successful results are bit-identical to a serial, fault-free
@@ -1003,6 +1006,10 @@ class Evaluator:
         )
         out: List[Optional[Evaluation]] = [None] * len(tasks)
         failures: Dict[int, int] = {}
+        # Chunks in flight together when the pool broke; each re-runs
+        # alone (``solo``: one is in flight, submit nothing else).
+        suspects: deque = deque()
+        solo = False
         rebuilds = 0
         max_rebuilds = 8 + 2 * self._retries + len(tasks)
 
@@ -1040,17 +1047,22 @@ class Evaluator:
             pool = None
         pending: Dict[object, Tuple[List[int], Optional[float]]] = {}
         try:
-            while queue or pending:
+            while queue or suspects or pending:
                 if pool is None and not pending:
                     # Unrecoverable pool: degrade to in-process serial
                     # evaluation of whatever is left.
-                    while queue:
-                        for idx in queue.popleft():
+                    for indices in (*suspects, *queue):
+                        for idx in indices:
                             if out[idx] is None:
                                 out[idx] = self._evaluate_one_serial(tasks[idx])
                     break
-                while queue and pool is not None:
-                    indices = queue.popleft()
+                while (queue or suspects) and pool is not None and not solo:
+                    if suspects:
+                        if pending:
+                            break
+                        indices, solo = suspects.popleft(), True
+                    else:
+                        indices = queue.popleft()
                     deadline = (
                         time.monotonic() + self._timeout
                         if self._timeout is not None
@@ -1061,7 +1073,8 @@ class Evaluator:
                             _worker_evaluate_chunk, [tasks[i] for i in indices]
                         )
                     except Exception:
-                        queue.appendleft(indices)
+                        (suspects if solo else queue).appendleft(indices)
+                        solo = False
                         self._count("worker_crashes")
                         pool = rebuild(pool)
                         break
@@ -1101,6 +1114,7 @@ class Evaluator:
                         else:
                             queue.append(indices)
                     pending.clear()
+                    solo = False
                     pool = rebuild(pool)
                     continue
                 # Handle clean results before pool-breakage casualties so
@@ -1110,15 +1124,18 @@ class Evaluator:
                     if entry is None:
                         continue
                     indices, _ = entry
+                    solo = False
                     try:
                         evaluations = future.result()
                     except BrokenProcessPool:
                         self._count("worker_crashes")
-                        fail_chunk(indices, "worker crashed (pool broken)")
-                        # Every other in-flight future is toast too;
-                        # requeue their chunks intact (no failure charged).
-                        for _, (other, _) in pending.items():
-                            queue.append(other)
+                        if pending:
+                            # Every in-flight future broke with the pool and
+                            # any of them may have killed it: charge none.
+                            suspects.append(indices)
+                            suspects.extend(i for i, _ in pending.values())
+                        else:
+                            fail_chunk(indices, "worker crashed (pool broken)")
                         pending.clear()
                         pool = rebuild(pool)
                     except Exception as exc:

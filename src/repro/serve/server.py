@@ -36,7 +36,7 @@ Robustness is the design center:
   followers wait on the owner's flight instead of queuing a redundant
   evaluation behind the work lock. Bit-identical either way (the store
   would have deduplicated too — coalescing removes the wait, not just
-  the work); ``--no-coalesce`` turns it off.
+  the work).
 * **Injectable failures.** The handler announces the
   ``serve_request`` / ``serve_response`` / ``serve_probe`` fault
   stages (:mod:`repro.testing.faults`), scoped to this process's
@@ -103,9 +103,6 @@ class ExploreService:
         max_queue: Most ``/evaluate`` requests admitted at once
             (the one being worked plus the ones queued behind it);
             requests beyond it are shed with 429.
-        coalesce: Single-flight concurrent requests whose canonical
-            point sets overlap (one simulation pass per point; the
-            default). ``False`` restores strict per-request evaluation.
         replica_id: Identity of this serving process in a replica
             fleet; matched against replica-scoped fault rules
             (``repro serve --replica-id``). ``None`` matches only
@@ -121,7 +118,6 @@ class ExploreService:
         timeout: Optional[float] = None,
         heartbeat_interval: Optional[float] = None,
         max_queue: int = 8,
-        coalesce: bool = True,
         replica_id: Optional[str] = None,
     ) -> None:
         if max_queue < 1:
@@ -132,7 +128,6 @@ class ExploreService:
         self._timeout = timeout
         self._heartbeat_interval = heartbeat_interval
         self.max_queue = max_queue
-        self.coalesce = coalesce
         self.replica_id = replica_id
         self._evaluators: Dict[Tuple[str, int], Evaluator] = {}
         self._evaluators_lock = threading.Lock()
@@ -230,21 +225,6 @@ class ExploreService:
                 self._evaluators[key] = evaluator
             return evaluator
 
-    def evaluate(
-        self, kernel: str, width: int, points: Sequence[Dict[str, object]]
-    ) -> Tuple[List[Evaluation], Dict[str, int]]:
-        """Evaluate one admitted batch; returns (evaluations, stat deltas).
-
-        With coalescing on (the default), points already owned by a
-        concurrent request's flight are answered from that flight; only
-        the remainder is simulated here. Either way the simulation
-        itself serializes on the work lock (one warm evaluator works at
-        a time; it parallelizes internally across worker processes).
-        """
-        if not self.coalesce:
-            return self._evaluate_serialized(kernel, width, points)
-        return self._evaluate_coalesced(kernel, width, points)
-
     def _evaluate_serialized(
         self, kernel: str, width: int, points: Sequence[Dict[str, object]]
     ) -> Tuple[List[Evaluation], Dict[str, int]]:
@@ -257,11 +237,15 @@ class ExploreService:
             delta = {name: after[name] - before[name] for name in after}
             return evaluations, delta
 
-    def _evaluate_coalesced(
+    def evaluate(
         self, kernel: str, width: int, points: Sequence[Dict[str, object]]
     ) -> Tuple[List[Evaluation], Dict[str, int]]:
-        """Single-flight evaluation: one simulation pass per canonical
-        point across all concurrent requests.
+        """Evaluate one admitted batch; returns (evaluations, stat deltas).
+
+        Single-flight: one simulation pass per canonical point across
+        all concurrent requests. The simulation itself serializes on the
+        work lock (one warm evaluator works at a time; it parallelizes
+        internally across worker processes).
 
         The first request to see a canonical key registers a
         :class:`_Flight` and *owns* that point: it simulates it (with
@@ -333,7 +317,7 @@ class ExploreService:
             # The failed flights are gone from the table, so this
             # recursion claims ownership and actually evaluates (or
             # raises the owner's error as our own).
-            stray_evals, stray_delta = self._evaluate_coalesced(
+            stray_evals, stray_delta = self.evaluate(
                 kernel, width, [points[i] for i in stray.values()]
             )
             for key, evaluation in zip(stray, stray_evals):

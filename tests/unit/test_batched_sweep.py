@@ -25,18 +25,22 @@ from repro.arch.architectures import (
     MultiplexedConfig,
     QlaConfig,
 )
-from repro.arch.batched import (
-    _run_levels,
-    dedicated_ready_matrix,
-    steady_ready_matrix,
+from repro.arch.batched import _run_levels
+from repro.arch.simulator import (
+    ZEROS_PER_QEC,
+    DataflowSimulator,
+    commit_draws,
+    lower_ready,
+    lowerable_spec,
 )
-from repro.arch.simulator import DataflowSimulator, _steady_ready_entry
 from repro.arch.supply import (
     PI8,
     ZERO,
     DedicatedSupply,
     InfiniteSupply,
     PooledSupply,
+    ReadySpec,
+    SteadyKindSpec,
     SteadyRateSupply,
 )
 from repro.circuits import Circuit
@@ -598,72 +602,139 @@ class TestSweepGrids:
             assert evaluator.evaluate(points) == singles
 
 
-class TestReadyMatrices:
-    def test_steady_matrix_rows_match_serial_ready_vector(self, qrca8):
-        cc = qrca8.compiled_circuit()
-        rates = np.array([1.5, 0.25, 0.0]) / 1000.0
-        matrix = steady_ready_matrix(
-            cc,
-            rates,
-            np.zeros(3),
-            rates / 2.0,
-            np.zeros(3),
-        )
-        assert matrix.shape == (3, cc.num_gates)
-        for row, rate in zip(matrix, rates):
-            spec = SteadyRateSupply(
-                {ZERO: rate * 1000.0, PI8: rate * 500.0}
-            ).ready_spec()
-            serial = _steady_ready_entry(cc, spec.kind(ZERO), spec.kind(PI8))[0]
-            assert np.array_equal(row, serial)
+class _SplitSupply:
+    """Custom spec publisher: a steady zero pool over dedicated pi/8
+    generators, so one spec mixes both lowering modes."""
 
-    def test_gate_major_is_exact_transpose(self, qrca8):
-        cc = qrca8.compiled_circuit()
-        rates = np.array([1.5, 0.25]) / 1000.0
-        consumed = np.array([4.0, 0.0])
-        points_major = steady_ready_matrix(
-            cc, rates, consumed, rates, consumed
-        )
-        gate_major = steady_ready_matrix(
-            cc, rates, consumed, rates, consumed, gate_major=True
-        )
-        assert np.array_equal(points_major, gate_major.T)
+    def __init__(self, zero_rate, pi8_rate, num_qubits):
+        self._zero = SteadyRateSupply({ZERO: zero_rate})
+        self._pi8 = DedicatedSupply({PI8: pi8_rate}, num_qubits)
 
-    def test_dedicated_matrix_orientations_agree(self, qrca8):
+    def acquire(self, kind, qubit, count, earliest):
+        part = self._zero if kind == ZERO else self._pi8
+        return part.acquire(kind, qubit, count, earliest)
+
+    def advance(self, kind, count):
+        self._zero.advance(kind, count)
+
+    def advance_per_qubit(self, kind, counts):
+        self._pi8.advance_per_qubit(kind, counts)
+
+    def ready_spec(self):
+        return ReadySpec(
+            {**self._zero.ready_spec().kinds, **self._pi8.ready_spec().kinds}
+        )
+
+
+def _starve_even_qubits(supply):
+    rates, _ = supply.dedicated_state(ZERO)
+    rates[::2] = [0.0] * len(rates[::2])
+    return supply
+
+
+def _consumed(supply, nq):
+    """Prior consumption on every kind (and, if dedicated, every qubit)."""
+    for qubit in range(nq):
+        supply.acquire(ZERO, qubit, 2 * qubit + 3, 0.0)
+        supply.acquire(PI8, qubit, qubit + 1, 0.0)
+    return supply
+
+
+#: Three same-signature supplies per case, as ``(rate, nq) -> supply``.
+_LOWERING_CASES = {
+    "steady": lambda r, nq: SteadyRateSupply({ZERO: r, PI8: 0.3 * r}),
+    "dedicated": lambda r, nq: DedicatedSupply(
+        {ZERO: r / nq, PI8: 0.3 * r / nq}, nq
+    ),
+    "steady-zero-dedicated-pi8": lambda r, nq: _SplitSupply(
+        r, 0.3 * r / nq, nq
+    ),
+    "zero-rate-kind": lambda r, nq: SteadyRateSupply({ZERO: 0.0, PI8: r}),
+    "zero-rate-generator": lambda r, nq: _starve_even_qubits(
+        DedicatedSupply({ZERO: r / nq, PI8: r / nq}, nq)
+    ),
+    "prior-steady": lambda r, nq: _consumed(
+        SteadyRateSupply({ZERO: r, PI8: 0.3 * r}), nq
+    ),
+    "prior-dedicated": lambda r, nq: _consumed(
+        DedicatedSupply({ZERO: r / nq, PI8: 0.3 * r / nq}, nq), nq
+    ),
+}
+
+
+def _spec_state(supply):
+    """Observable consumption state of a spec publisher, per kind."""
+    return {
+        kind: (
+            (spec.rate_per_us, spec.consumed)
+            if isinstance(spec, SteadyKindSpec)
+            else (list(spec.rates_per_us), list(spec.consumed))
+        )
+        for kind, spec in supply.ready_spec().kinds.items()
+    }
+
+
+class TestSharedLowering:
+    """The one ready-time lowering ``run()`` and ``simulate_batch`` share."""
+
+    @pytest.mark.parametrize("case", sorted(_LOWERING_CASES))
+    def test_columns_match_per_gate_acquire_walk(self, case, qrca8):
         cc = qrca8.compiled_circuit()
         nq = cc.num_qubits
-        rng = np.random.default_rng(3)
-        rates = rng.uniform(0.001, 0.1, size=(2, nq))
-        rates[1, 0] = 0.0
-        consumed = rng.integers(0, 5, size=(2, nq)).astype(np.float64)
-        points_major = dedicated_ready_matrix(cc, rates, consumed, rates, consumed)
-        gate_major = dedicated_ready_matrix(
-            cc, rates, consumed, rates, consumed, gate_major=True
+        make = _LOWERING_CASES[case]
+        rates = (0.5, 4.0, 64.0)
+        supplies = [make(r, nq) for r in rates]
+        lowered = [lowerable_spec(cc, supply) for supply in supplies]
+        assert all(entry is not None for entry in lowered)
+        signatures = {signature for _, signature in lowered}
+        assert len(signatures) == 1
+        ready = lower_ready(
+            cc, signatures.pop(), [spec for spec, _ in lowered]
         )
-        assert np.array_equal(points_major, gate_major.T)
+        assert ready.shape == (cc.num_gates, len(supplies))
+        for column, supply in enumerate(supplies):
+            # The walk the reference loop performs, in program order.
+            expected = []
+            for a, pi8 in zip(cc.q0, cc.pi8_flag):
+                t = supply.acquire(ZERO, a, ZEROS_PER_QEC, 0.0)
+                if pi8:
+                    t = max(t, supply.acquire(PI8, a, 1, 0.0))
+                expected.append(t)
+            assert ready[:, column].tolist() == expected
+            # Committing the lowered run leaves the walk's state.
+            twin = make(rates[column], nq)
+            commit_draws(cc, twin, lowerable_spec(cc, twin)[0])
+            assert _spec_state(twin) == _spec_state(supply)
 
+    def test_cqla_dedicated_run_lowers_without_acquire(
+        self, qrca8, monkeypatch
+    ):
+        """CQLA with per-qubit generators takes the shared lowering too:
+        ``run()`` calls ``acquire`` zero times and still matches the
+        reference loop's makespan and counters."""
+        nq = qrca8.circuit.num_qubits
+        config = CqlaConfig()
 
-class TestSerialReadyMemo:
-    @staticmethod
-    def _ready(cc, supply):
-        spec = supply.ready_spec()
-        return _steady_ready_entry(cc, spec.kind(ZERO), spec.kind(PI8))[0]
+        def make():
+            return DedicatedSupply({ZERO: 0.05, PI8: 0.02}, nq)
 
-    def test_ready_vector_memoized_per_rates_fingerprint(self, qrca8):
-        cc = qrca8.compiled_circuit()
-        first = self._ready(cc, SteadyRateSupply({ZERO: 3.0, PI8: 1.0}))
-        again = self._ready(cc, SteadyRateSupply({ZERO: 3.0, PI8: 1.0}))
-        assert first is again  # same object: served from the memo
-        assert isinstance(first, np.ndarray)
-        assert not first.flags.writeable
-        other = self._ready(cc, SteadyRateSupply({ZERO: 4.0, PI8: 1.0}))
-        assert other is not first
+        reference_supply = make()
+        reference = _serial(
+            qrca8, [reference_supply], config, reference=True, cqla=config
+        )
+        calls = []
+        acquire = DedicatedSupply.acquire
 
-    def test_consumed_state_lands_on_different_entry(self, qrca8):
-        cc = qrca8.compiled_circuit()
-        supply = SteadyRateSupply({ZERO: 3.0, PI8: 1.0})
-        fresh = self._ready(cc, supply)
-        supply.advance(ZERO, 10)
-        shifted = self._ready(cc, supply)
-        assert shifted is not fresh
-        assert shifted[0] > fresh[0]
+        def counting(self, *args):
+            calls.append(args)
+            return acquire(self, *args)
+
+        # Patched on the class, so the supply's ready spec stays honored.
+        monkeypatch.setattr(DedicatedSupply, "acquire", counting)
+        run_supply = make()
+        assert _serial(qrca8, [run_supply], config, cqla=config) == reference
+        assert calls == []
+        for kind in (ZERO, PI8):
+            assert run_supply.dedicated_state(kind) == (
+                reference_supply.dedicated_state(kind)
+            )

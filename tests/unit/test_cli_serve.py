@@ -127,8 +127,7 @@ class TestReplicaSetFlags:
     def test_serve_help_lists_fleet_knobs(self, capsys):
         assert main(["serve", "--help"]) == 0
         out = capsys.readouterr().out
-        for flag in ("--coalesce", "--no-coalesce", "--replica-id",
-                     "--port-file"):
+        for flag in ("--replica-id", "--port-file"):
             assert flag in out
 
     def test_server_flag_repeats_and_splits_commas(self):
@@ -141,11 +140,8 @@ class TestReplicaSetFlags:
 
     def test_serve_defaults(self):
         ns = build_parser().parse_args(["serve"])
-        assert ns.coalesce is True
         assert ns.replica_id is None
         assert ns.port_file is None
-        ns = build_parser().parse_args(["serve", "--no-coalesce"])
-        assert ns.coalesce is False
 
     def test_breaker_defaults(self):
         ns = build_parser().parse_args(["explore", "qrca-8"])

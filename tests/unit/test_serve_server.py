@@ -369,10 +369,3 @@ class TestCoalescing:
         assert evaluations[0].result == evaluations[1].result
         assert delta["simulations_run"] == 1
         assert not service._flights  # the table is drained afterwards
-
-    def test_no_coalesce_service_still_correct(self, tmp_path, reference):
-        store = ResultStore(tmp_path / "plain-store")
-        service = ExploreService(store=store, coalesce=False)
-        evaluations, delta = service.evaluate("qrca", 8, POINTS)
-        assert_identical(evaluations, reference)
-        assert delta["simulations_run"] == len(POINTS)

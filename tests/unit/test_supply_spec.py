@@ -73,7 +73,7 @@ class TestOptInDispatch:
 
     @pytest.mark.parametrize(
         "method",
-        ["acquire", "advance", "steady_state", "rate_per_us", "consumed_so_far"],
+        ["acquire", "advance", "rate_per_us", "consumed_so_far"],
     )
     def test_subclass_overriding_coupled_method_is_undeclared(self, method):
         override = {method: lambda self, *args, **kwargs: None}
