@@ -17,9 +17,12 @@ convention beside the result store — see
 :meth:`ResultStore.journal_path`) and every completed round is appended
 to it (fsync'd, torn tails tolerated). After an interruption — SIGKILL,
 power loss, a crashed machine — ``resume=True`` replays the journaled
-rounds against the warm store (zero new simulations), restores the
-strategy's state through the same ``tell`` feedback, and continues the
-search where it stopped. A journal written by a different exploration
+rounds against the warm store, restores the strategy's state through
+the same ``tell`` feedback, and continues the search where it stopped.
+Replay costs zero new simulations after a process crash. Store records
+are not fsync'd, so after power loss a replayed point whose record never
+reached the disk reads as a miss and is re-simulated, with an identical
+result. A journal written by a different exploration
 (kernel/objective/strategy fingerprint mismatch) is refused. Failed
 evaluations (quarantined poison points) score ``inf`` and are excluded
 from Pareto fronts and per-architecture winners, so one bad point never

@@ -72,7 +72,7 @@ from repro.arch.architectures import (
 from repro.arch.simulator import DataflowSimulator, SimulationResult
 from repro.arch.supply import PI8, ZERO, SteadyRateSupply
 from repro.circuits.compiled import CompiledCircuit, compile_circuit
-from repro.explore.store import ResultStore, canonical_json
+from repro.explore.store import ResultStore, StoreKey, canonical_json
 from repro.layout.region import data_qubit_area
 from repro.obs import metrics as _metrics
 from repro.obs.trace import flush_worker, span as _span, worker_init_from_env
@@ -610,7 +610,7 @@ class Evaluator:
         self._heartbeat_interval = heartbeat_interval
         self._lease_poll = 0.05
         self._quarantine: Dict[str, str] = {}
-        self._active_leases: List[Dict[str, object]] = []
+        self._active_leases: List[StoreKey] = []
         self._last_heartbeat = 0.0
         self.simulations_run = 0
         self.cache_hits = 0
@@ -631,6 +631,7 @@ class Evaluator:
             Tuple[float, int], Tuple[KernelSummary, CompiledCircuit]
         ] = {}
         self._gates: Optional[int] = None
+        self._key_base: Optional[Dict[str, object]] = None
 
     # ------------------------------------------------------------------
 
@@ -678,23 +679,25 @@ class Evaluator:
         return self._gates
 
     def _store_key(self, canonical: Dict[str, object]) -> Dict[str, object]:
-        if self._kernel is not None:
-            identity: Dict[str, object] = {
-                "kernel": self._kernel,
-                "width": self._width,
+        if self._key_base is None:
+            # Everything but the point is fixed for this evaluator (the
+            # tech is immutable), so it is built on first use only.
+            if self._kernel is not None:
+                identity: Dict[str, object] = {
+                    "kernel": self._kernel,
+                    "width": self._width,
+                }
+            else:
+                identity = {"kernel": self._summary.name, "width": None}
+            self._key_base = {
+                **identity,
+                "gates": self._gate_count(),
+                "tech": tech_fingerprint(self._tech),
+                # A constant now that there is one engine; kept in the
+                # key so stores and journals written before it stay warm.
+                "engine": "compiled",
             }
-        else:
-            identity = {"kernel": self._summary.name, "width": None}
-        gates = self._gate_count()
-        return {
-            **identity,
-            "gates": gates,
-            "tech": tech_fingerprint(self._tech),
-            # A constant now that there is one engine; kept in the key
-            # so stores and journals written before it stay warm.
-            "engine": "compiled",
-            "point": canonical,
-        }
+        return {**self._key_base, "point": canonical}
 
     # ------------------------------------------------------------------
     # Store (de)serialization
@@ -784,13 +787,17 @@ class Evaluator:
 
         resolved: Dict[str, Evaluation] = {}
         misses: List[Tuple[str, Dict[str, object]]] = []
+        # One store key (and digest) per unique point, shared by its get,
+        # claim, heartbeats, put and release.
+        store_keys: Dict[str, StoreKey] = {}
         for key, cpoint in unique.items():
             if key in self._quarantine:
                 resolved[key] = Evaluation.failure(cpoint, self._quarantine[key])
                 continue
             hit = None
             if self.store is not None:
-                record = self.store.get(self._store_key(cpoint))
+                store_key = store_keys[key] = StoreKey.of(self._store_key(cpoint))
+                record = self.store.get(store_key)
                 if record is not None:
                     hit = self._from_record(record, cpoint)
             if hit is not None:
@@ -804,14 +811,14 @@ class Evaluator:
         if use_leases and misses:
             owned, contested = [], []
             for key, cpoint in misses:
-                if self.store.claim(self._store_key(cpoint)):
+                if self.store.claim(store_keys[key]):
                     owned.append((key, cpoint))
                 else:
                     contested.append((key, cpoint))
 
         if owned:
             if use_leases:
-                self._active_leases = [self._store_key(c) for _, c in owned]
+                self._active_leases = [store_keys[key] for key, _ in owned]
             try:
                 fresh = self._run(owned)
             finally:
@@ -821,15 +828,13 @@ class Evaluator:
                 resolved[key] = evaluation
                 if evaluation.ok:
                     if self.store is not None:
-                        self.store.put(
-                            self._store_key(cpoint), self._to_record(evaluation)
-                        )
+                        self.store.put(store_keys[key], self._to_record(evaluation))
                 else:
                     self._quarantine[key] = evaluation.error
                 if use_leases:
-                    self.store.release(self._store_key(cpoint))
+                    self.store.release(store_keys[key])
         for key, cpoint in contested:
-            resolved[key] = self._await_contested(key, cpoint)
+            resolved[key] = self._await_contested(key, cpoint, store_keys[key])
         sp.set(
             unique=len(unique),
             misses=len(misses),
@@ -901,19 +906,20 @@ class Evaluator:
             self._count("retries")
             return [self._evaluate_one_serial(cpoint) for cpoint in tasks]
 
-    def _await_contested(self, key: str, cpoint: Dict[str, object]) -> Evaluation:
+    def _await_contested(
+        self, key: str, cpoint: Dict[str, object], store_key: StoreKey
+    ) -> Evaluation:
         """Wait out another evaluator's lease on ``cpoint``.
 
         The happy path is the other evaluator landing the record (we
         serve it as a cache hit). If its lease goes stale — the process
         died — we reclaim and simulate the point ourselves.
         """
-        store_key = self._store_key(cpoint)
         with _span("evaluate.lease_wait"):
             return self._await_contested_loop(key, cpoint, store_key)
 
     def _await_contested_loop(
-        self, key: str, cpoint: Dict[str, object], store_key: Dict[str, object]
+        self, key: str, cpoint: Dict[str, object], store_key: StoreKey
     ) -> Evaluation:
         while True:
             record = self.store.get(store_key)

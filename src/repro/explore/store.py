@@ -26,9 +26,13 @@ are merely garbage, reportable and reclaimable with
 
 Durability and fault behaviour:
 
-* writes are atomic (temp file + ``fsync`` + ``os.replace``) so
-  concurrent explorations sharing a store never observe torn records
-  even across power loss;
+* the store is a cache of deterministic recomputations, so records are
+  published atomically (temp file + ``os.replace``) but not fsync'd:
+  concurrent explorations sharing a store never observe torn records,
+  and a record that power loss leaves empty or torn reads as a miss and
+  is recomputed. Only the exploration journal (``journal.jsonl``, see
+  :mod:`repro.explore.engine`) is fsync'd, since resume depends
+  on it;
 * a failed write (``ENOSPC``, read-only cache dir) degrades to a
   :class:`~repro.explore.errors.StoreDegradedWarning` instead of
   crashing the exploration — the evaluation lives on in memory;
@@ -65,7 +69,7 @@ import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.explore.errors import LeaseHeld, StoreDegradedWarning
 from repro.obs import metrics as _metrics
@@ -89,6 +93,30 @@ def canonical_json(document: Dict) -> str:
 def key_digest(key: Dict) -> str:
     """Content address of a key document."""
     return hashlib.sha256(canonical_json(key).encode("utf-8")).hexdigest()
+
+
+class StoreKey(NamedTuple):
+    """A key document with its content address, computed once.
+
+    Every :class:`ResultStore` operation accepts one wherever it accepts
+    a plain key dict; a caller that touches the same key several times
+    (get, claim, heartbeat, put, release) builds it once and skips
+    re-hashing the document on each call.
+    """
+
+    document: Dict
+    digest: str
+
+    @classmethod
+    def of(cls, document: Dict) -> "StoreKey":
+        return cls(document, key_digest(document))
+
+
+Key = Union[Dict, StoreKey]
+
+
+def _keyed(key: Key) -> StoreKey:
+    return key if isinstance(key, StoreKey) else StoreKey.of(key)
 
 
 def default_root() -> Path:
@@ -147,11 +175,11 @@ class ResultStore:
 
     # ------------------------------------------------------------------
 
-    def _path(self, key: Dict) -> Path:
-        return self.directory / f"{key_digest(key)}.json"
+    def _path(self, key: Key) -> Path:
+        return self.directory / f"{_keyed(key).digest}.json"
 
-    def _lease_path(self, key: Dict) -> Path:
-        return self.directory / f"{key_digest(key)}.lease"
+    def _lease_path(self, key: Key) -> Path:
+        return self.directory / f"{_keyed(key).digest}.lease"
 
     def journal_path(self) -> Path:
         """Where :func:`repro.explore.engine.explore` journals rounds."""
@@ -171,7 +199,7 @@ class ResultStore:
             op=op,
         ).observe(seconds)
 
-    def get(self, key: Dict) -> Optional[Dict]:
+    def get(self, key: Key) -> Optional[Dict]:
         """The stored record for ``key``, or None (corrupt files miss).
 
         Always counts into ``repro_store_get_total{outcome=hit|miss}``;
@@ -180,7 +208,7 @@ class ResultStore:
         """
         timed = _tracing()
         t0 = time.perf_counter() if timed else 0.0
-        record = self._get(key)
+        record = self._get(_keyed(key))
         if timed:
             self._observe("get", time.perf_counter() - t0)
         _metrics.counter(
@@ -190,10 +218,10 @@ class ResultStore:
         ).inc()
         return record
 
-    def _get(self, key: Dict) -> Optional[Dict]:
+    def _get(self, key: StoreKey) -> Optional[Dict]:
         path = self._path(key)
         try:
-            faults.check("store_get", _fault_point(key))
+            faults.check("store_get", _fault_point(key.document))
             with open(path, "r", encoding="utf-8") as handle:
                 record = json.load(handle)
         except (OSError, json.JSONDecodeError):
@@ -202,8 +230,11 @@ class ResultStore:
             return None
         return record
 
-    def put(self, key: Dict, record: Dict) -> bool:
+    def put(self, key: Key, record: Dict) -> bool:
         """Persist ``record`` under ``key`` (atomic, last-writer-wins).
+
+        Not fsync'd: after power loss the record may read as a
+        miss, and the point is then recomputed.
 
         Returns True on success. On I/O failure (``ENOSPC``, read-only
         cache directory) the store degrades: a
@@ -217,7 +248,7 @@ class ResultStore:
         """
         timed = _tracing()
         t0 = time.perf_counter() if timed else 0.0
-        ok = self._put(key, record)
+        ok = self._put(_keyed(key), record)
         if timed:
             self._observe("put", time.perf_counter() - t0)
         _metrics.counter(
@@ -227,15 +258,15 @@ class ResultStore:
         ).inc()
         return ok
 
-    def _put(self, key: Dict, record: Dict) -> bool:
+    def _put(self, key: StoreKey, record: Dict) -> bool:
         document = dict(record)
         document["schema"] = SCHEMA_VERSION
-        document["key"] = key
+        document["key"] = key.document
         payload = json.dumps(document, sort_keys=True, indent=1)
-        payload = faults.mangle("store_put", _fault_point(key), payload)
+        payload = faults.mangle("store_put", _fault_point(key.document), payload)
         temp = None
         try:
-            faults.check("store_put", _fault_point(key))
+            faults.check("store_put", _fault_point(key.document))
             self.directory.mkdir(parents=True, exist_ok=True)
             # Suffix must not be ".json": in-flight temp files would match
             # the "*.json" globs in __len__/records()/clear().
@@ -244,8 +275,6 @@ class ResultStore:
             )
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(payload)
-                handle.flush()
-                os.fsync(handle.fileno())
             os.replace(temp, self._path(key))
             return True
         except OSError as exc:
@@ -318,7 +347,7 @@ class ResultStore:
         except OSError:
             return False
 
-    def claim(self, key: Dict) -> bool:
+    def claim(self, key: Key) -> bool:
         """Try to take the lease on ``key``; True when this store owns it.
 
         A missing lease is claimed atomically; a stale one (mtime older
@@ -338,7 +367,7 @@ class ResultStore:
         ).inc()
         return owned
 
-    def _claim(self, key: Dict) -> Tuple[str, bool]:
+    def _claim(self, key: Key) -> Tuple[str, bool]:
         try:
             self.directory.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
@@ -359,7 +388,7 @@ class ResultStore:
             return "contested", False
         return "contested", False
 
-    def release(self, key: Dict) -> None:
+    def release(self, key: Key) -> None:
         """Drop our lease on ``key`` (a lease we don't own is left alone)."""
         path = self._lease_path(key)
         if self.lease_owner(path) == self.owner:
@@ -368,7 +397,7 @@ class ResultStore:
             except OSError:
                 pass
 
-    def heartbeat(self, key: Dict) -> None:
+    def heartbeat(self, key: Key) -> None:
         """Refresh our lease's mtime so it doesn't go stale mid-run."""
         path = self._lease_path(key)
         if self.lease_owner(path) == self.owner:
@@ -395,11 +424,12 @@ class ResultStore:
             yield path.stem, self.lease_owner(path), age, age > self.lease_ttl
 
     @contextmanager
-    def hold(self, key: Dict):
+    def hold(self, key: Key):
         """Context-managed claim; raises :class:`LeaseHeld` if contested."""
+        key = _keyed(key)
         if not self.claim(key):
             raise LeaseHeld(
-                f"lease on {key_digest(key)[:12]}… held by another evaluator",
+                f"lease on {key.digest[:12]}… held by another evaluator",
                 owner=self.lease_owner(key),
             )
         try:

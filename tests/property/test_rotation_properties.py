@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.ancilla.rotations import (
     default_synthesizer,
@@ -62,6 +62,7 @@ class TestSynthesisInvariants:
 
 class TestMetricProperties:
     @given(st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi))
+    @example(0.0, 7.305353942776971e-08)  # tiny distances, once flaky
     @settings(max_examples=50)
     def test_triangle_inequality(self, a, b):
         u, v, w = rz_matrix(a), rz_matrix(b), rz_matrix((a + b) / 2)
@@ -78,6 +79,4 @@ class TestMetricProperties:
     @given(st.floats(0, 2 * math.pi))
     @settings(max_examples=50)
     def test_self_distance_zero(self, angle):
-        # sqrt amplifies float rounding near zero: |tr| can sit 1e-12
-        # below 2, giving a distance of ~1e-6 for identical matrices.
-        assert trace_distance(rz_matrix(angle), rz_matrix(angle)) < 1e-5
+        assert trace_distance(rz_matrix(angle), rz_matrix(angle)) < 1e-12

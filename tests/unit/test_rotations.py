@@ -45,6 +45,15 @@ class TestDistanceMetric:
     def test_positive_for_different(self):
         assert trace_distance(np.eye(2), rz_matrix(math.pi)) > 0.5
 
+    def test_accurate_at_tiny_distances(self):
+        """dist(I, RZ(t)) = sqrt(2) sin(t/4) to full relative precision,
+        with no cancellation as the overlap approaches 1."""
+        for k in (3, 10, 20, 23, 30):
+            angle = math.pi / 2 ** k
+            assert trace_distance(np.eye(2), rz_matrix(angle)) == pytest.approx(
+                math.sqrt(2) * math.sin(angle / 4), rel=1e-12
+            )
+
 
 class TestExactCases:
     def test_k0_is_z(self):
