@@ -21,8 +21,10 @@ Quickstart::
 
     print(repro.run_experiment("table9"))                # chip area split
 
-See DESIGN.md for the system inventory and EXPERIMENTS.md for measured
-vs paper numbers on every reproduced table and figure.
+See README.md ("The engine matrix") for the system inventory;
+``tests/integration/test_paper_numbers.py`` and the ``benchmarks/``
+suite check measured against paper numbers for the reproduced tables
+and figures.
 """
 
 from repro.ancilla import (

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro list                  # list reproducible artifacts
     python -m repro table3                # print one table/figure
-    python -m repro run fig15 --workers 4 # same, with sweep options
+    python -m repro run fig15             # same, spelled out
     python -m repro all                   # print everything (slow: runs
                                           # the Monte Carlo and the sweeps)
     python -m repro explore qcla-32 --objective adcr --strategy adaptive \\
@@ -54,55 +54,36 @@ def _cmd_list(ns: argparse.Namespace) -> int:
 def _cmd_all(ns: argparse.Namespace) -> int:
     for key in sorted(EXPERIMENTS):
         print(f"=== {key} ({EXPERIMENTS[key].paper_ref}) ===")
-        print(run_experiment(key, workers=ns.workers))
+        print(run_experiment(key))
         print()
     return 0
 
 
 def _cmd_run(ns: argparse.Namespace) -> int:
     try:
-        print(run_experiment(ns.experiment, workers=ns.workers))
+        print(run_experiment(ns.experiment))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
 
 
-def _obs_enable() -> str:
-    """Turn span tracing on with a worker spool; returns the spool dir."""
-    import tempfile
-
-    from repro import obs
-
-    spool = tempfile.mkdtemp(prefix="repro-obs-")
-    obs.enable(spool_dir=spool)
-    return spool
-
-
-def _obs_export(
-    trace_path: Optional[str], metrics_path: Optional[str], spool_dir: str
-) -> None:
-    """Merge worker spans, write requested trace/metrics files, tear down.
+def _obs_export(trace_path: Optional[str], metrics_path: Optional[str]) -> None:
+    """Write the requested trace/metrics files and turn tracing off.
 
     ``metrics_path`` gets Prometheus text, or a JSON snapshot when it
-    ends in ``.json``. Always disables tracing and removes the spool.
+    ends in ``.json``.
     """
     import json
-    import shutil
     from pathlib import Path
 
     from repro import obs
     from repro.obs import metrics as obs_metrics
 
     tracer = obs.tracer()
-    if tracer is not None:
-        merged = tracer.merge_spool()
-        if trace_path:
-            tracer.export_chrome(trace_path)
-            print(
-                f"trace: {trace_path} ({len(tracer.events())} spans, "
-                f"{merged} from workers)"
-            )
+    if tracer is not None and trace_path:
+        tracer.export_chrome(trace_path)
+        print(f"trace: {trace_path} ({len(tracer.events())} spans)")
     if metrics_path:
         if metrics_path.endswith(".json"):
             payload = (
@@ -114,7 +95,6 @@ def _obs_export(
         Path(metrics_path).write_text(payload, encoding="utf-8")
         print(f"metrics: {metrics_path}")
     obs.disable()
-    shutil.rmtree(spool_dir, ignore_errors=True)
 
 
 def _lease_knob_error(ns: argparse.Namespace) -> Optional[str]:
@@ -174,10 +154,13 @@ def _cmd_explore(ns: argparse.Namespace) -> int:
         print("error: a kernel to explore is required (e.g. qcla-32)",
               file=sys.stderr)
         return 2
-    # Tracing goes on before the kernel is analyzed and before the
-    # Evaluator exists: compile/analyze spans land in the trace, and
-    # worker pools inherit the spool via the environment.
-    spool = _obs_enable() if (ns.trace or ns.metrics) else None
+    # Tracing goes on before the kernel is analyzed, so compile/analyze
+    # spans land in the trace.
+    traced = bool(ns.trace or ns.metrics)
+    if traced:
+        from repro import obs
+
+        obs.enable()
     evaluator = None
     try:
         try:
@@ -226,19 +209,15 @@ def _cmd_explore(ns: argparse.Namespace) -> int:
                 kernel=kernel,
                 width=width,
                 store=store,
-                workers=ns.workers,
                 retries=ns.retries,
-                timeout=ns.timeout,
                 heartbeat_interval=ns.heartbeat_interval,
             )
         else:
             evaluator = Evaluator(
                 kernel=kernel,
                 width=width,
-                workers=ns.workers,
                 store=store,
                 retries=ns.retries,
-                timeout=ns.timeout,
                 heartbeat_interval=ns.heartbeat_interval,
             )
         budget = ns.budget if ns.budget is not None else space.grid_size()
@@ -267,24 +246,21 @@ def _cmd_explore(ns: argparse.Namespace) -> int:
                 "evaluator: "
                 + ", ".join(f"{name}={value}" for name, value in stats.items())
             )
-        if spool is not None:
-            _obs_export(ns.trace, ns.metrics, spool)
+        if traced:
+            _obs_export(ns.trace, ns.metrics)
 
 
 def _cmd_profile(ns: argparse.Namespace) -> int:
-    import shutil
     import time
 
     from repro import obs
     from repro.obs.report import format_phase_table
 
-    spool = _obs_enable()
+    tracer = obs.enable()
     t0 = time.perf_counter()
     try:
-        output = run_experiment(ns.experiment, workers=ns.workers)
+        output = run_experiment(ns.experiment)
         wall = time.perf_counter() - t0
-        tracer = obs.tracer()
-        tracer.merge_spool()
         events = tracer.events()
         if ns.show_output:
             print(output)
@@ -305,7 +281,6 @@ def _cmd_profile(ns: argparse.Namespace) -> int:
         return 2
     finally:
         obs.disable()
-        shutil.rmtree(spool, ignore_errors=True)
 
 
 def _cmd_cache(ns: argparse.Namespace) -> int:
@@ -358,9 +333,7 @@ def _cmd_serve(ns: argparse.Namespace) -> int:
     try:
         service = ExploreService(
             store=store,
-            workers=ns.workers,
             retries=ns.retries,
-            timeout=ns.timeout,
             heartbeat_interval=ns.heartbeat_interval,
             max_queue=ns.max_queue,
             replica_id=ns.replica_id,
@@ -410,13 +383,6 @@ def _cmd_serve(ns: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_sweep_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="evaluate sweep/exploration points across N worker processes",
-    )
-
-
 def _add_lease_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--lease-ttl", type=float, default=None, metavar="S",
@@ -452,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_all = sub.add_parser(
         "all", help="print every artifact (slow: Monte Carlo + sweeps)"
     )
-    _add_sweep_options(p_all)
     p_all.set_defaults(func=_cmd_all)
 
     p_run = sub.add_parser("run", help="print one table/figure by key")
@@ -460,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
         "experiment", metavar="experiment",
         help=f"one of: {', '.join(sorted(EXPERIMENTS))}",
     )
-    _add_sweep_options(p_run)
     p_run.set_defaults(func=_cmd_run)
 
     p_explore = sub.add_parser(
@@ -533,14 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "retry a failing design point N times (with backoff) before "
             "quarantining it as a structured failure (default: 2)"
-        ),
-    )
-    p_explore.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
-        help=(
-            "per-chunk evaluation timeout in seconds for worker pools; "
-            "hung workers are killed and their chunks retried "
-            "(default: no timeout)"
         ),
     )
     p_explore.add_argument(
@@ -618,10 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_explore.add_argument(
         "--trace", default=None, metavar="FILE",
-        help=(
-            "write a Chrome/Perfetto trace of the exploration to FILE "
-            "(parent and worker-process spans merged on one timeline)"
-        ),
+        help="write a Chrome/Perfetto trace of the exploration to FILE",
     )
     p_explore.add_argument(
         "--metrics", default=None, metavar="FILE",
@@ -630,7 +583,6 @@ def build_parser() -> argparse.ArgumentParser:
             "or a JSON snapshot when FILE ends in .json"
         ),
     )
-    _add_sweep_options(p_explore)
     _add_lease_options(p_explore)
     p_explore.set_defaults(func=_cmd_explore)
 
@@ -691,10 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="per-point retry budget of the serving evaluators (default: 2)",
     )
     p_serve.add_argument(
-        "--timeout", type=float, default=None, metavar="S",
-        help="per-chunk evaluation timeout of the serving evaluators",
-    )
-    p_serve.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help="result-store root (default: .repro_cache, or $REPRO_CACHE_DIR)",
     )
@@ -702,7 +650,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true",
         help="serve without a result store (every request simulates)",
     )
-    _add_sweep_options(p_serve)
     _add_lease_options(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
@@ -728,7 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--show-output", action="store_true",
         help="print the experiment's own output above the breakdown",
     )
-    _add_sweep_options(p_profile)
     p_profile.set_defaults(func=_cmd_profile)
 
     p_cache = sub.add_parser(

@@ -12,10 +12,7 @@ Both sweeps are grid explorations: they enumerate a fixed lattice of
 design points and batch them through
 :class:`repro.explore.evaluator.Evaluator`, the same machinery behind
 ``python -m repro explore``. The kernel is lowered to its compiled array
-form exactly once per sweep (or once per worker process under
-``workers=N`` — the process-pool initializer compiles it, and each task
-is a bare design-point chunk). Simulation is deterministic and points
-come back in order, so parallel results are identical to serial ones.
+form exactly once per sweep, and points come back in order.
 
 The evaluator resolves each sweep's homogeneous point groups through the
 **point-batched** engine (:mod:`repro.arch.batched`): the whole
@@ -50,28 +47,11 @@ class SweepPoint:
     result: SimulationResult
 
 
-def _make_evaluator(
-    analysis: KernelAnalysis,
-    compiled: Optional[CompiledCircuit],
-    workers: Optional[int],
-    cqla: Optional[CqlaConfig] = None,
-):
-    from repro.explore.evaluator import Evaluator
-
-    return Evaluator(
-        analysis=analysis,
-        workers=workers,
-        compiled=compiled,
-        cqla=cqla,
-    )
-
-
 def throughput_sweep(
     analysis: KernelAnalysis,
     throughputs_per_ms: Optional[Sequence[float]] = None,
     *,
     compiled: Optional[CompiledCircuit] = None,
-    workers: Optional[int] = None,
 ) -> List[SweepPoint]:
     """Figure 8: execution time vs steady encoded-zero throughput.
 
@@ -83,11 +63,7 @@ def throughput_sweep(
         throughputs_per_ms: Zero-ancilla rates to sample; defaults to a
             logarithmic sweep bracketing the kernel's average bandwidth.
         compiled: Optional prebuilt compiled circuit to reuse; compiled
-            once for the whole sweep when omitted. Serial runs only —
-            worker processes compile their own copy in the pool
-            initializer.
-        workers: When > 1, farm points out to this many worker processes.
-            Results are identical to a serial run.
+            once for the whole sweep when omitted.
     """
     avg = analysis.zero_bandwidth_per_ms
     if throughputs_per_ms is None:
@@ -96,7 +72,9 @@ def throughput_sweep(
     pi8_ratio = (
         analysis.pi8_bandwidth_per_ms / avg if avg > 0 else 0.0
     )
-    evaluator = _make_evaluator(analysis, compiled, workers)
+    from repro.explore.evaluator import Evaluator
+
+    evaluator = Evaluator(analysis=analysis, compiled=compiled)
     evaluations = evaluator.evaluate(
         [{"zero_rate": rate, "pi8_ratio": pi8_ratio} for rate in rates]
     )
@@ -115,7 +93,9 @@ def _simulate_architecture(
 ) -> SimulationResult:
     """One architecture point under ``analysis.tech`` (shared with the
     Qalypso comparison)."""
-    evaluator = _make_evaluator(analysis, compiled, None, cqla)
+    from repro.explore.evaluator import Evaluator
+
+    evaluator = Evaluator(analysis=analysis, compiled=compiled, cqla=cqla)
     point = {"arch": kind.value, "factory_area": float(area)}
     return evaluator.evaluate([point])[0].result
 
@@ -127,7 +107,6 @@ def area_sweep(
     cqla: Optional[CqlaConfig] = None,
     *,
     compiled: Optional[CompiledCircuit] = None,
-    workers: Optional[int] = None,
 ) -> Dict[ArchitectureKind, List[SweepPoint]]:
     """Figure 15: execution time vs total ancilla-factory area per arch.
 
@@ -138,13 +117,10 @@ def area_sweep(
         kinds: Architectures to simulate.
         cqla: Optional CQLA configuration override.
         compiled: Optional prebuilt compiled circuit to reuse; compiled
-            once for the whole sweep when omitted. Serial runs only —
-            worker processes compile their own copy in the pool
-            initializer.
-        workers: When > 1, farm points out to this many worker processes.
-            Results are identical to a serial run.
+            once for the whole sweep when omitted.
     """
     from repro.arch.provisioning import area_breakdown
+    from repro.explore.evaluator import Evaluator
 
     if areas is None:
         matched = area_breakdown(analysis).factory_area
@@ -154,7 +130,7 @@ def area_sweep(
     flat: List[Tuple[ArchitectureKind, float]] = [
         (kind, area) for kind in kinds for area in areas
     ]
-    evaluator = _make_evaluator(analysis, compiled, workers, cqla)
+    evaluator = Evaluator(analysis=analysis, compiled=compiled, cqla=cqla)
     evaluations = evaluator.evaluate(
         [{"arch": kind.value, "factory_area": area} for kind, area in flat]
     )

@@ -17,8 +17,8 @@ pays those costs exactly once per ``(circuit, tech)`` pair:
   flags are precomputed, along with the aggregate counts the simulator
   needs for closed-form ancilla and teleport accounting.
 
-The compiled form is immutable and safe to share between simulators,
-sweep points and worker processes. :func:`compile_circuit` memoizes per
+The compiled form is immutable and safe to share between simulators
+and sweep points. :func:`compile_circuit` memoizes per
 circuit object (keyed by gate count and technology, since circuits are
 append-only by convention), so repeated sweeps over the same kernel
 compile exactly once.

@@ -12,8 +12,8 @@ search. This package makes that search a subsystem:
 * :mod:`repro.explore.strategies` — exhaustive grid, random, and
   adaptive successive-refinement search behind one ask/tell protocol;
 * :mod:`repro.explore.evaluator` — batch points through the compiled
-  dataflow engine (``workers=N``, one compilation per worker) with
-  batch-level dedupe;
+  dataflow engine in-process, with batch-level dedupe, retry and
+  poison-point quarantine;
 * :mod:`repro.explore.store` — a content-addressed result store under
   ``.repro_cache/`` making every re-run and refinement incremental;
 * :mod:`repro.explore.engine` — the budgeted search loop and
@@ -49,7 +49,6 @@ from repro.explore.errors import (
     ServeDegradedWarning,
     ServeRecoveredWarning,
     StoreDegradedWarning,
-    WorkerCrash,
 )
 from repro.explore.evaluator import (
     Evaluation,
@@ -115,7 +114,6 @@ __all__ = [
     "ServeRecoveredWarning",
     "StoreDegradedWarning",
     "Strategy",
-    "WorkerCrash",
     "architecture_space",
     "evaluate_design_point",
     "evaluate_design_points",

@@ -1,16 +1,13 @@
 """Failure taxonomy for the exploration subsystem.
 
-Exploration is a long-running, multi-process workload; the failure
-modes it must survive are first-class types here rather than bare
-``RuntimeError`` strings:
+Exploration is a long-running workload, often sharing one store with
+other processes; the failure modes it must survive are first-class
+types here rather than bare ``RuntimeError`` strings:
 
 * :class:`EvaluationFailed` — a design point could not be evaluated
   (the root of the taxonomy; carries the canonical point);
-* :class:`WorkerCrash` — a pool worker died mid-chunk (SIGKILL, OOM,
-  ``os._exit``): the :class:`~repro.explore.evaluator.Evaluator`
-  rebuilds the pool and retries, so user code normally never sees it;
 * :class:`PoisonPoint` — one design point failed repeatedly after
-  retry and bisection isolated it; the evaluator quarantines it and
+  its batch was split point by point; the evaluator quarantines it and
   returns a structured failed ``Evaluation`` instead of raising;
 * :class:`LeaseHeld` — a cooperative claim on a store key is held by
   another live evaluator (see :meth:`ResultStore.hold`).
@@ -43,10 +40,6 @@ class EvaluationFailed(Exception):
     def __init__(self, message: str, point: Optional[Dict] = None) -> None:
         super().__init__(message)
         self.point = dict(point) if point is not None else None
-
-
-class WorkerCrash(EvaluationFailed):
-    """A worker process died while evaluating a chunk (pool broken)."""
 
 
 class PoisonPoint(EvaluationFailed):

@@ -18,25 +18,19 @@ the compiled dataflow engine. It
   shape alone, between one numpy pass over a ``(points, qubits)`` state
   matrix and N serial :meth:`DataflowSimulator.run` walks,
   bit-identically either way;
-* shards cache misses across ``workers=N`` processes, compiling the
-  kernel **once per worker** via a ``ProcessPoolExecutor`` initializer —
-  tasks are bare point-dict chunks, so nothing heavyweight is re-pickled,
-  and each worker batch-resolves its shard of the points axis;
-* **survives worker failure**: each chunk is its own future with a
-  configurable ``timeout``; a crashed worker (``BrokenProcessPool`` —
-  SIGKILL, OOM, segfault) rebuilds the pool and re-enqueues the lost
-  chunks; a failing chunk is *bisected* until the offending point is
-  isolated, retried ``retries`` times with exponential backoff, and
-  finally **quarantined** — returned as a structured failed
-  :class:`Evaluation` (``error`` set, score ``inf`` downstream) instead
-  of sinking its chunk-mates or the whole exploration. If the pool
-  proves unrecoverable, evaluation degrades to serial in-process runs.
-  Successful results stay bit-identical to the serial path throughout;
+* **isolates failures in-process**: a batch that raises is re-run point
+  by point, each failing point is retried ``retries`` times with
+  exponential backoff and finally **quarantined** — returned as a
+  structured failed :class:`Evaluation` (``error`` set, score ``inf``
+  downstream) instead of sinking its batch-mates or the whole
+  exploration. Successful results stay bit-identical to a fault-free
+  run;
 * **coordinates with concurrent evaluators** sharing one result store
   through the store's lease protocol: misses are claimed before
   simulation, contested points are awaited (the other evaluator's
-  result arrives as a cache hit), and stale leases from dead evaluators
-  are reclaimed — so N explorers over one keyspace simulate each unique
+  result arrives as a cache hit), owned leases are heartbeat between
+  simulation groups, and stale leases from dead evaluators are
+  reclaimed — so N explorers over one keyspace simulate each unique
   point at most once.
 
 Two construction modes:
@@ -44,8 +38,8 @@ Two construction modes:
 * ``Evaluator(analysis=ka)`` — evaluate against a prebuilt
   :class:`~repro.kernels.analysis.KernelAnalysis` (what the sweeps use);
 * ``Evaluator(kernel="qcla", width=32)`` — evaluate against a kernel
-  *specification*; workers rebuild the (memoized) analysis themselves,
-  and the ``tech_scale`` and ``code_level`` dimensions become available
+  *specification*; the (memoized) analysis is rebuilt on demand, and
+  the ``tech_scale`` and ``code_level`` dimensions become available
   because the evaluator can re-characterize the kernel under scaled
   technology or at a higher code-concatenation level
   (``tech.at_level(L)``). Misses are grouped per (scale, level), so a
@@ -57,11 +51,8 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.arch.architectures import (
     ArchitectureKind,
@@ -75,7 +66,7 @@ from repro.circuits.compiled import CompiledCircuit, compile_circuit
 from repro.explore.store import ResultStore, StoreKey, canonical_json
 from repro.layout.region import data_qubit_area
 from repro.obs import metrics as _metrics
-from repro.obs.trace import flush_worker, span as _span, worker_init_from_env
+from repro.obs.trace import span as _span
 from repro.tech import ION_TRAP, TechnologyParams
 from repro.testing import faults
 from repro.util.backoff import Backoff
@@ -98,7 +89,7 @@ KNOWN_DIMENSIONS = frozenset(
 
 @dataclass(frozen=True)
 class KernelSummary:
-    """The slice of a kernel analysis the lowering needs (picklable)."""
+    """The slice of a kernel analysis the lowering needs."""
 
     name: str
     circuit: object
@@ -358,13 +349,12 @@ def evaluate_design_point(
     return _evaluation(summary, point, lowered, result)
 
 
-def evaluate_design_points(
+def _simulate_groups(
     summary: KernelSummary,
     points: Sequence[Dict[str, object]],
     compiled: Optional[CompiledCircuit],
-    engine: str = "compiled",
-) -> List[Evaluation]:
-    """Evaluate many *canonical* points, batching homogeneous runs.
+) -> Iterator[Tuple[List[int], List[Evaluation]]]:
+    """Yield ``(indices, evaluations)`` for each homogeneous group.
 
     Points sharing a movement discipline and CQLA configuration (all
     steady-supply points; all architecture points of one
@@ -373,17 +363,8 @@ def evaluate_design_points(
     the group's shape between a single vectorized pass and per-point
     ``run()`` walks. Results are bit-identical to per-point evaluation
     either way.
-
-    ``engine`` accepts only ``"compiled"`` (anything else raises
-    ``ValueError``): it survives solely so existing four-argument
-    callers keep working, and a later benchmark change removes it.
     """
-    if engine != "compiled":
-        raise ValueError(
-            f"unknown engine {engine!r}; the only dataflow engine is 'compiled'"
-        )
     lowered = [_lower_point(summary, point) for point in points]
-    out: List[Optional[Evaluation]] = [None] * len(points)
     groups: Dict[
         Tuple[float, float, Optional[CqlaConfig]], List[int]
     ] = {}
@@ -401,33 +382,37 @@ def evaluate_design_points(
             cqla=cqla,
             compiled=compiled,
         )
-        for i, result in zip(indices, results):
-            out[i] = _evaluation(summary, points[i], lowered[i], result)
+        yield indices, [
+            _evaluation(summary, points[i], lowered[i], result)
+            for i, result in zip(indices, results)
+        ]
+
+
+def evaluate_design_points(
+    summary: KernelSummary,
+    points: Sequence[Dict[str, object]],
+    compiled: Optional[CompiledCircuit],
+    engine: str = "compiled",
+) -> List[Evaluation]:
+    """Evaluate many *canonical* points, batching homogeneous runs.
+
+    Each homogeneous group resolves through one
+    :func:`repro.arch.batched.simulate_batch` call (see
+    :func:`_simulate_groups`); output order matches input order.
+
+    ``engine`` accepts only ``"compiled"`` (anything else raises
+    ``ValueError``): it survives solely so existing four-argument
+    callers keep working, and a later benchmark change removes it.
+    """
+    if engine != "compiled":
+        raise ValueError(
+            f"unknown engine {engine!r}; the only dataflow engine is 'compiled'"
+        )
+    out: List[Optional[Evaluation]] = [None] * len(points)
+    for indices, evaluations in _simulate_groups(summary, points, compiled):
+        for i, evaluation in zip(indices, evaluations):
+            out[i] = evaluation
     return out
-
-
-# ----------------------------------------------------------------------
-# Worker-process plumbing: compile once per worker, reference per task.
-
-_WORKER: Dict[str, object] = {}
-
-
-def _init_worker_summary(summary: KernelSummary) -> None:
-    """Pool initializer (analysis mode): one compilation per worker."""
-    worker_init_from_env()
-    _WORKER.clear()
-    _WORKER["mode"] = "summary"
-    _WORKER["summary"] = summary
-    _WORKER["compiled"] = compile_circuit(summary.circuit, summary.tech)
-
-
-def _init_worker_spec(kernel: str, width: int, tech: TechnologyParams) -> None:
-    """Pool initializer (spec mode): workers re-derive analyses lazily."""
-    worker_init_from_env()
-    _WORKER.clear()
-    _WORKER["mode"] = "spec"
-    _WORKER["spec"] = (kernel, width, tech)
-    _WORKER["scales"] = {}
 
 
 def _summary_for_spec(
@@ -452,61 +437,6 @@ def _recharacterize_key(point: Dict[str, object]) -> Tuple[float, int]:
     )
 
 
-def _evaluate_grouped(
-    context, points: Sequence[Dict[str, object]]
-) -> List[Evaluation]:
-    """Evaluate ``points``, batching per (tech_scale, code_level) group.
-
-    Points sharing a technology scale and a concatenation level share a
-    summary/compiled context from ``context(point)``; each group then
-    resolves through :func:`evaluate_design_points`, so a sweep over
-    ``code_level`` runs each level's homogeneous points through the
-    point-batched engine. Output order matches input order.
-    """
-    for point in points:
-        faults.check("evaluate", point)
-    out: List[Optional[Evaluation]] = [None] * len(points)
-    by_key: Dict[Tuple[float, int], List[int]] = {}
-    for i, point in enumerate(points):
-        by_key.setdefault(_recharacterize_key(point), []).append(i)
-    for indices in by_key.values():
-        summary, compiled = context(points[indices[0]])
-        evaluations = evaluate_design_points(
-            summary, [points[i] for i in indices], compiled
-        )
-        for i, evaluation in zip(indices, evaluations):
-            out[i] = evaluation
-    return out
-
-
-def _worker_context(point: Dict[str, object]):
-    """Resolve (summary, compiled) for one point from worker state."""
-    if _WORKER["mode"] == "summary":
-        return _WORKER["summary"], _WORKER["compiled"]
-    kernel, width, tech = _WORKER["spec"]
-    scale, level = _recharacterize_key(point)
-    cached = _WORKER["scales"].get((scale, level))
-    if cached is None:
-        cached = _summary_for_spec(kernel, width, tech, scale, level)
-        _WORKER["scales"][(scale, level)] = cached
-    return cached
-
-
-def _worker_evaluate_chunk(points: List[Dict[str, object]]) -> List[Evaluation]:
-    """One worker's shard of the points axis, batch-resolved in-process.
-
-    Traced as ``evaluate.chunk``; when the parent armed a spool directory
-    (:data:`repro.obs.trace.SPOOL_ENV`), completed events are flushed to
-    this worker's spool file after every chunk so a crash loses at most
-    one chunk's spans.
-    """
-    try:
-        with _span("evaluate.chunk", points=len(points)):
-            return _evaluate_grouped(_worker_context, points)
-    finally:
-        flush_worker()
-
-
 # ----------------------------------------------------------------------
 
 
@@ -522,30 +452,23 @@ class Evaluator:
         width: Kernel bit width (spec mode).
         tech: Technology parameters (spec mode; analysis mode inherits
             the analysis's).
-        workers: When > 1, shard store misses across this many worker
-            processes (each worker batch-resolves its contiguous slice
-            of the points axis). The kernel is compiled once per worker
-            by the pool initializer; results are identical to a serial
-            run.
-        compiled: Optional prebuilt compiled circuit (serial runs).
+        compiled: Optional prebuilt compiled circuit (analysis mode).
         cqla: Default CQLA configuration for points that do not pin
             ``cqla_cache_fraction`` / ``cqla_ports`` explicitly.
         store: Optional :class:`ResultStore`; every evaluation is
             persisted and repeat points are served from disk.
-        retries: How many times a failing point is retried (after
-            bisection has isolated it) before being quarantined.
-        timeout: Per-chunk wall-clock budget in seconds for pooled
-            evaluation; an overdue chunk's workers are killed, the pool
-            rebuilt and the chunk retried/bisected. ``None`` disables.
+        retries: How many times a failing point is retried (after a
+            failed batch has been split into single points) before being
+            quarantined.
         retry_backoff: Base of the shared full-jitter exponential
             backoff policy (:class:`repro.util.backoff.Backoff`, capped
-            at 2 s) slept between retries and pool rebuilds; 0 disables
-            sleeping.
+            at 2 s) slept between retries; 0 disables sleeping.
         leases: Coordinate with concurrent evaluators sharing ``store``
             via its lease protocol (claim misses, await contested
             points, reclaim stale leases). Ignored without a store.
-        heartbeat_interval: Seconds between lease-heartbeat refreshes at
-            batch boundaries; must be smaller than the store's
+        heartbeat_interval: Seconds between lease-heartbeat refreshes,
+            taken between simulation groups, between points of the
+            per-point fallback and between retries; must be smaller than the store's
             ``lease_ttl`` (a heartbeat slower than the TTL would let a
             *live* evaluator's lease be reclaimed). Default: a quarter
             of the TTL, capped at 5 s.
@@ -555,8 +478,7 @@ class Evaluator:
     * ``simulations_run`` — fresh, successful simulator evaluations;
     * ``cache_hits`` — points served from the result store;
     * ``dedup_hits`` — points collapsed onto an identical batch-mate;
-    * ``retries`` — point/chunk re-executions after a failure;
-    * ``worker_crashes`` — pool breakages and timeout kills survived;
+    * ``retries`` — batch/point re-executions after a failure;
     * ``quarantined`` — points that kept failing and were isolated.
     """
 
@@ -567,12 +489,10 @@ class Evaluator:
         kernel: Optional[str] = None,
         width: Optional[int] = None,
         tech: TechnologyParams = ION_TRAP,
-        workers: Optional[int] = None,
         compiled: Optional[CompiledCircuit] = None,
         cqla: Optional[CqlaConfig] = None,
         store: Optional[ResultStore] = None,
         retries: int = 2,
-        timeout: Optional[float] = None,
         retry_backoff: float = 0.1,
         leases: bool = True,
         heartbeat_interval: Optional[float] = None,
@@ -583,8 +503,6 @@ class Evaluator:
             raise ValueError("spec mode needs width= alongside kernel=")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if timeout is not None and timeout <= 0:
-            raise ValueError(f"timeout must be positive, got {timeout}")
         if heartbeat_interval is not None:
             if heartbeat_interval <= 0:
                 raise ValueError(
@@ -600,11 +518,9 @@ class Evaluator:
         self._kernel = kernel
         self._width = width
         self._tech = analysis.tech if analysis is not None else tech
-        self._workers = workers
         self._cqla = cqla
         self.store = store
         self._retries = retries
-        self._timeout = timeout
         self._backoff = Backoff(base=retry_backoff, cap=2.0)
         self._leases = leases
         self._heartbeat_interval = heartbeat_interval
@@ -616,12 +532,11 @@ class Evaluator:
         self.cache_hits = 0
         self.dedup_hits = 0
         self.retries = 0
-        self.worker_crashes = 0
         self.quarantined = 0
         # Pre-register the registry mirrors so a metrics snapshot always
         # carries every evaluator counter, zero-valued ones included.
         for name in ("simulations_run", "cache_hits", "dedup_hits",
-                     "retries", "worker_crashes", "quarantined"):
+                     "retries", "quarantined"):
             _metrics.counter(f"repro_{name}_total")
         self._summary: Optional[KernelSummary] = (
             KernelSummary.from_analysis(analysis) if analysis is not None else None
@@ -753,7 +668,6 @@ class Evaluator:
             "cache_hits": self.cache_hits,
             "dedup_hits": self.dedup_hits,
             "retries": self.retries,
-            "worker_crashes": self.worker_crashes,
             "quarantined": self.quarantined,
         }
 
@@ -762,9 +676,8 @@ class Evaluator:
 
         Within the batch, identical canonical points are simulated once;
         store hits are served from disk; the remaining misses resolve in
-        homogeneous point-batched groups, serially or sharded across
-        ``workers`` processes (deterministic and bit-identical to
-        point-by-point runs either way). When a store with leases is
+        homogeneous point-batched groups (deterministic and
+        bit-identical to point-by-point runs). When a store with leases is
         attached, misses are claimed first; points another evaluator is
         already simulating are awaited rather than recomputed. Points
         that fail persistently come back as failed evaluations
@@ -819,8 +732,11 @@ class Evaluator:
         if owned:
             if use_leases:
                 self._active_leases = [store_keys[key] for key, _ in owned]
+                # The throttle clock starts at the claim: a batch shorter
+                # than the interval never refreshes its fresh leases.
+                self._last_heartbeat = time.monotonic()
             try:
-                fresh = self._run(owned)
+                fresh = self._run_serial([cpoint for _, cpoint in owned])
             finally:
                 self._active_leases = []
             self._count("simulations_run", sum(1 for e in fresh if e.ok))
@@ -844,9 +760,6 @@ class Evaluator:
 
     # ------------------------------------------------------------------
     # Fault-tolerant execution
-
-    def _sleep_backoff(self, attempt: int) -> None:
-        self._backoff.sleep(attempt)
 
     def _heartbeat_leases(self) -> None:
         """Refresh owned leases (throttled) so they never look stale."""
@@ -880,12 +793,44 @@ class Evaluator:
             self.store.release(key)
         return len(held)
 
+    def _evaluate_grouped(
+        self, points: Sequence[Dict[str, object]]
+    ) -> List[Evaluation]:
+        """Evaluate ``points``, batching per (tech_scale, code_level) group.
+
+        Points sharing a technology scale and a concatenation level share
+        one summary/compiled context; each group then resolves through
+        :func:`_simulate_groups`, so a sweep over ``code_level`` runs each
+        level's homogeneous points through the point-batched engine.
+        Owned leases are heartbeat after every ``simulate_batch`` group.
+        Output order matches input order.
+        """
+        for point in points:
+            faults.check("evaluate", point)
+        out: List[Optional[Evaluation]] = [None] * len(points)
+        by_key: Dict[Tuple[float, int], List[int]] = {}
+        for i, point in enumerate(points):
+            by_key.setdefault(_recharacterize_key(point), []).append(i)
+        for indices in by_key.values():
+            summary, compiled = self._serial_context(points[indices[0]])
+            subset = [points[i] for i in indices]
+            for group, evaluations in _simulate_groups(summary, subset, compiled):
+                for j, evaluation in zip(group, evaluations):
+                    out[indices[j]] = evaluation
+                self._heartbeat_leases()
+        return out
+
     def _evaluate_one_serial(self, cpoint: Dict[str, object]) -> Evaluation:
-        """One point, in-process, retried with backoff, then quarantined."""
+        """One point, in-process, retried with backoff, then quarantined.
+
+        Owned leases are heartbeat before every attempt: between the
+        points of the per-point fallback and after each backoff sleep.
+        """
         failures = 0
         while True:
+            self._heartbeat_leases()
             try:
-                return _evaluate_grouped(self._serial_context, [cpoint])[0]
+                return self._evaluate_grouped([cpoint])[0]
             except Exception as exc:
                 failures += 1
                 if failures > self._retries:
@@ -894,12 +839,12 @@ class Evaluator:
                         cpoint, f"{type(exc).__name__}: {exc}"
                     )
                 self._count("retries")
-                self._sleep_backoff(failures)
+                self._backoff.sleep(failures)
 
     def _run_serial(self, tasks: List[Dict[str, object]]) -> List[Evaluation]:
-        """Serial path: batch-resolve; isolate per point on failure."""
+        """Batch-resolve ``tasks``; isolate per point on failure."""
         try:
-            return _evaluate_grouped(self._serial_context, tasks)
+            return self._evaluate_grouped(tasks)
         except Exception:
             # A poison point sank the batch: evaluate point by point so
             # only the offender is quarantined, not its batch-mates.
@@ -948,209 +893,3 @@ class Evaluator:
                 finally:
                     self.store.release(store_key)
             time.sleep(self._lease_poll)
-
-    def _make_pool(self, max_workers: int) -> ProcessPoolExecutor:
-        if self._kernel is not None:
-            initializer, initargs = _init_worker_spec, (
-                self._kernel,
-                self._width,
-                self._tech,
-            )
-        else:
-            initializer, initargs = _init_worker_summary, (self._summary,)
-        return ProcessPoolExecutor(
-            max_workers=max_workers,
-            initializer=initializer,
-            initargs=initargs,
-        )
-
-    @staticmethod
-    def _kill_pool(pool: Optional[ProcessPoolExecutor]) -> None:
-        """Tear a pool down hard — hung workers get SIGKILL, not a join."""
-        if pool is None:
-            return
-        try:
-            for proc in list(getattr(pool, "_processes", {}).values()):
-                proc.kill()
-        except Exception:
-            pass
-        try:
-            pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:
-            pass
-
-    def _run(
-        self, misses: List[Tuple[str, Dict[str, object]]]
-    ) -> List[Evaluation]:
-        tasks = [cpoint for _, cpoint in misses]
-        workers = self._workers
-        if workers is None or workers <= 1 or len(tasks) <= 1:
-            return self._run_serial(tasks)
-        return self._run_pool(tasks, min(workers, len(tasks)))
-
-    def _run_pool(
-        self, tasks: List[Dict[str, object]], max_workers: int
-    ) -> List[Evaluation]:
-        """Shard ``tasks`` across a worker pool, surviving its failures.
-
-        Each chunk is one future. Chunk failure (worker crash, raised
-        exception, timeout) bisects multi-point chunks to isolate the
-        poison; singleton failures retry with backoff up to ``retries``
-        times, then quarantine. A broken pool fails every in-flight
-        future alike, so when several chunks were in flight none is
-        charged: each re-runs alone until a crash has one suspect.
-        Pool breakage rebuilds the pool (with
-        backoff, up to a rebuild budget); beyond the budget the
-        remaining work degrades to serial in-process evaluation.
-        Successful results are bit-identical to a serial, fault-free
-        run — chunk boundaries only affect scheduling, never values.
-        """
-        chunksize = math.ceil(len(tasks) / max_workers)
-        queue = deque(
-            list(range(start, min(start + chunksize, len(tasks))))
-            for start in range(0, len(tasks), chunksize)
-        )
-        out: List[Optional[Evaluation]] = [None] * len(tasks)
-        failures: Dict[int, int] = {}
-        # Chunks in flight together when the pool broke; each re-runs
-        # alone (``solo``: one is in flight, submit nothing else).
-        suspects: deque = deque()
-        solo = False
-        rebuilds = 0
-        max_rebuilds = 8 + 2 * self._retries + len(tasks)
-
-        def fail_chunk(indices: List[int], label: str) -> None:
-            if len(indices) > 1:
-                mid = len(indices) // 2
-                queue.append(indices[:mid])
-                queue.append(indices[mid:])
-                return
-            idx = indices[0]
-            failures[idx] = failures.get(idx, 0) + 1
-            if failures[idx] > self._retries:
-                self._count("quarantined")
-                out[idx] = Evaluation.failure(tasks[idx], label)
-            else:
-                self._count("retries")
-                self._sleep_backoff(failures[idx])
-                queue.append(indices)
-
-        def rebuild(pool: Optional[ProcessPoolExecutor]):
-            nonlocal rebuilds
-            self._kill_pool(pool)
-            if rebuilds >= max_rebuilds:
-                return None
-            rebuilds += 1
-            self._sleep_backoff(rebuilds)
-            try:
-                return self._make_pool(max_workers)
-            except Exception:
-                return None
-
-        try:
-            pool: Optional[ProcessPoolExecutor] = self._make_pool(max_workers)
-        except Exception:
-            pool = None
-        pending: Dict[object, Tuple[List[int], Optional[float]]] = {}
-        try:
-            while queue or suspects or pending:
-                if pool is None and not pending:
-                    # Unrecoverable pool: degrade to in-process serial
-                    # evaluation of whatever is left.
-                    for indices in (*suspects, *queue):
-                        for idx in indices:
-                            if out[idx] is None:
-                                out[idx] = self._evaluate_one_serial(tasks[idx])
-                    break
-                while (queue or suspects) and pool is not None and not solo:
-                    if suspects:
-                        if pending:
-                            break
-                        indices, solo = suspects.popleft(), True
-                    else:
-                        indices = queue.popleft()
-                    deadline = (
-                        time.monotonic() + self._timeout
-                        if self._timeout is not None
-                        else None
-                    )
-                    try:
-                        future = pool.submit(
-                            _worker_evaluate_chunk, [tasks[i] for i in indices]
-                        )
-                    except Exception:
-                        (suspects if solo else queue).appendleft(indices)
-                        solo = False
-                        self._count("worker_crashes")
-                        pool = rebuild(pool)
-                        break
-                    pending[future] = (indices, deadline)
-                if not pending:
-                    continue
-                wait_for = None
-                if self._timeout is not None:
-                    now = time.monotonic()
-                    wait_for = max(
-                        0.0,
-                        min(d for _, d in pending.values() if d is not None)
-                        - now,
-                    )
-                done, _ = wait(
-                    set(pending), timeout=wait_for, return_when=FIRST_COMPLETED
-                )
-                if not done:
-                    # Deadline expired with nothing finished: the pool is
-                    # wedged (hung worker). Kill it; overdue chunks count
-                    # as failures, in-flight innocents requeue intact.
-                    now = time.monotonic()
-                    overdue = [
-                        f
-                        for f, (_, d) in pending.items()
-                        if d is not None and now >= d
-                    ]
-                    if not overdue:
-                        continue
-                    self._count("worker_crashes")
-                    for future, (indices, _) in list(pending.items()):
-                        if future in overdue:
-                            fail_chunk(
-                                indices,
-                                f"timeout: chunk exceeded {self._timeout}s",
-                            )
-                        else:
-                            queue.append(indices)
-                    pending.clear()
-                    solo = False
-                    pool = rebuild(pool)
-                    continue
-                # Handle clean results before pool-breakage casualties so
-                # completed work is not requeued alongside the crash.
-                for future in sorted(done, key=lambda f: f.exception() is not None):
-                    entry = pending.pop(future, None)
-                    if entry is None:
-                        continue
-                    indices, _ = entry
-                    solo = False
-                    try:
-                        evaluations = future.result()
-                    except BrokenProcessPool:
-                        self._count("worker_crashes")
-                        if pending:
-                            # Every in-flight future broke with the pool and
-                            # any of them may have killed it: charge none.
-                            suspects.append(indices)
-                            suspects.extend(i for i, _ in pending.values())
-                        else:
-                            fail_chunk(indices, "worker crashed (pool broken)")
-                        pending.clear()
-                        pool = rebuild(pool)
-                    except Exception as exc:
-                        fail_chunk(indices, f"{type(exc).__name__}: {exc}")
-                    else:
-                        for i, evaluation in zip(indices, evaluations):
-                            out[i] = evaluation
-                        self._heartbeat_leases()
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-        return out

@@ -5,8 +5,6 @@ Three pieces, designed to cost nothing when idle:
 * **Tracer** (:mod:`repro.obs.trace`): span-based phase timing with
   JSONL and Chrome trace-event / Perfetto export. Off by default;
   ``obs.span(...)`` is a single global truthiness check when disabled.
-  Pool workers spool events to per-worker files that the parent merges
-  into one cross-process timeline.
 * **Metrics** (:mod:`repro.obs.metrics`): a process-wide registry of
   counters, gauges and fixed-bucket histograms with JSON-snapshot and
   Prometheus text export. Span durations feed the
@@ -18,9 +16,8 @@ Quick start::
 
     from repro import obs
 
-    obs.enable(spool_dir=".trace-spool")       # tracing on
+    obs.enable()                               # tracing on
     ...run work...
-    obs.TRACER.merge_spool()                   # fold in worker events
     obs.TRACER.export_chrome("trace.json")     # -> ui.perfetto.dev
     print(obs.prometheus())                    # metrics text
     print(obs.format_phase_table(obs.TRACER.events()))
@@ -45,17 +42,7 @@ from repro.obs.metrics import (
     snapshot,
 )
 from repro.obs.report import PhaseStat, format_phase_table, phase_breakdown
-from repro.obs.trace import (
-    SPOOL_ENV,
-    Span,
-    Tracer,
-    disable,
-    enable,
-    enabled,
-    flush_worker,
-    span,
-    worker_init_from_env,
-)
+from repro.obs.trace import Span, Tracer, disable, enable, enabled, span
 
 
 def tracer():
@@ -87,14 +74,11 @@ __all__ = [
     "REQUEST_SECONDS_EDGES",
     "Span",
     "Tracer",
-    "SPOOL_ENV",
     "span",
     "enable",
     "disable",
     "enabled",
     "tracer",
-    "worker_init_from_env",
-    "flush_worker",
     "PhaseStat",
     "phase_breakdown",
     "format_phase_table",

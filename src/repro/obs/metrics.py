@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 #: Histogram of span durations, labeled ``phase=<span name>``; fed by the
-#: tracer on every span close (and by spool merges for worker spans).
+#: tracer on every span close.
 PHASE_SECONDS = "repro_phase_seconds"
 
 #: Bucket edges for phase timing: 10 µs up to one minute. Spans cover

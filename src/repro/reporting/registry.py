@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.reporting.figures import ascii_plot
 from repro.reporting.tables import format_table
@@ -45,9 +45,9 @@ def _register(key: str, paper_ref: str, description: str):
 def run_experiment(key: str, **overrides) -> str:
     """Run one registered experiment by key (e.g. "table3", "fig15").
 
-    ``overrides`` (e.g. ``workers=4`` from the CLI) are forwarded to
-    runners whose signature accepts them; others ignore them, so one
-    flag set threads through heterogeneous experiments.
+    ``overrides`` (e.g. ``trials=1000``) are forwarded to runners whose
+    signature accepts them; others ignore them, so one call threads
+    through heterogeneous experiments.
     ``None`` values mean "use the runner's default" and are dropped.
     """
     try:
@@ -312,12 +312,12 @@ def _table9() -> str:
 
 
 @_register("fig8", "Figure 8", "Execution time vs steady ancilla throughput")
-def _fig8(workers: Optional[int] = None) -> str:
+def _fig8() -> str:
     from repro.arch.sweep import throughput_sweep
 
     curves = {}
     for ka in _kernels():
-        points = throughput_sweep(ka, workers=workers)
+        points = throughput_sweep(ka)
         curves[ka.name] = [
             (p.x / ka.zero_bandwidth_per_ms, p.makespan_us / points[-1].makespan_us)
             for p in points
@@ -334,13 +334,13 @@ def _fig8(workers: Optional[int] = None) -> str:
 
 
 @_register("fig15", "Figure 15", "Execution time vs factory area per arch")
-def _fig15(workers: Optional[int] = None) -> str:
+def _fig15() -> str:
     from repro.arch import ArchitectureKind
     from repro.arch.sweep import area_sweep
     from repro.kernels import analyze_kernel
 
     ka = analyze_kernel("qcla", 32)
-    curves_raw = area_sweep(ka, workers=workers)
+    curves_raw = area_sweep(ka)
     curves = {
         kind.value: [(p.x, p.makespan_us / 1000.0) for p in pts]
         for kind, pts in curves_raw.items()
@@ -387,7 +387,7 @@ def _fig16() -> str:
     "Figs. 15-16",
     "ADCR-optimal design point via design-space exploration",
 )
-def _qalypso_pick(workers: Optional[int] = None) -> str:
+def _qalypso_pick() -> str:
     """Reproduce the paper's Qalypso pick with the exploration engine.
 
     Runs a grid exploration of the Figure 15 space (architecture kind x
@@ -408,7 +408,7 @@ def _qalypso_pick(workers: Optional[int] = None) -> str:
 
     ka = analyze_kernel("qcla", 32)
     space = architecture_space(ka)
-    evaluator = Evaluator(analysis=ka, workers=workers)
+    evaluator = Evaluator(analysis=ka)
     result = explore(
         space,
         AdcrObjective(),

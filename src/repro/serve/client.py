@@ -353,8 +353,8 @@ class RemoteEvaluator:
             analyze — the spec *is* the request).
         store: Local result store for the fallback evaluator; sharing it
             with the server (same cache dir) makes the fallback warm.
-        workers/retries/timeout/heartbeat_interval: Fallback evaluator
-            knobs (see :class:`Evaluator`).
+        retries/heartbeat_interval: Fallback evaluator knobs (see
+            :class:`Evaluator`).
     """
 
     def __init__(
@@ -364,9 +364,7 @@ class RemoteEvaluator:
         kernel: str,
         width: int,
         store: Optional[ResultStore] = None,
-        workers: Optional[int] = None,
         retries: int = 2,
-        timeout: Optional[float] = None,
         heartbeat_interval: Optional[float] = None,
     ) -> None:
         self.client = client
@@ -375,10 +373,8 @@ class RemoteEvaluator:
         self._local = Evaluator(
             kernel=kernel,
             width=width,
-            workers=workers,
             store=store,
             retries=retries,
-            timeout=timeout,
             heartbeat_interval=heartbeat_interval,
         )
         self.store = store

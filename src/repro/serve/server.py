@@ -21,8 +21,9 @@ Robustness is the design center:
   admitted ``/evaluate`` requests (working + queued) at ``max_queue``;
   the excess is shed immediately with ``429 Too Many Requests`` and a
   ``Retry-After`` hint instead of being buffered without bound.
-  Admitted requests serialize on the service's work lock — the
-  evaluator itself fans out across its worker processes.
+  Admitted requests serialize on the service's work lock; for
+  evaluation in parallel processes, run several replicas
+  (:class:`~repro.serve.pool.ReplicaSet`) over one store.
 * **Graceful shutdown.** :meth:`ExploreServer.shutdown` flips the
   service into draining (readyz 503, new evaluate requests 503),
   waits for in-flight evaluations to land — their results are
@@ -43,7 +44,7 @@ Robustness is the design center:
   ``replica_id``, so the whole client failure matrix — connection
   refused, response hang, torn body, 5xx burst, a flapping or
   SIGKILL'd fleet member — is exercised by the same harness that
-  crash-tests pool workers.
+  poisons and hangs evaluations.
 """
 
 from __future__ import annotations
@@ -95,9 +96,7 @@ class ExploreService:
     Args:
         store: Shared result store (``None`` disables persistence and
             lease coordination — every request simulates).
-        workers: Worker processes per evaluator (see :class:`Evaluator`).
         retries: Per-point retry budget forwarded to the evaluators.
-        timeout: Per-chunk evaluation timeout forwarded to the evaluators.
         heartbeat_interval: Lease heartbeat interval forwarded to the
             evaluators (must be < the store's ``lease_ttl``).
         max_queue: Most ``/evaluate`` requests admitted at once
@@ -113,9 +112,7 @@ class ExploreService:
         self,
         *,
         store: Optional[ResultStore] = None,
-        workers: Optional[int] = None,
         retries: int = 2,
-        timeout: Optional[float] = None,
         heartbeat_interval: Optional[float] = None,
         max_queue: int = 8,
         replica_id: Optional[str] = None,
@@ -123,9 +120,7 @@ class ExploreService:
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         self.store = store
-        self._workers = workers
         self._retries = retries
-        self._timeout = timeout
         self._heartbeat_interval = heartbeat_interval
         self.max_queue = max_queue
         self.replica_id = replica_id
@@ -216,10 +211,8 @@ class ExploreService:
                 evaluator = Evaluator(
                     kernel=kernel,
                     width=width,
-                    workers=self._workers,
                     store=self.store,
                     retries=self._retries,
-                    timeout=self._timeout,
                     heartbeat_interval=self._heartbeat_interval,
                 )
                 self._evaluators[key] = evaluator
@@ -244,8 +237,7 @@ class ExploreService:
 
         Single-flight: one simulation pass per canonical point across
         all concurrent requests. The simulation itself serializes on the
-        work lock (one warm evaluator works at a time; it parallelizes
-        internally across worker processes).
+        work lock (one warm evaluator works at a time).
 
         The first request to see a canonical key registers a
         :class:`_Flight` and *owns* that point: it simulates it (with

@@ -1,7 +1,7 @@
 """Test-support utilities shipped with the package.
 
 :mod:`repro.testing.faults` is the fault-injection harness behind the
-``tests/faults/`` suite: it lets tests kill workers mid-chunk, poison
+``tests/faults/`` suite: it lets tests kill serving replicas, poison
 individual design points, hang evaluations, and corrupt result-store
 I/O — through hooks that are inert (a handful of ``is None`` checks)
 unless a fault plan is armed.

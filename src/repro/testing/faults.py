@@ -16,29 +16,29 @@ A plan can be armed two ways:
   on :data:`PLAN`) for in-process faults such as store I/O errors;
 * **environment** — ``REPRO_FAULTS`` holds the plan as JSON and
   ``REPRO_FAULTS_DIR`` a scratch directory for cross-process trigger
-  accounting. Worker processes inherit the environment, so plans reach
-  ``ProcessPoolExecutor`` children without any pickling support —
-  which is the point: a worker can ``os._exit`` mid-chunk exactly as a
-  SIGKILL'd or OOM-killed worker would.
+  accounting. Child processes (``repro serve`` replicas, concurrent
+  evaluators) inherit the environment, so plans reach them without any
+  pickling support — which is the point: a replica can ``os._exit``
+  mid-request exactly as a SIGKILL'd or OOM-killed process would.
 
 Fire budgets (``times``) are enforced with ``O_CREAT | O_EXCL`` slot
-files under the state directory, so "kill the first worker that sees
-this point, then let the retry succeed" works even when every firing
+files under the state directory, so "kill the first replica that sees
+this request, then let the retry succeed" works even when every firing
 happens in a different process.
 
 Failure modes (:class:`FaultRule.mode`):
 
 ``exit``
-    ``os._exit(exit_code)`` — an uncatchable worker death; the parent
-    observes ``BrokenProcessPool``.
+    ``os._exit(exit_code)`` — an uncatchable process death; a client
+    of a killed replica sees its connection drop.
 ``raise``
     Raise ``exc`` (a builtin exception name, default ``RuntimeError``)
     — a poisoned design point or failing store I/O. At the
     ``serve_request`` stage the server maps it to an HTTP 500, so
     ``times=N`` makes an N-deep **5xx burst**.
 ``hang``
-    ``time.sleep(seconds)`` — a slow or wedged evaluation (timeout
-    path), or at the serve stages a server that accepts the connection
+    ``time.sleep(seconds)`` — a slow evaluation (lease-heartbeat and
+    overlap paths), or at the serve stages a server that accepts the connection
     and then goes silent (client read-timeout path).
 ``torn``
     Truncate the payload at :func:`mangle` call sites — a torn store
@@ -52,9 +52,9 @@ Failure modes (:class:`FaultRule.mode`):
     from the client.
 
 The network fault plans (``serve_request`` / ``serve_response`` stages)
-arm through the same environment variables as the worker-crash plans,
+arm through the same environment variables as the evaluation plans,
 so the whole client failure matrix — refused, hang, torn body, 5xx
-burst — is driven by the same harness that kills pool workers.
+burst — is driven by the same harness that poisons design points.
 """
 
 from __future__ import annotations

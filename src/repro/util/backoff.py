@@ -7,7 +7,7 @@ clients retrying against one struggling server decorrelates instead of
 stampeding in lockstep. It is used by:
 
 * the :class:`~repro.explore.evaluator.Evaluator` between point retries
-  and worker-pool rebuilds (``retry_backoff`` is the ``base``);
+  (``retry_backoff`` is the ``base``);
 * the :class:`~repro.serve.client.Client` between HTTP attempts against
   an exploration server.
 

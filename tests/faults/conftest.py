@@ -1,7 +1,7 @@
 """Shared fixtures for the fault-injection suite.
 
 Plans are armed through the environment (``REPRO_FAULTS`` /
-``REPRO_FAULTS_DIR``) so they reach worker processes; ``monkeypatch``
+``REPRO_FAULTS_DIR``) so they reach child processes; ``monkeypatch``
 guarantees disarm even when a test fails.
 """
 
@@ -11,7 +11,7 @@ from repro.explore import Evaluator
 from repro.testing.faults import FaultPlan
 
 #: A homogeneous QLA slice of the design space: batches through the
-#: point-batched engine, shards cleanly across workers.
+#: point-batched engine as one group.
 POINTS = [
     {"arch": "qla", "factory_area": area}
     for area in (40.0, 80.0, 120.0, 160.0, 200.0, 240.0)

@@ -3,6 +3,8 @@ resume/retry flags."""
 
 import json
 
+import pytest
+
 from repro.__main__ import main
 from repro.explore import ResultStore
 from repro.explore.store import SCHEMA_VERSION
@@ -70,13 +72,16 @@ class TestExploreRobustnessFlags:
         out = capsys.readouterr().out
         assert "evaluator: simulations_run=4" in out
         assert "cache_hits=0" in out
-        assert "worker_crashes=0" in out
 
-    def test_retries_and_timeout_flags_parse(self, tmp_path, capsys):
-        assert _explore(
-            tmp_path, "--retries", "1", "--timeout", "120"
-        ) == 0
+    def test_retries_flag_parses(self, tmp_path, capsys):
+        assert _explore(tmp_path, "--retries", "1") == 0
         assert "evaluator:" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flag", ["--workers", "--timeout"])
+    def test_pool_flags_are_gone(self, tmp_path, capsys, flag):
+        """Evaluation is in-process only: the pool's flags are rejected."""
+        assert _explore(tmp_path, flag, "2") == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_resume_replays_from_journal(self, tmp_path, capsys):
         assert _explore(tmp_path) == 0

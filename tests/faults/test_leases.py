@@ -5,6 +5,7 @@ unique point exactly once between them.
 
 import multiprocessing
 import os
+import threading
 import time
 
 import pytest
@@ -139,3 +140,49 @@ class TestConcurrentEvaluators:
         got = evaluator_b.evaluate([points[0]])
         assert got[0].ok
         assert evaluator_b.simulations_run == 1
+
+
+class TestSerialHeartbeat:
+    #: One point per ``simulate_batch`` group: four groups in one batch.
+    POINTS = [
+        {"arch": "qla", "factory_area": 100.0},
+        {"arch": "cqla", "factory_area": 100.0},
+        {"arch": "multiplexed", "factory_area": 100.0},
+        {"zero_rate": 5.0},
+    ]
+
+    def test_slow_batch_keeps_its_leases_live(self, tmp_path, monkeypatch):
+        """A batch that outlives ``lease_ttl`` heartbeats its leases
+        between simulation groups, so a peer arriving mid-batch waits for
+        the owner's records instead of reclaiming and re-simulating."""
+        from repro.arch import batched
+
+        real = batched.simulate_batch
+
+        def slow_simulate_batch(*args, **kwargs):
+            time.sleep(0.6)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(batched, "simulate_batch", slow_simulate_batch)
+
+        def evaluator():
+            return Evaluator(
+                kernel="qrca", width=8, heartbeat_interval=0.2,
+                store=ResultStore(tmp_path, lease_ttl=1.0),
+            )
+
+        owner, peer = evaluator(), evaluator()
+        owned = []
+        thread = threading.Thread(
+            target=lambda: owned.extend(owner.evaluate(self.POINTS))
+        )
+        thread.start()
+        time.sleep(0.3)
+        awaited = peer.evaluate(self.POINTS)
+        thread.join(timeout=60)
+        assert all(e.ok for e in owned + awaited)
+        assert [e.result for e in awaited] == [e.result for e in owned]
+        # One simulation per distinct point, all of them the owner's.
+        assert owner.simulations_run == len(self.POINTS)
+        assert peer.simulations_run == 0
+        assert peer.cache_hits == len(self.POINTS)

@@ -158,7 +158,6 @@ class TestKillOneReplicaMidExplore:
                         "--port-file", str(port_file),
                         "--replica-id", replica,
                         "--cache-dir", str(tmp_path / "fleet-store"),
-                        "--workers", "1",
                     ],
                     env=env,
                     stdout=subprocess.PIPE,

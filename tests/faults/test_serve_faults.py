@@ -1,6 +1,6 @@
 """Network fault plans against the exploration server.
 
-The same environment-armed harness that crash-tests pool workers drives
+The same environment-armed harness that poisons design points drives
 the client failure matrix here: connection refused, response hang, torn
 body, 5xx burst — each with a bounded fire budget so the retry that
 follows must succeed, plus the unbounded variants that force the client
@@ -181,7 +181,6 @@ class TestServerKilledMidExplore:
                 sys.executable, "-m", "repro", "serve",
                 "--port", "0",
                 "--cache-dir", str(tmp_path / "server-cache"),
-                "--workers", "1",
             ],
             env=env,
             stdout=subprocess.PIPE,

@@ -1,91 +1,18 @@
-"""Crash-surviving pooled evaluation: dead and hung workers recover.
+"""In-process failure isolation: a poisoned point is retried, then
+quarantined, without sinking its batch-mates.
 
-Worker death is injected as ``os._exit`` inside the evaluation hook —
-indistinguishable from a SIGKILL'd or OOM-killed worker as far as the
-parent's ``ProcessPoolExecutor`` is concerned (the pool breaks).
+Failures are injected by the ``evaluate`` fault hook; every store miss
+is evaluated in-process, so a raising point is the failure to survive.
 """
 
 from repro.explore import Evaluator
 from repro.testing.faults import FaultRule
 
 
-class TestWorkerCrash:
-    def test_killed_worker_recovers_bit_identical(
-        self, arm, points, reference, assert_identical
-    ):
-        """A worker SIGKILL'd mid-chunk: pool rebuilt, chunk re-run,
-        successful results bit-identical to the fault-free serial run."""
-        arm([FaultRule(mode="exit", stage="evaluate",
-                       match={"factory_area": 120.0}, times=1)])
-        evaluator = Evaluator(
-            kernel="qrca", width=8, workers=2, retries=2, retry_backoff=0.0
-        )
-        got = evaluator.evaluate(points)
-        assert_identical(got, reference)
-        stats = evaluator.stats()
-        assert stats["worker_crashes"] >= 1
-        assert stats["quarantined"] == 0
-        assert stats["simulations_run"] == len(points)
-
-    def test_repeatedly_crashing_point_quarantined(self, arm, points, reference):
-        """A point that kills every worker that touches it is isolated by
-        bisection and quarantined; its chunk-mates still land intact."""
-        arm([FaultRule(mode="exit", stage="evaluate",
-                       match={"factory_area": 80.0}, times=None)])
-        evaluator = Evaluator(
-            kernel="qrca", width=8, workers=2, retries=1, retry_backoff=0.0
-        )
-        got = evaluator.evaluate(points)
-        assert not got[1].ok
-        assert "worker crashed" in got[1].error
-        survivors = [(g, r) for g, r in zip(got, reference) if g.ok]
-        assert len(survivors) == len(points) - 1
-        for have, want in survivors:
-            assert have.result == want.result
-        assert evaluator.stats()["quarantined"] == 1
-
-    def test_hung_worker_killed_and_chunk_retried(
-        self, arm, points, reference, assert_identical
-    ):
-        """A wedged evaluation trips the chunk timeout: the hung worker
-        is killed, the pool rebuilt, and the retry (hang budget spent)
-        produces bit-identical results."""
-        arm([FaultRule(mode="hang", stage="evaluate",
-                       match={"factory_area": 160.0}, times=2, seconds=30.0)])
-        evaluator = Evaluator(
-            kernel="qrca", width=8, workers=2,
-            retries=3, timeout=1.0, retry_backoff=0.0,
-        )
-        got = evaluator.evaluate(points)
-        assert_identical(got, reference)
-        assert evaluator.stats()["worker_crashes"] >= 1
-
-    def test_crash_then_store_is_complete(
-        self, arm, tmp_path, points, reference, assert_identical
-    ):
-        """After surviving a crash, every successful evaluation is
-        persisted; a cold evaluator re-serves them without simulating."""
-        from repro.explore import ResultStore
-
-        arm([FaultRule(mode="exit", stage="evaluate",
-                       match={"factory_area": 40.0}, times=1)])
-        store = ResultStore(tmp_path / "cache")
-        evaluator = Evaluator(
-            kernel="qrca", width=8, workers=2, retries=2,
-            retry_backoff=0.0, store=store,
-        )
-        assert_identical(evaluator.evaluate(points), reference)
-        assert len(store) == len(points)
-        warm = Evaluator(kernel="qrca", width=8, store=store)
-        assert_identical(warm.evaluate(points), reference)
-        assert warm.stats()["simulations_run"] == 0
-        assert warm.stats()["cache_hits"] == len(points)
-
-
 class TestSerialIsolation:
     def test_serial_poison_does_not_sink_batch_mates(self, arm, points, reference):
-        """Even without a pool, a raising point is isolated point-by-point
-        and only the offender is quarantined."""
+        """A raising point is isolated point-by-point and only the
+        offender is quarantined."""
         arm([FaultRule(mode="raise", stage="evaluate",
                        match={"factory_area": 200.0}, times=None,
                        message="injected poison")])

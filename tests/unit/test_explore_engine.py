@@ -256,21 +256,6 @@ class TestEvaluator:
         assert canonical["cqla_cache_fraction"] == 0.125
         assert canonical["cqla_ports"] == 2
 
-    def test_workers_identical_to_serial(self, qrca8):
-        space = architecture_space(qrca8, areas=(100.0, 400.0, 1600.0))
-        points = space.grid_points()
-        serial = Evaluator(analysis=qrca8).evaluate(points)
-        parallel = Evaluator(analysis=qrca8, workers=3).evaluate(points)
-        assert parallel == serial
-
-    def test_spec_mode_workers_identical_to_serial(self):
-        points = [
-            {"arch": "multiplexed", "factory_area": a} for a in (50.0, 200.0)
-        ]
-        serial = Evaluator(kernel="qrca", width=8).evaluate(points)
-        parallel = Evaluator(kernel="qrca", width=8, workers=2).evaluate(points)
-        assert parallel == serial
-
     def test_legacy_engine_identical(self, qrca8):
         """The evaluator matches the reference loop, areas included."""
         point = {"arch": "multiplexed", "factory_area": 300.0}

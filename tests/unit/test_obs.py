@@ -2,8 +2,7 @@
 
 Covers the observability acceptance surface: the disabled tracer is a
 near-free no-op, spans nest and are thread-safe, histogram bucket edges
-follow Prometheus ``le`` semantics exactly, worker spool files merge in
-timestamp order (corrupt lines skipped), the Chrome export is valid
+follow Prometheus ``le`` semantics exactly, the Chrome export is valid
 trace-event JSON, and — the load-bearing property — tracing changes no
 simulation result bit.
 """
@@ -18,7 +17,7 @@ import pytest
 from repro import obs
 from repro.obs import metrics as obs_metrics
 from repro.obs.report import format_phase_table, phase_breakdown
-from repro.obs.trace import _NULL_SPAN, SPOOL_ENV, Tracer
+from repro.obs.trace import _NULL_SPAN
 
 
 @pytest.fixture(autouse=True)
@@ -125,89 +124,6 @@ class TestEnabledTracer:
 
 
 # ----------------------------------------------------------------------
-# Worker spool merge
-
-
-class TestSpoolMerge:
-    def _spool_event(self, name, ts, **extra):
-        return {"name": name, "ph": "X", "ts": ts, "dur": 5.0,
-                "pid": 99999, "tid": 1, **extra}
-
-    def test_merge_orders_by_timestamp_and_tags_worker(self, tmp_path):
-        (tmp_path / "worker-2.jsonl").write_text(
-            json.dumps(self._spool_event("late", ts=300.0)) + "\n"
-            + json.dumps(self._spool_event("early", ts=100.0)) + "\n"
-        )
-        (tmp_path / "worker-7.jsonl").write_text(
-            json.dumps(self._spool_event("middle", ts=200.0)) + "\n"
-        )
-        tracer = Tracer()
-        assert tracer.merge_spool(str(tmp_path)) == 3
-        events = tracer.events()
-        assert [e["name"] for e in events] == ["early", "middle", "late"]
-        assert events[0]["args"]["worker"] == "worker-2"
-        assert events[1]["args"]["worker"] == "worker-7"
-
-    def test_merge_skips_corrupt_lines(self, tmp_path):
-        (tmp_path / "worker-1.jsonl").write_text(
-            json.dumps(self._spool_event("good", ts=1.0)) + "\n"
-            + '{"name": "torn", "ts": 2.0, "du\n'  # killed mid-write
-            + "not json at all\n"
-            + json.dumps({"ts": 3.0}) + "\n"  # no name: not an event
-            + json.dumps(self._spool_event("also.good", ts=4.0)) + "\n"
-        )
-        tracer = Tracer()
-        assert tracer.merge_spool(str(tmp_path)) == 2
-        assert [e["name"] for e in tracer.events()] == ["good", "also.good"]
-
-    def test_merge_consumes_spool_files(self, tmp_path):
-        (tmp_path / "worker-1.jsonl").write_text(
-            json.dumps(self._spool_event("once", ts=1.0)) + "\n"
-        )
-        tracer = Tracer()
-        assert tracer.merge_spool(str(tmp_path)) == 1
-        assert tracer.merge_spool(str(tmp_path)) == 0  # consumed, no dupes
-        assert len(tracer.events()) == 1
-
-    def test_merge_feeds_phase_histogram(self, tmp_path):
-        (tmp_path / "worker-1.jsonl").write_text(
-            json.dumps(self._spool_event("spooled", ts=1.0)) + "\n"
-        )
-        Tracer().merge_spool(str(tmp_path))
-        hist = obs_metrics.histogram(obs_metrics.PHASE_SECONDS, phase="spooled")
-        assert hist.count == 1
-
-    def test_missing_spool_dir_merges_nothing(self, tmp_path):
-        assert Tracer().merge_spool(str(tmp_path / "absent")) == 0
-
-    def test_flush_worker_roundtrip(self, tmp_path):
-        """What a pool worker spools, the parent merges — with the
-        worker file stem as the tag."""
-        worker = Tracer(spool_dir=str(tmp_path), worker=True)
-        with worker.span("chunk.work", points=5):
-            pass
-        path = worker.flush_spool()
-        assert path is not None and path.exists()
-        assert worker.events() == []  # drained
-        assert worker.flush_spool() == path  # idempotent, nothing pending
-
-        parent = Tracer()
-        assert parent.merge_spool(str(tmp_path)) == 1
-        (event,) = parent.events()
-        assert event["name"] == "chunk.work"
-        assert event["args"]["worker"] == f"worker-{worker.pid}"
-
-    def test_enable_exports_spool_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(SPOOL_ENV, raising=False)
-        import os
-
-        obs.enable(spool_dir=str(tmp_path))
-        assert os.environ[SPOOL_ENV] == str(tmp_path)
-        obs.disable()
-        assert SPOOL_ENV not in os.environ
-
-
-# ----------------------------------------------------------------------
 # Chrome export
 
 
@@ -229,24 +145,6 @@ class TestChromeExport:
             assert event["ts"] >= 0  # rebased to the earliest event
         assert [m["name"] for m in meta] == ["process_name"]
         assert meta[0]["args"]["name"] == "repro"
-
-    def test_worker_pids_get_named_processes(self, tmp_path):
-        obs.enable()
-        with obs.span("parent.work"):
-            pass
-        spool = {"name": "w", "ph": "X", "ts": time.time() * 1e6,
-                 "dur": 1.0, "pid": 12345, "tid": 1}
-        (tmp_path / "worker-12345.jsonl").write_text(json.dumps(spool) + "\n")
-        obs.tracer().merge_spool(str(tmp_path))
-        out = tmp_path / "trace.json"
-        obs.tracer().export_chrome(out)
-        doc = json.loads(out.read_text())
-        names = {
-            m["args"]["name"]
-            for m in doc["traceEvents"]
-            if m["ph"] == "M"
-        }
-        assert names == {"repro", "repro worker 12345"}
 
     def test_jsonl_export(self, tmp_path):
         obs.enable()

@@ -1,9 +1,8 @@
-"""Sweep-level reuse and parallel-execution tests.
+"""Sweep-level reuse tests.
 
-Simulation is deterministic, so ``workers=N`` must reproduce the serial
-sweep exactly (same points, same order, same floats), and the reference
-loop (:mod:`repro.testing.reference`) must agree with the production
-engines at the sweep level too.
+The reference loop (:mod:`repro.testing.reference`) must agree with the
+production engines at the sweep level, and a prebuilt compiled circuit
+must reproduce a sweep exactly (same points, same order, same floats).
 """
 
 import pytest
@@ -18,11 +17,6 @@ RATES = (5.0, 50.0, 500.0, 5000.0)
 
 
 class TestThroughputSweep:
-    def test_workers_identical_to_serial(self, qrca8):
-        serial = throughput_sweep(qrca8, RATES)
-        parallel = throughput_sweep(qrca8, RATES, workers=2)
-        assert parallel == serial
-
     def test_legacy_engine_identical(self, qrca8):
         ratio = qrca8.pi8_bandwidth_per_ms / qrca8.zero_bandwidth_per_ms
         reference = evaluate_reference(
@@ -44,18 +38,6 @@ class TestThroughputSweep:
 
 
 class TestAreaSweep:
-    def test_workers_identical_to_serial(self, qcla8):
-        serial = area_sweep(qcla8, areas=AREAS)
-        parallel = area_sweep(qcla8, areas=AREAS, workers=3)
-        assert parallel == serial
-
-    def test_workers_exceeding_points_identical(self, qrca8):
-        areas = AREAS[:1]
-        kinds = (ArchitectureKind.QLA,)
-        serial = area_sweep(qrca8, areas=areas, kinds=kinds)
-        parallel = area_sweep(qrca8, areas=areas, kinds=kinds, workers=8)
-        assert parallel == serial
-
     def test_legacy_engine_identical(self, qcla8):
         curves = area_sweep(qcla8, areas=AREAS)
         reference = evaluate_reference(
@@ -76,7 +58,7 @@ class TestAreaSweep:
         )
 
     def test_curve_structure_preserved(self, qrca8):
-        curves = area_sweep(qrca8, areas=AREAS, workers=2)
+        curves = area_sweep(qrca8, areas=AREAS)
         assert set(curves) == set(ArchitectureKind)
         for points in curves.values():
             assert [p.x for p in points] == list(AREAS)
