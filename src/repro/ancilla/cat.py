@@ -113,8 +113,8 @@ def evaluate_cat_prep_batched(
     Lowers the preparation circuit once and runs all trials as
     ``(trials, num_qubits)`` frame matrices on the general batched
     engine; grading is two column reductions. Statistically equivalent
-    to the scalar driver (checked by the test suite), roughly 100x
-    faster.
+    to the scalar driver (checked by the test suite), ~70x faster on
+    a 3-qubit cat at 20k trials.
     """
     from repro.ancilla.evaluation import MOVES_PER_QUBIT_PER_GATE
     from repro.error.batched import BatchFrames, BatchedSimulator

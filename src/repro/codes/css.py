@@ -57,7 +57,7 @@ class CssCode:
     Attributes:
         name: Human-readable code name.
         n: Number of physical qubits per encoded qubit.
-        k: Number of encoded qubits (1 for every code in this library).
+        k: Number of encoded qubits; must be 1 (logical grading relies on it).
         d: Code distance.
         x_stabilizers: Binary matrix; each row is the support of an X-type
             stabilizer generator.
@@ -91,6 +91,12 @@ class CssCode:
         object.__setattr__(self, "logical_z", _as_gf2([self.logical_z])[0])
         if xs.shape[1] != self.n or zs.shape[1] != self.n:
             raise ValueError("stabilizer width does not match n")
+        # Logical grading is a parity check against the opposite logical
+        # operator, which is exact only when exactly one qubit is encoded.
+        if self.k != 1:
+            raise ValueError(
+                f"{self.name}: only k=1 codes are supported, got k={self.k}"
+            )
         # CSS commutation: every X generator must overlap every Z generator
         # on an even number of qubits.
         overlap = (xs @ zs.T) % 2
@@ -102,6 +108,10 @@ class CssCode:
             raise ValueError(f"{self.name}: logical X anticommutes with Z stabilizers")
         if (self.logical_x @ self.logical_z) % 2 != 1:
             raise ValueError(f"{self.name}: logical X and Z must anticommute")
+        if self.n - gf2_rank(xs) - gf2_rank(zs) != 1:
+            raise ValueError(
+                f"{self.name}: stabilizers do not encode exactly one qubit"
+            )
         self._build_syndrome_tables()
 
     # ------------------------------------------------------------------
@@ -168,9 +178,12 @@ class CssCode:
     def is_logical_x(self, x_error: np.ndarray) -> bool:
         """Whether an X pattern, after ideal decode, flips the logical qubit.
 
-        The residual (pattern + decoder correction) has zero syndrome; it is
-        harmless iff it lies in the X-stabilizer row space, and a logical X
-        otherwise.
+        The residual (pattern + decoder correction) has zero syndrome, so
+        it is either an X stabilizer or a stabilizer times logical X (the
+        code encodes one qubit). Stabilizers commute with logical Z and
+        logical X anticommutes with it, so the residual is a logical X
+        exactly when its overlap with logical Z is odd — the same answer
+        as a row-space test, without the rank computations.
         """
         residual = (np.asarray(x_error, dtype=np.uint8) + self.decode_x_error(x_error)) % 2
         syndrome = self.x_error_syndrome(residual)
@@ -178,14 +191,14 @@ class CssCode:
             # Correction radius exceeded and decoder left a detectable error:
             # grade as logical failure (the ancilla is not usable as-is).
             return True
-        return not gf2_in_rowspace(self.x_stabilizers, residual)
+        return bool(residual @ self.logical_z % 2)
 
     def is_logical_z(self, z_error: np.ndarray) -> bool:
         residual = (np.asarray(z_error, dtype=np.uint8) + self.decode_z_error(z_error)) % 2
         syndrome = self.z_error_syndrome(residual)
         if syndrome.any():
             return True
-        return not gf2_in_rowspace(self.z_stabilizers, residual)
+        return bool(residual @ self.logical_x % 2)
 
     def is_uncorrectable(self, x_error: np.ndarray, z_error: np.ndarray) -> bool:
         """Whether a Pauli error on the block defeats ideal decoding."""

@@ -7,6 +7,17 @@ the fifteen non-identity two-qubit Paulis (so correlated errors straddling
 both qubits occur, which is what makes single faults during encoding able to
 defeat a distance-3 code).
 
+Faults are sampled by geometric gaps, not one draw per opportunity. The
+simulator keeps one countdown per fault kind (gate, movement op, readout):
+the number of fault-free opportunities left before that kind's next fault,
+drawn from ``rng.geometric(p) - 1`` and drawn again each time it fires.
+Gaps are memoryless, so this is the same distribution as an independent
+Bernoulli(p) per opportunity (the sparse-sampling technique of Stim,
+Gidney 2021). At the paper's rates almost every sub-circuit then runs
+fault-free on a clean frame; :meth:`MonteCarloSimulator.run_circuit`
+detects that from the clocks and per-circuit opportunity counts, and
+advances the clocks without walking the gates.
+
 Protocols (in :mod:`repro.ancilla.evaluation`) drive the simulator: they run
 circuits, read measurement flip bits, make accept/discard decisions and
 grade the surviving output block.
@@ -18,7 +29,7 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -26,6 +37,7 @@ from repro.circuits import Circuit
 from repro.circuits.gate import Gate
 from repro.error.pauli import PauliFrame
 from repro.error.propagation import measurement_flipped, propagate_gate
+from repro.obs.trace import span as _span
 from repro.tech import ErrorRates
 
 _ONE_QUBIT_PAULIS = ("X", "Y", "Z")
@@ -37,13 +49,32 @@ _TWO_QUBIT_PAULIS = tuple(
 )
 
 
-_REMAP_CACHE: "weakref.WeakKeyDictionary[Circuit, Dict[tuple, Tuple[Gate, ...]]]" = (
+#: The gap of a fault kind whose probability is zero: it never fires.
+_NEVER = math.inf
+
+
+class _MappedCircuit(NamedTuple):
+    """A circuit's gates under one qubit map, with its fault opportunities.
+
+    The counts cover the gates a run executes when no measurement flips:
+    every gate except the classically conditioned ones.
+    """
+
+    gates: Tuple[Gate, ...]
+    gate_ops: int  # gate-error opportunities (non-measurement gates)
+    qubit_moves: int  # qubits touched; each pays the run's move ops
+    readouts: int  # readout-error opportunities (measurements)
+    zero_flips: Dict[str, int]  # the flips of a fault-free run on a clean frame
+
+
+_REMAP_CACHE: "weakref.WeakKeyDictionary[Circuit, Dict[tuple, _MappedCircuit]]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _mapped_gates(circuit: Circuit, qubit_map: Dict[int, int]) -> Tuple[Gate, ...]:
-    """The circuit's gates with qubits remapped, memoized per (circuit, map).
+def _mapped_gates(circuit: Circuit, qubit_map: Dict[int, int]) -> _MappedCircuit:
+    """The circuit's gates with qubits remapped, and their fault
+    opportunities, memoized per (circuit, map).
 
     Protocols run the same sub-circuit at the same register offset for
     every Monte Carlo trial; rebuilding a mapped ``Gate`` per gate per
@@ -56,8 +87,8 @@ def _mapped_gates(circuit: Circuit, qubit_map: Dict[int, int]) -> Tuple[Gate, ..
     if per_circuit is None:
         per_circuit = {}
         _REMAP_CACHE[circuit] = per_circuit
-    gates = per_circuit.get(key)
-    if gates is None:
+    mapped = per_circuit.get(key)
+    if mapped is None:
         gates = tuple(
             Gate(
                 gate.gate_type,
@@ -68,8 +99,17 @@ def _mapped_gates(circuit: Circuit, qubit_map: Dict[int, int]) -> Tuple[Gate, ..
             )
             for gate in circuit
         )
-        per_circuit[key] = gates
-    return gates
+        always = [gate for gate in gates if gate.condition is None]
+        measured = [gate for gate in always if gate.is_measurement]
+        mapped = _MappedCircuit(
+            gates=gates,
+            gate_ops=len(always) - len(measured),
+            qubit_moves=sum(len(gate.qubits) for gate in always),
+            readouts=len(measured),
+            zero_flips={gate.result: 0 for gate in measured},
+        )
+        per_circuit[key] = mapped
+    return mapped
 
 
 class TrialOutcome(Enum):
@@ -149,9 +189,34 @@ class MonteCarloSimulator:
     def __init__(self, errors: Optional[ErrorRates] = None, seed: int = 0) -> None:
         self.errors = errors or ErrorRates()
         self.rng = np.random.default_rng(seed)
+        # Fault clocks: fault-free opportunities left before each kind's
+        # next fault (see the module docstring).
+        self._gate_gap = self._draw_gap(self.errors.gate)
+        self._move_gap = self._draw_gap(self.errors.movement)
+        self._readout_gap = self._draw_gap(self.errors.measurement)
+
+    def _draw_gap(self, p: float) -> float:
+        if p <= 0.0:
+            return _NEVER
+        return int(self.rng.geometric(p)) - 1
 
     # ------------------------------------------------------------------
     # Error injection primitives
+
+    def gate_fault(self) -> bool:
+        """Spend one gate-error opportunity; True when it faults."""
+        if self._gate_gap:
+            self._gate_gap -= 1
+            return False
+        self._gate_gap = self._draw_gap(self.errors.gate)
+        return True
+
+    def _readout_fault(self) -> bool:
+        if self._readout_gap:
+            self._readout_gap -= 1
+            return False
+        self._readout_gap = self._draw_gap(self.errors.measurement)
+        return True
 
     def inject_gate_error(self, frame: PauliFrame, gate: Gate) -> None:
         """With probability ``errors.gate``, corrupt the gate's qubits.
@@ -160,7 +225,7 @@ class MonteCarloSimulator:
         acts trivially (|0> is a Z eigenstate), so injecting it would
         manufacture fictitious error events.
         """
-        if self.rng.random() >= self.errors.gate:
+        if not self.gate_fault():
             return
         if gate.is_two_qubit:
             a, b = gate.qubits
@@ -180,14 +245,17 @@ class MonteCarloSimulator:
         """Inject errors for ``move_ops`` movement operations on one qubit.
 
         Each movement op independently corrupts the qubit with probability
-        ``errors.movement``. The number of faults is drawn binomially rather
-        than looping, since move counts can be large and rates tiny.
+        ``errors.movement``; the movement clock skips straight to the
+        faulting ops, since move counts can be large and rates tiny.
         """
-        if move_ops <= 0 or self.errors.movement == 0.0:
+        if move_ops <= 0:
             return
-        faults = self.rng.binomial(move_ops, self.errors.movement)
-        for _ in range(faults):
+        gap = self._move_gap
+        while gap < move_ops:
             frame.apply_pauli(qubit, _ONE_QUBIT_PAULIS[self.rng.integers(3)])
+            move_ops -= gap + 1
+            gap = self._draw_gap(self.errors.movement)
+        self._move_gap = gap - move_ops
 
     # ------------------------------------------------------------------
     # Circuit execution
@@ -208,6 +276,12 @@ class MonteCarloSimulator:
         is set — appropriate for syndrome-driven corrections whose ideal
         outcome is the zero syndrome.
 
+        When the frame is clean and no fault clock fires within the
+        circuit's opportunities, the gate walk is skipped: preparations
+        and measurements would clear qubits that are already clear, every
+        flip is zero and no conditional gate fires, so advancing the
+        clocks by the circuit's counts is exact.
+
         Args:
             circuit: Circuit to execute.
             frame: Frame over the full simulation register (mutated).
@@ -216,28 +290,38 @@ class MonteCarloSimulator:
                 involved qubit around each gate (a coarse layout proxy used
                 when no explicit schedule is attached).
         """
-        qm = qubit_map or {}
-        # The mapped gate list is a pure function of (circuit, map) —
-        # built once and replayed for every trial, not per gate per trial.
-        gates = circuit if not qm else _mapped_gates(circuit, qm)
+        # The mapped gate list and its opportunity counts are a pure
+        # function of (circuit, map) — built once and replayed per trial.
+        mapped = _mapped_gates(circuit, qubit_map or {})
         move_ops = int(round(moves_per_qubit_per_gate))
+        moves = move_ops * mapped.qubit_moves
+        if (
+            self._gate_gap >= mapped.gate_ops
+            and self._move_gap >= moves
+            and self._readout_gap >= mapped.readouts
+            and frame.is_identity()
+        ):
+            self._gate_gap -= mapped.gate_ops
+            self._move_gap -= moves
+            self._readout_gap -= mapped.readouts
+            return dict(mapped.zero_flips)
         flips: Dict[str, int] = {}
-        for mapped in gates:
-            if mapped.condition is not None and not flips.get(mapped.condition, 0):
+        for gate in mapped.gates:
+            if gate.condition is not None and not flips.get(gate.condition, 0):
                 continue
             if move_ops:
-                for q in mapped.qubits:
+                for q in gate.qubits:
                     self.inject_movement_error(frame, q, move_ops)
-            propagate_gate(frame, mapped)
-            if mapped.is_measurement:
-                flipped = measurement_flipped(frame, mapped)
-                if self.rng.random() < self.errors.measurement:
+            propagate_gate(frame, gate)
+            if gate.is_measurement:
+                flipped = measurement_flipped(frame, gate)
+                if self._readout_fault():
                     flipped = not flipped
-                flips[mapped.result] = int(flipped)
+                flips[gate.result] = int(flipped)
                 # Measurement collapses the qubit; its frame is consumed.
-                frame.clear(mapped.qubits[0])
+                frame.clear(gate.qubits[0])
             else:
-                self.inject_gate_error(frame, mapped)
+                self.inject_gate_error(frame, gate)
         return flips
 
     def estimate(
@@ -249,6 +333,7 @@ class MonteCarloSimulator:
         if trials <= 0:
             raise ValueError(f"trials must be positive, got {trials}")
         result = MonteCarloResult()
-        for _ in range(trials):
-            result.record(trial(self))
+        with _span("mc.estimate", trials=trials):
+            for _ in range(trials):
+                result.record(trial(self))
         return result

@@ -83,7 +83,9 @@ class PauliFrame:
         return self.z[list(qubits)].copy()
 
     def is_identity(self) -> bool:
-        return not (self.x.any() or self.z.any())
+        # count_nonzero skips ndarray.any's Python-level dispatch; the
+        # Monte Carlo engine asks this once per sub-circuit run.
+        return not (np.count_nonzero(self.x) or np.count_nonzero(self.z))
 
     def copy(self) -> "PauliFrame":
         dup = PauliFrame(self.num_qubits)

@@ -12,6 +12,7 @@ from repro.error.batched import (
     steane_grade_bad,
 )
 from repro.codes.steane import HAMMING_PARITY_CHECK, STEANE
+from repro.error.montecarlo import MonteCarloResult
 from repro.tech import ErrorRates
 
 CLEAN = ErrorRates(gate=0.0, movement=0.0, measurement=0.0)
@@ -203,6 +204,58 @@ class TestStochasticBehavior:
         frames = BatchFrames(50, 1)
         flips = sim.run_circuit(circ, frames, active=np.ones(50, dtype=bool))
         assert (flips["m"] == 1).all()  # clean qubit + certain readout flip
+
+
+class TestSparseFaultDraws:
+    """Faults are drawn as sparse hit sets (binomial count, uniform
+    subset); per active trial they must still land at the configured
+    rate, and never on an inactive trial."""
+
+    TRIALS = 20000
+
+    def _run(self, circ, errors, seed, **kw):
+        sim = BatchedSimulator(errors=errors, seed=seed)
+        frames = BatchFrames(self.TRIALS, circ.num_qubits)
+        active = np.zeros(self.TRIALS, dtype=bool)
+        active[: self.TRIALS // 2] = True
+        flips = sim.run_circuit(circ, frames, active=active, **kw)
+        hit = (frames.x | frames.z).any(axis=1)
+        assert not hit[~active].any()
+        return hit[active], flips, active
+
+    @staticmethod
+    def _assert_rate(hits, p):
+        n, k = hits.size, int(hits.sum())
+        counts = MonteCarloResult(trials=n, good=n - k, bad=k)
+        lo, hi = counts.error_rate_interval(z=3.29)  # two-sided 99.9%
+        assert lo <= p <= hi, f"{k}/{n} hits: [{lo}, {hi}] misses {p}"
+
+    @pytest.mark.parametrize("p", [0.01, 0.3])
+    def test_one_qubit_gate_fault_rate(self, p):
+        gate = ErrorRates(gate=p, movement=0.0, measurement=0.0)
+        hits, _, _ = self._run(Circuit(1).h(0), gate, 31)
+        self._assert_rate(hits, p)
+
+    @pytest.mark.parametrize("p", [0.01, 0.3])
+    def test_two_qubit_gate_fault_rate(self, p):
+        gate = ErrorRates(gate=p, movement=0.0, measurement=0.0)
+        hits, _, _ = self._run(Circuit(2).cx(0, 1), gate, 32)
+        self._assert_rate(hits, p)
+
+    @pytest.mark.parametrize("p", [0.01, 0.3])
+    def test_movement_fault_rate(self, p):
+        movement = ErrorRates(gate=0.0, movement=p, measurement=0.0)
+        hits, _, _ = self._run(
+            Circuit(1).h(0), movement, 33, moves_per_qubit_per_gate=3.0
+        )
+        self._assert_rate(hits, 1.0 - (1.0 - p) ** 3)  # >= 1 of 3 ops faults
+
+    @pytest.mark.parametrize("p", [0.01, 0.3])
+    def test_readout_fault_rate(self, p):
+        readout = ErrorRates(gate=0.0, movement=0.0, measurement=p)
+        _, flips, active = self._run(Circuit(1).measure_z(0, "m"), readout, 34)
+        assert not flips["m"][~active].any()
+        self._assert_rate(flips["m"][active].astype(bool), p)
 
 
 class TestSteaneGrading:

@@ -122,3 +122,58 @@ class TestSyndromes:
         rep[[1, 3, 5]] = 1
         assert not STEANE.z_error_syndrome(rep).any()
         assert STEANE.is_logical_z(rep)
+
+
+class TestParityGrading:
+    """Logical grading is a parity check against the opposite logical;
+    it must agree with the row-space rule on every pattern."""
+
+    @staticmethod
+    def _rank_rule(stabilizers, residual, syndrome):
+        if syndrome.any():
+            return True
+        return not gf2_in_rowspace(stabilizers, residual)
+
+    def test_every_x_pattern_matches_rank_rule(self):
+        for bits in range(128):
+            err = np.array([(bits >> i) & 1 for i in range(7)], dtype=np.uint8)
+            residual = (err + STEANE.decode_x_error(err)) % 2
+            expected = self._rank_rule(
+                STEANE.x_stabilizers, residual, STEANE.x_error_syndrome(residual)
+            )
+            assert STEANE.is_logical_x(err) == expected, err
+
+    def test_every_z_pattern_matches_rank_rule(self):
+        for bits in range(128):
+            err = np.array([(bits >> i) & 1 for i in range(7)], dtype=np.uint8)
+            residual = (err + STEANE.decode_z_error(err)) % 2
+            expected = self._rank_rule(
+                STEANE.z_stabilizers, residual, STEANE.z_error_syndrome(residual)
+            )
+            assert STEANE.is_logical_z(err) == expected, err
+
+    def test_rejects_k_other_than_one(self):
+        with pytest.raises(ValueError, match="k=1"):
+            CssCode(
+                name="two",
+                n=7,
+                k=2,
+                d=3,
+                x_stabilizers=HAMMING_PARITY_CHECK,
+                z_stabilizers=HAMMING_PARITY_CHECK,
+                logical_x=np.ones(7, dtype=np.uint8),
+                logical_z=np.ones(7, dtype=np.uint8),
+            )
+
+    def test_rejects_stabilizers_encoding_more_than_one_qubit(self):
+        with pytest.raises(ValueError, match="exactly one qubit"):
+            CssCode(
+                name="short",
+                n=7,
+                k=1,
+                d=3,
+                x_stabilizers=HAMMING_PARITY_CHECK[:2],
+                z_stabilizers=HAMMING_PARITY_CHECK,
+                logical_x=np.ones(7, dtype=np.uint8),
+                logical_z=np.ones(7, dtype=np.uint8),
+            )

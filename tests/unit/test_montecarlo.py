@@ -1,5 +1,7 @@
 """Unit tests for repro.error.montecarlo."""
 
+import math
+
 import pytest
 
 from repro.circuits import Circuit
@@ -153,3 +155,144 @@ class TestEstimate:
     def test_estimate_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             MonteCarloSimulator().estimate(lambda s: TrialOutcome.GOOD, trials=0)
+
+
+class _CountingFrame(PauliFrame):
+    """A frame that counts the Paulis injected into it (one per fault for
+    one-qubit gates, movement and corrections)."""
+
+    def __init__(self, num_qubits):
+        super().__init__(num_qubits)
+        self.faults = 0
+
+    def apply_pauli(self, qubit, pauli):
+        self.faults += 1
+        super().apply_pauli(qubit, pauli)
+
+
+#: Two-sided 99.9% normal quantile, for Wilson intervals on fault counts.
+Z999 = 3.29
+
+
+def _assert_rate(faults, opportunities, p):
+    counts = MonteCarloResult(
+        trials=opportunities, good=opportunities - faults, bad=faults
+    )
+    lo, hi = counts.error_rate_interval(z=Z999)
+    assert lo <= p <= hi, f"{faults}/{opportunities} faults: [{lo}, {hi}] misses {p}"
+
+
+def _clocks(sim):
+    return (sim._gate_gap, sim._move_gap, sim._readout_gap)
+
+
+def _ten_h():
+    circ = Circuit(1)
+    for _ in range(10):
+        circ.h(0)
+    return circ
+
+
+class TestFaultClocks:
+    """Faults are drawn by geometric gaps; per opportunity they must still
+    fire at the configured rate, and a clean run must skip exactly the
+    opportunities the gate walk would have spent."""
+
+    @pytest.mark.parametrize("p", [0.01, 0.3])
+    def test_gate_fault_rate(self, p):
+        sim = MonteCarloSimulator(
+            ErrorRates(gate=p, movement=0.0, measurement=0.0), seed=21
+        )
+        circ, frame, runs = _ten_h(), _CountingFrame(1), 2000
+        for _ in range(runs):
+            frame.clear(0)  # clean frames take the skip path when no fault is due
+            sim.run_circuit(circ, frame)
+        _assert_rate(frame.faults, 10 * runs, p)
+
+    @pytest.mark.parametrize("p", [0.01, 0.3])
+    def test_movement_fault_rate(self, p):
+        sim = MonteCarloSimulator(
+            ErrorRates(gate=0.0, movement=p, measurement=0.0), seed=22
+        )
+        circ, frame, runs = _ten_h(), _CountingFrame(1), 700
+        for _ in range(runs):
+            frame.clear(0)
+            sim.run_circuit(circ, frame, moves_per_qubit_per_gate=3)
+        _assert_rate(frame.faults, 30 * runs, p)
+
+    @pytest.mark.parametrize("p", [0.01, 0.3])
+    def test_readout_fault_rate(self, p):
+        sim = MonteCarloSimulator(
+            ErrorRates(gate=0.0, movement=0.0, measurement=p), seed=23
+        )
+        circ = Circuit(10)
+        for q in range(10):
+            circ.measure_z(q, f"m{q}")
+        runs, flipped = 2000, 0
+        for _ in range(runs):
+            flipped += sum(sim.run_circuit(circ, PauliFrame(10)).values())
+        _assert_rate(flipped, 10 * runs, p)
+
+    @staticmethod
+    def _mixed_circuit():
+        # Unconditional: prep, h, cx (3 gate opportunities), two
+        # measurements, and 1+1+2+1+1 = 6 qubit touches; the conditional
+        # X never fires on a fault-free run.
+        return (
+            Circuit(3)
+            .prep_0(0)
+            .h(0)
+            .cx(0, 1)
+            .measure_z(1, "m")
+            .x(2, condition="m")
+            .measure_x(0, "n")
+        )
+
+    def test_clean_run_advances_clocks_by_circuit_counts(self):
+        rare = ErrorRates(gate=1e-9, movement=1e-9, measurement=1e-9)
+        circ = self._mixed_circuit()
+        for frame in (PauliFrame(3), PauliFrame(4)):
+            if frame.num_qubits == 4:
+                frame.apply_x(3)  # dirty but untouched: forces the gate walk
+            sim = MonteCarloSimulator(rare, seed=0)
+            before = _clocks(sim)
+            flips = sim.run_circuit(circ, frame, moves_per_qubit_per_gate=2)
+            after = _clocks(sim)
+            assert flips == {"m": 0, "n": 0}
+            assert tuple(b - a for a, b in zip(after, before)) == (3, 2 * 6, 2)
+            assert frame.weight(range(3)) == 0
+
+    def test_same_seed_same_stream(self):
+        rates = ErrorRates(gate=0.3, movement=0.01, measurement=0.3)
+        circ = self._mixed_circuit()
+
+        def run(seed):
+            sim = MonteCarloSimulator(rates, seed=seed)
+            frame, out = PauliFrame(3), []
+            for _ in range(200):
+                flips = sim.run_circuit(circ, frame, moves_per_qubit_per_gate=2)
+                out.append((tuple(sorted(flips.items())), repr(frame)))
+            return out, _clocks(sim)
+
+        assert run(5) == run(5)
+        assert run(5) != run(6)
+
+    def test_certain_faults_fire_at_every_opportunity(self):
+        sim = MonteCarloSimulator(ErrorRates(gate=1.0, movement=1.0, measurement=1.0))
+        assert all(sim.gate_fault() for _ in range(100))
+        frame = _CountingFrame(1)
+        sim.run_circuit(_ten_h(), frame, moves_per_qubit_per_gate=2)
+        assert frame.faults == 10 + 10 * 2
+        circ = Circuit(3).measure_z(0, "a").measure_z(1, "b").measure_z(2, "c")
+        flips = sim.run_circuit(circ, PauliFrame(3))
+        assert flips == {"a": 1, "b": 1, "c": 1}
+
+    def test_zero_rates_never_fire(self):
+        sim = MonteCarloSimulator(ErrorRates(gate=0.0, movement=0.0, measurement=0.0))
+        assert not any(sim.gate_fault() for _ in range(100))
+        frame = PauliFrame(1)
+        frame.apply_x(0)  # dirty: every run takes the gate walk
+        for _ in range(100):
+            sim.run_circuit(_ten_h(), frame, moves_per_qubit_per_gate=2)
+        assert frame.weight() == 1
+        assert all(math.isinf(gap) for gap in _clocks(sim))

@@ -336,6 +336,16 @@ class TestBitIdentity:
         assert traced == baseline  # exact equality, every field
         assert untraced_again == baseline
 
+    def test_scalar_monte_carlo_emits_one_estimate_span(self):
+        from repro.ancilla.evaluation import PrepStrategy, evaluate_strategy
+
+        obs.enable()
+        report = evaluate_strategy(PrepStrategy.BASIC, trials=50, seed=0)
+        spans = [e for e in obs.tracer().events() if e["name"] == "mc.estimate"]
+        assert len(spans) == 1
+        assert spans[0]["args"] == {"trials": 50}
+        assert report.result.trials == 50
+
     def test_traced_monte_carlo_is_bit_identical(self):
         from repro.ancilla import evaluate_pi8_ancilla_batched
 
