@@ -5,8 +5,8 @@ Usage::
     python -m repro list                  # list reproducible artifacts
     python -m repro table3                # print one table/figure
     python -m repro run fig15             # same, spelled out
-    python -m repro all                   # print everything (slow: runs
-                                          # the Monte Carlo and the sweeps)
+    python -m repro all                   # print everything (runs the
+                                          # Monte Carlo and the sweeps)
     python -m repro explore qcla-32 --objective adcr --strategy adaptive \\
         --budget 30                       # ADCR-driven design-space search
     python -m repro serve --port 8642     # evaluation service (terminal 1)
@@ -416,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.set_defaults(func=_cmd_list)
 
     p_all = sub.add_parser(
-        "all", help="print every artifact (slow: Monte Carlo + sweeps)"
+        "all", help="print every artifact (runs the Monte Carlo and the sweeps)"
     )
     p_all.set_defaults(func=_cmd_all)
 

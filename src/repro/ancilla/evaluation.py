@@ -37,11 +37,12 @@ checks the resulting rates against the paper's):
 
 Known deviation of the idealized verification rule, measured on the
 scalar engine with 20k trials, seed 0 (95% Wilson intervals): it
-discards 0.27% of blocks (paper: ~0.2%), but verify-only shows 0 errors
-(upper bound 1.9e-4) against the paper's 3.7e-4, because an accepted
-block is either clean or carries an undetectable weight-3+ error.
-Verify-and-correct measured 5.0e-5 (8.8e-6 to 2.8e-4) against the
-paper's 2.9e-5. Orderings against basic and correct-only reproduce.
+discards 0.22% of blocks (paper: ~0.2%), but verify-only shows 0 errors
+in 19,956 accepted blocks (upper bound 1.9e-4) against the paper's
+3.7e-4, because an accepted block is either clean or carries an
+undetectable weight-3+ error. Verify-and-correct measured 2 in 20,000,
+1.0e-4 (2.7e-5 to 3.6e-4), against the paper's 2.9e-5. Orderings
+against basic and correct-only reproduce.
 """
 
 from __future__ import annotations
@@ -163,7 +164,7 @@ def _run_verification(sim: MonteCarloSimulator, frame: PauliFrame,
     idealized: the block is discarded iff it carries any *detectable*
     error — nonzero X or Z syndrome — at the end of the subunit. The
     paper's verification wiring is underspecified (one 3-qubit cat per
-    block); modeling its detection power as ideal discards 0.27% of
+    block); modeling its detection power as ideal discards 0.22% of
     blocks (paper: ~0.2%) but lets no detectable error through, so
     verify-only sits below the paper's rate (see the module docstring).
     Undetectable (zero-syndrome) errors are exactly the ones no
@@ -356,10 +357,13 @@ def evaluate_strategy(
         seed: RNG seed (results are reproducible per seed).
         errors: Error rates; defaults to ``ErrorRates()``: the paper's gate
             1e-4 and move 1e-6, plus readout 1e-4.
-        engine: ``"scalar"`` replays trials one at a time on the
-            reference Pauli-frame engine; ``"batched"`` routes through
-            the general batched protocol engine (60-150x faster at 20k
-            trials, same statistics, different RNG stream).
+        engine: ``"scalar"`` runs trials one at a time on the
+            reference Pauli-frame engine, skipping runs of fault-free
+            trials whole; ``"batched"`` routes through the general
+            batched protocol engine (same statistics, different RNG
+            stream). At 20k trials on a 2-core host the batched engine
+            runs 0.5-2.3x the scalar one per strategy at the paper's
+            rates (~1.3x over all four) and 5-19x at 10x those rates.
     """
     if engine == "batched":
         from repro.error.vectorized import evaluate_strategy_vectorized

@@ -171,10 +171,18 @@ def evaluate_pi8_ancilla(
 
     Reference implementation: one trial at a time on the scalar
     Pauli-frame engine. Use :func:`evaluate_pi8_ancilla_batched` for
-    large trial counts.
+    large trial counts. It replays every trial rather than calling
+    :meth:`~repro.error.montecarlo.MonteCarloSimulator.estimate`, which
+    skips fault-free trials: the protocol benchmark
+    (``benchmarks/test_bench_protocols.py``) times this driver as the
+    per-trial baseline of the batched one.
     """
     from repro.ancilla.evaluation import MOVES_PER_QUBIT_PER_GATE
-    from repro.error.montecarlo import MonteCarloSimulator, TrialOutcome
+    from repro.error.montecarlo import (
+        MonteCarloResult,
+        MonteCarloSimulator,
+        TrialOutcome,
+    )
     from repro.error.pauli import PauliFrame
 
     if trials <= 0:
@@ -200,7 +208,10 @@ def evaluate_pi8_ancilla(
             return TrialOutcome.BAD
         return TrialOutcome.GOOD
 
-    return sim.estimate(trial, trials)
+    result = MonteCarloResult()
+    for _ in range(trials):
+        result.record(trial(sim))
+    return result
 
 
 def evaluate_pi8_ancilla_batched(

@@ -17,6 +17,8 @@ Gidney 2021). At the paper's rates almost every sub-circuit then runs
 fault-free on a clean frame; :meth:`MonteCarloSimulator.run_circuit`
 detects that from the clocks and per-circuit opportunity counts, and
 advances the clocks without walking the gates.
+:meth:`MonteCarloSimulator.estimate` does the same for whole trials: a
+run of trials no clock fires in is recorded and skipped at once.
 
 Protocols (in :mod:`repro.ancilla.evaluation`) drive the simulator: they run
 circuits, read measurement flip bits, make accept/discard decisions and
@@ -51,6 +53,9 @@ _TWO_QUBIT_PAULIS = tuple(
 
 #: The gap of a fault kind whose probability is zero: it never fires.
 _NEVER = math.inf
+
+#: Where a fault-free probe's clocks start: beyond any trial's opportunities.
+_PROBE_CLOCK = 1 << 62
 
 
 class _MappedCircuit(NamedTuple):
@@ -133,14 +138,14 @@ class MonteCarloResult:
     bad: int = 0
     discarded: int = 0
 
-    def record(self, outcome: TrialOutcome) -> None:
-        self.trials += 1
+    def record(self, outcome: TrialOutcome, count: int = 1) -> None:
+        self.trials += count
         if outcome is TrialOutcome.GOOD:
-            self.good += 1
+            self.good += count
         elif outcome is TrialOutcome.BAD:
-            self.bad += 1
+            self.bad += count
         else:
-            self.discarded += 1
+            self.discarded += count
 
     @property
     def accepted(self) -> int:
@@ -194,6 +199,9 @@ class MonteCarloSimulator:
         self._gate_gap = self._draw_gap(self.errors.gate)
         self._move_gap = self._draw_gap(self.errors.movement)
         self._readout_gap = self._draw_gap(self.errors.measurement)
+
+    def _clocks(self) -> Tuple[float, float, float]:
+        return (self._gate_gap, self._move_gap, self._readout_gap)
 
     def _draw_gap(self, p: float) -> float:
         if p <= 0.0:
@@ -329,11 +337,70 @@ class MonteCarloSimulator:
         trial: Callable[["MonteCarloSimulator"], TrialOutcome],
         trials: int,
     ) -> MonteCarloResult:
-        """Run a protocol trial function repeatedly and aggregate."""
+        """Run a protocol trial function repeatedly and aggregate.
+
+        Contract: a trial starts from a fresh frame, keeps no state
+        between trials except through the simulator, and touches
+        ``sim.rng`` only after a fault fires. A trial in which no fault
+        clock fires then spends a fixed number of gate, movement and
+        readout opportunities and returns a fixed outcome, so runs of
+        such trials are skipped whole: one probe run (on a simulator
+        whose clocks never fire and which has no RNG) records that
+        fault-free cost and outcome, and each skip records the outcome
+        and advances the clocks by the cost times the trials skipped.
+        The clocks and the RNG stream end exactly where running every
+        trial would leave them. Only trials a clock fires in are run;
+        the span's ``replayed`` attribute counts them.
+        """
         if trials <= 0:
             raise ValueError(f"trials must be positive, got {trials}")
         result = MonteCarloResult()
-        with _span("mc.estimate", trials=trials):
-            for _ in range(trials):
+        left = trials
+        replayed = 0
+        with _span("mc.estimate", trials=trials) as sp:
+            probe = _FaultFreeProbe(self.errors)
+            clean = trial(probe)
+            costs = [_PROBE_CLOCK - gap for gap in probe._clocks()]
+            while True:
+                clocks = self._clocks()
+                skip = min(
+                    [left]
+                    + [
+                        gap // cost
+                        for gap, cost in zip(clocks, costs)
+                        if cost and gap != _NEVER
+                    ]
+                )
+                if skip:
+                    result.record(clean, skip)
+                    self._gate_gap, self._move_gap, self._readout_gap = (
+                        gap - skip * cost for gap, cost in zip(clocks, costs)
+                    )
+                    left -= skip
+                if not left:
+                    break
                 result.record(trial(self))
+                left -= 1
+                replayed += 1
+            sp.set(replayed=replayed)
         return result
+
+
+class _NoRng:
+    """A fault-free probe's RNG: using it breaks the contract of
+    :meth:`MonteCarloSimulator.estimate`."""
+
+    def __getattr__(self, name: str):
+        raise RuntimeError(
+            "a Monte Carlo trial used sim.rng before any fault fired; "
+            "estimate() requires trials to draw only after a fault"
+        )
+
+
+class _FaultFreeProbe(MonteCarloSimulator):
+    """Runs one trial with no fault: its clocks never fire, it has no RNG."""
+
+    def __init__(self, errors: ErrorRates) -> None:
+        self.errors = errors
+        self.rng = _NoRng()
+        self._gate_gap = self._move_gap = self._readout_gap = _PROBE_CLOCK

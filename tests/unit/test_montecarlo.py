@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.ancilla.evaluation import _TRIALS, PrepStrategy
 from repro.circuits import Circuit
 from repro.error.montecarlo import (
     MonteCarloResult,
@@ -155,6 +156,85 @@ class TestEstimate:
     def test_estimate_rejects_zero_trials(self):
         with pytest.raises(ValueError):
             MonteCarloSimulator().estimate(lambda s: TrialOutcome.GOOD, trials=0)
+
+
+def _per_trial(sim, trial, trials):
+    """The plain loop ``estimate`` must reproduce exactly, and the number
+    of trials a fault fired in (each firing redraws its gap from the RNG)."""
+    result, faulty = MonteCarloResult(), 0
+    for _ in range(trials):
+        before = sim.rng.bit_generator.state
+        result.record(trial(sim))
+        faulty += sim.rng.bit_generator.state != before
+    return result, faulty
+
+
+def _state(sim):
+    return _clocks(sim), sim.rng.bit_generator.state
+
+
+PAPER_RATES = ErrorRates()
+TEN_X_RATES = ErrorRates(gate=1e-3, movement=1e-5, measurement=1e-3)
+
+
+class TestFastForward:
+    """``estimate`` skips runs of fault-free trials whole; counts, clocks
+    and the RNG stream must match running every trial."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("rates", [PAPER_RATES, TEN_X_RATES], ids=["paper", "10x"])
+    @pytest.mark.parametrize("strategy", list(PrepStrategy), ids=lambda s: s.value)
+    def test_matches_per_trial_loop(self, strategy, rates, seed):
+        fast = MonteCarloSimulator(rates, seed=seed)
+        slow = MonteCarloSimulator(rates, seed=seed)
+        runs = []
+
+        def trial(sim):
+            runs.append(sim)
+            return _TRIALS[strategy](sim)
+
+        result = fast.estimate(trial, 1000)
+        replayed = sum(sim is fast for sim in runs)
+        assert (result, replayed) == _per_trial(slow, _TRIALS[strategy], 1000)
+        assert _state(fast) == _state(slow)
+        assert len(runs) == replayed + 1  # plus the probe
+
+    @pytest.mark.parametrize("outcome", [TrialOutcome.DISCARDED, TrialOutcome.BAD])
+    def test_fault_free_outcome_is_recorded_as_is(self, outcome):
+        circ = Circuit(2).prep_0(0).cx(0, 1).measure_z(1, "m")
+
+        def trial(sim):
+            flips = sim.run_circuit(circ, PauliFrame(2), moves_per_qubit_per_gate=2)
+            return TrialOutcome.GOOD if flips["m"] else outcome
+
+        rates = ErrorRates(gate=0.01, movement=0.001, measurement=0.01)
+        fast = MonteCarloSimulator(rates, seed=3)
+        slow = MonteCarloSimulator(rates, seed=3)
+        result = fast.estimate(trial, 500)
+        assert result == _per_trial(slow, trial, 500)[0]
+        assert _state(fast) == _state(slow)
+        clean = result.discarded if outcome is TrialOutcome.DISCARDED else result.bad
+        assert result.trials == 500 and clean > 450 and result.good > 0
+
+    def test_zero_rates_run_the_trial_once(self):
+        calls = []
+
+        def trial(sim):
+            calls.append(sim)
+            sim.run_circuit(_ten_h(), PauliFrame(1), moves_per_qubit_per_gate=2)
+            return TrialOutcome.GOOD
+
+        sim = MonteCarloSimulator(ErrorRates(gate=0.0, movement=0.0, measurement=0.0))
+        result = sim.estimate(trial, 1000)
+        assert len(calls) == 1 and calls[0] is not sim  # the probe only
+        assert result == MonteCarloResult(trials=1000, good=1000)
+
+    def test_fault_free_rng_use_raises(self):
+        def trial(sim):
+            return (TrialOutcome.GOOD, TrialOutcome.BAD)[sim.rng.integers(2)]
+
+        with pytest.raises(RuntimeError, match="sim.rng"):
+            MonteCarloSimulator(seed=0).estimate(trial, 10)
 
 
 class _CountingFrame(PauliFrame):

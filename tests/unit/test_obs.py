@@ -343,8 +343,30 @@ class TestBitIdentity:
         report = evaluate_strategy(PrepStrategy.BASIC, trials=50, seed=0)
         spans = [e for e in obs.tracer().events() if e["name"] == "mc.estimate"]
         assert len(spans) == 1
-        assert spans[0]["args"] == {"trials": 50}
+        args = spans[0]["args"]
+        assert set(args) == {"trials", "replayed"}
+        assert args["trials"] == 50
+        assert 0 <= args["replayed"] <= args["trials"]
         assert report.result.trials == 50
+
+    def test_estimate_span_counts_the_trials_walked(self):
+        from repro.ancilla.evaluation import _TRIALS, PrepStrategy
+        from repro.error.montecarlo import MonteCarloSimulator
+        from repro.tech import ErrorRates
+
+        rates = ErrorRates(gate=1e-3, movement=1e-5, measurement=1e-3)
+        sim = MonteCarloSimulator(rates, seed=0)
+        walked = []
+
+        def trial(s):
+            walked.append(s is sim)
+            return _TRIALS[PrepStrategy.BASIC](s)
+
+        obs.enable()
+        sim.estimate(trial, 500)
+        (span,) = [e for e in obs.tracer().events() if e["name"] == "mc.estimate"]
+        assert span["args"]["replayed"] == sum(walked) > 0
+        assert walked.count(False) == 1  # the fault-free probe
 
     def test_traced_monte_carlo_is_bit_identical(self):
         from repro.ancilla import evaluate_pi8_ancilla_batched
