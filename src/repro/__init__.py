@@ -27,67 +27,27 @@ suite check measured against paper numbers for the reproduced tables
 and figures.
 """
 
-from repro.ancilla import (
-    PrepStrategy,
-    RotationSynthesizer,
-    evaluate_strategies,
-    evaluate_strategy,
-    pi8_ancilla_circuit,
-)
-from repro.arch import (
-    ArchitectureKind,
-    DataflowSimulator,
-    area_breakdown,
-    area_sweep,
-    throughput_sweep,
-)
-from repro.circuits import Circuit, GateType, critical_path
-from repro.codes import STEANE, CssCode, steane_zero_prep_circuit
-from repro.error import MonteCarloSimulator, PauliFrame
-from repro.factory import Pi8Factory, PipelinedZeroFactory, SimpleZeroFactory
-from repro.kernels import (
-    analyze_kernel,
-    decompose_to_encoded_gates,
-    qcla_circuit,
-    qft_circuit,
-    qrca_circuit,
-    standard_kernels,
-)
-from repro.reporting import run_experiment
-from repro.tech import ION_TRAP, ErrorRates, TechnologyParams
+from repro.util.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "ArchitectureKind",
-    "Circuit",
-    "CssCode",
-    "DataflowSimulator",
-    "ErrorRates",
-    "GateType",
-    "ION_TRAP",
-    "MonteCarloSimulator",
-    "PauliFrame",
-    "Pi8Factory",
-    "PipelinedZeroFactory",
-    "PrepStrategy",
-    "RotationSynthesizer",
-    "STEANE",
-    "SimpleZeroFactory",
-    "TechnologyParams",
-    "analyze_kernel",
-    "area_breakdown",
-    "area_sweep",
-    "critical_path",
-    "decompose_to_encoded_gates",
-    "evaluate_strategies",
-    "evaluate_strategy",
-    "pi8_ancilla_circuit",
-    "qcla_circuit",
-    "qft_circuit",
-    "qrca_circuit",
-    "run_experiment",
-    "standard_kernels",
-    "steane_zero_prep_circuit",
-    "throughput_sweep",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".ancilla": (
+        "PrepStrategy", "RotationSynthesizer", "evaluate_strategies",
+        "evaluate_strategy", "pi8_ancilla_circuit",
+    ),
+    ".arch": (
+        "ArchitectureKind", "DataflowSimulator", "area_breakdown",
+        "area_sweep", "throughput_sweep",
+    ),
+    ".circuits": ("Circuit", "GateType", "critical_path"),
+    ".codes": ("STEANE", "CssCode", "steane_zero_prep_circuit"),
+    ".error": ("MonteCarloSimulator", "PauliFrame"),
+    ".factory": ("Pi8Factory", "PipelinedZeroFactory", "SimpleZeroFactory"),
+    ".kernels": (
+        "analyze_kernel", "decompose_to_encoded_gates", "qcla_circuit",
+        "qft_circuit", "qrca_circuit", "standard_kernels",
+    ),
+    ".reporting": ("run_experiment",),
+    ".tech": ("ION_TRAP", "ErrorRates", "TechnologyParams"),
+})

@@ -14,56 +14,28 @@ Implements Section 2 of the paper:
   pi/2^k rotations and the recursive exact construction of Figure 6.
 """
 
-from repro.ancilla.cat import (
-    cat_prep_circuit,
-    evaluate_cat_prep,
-    evaluate_cat_prep_batched,
-)
-from repro.ancilla.evaluation import (
-    PrepStrategy,
-    StrategyReport,
-    evaluate_strategies,
-    evaluate_strategy,
-)
-from repro.error.vectorized import evaluate_strategy_vectorized
-from repro.ancilla.rotations import (
-    RotationSynthesizer,
-    SynthesizedRotation,
-    recursive_rotation_expected_latency,
-)
-from repro.ancilla.t_ancilla import (
-    PI8_STAGE_NAMES,
-    evaluate_pi8_ancilla,
-    evaluate_pi8_ancilla_batched,
-    pi8_ancilla_circuit,
-    pi8_consumption_circuit,
-)
-from repro.ancilla.zero_prep import (
-    basic_zero_circuit,
-    correct_only_circuit,
-    verify_and_correct_circuit,
-    verify_only_circuit,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "PI8_STAGE_NAMES",
-    "PrepStrategy",
-    "RotationSynthesizer",
-    "StrategyReport",
-    "SynthesizedRotation",
-    "basic_zero_circuit",
-    "cat_prep_circuit",
-    "correct_only_circuit",
-    "evaluate_cat_prep",
-    "evaluate_cat_prep_batched",
-    "evaluate_pi8_ancilla",
-    "evaluate_pi8_ancilla_batched",
-    "evaluate_strategies",
-    "evaluate_strategy",
-    "evaluate_strategy_vectorized",
-    "pi8_ancilla_circuit",
-    "pi8_consumption_circuit",
-    "recursive_rotation_expected_latency",
-    "verify_and_correct_circuit",
-    "verify_only_circuit",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".cat": (
+        "cat_prep_circuit", "evaluate_cat_prep", "evaluate_cat_prep_batched",
+    ),
+    ".evaluation": (
+        "PrepStrategy", "StrategyReport", "evaluate_strategies",
+        "evaluate_strategy",
+    ),
+    "repro.error.vectorized": ("evaluate_strategy_vectorized",),
+    ".rotations": (
+        "RotationSynthesizer", "SynthesizedRotation",
+        "recursive_rotation_expected_latency",
+    ),
+    ".t_ancilla": (
+        "PI8_STAGE_NAMES", "evaluate_pi8_ancilla",
+        "evaluate_pi8_ancilla_batched", "pi8_ancilla_circuit",
+        "pi8_consumption_circuit",
+    ),
+    ".zero_prep": (
+        "basic_zero_circuit", "correct_only_circuit",
+        "verify_and_correct_circuit", "verify_only_circuit",
+    ),
+})

@@ -28,47 +28,20 @@ Modules:
 * :mod:`repro.arch.qalypso` — Qalypso tile accounting (Section 5.3).
 """
 
-from repro.arch.architectures import (
-    ArchitectureKind,
-    CqlaConfig,
-    MultiplexedConfig,
-    QlaConfig,
-    architecture_for_area,
-)
-from repro.arch.batched import simulate_batch
-from repro.arch.provisioning import AreaBreakdown, area_breakdown
-from repro.arch.simulator import DataflowSimulator, SimulationResult
-from repro.arch.supply import (
-    DedicatedKindSpec,
-    DedicatedSupply,
-    InfiniteSupply,
-    PooledSupply,
-    ReadySpec,
-    SteadyKindSpec,
-    SteadyRateSupply,
-    declared_ready_spec,
-)
-from repro.arch.sweep import area_sweep, throughput_sweep
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ArchitectureKind",
-    "AreaBreakdown",
-    "CqlaConfig",
-    "DataflowSimulator",
-    "DedicatedKindSpec",
-    "DedicatedSupply",
-    "InfiniteSupply",
-    "MultiplexedConfig",
-    "PooledSupply",
-    "QlaConfig",
-    "ReadySpec",
-    "SimulationResult",
-    "SteadyKindSpec",
-    "SteadyRateSupply",
-    "architecture_for_area",
-    "area_breakdown",
-    "area_sweep",
-    "declared_ready_spec",
-    "simulate_batch",
-    "throughput_sweep",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".architectures": (
+        "ArchitectureKind", "CqlaConfig", "MultiplexedConfig", "QlaConfig",
+        "architecture_for_area",
+    ),
+    ".batched": ("simulate_batch",),
+    ".provisioning": ("AreaBreakdown", "area_breakdown"),
+    ".simulator": ("DataflowSimulator", "SimulationResult"),
+    ".supply": (
+        "DedicatedKindSpec", "DedicatedSupply", "InfiniteSupply",
+        "PooledSupply", "ReadySpec", "SteadyKindSpec", "SteadyRateSupply",
+        "declared_ready_spec",
+    ),
+    ".sweep": ("area_sweep", "throughput_sweep"),
+})

@@ -330,7 +330,12 @@ class DedicatedSupply:
         if rates is None:
             return
         consumed = self._consumed[kind]
-        consumed[:] = [
-            c if (n == 0 or r == 0.0) else c + n
-            for c, r, n in zip(consumed, rates, counts)
-        ]
+        if any(consumed) or 0.0 in rates:
+            consumed[:] = [
+                c if (n == 0 or r == 0.0) else c + n
+                for c, r, n in zip(consumed, rates, counts)
+            ]
+        else:
+            # Fresh generators that all produce (a sweep's usual case):
+            # the counts are the new totals.
+            consumed[:] = counts

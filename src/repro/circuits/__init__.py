@@ -14,45 +14,18 @@ Circuits are used at two levels:
   :mod:`repro.codes` and :mod:`repro.ancilla`.
 """
 
-from repro.circuits.circuit import Circuit, CircuitError
-from repro.circuits.compiled import CompiledCircuit, compile_circuit
-from repro.circuits.dag import CircuitDag, ScheduleEntry, asap_schedule, critical_path
-from repro.circuits.gate import (
-    CLIFFORD_GATES,
-    GATE_ARITY,
-    NON_TRANSVERSAL_GATES,
-    PI8_CONSUMING_GATES,
-    TRANSVERSAL_GATES,
-    TWO_QUBIT_GATES,
-    Gate,
-    GateKind,
-    GateType,
-)
-from repro.circuits.latency import (
-    LatencyModel,
-    LogicalLatencyModel,
-    PhysicalLatencyModel,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "CLIFFORD_GATES",
-    "Circuit",
-    "CircuitDag",
-    "CircuitError",
-    "CompiledCircuit",
-    "GATE_ARITY",
-    "Gate",
-    "GateKind",
-    "GateType",
-    "LatencyModel",
-    "LogicalLatencyModel",
-    "NON_TRANSVERSAL_GATES",
-    "PI8_CONSUMING_GATES",
-    "PhysicalLatencyModel",
-    "ScheduleEntry",
-    "TRANSVERSAL_GATES",
-    "TWO_QUBIT_GATES",
-    "asap_schedule",
-    "compile_circuit",
-    "critical_path",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".circuit": ("Circuit", "CircuitError"),
+    ".compiled": ("CompiledCircuit", "compile_circuit"),
+    ".dag": ("CircuitDag", "ScheduleEntry", "asap_schedule", "critical_path"),
+    ".gate": (
+        "CLIFFORD_GATES", "GATE_ARITY", "NON_TRANSVERSAL_GATES",
+        "PI8_CONSUMING_GATES", "TRANSVERSAL_GATES", "TWO_QUBIT_GATES", "Gate",
+        "GateKind", "GateType",
+    ),
+    ".latency": (
+        "LatencyModel", "LogicalLatencyModel", "PhysicalLatencyModel",
+    ),
+})

@@ -33,7 +33,7 @@ from typing import Dict, List, Tuple
 import numpy as np
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.gate import PI8_CONSUMING_GATES, GateType
+from repro.circuits.gate import GATE_ARITY, PI8_CONSUMING_GATES, Gate, GateType
 from repro.circuits.latency import LogicalLatencyModel
 from repro.obs.trace import span as _span
 from repro.tech import TechnologyParams
@@ -122,8 +122,35 @@ def _compile(circuit: Circuit, tech: TechnologyParams) -> CompiledCircuit:
         return _compile_body(circuit, tech)
 
 
-def _compile_body(circuit: Circuit, tech: TechnologyParams) -> CompiledCircuit:
+def _gate_type_rows(
+    tech: TechnologyParams,
+) -> Dict[GateType, Tuple[int, float, int, int]]:
+    """``(code, latency, movement class, pi/8 flag)`` per gate type.
+
+    Every per-gate column but the operands and bit names depends on the
+    gate type alone, so each type's row is read once from a
+    representative gate's properties (valid for every type: measurements
+    need a result bit, rotations an angle) rather than once per gate.
+    """
     logical = LogicalLatencyModel(tech)
+    rows = {}
+    for gate_type, code in GATE_CODES.items():
+        gate = Gate(
+            gate_type, tuple(range(GATE_ARITY[gate_type])), angle_k=1, result="r"
+        )
+        if gate.is_prep or gate.is_measurement:
+            move = MOVE_NONE
+        elif gate.is_two_qubit:
+            move = MOVE_TWO_QUBIT
+        else:
+            move = MOVE_ONE_QUBIT
+        pi8 = 1 if gate_type in PI8_CONSUMING_GATES else 0
+        rows[gate_type] = (code, logical.gate_latency(gate), move, pi8)
+    return rows
+
+
+def _compile_body(circuit: Circuit, tech: TechnologyParams) -> CompiledCircuit:
+    rows = _gate_type_rows(tech)
     q0: List[int] = []
     q1: List[int] = []
     q2: List[int] = []
@@ -133,32 +160,23 @@ def _compile_body(circuit: Circuit, tech: TechnologyParams) -> CompiledCircuit:
     cond_id: List[int] = []
     result_id: List[int] = []
     pi8_flag: List[int] = []
-    pi8_indices: List[int] = []
     bit_ids: Dict[str, int] = {}
-    for i, gate in enumerate(circuit):
+    for gate in circuit:
+        code, gate_latency, move, pi8 = rows[gate.gate_type]
+        codes.append(code)
+        latency.append(gate_latency)
+        move_kind.append(move)
+        pi8_flag.append(pi8)
         qubits = gate.qubits
         q0.append(qubits[0])
         q1.append(qubits[1] if len(qubits) > 1 else -1)
         q2.append(qubits[2] if len(qubits) > 2 else -1)
-        codes.append(GATE_CODES[gate.gate_type])
-        latency.append(logical.gate_latency(gate))
-        if gate.is_prep or gate.is_measurement:
-            move_kind.append(MOVE_NONE)
-        elif gate.is_two_qubit:
-            move_kind.append(MOVE_TWO_QUBIT)
-        else:
-            move_kind.append(MOVE_ONE_QUBIT)
         for name, ids in ((gate.condition, cond_id), (gate.result, result_id)):
             if name is None:
                 ids.append(-1)
             else:
-                if name not in bit_ids:
-                    bit_ids[name] = len(bit_ids)
-                ids.append(bit_ids[name])
-        flag = 1 if gate.gate_type in PI8_CONSUMING_GATES else 0
-        pi8_flag.append(flag)
-        if flag:
-            pi8_indices.append(i)
+                ids.append(bit_ids.setdefault(name, len(bit_ids)))
+    pi8_indices = [i for i, flag in enumerate(pi8_flag) if flag]
     return CompiledCircuit(
         num_qubits=circuit.num_qubits,
         num_gates=len(circuit),
@@ -221,55 +239,56 @@ class CompiledDataflow:
 
 def _build_dataflow(compiled: CompiledCircuit) -> CompiledDataflow:
     n = compiled.num_gates
-    q0, q1, q2 = compiled.q0, compiled.q1, compiled.q2
-    cond_id, result_id = compiled.cond_id, compiled.result_id
     last_on_qubit = [-1] * compiled.num_qubits
     bit_writer = [-1] * compiled.num_bits
-    preds: List[List[int]] = [[] for _ in range(n)]
-    level = [0] * n
-    for i in range(n):
-        deps = set()
-        for q in (q0[i], q1[i], q2[i]):
-            if q < 0:
-                continue
-            j = last_on_qubit[q]
-            if j >= 0:
-                deps.add(j)
-            last_on_qubit[q] = i
-        c = cond_id[i]
-        if c >= 0 and bit_writer[c] >= 0:
-            deps.add(bit_writer[c])
-        r = result_id[i]
-        if r >= 0:
-            bit_writer[r] = i
-        ordered = sorted(deps)
-        preds[i] = ordered
-        if ordered:
-            level[i] = max(level[p] for p in ordered) + 1
-    counts = np.array([len(p) for p in preds], dtype=np.intp)
+    # Candidate predecessors of each gate, one list per source: the last
+    # gate on each operand qubit and the writer of the condition bit, or
+    # -1. ``level[-1]`` is a -1 sentinel, so a missing candidate never
+    # raises a gate's level and a gate without predecessors gets 0.
+    cand0, cand1, cand2, cand3 = ([-1] * n for _ in range(4))
+    level = [0] * n + [-1]
+    operands = zip(
+        compiled.q0, compiled.q1, compiled.q2, compiled.cond_id, compiled.result_id
+    )
+    for i, (a, b, c, cond, res) in enumerate(operands):
+        p0 = cand0[i] = last_on_qubit[a]
+        last_on_qubit[a] = i
+        p1 = p2 = p3 = -1
+        if b >= 0:
+            p1 = cand1[i] = last_on_qubit[b]
+            last_on_qubit[b] = i
+            if c >= 0:
+                p2 = cand2[i] = last_on_qubit[c]
+                last_on_qubit[c] = i
+        if cond >= 0:
+            p3 = cand3[i] = bit_writer[cond]
+        if res >= 0:
+            bit_writer[res] = i
+        level[i] = max(level[p0], level[p1], level[p2], level[p3]) + 1
+    # Sorting each gate's candidates puts the -1s first and duplicates
+    # side by side; what survives is the ascending predecessor list.
+    cand = np.array([cand0, cand1, cand2, cand3], dtype=np.intp).T.copy()
+    cand.sort(axis=1)
+    keep = cand >= 0
+    keep[:, 1:] &= cand[:, 1:] != cand[:, :-1]
+    counts = np.count_nonzero(keep, axis=1).astype(np.intp)
     pred_offsets = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(counts, out=pred_offsets[1:])
-    pred_indices = np.array(
-        [p for row in preds for p in row], dtype=np.intp
-    )
-    level_arr = np.array(level, dtype=np.intp)
+    level_arr = np.array(level[:n], dtype=np.intp)
     num_levels = int(level_arr.max()) + 1 if n else 0
     order = np.argsort(level_arr, kind="stable").astype(np.intp)
     level_offsets = np.zeros(num_levels + 1, dtype=np.intp)
     np.cumsum(np.bincount(level_arr, minlength=num_levels), out=level_offsets[1:])
     seg = np.zeros(n + 1, dtype=np.intp)
     np.cumsum(counts[order], out=seg[1:])
-    flat = np.concatenate(
-        [np.asarray(preds[g], dtype=np.intp) for g in order]
-    ) if pred_indices.size else np.empty(0, dtype=np.intp)
     return CompiledDataflow(
         pred_offsets=pred_offsets,
-        pred_indices=pred_indices,
+        pred_indices=cand[keep],
         num_levels=num_levels,
         level_order=order,
         level_offsets=level_offsets,
         level_pred_seg=seg,
-        level_pred_flat=flat,
+        level_pred_flat=cand[order][keep[order]],
     )
 
 

@@ -125,6 +125,9 @@ CLIFFORD_GATES = frozenset(
 
 TWO_QUBIT_GATES = frozenset(t for t, n in GATE_ARITY.items() if n == 2)
 
+_ROTATION_GATES = (GateType.RZ, GateType.CRZ)
+_MEASUREMENT_GATES = (GateType.MEASURE_Z, GateType.MEASURE_X)
+
 
 @dataclass(frozen=True)
 class Gate:
@@ -149,22 +152,23 @@ class Gate:
     tag: Optional[str] = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
-        expected = GATE_ARITY[self.gate_type]
-        if len(self.qubits) != expected:
+        gate_type, qubits = self.gate_type, self.qubits
+        expected = GATE_ARITY[gate_type]
+        if len(qubits) != expected:
             raise ValueError(
-                f"{self.gate_type.value} acts on {expected} qubit(s), "
-                f"got {len(self.qubits)}"
+                f"{gate_type.value} acts on {expected} qubit(s), "
+                f"got {len(qubits)}"
             )
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValueError(f"duplicate qubit in {self.qubits}")
-        if any(q < 0 for q in self.qubits):
-            raise ValueError(f"negative qubit index in {self.qubits}")
-        if self.gate_type in (GateType.RZ, GateType.CRZ):
+        if expected > 1 and len(set(qubits)) != expected:
+            raise ValueError(f"duplicate qubit in {qubits}")
+        if min(qubits) < 0:
+            raise ValueError(f"negative qubit index in {qubits}")
+        if gate_type in _ROTATION_GATES:
             if self.angle_k is None or self.angle_k < 1:
                 raise ValueError(
-                    f"{self.gate_type.value} requires angle_k >= 1, got {self.angle_k}"
+                    f"{gate_type.value} requires angle_k >= 1, got {self.angle_k}"
                 )
-        if self.is_measurement and self.result is None:
+        if self.result is None and gate_type in _MEASUREMENT_GATES:
             raise ValueError("measurements must name a result bit")
 
     @property
@@ -178,7 +182,7 @@ class Gate:
 
     @property
     def is_measurement(self) -> bool:
-        return self.gate_type in (GateType.MEASURE_Z, GateType.MEASURE_X)
+        return self.gate_type in _MEASUREMENT_GATES
 
     @property
     def is_prep(self) -> bool:

@@ -10,34 +10,14 @@ base code, making concatenation level a first-class design dimension
 from level-(L-1) blocks, and recursive hard-decision decoding).
 """
 
-from repro.codes.css import CssCode
-from repro.codes.concatenated import (
-    ConcatenatedCode,
-    css_encoder_layout,
-    css_zero_prep_circuit,
-    propagate_zero_stabilizers,
-    zero_state_group,
-)
-from repro.codes.steane import (
-    STEANE,
-    steane_code,
-    steane_zero_prep_circuit,
-)
-from repro.codes.transversal import (
-    TransversalRule,
-    transversal_rule,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ConcatenatedCode",
-    "CssCode",
-    "STEANE",
-    "TransversalRule",
-    "css_encoder_layout",
-    "css_zero_prep_circuit",
-    "propagate_zero_stabilizers",
-    "steane_code",
-    "steane_zero_prep_circuit",
-    "transversal_rule",
-    "zero_state_group",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".css": ("CssCode",),
+    ".concatenated": (
+        "ConcatenatedCode", "css_encoder_layout", "css_zero_prep_circuit",
+        "propagate_zero_stabilizers", "zero_state_group",
+    ),
+    ".steane": ("STEANE", "steane_code", "steane_zero_prep_circuit"),
+    ".transversal": ("TransversalRule", "transversal_rule"),
+})

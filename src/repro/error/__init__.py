@@ -11,30 +11,14 @@ that machinery as a Pauli-frame simulator:
 * :mod:`repro.error.montecarlo` — stochastic injection and trial running.
 """
 
-from repro.error.batched import (
-    BatchFrames,
-    BatchedSimulator,
-    CompiledProtocol,
-    ProtocolLoweringError,
-    compile_protocol,
-)
-from repro.error.montecarlo import (
-    MonteCarloResult,
-    MonteCarloSimulator,
-    TrialOutcome,
-)
-from repro.error.pauli import PauliFrame
-from repro.error.propagation import propagate_gate
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "BatchFrames",
-    "BatchedSimulator",
-    "CompiledProtocol",
-    "MonteCarloResult",
-    "MonteCarloSimulator",
-    "PauliFrame",
-    "ProtocolLoweringError",
-    "TrialOutcome",
-    "compile_protocol",
-    "propagate_gate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".batched": (
+        "BatchFrames", "BatchedSimulator", "CompiledProtocol",
+        "ProtocolLoweringError", "compile_protocol",
+    ),
+    ".montecarlo": ("MonteCarloResult", "MonteCarloSimulator", "TrialOutcome"),
+    ".pauli": ("PauliFrame",),
+    ".propagation": ("propagate_gate",),
+})

@@ -35,96 +35,33 @@ Quickstart::
     print(result.best.point_dict, result.best_score)
 """
 
-from repro.explore.engine import (
-    ExplorationResult,
-    Journal,
-    explore,
-    format_exploration,
-    pareto_front,
-)
-from repro.explore.errors import (
-    EvaluationFailed,
-    LeaseHeld,
-    PoisonPoint,
-    ServeDegradedWarning,
-    ServeRecoveredWarning,
-    StoreDegradedWarning,
-)
-from repro.explore.evaluator import (
-    Evaluation,
-    Evaluator,
-    KernelSummary,
-    evaluate_design_point,
-    evaluate_design_points,
-)
-from repro.explore.objectives import (
-    AdcrObjective,
-    AncillaQualityObjective,
-    AreaObjective,
-    ConstrainedObjective,
-    LatencyObjective,
-    Objective,
-    get_objective,
-    objective_names,
-    pi8_ancilla_quality,
-)
-from repro.explore.space import (
-    Categorical,
-    Continuous,
-    DesignSpace,
-    Integer,
-    architecture_space,
-    throughput_space,
-)
-from repro.explore.store import FsckReport, ResultStore, key_digest
-from repro.explore.strategies import (
-    AdaptiveStrategy,
-    GridStrategy,
-    RandomStrategy,
-    Strategy,
-    get_strategy,
-    strategy_names,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "AdaptiveStrategy",
-    "AdcrObjective",
-    "AncillaQualityObjective",
-    "AreaObjective",
-    "Categorical",
-    "ConstrainedObjective",
-    "Continuous",
-    "DesignSpace",
-    "Evaluation",
-    "EvaluationFailed",
-    "Evaluator",
-    "ExplorationResult",
-    "FsckReport",
-    "GridStrategy",
-    "Integer",
-    "Journal",
-    "KernelSummary",
-    "LatencyObjective",
-    "LeaseHeld",
-    "Objective",
-    "PoisonPoint",
-    "RandomStrategy",
-    "ResultStore",
-    "ServeDegradedWarning",
-    "ServeRecoveredWarning",
-    "StoreDegradedWarning",
-    "Strategy",
-    "architecture_space",
-    "evaluate_design_point",
-    "evaluate_design_points",
-    "explore",
-    "format_exploration",
-    "get_objective",
-    "get_strategy",
-    "key_digest",
-    "objective_names",
-    "pareto_front",
-    "pi8_ancilla_quality",
-    "strategy_names",
-    "throughput_space",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".engine": (
+        "ExplorationResult", "Journal", "explore", "format_exploration",
+        "pareto_front",
+    ),
+    ".errors": (
+        "EvaluationFailed", "LeaseHeld", "PoisonPoint", "ServeDegradedWarning",
+        "ServeRecoveredWarning", "StoreDegradedWarning",
+    ),
+    ".evaluator": (
+        "Evaluation", "Evaluator", "KernelSummary", "evaluate_design_point",
+        "evaluate_design_points",
+    ),
+    ".objectives": (
+        "AdcrObjective", "AncillaQualityObjective", "AreaObjective",
+        "ConstrainedObjective", "LatencyObjective", "Objective",
+        "get_objective", "objective_names", "pi8_ancilla_quality",
+    ),
+    ".space": (
+        "Categorical", "Continuous", "DesignSpace", "Integer",
+        "architecture_space", "throughput_space",
+    ),
+    ".store": ("FsckReport", "ResultStore", "key_digest"),
+    ".strategies": (
+        "AdaptiveStrategy", "GridStrategy", "RandomStrategy", "Strategy",
+        "get_strategy", "strategy_names",
+    ),
+})

@@ -14,17 +14,11 @@ stream of encoded ancillae. This package models:
   403 macroblocks, 18.3 ancillae/ms).
 """
 
-from repro.factory.pipelined import PipelinedZeroFactory, StageProvision
-from repro.factory.simple import SimpleZeroFactory
-from repro.factory.t_factory import Pi8Factory
-from repro.factory.units import FunctionalUnit, pi8_units, zero_factory_units
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "FunctionalUnit",
-    "Pi8Factory",
-    "PipelinedZeroFactory",
-    "SimpleZeroFactory",
-    "StageProvision",
-    "pi8_units",
-    "zero_factory_units",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".pipelined": ("PipelinedZeroFactory", "StageProvision"),
+    ".simple": ("SimpleZeroFactory",),
+    ".t_factory": ("Pi8Factory",),
+    ".units": ("FunctionalUnit", "pi8_units", "zero_factory_units"),
+})

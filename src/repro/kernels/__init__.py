@@ -19,21 +19,13 @@ Supporting machinery:
   characterization (Tables 2-3, Figure 7).
 """
 
-from repro.kernels.analysis import KernelAnalysis, analyze_kernel, standard_kernels
-from repro.kernels.classical import evaluate_reversible
-from repro.kernels.decompose import decompose_to_encoded_gates
-from repro.kernels.qcla import qcla_circuit
-from repro.kernels.qft import qft_circuit
-from repro.kernels.qrca import qrca_circuit
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "KernelAnalysis",
-    "analyze_kernel",
-    "decompose_to_encoded_gates",
-    "evaluate_reversible",
-    "qcla_circuit",
-    "qcla_circuit",
-    "qft_circuit",
-    "qrca_circuit",
-    "standard_kernels",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".analysis": ("KernelAnalysis", "analyze_kernel", "standard_kernels"),
+    ".classical": ("evaluate_reversible",),
+    ".decompose": ("decompose_to_encoded_gates",),
+    ".qcla": ("qcla_circuit",),
+    ".qft": ("qft_circuit",),
+    ".qrca": ("qrca_circuit",),
+})

@@ -142,8 +142,13 @@ class KernelAnalysis:
 
     @property
     def pi8_gate_count(self) -> int:
-        """Gates consuming an encoded pi/8 ancilla."""
-        return sum(1 for g in self.circuit if g.gate_type in _PI8_TYPES)
+        """Gates consuming an encoded pi/8 ancilla.
+
+        Read from the memoized compiled form, which flags the same
+        :data:`~repro.circuits.gate.PI8_CONSUMING_GATES`, instead of
+        walking every gate on each call.
+        """
+        return self.compiled_circuit().pi8_count
 
     @property
     def non_transversal_fraction(self) -> float:

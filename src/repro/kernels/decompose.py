@@ -88,20 +88,19 @@ def _emit_rotation(
         return
     word = synthesizer.synthesize(k).gates
     if inverse:
-        word = tuple(reversed([_adjoint(g) for g in word]))
+        word = tuple(reversed([_ADJOINT[g] for g in word]))
     for gate_type in word:
         _EMITTERS[gate_type](circ, qubit)
 
 
-def _adjoint(gate_type: GateType) -> GateType:
-    return {
-        GateType.H: GateType.H,
-        GateType.T: GateType.T_DAG,
-        GateType.T_DAG: GateType.T,
-        GateType.S: GateType.S_DAG,
-        GateType.S_DAG: GateType.S,
-        GateType.Z: GateType.Z,
-    }[gate_type]
+_ADJOINT = {
+    GateType.H: GateType.H,
+    GateType.T: GateType.T_DAG,
+    GateType.T_DAG: GateType.T,
+    GateType.S: GateType.S_DAG,
+    GateType.S_DAG: GateType.S,
+    GateType.Z: GateType.Z,
+}
 
 
 _EMITTERS = {

@@ -16,21 +16,12 @@ through which ions shuttle, with designated gate locations. Provides:
   factory (Figure 11) and the pipelined functional units (Figure 13).
 """
 
-from repro.layout.grid import Grid, GridError
-from repro.layout.macroblock import Direction, Macroblock, MacroblockType
-from repro.layout.region import data_region_grid, data_qubit_area
-from repro.layout.router import MovePlan, Router
-from repro.layout.schedules import OpSchedule
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "Direction",
-    "Grid",
-    "GridError",
-    "Macroblock",
-    "MacroblockType",
-    "MovePlan",
-    "OpSchedule",
-    "Router",
-    "data_qubit_area",
-    "data_region_grid",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".grid": ("Grid", "GridError"),
+    ".macroblock": ("Direction", "Macroblock", "MacroblockType"),
+    ".region": ("data_region_grid", "data_qubit_area"),
+    ".router": ("MovePlan", "Router"),
+    ".schedules": ("OpSchedule",),
+})

@@ -18,68 +18,24 @@ Quick start::
 
     obs.enable()                               # tracing on
     ...run work...
-    obs.TRACER.export_chrome("trace.json")     # -> ui.perfetto.dev
+    obs.tracer().export_chrome("trace.json")   # -> ui.perfetto.dev
     print(obs.prometheus())                    # metrics text
-    print(obs.format_phase_table(obs.TRACER.events()))
+    print(obs.format_phase_table(obs.tracer().events()))
 
 See the README "Observability" section for the metric name glossary.
 """
 
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    LATENCY_SECONDS_EDGES,
-    PHASE_SECONDS,
-    PHASE_SECONDS_EDGES,
-    REGISTRY,
-    REQUEST_SECONDS_EDGES,
-    Registry,
-    counter,
-    gauge,
-    histogram,
-    prometheus,
-    snapshot,
-)
-from repro.obs.report import PhaseStat, format_phase_table, phase_breakdown
-from repro.obs.trace import Span, Tracer, disable, enable, enabled, span
+from repro.util.lazy import lazy_exports
 
-
-def tracer():
-    """The active :class:`Tracer`, or ``None`` when tracing is off.
-
-    Prefer this over importing ``TRACER`` directly: the module global
-    is rebound by :func:`enable`/:func:`disable`, so a ``from``-import
-    would go stale.
-    """
-    from repro.obs import trace as _trace
-
-    return _trace.TRACER
-
-
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "Registry",
-    "REGISTRY",
-    "counter",
-    "gauge",
-    "histogram",
-    "snapshot",
-    "prometheus",
-    "PHASE_SECONDS",
-    "PHASE_SECONDS_EDGES",
-    "LATENCY_SECONDS_EDGES",
-    "REQUEST_SECONDS_EDGES",
-    "Span",
-    "Tracer",
-    "span",
-    "enable",
-    "disable",
-    "enabled",
-    "tracer",
-    "PhaseStat",
-    "phase_breakdown",
-    "format_phase_table",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".metrics": (
+        "Counter", "Gauge", "Histogram", "LATENCY_SECONDS_EDGES",
+        "PHASE_SECONDS", "PHASE_SECONDS_EDGES", "REGISTRY",
+        "REQUEST_SECONDS_EDGES", "Registry", "counter", "gauge", "histogram",
+        "prometheus", "snapshot",
+    ),
+    ".report": ("PhaseStat", "format_phase_table", "phase_breakdown"),
+    ".trace": (
+        "Span", "Tracer", "disable", "enable", "enabled", "span", "tracer",
+    ),
+})

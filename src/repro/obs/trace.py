@@ -210,3 +210,13 @@ def disable() -> None:
     """Turn tracing off."""
     global TRACER
     TRACER = None
+
+
+def tracer() -> Optional[Tracer]:
+    """The active :class:`Tracer`, or ``None`` when tracing is off.
+
+    Prefer this over importing ``TRACER`` directly: the module global
+    is rebound by :func:`enable`/:func:`disable`, so a ``from``-import
+    would go stale.
+    """
+    return TRACER

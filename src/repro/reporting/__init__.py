@@ -5,19 +5,10 @@ experiment here; ``run_experiment("table3")`` (or the benchmark suite)
 regenerates the corresponding rows or series.
 """
 
-from repro.reporting.figures import ascii_plot, series_to_csv
-from repro.reporting.registry import (
-    EXPERIMENTS,
-    Experiment,
-    run_experiment,
-)
-from repro.reporting.tables import format_table
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "EXPERIMENTS",
-    "Experiment",
-    "ascii_plot",
-    "format_table",
-    "run_experiment",
-    "series_to_csv",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".figures": ("ascii_plot", "series_to_csv"),
+    ".registry": ("EXPERIMENTS", "Experiment", "run_experiment"),
+    ".tables": ("format_table",),
+})

@@ -34,45 +34,17 @@ See the README "Serving" section for the endpoint table and the
 failure-mode matrix.
 """
 
-from repro.serve.client import (
-    Client,
-    RemoteEvaluator,
-    RequestError,
-    ServeError,
-    ServerOverloaded,
-    ServerUnavailable,
-    TransportError,
-)
-from repro.serve.pool import (
-    AllReplicasUnavailable,
-    CircuitBreaker,
-    ReplicaSet,
-)
-from repro.serve.protocol import (
-    EVALUATE_PATH,
-    HEALTH_PATH,
-    METRICS_PATH,
-    READY_PATH,
-    ProtocolError,
-)
-from repro.serve.server import ExploreServer, ExploreService
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "AllReplicasUnavailable",
-    "CircuitBreaker",
-    "Client",
-    "ExploreServer",
-    "ExploreService",
-    "ReplicaSet",
-    "EVALUATE_PATH",
-    "HEALTH_PATH",
-    "METRICS_PATH",
-    "READY_PATH",
-    "ProtocolError",
-    "RemoteEvaluator",
-    "RequestError",
-    "ServeError",
-    "ServerOverloaded",
-    "ServerUnavailable",
-    "TransportError",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".client": (
+        "Client", "RemoteEvaluator", "RequestError", "ServeError",
+        "ServerOverloaded", "ServerUnavailable", "TransportError",
+    ),
+    ".pool": ("AllReplicasUnavailable", "CircuitBreaker", "ReplicaSet"),
+    ".protocol": (
+        "EVALUATE_PATH", "HEALTH_PATH", "METRICS_PATH", "READY_PATH",
+        "ProtocolError",
+    ),
+    ".server": ("ExploreServer", "ExploreService"),
+})

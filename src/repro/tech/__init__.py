@@ -11,24 +11,12 @@ so level-(L-1) logical operations become the physical layer — the knob
 that turns ``tech_scale``-style what-ifs into a real code-level study.
 """
 
-from repro.tech.params import (
-    ERROR_MODEL_PAPER,
-    ION_TRAP,
-    ErrorRates,
-    TechnologyParams,
-    ion_trap_params,
-)
-from repro.tech.levels import (
-    at_level,
-    level_one_logical_error_rate,
-)
+from repro.util.lazy import lazy_exports
 
-__all__ = [
-    "ERROR_MODEL_PAPER",
-    "ION_TRAP",
-    "ErrorRates",
-    "TechnologyParams",
-    "at_level",
-    "ion_trap_params",
-    "level_one_logical_error_rate",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".params": (
+        "ERROR_MODEL_PAPER", "ION_TRAP", "ErrorRates", "TechnologyParams",
+        "ion_trap_params",
+    ),
+    ".levels": ("at_level", "level_one_logical_error_rate"),
+})

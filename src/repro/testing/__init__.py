@@ -8,10 +8,12 @@ unless a fault plan is armed.
 
 :mod:`repro.testing.reference` holds the per-gate reference dataflow
 loop (:func:`~repro.testing.reference.run_reference`), the oracle the
-production engines are checked against. It is not imported here, so
-loading the fault hooks never pulls in the simulator.
+production engines are checked against. Nothing is imported here
+until first use, so loading the fault hooks never pulls in the simulator.
 """
 
-from repro.testing.faults import FaultPlan, FaultRule, active_plan, arm, check
+from repro.util.lazy import lazy_exports
 
-__all__ = ["FaultPlan", "FaultRule", "active_plan", "arm", "check"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    ".faults": ("FaultPlan", "FaultRule", "active_plan", "arm", "check"),
+})

@@ -107,3 +107,15 @@ class TestMemoization:
 
     def test_times_computed_once(self, qrca8):
         assert qrca8._times() is qrca8._times()
+
+
+@pytest.mark.parametrize("name", ["qrca", "qcla", "qft"])
+@pytest.mark.parametrize("width", [8, 16, 32])
+def test_pi8_gate_count_equals_a_gate_walk(name, width):
+    """The count read from the compiled form is the count of pi/8
+    consumers in the decomposed circuit."""
+    from repro.kernels import analyze_kernel
+
+    ka = analyze_kernel(name, width)
+    walked = sum(1 for g in ka.circuit if g.gate_type in _PI8_TYPES)
+    assert ka.pi8_gate_count == walked

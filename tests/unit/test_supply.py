@@ -88,3 +88,22 @@ class TestDedicatedSupply:
     def test_unknown_kind_ready(self):
         supply = DedicatedSupply({ZERO: 1.0}, num_qubits=1)
         assert supply.acquire(PI8, 0, 3, 1.0) == 1.0
+
+    @pytest.mark.parametrize("rate", [0.0, 2.0])
+    @pytest.mark.parametrize("primed", [False, True])
+    def test_advance_per_qubit_matches_acquire_walk(self, rate, primed):
+        """The bulk commit leaves the state a per-gate walk would, on
+        fresh and already-drawn generators, zero rates included."""
+        counts = [3, 0, 2, 5]
+        walked = DedicatedSupply({ZERO: rate}, num_qubits=4)
+        bulk = DedicatedSupply({ZERO: rate}, num_qubits=4)
+        if primed:
+            for supply in (walked, bulk):
+                supply.acquire(ZERO, 1, 4, 0.0)
+                supply.acquire(ZERO, 2, 1, 0.0)
+        for qubit, count in enumerate(counts):
+            for _ in range(count):
+                walked.acquire(ZERO, qubit, 1, 0.0)
+        bulk.advance_per_qubit(ZERO, counts)
+        assert bulk.dedicated_state(ZERO) == walked.dedicated_state(ZERO)
+        assert all(type(c) is int for c in bulk.dedicated_state(ZERO)[1])
