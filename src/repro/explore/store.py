@@ -27,12 +27,13 @@ are merely garbage, reportable and reclaimable with
 Durability and fault behaviour:
 
 * the store is a cache of deterministic recomputations, so records are
-  published atomically (temp file + ``os.replace``) but not fsync'd:
-  concurrent explorations sharing a store never observe torn records,
-  and a record that power loss leaves empty or torn reads as a miss and
-  is recomputed. Only the exploration journal (``journal.jsonl``, see
-  :mod:`repro.explore.engine`) is fsync'd, since resume depends
-  on it;
+  written as compact canonical JSON (older ``indent=1`` records read
+  the same) and published atomically (temp file + ``os.replace``) but
+  not fsync'd: concurrent explorations sharing a store never observe
+  torn records, and a record that power loss leaves empty or torn reads
+  as a miss and is recomputed. Only the exploration journal
+  (``journal.jsonl``, see :mod:`repro.explore.engine`) is fsync'd,
+  since resume depends on it;
 * a failed write (``ENOSPC``, read-only cache dir) degrades to a
   :class:`~repro.explore.errors.StoreDegradedWarning` instead of
   crashing the exploration — the evaluation lives on in memory;
@@ -42,16 +43,24 @@ Durability and fault behaviour:
 
 Concurrency — the lease protocol:
 
-Multiple evaluators sharing one store coordinate through *lease files*
-(``<digest>.lease`` beside the record). :meth:`claim` atomically takes
-the lease (``O_CREAT | O_EXCL``); the owner heartbeats it
-(:meth:`heartbeat` refreshes the file's mtime at batch boundaries) while
-simulating, :meth:`put`\\ s the record and :meth:`release`\\ s. A
-contender that fails to claim waits for the record to appear; if the
-owner dies, its lease goes stale (no heartbeat for ``lease_ttl``
-seconds) and a contender reclaims it. Reclamation replaces the lease
-with the contender's own token and reads it back, so of several racing
-reclaimers exactly one (the last writer) proceeds. The protocol is
+Multiple evaluators sharing one store coordinate through *leases*
+(``<digest>.lease`` beside the record). Each store instance keeps one
+*owner token* under ``<root>/owners/`` holding its ``{"owner", "pid",
+"claimed"}`` JSON, and a lease is a hard link to that token:
+:meth:`claim` takes it with ``os.link`` (``EEXIST``: someone holds it),
+so a cold miss creates one inode, the record's. A lease is ours when its
+inode is our token's (one ``stat``), and its mtime is the token's: one
+:meth:`heartbeat` at a batch boundary keeps every lease of the store
+live, and :meth:`claim` refreshes a token older than ``lease_ttl / 4``
+so no lease is born stale. A contender that fails to claim waits for the
+record to appear; if the owner dies, its leases go stale (no heartbeat
+for ``lease_ttl`` seconds) and a contender reclaims one by linking its
+own token to a fresh temp name, ``os.replace``-ing that over the lease
+and reading back the inode, so of several racing reclaimers exactly one
+(the last writer) proceeds. ``fsck --remove`` deletes a token that is
+stale and linked by no lease; its store recreates it on the next claim.
+Where hard links are unsupported, :meth:`claim` fails open with a
+:class:`~repro.explore.errors.StoreDegradedWarning`. The protocol is
 cooperative — it deduplicates work; correctness never depends on it
 because :meth:`put` is idempotent last-writer-wins.
 """
@@ -138,6 +147,7 @@ class FsckReport:
     stale_schema: List[str] = field(default_factory=list)
     foreign: List[str] = field(default_factory=list)
     stale_leases: List[str] = field(default_factory=list)
+    stale_tokens: List[str] = field(default_factory=list)
     removed: int = 0
 
     @property
@@ -172,6 +182,11 @@ class ResultStore:
         if float(lease_ttl) <= 0:
             raise ValueError(f"lease_ttl must be positive, got {lease_ttl}")
         self.lease_ttl = float(lease_ttl)
+        # Outside explore/, so its globs and listings never see it.
+        self._token = self.root / "owners" / f"{uuid.uuid4().hex}.token"
+        #: ``(st_ino, st_dev)`` of the token: a lease with it is ours.
+        self._token_id: Optional[Tuple[int, int]] = None
+        self._token_touched = 0.0
 
     # ------------------------------------------------------------------
 
@@ -262,20 +277,17 @@ class ResultStore:
         document = dict(record)
         document["schema"] = SCHEMA_VERSION
         document["key"] = key.document
-        payload = json.dumps(document, sort_keys=True, indent=1)
-        payload = faults.mangle("store_put", _fault_point(key.document), payload)
+        payload = faults.mangle(
+            "store_put", _fault_point(key.document), canonical_json(document)
+        )
         temp = None
         try:
             faults.check("store_put", _fault_point(key.document))
-            self.directory.mkdir(parents=True, exist_ok=True)
-            # Suffix must not be ".json": in-flight temp files would match
-            # the "*.json" globs in __len__/records()/clear().
-            fd, temp = tempfile.mkstemp(
-                dir=self.directory, prefix=".inflight-", suffix=".tmp"
-            )
+            fd, temp = self._mkstemp()
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
                 handle.write(payload)
             os.replace(temp, self._path(key))
+            temp = None
             return True
         except OSError as exc:
             warnings.warn(
@@ -286,46 +298,64 @@ class ResultStore:
             )
             return False
         finally:
-            if temp is not None and os.path.exists(temp):
+            if temp is not None:
                 try:
                     os.unlink(temp)
                 except OSError:
                     pass
 
+    def _mkstemp(self) -> Tuple[int, str]:
+        # Suffix must not be ".json": in-flight temp files would match
+        # the "*.json" globs in __len__/records()/clear().
+        try:
+            return tempfile.mkstemp(
+                dir=self.directory, prefix=".inflight-", suffix=".tmp"
+            )
+        except FileNotFoundError:  # first write, or explore/ was removed
+            self.directory.mkdir(parents=True, exist_ok=True)
+            return tempfile.mkstemp(
+                dir=self.directory, prefix=".inflight-", suffix=".tmp"
+            )
+
     # ------------------------------------------------------------------
     # Leases
 
-    def _write_lease(self, path: Path, exclusive: bool) -> bool:
-        payload = canonical_json(
-            {"owner": self.owner, "pid": os.getpid(), "claimed": time.time()}
-        )
+    def _touch_token(self) -> None:
+        """Refresh the owner token's mtime, recreating it if missing."""
         try:
-            if exclusive:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(payload)
-            else:
-                # Reclaim path: atomically replace, then read back — of
-                # several racing reclaimers only the last writer sees its
-                # own token and proceeds.
-                fd, temp = tempfile.mkstemp(
-                    dir=self.directory, prefix=".inflight-", suffix=".tmp"
-                )
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    handle.write(payload)
-                os.replace(temp, path)
-                time.sleep(0)  # let racing replacers land
-                return self.lease_owner(path) == self.owner
-            return True
-        except FileExistsError:
+            os.utime(self._token)
+        except FileNotFoundError:
+            self._token.parent.mkdir(parents=True, exist_ok=True)
+            with open(self._token, "w", encoding="utf-8") as handle:
+                handle.write(canonical_json(
+                    {"owner": self.owner, "pid": os.getpid(),
+                     "claimed": time.time()}
+                ))
+                stat = os.fstat(handle.fileno())
+            self._token_id = (stat.st_ino, stat.st_dev)
+        self._token_touched = time.time()
+
+    def _link_token(self, path: Path) -> None:
+        """Hard-link the owner token at ``path`` (FileExistsError if taken).
+
+        The link shares the token's mtime, so a token older than a
+        quarter TTL is refreshed first: no lease is born stale.
+        """
+        if time.time() - self._token_touched > self.lease_ttl / 4:
+            self._touch_token()
+        try:
+            os.link(self._token, path)
+        except FileNotFoundError:  # token or explore/ removed underneath us
+            self._touch_token()
+            self.directory.mkdir(parents=True, exist_ok=True)
+            os.link(self._token, path)
+
+    def _owns(self, path: Path) -> bool:
+        try:
+            stat = os.stat(path)
+        except OSError:
             return False
-        except OSError as exc:
-            warnings.warn(
-                f"lease write failed ({exc}); proceeding without a claim",
-                StoreDegradedWarning,
-                stacklevel=3,
-            )
-            return True  # fail open: correctness never depends on leases
+        return (stat.st_ino, stat.st_dev) == self._token_id
 
     def lease_owner(self, key_or_path) -> Optional[str]:
         """Owner token of the live lease for ``key``, or None."""
@@ -357,9 +387,18 @@ class ResultStore:
 
         Outcomes count into ``repro_lease_claims_total{outcome=...}`` with
         ``claimed`` (fresh take), ``held`` (already ours), ``reclaimed``
-        (stale lease replaced), or ``contested`` (someone else's).
+        (stale lease replaced), ``contested`` (someone else's), or
+        ``degraded`` (the link failed, so we proceed unclaimed).
         """
-        outcome, owned = self._claim(key)
+        try:
+            outcome, owned = self._claim(key)
+        except OSError as exc:  # no hard links here (EPERM, ENOTSUP, EXDEV)
+            warnings.warn(
+                f"lease link failed ({exc}); proceeding without a claim",
+                StoreDegradedWarning,
+                stacklevel=2,
+            )
+            outcome, owned = "degraded", True  # fail open
         _metrics.counter(
             "repro_lease_claims_total",
             help="lease claim attempts by outcome",
@@ -368,41 +407,52 @@ class ResultStore:
         return owned
 
     def _claim(self, key: Key) -> Tuple[str, bool]:
-        try:
-            self.directory.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            warnings.warn(
-                f"lease directory unavailable ({exc}); proceeding unclaimed",
-                StoreDegradedWarning,
-                stacklevel=2,
-            )
-            return "degraded", True  # fail open
         path = self._lease_path(key)
-        if self._write_lease(path, exclusive=True):
+        try:
+            self._link_token(path)
             return "claimed", True
-        if self.lease_owner(path) == self.owner:
+        except FileExistsError:
+            pass
+        try:
+            lease = os.stat(path)
+        except FileNotFoundError:
+            return "contested", False  # released between link and stat
+        if (lease.st_ino, lease.st_dev) == self._token_id:
             return "held", True
-        if self._lease_stale(path):
-            if self._write_lease(path, exclusive=False):
-                return "reclaimed", True
+        if time.time() - lease.st_mtime <= self.lease_ttl:
             return "contested", False
+        # Stale: replace it with our own link, then read back — of
+        # several racing reclaimers only the last writer sees its own
+        # inode and proceeds.
+        temp = self.directory / f".inflight-{uuid.uuid4().hex}.tmp"
+        self._link_token(temp)
+        try:
+            os.replace(temp, path)
+        except OSError:
+            os.unlink(temp)
+            raise
+        time.sleep(0)  # let racing replacers land
+        if self._owns(path):
+            return "reclaimed", True
         return "contested", False
 
     def release(self, key: Key) -> None:
         """Drop our lease on ``key`` (a lease we don't own is left alone)."""
         path = self._lease_path(key)
-        if self.lease_owner(path) == self.owner:
+        if self._owns(path):
             try:
                 path.unlink()
             except OSError:
                 pass
 
     def heartbeat(self, key: Key) -> None:
-        """Refresh our lease's mtime so it doesn't go stale mid-run."""
+        """Refresh our lease's mtime so it doesn't go stale mid-run (and
+        every other lease of this store: they all link one token)."""
         path = self._lease_path(key)
-        if self.lease_owner(path) == self.owner:
+        if self._owns(path):
             try:
                 os.utime(path)
+                self._token_touched = time.time()
             except OSError:
                 pass
 
@@ -462,13 +512,20 @@ class ResultStore:
         Classifies each ``*.json`` entry as ok / ``corrupt`` (unreadable
         or not a record) / ``stale_schema`` / ``foreign`` (filename does
         not match the content address of the embedded key — a renamed or
-        tampered file), and each ``*.lease`` as live or stale. With
-        ``remove=True`` the unhealthy entries and stale leases are
-        deleted.
+        tampered file), each ``*.lease`` as live or stale, and each owner
+        token as stale when no lease links it and it has not been
+        touched for ``lease_ttl``. With ``remove=True`` the unhealthy
+        entries, stale leases and stale tokens are deleted.
         """
         report = FsckReport()
-        if not self.directory.is_dir():
-            return report
+        now = time.time()
+        for path in sorted(self._token.parent.glob("*.token")):
+            try:
+                stat = path.stat()
+            except OSError:
+                continue  # removed between glob and stat
+            if stat.st_nlink == 1 and now - stat.st_mtime > self.lease_ttl:
+                report.stale_tokens.append(path.name)
         for path in sorted(self.directory.glob("*.json")):
             try:
                 with open(path, "r", encoding="utf-8") as handle:
@@ -491,15 +548,16 @@ class ResultStore:
             if self._lease_stale(path):
                 report.stale_leases.append(path.name)
         if remove:
-            doomed = (
-                report.corrupt
+            doomed = [
+                self.directory / name
+                for name in report.corrupt
                 + report.stale_schema
                 + report.foreign
                 + report.stale_leases
-            )
-            for name in doomed:
+            ] + [self._token.parent / name for name in report.stale_tokens]
+            for path in doomed:
                 try:
-                    (self.directory / name).unlink()
+                    path.unlink()
                     report.removed += 1
                 except OSError:
                     pass

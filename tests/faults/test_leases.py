@@ -3,14 +3,23 @@ property — two concurrent evaluators sharing one store simulate each
 unique point exactly once between them.
 """
 
+import errno
 import multiprocessing
 import os
+import shutil
 import threading
 import time
+import warnings
 
 import pytest
 
-from repro.explore import Evaluator, LeaseHeld, ResultStore
+from repro.explore import (
+    Evaluator,
+    LeaseHeld,
+    ResultStore,
+    StoreDegradedWarning,
+    key_digest,
+)
 from repro.testing.faults import FaultPlan, FaultRule
 
 
@@ -68,6 +77,90 @@ class TestLeaseProtocol:
         assert len(store) == 1
         assert store.clear() == 1
         assert not list(store.directory.glob("*.lease"))  # swept by clear
+
+
+def _inode(path):
+    stat = path.stat()
+    return stat.st_ino, stat.st_dev
+
+
+class TestOwnerTokenLeases:
+    """Leases are hard links to one owner token per store instance."""
+
+    KEY = {"kernel": "qrca", "width": 8, "point": {"arch": "qla"}}
+
+    def test_lease_is_a_link_to_the_owner_token(self, tmp_path):
+        store = ResultStore(tmp_path)
+        assert store.claim(self.KEY)
+        (token,) = (tmp_path / "owners").iterdir()
+        assert _inode(store._lease_path(self.KEY)) == _inode(token)
+        assert token.stat().st_nlink == 2
+        assert store.lease_owner(self.KEY) == store.owner
+        store.put(self.KEY, {"tag": 1})
+        store.release(self.KEY)
+        names = [path.name for path in store.directory.iterdir()]
+        assert names == [f"{key_digest(self.KEY)}.json"]
+
+    def test_idle_store_claims_a_live_lease(self, tmp_path):
+        """A token untouched for longer than the TTL is refreshed before
+        it is linked, so the new lease is not born stale."""
+        a = ResultStore(tmp_path, lease_ttl=0.5)
+        b = ResultStore(tmp_path, lease_ttl=0.5)
+        assert a.claim({"point": "earlier"})
+        a.release({"point": "earlier"})
+        time.sleep(0.7)  # a sits idle past the TTL
+        assert a.claim(self.KEY)
+        assert not b.claim(self.KEY)
+
+    def test_one_heartbeat_keeps_every_lease_live(self, tmp_path):
+        a = ResultStore(tmp_path, lease_ttl=1.0)
+        b = ResultStore(tmp_path, lease_ttl=1.0)
+        keys = [{"point": index} for index in range(3)]
+        assert all(a.claim(key) for key in keys)
+        time.sleep(0.7)
+        a.heartbeat(keys[0])
+        time.sleep(0.7)  # every lease is 1.4 s old, its token 0.7 s
+        assert not any(b.claim(key) for key in keys)
+
+    def test_no_hard_links_fails_open(self, tmp_path, monkeypatch, points):
+        def no_link(src, dst, **kwargs):
+            raise PermissionError(errno.EPERM, os.strerror(errno.EPERM))
+
+        monkeypatch.setattr(os, "link", no_link)
+        store = ResultStore(tmp_path)
+        evaluator = Evaluator(kernel="qrca", width=8, store=store)
+        with pytest.warns(StoreDegradedWarning, match="lease link failed"):
+            got = evaluator.evaluate([points[0]])
+        assert got[0].ok
+        assert evaluator.simulations_run == 1
+        assert len(store) == 1
+        assert not list(store.directory.glob("*.lease"))
+
+    def test_deleted_token_is_recreated(self, tmp_path):
+        a = ResultStore(tmp_path)
+        b = ResultStore(tmp_path)
+        assert a.claim(self.KEY)
+        a.release(self.KEY)
+        (token,) = (tmp_path / "owners").iterdir()
+        token.unlink()
+        assert a.claim(self.KEY)
+        (token,) = (tmp_path / "owners").iterdir()
+        assert _inode(a._lease_path(self.KEY)) == _inode(token)
+        assert not b.claim(self.KEY)
+        a.release(self.KEY)
+        assert b.claim(self.KEY)
+
+    def test_removed_explore_dir_is_recreated(self, tmp_path):
+        store = ResultStore(tmp_path)
+        assert store.put(self.KEY, {"tag": 1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            shutil.rmtree(store.directory)
+            assert store.put(self.KEY, {"tag": 2})
+            assert store.get(self.KEY)["tag"] == 2
+            shutil.rmtree(store.directory)
+            assert store.claim(self.KEY)  # so does a claim
+        assert store._lease_path(self.KEY).exists()
 
 
 def _run_one_evaluator(root, points, plan_json, state_dir, queue):

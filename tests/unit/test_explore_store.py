@@ -1,12 +1,36 @@
 """Unit tests for the content-addressed result store."""
 
 import json
+import os
+import time
 
+from repro.__main__ import main
 from repro.explore import ResultStore, key_digest
-from repro.explore.store import SCHEMA_VERSION, canonical_json
+from repro.explore.store import (
+    DEFAULT_LEASE_TTL,
+    SCHEMA_VERSION,
+    canonical_json,
+)
 
 
 KEY = {"kernel": "qrca", "width": 8, "point": {"arch": "qla", "factory_area": 10.0}}
+
+#: ``KEY``'s record as stores wrote it before records went compact.
+INDENTED_RECORD = """\
+{
+ "key": {
+  "kernel": "qrca",
+  "point": {
+   "arch": "qla",
+   "factory_area": 10.0
+  },
+  "width": 8
+ },
+ "result": {
+  "makespan_us": 1.0
+ },
+ "schema": 1
+}"""
 
 
 class TestKeyDigest:
@@ -102,3 +126,37 @@ class TestResultStore:
         store = ResultStore()
         store.put(KEY, {})
         assert (tmp_path / "custom" / "explore").is_dir()
+
+    def test_indented_record_reads_warm(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.directory.mkdir(parents=True)
+        store._path(KEY).write_text(INDENTED_RECORD)
+        assert store.get(KEY)["result"] == {"makespan_us": 1.0}
+        report = store.fsck()
+        assert (report.ok, report.bad) == (1, 0)
+
+    def test_records_are_written_compact(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put(KEY, {"result": {"makespan_us": 1.0}})
+        text = store._path(KEY).read_text()
+        assert text == canonical_json(json.loads(INDENTED_RECORD))
+
+
+class TestOwnerTokenCleanup:
+    def test_fsck_removes_stale_unlinked_tokens(self, tmp_path, capsys):
+        idle, holder, live = (ResultStore(tmp_path) for _ in range(3))
+        assert idle.claim(KEY)
+        idle.release(KEY)
+        assert holder.claim({**KEY, "width": 16})
+        assert live.claim({**KEY, "width": 32})
+        live.release({**KEY, "width": 32})
+        long_ago = time.time() - 2 * DEFAULT_LEASE_TTL
+        for store in (idle, holder):  # holder's lease ages with its token
+            os.utime(store._token, (long_ago, long_ago))
+        assert main(["cache", "fsck", "--cache-dir", str(tmp_path)]) == 0
+        assert "stale owner tokens: 1" in capsys.readouterr().out
+        report = live.fsck(remove=True)
+        assert report.stale_tokens == [idle._token.name]
+        assert report.removed == 2  # holder's stale lease + idle's token
+        owners = sorted(path.name for path in (tmp_path / "owners").iterdir())
+        assert owners == sorted([holder._token.name, live._token.name])
