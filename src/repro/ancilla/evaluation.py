@@ -1,10 +1,15 @@
 """Monte Carlo grading of the Figure 4 zero-prep strategies.
 
-Each strategy is replayed at the Pauli-frame level: the physical circuits
-from :mod:`repro.ancilla.zero_prep` run under stochastic error injection,
-measurement flip bits drive the classical verify/decode decisions in Python,
-and the surviving output block is graded against ideal decoding of the
-[[7,1,3]] code.
+Each strategy is replayed at the Pauli-frame level on physical circuits
+this module builds itself: the Figure 3b encoder
+(:func:`repro.codes.steane.steane_zero_prep_circuit`), the 3-qubit cat
+(:func:`repro.ancilla.cat.cat_prep_circuit`), and its own verification
+check and bit/phase correction circuits. Only the cat width and the
+verification support come from :mod:`repro.ancilla.zero_prep`, whose
+strategy circuit builders this module does not use. The circuits run
+under stochastic error injection, measurement flip bits drive the
+classical verify/decode decisions in Python, and the surviving output
+block is graded against ideal decoding of the [[7,1,3]] code.
 
 Paper targets (Figure 4, Section 2.3):
 

@@ -19,14 +19,13 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from repro.factory.units import FunctionalUnit, code_profile, zero_factory_units
+from repro.factory.units import (
+    CAT_QUBITS,
+    ENCODED_QUBITS,
+    FunctionalUnit,
+    zero_factory_units,
+)
 from repro.tech import ION_TRAP, TechnologyParams
-
-#: Qubits per encoded ancilla and per verification cat (the 7:3 ratio of
-#: the paper's [[7,1,3]] instantiation; factories built with an explicit
-#: ``code`` derive the ratio from the code's block and cat sizes).
-ENCODED_QUBITS = 7
-CAT_QUBITS = 3
 
 #: Verified ancillae consumed per corrected output ancilla: the output is
 #: bit-corrected by one helper and phase-corrected by another (1 of 3).
@@ -62,10 +61,6 @@ class PipelinedZeroFactory:
         tech: Technology parameters.
         cx_units: Number of CX-stage units driving the design (the paper's
             factory uses one; scaling this scales the whole factory).
-        code: The code the factory assembles (``None``: the paper's
-            [[7,1,3]] constants). Unit geometry and the encoded/cat flow
-            ratio derive from the code's block size and check count; the
-            Steane code reproduces the paper's numbers exactly.
 
     The derivation (Section 4.4.1): the CX stage sets the encoded-qubit
     flow; cat preparation is matched at 3 cat qubits per 7 encoded; zero
@@ -78,15 +73,12 @@ class PipelinedZeroFactory:
         self,
         tech: TechnologyParams = ION_TRAP,
         cx_units: int = 1,
-        code=None,
     ) -> None:
         if cx_units < 1:
             raise ValueError(f"cx_units must be >= 1, got {cx_units}")
         self.tech = tech
         self.cx_units = cx_units
-        self.code = code
-        self.encoded_qubits, self.cat_qubits, _ = code_profile(code)
-        self.units = zero_factory_units(tech, code)
+        self.units = zero_factory_units(tech)
         self.stages = self._provision()
 
     # ------------------------------------------------------------------
@@ -97,7 +89,7 @@ class PipelinedZeroFactory:
         units = self.units
         cx = StageProvision(units["cx_stage"], self.cx_units)
         encoded_flow = cx.capacity_in(tech)  # physical qubits / ms
-        cat_flow = encoded_flow * self.cat_qubits / self.encoded_qubits
+        cat_flow = encoded_flow * CAT_QUBITS / ENCODED_QUBITS
         cat_count = math.ceil(cat_flow / units["cat_prep"].bandwidth_in(tech))
         prep_flow = encoded_flow + cat_flow
         prep_count = math.ceil(prep_flow / units["zero_prep"].bandwidth_in(tech))
@@ -177,7 +169,7 @@ class PipelinedZeroFactory:
         survivors are consumed correcting the final third.
         """
         encoded_rate = (
-            self.stages["cx_stage"].capacity_out(self.tech) / self.encoded_qubits
+            self.stages["cx_stage"].capacity_out(self.tech) / ENCODED_QUBITS
         )
         survived = encoded_rate * self.units["verification"].survival
         return survived / CORRECTION_CONSUMPTION

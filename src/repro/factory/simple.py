@@ -18,11 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.factory.units import CAT_QUBITS, ENCODED_QUBITS
 from repro.layout.grid import Grid
 from repro.layout.macroblock import (
     Direction,
     four_way,
-    straight_channel,
     straight_channel_gate,
     three_way,
 )
@@ -30,36 +30,33 @@ from repro.layout.schedules import SIMPLE_FACTORY_SCHEDULE, OpSchedule
 from repro.tech import ION_TRAP, TechnologyParams
 
 #: Physical qubits per factory row: seven for encoding, three for the cat.
-ROW_WIDTH = 10
+ROW_WIDTH = ENCODED_QUBITS + CAT_QUBITS
 
 #: Three gate rows, each sandwiched by communication rows (Figure 11).
 GATE_ROWS = 3
 
 
-def simple_factory_grid(row_width: int = ROW_WIDTH) -> Grid:
+def simple_factory_grid() -> Grid:
     """The Figure 11 floorplan: alternating gate and channel rows.
 
-    Nine rows of ``row_width`` macroblocks (ten for the paper's [[7,1,3]]
-    instantiation — seven encoding plus three cat qubits), totalling
-    ``9 * row_width`` macroblocks (the paper's 90): channel rows above,
-    between and below the three gate rows. Channel rows are built from
-    intersections so qubits can enter or leave any column; gate rows are
-    vertical straight-channel gate blocks so qubits can cross between the
-    adjacent channels.
+    Nine rows of ten macroblocks (seven encoding plus three cat qubits),
+    totalling the paper's 90 macroblocks: channel rows above, between and
+    below the three gate rows. Channel rows are built from intersections
+    so qubits can enter or leave any column; gate rows are vertical
+    straight-channel gate blocks so qubits can cross between the adjacent
+    channels.
     """
-    if row_width < 2:
-        raise ValueError(f"row_width must be >= 2, got {row_width}")
     grid = Grid(name="simple_factory")
     total_rows = 2 * GATE_ROWS + 3  # channel, gate, channel, gate, ...
     gate_row_indices = {1, 4, 7}
     for row in range(total_rows):
-        for col in range(row_width):
+        for col in range(ROW_WIDTH):
             if row in gate_row_indices:
                 grid.place((row, col), straight_channel_gate("ns"))
             else:
                 if col == 0:
                     grid.place((row, col), three_way(Direction.WEST))
-                elif col == row_width - 1:
+                elif col == ROW_WIDTH - 1:
                     grid.place((row, col), three_way(Direction.EAST))
                 else:
                     grid.place((row, col), four_way())
@@ -74,26 +71,12 @@ class SimpleZeroFactory:
         tech: Technology parameters used for latency evaluation.
         schedule: Critical-path operation counts (the paper's hand-optimized
             schedule by default).
-        code: The code each row assembles (``None``: the paper's
-            [[7,1,3]] layout with ten-qubit rows). An explicit code sizes
-            the rows at ``n`` encoding plus ``w`` cat qubits; the Steane
-            code reproduces the Figure 11 floorplan exactly. The
-            schedule's operation counts are per-row critical-path
-            constants and stay as given (override ``schedule`` to model a
-            different per-row choreography).
+        grid: The Figure 11 floorplan (area 90).
     """
 
     tech: TechnologyParams = ION_TRAP
     schedule: OpSchedule = SIMPLE_FACTORY_SCHEDULE
-    code: object = None
-    grid: Grid = field(default=None, compare=False)
-
-    def __post_init__(self) -> None:
-        if self.grid is None:
-            from repro.factory.units import code_profile
-
-            n, w, _ = code_profile(self.code)
-            object.__setattr__(self, "grid", simple_factory_grid(n + w))
+    grid: Grid = field(default_factory=simple_factory_grid, compare=False)
 
     @property
     def latency_us(self) -> float:

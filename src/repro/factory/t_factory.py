@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.factory.pipelined import StageProvision
-from repro.factory.units import FunctionalUnit, code_profile, pi8_units
+from repro.factory.units import ENCODED_QUBITS, pi8_units
 from repro.tech import ION_TRAP, TechnologyParams
-
-ENCODED_QUBITS = 7
 
 #: Stage order for height/crossbar accounting.
 _STAGE_ORDER = (
@@ -40,9 +38,6 @@ class Pi8Factory:
         tech: Technology parameters.
         cat_units: Cat-state-prepare units driving the design (the paper
             uses four).
-        code: The code the factory converts (``None``: the paper's
-            [[7,1,3]] constants; the Steane code derives the same
-            numbers). Batch sizes and areas follow the code's block size.
 
     Only half the qubits consumed by the transversal-interact stage come
     from the cat stage; the other half are the encoded zeros from a zero
@@ -53,15 +48,12 @@ class Pi8Factory:
         self,
         tech: TechnologyParams = ION_TRAP,
         cat_units: int = 4,
-        code=None,
     ) -> None:
         if cat_units < 1:
             raise ValueError(f"cat_units must be >= 1, got {cat_units}")
         self.tech = tech
         self.cat_units = cat_units
-        self.code = code
-        self.encoded_qubits = code_profile(code)[0]
-        self.units = pi8_units(tech, code)
+        self.units = pi8_units(tech)
         self.stages = self._provision()
 
     def _provision(self) -> Dict[str, StageProvision]:
@@ -128,7 +120,7 @@ class Pi8Factory:
         results in one encoded pi/8 ancilla.
         """
         cat_flow = self.stages["cat_state_prepare"].capacity_out(self.tech)
-        return cat_flow / self.encoded_qubits
+        return cat_flow / ENCODED_QUBITS
 
     @property
     def zero_ancilla_demand_per_ms(self) -> float:

@@ -10,24 +10,23 @@ i.e. a unit with S internal pipeline stages accepts a new batch every
 unit consumes qubits (verification measures and recycles the cat; B/P
 correction consumes two of three encoded ancillae) or discards failures.
 
-Unit geometry is parameterized on the active code: batch sizes, areas and
-heights are functions of the code's block size ``n`` and its X-check
-count ``w`` (the verification cat width), and the encoder CX stage takes
-one pipeline stage per parallel CX round of the code's derived encoder.
-The default (``code=None``) uses the paper's [[7,1,3]] constants
-verbatim, and passing the Steane code explicitly derives the *same*
-numbers — the code axis introduces no drift at level 1.
+Unit geometry is that of the paper's [[7,1,3]] instantiation: batch
+sizes, areas and heights are functions of the code's block size ``n = 7``
+and its X-check count ``w = 3`` (the verification cat width), and the
+encoder CX stage takes one pipeline stage per parallel CX round of the
+Figure 3b encoder. Concatenation level is studied by re-characterizing the
+technology (:meth:`repro.tech.TechnologyParams.at_level`), not by
+reshaping the units.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict
 
 from repro.layout.schedules import (
     PI8_FACTORY_SCHEDULES,
     ZERO_FACTORY_SCHEDULES,
-    OpSchedule,
 )
 from repro.tech import ION_TRAP, TechnologyParams
 
@@ -35,32 +34,12 @@ from repro.tech import ION_TRAP, TechnologyParams
 #: Monte Carlo verification failure rate of the Figure 4a subunit is 0.2%).
 VERIFICATION_SURVIVAL = 0.998
 
-#: The paper's [[7,1,3]] profile: (block size, X-check count, CX rounds).
-_STEANE_PROFILE = (7, 3, 3)
-
-
-def code_profile(code) -> Tuple[int, int, int]:
-    """(block size n, X-check count w, encoder CX rounds) of a code.
-
-    ``None`` means the paper's Steane profile. Any CSS-code-like object
-    (:class:`~repro.codes.css.CssCode` or
-    :class:`~repro.codes.concatenated.ConcatenatedCode`) works: the
-    encoder round count comes from the derived
-    :func:`~repro.codes.concatenated.css_encoder_layout`.
-    """
-    if code is None:
-        return _STEANE_PROFILE
-    n = int(code.n)
-    checks = int(len(code.x_stabilizers))
-    rounds = getattr(code, "encoder_cx_rounds", None)
-    if rounds is None:
-        from repro.codes.concatenated import css_encoder_layout
-
-        rounds = css_encoder_layout(code).num_cx_rounds
-    rounds = int(rounds)
-    if n < 2 or checks < 1 or rounds < 1:
-        raise ValueError(f"degenerate code profile: n={n}, checks={checks}")
-    return n, checks, rounds
+#: The paper's [[7,1,3]] block: physical qubits per encoded qubit, the
+#: verification cat width (one qubit per X check), and the parallel CX
+#: rounds of the Figure 3b encoder.
+ENCODED_QUBITS = 7
+CAT_QUBITS = 3
+ENCODER_CX_DEPTH = 3
 
 
 @dataclass(frozen=True)
@@ -117,102 +96,72 @@ class FunctionalUnit:
 
 
 def zero_factory_units(
-    tech: TechnologyParams = ION_TRAP, code=None
+    tech: TechnologyParams = ION_TRAP,
 ) -> Dict[str, FunctionalUnit]:
-    """The five Table 5 functional units, for the active code.
+    """The five Table 5 functional units.
 
     Batch sizes: the CX stage carries ``n`` physical qubits per in-flight
     batch (one nascent encoded qubit); cat prep carries the ``w``-qubit
     verification cat; verification holds ``n + w`` (data plus cat) and
     emits the surviving ``n``; B/P correction holds three encoded
-    ancillae (``3n``) and emits one. For the Steane code this is exactly
-    the paper's 7/3/10/21 with the Table 5 areas.
+    ancillae (``3n``) and emits one: the paper's 7/3/10/21 with the
+    Table 5 areas.
     """
-    n, w, rounds = code_profile(code)
+    n, w, rounds = ENCODED_QUBITS, CAT_QUBITS, ENCODER_CX_DEPTH
     s = ZERO_FACTORY_SCHEDULES
-    # Per-qubit prep, the transversal verification check and B/P
-    # correction are code-independent choreography; only the encoder CX
-    # rounds and the cat fan-out scale with the code.
-    prep_schedule = s["zero_prep"]
-    verify_schedule = s["verification"]
-    bp_schedule = s["bp_correction"]
-    if code is None:
-        cx_schedule = s["cx_stage"]
-        cat_schedule = s["cat_prep"]
-    else:
-        cx_schedule = OpSchedule(
-            "cx_stage", two_qubit=rounds, turns=2 * rounds, moves=5
-        )
-        cat_schedule = OpSchedule(
-            "cat_prep", two_qubit=w - 1, turns=2 * (w - 1), moves=2
-        )
     return {
         "zero_prep": FunctionalUnit(
-            "zero_prep", prep_schedule, internal_stages=1,
+            "zero_prep", s["zero_prep"], internal_stages=1,
             qubits_in=1, qubits_out=1, area=1, height=1,
         ),
         "cx_stage": FunctionalUnit(
-            "cx_stage", cx_schedule, internal_stages=rounds,
+            "cx_stage", s["cx_stage"], internal_stages=rounds,
             qubits_in=n, qubits_out=n, area=4 * n, height=4,
         ),
         "cat_prep": FunctionalUnit(
-            "cat_prep", cat_schedule, internal_stages=2,
+            "cat_prep", s["cat_prep"], internal_stages=2,
             qubits_in=w, qubits_out=w, area=2 * w, height=2,
         ),
         "verification": FunctionalUnit(
-            "verification", verify_schedule, internal_stages=1,
+            "verification", s["verification"], internal_stages=1,
             qubits_in=n + w, qubits_out=n, area=n + w, height=n + w,
             survival=VERIFICATION_SURVIVAL,
         ),
         "bp_correction": FunctionalUnit(
-            "bp_correction", bp_schedule, internal_stages=1,
+            "bp_correction", s["bp_correction"], internal_stages=1,
             qubits_in=3 * n, qubits_out=n, area=3 * n, height=3 * n,
         ),
     }
 
 
 def pi8_units(
-    tech: TechnologyParams = ION_TRAP, code=None
+    tech: TechnologyParams = ION_TRAP,
 ) -> Dict[str, FunctionalUnit]:
     """The four Table 7 stages of the encoded pi/8 factory.
 
     Bandwidths are in physical qubits: the transversal-interact stage
     handles ``2n`` qubits per batch (``n``-qubit cat plus encoded zero);
     decode emits ``n + 1`` (the encoded block plus the decoded cat head
-    qubit); the final stage emits the ``n``-qubit pi/8 ancilla. Steane
-    instantiation reproduces Table 7's 7/14/8 batches and areas exactly.
+    qubit); the final stage emits the ``n``-qubit pi/8 ancilla: Table 7's
+    7/14/8 batches and areas.
     """
-    n, _, rounds = code_profile(code)
+    n = ENCODED_QUBITS
     s = PI8_FACTORY_SCHEDULES
-    # The transversal CZ/CS/CX interaction and H/measure/correct stages
-    # are code-independent; cat assembly and decode scale with n.
-    interact_schedule = s["transversal_interact"]
-    hmz_schedule = s["h_measure_correct"]
-    if code is None:
-        cat_schedule = s["cat_state_prepare"]
-        decode_schedule = s["decode_store"]
-    else:
-        cat_schedule = OpSchedule(
-            "cat_state_prepare", two_qubit=n, turns=2 * n, moves=8
-        )
-        decode_schedule = OpSchedule(
-            "decode_store", two_qubit=n, turns=2 * n, moves=8
-        )
     return {
         "cat_state_prepare": FunctionalUnit(
-            "cat_state_prepare", cat_schedule, internal_stages=1,
+            "cat_state_prepare", s["cat_state_prepare"], internal_stages=1,
             qubits_in=n, qubits_out=n, area=2 * n - 2, height=n - 1,
         ),
         "transversal_interact": FunctionalUnit(
-            "transversal_interact", interact_schedule, internal_stages=1,
+            "transversal_interact", s["transversal_interact"], internal_stages=1,
             qubits_in=2 * n, qubits_out=2 * n, area=n, height=n,
         ),
         "decode_store": FunctionalUnit(
-            "decode_store", decode_schedule, internal_stages=1,
+            "decode_store", s["decode_store"], internal_stages=1,
             qubits_in=2 * n, qubits_out=n + 1, area=2 * n + 5, height=2 * n - 1,
         ),
         "h_measure_correct": FunctionalUnit(
-            "h_measure_correct", hmz_schedule, internal_stages=1,
+            "h_measure_correct", s["h_measure_correct"], internal_stages=1,
             qubits_in=n + 1, qubits_out=n, area=n + 1, height=n + 1,
         ),
     }

@@ -12,7 +12,9 @@ preps) plus the ancilla-implemented T/T_DAG. Everything else rewrites:
   (:mod:`repro.ancilla.rotations`);
 * SWAP — three CX.
 
-The pass is idempotent on already-lowered circuits.
+The pass is idempotent on already-lowered circuits. The same target set
+serves every concatenation level: a self-concatenated Steane code is
+still self-dual CSS, so H and S stay transversal.
 """
 
 from __future__ import annotations
@@ -131,61 +133,20 @@ def _emit_crz(
     circ.cx(control, target)
 
 
-def validate_code_gate_set(code) -> None:
-    """Check that ``code`` supports the encoded target gate set.
-
-    The lowering targets transversal X/Y/Z/H/S/CX/CZ plus the
-    ancilla-implemented pi/8 gate — legal exactly on self-dual CSS codes
-    with a single encoded qubit (bitwise H implements logical H and
-    bitwise S-dagger implements logical S). The [[7,1,3]] Steane code and
-    every self-concatenation of it qualify; anything else must bring its
-    own gate set and is rejected here rather than silently mislowered.
-    """
-    import numpy as np
-
-    if code.k != 1:
-        raise ValueError(
-            f"{code.name}: decomposition targets single-qubit blocks (k=1), "
-            f"got k={code.k}"
-        )
-    if not (
-        np.array_equal(
-            np.asarray(code.x_stabilizers) % 2, np.asarray(code.z_stabilizers) % 2
-        )
-        and np.array_equal(
-            np.asarray(code.logical_x) % 2, np.asarray(code.logical_z) % 2
-        )
-    ):
-        raise ValueError(
-            f"{code.name}: the encoded gate set assumes a self-dual CSS code "
-            "(transversal H/S); supply a code-specific lowering instead"
-        )
-
-
 def decompose_to_encoded_gates(
     circuit: Circuit,
     synthesizer: Optional[RotationSynthesizer] = None,
-    *,
-    code=None,
 ) -> Circuit:
-    """Lower a circuit to the encoded gate set of the active code.
+    """Lower a circuit to the [[7,1,3]] encoded gate set.
 
     Args:
         circuit: Any circuit over this library's gate set.
         synthesizer: Rotation synthesizer for pi/2^k angles with k >= 3;
             the shared default is used when omitted.
-        code: The code the encoded gates will run on (``None`` assumes
-            the paper's [[7,1,3]] family). The target gate set is
-            identical for every code this library admits — self-dual CSS,
-            which includes every :class:`~repro.codes.ConcatenatedCode`
-            over the Steane base — so the code only *validates* here; a
-            non-self-dual code fails loudly instead of being mislowered.
 
     Returns:
         A new circuit containing only :data:`ENCODED_GATE_SET` gates.
     """
-    if code is not None:
-        validate_code_gate_set(code)
     synth = synthesizer or default_synthesizer()
     out = Circuit(circuit.num_qubits, name=f"{circuit.name}_encoded")
     for gate in circuit:

@@ -209,26 +209,6 @@ class TestGoldenLevelOne:
         assert comparison.cqla.cache_misses == GOLDEN_FIG16["cqla_cache_misses"]
         assert comparison.cqla.teleports == GOLDEN_FIG16["cqla_teleports"]
 
-    def test_concatenated_level_one_factories_identical(self):
-        """ConcatenatedCode(steane, 1) reproduces the factory numbers."""
-        from repro.codes import ConcatenatedCode, steane_code
-
-        code = ConcatenatedCode(steane_code(), 1)
-        default_simple = SimpleZeroFactory()
-        coded_simple = SimpleZeroFactory(code=code)
-        assert coded_simple.latency_us == default_simple.latency_us == 323.0
-        assert coded_simple.area == default_simple.area == 90
-        default_zero, coded_zero = PipelinedZeroFactory(), PipelinedZeroFactory(
-            code=code
-        )
-        assert coded_zero.area == default_zero.area == 298
-        assert coded_zero.unit_counts == default_zero.unit_counts
-        assert coded_zero.throughput_per_ms == default_zero.throughput_per_ms
-        default_pi8, coded_pi8 = Pi8Factory(), Pi8Factory(code=code)
-        assert coded_pi8.area == default_pi8.area == 403
-        assert coded_pi8.throughput_per_ms == default_pi8.throughput_per_ms
-        assert coded_pi8.serial_latency_us() == default_pi8.serial_latency_us()
-
     def test_code_level_one_evaluations_identical(self, qrca8):
         """A level-1-annotated point is the *same* canonical point."""
         from repro.explore.evaluator import Evaluator

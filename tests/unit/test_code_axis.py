@@ -1,128 +1,17 @@
-"""Unit tests: the code axis threaded through factories, spaces and CLI.
+"""Unit tests: the ``code_level`` axis of the exploration spaces.
 
-Level-1 / Steane instantiations must be drift-free against the paper
-constants; explicit codes reshape unit geometry consistently; the
-``code_level`` dimension flows from :mod:`repro.explore.space` through
-the evaluator's canonicalization into the CLI.
+The dimension is built by :mod:`repro.explore.space` and canonicalized
+by the evaluator; level 1 is the paper's [[7,1,3]] Steane code.
 """
 
 import pytest
 
-from repro.codes import ConcatenatedCode, css_encoder_layout, steane_code
-from repro.codes.steane import ENCODER_CX_ROUNDS, ENCODER_H_QUBITS
 from repro.explore.space import (
     Categorical,
     Integer,
     architecture_space,
     throughput_space,
 )
-from repro.factory import Pi8Factory, PipelinedZeroFactory, SimpleZeroFactory
-from repro.factory.units import code_profile, pi8_units, zero_factory_units
-from repro.tech import ION_TRAP
-
-STEANE = steane_code()
-
-
-class TestEncoderLayout:
-    def test_steane_layout_matches_figure_3b(self):
-        layout = css_encoder_layout(STEANE)
-        assert layout.h_qubits == ENCODER_H_QUBITS
-        assert layout.num_cx_rounds == len(ENCODER_CX_ROUNDS)
-        paper_edges = {pair for rnd in ENCODER_CX_ROUNDS for pair in rnd}
-        assert set(layout.cx_list()) == paper_edges
-
-    def test_rounds_touch_disjoint_qubits(self):
-        for level in (1, 2):
-            layout = css_encoder_layout(ConcatenatedCode(STEANE, level))
-            for rnd in layout.cx_rounds:
-                touched = [q for pair in rnd for q in pair]
-                assert len(set(touched)) == len(touched)
-
-
-class TestFactoryCodeParameter:
-    def test_default_profile_is_steane(self):
-        assert code_profile(None) == (7, 3, 3)
-        assert code_profile(STEANE) == (7, 3, 3)
-        assert code_profile(ConcatenatedCode(STEANE, 1)) == (7, 3, 3)
-        assert code_profile(ConcatenatedCode(STEANE, 2)) == (49, 24, 6)
-
-    def test_steane_units_equal_paper_units(self):
-        for derived, default in (
-            (zero_factory_units(code=STEANE), zero_factory_units()),
-            (pi8_units(code=STEANE), pi8_units()),
-        ):
-            assert set(derived) == set(default)
-            for name in default:
-                assert derived[name] == default[name], name
-
-    def test_level_two_factory_scales_consistently(self):
-        code = ConcatenatedCode(STEANE, 2)
-        tech = ION_TRAP.at_level(2)
-        factory = PipelinedZeroFactory(tech=tech, code=code)
-        baseline = PipelinedZeroFactory()
-        assert factory.encoded_qubits == 49
-        assert factory.cat_qubits == 24
-        assert factory.area > baseline.area
-        assert 0.0 < factory.throughput_per_ms < baseline.throughput_per_ms
-        pi8 = Pi8Factory(tech=tech, code=code)
-        assert pi8.area > Pi8Factory().area
-        assert pi8.throughput_per_ms > 0.0
-
-    def test_simple_factory_row_width_follows_code(self):
-        simple = SimpleZeroFactory(code=ConcatenatedCode(STEANE, 2))
-        # 9 rows of (49 + 24) macroblocks.
-        assert simple.area == 9 * 73
-        assert SimpleZeroFactory().area == 90
-
-    def test_degenerate_code_rejected(self):
-        class Degenerate:
-            n = 1
-            x_stabilizers = []
-
-        with pytest.raises(ValueError):
-            code_profile(Degenerate())
-
-
-class TestDecomposeCodeParameter:
-    def test_self_dual_codes_accepted(self):
-        from repro.circuits import Circuit
-        from repro.kernels.decompose import decompose_to_encoded_gates
-
-        circuit = Circuit(2).h(0).cx(0, 1)
-        for code in (STEANE, ConcatenatedCode(STEANE, 2)):
-            lowered = decompose_to_encoded_gates(circuit, code=code)
-            assert len(lowered) == len(circuit)
-
-    def test_non_self_dual_code_rejected(self):
-        import numpy as np
-
-        from repro.circuits import Circuit
-        from repro.codes.css import CssCode
-        from repro.kernels.decompose import decompose_to_encoded_gates
-
-        shor = CssCode(
-            name="Shor",
-            n=9,
-            k=1,
-            d=3,
-            x_stabilizers=np.array(
-                [[1, 1, 1, 1, 1, 1, 0, 0, 0], [0, 0, 0, 1, 1, 1, 1, 1, 1]]
-            ),
-            z_stabilizers=np.array(
-                [
-                    [1, 1, 0, 0, 0, 0, 0, 0, 0],
-                    [0, 1, 1, 0, 0, 0, 0, 0, 0],
-                    [0, 0, 0, 1, 1, 0, 0, 0, 0],
-                    [0, 0, 0, 0, 1, 1, 0, 0, 0],
-                    [0, 0, 0, 0, 0, 0, 1, 1, 0],
-                    [0, 0, 0, 0, 0, 0, 0, 1, 1],
-                ]
-            ),
-            logical_x=np.array([1, 1, 1, 0, 0, 0, 0, 0, 0]),
-            logical_z=np.array([1, 0, 0, 1, 0, 0, 1, 0, 0]),
-        )
-        with pytest.raises(ValueError, match="self-dual"):
-            decompose_to_encoded_gates(Circuit(1).h(0), code=shor)
 
 
 class TestCodeLevelDimension:

@@ -31,7 +31,7 @@ EAGER_SUBMODULES = {
         "sweep",
     ),
     "repro.circuits": ("circuit", "compiled", "dag", "gate", "latency"),
-    "repro.codes": ("concatenated", "css", "steane", "transversal"),
+    "repro.codes": ("css", "steane", "transversal"),
     "repro.error": ("batched", "montecarlo", "pauli", "propagation", "vectorized"),
     "repro.explore": (
         "engine", "errors", "evaluator", "objectives", "space", "store",
@@ -39,7 +39,7 @@ EAGER_SUBMODULES = {
     ),
     "repro.factory": ("pipelined", "simple", "t_factory", "units"),
     "repro.kernels": ("analysis", "classical", "decompose", "qcla", "qft", "qrca"),
-    "repro.layout": ("grid", "macroblock", "region", "router", "schedules"),
+    "repro.layout": ("grid", "macroblock", "region", "schedules"),
     "repro.obs": ("metrics", "report", "trace"),
     "repro.reporting": ("figures", "registry", "tables"),
     "repro.serve": ("client", "pool", "protocol", "server"),

@@ -14,13 +14,9 @@ from repro.tech import ION_TRAP
 
 class TestDataRegion:
     def test_grid_is_column_of_gates(self):
-        grid = data_region_grid(7)
+        grid = data_region_grid()
         assert grid.area == 7
         assert len(grid.gate_locations) == 7
-
-    def test_invalid_code_size(self):
-        with pytest.raises(ValueError):
-            data_region_grid(0)
 
     def test_area_formula(self):
         # Section 4.2: m x nq.
