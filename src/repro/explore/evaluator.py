@@ -463,9 +463,6 @@ class Evaluator:
         retry_backoff: Base of the shared full-jitter exponential
             backoff policy (:class:`repro.util.backoff.Backoff`, capped
             at 2 s) slept between retries; 0 disables sleeping.
-        leases: Coordinate with concurrent evaluators sharing ``store``
-            via its lease protocol (claim misses, await contested
-            points, reclaim stale leases). Ignored without a store.
         heartbeat_interval: Seconds between lease-heartbeat refreshes,
             taken between simulation groups, between points of the
             per-point fallback and between retries; must be smaller than the store's
@@ -494,7 +491,6 @@ class Evaluator:
         store: Optional[ResultStore] = None,
         retries: int = 2,
         retry_backoff: float = 0.1,
-        leases: bool = True,
         heartbeat_interval: Optional[float] = None,
     ) -> None:
         if (analysis is None) == (kernel is None):
@@ -522,7 +518,6 @@ class Evaluator:
         self.store = store
         self._retries = retries
         self._backoff = Backoff(base=retry_backoff, cap=2.0)
-        self._leases = leases
         self._heartbeat_interval = heartbeat_interval
         self._lease_poll = 0.05
         self._quarantine: Dict[str, str] = {}
@@ -677,7 +672,7 @@ class Evaluator:
         Within the batch, identical canonical points are simulated once;
         store hits are served from disk; the remaining misses resolve in
         homogeneous point-batched groups (deterministic and
-        bit-identical to point-by-point runs). When a store with leases is
+        bit-identical to point-by-point runs). When a store is
         attached, misses are claimed first; points another evaluator is
         already simulating are awaited rather than recomputed. Points
         that fail persistently come back as failed evaluations
@@ -719,7 +714,7 @@ class Evaluator:
             else:
                 misses.append((key, cpoint))
 
-        use_leases = self.store is not None and self._leases
+        use_leases = self.store is not None
         owned, contested = misses, []
         if use_leases and misses:
             owned, contested = [], []

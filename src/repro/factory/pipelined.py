@@ -78,7 +78,7 @@ class PipelinedZeroFactory:
             raise ValueError(f"cx_units must be >= 1, got {cx_units}")
         self.tech = tech
         self.cx_units = cx_units
-        self.units = zero_factory_units(tech)
+        self.units = zero_factory_units()
         self.stages = self._provision()
 
     # ------------------------------------------------------------------

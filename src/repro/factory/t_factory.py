@@ -53,7 +53,7 @@ class Pi8Factory:
             raise ValueError(f"cat_units must be >= 1, got {cat_units}")
         self.tech = tech
         self.cat_units = cat_units
-        self.units = pi8_units(tech)
+        self.units = pi8_units()
         self.stages = self._provision()
 
     def _provision(self) -> Dict[str, StageProvision]:

@@ -95,9 +95,7 @@ class FunctionalUnit:
         )
 
 
-def zero_factory_units(
-    tech: TechnologyParams = ION_TRAP,
-) -> Dict[str, FunctionalUnit]:
+def zero_factory_units() -> Dict[str, FunctionalUnit]:
     """The five Table 5 functional units.
 
     Batch sizes: the CX stage carries ``n`` physical qubits per in-flight
@@ -134,9 +132,7 @@ def zero_factory_units(
     }
 
 
-def pi8_units(
-    tech: TechnologyParams = ION_TRAP,
-) -> Dict[str, FunctionalUnit]:
+def pi8_units() -> Dict[str, FunctionalUnit]:
     """The four Table 7 stages of the encoded pi/8 factory.
 
     Bandwidths are in physical qubits: the transversal-interact stage

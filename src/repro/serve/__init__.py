@@ -16,9 +16,9 @@ at one ``--cache-dir`` and hand :class:`ReplicaSet` the URL list — it
 adds per-replica circuit breakers, failover with deadline propagation,
 optional hedged requests, and ``/readyz`` probes that un-degrade a
 fallen-back exploration when a replica returns
-(:mod:`repro.serve.pool`). On the server side, single-flight
-coalescing shares one evaluation per canonical point across concurrent
-overlapping requests.
+(:mod:`repro.serve.pool`). Within one replica, the work lock
+serializes overlapping requests, so a point one request simulated is a
+store hit for the next.
 
 Replica-set quickstart::
 

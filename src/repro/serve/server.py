@@ -31,13 +31,12 @@ Robustness is the design center:
   teardown — then force-releases any lease still held and stops the
   listener. A ``kill -9`` instead of a drain leaves leases behind by
   construction; peers reclaim them after the lease TTL.
-* **Single-flight coalescing.** Concurrent ``/evaluate`` requests
-  whose canonical point sets overlap share one simulation pass per
-  point: the first request to claim a point becomes its *owner*, and
-  followers wait on the owner's flight instead of queuing a redundant
-  evaluation behind the work lock. Bit-identical either way (the store
-  would have deduplicated too — coalescing removes the wait, not just
-  the work).
+* **One simulation per point.** Concurrent ``/evaluate`` requests
+  whose point sets overlap simulate each shared point once: the work
+  lock serializes them, so the later request reads the point the
+  earlier one just stored as a cache hit. Across replicas (and a
+  client's hedged duplicates) the store's lease protocol arbitrates.
+  Without a store every request simulates.
 * **Injectable failures.** The handler announces the
   ``serve_request`` / ``serve_response`` / ``serve_probe`` fault
   stages (:mod:`repro.testing.faults`), scoped to this process's
@@ -64,21 +63,6 @@ from repro.testing import faults
 
 #: Seconds a shedding response suggests the client wait before retrying.
 RETRY_AFTER_SECONDS = 1.0
-
-
-class _Flight:
-    """One in-flight simulation pass for a single canonical point.
-
-    The owning request sets :attr:`result` (or leaves it ``None`` on
-    failure) and then :attr:`done`; follower requests wait on
-    :attr:`done` instead of re-simulating the point.
-    """
-
-    __slots__ = ("done", "result")
-
-    def __init__(self) -> None:
-        self.done = threading.Event()
-        self.result: Optional[Evaluation] = None
 
 
 def _count_request(route: str, status: int) -> None:
@@ -130,15 +114,9 @@ class ExploreService:
         self._admission = threading.Condition()
         self._inflight = 0
         self._draining = False
-        self._flights: Dict[Tuple[str, int, str], _Flight] = {}
-        self._flights_lock = threading.Lock()
         _metrics.counter(
             "repro_serve_shed_total",
             help="evaluate requests shed with 429 (queue full)",
-        )
-        _metrics.counter(
-            "repro_serve_coalesced_total",
-            help="points answered from another request's in-flight evaluation",
         )
 
     # -- admission ------------------------------------------------------
@@ -218,108 +196,24 @@ class ExploreService:
                 self._evaluators[key] = evaluator
             return evaluator
 
-    def _evaluate_serialized(
+    def evaluate(
         self, kernel: str, width: int, points: Sequence[Dict[str, object]]
     ) -> Tuple[List[Evaluation], Dict[str, int]]:
+        """Evaluate one admitted batch; returns (evaluations, stat deltas).
+
+        Serialized on the work lock: one warm evaluator works at a time,
+        so a point an overlapping request has just simulated is a store
+        hit here, and a point a peer replica is simulating is awaited on
+        its lease. Raises ValueError on an unknown spec or a malformed
+        point (the caller's 400).
+        """
         with self._work_lock:
             evaluator = self.evaluator_for(kernel, width)
             before = evaluator.stats()
             with _span("serve.evaluate", points=len(points)):
                 evaluations = evaluator.evaluate(points)
             after = evaluator.stats()
-            delta = {name: after[name] - before[name] for name in after}
-            return evaluations, delta
-
-    def evaluate(
-        self, kernel: str, width: int, points: Sequence[Dict[str, object]]
-    ) -> Tuple[List[Evaluation], Dict[str, int]]:
-        """Evaluate one admitted batch; returns (evaluations, stat deltas).
-
-        Single-flight: one simulation pass per canonical point across
-        all concurrent requests. The simulation itself serializes on the
-        work lock (one warm evaluator works at a time).
-
-        The first request to see a canonical key registers a
-        :class:`_Flight` and *owns* that point: it simulates it (with
-        everything else it owns, in one serialized pass) and publishes
-        the result. Requests that arrive while the flight is open
-        *follow* it — they wait on the flight's event without touching
-        the work lock, so an overlapping batch costs a wait, not a
-        redundant queue slot. A follower whose owner failed re-enters
-        here for the stray points and becomes their owner.
-        """
-        evaluator = self.evaluator_for(kernel, width)
-        spec = (kernel, width)
-        # May raise ValueError on a malformed point: the caller's 400.
-        keys = [evaluator.canonical_key(point) for point in points]
-
-        owned_keys: Dict[str, int] = {}  # canonical key -> first index
-        followed: Dict[str, _Flight] = {}
-        with self._flights_lock:
-            for index, key in enumerate(keys):
-                if key in owned_keys or key in followed:
-                    continue  # batch-internal duplicate: one flight covers it
-                flight = self._flights.get(spec + (key,))
-                if flight is not None:
-                    followed[key] = flight
-                else:
-                    self._flights[spec + (key,)] = _Flight()
-                    owned_keys[key] = index
-
-        results: Dict[str, Evaluation] = {}
-        # Zero-filled so a pure-follower request still reports every
-        # counter (with simulations_run == 0, which is the point).
-        delta: Dict[str, int] = {name: 0 for name in evaluator.stats()}
-        try:
-            if owned_keys:
-                owned_points = [points[i] for i in owned_keys.values()]
-                evaluations, owned_delta = self._evaluate_serialized(
-                    kernel, width, owned_points
-                )
-                for name, value in owned_delta.items():
-                    delta[name] = delta.get(name, 0) + value
-                for key, evaluation in zip(owned_keys, evaluations):
-                    results[key] = evaluation
-        finally:
-            # Publish before waiting on anyone else's flight (failure
-            # publishes result=None), so two requests that own points
-            # from each other's batches can never deadlock.
-            with self._flights_lock:
-                for key in owned_keys:
-                    flight = self._flights.pop(spec + (key,), None)
-                    if flight is not None:
-                        flight.result = results.get(key)
-                        flight.done.set()
-
-        coalesced = 0
-        for key, flight in followed.items():
-            flight.done.wait()
-            if flight.result is not None:
-                results[key] = flight.result
-                coalesced += 1
-            # else: the owner failed; fall through to stray recovery
-        if coalesced:
-            _metrics.counter("repro_serve_coalesced_total").inc(coalesced)
-
-        stray: Dict[str, int] = {}
-        for index, key in enumerate(keys):
-            if key not in results and key not in stray:
-                stray[key] = index
-        if stray:
-            # The failed flights are gone from the table, so this
-            # recursion claims ownership and actually evaluates (or
-            # raises the owner's error as our own).
-            stray_evals, stray_delta = self.evaluate(
-                kernel, width, [points[i] for i in stray.values()]
-            )
-            for key, evaluation in zip(stray, stray_evals):
-                results[key] = evaluation
-            for name, value in stray_delta.items():
-                delta[name] = delta.get(name, 0) + value
-
-        if coalesced:
-            delta["coalesced_points"] = delta.get("coalesced_points", 0) + coalesced
-        return [results[key] for key in keys], delta
+            return evaluations, {name: after[name] - before[name] for name in after}
 
 
 class _Handler(BaseHTTPRequestHandler):

@@ -54,8 +54,8 @@ class TestConcurrentReplicaSetClients:
         self, tmp_path, points, reference, assert_identical
     ):
         """Three concurrent ReplicaSet clients over two replicas on one
-        store: coalescing + the lease protocol keep every point to one
-        simulation pass fleet-wide."""
+        store: the work lock + the lease protocol keep every point to
+        one simulation pass fleet-wide."""
         store = ResultStore(tmp_path / "fleet-store")
         servers = []
         try:

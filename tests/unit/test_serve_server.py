@@ -288,79 +288,12 @@ class TestClientValidation:
             Client("http://127.0.0.1:1", **kwargs)
 
 
-class TestCoalescing:
-    """Single-flight coalescing, driven deterministically through the
-    service's flight table (no timing races)."""
+class TestOverlappingRequests:
+    """Concurrent requests that share points: the work lock serializes
+    them, so with a store each distinct point is simulated once."""
 
-    def _service(self, tmp_path):
-        store = ResultStore(tmp_path / "coalesce-store")
-        return ExploreService(store=store, max_queue=4)
-
-    def test_follower_waits_and_reports_coalesced_points(self, tmp_path):
-        import threading
-
-        from repro.serve.server import _Flight
-
-        service = self._service(tmp_path)
-        evaluator = service.evaluator_for("qrca", 8)
-        point = dict(POINTS[0])
-        key = ("qrca", 8, evaluator.canonical_key(point))
-        flight = _Flight()
-        service._flights[key] = flight
-        outcome = {}
-
-        def follow():
-            evaluations, delta = service.evaluate("qrca", 8, [point])
-            outcome["evaluations"] = evaluations
-            outcome["delta"] = delta
-
-        thread = threading.Thread(target=follow)
-        thread.start()
-        # The follower is parked on the flight; publish the owner's result.
-        published = evaluator.evaluate([point])[0]
-        flight.result = published
-        flight.done.set()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert outcome["evaluations"] == [published]
-        assert outcome["delta"]["coalesced_points"] == 1
-        assert outcome["delta"]["simulations_run"] == 0
-
-    def test_failed_owner_flight_is_recovered_by_follower(self, tmp_path):
-        import threading
-
-        from repro.serve.server import _Flight
-
-        service = self._service(tmp_path)
-        evaluator = service.evaluator_for("qrca", 8)
-        point = dict(POINTS[1])
-        key = ("qrca", 8, evaluator.canonical_key(point))
-        flight = _Flight()
-        service._flights[key] = flight
-        outcome = {}
-
-        def follow():
-            evaluations, delta = service.evaluate("qrca", 8, [point])
-            outcome["evaluations"] = evaluations
-            outcome["delta"] = delta
-
-        thread = threading.Thread(target=follow)
-        thread.start()
-        # The owner dies without a result: followers must re-evaluate,
-        # not propagate the hole.
-        service._flights.pop(key)
-        flight.done.set()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert outcome["evaluations"][0].ok
-        assert outcome["delta"].get("coalesced_points", 0) == 0
-        assert (
-            outcome["delta"]["simulations_run"]
-            + outcome["delta"]["cache_hits"]
-        ) == 1
-
-    def test_duplicate_points_in_one_batch_share_a_flight(self, tmp_path):
-        service = self._service(tmp_path)
+    def test_duplicate_points_in_one_batch_simulate_once(self, tmp_path):
+        service = ExploreService(store=ResultStore(tmp_path / "store"))
         point = dict(POINTS[2])
         evaluations, delta = service.evaluate(
             "qrca", 8, [point, dict(point)]
@@ -368,4 +301,44 @@ class TestCoalescing:
         assert len(evaluations) == 2
         assert evaluations[0].result == evaluations[1].result
         assert delta["simulations_run"] == 1
-        assert not service._flights  # the table is drained afterwards
+        assert delta["dedup_hits"] == 1
+
+    @staticmethod
+    def _race(service, batches):
+        """Send ``batches`` to ``service`` from one thread each, released
+        together; returns each batch's stat deltas."""
+        import threading
+
+        barrier = threading.Barrier(len(batches))
+        deltas = [None] * len(batches)
+
+        def send(index):
+            barrier.wait(timeout=30)
+            _, deltas[index] = service.evaluate("qrca", 8, batches[index])
+
+        threads = [
+            threading.Thread(target=send, args=(i,)) for i in range(len(batches))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        return deltas
+
+    def test_overlapping_batches_simulate_each_point_once(self, tmp_path):
+        batches = [POINTS[:3], POINTS[1:]]  # two points in common
+        hits = set()
+        for repeat in range(5):
+            store = ResultStore(tmp_path / f"store-{repeat}")
+            deltas = self._race(ExploreService(store=store), batches)
+            assert sum(d["simulations_run"] for d in deltas) == len(POINTS)
+            hits.add(sum(d["cache_hits"] for d in deltas))
+        # Whichever request takes the work lock first, the other reads
+        # the two shared points from the store.
+        assert hits == {2}
+
+    def test_without_a_store_every_request_simulates(self):
+        batches = [POINTS[:3], POINTS[1:]]
+        deltas = self._race(ExploreService(), batches)
+        assert [d["simulations_run"] for d in deltas] == [3, 3]
