@@ -98,24 +98,9 @@ def _obs_export(trace_path: Optional[str], metrics_path: Optional[str]) -> None:
 
 
 def _lease_knob_error(ns: argparse.Namespace) -> Optional[str]:
-    """Validate the --lease-ttl / --heartbeat-interval pair."""
+    """Validate --lease-ttl."""
     if ns.lease_ttl is not None and ns.lease_ttl <= 0:
         return f"--lease-ttl must be positive, got {ns.lease_ttl}"
-    if ns.heartbeat_interval is not None:
-        if ns.heartbeat_interval <= 0:
-            return (
-                f"--heartbeat-interval must be positive, "
-                f"got {ns.heartbeat_interval}"
-            )
-        from repro.explore.store import DEFAULT_LEASE_TTL
-
-        ttl = ns.lease_ttl if ns.lease_ttl is not None else DEFAULT_LEASE_TTL
-        if ns.heartbeat_interval >= ttl:
-            return (
-                f"--heartbeat-interval ({ns.heartbeat_interval}s) must be "
-                f"smaller than the lease TTL ({ttl}s); a live evaluator "
-                "must refresh its lease before it can go stale"
-            )
     return None
 
 
@@ -210,7 +195,6 @@ def _cmd_explore(ns: argparse.Namespace) -> int:
                 width=width,
                 store=store,
                 retries=ns.retries,
-                heartbeat_interval=ns.heartbeat_interval,
             )
         else:
             evaluator = Evaluator(
@@ -218,7 +202,6 @@ def _cmd_explore(ns: argparse.Namespace) -> int:
                 width=width,
                 store=store,
                 retries=ns.retries,
-                heartbeat_interval=ns.heartbeat_interval,
             )
         budget = ns.budget if ns.budget is not None else space.grid_size()
         journal = store.journal_path() if store is not None else None
@@ -335,7 +318,6 @@ def _cmd_serve(ns: argparse.Namespace) -> int:
         service = ExploreService(
             store=store,
             retries=ns.retries,
-            heartbeat_interval=ns.heartbeat_interval,
             max_queue=ns.max_queue,
             replica_id=ns.replica_id,
         )
@@ -384,20 +366,12 @@ def _cmd_serve(ns: argparse.Namespace) -> int:
 # ----------------------------------------------------------------------
 
 
-def _add_lease_options(parser: argparse.ArgumentParser) -> None:
+def _add_lease_ttl_option(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--lease-ttl", type=float, default=None, metavar="S",
         help=(
             "seconds without a heartbeat before a result-store lease "
             "counts as stale and peers may reclaim it (default: 300)"
-        ),
-    )
-    parser.add_argument(
-        "--heartbeat-interval", type=float, default=None, metavar="S",
-        help=(
-            "seconds between lease-heartbeat refreshes at evaluation "
-            "batch boundaries; must be smaller than the lease TTL "
-            "(default: ttl/4, capped at 5s)"
         ),
     )
 
@@ -584,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
             "or a JSON snapshot when FILE ends in .json"
         ),
     )
-    _add_lease_options(p_explore)
+    _add_lease_ttl_option(p_explore)
     p_explore.set_defaults(func=_cmd_explore)
 
     p_serve = sub.add_parser(
@@ -651,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true",
         help="serve without a result store (every request simulates)",
     )
-    _add_lease_options(p_serve)
+    _add_lease_ttl_option(p_serve)
     p_serve.set_defaults(func=_cmd_serve)
 
     p_profile = sub.add_parser(

@@ -41,7 +41,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".supply": (
         "DedicatedKindSpec", "DedicatedSupply", "InfiniteSupply",
         "PooledSupply", "ReadySpec", "SteadyKindSpec", "SteadyRateSupply",
-        "declared_ready_spec",
     ),
     ".sweep": ("area_sweep", "throughput_sweep"),
 })

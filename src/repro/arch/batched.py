@@ -15,9 +15,10 @@ across all points and all gates of the level at once.
 
 What batches, and why it stays bit-identical:
 
-* **Any supply with a declarative ready spec**
-  (:func:`~repro.arch.supply.declared_ready_spec`): points group by
-  lowering signature (:func:`~repro.arch.simulator.lowerable_spec`), and
+* **Every supply, through its declarative ready spec**
+  (``ready_spec()``, see :class:`~repro.arch.supply.AncillaSupply`):
+  points group by lowering signature
+  (:func:`~repro.arch.simulator.lowerable_spec`), and
   each group's ready times come from the same lowering
   :meth:`DataflowSimulator.run` uses
   (:func:`~repro.arch.simulator.lower_ready`), one column per point:
@@ -47,29 +48,22 @@ port-booking max/add, then movement add, then supply max, then
 loop (:func:`repro.testing.reference.run_reference`) — the equivalence
 suite asserts exact float equality, not approximation.
 
-What runs per point instead, through :meth:`DataflowSimulator.run`:
-
-* **Small groups, by shape.** A kernel pass costs a fixed ~6-9 us per
-  dependency level (level kernel) or ~3.5-5.5 us per gate (CQLA
-  lockstep) almost regardless of point count, so a few points on a deep
-  circuit run faster serially: 2 points on qrca-32 (986 levels) take
-  ~8 ms batched against ~0.8 ms serially. Each lowering-signature group
-  (and the shared unconstrained column) takes whichever route
-  :func:`_vectorize` predicts is cheaper from its point count, the
-  circuit's gate and level counts, and whether CQLA is on — never from
-  the caller or the supply model. Both routes are bit-identical and
-  advance supply state identically.
-* **Supplies with no honored ready spec** — custom
-  :class:`AncillaSupply` implementations without ``ready_spec()``,
-  subclasses that override availability/state methods without
-  re-declaring their spec, instance-level monkeypatches (see
-  :func:`~repro.arch.supply.declared_ready_spec`), and specs of a type
-  the lowering does not know.
+What runs per point instead, through :meth:`DataflowSimulator.run`,
+is small groups, chosen by shape. A kernel pass costs a fixed ~6-9 us
+per dependency level (level kernel) or ~3.5-5.5 us per gate (CQLA
+lockstep) almost regardless of point count, so a few points on a deep
+circuit run faster serially: 2 points on qrca-32 (986 levels) take
+~8 ms batched against ~0.8 ms serially. Each lowering-signature group
+(and the shared unconstrained column) takes whichever route
+:func:`_vectorize` predicts is cheaper from its point count, the
+circuit's gate and level counts, and whether CQLA is on — never from
+the caller or the supply model. Both routes are bit-identical and
+advance supply state identically.
 
 Callers never need to pre-sort their supplies. The
-``batched.simulate_batch`` span reports per-path point counts:
-``unconstrained`` / ``steady`` / ``dedicated`` (vectorized), ``serial``
-(sent to ``run()`` by shape) and ``fallback`` (no honored ready spec).
+``batched.simulate_batch`` span reports per-path point counts, which sum
+to the batch size: ``unconstrained`` / ``steady`` / ``dedicated``
+(vectorized) and ``serial`` (sent to ``run()`` by shape).
 """
 
 from __future__ import annotations
@@ -454,13 +448,17 @@ def simulate_batch(
     supply state afterwards (steady and dedicated counters advance by
     the same amounts).
 
-    Points whose supply has an honored declarative ready spec
-    (:func:`~repro.arch.supply.declared_ready_spec` — the built-in
-    models and any custom publisher) execute through the vectorized
-    kernels, including under ``cqla``, when their group is large enough
-    for a kernel pass to beat per-point runs (:func:`_vectorize`);
-    smaller groups, and spec-less or override-disqualified supplies, run
-    per point through :meth:`DataflowSimulator.run`, transparently.
+    Points execute through the vectorized kernels, including under
+    ``cqla``, when their lowering-signature group is large enough for a
+    kernel pass to beat per-point runs (:func:`_vectorize`); smaller
+    groups run per point through :meth:`DataflowSimulator.run`,
+    transparently.
+
+    Raises:
+        TypeError: A supply publishes no lowerable ready spec
+            (:func:`~repro.arch.simulator.lowerable_spec`). Every supply
+            is classified before any point runs, so no supply's state
+            has advanced when this is raised.
     """
     with _span("batched.simulate_batch", points=len(supplies)) as sp:
         return _simulate_batch(
@@ -506,31 +504,25 @@ def _simulate_batch(
         return [SimulationResult(0.0, 0, 0, 0, 0, 0) for _ in supplies]
 
     out: List[Optional[SimulationResult]] = [None] * len(supplies)
-    # Group lowerable points by lowering signature so each group shares
-    # one ready matrix (mixed tracked/untracked kinds cannot).
+    # Group points by lowering signature so each group shares one ready
+    # matrix (mixed tracked/untracked kinds cannot).
     unconstrained: List[int] = []
     groups: Dict[tuple, List[int]] = {}
-    specs: List[Optional[ReadySpec]] = [None] * len(supplies)
+    specs: List[ReadySpec] = []
     for i, supply in enumerate(supplies):
-        lowering = lowerable_spec(cc, supply)
-        if lowering is None:
-            out[i] = serial(supply)
-            continue
-        specs[i], signature = lowering
+        spec, signature = lowerable_spec(cc, supply)
+        specs.append(spec)
         if signature == (None, None):
             unconstrained.append(i)
         else:
             groups.setdefault(signature, []).append(i)
-    fallback = sum(1 for r in out if r is not None)
 
     # An aliased supply object at several constrained points cannot be
     # batched faithfully: serial per-point runs would thread its consumed
     # state from one point into the next, while a batch snapshots the
     # state once. Fail loud rather than silently diverge — on either
     # route, so the outcome never depends on the batch's shape.
-    # (Stateless / unconstrained duplicates are harmless; per-point
-    # fallbacks replay state sequentially in index order, like a serial
-    # loop.)
+    # (Stateless / unconstrained duplicates are harmless.)
     seen_ids: Dict[int, int] = {}
     for indices in groups.values():
         for i in indices:
@@ -561,9 +553,8 @@ def _simulate_batch(
                 out[i] = serial(supplies[i])
             serial_points += len(indices)
             del groups[signature]
-    # Per-path point counts on the batch span: ``serial`` counts points
-    # the shape rule sent to run(), ``fallback`` those with no honored
-    # ready spec. The paper sweeps (Figures 8/15/16) assert fallback == 0.
+    # Per-path point counts on the batch span; ``serial`` counts points
+    # the shape rule sent to run().
     sp.set(
         unconstrained=len(unconstrained),
         steady=sum(
@@ -573,7 +564,6 @@ def _simulate_batch(
             len(v) for sig, v in groups.items() if "dedicated" in sig
         ),
         serial=serial_points,
-        fallback=fallback,
     )
     if not unconstrained and not groups:
         return out

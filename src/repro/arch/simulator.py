@@ -18,15 +18,15 @@ Two production paths execute this model:
 
 * :meth:`DataflowSimulator.run` — one design point. It consumes the
   struct-of-arrays :class:`~repro.circuits.compiled.CompiledCircuit`
-  form and allocates no per-gate objects; spec-less custom supplies go
-  through per-gate ``acquire``.
+  form and allocates no per-gate objects.
 * :func:`repro.arch.batched.simulate_batch` — a whole *sweep* of design
   points (one supply per point) in a single vectorized pass over
   dependency levels, bit-identical to :meth:`~DataflowSimulator.run`
   once per point.
 
-The two paths lower any supply that publishes a declarative ready-time
-description (:func:`~repro.arch.supply.declared_ready_spec`) through the
+Both paths read a supply only through its declarative ready-time
+description (``ready_spec()``, see
+:class:`~repro.arch.supply.AncillaSupply`) and lower it through the
 same functions defined here: :func:`lowerable_spec` classifies it,
 :func:`lower_ready` turns a group of specs into one ready time per gate
 and point (steady kinds: the k-th ancilla exists at ``k / rate``;
@@ -61,7 +61,6 @@ from repro.arch.supply import (
     InfiniteSupply,
     ReadySpec,
     SteadyKindSpec,
-    declared_ready_spec,
 )
 from repro.circuits import Circuit
 from repro.circuits.compiled import CompiledCircuit, compile_circuit
@@ -139,22 +138,6 @@ class _PortBank:
         end = begin + duration
         heapreplace(self._heap, (end, index))
         return end
-
-
-def spec_kind_mode(kind_spec) -> Optional[str]:
-    """Lowering class of one kind's declarative spec.
-
-    ``None`` (unconstrained), ``"steady"``, ``"dedicated"``, or
-    ``"unknown"`` for a foreign spec type neither engine can lower —
-    callers must route unknown specs through per-gate ``acquire``.
-    """
-    if kind_spec is None:
-        return None
-    if isinstance(kind_spec, SteadyKindSpec):
-        return "steady"
-    if isinstance(kind_spec, DedicatedKindSpec):
-        return "dedicated"
-    return "unknown"
 
 
 def movement_teleports(
@@ -241,9 +224,12 @@ class DataflowSimulator:
         Result-identical to the reference loop
         (:func:`repro.testing.reference.run_reference`, exact float
         equality), several times faster: no per-gate object allocation,
-        inlined dependency updates, and a supply's declared ready spec
-        lowered to one precomputed ready time per gate
-        (:func:`lower_ready`) in place of per-gate ``acquire`` calls.
+        inlined dependency updates, and the supply's ready spec lowered
+        to one precomputed ready time per gate (:func:`lower_ready`).
+
+        Raises:
+            TypeError: The supply publishes no lowerable ready spec
+                (:func:`lowerable_spec`).
         """
         with _span("simulate.setup"):
             cc = self.compiled
@@ -259,13 +245,9 @@ class DataflowSimulator:
             if move_1q or move_2q:
                 table = (0.0, move_1q, move_2q)
                 movement = [table[k] for k in cc.move_kind]
-            lowering = lowerable_spec(cc, supply)
+            spec, signature = lowerable_spec(cc, supply)
             ready: Optional[List[float]] = None
-            acquire = None
-            if lowering is None:
-                acquire = supply.acquire
-            elif lowering[1] != (None, None):
-                spec, signature = lowering
+            if signature != (None, None):
                 # Plain floats: the loops iterate element by element, and
                 # np.float64 scalars are ~2x slower there; ``.tolist()``
                 # keeps every bit.
@@ -273,17 +255,13 @@ class DataflowSimulator:
         with _span("simulate.level_walk", gates=n):
             if self.cqla is not None:
                 makespan, misses, cache_teleports = _run_cache(
-                    cc, self.cqla, self.tech, movement, ready, acquire, qec
+                    cc, self.cqla, self.tech, movement, ready, qec
                 )
                 teleports += cache_teleports
-            elif acquire is not None:
-                makespan = _run_generic(cc, movement, acquire, qec)
-                misses = 0
             else:
                 makespan = _run_flat(cc, movement, ready, qec)
                 misses = 0
-        if lowering is not None:
-            commit_draws(cc, supply, lowering[0])
+        commit_draws(cc, supply, spec)
         return SimulationResult(
             makespan_us=float(makespan),
             gates=n,
@@ -366,28 +344,44 @@ Signature = Tuple[Optional[str], Optional[str]]
 
 def lowerable_spec(
     cc: CompiledCircuit, supply: AncillaSupply
-) -> Optional[Tuple[ReadySpec, Signature]]:
-    """``supply``'s honored ready spec and its lowering signature.
+) -> Tuple[ReadySpec, Signature]:
+    """``supply``'s ready spec and its lowering signature.
 
-    The signature is the ``(zero_mode, pi8_mode)`` pair of
-    :func:`spec_kind_mode` strings, with a kind irrelevant to this
-    circuit (untracked, or pi/8 with no pi/8 gates) as None; specs with
-    equal signatures lower together (:func:`lower_ready`), and
-    ``(None, None)`` constrains nothing. Returns None when the supply
-    must run through per-gate ``acquire`` instead: no honored spec
-    (:func:`~repro.arch.supply.declared_ready_spec`), or a spec type
-    neither engine can lower.
+    The signature is the ``(zero_mode, pi8_mode)`` pair, each
+    ``"steady"``, ``"dedicated"``, or None for a kind irrelevant to this
+    circuit (untracked, or pi/8 with no pi/8 gates); specs with equal
+    signatures lower together (:func:`lower_ready`), and ``(None, None)``
+    constrains nothing.
+
+    Raises:
+        TypeError: ``supply`` has no ``ready_spec()``, or its zero or
+            pi/8 kind is neither a :class:`SteadyKindSpec` nor a
+            :class:`DedicatedKindSpec`.
     """
-    spec = declared_ready_spec(supply)
-    if spec is None:
+    ready_spec = getattr(supply, "ready_spec", None)
+    if ready_spec is None:
+        raise TypeError(
+            f"{type(supply).__name__} has no ready_spec(); the dataflow "
+            "engines read a supply only through its ReadySpec"
+        )
+    spec = ready_spec()
+    zero_mode = _kind_mode(supply, spec.kind(ZERO))
+    pi8_mode = _kind_mode(supply, spec.kind(PI8))
+    return spec, (zero_mode, pi8_mode if cc.pi8_count else None)
+
+
+def _kind_mode(supply: AncillaSupply, kind_spec) -> Optional[str]:
+    if kind_spec is None:
         return None
-    signature = (
-        spec_kind_mode(spec.kind(ZERO)),
-        spec_kind_mode(spec.kind(PI8)) if cc.pi8_count else None,
+    if isinstance(kind_spec, SteadyKindSpec):
+        return "steady"
+    if isinstance(kind_spec, DedicatedKindSpec):
+        return "dedicated"
+    raise TypeError(
+        f"{type(supply).__name__}.ready_spec() holds a "
+        f"{type(kind_spec).__name__}; the dataflow engines lower only "
+        "SteadyKindSpec and DedicatedKindSpec"
     )
-    if "unknown" in signature:
-        return None
-    return spec, signature
 
 
 def _kind_ready(kind_specs, mode, seq, home, rank) -> np.ndarray:
@@ -423,7 +417,7 @@ def lower_ready(
 
     Kinds may mix modes (e.g. a steady zero pool over dedicated pi/8
     generators): a gate's constraint is the elementwise max of its
-    kinds' ready times, the order per-gate ``acquire`` applies them in.
+    kinds' ready times, the order the reference loop applies them in.
     Returns None when no kind constrains this circuit.
     """
     draws = _draws(cc)
@@ -451,10 +445,11 @@ def lower_ready(
 def commit_draws(
     cc: CompiledCircuit, supply: AncillaSupply, spec: ReadySpec
 ) -> None:
-    """Record on ``supply`` what a per-gate ``acquire`` walk of ``cc``
-    would have: aggregate counts for steady kinds, per-home totals for
-    dedicated kinds. (``advance`` / ``advance_per_qubit`` skip zero-rate
-    counters, matching acquire's return-inf-without-recording.)"""
+    """Record on ``supply`` what a gate-by-gate walk of ``cc`` would
+    have consumed: aggregate counts for steady kinds, per-home totals for
+    dedicated kinds. (The built-in ``advance`` / ``advance_per_qubit``
+    skip zero-rate counters, matching ``acquire``'s
+    return-inf-without-recording.)"""
     draws = _draws(cc)
     for kind, total, home_totals in (
         (ZERO, ZEROS_PER_QEC * cc.num_gates, draws.zero_home_totals),
@@ -527,68 +522,19 @@ def _run_flat(
     return max(qubit_free) if qubit_free else 0.0
 
 
-def _run_generic(
-    cc: CompiledCircuit,
-    movement: Optional[List[float]],
-    acquire,
-    qec: float,
-) -> float:
-    """Hot loop for arbitrary :class:`AncillaSupply` implementations."""
-    qubit_free = [0.0] * cc.num_qubits
-    bits = [0.0] * cc.num_bits
-    move_iter = movement if movement is not None else repeat(0.0)
-    for a, b, c, cond, move, pi8, latency, result in zip(
-        cc.q0, cc.q1, cc.q2, cc.cond_id, move_iter, cc.pi8_flag,
-        cc.latency_us, cc.result_id,
-    ):
-        t = qubit_free[a]
-        if b >= 0:
-            v = qubit_free[b]
-            if v > t:
-                t = v
-            if c >= 0:
-                v = qubit_free[c]
-                if v > t:
-                    t = v
-        if cond >= 0:
-            v = bits[cond]
-            if v > t:
-                t = v
-        if move:
-            t += move
-        v = acquire(ZERO, a, ZEROS_PER_QEC, t)
-        if v > t:
-            t = v
-        if pi8:
-            v = acquire(PI8, a, 1, t)
-            if v > t:
-                t = v
-        finish = t + latency + qec
-        qubit_free[a] = finish
-        if b >= 0:
-            qubit_free[b] = finish
-            if c >= 0:
-                qubit_free[c] = finish
-        if result >= 0:
-            bits[result] = finish
-    return max(qubit_free) if qubit_free else 0.0
-
-
 def _run_cache(
     cc: CompiledCircuit,
     cqla: CqlaConfig,
     tech: TechnologyParams,
     movement: Optional[List[float]],
     supply_ready: Optional[Sequence[float]],
-    acquire,
     qec: float,
 ):
     """Hot loop with CQLA compute-cache modeling.
 
     Returns ``(makespan, cache_misses, teleports)``. Supply constraints
-    come either from a lowered ready list (plain floats, as in
-    :func:`_run_flat`) or from per-gate ``acquire`` calls; both may be
-    None when nothing constrains.
+    come from a lowered ready list (plain floats, as in
+    :func:`_run_flat`), or None when nothing constrains.
     """
     qubit_free = [0.0] * cc.num_qubits
     bits = [0.0] * cc.num_bits
@@ -599,9 +545,9 @@ def _run_cache(
     teleports = 0
     move_iter = movement if movement is not None else repeat(0.0)
     ready_iter = supply_ready if supply_ready is not None else repeat(0.0)
-    for a, b, c, cond, move, ready, pi8, latency, result in zip(
+    for a, b, c, cond, move, ready, latency, result in zip(
         cc.q0, cc.q1, cc.q2, cc.cond_id, move_iter, ready_iter,
-        cc.pi8_flag, cc.latency_us, cc.result_id,
+        cc.latency_us, cc.result_id,
     ):
         t = qubit_free[a]
         if b >= 0:
@@ -631,14 +577,6 @@ def _run_cache(
             t += move
         if ready > t:
             t = ready
-        if acquire is not None:
-            v = acquire(ZERO, a, ZEROS_PER_QEC, t)
-            if v > t:
-                t = v
-            if pi8:
-                v = acquire(PI8, a, 1, t)
-                if v > t:
-                    t = v
         finish = t + latency + qec
         qubit_free[a] = finish
         if b >= 0:

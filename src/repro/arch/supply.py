@@ -10,20 +10,20 @@ in Figure 8.
 Kinds are the two the paper tracks: "zero" (corrected encoded zeros for
 QEC) and "pi8" (encoded pi/8 ancillae for non-transversal gates).
 
-Every supply also *describes* its availability math declaratively via
-:meth:`ready_spec`: a :class:`ReadySpec` mapping each tracked kind to a
+Every supply *describes* its availability math declaratively via
+``ready_spec()``: a :class:`ReadySpec` mapping each tracked kind to a
 closed-form ready-time description (steady-rate counter or per-qubit
-dedicated counters; untracked kinds are unconstrained). The compiled and
-point-batched dataflow engines lower that description into array kernels
-instead of calling :meth:`acquire` per gate — see
-:func:`declared_ready_spec` for the opt-in rules that keep overridden
-subclasses off the lowered path.
+dedicated counters; untracked kinds are unconstrained). That spec is the
+whole contract with the dataflow engines (see :class:`AncillaSupply`).
+The built-in supplies also keep a per-gate :meth:`acquire`, the
+semantics the test oracle :func:`repro.testing.reference.run_reference`
+replays to check the lowering against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Protocol, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Protocol, Union
 
 ZERO = "zero"
 PI8 = "pi8"
@@ -79,69 +79,21 @@ class ReadySpec:
 
 
 class AncillaSupply(Protocol):
-    """Protocol for ancilla availability queries."""
+    """What the dataflow engines require of a supply.
 
-    def acquire(self, kind: str, qubit: int, count: int, earliest: float) -> float:
-        """Reserve ``count`` ancillae; returns the time they are ready."""
-        ...
-
-
-#: Methods whose behavior a ``ready_spec()`` claims to describe. If a
-#: subclass overrides any of these *below* the class that defined its
-#: inherited ``ready_spec`` (i.e. closer to the instance in the MRO), the
-#: spec no longer speaks for the supply's actual availability/state math,
-#: and :func:`declared_ready_spec` refuses to lower it. Re-declaring
-#: ``ready_spec`` alongside the overrides opts the subclass back in.
-SPEC_COUPLED_METHODS = (
-    "acquire",
-    "advance",
-    "advance_per_qubit",
-    "dedicated_state",
-    "rate_per_us",
-    "consumed_so_far",
-)
-
-
-def declared_ready_spec(supply: object) -> Optional[ReadySpec]:
-    """``supply.ready_spec()`` gated on explicit opt-in, else None.
-
-    The dataflow engines use this — never a bare ``ready_spec()`` call —
-    to decide whether a supply may take the lowered (closed-form / array)
-    path instead of per-gate :meth:`AncillaSupply.acquire` dispatch.
-    A spec is honored only when the class that defines ``ready_spec`` in
-    the instance's MRO is at least as derived as every class defining one
-    of :data:`SPEC_COUPLED_METHODS`; otherwise a subclass overriding only
-    ``advance`` or ``rate_per_us`` would be *half-batched* — lowered
-    with the parent's math but committed with the child's. Instance-level
-    attribute overrides of any coupled method (monkeypatching) likewise
-    disqualify the supply.
-
-    Returns None for supplies with no ``ready_spec`` at all (custom
-    :class:`AncillaSupply` implementations), which simply stay on the
-    per-gate path.
+    ``ready_spec()`` returns the supply's :class:`ReadySpec`; every kind
+    in it is a :class:`SteadyKindSpec` or a :class:`DedicatedKindSpec`.
+    After a run the engines commit the run's consumption back through
+    ``advance(kind, total)`` for each steady kind and
+    ``advance_per_qubit(kind, counts)`` for each dedicated kind, so a
+    supply needs only the methods its spec's kinds call for. A supply
+    without ``ready_spec()``, or with a kind of any other type, is
+    rejected with :class:`TypeError` before anything runs.
     """
-    cls = type(supply)
-    inst_dict = getattr(supply, "__dict__", None)
-    if inst_dict:
-        if "ready_spec" in inst_dict:
-            return None
-        if any(name in inst_dict for name in SPEC_COUPLED_METHODS):
-            return None
-    owner_index: Optional[int] = None
-    for index, base in enumerate(cls.__mro__):
-        if "ready_spec" in base.__dict__:
-            owner_index = index
-            break
-    if owner_index is None:
-        return None
-    for base in cls.__mro__[:owner_index]:
-        for name in SPEC_COUPLED_METHODS:
-            if name in base.__dict__:
-                return None
-    spec = supply.ready_spec()  # type: ignore[attr-defined]
-    if not isinstance(spec, ReadySpec):
-        return None
-    return spec
+
+    def ready_spec(self) -> ReadySpec:
+        """The closed-form ready-time description of this supply."""
+        ...
 
 
 class InfiniteSupply:
@@ -187,10 +139,9 @@ class SteadyRateSupply:
     Because consumption is FIFO from a constant rate, availability has a
     closed form: the k-th ancilla of a kind exists at ``k / rate``.
     :meth:`ready_spec` publishes the counters so the dataflow engines
-    evaluate that closed form for a whole circuit at once instead of
-    calling :meth:`acquire` per gate; :meth:`advance` lets them commit the
-    aggregate consumption afterwards so supply state stays identical to a
-    gate-by-gate run.
+    evaluate that closed form for a whole circuit at once; :meth:`advance`
+    lets them commit the aggregate consumption afterwards so supply state
+    stays identical to a gate-by-gate :meth:`acquire` walk.
 
     Args:
         rates_per_ms: Production rate per kind in ancillae per millisecond.
@@ -206,20 +157,6 @@ class SteadyRateSupply:
         if counter is None:
             return earliest
         return counter.acquire(count, earliest)
-
-    def rate_per_us(self, kind: str) -> Optional[float]:
-        """Production rate of ``kind`` in ancillae per microsecond.
-
-        Returns None when this supply does not track the kind at all
-        (in which case :meth:`acquire` never constrains it).
-        """
-        counter = self._counters.get(kind)
-        return counter.rate if counter is not None else None
-
-    def consumed_so_far(self, kind: str) -> int:
-        """Ancillae of ``kind`` consumed from this supply to date."""
-        counter = self._counters.get(kind)
-        return counter.consumed if counter is not None else 0
 
     def advance(self, kind: str, count: int) -> None:
         """Record ``count`` ancillae as consumed without a time query.
@@ -292,22 +229,6 @@ class DedicatedSupply:
         consumed[qubit] += count
         produced_by = consumed[qubit] / rate
         return max(earliest, produced_by)
-
-    def dedicated_state(
-        self, kind: str
-    ) -> Optional[Tuple[List[float], List[int]]]:
-        """Per-qubit ``(rates, consumed)`` vectors for ``kind``, or None.
-
-        The same live lists :meth:`ready_spec` publishes. The dataflow
-        engines only read them (stacked per point by
-        :func:`repro.arch.simulator.lower_ready`) and commit consumption
-        through :meth:`advance_per_qubit`; treat them as read-only unless
-        you are replaying consumption exactly.
-        """
-        rates = self._rates.get(kind)
-        if rates is None:
-            return None
-        return rates, self._consumed[kind]
 
     def ready_spec(self) -> ReadySpec:
         """One :class:`DedicatedKindSpec` per tracked kind (live lists)."""

@@ -43,17 +43,11 @@ from repro.error.batched import (
     BatchFrames,
     BatchedSimulator,
     STEANE_DECODE,
-    STEANE_H_T,
     steane_grade_bad,
     steane_syndrome_keys,
 )
 from repro.error.montecarlo import MonteCarloResult
 from repro.tech import ErrorRates
-
-#: Back-compat aliases: the decode table and parity-check transpose were
-#: born here and are imported by tests and notebooks.
-_DECODE = STEANE_DECODE
-_H_T = STEANE_H_T
 
 
 class VectorizedSimulator(BatchedSimulator):

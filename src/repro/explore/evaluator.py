@@ -463,12 +463,10 @@ class Evaluator:
         retry_backoff: Base of the shared full-jitter exponential
             backoff policy (:class:`repro.util.backoff.Backoff`, capped
             at 2 s) slept between retries; 0 disables sleeping.
-        heartbeat_interval: Seconds between lease-heartbeat refreshes,
-            taken between simulation groups, between points of the
-            per-point fallback and between retries; must be smaller than the store's
-            ``lease_ttl`` (a heartbeat slower than the TTL would let a
-            *live* evaluator's lease be reclaimed). Default: a quarter
-            of the TTL, capped at 5 s.
+
+    Owned leases are heartbeat between simulation groups and between
+    retries, at most every ``min(5 s, lease_ttl / 4)``: well inside the
+    store's TTL, so a *live* evaluator's lease never looks stale.
 
     Counters (reset never; read via :meth:`stats` after a run):
 
@@ -491,7 +489,6 @@ class Evaluator:
         store: Optional[ResultStore] = None,
         retries: int = 2,
         retry_backoff: float = 0.1,
-        heartbeat_interval: Optional[float] = None,
     ) -> None:
         if (analysis is None) == (kernel is None):
             raise ValueError("pass exactly one of analysis= or kernel=/width=")
@@ -499,17 +496,6 @@ class Evaluator:
             raise ValueError("spec mode needs width= alongside kernel=")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if heartbeat_interval is not None:
-            if heartbeat_interval <= 0:
-                raise ValueError(
-                    f"heartbeat_interval must be positive, got {heartbeat_interval}"
-                )
-            if store is not None and heartbeat_interval >= store.lease_ttl:
-                raise ValueError(
-                    f"heartbeat_interval ({heartbeat_interval}s) must be "
-                    f"smaller than the store's lease_ttl ({store.lease_ttl}s); "
-                    "a live lease must be refreshed before it can go stale"
-                )
         self._analysis = analysis
         self._kernel = kernel
         self._width = width
@@ -518,7 +504,6 @@ class Evaluator:
         self.store = store
         self._retries = retries
         self._backoff = Backoff(base=retry_backoff, cap=2.0)
-        self._heartbeat_interval = heartbeat_interval
         self._lease_poll = 0.05
         self._quarantine: Dict[str, str] = {}
         self._active_leases: List[StoreKey] = []
@@ -760,13 +745,8 @@ class Evaluator:
         """Refresh owned leases (throttled) so they never look stale."""
         if self.store is None or not self._active_leases:
             return
-        interval = (
-            self._heartbeat_interval
-            if self._heartbeat_interval is not None
-            else min(5.0, self.store.lease_ttl / 4)
-        )
         now = time.monotonic()
-        if now - self._last_heartbeat < interval:
+        if now - self._last_heartbeat < min(5.0, self.store.lease_ttl / 4):
             return
         self._last_heartbeat = now
         for key in self._active_leases:

@@ -353,7 +353,7 @@ class RemoteEvaluator:
             analyze — the spec *is* the request).
         store: Local result store for the fallback evaluator; sharing it
             with the server (same cache dir) makes the fallback warm.
-        retries/heartbeat_interval: Fallback evaluator knobs (see
+        retries: Fallback evaluator retry budget (see
             :class:`Evaluator`).
     """
 
@@ -365,7 +365,6 @@ class RemoteEvaluator:
         width: int,
         store: Optional[ResultStore] = None,
         retries: int = 2,
-        heartbeat_interval: Optional[float] = None,
     ) -> None:
         self.client = client
         self._kernel = kernel
@@ -375,7 +374,6 @@ class RemoteEvaluator:
             width=width,
             store=store,
             retries=retries,
-            heartbeat_interval=heartbeat_interval,
         )
         self.store = store
         self.degraded = False

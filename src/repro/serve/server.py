@@ -81,8 +81,6 @@ class ExploreService:
         store: Shared result store (``None`` disables persistence and
             lease coordination — every request simulates).
         retries: Per-point retry budget forwarded to the evaluators.
-        heartbeat_interval: Lease heartbeat interval forwarded to the
-            evaluators (must be < the store's ``lease_ttl``).
         max_queue: Most ``/evaluate`` requests admitted at once
             (the one being worked plus the ones queued behind it);
             requests beyond it are shed with 429.
@@ -97,7 +95,6 @@ class ExploreService:
         *,
         store: Optional[ResultStore] = None,
         retries: int = 2,
-        heartbeat_interval: Optional[float] = None,
         max_queue: int = 8,
         replica_id: Optional[str] = None,
     ) -> None:
@@ -105,7 +102,6 @@ class ExploreService:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
         self.store = store
         self._retries = retries
-        self._heartbeat_interval = heartbeat_interval
         self.max_queue = max_queue
         self.replica_id = replica_id
         self._evaluators: Dict[Tuple[str, int], Evaluator] = {}
@@ -191,7 +187,6 @@ class ExploreService:
                     width=width,
                     store=self.store,
                     retries=self._retries,
-                    heartbeat_interval=self._heartbeat_interval,
                 )
                 self._evaluators[key] = evaluator
             return evaluator

@@ -77,9 +77,13 @@ class TestExploreRobustnessFlags:
         assert _explore(tmp_path, "--retries", "1") == 0
         assert "evaluator:" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("flag", ["--workers", "--timeout"])
+    @pytest.mark.parametrize(
+        "flag", ["--workers", "--timeout", "--heartbeat-interval"]
+    )
     def test_pool_flags_are_gone(self, tmp_path, capsys, flag):
-        """Evaluation is in-process only: the pool's flags are rejected."""
+        """Retired knobs are rejected: the pool's flags (evaluation is
+        in-process only) and the heartbeat interval (derived from the
+        lease TTL)."""
         assert _explore(tmp_path, flag, "2") == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 

@@ -260,7 +260,7 @@ class TestSerialHeartbeat:
 
         def evaluator():
             return Evaluator(
-                kernel="qrca", width=8, heartbeat_interval=0.2,
+                kernel="qrca", width=8,
                 store=ResultStore(tmp_path, lease_ttl=1.0),
             )
 

@@ -4,8 +4,8 @@ One fresh interpreter runs a fixed set of CLI commands in process
 (``repro.__main__.main``) under ``sys.setprofile`` and
 ``threading.setprofile``, plus one exploration served by an in-process
 :class:`~repro.serve.ExploreServer`, and records which source files had
-a function called. A fresh interpreter keeps memoized state from other
-tests from hiding a call.
+a function called, and which functions (by first line). A fresh
+interpreter keeps memoized state from other tests from hiding a call.
 
 A production module (any ``src/repro`` module outside
 ``repro.testing`` that defines a function) with no function reached
@@ -13,6 +13,10 @@ must be on :data:`ALLOWLIST` with a reason; an allowlisted module that
 a command does reach must come off the list. Code that no command
 reaches is either deliberate public API, a test oracle (which belongs
 in ``repro.testing``), or dead.
+
+The dataflow engine modules (:data:`FUNCTION_MODULES`) are held to the
+same rule per function, with no allowlist: every function defined there
+is reached by a command.
 """
 
 import ast
@@ -21,6 +25,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -47,6 +53,9 @@ ALLOWLIST = {
         "failure paths that tests/faults drives"
     ),
 }
+
+#: Modules, relative to ``src/repro``, whose every function must be reached.
+FUNCTION_MODULES = ("arch/simulator.py", "arch/batched.py")
 
 #: CLI commands traced in process; ``{store}`` is the result-store root.
 COMMANDS = [
@@ -76,7 +85,7 @@ def hook(frame, event, arg):
     if event == "call":
         code = frame.f_code
         if code.co_flags & CO_NEWLOCALS and not code.co_name.startswith("<"):
-            reached.add(code.co_filename)
+            reached.add((code.co_filename, code.co_firstlineno))
 
 
 from repro.__main__ import main
@@ -127,7 +136,24 @@ def _production_modules(package):
     return modules
 
 
-def _reached_modules(package, tmp_path):
+def _function_lines(path):
+    """First line of every function ``path`` defines, as ``co_firstlineno``
+    reports it (the first decorator's line for a decorated function)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {
+        min([node.lineno] + [d.lineno for d in node.decorator_list]):
+            node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+
+
+@pytest.fixture(scope="module")
+def reach(tmp_path_factory):
+    """The functions the traced commands reach in ``src/repro``, as
+    ``(path relative to src/repro, first line)`` pairs."""
+    package = (SRC / "repro").resolve()
+    tmp_path = tmp_path_factory.mktemp("reach")
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
     env.pop("REPRO_CACHE_DIR", None)
@@ -139,21 +165,19 @@ def _reached_modules(package, tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-4000:]
-    files = json.loads(proc.stdout.strip().splitlines()[-1])
     reached = set()
-    for name in files:
+    for name, line in json.loads(proc.stdout.strip().splitlines()[-1]):
         path = Path(name).resolve()
         if package in path.parents:
-            reached.add(path.relative_to(package).as_posix())
+            reached.add((path.relative_to(package).as_posix(), line))
     return reached
 
 
-def test_every_production_module_is_reached(tmp_path):
+def test_every_production_module_is_reached(reach):
     assert len(ALLOWLIST) <= 5 and all(ALLOWLIST.values())
     package = (SRC / "repro").resolve()
     production = _production_modules(package)
-    reached = _reached_modules(package, tmp_path)
-    unreached = production - reached
+    unreached = production - {module for module, _ in reach}
     assert not unreached - set(ALLOWLIST), (
         "production modules no command reaches; delete them, move them "
         f"into repro.testing, or allowlist them with a reason: "
@@ -164,3 +188,15 @@ def test_every_production_module_is_reached(tmp_path):
         f"ALLOWLIST: {sorted(set(ALLOWLIST) - unreached)}"
     )
 
+
+@pytest.mark.parametrize("module", FUNCTION_MODULES)
+def test_every_engine_function_is_reached(reach, module):
+    defined = _function_lines(SRC / "repro" / module)
+    unreached = sorted(
+        f"{name} (line {line})" for line, name in defined.items()
+        if (module, line) not in reach
+    )
+    assert not unreached, (
+        f"functions in {module} that no command reaches; delete them or "
+        f"move them into repro.testing: {unreached}"
+    )

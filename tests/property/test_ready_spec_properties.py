@@ -79,15 +79,16 @@ kind_subsets = st.sampled_from(
 
 
 def _steady_state(supply):
-    return {kind: supply.consumed_so_far(kind) for kind in (ZERO, PI8)}
+    spec = supply.ready_spec()
+    return {kind: getattr(spec.kind(kind), "consumed", 0) for kind in (ZERO, PI8)}
 
 
 def _dedicated_state(supply):
-    out = {}
-    for kind in (ZERO, PI8):
-        state = supply.dedicated_state(kind)
-        out[kind] = None if state is None else list(state[1])
-    return out
+    spec = supply.ready_spec()
+    return {
+        kind: None if spec.kind(kind) is None else list(spec.kind(kind).consumed)
+        for kind in (ZERO, PI8)
+    }
 
 
 def _reference(supplies, cqla=None):

@@ -141,16 +141,12 @@ def test_unconstrained_column_routes_as_one_point(qcla32, routes):
 
 def test_trace_reports_serial_points(qrca32):
     """The batch span counts shape-routed points as ``serial``, apart
-    from ``fallback`` (no honored ready spec)."""
+    from the vectorized ``dedicated`` points."""
     from repro.obs import trace
-
-    class SpecLess:
-        def acquire(self, kind, qubit, count, earliest):
-            return earliest
 
     tracer = trace.enable()
     try:
-        _batch(qrca32, _supplies(qrca32, "qla", 2) + [SpecLess()], "qla")
+        _batch(qrca32, _supplies(qrca32, "qla", 2), "qla")
         _batch(qrca32, _supplies(qrca32, "qla", 20), "qla")
     finally:
         trace.disable()
@@ -159,7 +155,4 @@ def test_trace_reports_serial_points(qrca32):
         for event in tracer.events()
         if event["name"] == "batched.simulate_batch"
     ]
-    assert [(s["serial"], s["fallback"], s["dedicated"]) for s in spans] == [
-        (2, 1, 0),
-        (0, 0, 20),
-    ]
+    assert [(s["serial"], s["dedicated"]) for s in spans] == [(2, 0), (0, 20)]

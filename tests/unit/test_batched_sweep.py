@@ -6,14 +6,11 @@ and the reference loop (:func:`repro.testing.reference.run_reference`)
 — every ``SimulationResult`` field compared with exact equality, never
 approx — across all supply models (infinite, steady, pooled, dedicated,
 zero-rate and untracked edge cases), with identical observable supply
-state afterwards. CQLA cache mode rides a program-order lockstep kernel;
-only supplies without a declared ready-spec fall back to the per-point
-serial path. The equivalence classes run every case on both routes the
-shape rule chooses between (the ``batch_routes`` fixture): the vectorized
-kernels and per-point ``run()``.
+state afterwards. CQLA cache mode rides a program-order lockstep kernel.
+The equivalence classes run every case on both routes the shape rule
+chooses between (the ``batch_routes`` fixture): the vectorized kernels
+and per-point ``run()``.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -56,13 +53,6 @@ KERNELS = ("qrca", "qcla", "qft")
 _FACTORY_AREAS = (100.0, 400.0, 1600.0, 25000.0)
 
 
-class _CeilingSupply:
-    """Custom supply: ancillae materialize on 1 ms boundaries."""
-
-    def acquire(self, kind, qubit, count, earliest):
-        return math.ceil(earliest / 1000.0) * 1000.0
-
-
 def _serial(analysis, supplies, config=None, reference=False, cqla=None):
     """Per-point serial results for ``supplies`` (fresh simulator each),
     from ``run()`` or, with ``reference=True``, from the reference loop."""
@@ -95,15 +85,40 @@ def _batched(analysis, supplies, config=None, cqla=None):
     )
 
 
-class _SpecLess:
-    """Delegates ``acquire`` to a built-in supply but publishes no ready
-    spec, so every point takes the per-point serial path."""
+class _SplitSupply:
+    """Custom spec publisher: a steady zero pool over dedicated pi/8
+    generators, so one spec mixes both lowering modes."""
 
-    def __init__(self, supply):
-        self._supply = supply
+    def __init__(self, zero_rate, pi8_rate, num_qubits):
+        self._zero = SteadyRateSupply({ZERO: zero_rate})
+        self._pi8 = DedicatedSupply({PI8: pi8_rate}, num_qubits)
 
     def acquire(self, kind, qubit, count, earliest):
-        return self._supply.acquire(kind, qubit, count, earliest)
+        part = self._zero if kind == ZERO else self._pi8
+        return part.acquire(kind, qubit, count, earliest)
+
+    def advance(self, kind, count):
+        self._zero.advance(kind, count)
+
+    def advance_per_qubit(self, kind, counts):
+        self._pi8.advance_per_qubit(kind, counts)
+
+    def ready_spec(self):
+        return ReadySpec(
+            {**self._zero.ready_spec().kinds, **self._pi8.ready_spec().kinds}
+        )
+
+
+def _spec_state(supply):
+    """Observable consumption state of a spec publisher, per kind."""
+    return {
+        kind: (
+            (spec.rate_per_us, spec.consumed)
+            if isinstance(spec, SteadyKindSpec)
+            else (list(spec.rates_per_us), list(spec.consumed))
+        )
+        for kind, spec in supply.ready_spec().kinds.items()
+    }
 
 
 def _steady_rates(analysis):
@@ -138,10 +153,7 @@ class TestSteadyBatches:
         for _ in batch_routes():
             batch_supply = SteadyRateSupply({ZERO: rate, PI8: rate})
             _batched(qrca8, [batch_supply])
-            for kind in (ZERO, PI8):
-                assert batch_supply.consumed_so_far(kind) == (
-                    serial_supply.consumed_so_far(kind)
-                )
+            assert _spec_state(batch_supply) == _spec_state(serial_supply)
 
     def test_zero_rate_starves_every_point(self, qrca8, batch_routes):
         def supplies():
@@ -230,10 +242,7 @@ class TestArchitectureBatches:
         for _ in batch_routes():
             batch_supply = supply()
             _batched(qrca8, [batch_supply])
-            for kind in (ZERO, PI8):
-                assert batch_supply.dedicated_state(kind) == (
-                    serial_supply.dedicated_state(kind)
-                )
+            assert _spec_state(batch_supply) == _spec_state(serial_supply)
 
     def test_dedicated_zero_rate_starves(self, qrca8, batch_routes):
         nq = qrca8.circuit.num_qubits
@@ -255,8 +264,7 @@ class TestArchitectureBatches:
 
 
 class TestCqlaBatches:
-    """CQLA cache mode rides the lockstep kernel at large enough point
-    counts — never the per-point fallback."""
+    """CQLA cache mode rides the lockstep kernel at large point counts."""
 
     @staticmethod
     def _cqla_supplies(analysis, config, areas=_FACTORY_AREAS):
@@ -301,9 +309,9 @@ class TestCqlaBatches:
         self, qrca8, monkeypatch, batch_routes
     ):
         """On the vectorized route the ladder must run the CQLA lockstep
-        kernel, not the per-point fallback and not the level kernel. (Its
-        4 points are below the shape rule's CQLA crossover, so the route
-        is forced here; test_batch_routing pins the rule itself.)"""
+        kernel, not the level kernel. (Its 4 points are below the shape
+        rule's CQLA crossover, so the route is forced here;
+        test_batch_routing pins the rule itself.)"""
         import repro.arch.batched as batched_module
 
         real = batched_module._run_cqla_lockstep
@@ -350,10 +358,9 @@ class TestCqlaBatches:
             for batch_supply, serial_supply in zip(
                 batch_supplies, serial_supplies
             ):
-                for kind in (ZERO, PI8):
-                    assert batch_supply.consumed_so_far(kind) == (
-                        serial_supply.consumed_so_far(kind)
-                    )
+                assert _spec_state(batch_supply) == (
+                    _spec_state(serial_supply)
+                )
 
     def test_unconstrained_supply_with_cqla_broadcasts(
         self, qrca8, batch_routes
@@ -373,12 +380,14 @@ class TestCqlaBatches:
     def test_mixed_batch_with_custom_supply_under_cqla(
         self, qrca8, batch_routes
     ):
-        """Spec-less supplies still fall back, CQLA neighbors still batch."""
+        """A custom spec publisher groups by its own signature beside the
+        built-in CQLA supplies."""
         config = CqlaConfig()
+        nq = qrca8.circuit.num_qubits
 
         def supplies():
             return self._cqla_supplies(qrca8, config, _FACTORY_AREAS[:2]) + [
-                _CeilingSupply()
+                _SplitSupply(2.0, 0.01, nq)
             ]
 
         for _ in batch_routes():
@@ -388,51 +397,6 @@ class TestCqlaBatches:
 
 
 class TestFallbacks:
-    def test_custom_supply_routes_per_point(self, qrca8, monkeypatch):
-        """Unrecognized supplies bypass the vectorized kernel entirely."""
-        import repro.arch.batched as batched_module
-
-        def boom(*args, **kwargs):
-            raise AssertionError("vectorized kernel must not run")
-
-        monkeypatch.setattr(batched_module, "_run_levels", boom)
-        supplies = [_CeilingSupply(), _CeilingSupply()]
-        results = simulate_batch(qrca8.circuit, supplies, qrca8.tech)
-        assert results == _serial(qrca8, [_CeilingSupply(), _CeilingSupply()])
-
-    def test_per_point_path_matches_batched(
-        self, qrca8, monkeypatch, batch_routes
-    ):
-        """Spec-less wrappers send every point down the per-point serial
-        path without changing a single result bit."""
-        import repro.arch.batched as batched_module
-
-        def boom(*args, **kwargs):
-            raise AssertionError("vectorized kernel must not run")
-
-        def supplies():
-            rate = qrca8.zero_bandwidth_per_ms / 2.0
-            return [
-                SteadyRateSupply({ZERO: rate, PI8: rate}),
-                InfiniteSupply(),
-                DedicatedSupply({ZERO: 0.05, PI8: 0.01}, qrca8.circuit.num_qubits),
-            ]
-
-        for _ in batch_routes("vectorized"):
-            vectorized = _batched(qrca8, supplies())
-        monkeypatch.setattr(batched_module, "_run_levels", boom)
-        monkeypatch.setattr(batched_module, "_run_cqla_lockstep", boom)
-        wrapped = [_SpecLess(supply) for supply in supplies()]
-        assert _batched(qrca8, wrapped) == vectorized
-
-    def test_instance_level_acquire_override_falls_back(self, qrca8):
-        def supplies():
-            supply = InfiniteSupply()
-            supply.acquire = lambda kind, qubit, count, earliest: earliest + 77.0
-            return [supply]
-
-        assert _batched(qrca8, supplies()) == _serial(qrca8, supplies())
-
     def test_mixed_batch_of_every_model(self, qrca8, batch_routes):
         """One call: infinite + steady + dedicated + custom, order kept."""
         nq = qrca8.circuit.num_qubits
@@ -441,7 +405,7 @@ class TestFallbacks:
             return [
                 SteadyRateSupply({ZERO: 3.0, PI8: 0.5}),
                 InfiniteSupply(),
-                _CeilingSupply(),
+                _SplitSupply(2.0, 0.01, nq),
                 DedicatedSupply({ZERO: 0.05, PI8: 0.01}, nq),
                 SteadyRateSupply({ZERO: 30.0, PI8: 5.0}),
             ]
@@ -463,7 +427,7 @@ class TestEdgeShapes:
             shared = SteadyRateSupply({ZERO: 5.0, PI8: 1.0})
             with pytest.raises(ValueError, match="same object"):
                 simulate_batch(qrca8.circuit, [shared, shared], qrca8.tech)
-            assert shared.consumed_so_far(ZERO) == 0
+            assert shared.ready_spec().kind(ZERO).consumed == 0
             dedicated = DedicatedSupply({ZERO: 0.1}, nq)
             with pytest.raises(ValueError, match="same object"):
                 simulate_batch(
@@ -565,8 +529,9 @@ class TestSweepGrids:
         ]
 
     def test_paper_sweeps_never_fall_back(self, qrca8, traced, batch_routes):
-        """Figures 8, 15 and the Figure-16 CQLA comparison sweep must show
-        a fleet-wide batched fallback count of zero on either route."""
+        """Figures 8, 15 and the Figure-16 CQLA comparison sweep route
+        through simulate_batch, whose per-path counts account for every
+        point on either route."""
         from repro.arch.sweep import area_sweep, throughput_sweep
 
         for _ in batch_routes():
@@ -579,7 +544,9 @@ class TestSweepGrids:
             )  # Figure-16-shaped: the Qalypso-vs-CQLA cache configuration
         spans = self._batch_spans(traced)
         assert spans, "paper sweeps must route through simulate_batch"
-        assert sum(span["fallback"] for span in spans) == 0
+        paths = ("unconstrained", "steady", "dedicated", "serial")
+        for span in spans:
+            assert sum(span[path] for path in paths) == span["points"], span
 
     def test_evaluator_batch_equals_per_point_evaluation(
         self, qrca8, batch_routes
@@ -602,32 +569,8 @@ class TestSweepGrids:
             assert evaluator.evaluate(points) == singles
 
 
-class _SplitSupply:
-    """Custom spec publisher: a steady zero pool over dedicated pi/8
-    generators, so one spec mixes both lowering modes."""
-
-    def __init__(self, zero_rate, pi8_rate, num_qubits):
-        self._zero = SteadyRateSupply({ZERO: zero_rate})
-        self._pi8 = DedicatedSupply({PI8: pi8_rate}, num_qubits)
-
-    def acquire(self, kind, qubit, count, earliest):
-        part = self._zero if kind == ZERO else self._pi8
-        return part.acquire(kind, qubit, count, earliest)
-
-    def advance(self, kind, count):
-        self._zero.advance(kind, count)
-
-    def advance_per_qubit(self, kind, counts):
-        self._pi8.advance_per_qubit(kind, counts)
-
-    def ready_spec(self):
-        return ReadySpec(
-            {**self._zero.ready_spec().kinds, **self._pi8.ready_spec().kinds}
-        )
-
-
 def _starve_even_qubits(supply):
-    rates, _ = supply.dedicated_state(ZERO)
+    rates = supply.ready_spec().kind(ZERO).rates_per_us
     rates[::2] = [0.0] * len(rates[::2])
     return supply
 
@@ -660,18 +603,6 @@ _LOWERING_CASES = {
         DedicatedSupply({ZERO: r / nq, PI8: 0.3 * r / nq}, nq), nq
     ),
 }
-
-
-def _spec_state(supply):
-    """Observable consumption state of a spec publisher, per kind."""
-    return {
-        kind: (
-            (spec.rate_per_us, spec.consumed)
-            if isinstance(spec, SteadyKindSpec)
-            else (list(spec.rates_per_us), list(spec.consumed))
-        )
-        for kind, spec in supply.ready_spec().kinds.items()
-    }
 
 
 class TestSharedLowering:
@@ -729,12 +660,8 @@ class TestSharedLowering:
             calls.append(args)
             return acquire(self, *args)
 
-        # Patched on the class, so the supply's ready spec stays honored.
         monkeypatch.setattr(DedicatedSupply, "acquire", counting)
         run_supply = make()
         assert _serial(qrca8, [run_supply], config, cqla=config) == reference
         assert calls == []
-        for kind in (ZERO, PI8):
-            assert run_supply.dedicated_state(kind) == (
-                reference_supply.dedicated_state(kind)
-            )
+        assert _spec_state(run_supply) == _spec_state(reference_supply)

@@ -13,7 +13,7 @@ class TestServeParser:
         assert main(["serve", "--help"]) == 0
         out = capsys.readouterr().out
         for flag in ("--host", "--port", "--max-queue", "--drain-timeout",
-                     "--lease-ttl", "--heartbeat-interval"):
+                     "--lease-ttl"):
             assert flag in out
 
     def test_defaults(self):
@@ -23,7 +23,6 @@ class TestServeParser:
         assert ns.max_queue == 8
         assert ns.drain_timeout == 30.0
         assert ns.lease_ttl is None
-        assert ns.heartbeat_interval is None
 
     def test_port_in_use_exits_2(self, tmp_path, capsys):
         blocker = socket.socket()
@@ -56,29 +55,10 @@ class TestLeaseKnobs:
         assert main(argv) == 2
         assert "--lease-ttl" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["explore", "serve"])
-    def test_heartbeat_must_beat_ttl(self, command, tmp_path, capsys):
-        argv = [
-            command, "--lease-ttl", "10", "--heartbeat-interval", "10",
-            "--cache-dir", str(tmp_path),
-        ]
-        if command == "explore":
-            argv.insert(1, "qrca-8")
-        assert main(argv) == 2
-        err = capsys.readouterr().err
-        assert "--heartbeat-interval" in err and "lease TTL" in err
-
-    def test_nonpositive_heartbeat_rejected(self, tmp_path, capsys):
-        assert main([
-            "explore", "qrca-8", "--heartbeat-interval", "-1",
-            "--cache-dir", str(tmp_path),
-        ]) == 2
-        assert "--heartbeat-interval" in capsys.readouterr().err
-
     def test_valid_knobs_accepted(self, tmp_path, capsys):
         code = main([
             "explore", "qrca-8", "--budget", "2",
-            "--lease-ttl", "60", "--heartbeat-interval", "5",
+            "--lease-ttl", "60",
             "--cache-dir", str(tmp_path),
         ])
         assert code == 0

@@ -85,8 +85,8 @@ class TestEngineEquivalence:
             qrca8.circuit, qrca8.tech, supply=compiled_supply
         ).run()
         for kind in (ZERO, PI8):
-            assert compiled_supply.consumed_so_far(kind) == (
-                legacy_supply.consumed_so_far(kind)
+            assert compiled_supply.ready_spec().kind(kind) == (
+                legacy_supply.ready_spec().kind(kind)
             )
 
     def test_zero_rate_supply_starves_both_engines(self):
@@ -115,45 +115,6 @@ class TestEngineEquivalence:
         legacy = run_reference(DataflowSimulator(circuit))
         compiled = DataflowSimulator(circuit).run()
         assert compiled == legacy
-
-    def test_custom_supply_protocol_falls_back_to_per_gate_queries(self):
-        class EveryOtherMillisecond:
-            """Ancillae materialize on 1 ms boundaries."""
-
-            def acquire(self, kind, qubit, count, earliest):
-                import math
-
-                return math.ceil(earliest / 1000.0) * 1000.0
-
-        circuit = Circuit(2).h(0).cx(0, 1).t(1)
-        legacy = run_reference(
-            DataflowSimulator(
-                circuit, supply=EveryOtherMillisecond()
-            )
-        )
-        compiled = DataflowSimulator(circuit, supply=EveryOtherMillisecond()).run()
-        assert compiled == legacy
-
-    def test_instance_level_acquire_override_honored(self):
-        """A monkeypatched acquire must reach the compiled engine too."""
-
-        def delayed(kind, qubit, count, earliest):
-            return earliest + 100.0
-
-        circuit = Circuit(2).h(0).cx(0, 1).t(1)
-
-        def patched():
-            from repro.arch.supply import InfiniteSupply
-
-            supply = InfiniteSupply()
-            supply.acquire = delayed
-            return supply
-
-        legacy = run_reference(DataflowSimulator(circuit, supply=patched()))
-        compiled = DataflowSimulator(circuit, supply=patched()).run()
-        assert compiled == legacy
-        # And the delay really was applied (not the infinite fast path).
-        assert compiled.makespan_us > DataflowSimulator(circuit).run().makespan_us
 
     def test_empty_circuit(self):
         result = DataflowSimulator(Circuit(3)).run()

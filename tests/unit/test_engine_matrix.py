@@ -25,7 +25,13 @@ from repro.arch.architectures import (
 )
 from repro.arch.batched import simulate_batch
 from repro.arch.simulator import DataflowSimulator
-from repro.arch.supply import PI8, ZERO, SteadyRateSupply
+from repro.arch.supply import (
+    PI8,
+    ZERO,
+    DedicatedSupply,
+    ReadySpec,
+    SteadyRateSupply,
+)
 from repro.kernels import analyze_kernel
 from repro.tech import ION_TRAP
 from repro.testing.reference import run_reference
@@ -48,13 +54,29 @@ CODE_LEVELS = (1, 2)
 _FACTORY_AREA = 500.0
 
 
-class _EveryMillisecond:
-    """Custom supply protocol: ancillae materialize on 1 ms boundaries."""
+class _SteadyZerosDedicatedPi8:
+    """Custom spec publisher: a steady zero pool over dedicated pi/8
+    generators, one spec mixing both lowering modes. ``acquire`` is the
+    per-gate form the reference loop replays."""
+
+    def __init__(self, zero_rate, pi8_rate, num_qubits):
+        self._zero = SteadyRateSupply({ZERO: zero_rate})
+        self._pi8 = DedicatedSupply({PI8: pi8_rate}, num_qubits)
 
     def acquire(self, kind, qubit, count, earliest):
-        import math
+        part = self._zero if kind == ZERO else self._pi8
+        return part.acquire(kind, qubit, count, earliest)
 
-        return math.ceil(earliest / 1000.0) * 1000.0
+    def advance(self, kind, count):
+        self._zero.advance(kind, count)
+
+    def advance_per_qubit(self, kind, counts):
+        self._pi8.advance_per_qubit(kind, counts)
+
+    def ready_spec(self):
+        return ReadySpec(
+            {**self._zero.ready_spec().kinds, **self._pi8.ready_spec().kinds}
+        )
 
 
 def _configuration(analysis, mode):
@@ -72,7 +94,10 @@ def _configuration(analysis, mode):
     if mode == "zero-rate":
         return SteadyRateSupply({ZERO: 0.0, PI8: pi8_bw}), 0.0, 0.0, None
     if mode == "custom":
-        return _EveryMillisecond(), 0.0, 0.0, None
+        # Half the matched demand on both kinds, split over the qubits'
+        # private pi/8 generators.
+        supply = _SteadyZerosDedicatedPi8(zero_bw / 2.0, pi8_bw / 2.0 / nq, nq)
+        return supply, 0.0, 0.0, None
     config = {
         "qla": QlaConfig(),
         "cqla": CqlaConfig(),
@@ -205,7 +230,8 @@ class TestEngineMatrix:
         def state_after(runner):
             supply = fresh()
             runner(supply)
-            return supply.consumed_so_far(ZERO), supply.consumed_so_far(PI8)
+            spec = supply.ready_spec()
+            return spec.kind(ZERO).consumed, spec.kind(PI8).consumed
 
         reference = state_after(
             lambda s: run_reference(

@@ -1,4 +1,4 @@
-"""Evaluator batching/fallback paths: CQLA grouping and alias rejection.
+"""Evaluator batching paths: CQLA grouping, singletons, alias rejection.
 
 The batched sweep suite exercises the happy point-batched path (and
 hypothesis drives it over random rate vectors); these tests pin the
@@ -6,10 +6,6 @@ batching topology of :mod:`repro.explore.evaluator`:
 
 * CQLA points batch with their configuration group (the lockstep cache
   kernel) — nothing about cache mode forces a per-point walk anymore;
-* a lowered point whose supply overrides ``acquire`` (or any other
-  spec-coupled method without re-declaring ``ready_spec``) routes
-  through the per-point serial engine transparently, with identical
-  results;
 * singleton batches go through ``simulate_batch`` like any group, whose
   shape rule sends them to ``run()`` rather than a kernel pass;
 * the aliased rate-limited supply guard fires if a lowering ever hands
@@ -77,49 +73,7 @@ class TestCqlaBatching:
         assert [e.result for e in compiled] == [e.result for e in reference]
 
 
-class TestCustomSupplyFallback:
-    def test_overridden_acquire_routes_per_point(self, qrca8, monkeypatch):
-        """A lowering that yields a custom supply still evaluates right."""
-
-        class EagerPool(PooledSupply):
-            """Subclass overriding acquire: disqualified from batching."""
-
-            def acquire(self, kind, qubit, count, earliest):
-                return PooledSupply.acquire(self, kind, qubit, count, earliest)
-
-        import repro.explore.evaluator as evaluator_module
-
-        real_lower = evaluator_module._lower_point
-
-        def lowering(summary, point):
-            lowered = real_lower(summary, point)
-            if point.get("arch") == "multiplexed":
-                rates = {
-                    ZERO: (lowered.supply.rate_per_us(ZERO) or 0.0) * 1000.0,
-                    PI8: (lowered.supply.rate_per_us(PI8) or 0.0) * 1000.0,
-                }
-                return evaluator_module._LoweredPoint(
-                    supply=EagerPool(rates),
-                    move_1q=lowered.move_1q,
-                    move_2q=lowered.move_2q,
-                    cqla=lowered.cqla,
-                    factory_area=lowered.factory_area,
-                )
-            return lowered
-
-        summary = KernelSummary.from_analysis(qrca8)
-        points = [
-            {"arch": "multiplexed", "factory_area": 500.0, "region_span": 8},
-            {"arch": "multiplexed", "factory_area": 900.0, "region_span": 8},
-        ]
-        monkeypatch.setattr(evaluator_module, "_lower_point", lowering)
-        custom = evaluate_design_points(summary, [dict(p) for p in points], None)
-        monkeypatch.setattr(evaluator_module, "_lower_point", real_lower)
-        plain = evaluate_design_points(summary, [dict(p) for p in points], None)
-        # The subclass changes dispatch (per-point fallback inside
-        # simulate_batch), not arithmetic: results are identical.
-        assert [e.result for e in custom] == [e.result for e in plain]
-
+class TestSingletonBatches:
     def test_single_point_short_circuits_batching(
         self, qrca8, monkeypatch, spy_batch
     ):

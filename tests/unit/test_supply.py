@@ -105,5 +105,8 @@ class TestDedicatedSupply:
             for _ in range(count):
                 walked.acquire(ZERO, qubit, 1, 0.0)
         bulk.advance_per_qubit(ZERO, counts)
-        assert bulk.dedicated_state(ZERO) == walked.dedicated_state(ZERO)
-        assert all(type(c) is int for c in bulk.dedicated_state(ZERO)[1])
+        bulk_spec = bulk.ready_spec().kind(ZERO)
+        walked_spec = walked.ready_spec().kind(ZERO)
+        assert bulk_spec.rates_per_us == walked_spec.rates_per_us
+        assert bulk_spec.consumed == walked_spec.consumed
+        assert all(type(c) is int for c in bulk_spec.consumed)

@@ -1,11 +1,10 @@
-"""The declarative ready-spec protocol and its opt-in dispatch rules.
+"""The declarative ready-spec contract between supplies and engines.
 
-``declared_ready_spec`` is the single gate deciding whether a supply may
-take the lowered (closed-form / array) engine paths. These tests pin the
-opt-in rules — a subclass overriding any spec-coupled method without
-re-declaring ``ready_spec`` must never be half-batched — and pin exact
-post-run supply-state equality between the serial and batched engines for
-the zero-rate edge cases.
+``ready_spec()`` is the only thing the dataflow engines read from a
+supply. These tests pin what each built-in supply publishes, that a
+supply without a lowerable spec is rejected before anything runs, and
+exact post-run supply-state equality between the reference loop and
+both engines for the zero-rate edge cases.
 """
 
 import math
@@ -13,7 +12,7 @@ import math
 import pytest
 
 from repro.arch import simulate_batch
-from repro.arch.simulator import DataflowSimulator
+from repro.arch.simulator import DataflowSimulator, lowerable_spec
 from repro.arch.supply import (
     PI8,
     ZERO,
@@ -24,14 +23,29 @@ from repro.arch.supply import (
     ReadySpec,
     SteadyKindSpec,
     SteadyRateSupply,
-    declared_ready_spec,
 )
+from repro.circuits import Circuit
 from repro.testing.reference import run_reference
+
+
+class _Ceiling:
+    """Custom supply without a ready spec: ancillae on 1 ms boundaries."""
+
+    def acquire(self, kind, qubit, count, earliest):
+        return math.ceil(earliest / 1000.0) * 1000.0
+
+
+def _consumed(supply, kind):
+    """Observable consumption of ``kind``: a count or per-qubit list."""
+    kind_spec = supply.ready_spec().kind(kind)
+    if isinstance(kind_spec, DedicatedKindSpec):
+        return list(kind_spec.consumed)
+    return kind_spec.consumed if kind_spec is not None else 0
 
 
 class TestBuiltinSpecs:
     def test_infinite_supply_declares_empty_spec(self):
-        spec = declared_ready_spec(InfiniteSupply())
+        spec = InfiniteSupply().ready_spec()
         assert isinstance(spec, ReadySpec)
         assert spec.kinds == {}
         assert spec.kind(ZERO) is None
@@ -39,7 +53,7 @@ class TestBuiltinSpecs:
     def test_steady_supply_declares_snapshot_per_kind(self):
         supply = SteadyRateSupply({ZERO: 4.0, PI8: 1.0})
         supply.acquire(ZERO, 0, 3, 0.0)
-        spec = declared_ready_spec(supply)
+        spec = supply.ready_spec()
         assert spec.kind(ZERO) == SteadyKindSpec(4.0 / 1000.0, 3)
         assert spec.kind(PI8) == SteadyKindSpec(1.0 / 1000.0, 0)
         # Snapshot semantics: later consumption does not leak in.
@@ -47,118 +61,67 @@ class TestBuiltinSpecs:
         assert spec.kind(ZERO).consumed == 3
 
     def test_pooled_supply_inherits_steady_spec(self):
-        spec = declared_ready_spec(PooledSupply({ZERO: 2.0}))
+        spec = PooledSupply({ZERO: 2.0}).ready_spec()
         assert isinstance(spec.kind(ZERO), SteadyKindSpec)
 
     def test_dedicated_supply_declares_live_lists(self):
         supply = DedicatedSupply({ZERO: 10.0}, 4)
-        spec = declared_ready_spec(supply)
-        kind_spec = spec.kind(ZERO)
+        kind_spec = supply.ready_spec().kind(ZERO)
         assert isinstance(kind_spec, DedicatedKindSpec)
-        rates, consumed = supply.dedicated_state(ZERO)
-        assert kind_spec.rates_per_us is rates
-        assert kind_spec.consumed is consumed
+        assert kind_spec.rates_per_us == [10.0 / 1000.0] * 4
+        # Live lists: consumption after the call shows through.
+        supply.acquire(ZERO, 2, 3, 0.0)
+        assert kind_spec.consumed == [0, 0, 3, 0]
+        assert supply.ready_spec().kind(ZERO).consumed is kind_spec.consumed
 
-    def test_custom_supply_without_spec_is_undeclared(self):
-        class Ceiling:
-            def acquire(self, kind, qubit, count, earliest):
-                return math.ceil(earliest / 1000.0) * 1000.0
-
-        assert declared_ready_spec(Ceiling()) is None
+    def test_custom_supply_without_spec_is_undeclared(self, qrca8):
+        with pytest.raises(TypeError, match="_Ceiling has no ready_spec"):
+            lowerable_spec(qrca8.compiled_circuit(), _Ceiling())
 
 
-class TestOptInDispatch:
-    """A spec only speaks for a supply when nothing below its owner in the
-    MRO redefines the availability/state math it describes."""
+class TestSpecContract:
+    """Both engines reject a supply they cannot lower, before any run."""
 
-    @pytest.mark.parametrize(
-        "method",
-        ["acquire", "advance", "rate_per_us", "consumed_so_far"],
-    )
-    def test_subclass_overriding_coupled_method_is_undeclared(self, method):
-        override = {method: lambda self, *args, **kwargs: None}
-        mutated = type("Mutated", (SteadyRateSupply,), override)
-        assert declared_ready_spec(mutated({ZERO: 2.0})) is None
+    def test_spec_less_supply_rejected_by_both_engines(self, qrca8):
+        with pytest.raises(TypeError, match="_Ceiling has no ready_spec"):
+            DataflowSimulator(
+                qrca8.circuit, qrca8.tech, supply=_Ceiling()
+            ).run()
+        with pytest.raises(TypeError, match="_Ceiling has no ready_spec"):
+            simulate_batch(qrca8.circuit, [_Ceiling()], qrca8.tech)
 
-    def test_dedicated_subclass_overriding_advance_per_qubit(self):
-        class Mutated(DedicatedSupply):
-            def advance_per_qubit(self, kind, counts):
-                pass
+    def test_spec_less_last_supply_advances_no_state(self, qrca8, batch_routes):
+        """Every supply is classified before any point runs, so a batch
+        rejected for its last supply leaves the earlier ones untouched."""
+        nq = qrca8.circuit.num_qubits
+        for _ in batch_routes():
+            supplies = [
+                SteadyRateSupply({ZERO: 2.0, PI8: 0.5}),
+                DedicatedSupply({ZERO: 0.05, PI8: 0.01}, nq),
+                PooledSupply({ZERO: 30.0, PI8: 5.0}),
+                InfiniteSupply(),
+                _Ceiling(),
+            ]
+            fresh = [[_consumed(s, k) for k in (ZERO, PI8)] for s in supplies[:3]]
+            with pytest.raises(TypeError, match="_Ceiling"):
+                simulate_batch(qrca8.circuit, supplies, qrca8.tech)
+            after = [[_consumed(s, k) for k in (ZERO, PI8)] for s in supplies[:3]]
+            assert after == fresh
 
-        assert declared_ready_spec(Mutated({ZERO: 1.0}, 2)) is None
-
-    def test_subclass_redeclaring_spec_opts_back_in(self):
-        class OptedBackIn(SteadyRateSupply):
-            def advance(self, kind, count):
-                SteadyRateSupply.advance(self, kind, count)
-
+    def test_foreign_kind_spec_rejected(self, qrca8):
+        class Foreign:
             def ready_spec(self):
-                return SteadyRateSupply.ready_spec(self)
+                return ReadySpec({ZERO: SteadyKindSpec(1.0, 0), PI8: "?"})
 
-        spec = declared_ready_spec(OptedBackIn({ZERO: 2.0}))
-        assert isinstance(spec, ReadySpec)
-
-    def test_instance_monkeypatched_acquire_is_undeclared(self):
-        supply = SteadyRateSupply({ZERO: 2.0})
-        supply.acquire = lambda kind, qubit, count, earliest: earliest
-        assert declared_ready_spec(supply) is None
-
-    def test_instance_monkeypatched_advance_is_undeclared(self):
-        supply = SteadyRateSupply({ZERO: 2.0})
-        supply.advance = lambda kind, count: None
-        assert declared_ready_spec(supply) is None
-
-    def test_instance_level_ready_spec_is_undeclared(self):
-        supply = InfiniteSupply()
-        supply.ready_spec = lambda: ReadySpec({})
-        assert declared_ready_spec(supply) is None
-
-    def test_non_readyspec_return_is_undeclared(self):
-        class BadSpec(SteadyRateSupply):
-            def ready_spec(self):
-                return {ZERO: SteadyKindSpec(1.0, 0)}
-
-        assert declared_ready_spec(BadSpec({ZERO: 2.0})) is None
-
-    def test_mutated_subclass_never_half_batched(self, qrca8):
-        """Regression: a subclass overriding only ``advance`` must take
-        the per-gate path everywhere. If either engine lowered it with the
-        parent's closed form and committed through the child's ``advance``,
-        the doubled counter below would expose the divergence."""
-
-        class DoubleAdvance(SteadyRateSupply):
-            def advance(self, kind, count):
-                SteadyRateSupply.advance(self, kind, count * 2)
-
-        rate = qrca8.zero_bandwidth_per_ms / 2.0
-
-        def supply():
-            return DoubleAdvance({ZERO: rate, PI8: rate})
-
-        reference = supply()
-        legacy = DataflowSimulator(qrca8.circuit, qrca8.tech, supply=reference)
-        legacy_result = run_reference(legacy)
-
-        serial_supply = supply()
-        run_result = DataflowSimulator(
-            qrca8.circuit, qrca8.tech, supply=serial_supply
-        ).run()
-
-        batch_supply = supply()
-        batch_result = simulate_batch(
-            qrca8.circuit, [batch_supply], qrca8.tech
-        )[0]
-
-        assert run_result == legacy_result
-        assert batch_result == legacy_result
-        for kind in (ZERO, PI8):
-            expected = reference.consumed_so_far(kind)
-            assert serial_supply.consumed_so_far(kind) == expected
-            assert batch_supply.consumed_so_far(kind) == expected
+        circuit = Circuit(1).t(0)
+        with pytest.raises(TypeError, match="Foreign.ready_spec.. holds a str"):
+            DataflowSimulator(circuit, supply=Foreign()).run()
+        with pytest.raises(TypeError, match="holds a str"):
+            simulate_batch(circuit, [Foreign()])
 
 
 class TestZeroRateStatePinning:
-    """Satellite audit: post-run supply STATE (not just makespans) must be
+    """Post-run supply STATE (not just makespans) must be
     identical between the serial and batched engines for zero-rate kinds,
     where acquire returns infinity *without* recording consumption."""
 
@@ -182,7 +145,7 @@ class TestZeroRateStatePinning:
             return SteadyRateSupply({ZERO: 0.0, PI8: 1.0})
 
         def state(supply):
-            return {kind: supply.consumed_so_far(kind) for kind in (ZERO, PI8)}
+            return {kind: _consumed(supply, kind) for kind in (ZERO, PI8)}
 
         legacy, run, batch = self._state_triplet(qrca8, make_supply, state)
         assert legacy == run == batch
@@ -193,7 +156,7 @@ class TestZeroRateStatePinning:
             return SteadyRateSupply({ZERO: 2.0, PI8: 0.0})
 
         def state(supply):
-            return {kind: supply.consumed_so_far(kind) for kind in (ZERO, PI8)}
+            return {kind: _consumed(supply, kind) for kind in (ZERO, PI8)}
 
         legacy, run, batch = self._state_triplet(qrca8, make_supply, state)
         assert legacy == run == batch
@@ -206,10 +169,7 @@ class TestZeroRateStatePinning:
             return DedicatedSupply({ZERO: 0.0, PI8: 0.02}, nq)
 
         def state(supply):
-            return {
-                kind: list(supply.dedicated_state(kind)[1])
-                for kind in (ZERO, PI8)
-            }
+            return {kind: _consumed(supply, kind) for kind in (ZERO, PI8)}
 
         legacy, run, batch = self._state_triplet(qrca8, make_supply, state)
         assert legacy == run == batch
@@ -222,16 +182,13 @@ class TestZeroRateStatePinning:
 
         def make_supply():
             supply = DedicatedSupply({ZERO: 0.05, PI8: 0.02}, nq)
-            rates, _ = supply.dedicated_state(ZERO)
+            rates = supply.ready_spec().kind(ZERO).rates_per_us
             for qubit in range(0, nq, 2):
                 rates[qubit] = 0.0
             return supply
 
         def state(supply):
-            return {
-                kind: list(supply.dedicated_state(kind)[1])
-                for kind in (ZERO, PI8)
-            }
+            return {kind: _consumed(supply, kind) for kind in (ZERO, PI8)}
 
         legacy, run, batch = self._state_triplet(qrca8, make_supply, state)
         assert legacy == run == batch

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.ancilla.evaluation import PrepStrategy, evaluate_strategy
+from repro.error.batched import STEANE_DECODE
 from repro.error.vectorized import (
     BatchFrames,
     VectorizedSimulator,
-    _DECODE,
     evaluate_strategy_vectorized,
 )
 from repro.codes.steane import HAMMING_PARITY_CHECK, STEANE
@@ -19,7 +19,7 @@ FAST = ErrorRates(gate=2e-3, movement=2e-5, measurement=0.0)
 
 class TestDecodeTable:
     def test_zero_syndrome_zero_correction(self):
-        assert not _DECODE[0].any()
+        assert not STEANE_DECODE[0].any()
 
     def test_single_errors_decode_to_themselves(self):
         for q in range(7):
@@ -27,7 +27,7 @@ class TestDecodeTable:
             err[0, q] = 1
             syndrome = (err @ HAMMING_PARITY_CHECK.T) % 2
             key = syndrome[0, 0] | (syndrome[0, 1] << 1) | (syndrome[0, 2] << 2)
-            assert np.array_equal(_DECODE[key], err[0])
+            assert np.array_equal(STEANE_DECODE[key], err[0])
 
 
 class TestCleanExecution:
