@@ -15,25 +15,27 @@ Shape targets asserted here:
 Measured values, and the open gap on verify-only, are recorded under
 the paper-fidelity ledger item in ROADMAP.md.
 
-Uses the batched engine (the Figure 4 drivers in repro.error.vectorized
-are thin wrappers over the general batched protocol engine in
-repro.error.batched, validated against the scalar reference in
-tests/unit/test_vectorized.py), so the default 400k trials run in
-seconds; set REPRO_FIG4_TRIALS to rescale. The same engine evaluates
-cat-state prep and the pi/8 ancilla pipeline — see
-test_bench_protocols.py for their throughput trajectory.
+Uses the batched engine (``evaluate_strategy(..., engine="batched")``
+runs each strategy's table entry in repro.ancilla.evaluation on the
+general batched protocol engine in repro.error.batched, validated
+against the scalar engine in tests/unit/test_vectorized.py), so the
+default 400k trials run in seconds; set REPRO_FIG4_TRIALS to rescale.
+The same engine evaluates cat-state prep and the pi/8 ancilla
+pipeline — see test_bench_protocols.py for their throughput trajectory.
 """
 
 import os
 
-from repro.ancilla import PrepStrategy, evaluate_strategy_vectorized
+from repro.ancilla import PrepStrategy, evaluate_strategy
 
 TRIALS = int(os.environ.get("REPRO_FIG4_TRIALS", "400000"))
 
 
 def _run_all():
     return {
-        strategy: evaluate_strategy_vectorized(strategy, trials=TRIALS, seed=2024)
+        strategy: evaluate_strategy(
+            strategy, trials=TRIALS, seed=2024, engine="batched"
+        )
         for strategy in PrepStrategy
     }
 

@@ -3,11 +3,10 @@
 Implements Section 2 of the paper:
 
 * :mod:`repro.ancilla.cat` — 3- and 7-qubit cat-state preparation;
-* :mod:`repro.ancilla.zero_prep` — the encoded-zero strategies of Figure 4
-  (basic, verify-only, correct-only, verify-and-correct) as circuit-level
-  constructions;
-* :mod:`repro.ancilla.evaluation` — Monte Carlo protocols grading each
-  strategy's output error rate (reproducing Figure 4's numbers);
+* :mod:`repro.ancilla.evaluation` — the encoded-zero strategies of Figure 4
+  (basic, verify-only, correct-only, verify-and-correct), one table entry
+  each, and their Monte Carlo grading on either engine (reproducing
+  Figure 4's numbers);
 * :mod:`repro.ancilla.t_ancilla` — the encoded pi/8 ancilla circuit of
   Figure 5b and its four-stage decomposition (Table 7);
 * :mod:`repro.ancilla.rotations` — Fowler H/T sequence synthesis for
@@ -24,7 +23,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "PrepStrategy", "StrategyReport", "evaluate_strategies",
         "evaluate_strategy",
     ),
-    "repro.error.vectorized": ("evaluate_strategy_vectorized",),
     ".rotations": (
         "RotationSynthesizer", "SynthesizedRotation",
         "recursive_rotation_expected_latency",
@@ -33,9 +31,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "PI8_STAGE_NAMES", "evaluate_pi8_ancilla",
         "evaluate_pi8_ancilla_batched", "pi8_ancilla_circuit",
         "pi8_consumption_circuit",
-    ),
-    ".zero_prep": (
-        "basic_zero_circuit", "correct_only_circuit",
-        "verify_and_correct_circuit", "verify_only_circuit",
     ),
 })

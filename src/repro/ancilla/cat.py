@@ -129,35 +129,27 @@ def evaluate_cat_prep_batched(
     a 3-qubit cat at 20k trials.
     """
     from repro.ancilla.evaluation import MOVES_PER_QUBIT_PER_GATE
-    from repro.error.batched import BatchFrames, BatchedSimulator
+    from repro.error.batched import BatchFrames, BatchedSimulator, run_batches
     from repro.error.montecarlo import MonteCarloResult
 
     from repro.obs.trace import span as _span
 
-    if trials <= 0:
-        raise ValueError(f"trials must be positive, got {trials}")
     circuit = cat_prep_circuit(num_qubits, include_prep=True)
     sim = BatchedSimulator(errors=errors, seed=seed)
-    total = MonteCarloResult()
-    remaining = trials
+
+    def run_batch(batch: int) -> MonteCarloResult:
+        frames = BatchFrames(batch, num_qubits)
+        sim.run_circuit(
+            circuit,
+            frames,
+            moves_per_qubit_per_gate=MOVES_PER_QUBIT_PER_GATE,
+        )
+        x_weight = frames.x.sum(axis=1)
+        z_parity = frames.z.sum(axis=1) % 2
+        bad = _grade_cat_bad_counts(x_weight, z_parity)
+        return MonteCarloResult(
+            trials=batch, good=int((~bad).sum()), bad=int(bad.sum())
+        )
+
     with _span("ancilla.cat_batched", trials=trials, qubits=num_qubits):
-        while remaining > 0:
-            batch = min(remaining, 200_000)
-            frames = BatchFrames(batch, num_qubits)
-            active = np.ones(batch, dtype=bool)
-            sim.run_circuit(
-                circuit,
-                frames,
-                active=active,
-                moves_per_qubit_per_gate=MOVES_PER_QUBIT_PER_GATE,
-            )
-            x_weight = frames.x.sum(axis=1)
-            z_parity = frames.z.sum(axis=1) % 2
-            bad = _grade_cat_bad_counts(x_weight, z_parity)
-            total = total.merge(
-                MonteCarloResult(
-                    trials=batch, good=int((~bad).sum()), bad=int(bad.sum())
-                )
-            )
-            remaining -= batch
-    return total
+        return run_batches(trials, run_batch)

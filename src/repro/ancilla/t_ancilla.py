@@ -19,8 +19,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from repro.ancilla.cat import cat_prep_circuit
 from repro.circuits import Circuit
 from repro.circuits.gate import Gate, GateType
@@ -232,37 +230,29 @@ def evaluate_pi8_ancilla_batched(
     from repro.error.batched import (
         BatchFrames,
         BatchedSimulator,
+        run_batches,
         steane_grade_bad,
     )
     from repro.error.montecarlo import MonteCarloResult
 
     from repro.obs.trace import span as _span
 
-    if trials <= 0:
-        raise ValueError(f"trials must be positive, got {trials}")
     encoder = steane_zero_prep_circuit(include_prep=True)
     pipeline = pi8_ancilla_circuit()
     sim = BatchedSimulator(errors=errors, seed=seed)
-    block = list(range(7))
-    total = MonteCarloResult()
-    remaining = trials
-    with _span("ancilla.pi8_batched", trials=trials):
-        while remaining > 0:
-            batch = min(remaining, 200_000)
-            frames = BatchFrames(batch, 14)
-            active = np.ones(batch, dtype=bool)
-            for circuit in (encoder, pipeline):
-                sim.run_circuit(
-                    circuit,
-                    frames,
-                    active=active,
-                    moves_per_qubit_per_gate=MOVES_PER_QUBIT_PER_GATE,
-                )
-            bad = steane_grade_bad(frames, block)
-            total = total.merge(
-                MonteCarloResult(
-                    trials=batch, good=int((~bad).sum()), bad=int(bad.sum())
-                )
+
+    def run_batch(batch: int) -> MonteCarloResult:
+        frames = BatchFrames(batch, 14)
+        for circuit in (encoder, pipeline):
+            sim.run_circuit(
+                circuit,
+                frames,
+                moves_per_qubit_per_gate=MOVES_PER_QUBIT_PER_GATE,
             )
-            remaining -= batch
-    return total
+        bad = steane_grade_bad(frames, range(7))
+        return MonteCarloResult(
+            trials=batch, good=int((~bad).sum()), bad=int(bad.sum())
+        )
+
+    with _span("ancilla.pi8_batched", trials=trials):
+        return run_batches(trials, run_batch)

@@ -8,7 +8,10 @@ that machinery as a Pauli-frame simulator:
 
 * :mod:`repro.error.pauli` — the frame (X/Z bit vectors per qubit);
 * :mod:`repro.error.propagation` — Clifford conjugation rules;
-* :mod:`repro.error.montecarlo` — stochastic injection and trial running.
+* :mod:`repro.error.montecarlo` — stochastic injection and trial running,
+  one trial at a time;
+* :mod:`repro.error.batched` — the same model over whole batches of
+  trials, for protocols compiled to array form.
 """
 
 from repro.util.lazy import lazy_exports

@@ -1,10 +1,9 @@
 """General batched Pauli-frame engine: compile ANY protocol to array form.
 
 The scalar :class:`~repro.error.montecarlo.MonteCarloSimulator` walks
-``Gate`` objects one trial at a time; the original vectorized engine ran
-whole batches but hard-coded the four Figure 4 circuits. This module
-closes the gap with the same compile-to-arrays discipline the dataflow
-engine uses (:mod:`repro.circuits.compiled`):
+``Gate`` objects one trial at a time. This module runs whole batches of
+trials with the same compile-to-arrays discipline the dataflow engine
+uses (:mod:`repro.circuits.compiled`):
 
 * :func:`compile_protocol` lowers an arbitrary :class:`Circuit` — with an
   optional qubit map into a larger simulation register — into a
@@ -16,6 +15,8 @@ engine uses (:mod:`repro.circuits.compiled`):
   ``(trials, qubits)`` uint8 X/Z matrices (:class:`BatchFrames`), drawing
   each gate's, movement charge's and measurement's faults as a sparse
   set of hit trials (a binomial count, then a uniform subset).
+* :func:`run_batches` splits a large trial count into batches of at most
+  :data:`BATCH_TRIALS`, so memory stays modest at any count.
 
 Semantics mirror the scalar engine gate for gate (same X/Y-only prep
 faults, same fifteen-Pauli two-qubit faults, same skip rule for
@@ -38,13 +39,14 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.circuits.circuit import Circuit
 from repro.circuits.gate import GateType
 from repro.codes.steane import HAMMING_PARITY_CHECK
+from repro.error.montecarlo import MonteCarloResult
 from repro.obs.trace import span as _span
 from repro.tech import ErrorRates
 
@@ -449,6 +451,55 @@ class BatchedSimulator:
             measure_flips=measure_flips,
             moves_per_qubit_per_gate=moves_per_qubit_per_gate,
         )
+
+    def apply_correction(self, frames: BatchFrames, block: Sequence[int],
+                         bits: np.ndarray, pauli: str) -> None:
+        """Decode measured Steane helper bits and correct ``block``.
+
+        ``bits`` is the ``(trials, 7)`` helper readout; its table decode
+        is applied as ``pauli`` (``"X"`` or ``"Z"``), and each applied
+        correction gate can itself fail, as in the scalar engine.
+        """
+        correction = STEANE_DECODE[steane_syndrome_keys(bits)]
+        blk = list(block)
+        target = frames.x if pauli == "X" else frames.z
+        target[:, blk] ^= correction
+        p = self.errors.gate
+        if p == 0.0:
+            return
+        n = bits.shape[0]
+        for i, q in enumerate(blk):
+            applied = correction[:, i].astype(bool)
+            if not applied.any():
+                continue
+            hit = self._hits(n, p, applied)
+            if hit.size:
+                self._random_1q(frames, q, hit)
+
+
+#: Trials per batch in :func:`run_batches`, so memory stays modest at
+#: huge trial counts.
+BATCH_TRIALS = 200_000
+
+
+def run_batches(
+    trials: int, run_batch: Callable[[int], MonteCarloResult]
+) -> MonteCarloResult:
+    """Run ``trials`` trials as batches of at most :data:`BATCH_TRIALS`.
+
+    ``run_batch(n)`` runs ``n`` trials and returns their counts; the
+    batches run in order, so a seeded simulator it closes over gives the
+    same totals on every run.
+    """
+    if trials <= 0:
+        raise ValueError(f"trials must be positive, got {trials}")
+    total = MonteCarloResult()
+    remaining = trials
+    while remaining > 0:
+        batch = min(remaining, BATCH_TRIALS)
+        total = total.merge(run_batch(batch))
+        remaining -= batch
+    return total
 
 
 # ----------------------------------------------------------------------

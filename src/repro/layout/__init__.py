@@ -5,8 +5,8 @@ through which ions shuttle, with designated gate locations. Provides:
 
 * :mod:`repro.layout.macroblock` — the six Figure 9 block types;
 * :mod:`repro.layout.grid` — rectangular layouts, connectivity, area;
-* :mod:`repro.layout.region` — the single-encoded-qubit data region of
-  Figure 10 and data-area accounting;
+* :mod:`repro.layout.region` — data-area accounting for the
+  single-encoded-qubit data region of Figure 10;
 * :mod:`repro.layout.schedules` — hand-optimized operation-count schedules
   whose symbolic latencies reproduce the paper's functional-unit formulas
   (Tables 5 and 7, Section 4.3).
@@ -20,6 +20,6 @@ from repro.util.lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".grid": ("Grid", "GridError"),
     ".macroblock": ("Direction", "Macroblock", "MacroblockType"),
-    ".region": ("data_region_grid", "data_qubit_area"),
+    ".region": ("data_qubit_area",),
     ".schedules": ("OpSchedule",),
 })

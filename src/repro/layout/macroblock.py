@@ -117,16 +117,6 @@ class Macroblock:
     def connects(self, direction: Direction) -> bool:
         return direction in self.ports
 
-    def traversal_is_turn(self, entry: Direction, exit_: Direction) -> bool:
-        """Whether moving through this block from ``entry`` heading out via
-        ``exit_`` changes heading (costing ``t_turn`` instead of ``t_move``).
-
-        ``entry`` is the side the ion came in through (i.e. the opposite of
-        its previous heading's far side); a traversal is straight when the
-        exit is directly across from the entry.
-        """
-        return exit_ is not entry.opposite
-
 
 def straight_channel(orientation: str = "ns") -> Macroblock:
     """Convenience constructor; ``orientation`` is ``"ns"`` or ``"ew"``."""
@@ -145,11 +135,3 @@ def four_way() -> Macroblock:
 
 def three_way(missing: Direction) -> Macroblock:
     return Macroblock(MacroblockType.THREE_WAY, _ALL - {missing})
-
-
-def turn(a: Direction, b: Direction) -> Macroblock:
-    return Macroblock(MacroblockType.TURN, frozenset({a, b}))
-
-
-def dead_end_gate(port: Direction) -> Macroblock:
-    return Macroblock(MacroblockType.DEAD_END_GATE, frozenset({port}))

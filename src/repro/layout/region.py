@@ -9,16 +9,6 @@ either side. Total data area is therefore ``m * nq`` macroblocks for
 from __future__ import annotations
 
 from repro.factory.units import ENCODED_QUBITS
-from repro.layout.grid import Grid
-from repro.layout.macroblock import straight_channel_gate
-
-
-def data_region_grid(name: str = "data_qubit") -> Grid:
-    """The Figure 10 layout: one column of gate blocks per encoded qubit."""
-    grid = Grid(name=name)
-    for row in range(ENCODED_QUBITS):
-        grid.place((row, 0), straight_channel_gate("ew"))
-    return grid
 
 
 def data_qubit_area(num_data_qubits: int) -> int:

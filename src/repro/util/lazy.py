@@ -5,7 +5,7 @@ and binds the returned ``__getattr__``, ``__dir__`` and ``__all__``::
 
     __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         ".batched": ("simulate_batch",),
-        "repro.error.vectorized": ("evaluate_strategy_vectorized",),
+        "repro.error.batched": ("BatchedSimulator",),
     })
 
 Importing the package then loads none of those modules. The first

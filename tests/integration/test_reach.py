@@ -14,9 +14,9 @@ a command does reach must come off the list. Code that no command
 reaches is either deliberate public API, a test oracle (which belongs
 in ``repro.testing``), or dead.
 
-The dataflow engine modules (:data:`FUNCTION_MODULES`) are held to the
-same rule per function, with no allowlist: every function defined there
-is reached by a command.
+The dataflow engine modules and the batched Monte Carlo engine
+(:data:`FUNCTION_MODULES`) are held to the same rule per function, with
+no allowlist: every function defined there is reached by a command.
 """
 
 import ast
@@ -32,10 +32,6 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 
 #: Unreached production modules, relative to ``src/repro``, with reasons.
 ALLOWLIST = {
-    "ancilla/zero_prep.py": (
-        "the four Figure 4 strategy circuits; Monte Carlo grading builds "
-        "its own (ROADMAP item 3 makes these the single description)"
-    ),
     "circuits/dag.py": (
         "oracle for compiled.dataflow_metadata and public "
         "repro.critical_path"
@@ -55,7 +51,7 @@ ALLOWLIST = {
 }
 
 #: Modules, relative to ``src/repro``, whose every function must be reached.
-FUNCTION_MODULES = ("arch/simulator.py", "arch/batched.py")
+FUNCTION_MODULES = ("arch/simulator.py", "arch/batched.py", "error/batched.py")
 
 #: CLI commands traced in process; ``{store}`` is the result-store root.
 COMMANDS = [
@@ -174,7 +170,7 @@ def reach(tmp_path_factory):
 
 
 def test_every_production_module_is_reached(reach):
-    assert len(ALLOWLIST) <= 5 and all(ALLOWLIST.values())
+    assert len(ALLOWLIST) <= 4 and all(ALLOWLIST.values())
     package = (SRC / "repro").resolve()
     production = _production_modules(package)
     unreached = production - {module for module, _ in reach}

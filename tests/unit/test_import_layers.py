@@ -25,14 +25,14 @@ EAGER_SUBMODULES = {
         "ancilla", "arch", "circuits", "codes", "error", "factory",
         "kernels", "layout", "obs", "reporting", "tech",
     ),
-    "repro.ancilla": ("cat", "evaluation", "rotations", "t_ancilla", "zero_prep"),
+    "repro.ancilla": ("cat", "evaluation", "rotations", "t_ancilla"),
     "repro.arch": (
         "architectures", "batched", "provisioning", "simulator", "supply",
         "sweep",
     ),
     "repro.circuits": ("circuit", "compiled", "dag", "gate", "latency"),
     "repro.codes": ("css", "steane", "transversal"),
-    "repro.error": ("batched", "montecarlo", "pauli", "propagation", "vectorized"),
+    "repro.error": ("batched", "montecarlo", "pauli", "propagation"),
     "repro.explore": (
         "engine", "errors", "evaluator", "objectives", "space", "store",
         "strategies",

@@ -6,13 +6,21 @@ from repro.layout.macroblock import (
     Direction,
     Macroblock,
     MacroblockType,
-    dead_end_gate,
     four_way,
     straight_channel,
     straight_channel_gate,
     three_way,
-    turn,
 )
+
+
+def _turn():
+    return Macroblock(
+        MacroblockType.TURN, frozenset({Direction.NORTH, Direction.EAST})
+    )
+
+
+def _dead_end_gate(port):
+    return Macroblock(MacroblockType.DEAD_END_GATE, frozenset({port}))
 
 
 class TestDirections:
@@ -46,10 +54,13 @@ class TestConstruction:
 
     def test_turn_requires_non_collinear(self):
         with pytest.raises(ValueError):
-            turn(Direction.NORTH, Direction.SOUTH)
+            Macroblock(
+                MacroblockType.TURN,
+                frozenset({Direction.NORTH, Direction.SOUTH}),
+            )
 
     def test_turn_valid(self):
-        block = turn(Direction.NORTH, Direction.EAST)
+        block = _turn()
         assert block.connects(Direction.EAST)
 
     def test_port_count_enforced(self):
@@ -62,7 +73,7 @@ class TestConstruction:
         assert block.connects(Direction.NORTH)
 
     def test_dead_end_single_port(self):
-        block = dead_end_gate(Direction.SOUTH)
+        block = _dead_end_gate(Direction.SOUTH)
         assert block.connects(Direction.SOUTH)
         assert len(block.ports) == 1
 
@@ -70,7 +81,7 @@ class TestConstruction:
 class TestGateLocations:
     def test_gate_blocks(self):
         assert straight_channel_gate().has_gate_location
-        assert dead_end_gate(Direction.NORTH).has_gate_location
+        assert _dead_end_gate(Direction.NORTH).has_gate_location
 
     def test_intersections_have_no_gates(self):
         """Figure 9: gate locations may not occur in an intersection."""
@@ -79,19 +90,9 @@ class TestGateLocations:
 
     def test_channels_have_no_gates(self):
         assert not straight_channel().has_gate_location
-        assert not turn(Direction.NORTH, Direction.EAST).has_gate_location
+        assert not _turn().has_gate_location
 
     def test_is_intersection(self):
         assert four_way().is_intersection
         assert not straight_channel().is_intersection
 
-
-class TestTraversal:
-    def test_straight_traversal(self):
-        block = four_way()
-        # Entered from the north side, exiting south: straight.
-        assert not block.traversal_is_turn(Direction.NORTH, Direction.SOUTH)
-
-    def test_turning_traversal(self):
-        block = four_way()
-        assert block.traversal_is_turn(Direction.NORTH, Direction.EAST)

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.ancilla.evaluation import _TRIALS, PrepStrategy
+from repro.ancilla.evaluation import _RECIPES, PrepStrategy
 from repro.circuits import Circuit
 from repro.error.montecarlo import (
     MonteCarloResult,
@@ -191,11 +191,11 @@ class TestFastForward:
 
         def trial(sim):
             runs.append(sim)
-            return _TRIALS[strategy](sim)
+            return _RECIPES[strategy].trial(sim)
 
         result = fast.estimate(trial, 1000)
         replayed = sum(sim is fast for sim in runs)
-        assert (result, replayed) == _per_trial(slow, _TRIALS[strategy], 1000)
+        assert (result, replayed) == _per_trial(slow, _RECIPES[strategy].trial, 1000)
         assert _state(fast) == _state(slow)
         assert len(runs) == replayed + 1  # plus the probe
 

@@ -350,7 +350,7 @@ class TestBitIdentity:
         assert report.result.trials == 50
 
     def test_estimate_span_counts_the_trials_walked(self):
-        from repro.ancilla.evaluation import _TRIALS, PrepStrategy
+        from repro.ancilla.evaluation import _RECIPES, PrepStrategy
         from repro.error.montecarlo import MonteCarloSimulator
         from repro.tech import ErrorRates
 
@@ -360,7 +360,7 @@ class TestBitIdentity:
 
         def trial(s):
             walked.append(s is sim)
-            return _TRIALS[PrepStrategy.BASIC](s)
+            return _RECIPES[PrepStrategy.BASIC].trial(s)
 
         obs.enable()
         sim.estimate(trial, 500)

@@ -2,7 +2,7 @@
 
 The batched engine must be a drop-in statistical replacement for the
 scalar reference on every protocol, not just the Figure 4 strategies
-(those are covered in test_vectorized.py). Error rates are inflated so
+(those are covered in test_vectorized.py and test_mc_streams.py). Error rates are inflated so
 the Wilson intervals resolve in fractions of a second.
 """
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.layout.region import data_qubit_area, data_region_grid
+from repro.layout.region import data_qubit_area
 from repro.layout.schedules import (
     PI8_FACTORY_SCHEDULES,
     SIMPLE_FACTORY_SCHEDULE,
@@ -13,11 +13,6 @@ from repro.tech import ION_TRAP
 
 
 class TestDataRegion:
-    def test_grid_is_column_of_gates(self):
-        grid = data_region_grid()
-        assert grid.area == 7
-        assert len(grid.gate_locations) == 7
-
     def test_area_formula(self):
         # Section 4.2: m x nq.
         assert data_qubit_area(97) == 679
