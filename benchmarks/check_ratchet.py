@@ -96,7 +96,9 @@ GATES: Sequence[Gate] = (
     Gate("cat7_protocol", "batched/scalar speedup", _field("speedup"), 0.30),
     Gate("steady_sweep", "batched/serial speedup", _field("speedup"), 0.30),
     Gate("qla_area_sweep", "batched/serial speedup", _field("speedup"), 0.30),
-    Gate("cqla_sweep", "batched/serial speedup", _field("speedup"), 0.30),
+    # Against the frozen seed loop, but its lockstep/seed ratio spreads
+    # ~42-78x between runs on a 2-core host, so the wide bound stays.
+    Gate("cqla_sweep", "batched/seed speedup", _field("speedup_vs_seed"), 0.30),
 )
 
 

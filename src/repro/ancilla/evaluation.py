@@ -229,12 +229,6 @@ def _scalar_correct(sim: MonteCarloSimulator, frame: PauliFrame,
 # ----------------------------------------------------------------------
 # Batched steps (a batch of trials, one BatchFrames)
 
-#: Encode-and-verify attempts per block before a batched retry gives up
-#: (the scalar trial retries without limit); leftover failures,
-#: astronomically rare at the paper's rates, keep their detectable
-#: errors and are graded as they stand.
-_MAX_ATTEMPTS = 12
-
 
 def _batched_run(sim: BatchedSimulator, circuit: Circuit, frames: BatchFrames,
                  *blocks: Tuple[int, ...],
@@ -324,7 +318,8 @@ class _Recipe:
         accepted = np.ones(trials, dtype=bool)
         for block in self.blocks:
             pending = np.ones(trials, dtype=bool)
-            for _ in range(_MAX_ATTEMPTS):
+            # Like the scalar trial, retry until every block verifies.
+            while True:
                 _batched_run(sim, _ENCODER, frames, block, active=pending)
                 if not self.cat:
                     break

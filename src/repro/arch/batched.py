@@ -30,12 +30,13 @@ What batches, and why it stays bit-identical:
   (:class:`~repro.arch.supply.InfiniteSupply`, untracked kinds) share
   one column of work.
 * **CQLA cache mode**: the LRU miss/eviction pattern depends only on the
-  operand sequence and cache size — never on time — so the per-gate
-  teleport-trip schedule is precomputed once per (circuit, cache size).
-  Port booking couples gates *within* a point (never across points), so
-  a program-order walk over a ``(points, ports)`` earliest-free matrix
-  replays every point's min-heap ``_PortBank`` exactly, vectorized
-  across the sweep (:func:`_run_cqla_lockstep`).
+  operand sequence and cache size — never on time — so both engines
+  replay one memoized per-gate teleport-trip schedule per (circuit,
+  cache size) (:func:`~repro.arch.simulator._cache_schedule`). Port
+  booking couples gates *within* a point (never across points), so a
+  program-order walk over a ``(points, ports)`` earliest-free matrix
+  replays every point's port min-heap exactly, vectorized across the
+  sweep (:func:`_run_cqla_lockstep`).
 
 Within a dependency level no two gates share a qubit (a shared qubit is a
 dependency edge) and no gate reads a classical bit written in its own
@@ -50,10 +51,12 @@ suite asserts exact float equality, not approximation.
 
 What runs per point instead, through :meth:`DataflowSimulator.run`,
 is small groups, chosen by shape. A kernel pass costs a fixed ~6-9 us
-per dependency level (level kernel) or ~3.5-5.5 us per gate (CQLA
+per dependency level (level kernel) or ~3-5 us per gate (CQLA
 lockstep) almost regardless of point count, so a few points on a deep
 circuit run faster serially: 2 points on qrca-32 (986 levels) take
-~8 ms batched against ~0.8 ms serially. Each lowering-signature group
+~8 ms batched against ~0.8 ms serially, and a CQLA group needs about
+14-16 points before one lockstep pass beats a serial ``run()`` per
+point (~0.5-1.7 ms each on the 32-bit kernels). Each lowering-signature group
 (and the shared unconstrained column) takes whichever route
 :func:`_vectorize` predicts is cheaper from its point count, the
 circuit's gate and level counts, and whether CQLA is on — never from
@@ -79,7 +82,8 @@ from repro.arch.simulator import (
     ZEROS_PER_QEC,
     DataflowSimulator,
     SimulationResult,
-    _LruCache,
+    _CacheSchedule,
+    _cache_schedule,
     commit_draws,
     lower_ready,
     lowerable_spec,
@@ -87,13 +91,7 @@ from repro.arch.simulator import (
 )
 from repro.arch.supply import AncillaSupply, ReadySpec
 from repro.circuits import Circuit
-from repro.circuits.compiled import (
-    CompiledCircuit,
-    MOVE_NONE,
-    MOVE_ONE_QUBIT,
-    MOVE_TWO_QUBIT,
-    dataflow_metadata,
-)
+from repro.circuits.compiled import CompiledCircuit, dataflow_metadata
 from repro.circuits.latency import LogicalLatencyModel
 from repro.obs.trace import span as _span
 from repro.tech import ION_TRAP, TechnologyParams
@@ -256,63 +254,13 @@ def _run_levels_body(ba, nq, nb, points, movement, ready, qec):
 
 
 # ----------------------------------------------------------------------
-# CQLA: precomputed cache schedule + program-order lockstep kernel
-
-
-@dataclass(frozen=True, eq=False)
-class _CacheSchedule:
-    """Per-gate teleport-trip counts implied by LRU residency.
-
-    Which operands miss (and whether each miss evicts a resident qubit)
-    depends only on the operand sequence and the cache capacity — never
-    on gate timing — so the whole port-booking workload is a pure
-    function of (circuit, cache size), computed once and shared by every
-    point of every sweep.
-    """
-
-    trips: List[int]  # bookings gate i performs (0 for full hits)
-    misses: int
-    teleports: int  # total bookings == sum(trips)
-
-
-_SCHEDULE_CACHE: "weakref.WeakKeyDictionary[CompiledCircuit, Dict[int, _CacheSchedule]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _cache_schedule(cc: CompiledCircuit, cache_size: int) -> _CacheSchedule:
-    """Replay the LRU walk ``_run_cache`` performs, timing-free."""
-    per_cc = _SCHEDULE_CACHE.get(cc)
-    if per_cc is None:
-        per_cc = {}
-        _SCHEDULE_CACHE[cc] = per_cc
-    schedule = per_cc.get(cache_size)
-    if schedule is not None:
-        return schedule
-    cache = _LruCache(cache_size)
-    trips = [0] * cc.num_gates
-    misses = 0
-    total = 0
-    for i, (a, b, c) in enumerate(zip(cc.q0, cc.q1, cc.q2)):
-        q = a
-        while q >= 0:
-            if q in cache:
-                cache.touch(q)
-            else:
-                misses += 1
-                k = 1 + (1 if cache.touch(q) is not None else 0)
-                trips[i] += k
-                total += k
-            q = b if q == a else (c if q == b else -1)
-    schedule = _CacheSchedule(trips=trips, misses=misses, teleports=total)
-    per_cc[cache_size] = schedule
-    return schedule
+# CQLA: program-order lockstep kernel over the shared cache schedule
 
 
 def _run_cqla_lockstep(
     cc: CompiledCircuit,
     points: int,
-    movement: Optional[np.ndarray],
+    movement: Optional[List[float]],
     ready: Optional[np.ndarray],
     qec: float,
     schedule: _CacheSchedule,
@@ -323,7 +271,7 @@ def _run_cqla_lockstep(
 
     Port booking makes start times order-sensitive *within* a point (a
     booked gate delays later bookers), but points never interact — so
-    the serial min-heap ``_PortBank`` vectorizes into a
+    the serial engine's port min-heap vectorizes into a
     ``(points, ports)`` earliest-free matrix walked in program order:
     per trip, each point books its earliest-free port (``argmin`` takes
     the first minimum, matching the heap's ``(free, index)`` tie-break).
@@ -342,7 +290,6 @@ def _run_cqla_lockstep(
     cond_id, result_id = cc.cond_id, cc.result_id
     latency = cc.latency_us
     trips = schedule.trips
-    move = movement.tolist() if movement is not None else None
     maximum = np.maximum
     with _span("batched.cqla_lockstep", points=points, gates=cc.num_gates,
                ports=ports):
@@ -365,8 +312,8 @@ def _run_cqla_lockstep(
                 maximum(t, port_free[rows, idx], out=t)
                 t += t_teleport
                 port_free[rows, idx] = t
-            if move is not None:
-                m = move[i]
+            if movement is not None:
+                m = movement[i]
                 if m:
                     t += m
             if ready is not None:
@@ -392,7 +339,7 @@ def _run_cqla_lockstep(
 
 #: Shape rule constants (see :func:`_vectorize`).
 _GATE_POINTS_PER_LEVEL = 40
-_CQLA_MIN_POINTS = 6
+_CQLA_MIN_POINTS = 14
 
 
 def _vectorize(points: int, gates: int, levels: int, cqla: bool) -> bool:
@@ -416,9 +363,16 @@ def _vectorize(points: int, gates: int, levels: int, cqla: bool) -> bool:
 
     40 sits inside every model's range, within ~35% of the faster route
     at any shape. Under CQLA the lockstep kernel walks program order at
-    ~3.5-5.5 us per gate whatever the point count, against ~0.7-1.8 us
-    per gate-point for ``run()``, so the rule is a point count alone:
-    crossovers 6.2 (qcla-32), 5.6 (qrca-32), 6.6 (qft-32) points.
+    ~3-5 us per gate whatever the point count, against ~0.2-0.35 us per
+    gate-point for ``run()`` (which replays the memoized cache schedule
+    and books ports only), so the rule is a point count alone.
+    Crossovers fitted from interleaved medians at 8 and 24 points:
+    14.3-15.9 (qcla-32), 13.1-14.6 (qrca-32), 14.3-14.8 (qft-32); timed
+    head to head, a lockstep pass costs 1.03-1.24x the serial runs at 14
+    points and 1.04-1.11x at 15. 14 sits at the low edge of that range,
+    where the routes are within noise of each other, and keeps the
+    default 14-point Figure 15/16 CQLA ladders on the lockstep kernel;
+    served and explored CQLA groups (at most 8 points) all run serially.
 
     Both routes are bit-identical, so the rule only moves time. It
     reads the batch's shape and nothing else.
@@ -576,20 +530,21 @@ def _simulate_batch(
         else movement_penalty_us
     )
     teleports = movement_teleports(cc, move_1q, move_2q, tech)
-    ba = _batch_arrays(cc)
-    movement = None
-    if move_1q or move_2q:
-        table = np.zeros(3)
-        table[MOVE_NONE] = 0.0
-        table[MOVE_ONE_QUBIT] = move_1q
-        table[MOVE_TWO_QUBIT] = move_2q
-        movement = table[ba.move_kind]
-
     schedule: Optional[_CacheSchedule] = None
     t_teleport = 0.0
     if cqla is not None:
         schedule = _cache_schedule(cc, cqla.cache_size(cc.num_qubits))
         t_teleport = teleport_latency(tech)
+    # Per-gate movement, indexed by MOVE_* class: an array gathered per
+    # level for the level kernel, a plain list for the program-order
+    # lockstep walk (which needs no level arrays at all).
+    movement = None
+    if move_1q or move_2q:
+        table = (0.0, move_1q, move_2q)
+        if schedule is None:
+            movement = np.array(table)[_batch_arrays(cc).move_kind]
+        else:
+            movement = [table[k] for k in cc.move_kind]
 
     def result(makespan: float) -> SimulationResult:
         if schedule is None:

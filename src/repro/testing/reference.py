@@ -19,6 +19,7 @@ must reproduce.
 
 from __future__ import annotations
 
+from heapq import heapify, heapreplace
 from typing import Dict, List, Optional, Sequence
 
 from repro.arch.architectures import CqlaConfig, teleport_latency
@@ -27,7 +28,6 @@ from repro.arch.simulator import (
     DataflowSimulator,
     SimulationResult,
     _LruCache,
-    _PortBank,
 )
 from repro.arch.supply import PI8, ZERO
 from repro.circuits.gate import PI8_CONSUMING_GATES
@@ -38,6 +38,29 @@ from repro.explore.evaluator import (
     _evaluation,
     _lower_point,
 )
+
+
+class _PortBank:
+    """Earliest-free teleport port selection via a min-heap.
+
+    Heap entries are ``(free_time, port_index)``; ties resolve to the
+    lowest index, matching a first-minimum linear scan over a port list.
+    """
+
+    __slots__ = ("_heap",)
+
+    def __init__(self, ports: int) -> None:
+        self._heap = [(0.0, i) for i in range(ports)]
+        heapify(self._heap)
+
+    def book(self, start: float, duration: float) -> float:
+        """Occupy the earliest-free port from ``start``; returns the
+        completion time."""
+        free, index = self._heap[0]
+        begin = start if start > free else free
+        end = begin + duration
+        heapreplace(self._heap, (end, index))
+        return end
 
 
 def run_reference(sim: DataflowSimulator) -> SimulationResult:

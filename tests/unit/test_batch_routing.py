@@ -23,7 +23,7 @@ from repro.arch.supply import PI8, ZERO, InfiniteSupply, SteadyRateSupply
 LEVEL_BOUNDARY = {"qcla": 3, "qrca": 20, "qft": 17}
 
 #: Smallest point count the CQLA lockstep kernel takes, on any circuit.
-CQLA_BOUNDARY = 6
+CQLA_BOUNDARY = 14
 
 
 @pytest.fixture

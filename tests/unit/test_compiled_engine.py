@@ -9,6 +9,7 @@ run the 8-bit kernels; engine dispatch does not depend on width.
 
 import pytest
 
+import repro.arch.simulator as simulator_module
 from repro.arch.architectures import (
     CqlaConfig,
     MultiplexedConfig,
@@ -184,3 +185,74 @@ class TestCompilation:
         assert sim.compiled is compiled
         reference = DataflowSimulator(qrca8.circuit, qrca8.tech)
         assert sim.run() == run_reference(reference)
+
+
+class TestCacheScheduleReplay:
+    """Serial CQLA runs replay the memoized per-(circuit, cache size)
+    trip schedule instead of walking an LRU cache per point."""
+
+    def test_second_run_walks_no_lru(self, monkeypatch):
+        circuit = Circuit(8)
+        for i in range(24):
+            circuit.cx(i % 8, (3 * i + 1) % 8)
+        config = CqlaConfig(cache_fraction=0.25)
+        touches = []
+        real_touch = simulator_module._LruCache.touch
+        monkeypatch.setattr(
+            simulator_module._LruCache, "touch",
+            lambda cache, qubit: touches.append(qubit) or real_touch(cache, qubit),
+        )
+        compiled = compile_circuit(circuit, ION_TRAP)
+
+        def run():
+            return DataflowSimulator(
+                circuit, cqla=config, compiled=compiled
+            ).run()
+
+        first = run()
+        assert touches  # the schedule was built by one LRU walk
+        touches.clear()
+        second = run()
+        assert touches == []
+        assert second == first
+        assert first.cache_misses > 0
+        assert first == run_reference(DataflowSimulator(circuit, cqla=config))
+
+    def test_alternating_cache_sizes_and_ports_match_reference(self, qcla8):
+        compiled = qcla8.compiled_circuit()
+        configs = [
+            CqlaConfig(cache_fraction=fraction, ports=ports)
+            for fraction in (0.125, 0.5)
+            for ports in (1, 8)
+        ]
+        sizes = {c.cache_size(qcla8.circuit.num_qubits) for c in configs}
+        assert len(sizes) == 2
+        zero_bw = qcla8.zero_bandwidth_per_ms
+        pi8_bw = qcla8.pi8_bandwidth_per_ms
+        nq = qcla8.circuit.num_qubits
+
+        def simulator(config, **kwargs):
+            supply = config.build_supply(
+                _FACTORY_AREA, nq, zero_bw, pi8_bw, qcla8.tech
+            )
+            return DataflowSimulator(
+                qcla8.circuit,
+                qcla8.tech,
+                supply=supply,
+                movement_penalty_us=config.movement_penalty(False, qcla8.tech),
+                two_qubit_movement_penalty_us=config.movement_penalty(
+                    True, qcla8.tech
+                ),
+                cqla=config,
+                **kwargs,
+            )
+
+        results = {}
+        for config in configs * 2:
+            result = simulator(config, compiled=compiled).run()
+            assert result == run_reference(simulator(config))
+            results.setdefault(config, result)
+            assert result == results[config]
+        # Every configuration misses, and the configurations differ.
+        assert all(r.cache_misses > 0 for r in results.values())
+        assert len({r.makespan_us for r in results.values()}) > 1

@@ -7,6 +7,7 @@ statistics converge in fractions of a second.
 
 import pytest
 
+import repro.ancilla.evaluation as evaluation
 from repro.ancilla.evaluation import (
     PAPER_ERROR_RATES,
     PrepStrategy,
@@ -60,6 +61,31 @@ class TestStrategyBehavior:
             PrepStrategy.VERIFY_AND_CORRECT, trials=500, seed=1, errors=FAST
         )
         assert report.result.discarded == 0  # retries hide discards
+
+    def test_batched_retries_until_every_block_verifies(self, monkeypatch):
+        """At 3e-2 a block fails verification about half the time, so
+        some trials need a dozen or more attempts; the batched
+        interpreter, like the scalar trial, retries until the block
+        passes, and grades no block unverified."""
+        unverified = {}
+        real_verified = evaluation._batched_verified
+
+        def verified(sim, frames, block, cat, active):
+            passed = real_verified(sim, frames, block, cat, active)
+            key = (id(frames), block)
+            remaining = unverified.setdefault(key, active.copy())
+            remaining &= ~(passed & active)
+            return passed
+
+        monkeypatch.setattr(evaluation, "_batched_verified", verified)
+        report = evaluate_strategy(
+            PrepStrategy.VERIFY_AND_CORRECT, trials=20_000, seed=0,
+            errors=ErrorRates(gate=3e-2, movement=3e-4, measurement=3e-2),
+            engine="batched",
+        )
+        assert report.result.trials == 20_000
+        assert len(unverified) == 3  # one entry per block
+        assert [int(mask.sum()) for mask in unverified.values()] == [0, 0, 0]
 
     def test_verify_only_beats_basic(self):
         basic = evaluate_strategy(PrepStrategy.BASIC, trials=8000, seed=2, errors=FAST)
