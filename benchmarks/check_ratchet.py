@@ -16,8 +16,9 @@ them; same-session ratios cancel machine speed, so a laptop-recorded
 entry and a CI-recorded entry are comparable and the gate is
 deterministic given the committed file.
 
-Exit status: 0 when every gated benchmark passes (or has no history),
-1 when any regresses.
+Exit status: 0 when every gated benchmark passes, 1 when any regresses
+or has no recorded sample (a gate nobody records would never be
+checked).
 """
 
 from __future__ import annotations
@@ -68,13 +69,11 @@ class Gate:
 
     ``tolerance`` overrides the run-wide default for this gate. Gates
     whose denominator is a *live* reference engine carry a wide one:
-    the scalar protocol loop and the serial compiled engine both get
-    optimized over time, so those ratios shrink legitimately when the
-    reference improves (the dataflow fix that restored single-point
-    throughput also compressed every batched-vs-serial speedup). The
-    wide bound still catches a batched-engine collapse while absorbing
-    reference drift; gates measured against the *frozen seed* engine
-    keep the tight default.
+    the scalar protocol loops get optimized over time, so those ratios
+    shrink legitimately when the reference improves. The wide bound
+    still catches a batched-engine collapse while absorbing reference
+    drift. Gates measured against the *frozen seed* engine keep the
+    tight default unless their ratio is noisy (the sweep ladders).
     """
 
     benchmark: str
@@ -94,10 +93,11 @@ GATES: Sequence[Gate] = (
     Gate("dataflow_area_sweep", "sweep speedup vs seed", _field("speedup_vs_seed")),
     Gate("pi8_protocol", "batched/scalar speedup", _field("speedup"), 0.30),
     Gate("cat7_protocol", "batched/scalar speedup", _field("speedup"), 0.30),
-    Gate("steady_sweep", "batched/serial speedup", _field("speedup"), 0.30),
-    Gate("qla_area_sweep", "batched/serial speedup", _field("speedup"), 0.30),
-    # Against the frozen seed loop, but its lockstep/seed ratio spreads
-    # ~42-78x between runs on a 2-core host, so the wide bound stays.
+    # The three sweep ladders are against the frozen seed loop, but
+    # their batched/seed ratios spread widely between runs on a 2-core
+    # host (the CQLA ladder ~42-78x), so the wide bound stays.
+    Gate("steady_sweep", "batched/seed speedup", _field("speedup_vs_seed"), 0.30),
+    Gate("qla_area_sweep", "batched/seed speedup", _field("speedup_vs_seed"), 0.30),
     Gate("cqla_sweep", "batched/seed speedup", _field("speedup_vs_seed"), 0.30),
 )
 
@@ -124,10 +124,10 @@ class RatchetResult:
         return self.tolerance if self.tolerance is not None else default_tolerance
 
     def ok(self, default_tolerance: float) -> bool:
-        """No data passes (nothing to ratchet against); a drop beyond
-        the gate's tolerance fails."""
+        """A drop beyond the gate's tolerance fails, and so does a gate
+        with no recorded sample: it would otherwise never be checked."""
         drop = self.drop
-        return drop is None or drop <= self.limit(default_tolerance)
+        return drop is not None and drop <= self.limit(default_tolerance)
 
 
 def _entry_key(entry: Dict) -> Optional[tuple]:
@@ -211,7 +211,7 @@ def format_report(results: Sequence[RatchetResult], tolerance: float) -> str:
     width = max(len(r.benchmark) for r in results) if results else 0
     for r in results:
         if r.best is None:
-            lines.append(f"  {r.benchmark:<{width}}  (no history) SKIP")
+            lines.append(f"  {r.benchmark:<{width}}  {r.label}: no recorded sample  MISSING")
             continue
         drop = r.drop or 0.0
         verdict = "ok" if r.ok(tolerance) else "REGRESSED"
@@ -251,7 +251,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         names = ", ".join(r.benchmark for r in failed)
         print(
             f"FAIL: {names} regressed beyond the gate tolerance below "
-            "the best recorded value",
+            "the best recorded value, or has no recorded sample",
             file=sys.stderr,
         )
         return 1

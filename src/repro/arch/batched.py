@@ -50,18 +50,21 @@ loop (:func:`repro.testing.reference.run_reference`) — the equivalence
 suite asserts exact float equality, not approximation.
 
 What runs per point instead, through :meth:`DataflowSimulator.run`,
-is small groups, chosen by shape. A kernel pass costs a fixed ~6-9 us
-per dependency level (level kernel) or ~3-5 us per gate (CQLA
+is small groups, chosen by shape. A kernel pass costs a fixed ~12-20 us
+per dependency level (level kernel) or ~5.5-8 us per gate (CQLA
 lockstep) almost regardless of point count, so a few points on a deep
 circuit run faster serially: 2 points on qrca-32 (986 levels) take
-~8 ms batched against ~0.8 ms serially, and a CQLA group needs about
-14-16 points before one lockstep pass beats a serial ``run()`` per
-point (~0.5-1.7 ms each on the 32-bit kernels). Each lowering-signature group
-(and the shared unconstrained column) takes whichever route
+~15 ms batched against ~0.9 ms serially, and a CQLA group needs about
+23-26 points before one lockstep pass beats a serial ``run()`` per
+point (~0.6-1.8 ms each on the 32-bit kernels). Each lowering-signature
+group (and the shared unconstrained column) takes whichever route
 :func:`_vectorize` predicts is cheaper from its point count, the
 circuit's gate and level counts, and whether CQLA is on — never from
 the caller or the supply model. Both routes are bit-identical and
 advance supply state identically.
+
+:meth:`DataflowSimulator.run` itself runs a circuit that is not lean
+(a gate shape its loops skip) as a one-column :func:`_kernel_pass`.
 
 Callers never need to pre-sort their supplies. The
 ``batched.simulate_batch`` span reports per-path point counts, which sum
@@ -333,46 +336,75 @@ def _run_cqla_lockstep(
     return qubit_free.max(axis=0)
 
 
+def _kernel_pass(
+    cc: CompiledCircuit,
+    points: int,
+    move_1q: float,
+    move_2q: float,
+    ready: Optional[np.ndarray],
+    qec: float,
+    cqla: Optional[CqlaConfig],
+    tech: TechnologyParams,
+) -> np.ndarray:
+    """Makespans of ``points`` columns from one pass of the level
+    kernel, or of the lockstep kernel under ``cqla`` (whose per-gate
+    movement is a plain list: it needs no level arrays at all)."""
+    movement = None
+    table = (0.0, move_1q, move_2q)
+    if cqla is None:
+        if move_1q or move_2q:
+            movement = np.array(table)[_batch_arrays(cc).move_kind]
+        return _run_levels(cc, points, movement, ready, qec)
+    if move_1q or move_2q:
+        movement = [table[k] for k in cc.move_kind]
+    return _run_cqla_lockstep(
+        cc, points, movement, ready, qec,
+        _cache_schedule(cc, cqla.cache_size(cc.num_qubits)), cqla.ports,
+        teleport_latency(tech),
+    )
+
+
 # ----------------------------------------------------------------------
 # Supply classification and the public batch entry point
 
 
 #: Shape rule constants (see :func:`_vectorize`).
-_GATE_POINTS_PER_LEVEL = 40
+_GATE_POINTS_PER_LEVEL = 80
 _CQLA_MIN_POINTS = 14
 
 
 def _vectorize(points: int, gates: int, levels: int, cqla: bool) -> bool:
     """Whether one ``points``-column kernel pass beats ``points`` runs.
 
-    The level kernel pays ~6-9 us of numpy dispatch per dependency level
-    almost regardless of point count, plus ~0.04-0.2 us per gate-point;
-    a serial :meth:`DataflowSimulator.run` pays ~0.2-0.45 us per gate
-    per point. So the kernel wins once ``points * gates`` outgrows
-    ``levels`` by a constant factor. Crossovers, each the median of 5
-    runs that interleave both routes (Python 3.11, numpy, one 2-core
-    x86 host), in units of ``points * gates / levels``:
+    A level-kernel pass pays ~12-20 us per dependency level (numpy
+    dispatch and fixed costs) almost regardless of point count, plus
+    ~0.01-0.06 us per gate-point; a serial :meth:`DataflowSimulator.run`
+    pays ~0.15-0.22 us per gate per point. So the kernel wins once
+    ``points * gates`` outgrows ``levels`` by a constant factor.
+    Crossovers fitted from each route's interleaved medians (kernel
+    passes at 4 and 32 points, runs at 8; three sets of 5-7 rounds, the
+    median taken; Python 3.11, numpy, one 2-core x86 host), in units of
+    ``points * gates / levels``:
 
     ========================  =====  ======  ========  ===========
     kernel (gates, levels)    QLA    steady  multipl.  crossover pts
     ========================  =====  ======  ========  ===========
-    qcla-32 (2,211, 123)      54     59      60        2.9-3.3
-    qrca-32 (2,018, 986)      34     30      37        14.8-17.9
-    qft-32 (7,552, 3,074)     46     43      40        16.4-18.5
+    qcla-32 (2,211, 123)      103    94      109       5.2-6.1
+    qrca-32 (2,018, 986)      77     63      78        30.6-38.4
+    qft-32 (7,552, 3,074)     94     68      92        27.8-40.0
     ========================  =====  ======  ========  ===========
 
-    40 sits inside every model's range, within ~35% of the faster route
+    80 sits inside every model's range, within ~30% of the faster route
     at any shape. Under CQLA the lockstep kernel walks program order at
-    ~3-5 us per gate whatever the point count, against ~0.2-0.35 us per
-    gate-point for ``run()`` (which replays the memoized cache schedule
-    and books ports only), so the rule is a point count alone.
+    ~5.5-8 us per gate whatever the point count, against ~0.2-0.37 us
+    per gate-point for ``run()`` (which replays the memoized cache
+    schedule and books ports only), so the rule is a point count alone.
     Crossovers fitted from interleaved medians at 8 and 24 points:
-    14.3-15.9 (qcla-32), 13.1-14.6 (qrca-32), 14.3-14.8 (qft-32); timed
-    head to head, a lockstep pass costs 1.03-1.24x the serial runs at 14
-    points and 1.04-1.11x at 15. 14 sits at the low edge of that range,
-    where the routes are within noise of each other, and keeps the
-    default 14-point Figure 15/16 CQLA ladders on the lockstep kernel;
-    served and explored CQLA groups (at most 8 points) all run serially.
+    23.7-24.3 (qcla-32), 23.1-23.6 (qrca-32), 25.3-25.6 (qft-32); at 14
+    points a lockstep pass costs 1.59-2.06x the serial runs. 14 stays
+    anyway: it keeps the default 14-point Figure 15/16 CQLA ladders on
+    the lockstep kernel, the only commands that reach it; served and
+    explored CQLA groups (at most 8 points) all run serially.
 
     Both routes are bit-identical, so the rule only moves time. It
     reads the batch's shape and nothing else.
@@ -530,56 +562,36 @@ def _simulate_batch(
         else movement_penalty_us
     )
     teleports = movement_teleports(cc, move_1q, move_2q, tech)
-    schedule: Optional[_CacheSchedule] = None
-    t_teleport = 0.0
+    misses = 0
     if cqla is not None:
         schedule = _cache_schedule(cc, cqla.cache_size(cc.num_qubits))
-        t_teleport = teleport_latency(tech)
-    # Per-gate movement, indexed by MOVE_* class: an array gathered per
-    # level for the level kernel, a plain list for the program-order
-    # lockstep walk (which needs no level arrays at all).
-    movement = None
-    if move_1q or move_2q:
-        table = (0.0, move_1q, move_2q)
-        if schedule is None:
-            movement = np.array(table)[_batch_arrays(cc).move_kind]
-        else:
-            movement = [table[k] for k in cc.move_kind]
+        misses = schedule.misses
+        teleports += schedule.teleports
 
     def result(makespan: float) -> SimulationResult:
-        if schedule is None:
-            misses = 0
-            total_teleports = teleports
-        else:
-            misses = schedule.misses
-            total_teleports = teleports + schedule.teleports
         return SimulationResult(
             makespan_us=float(makespan),
             gates=n,
             zero_ancillae_consumed=ZEROS_PER_QEC * n,
             pi8_ancillae_consumed=cc.pi8_count,
             cache_misses=misses,
-            teleports=total_teleports,
-        )
-
-    def run_group(count: int, ready: Optional[np.ndarray]) -> np.ndarray:
-        if schedule is None:
-            return _run_levels(cc, count, movement, ready, qec)
-        return _run_cqla_lockstep(
-            cc, count, movement, ready, qec, schedule, cqla.ports,
-            t_teleport,
+            teleports=teleports,
         )
 
     if unconstrained:
         # All such points produce identical results: one column suffices.
-        makespan = run_group(1, None)[0]
+        makespan = _kernel_pass(
+            cc, 1, move_1q, move_2q, None, qec, cqla, tech
+        )[0]
         for i in unconstrained:
             out[i] = result(makespan)
             commit_draws(cc, supplies[i], specs[i])
 
     for signature, indices in groups.items():
         ready = lower_ready(cc, signature, [specs[i] for i in indices])
-        makespans = run_group(len(indices), ready)
+        makespans = _kernel_pass(
+            cc, len(indices), move_1q, move_2q, ready, qec, cqla, tech
+        )
         for i, makespan in zip(indices, makespans):
             out[i] = result(makespan)
             commit_draws(cc, supplies[i], specs[i])

@@ -22,8 +22,10 @@ Two production paths execute this model:
 
 * :meth:`DataflowSimulator.run` — one design point. It consumes the
   struct-of-arrays :class:`~repro.circuits.compiled.CompiledCircuit`
-  form and allocates no per-gate objects: ~0.2-0.45 us per gate, about
-  the same with or without a cache.
+  form and allocates no per-gate objects: ~0.15-0.22 us per gate
+  (~0.2-0.37 us with a cache). Its loops walk only *lean* circuits
+  (:attr:`~repro.circuits.compiled.CompiledCircuit.lean`), as every
+  kernel is; other gate shapes run as a one-column numpy kernel pass.
 * :func:`repro.arch.batched.simulate_batch` — a whole *sweep* of design
   points (one supply per point) in a single vectorized pass over
   dependency levels, bit-identical to :meth:`~DataflowSimulator.run`
@@ -263,6 +265,7 @@ class DataflowSimulator:
         equality), several times faster: no per-gate object allocation,
         inlined dependency updates, and the supply's ready spec lowered
         to one precomputed ready time per gate (:func:`lower_ready`).
+        A circuit that is not lean runs as a one-column numpy kernel pass.
 
         Raises:
             TypeError: The supply publishes no lowerable ready spec
@@ -274,30 +277,37 @@ class DataflowSimulator:
             if n == 0:
                 return SimulationResult(0.0, 0, 0, 0, 0, 0)
             supply = self.supply
+            cqla = self.cqla
             qec = self._logical.qec_interaction_latency()
             move_1q = self.move_1q
             move_2q = self.move_2q
             teleports = movement_teleports(cc, move_1q, move_2q, self.tech)
-            movement = None
-            if move_1q or move_2q:
-                table = (0.0, move_1q, move_2q)
-                movement = [table[k] for k in cc.move_kind]
             spec, signature = lowerable_spec(cc, supply)
-            ready: Optional[List[float]] = None
+            ready = None
             if signature != (None, None):
-                # Plain floats: the loops iterate element by element, and
-                # np.float64 scalars are ~2x slower there; ``.tolist()``
-                # keeps every bit.
-                ready = lower_ready(cc, signature, [spec])[:, 0].tolist()
+                ready = lower_ready(cc, signature, [spec])
+                if cc.lean:
+                    ready = ready[:, 0].tolist()  # plain floats, every bit
+            misses = 0
+            if cqla is not None:
+                schedule = _cache_schedule(cc, cqla.cache_size(cc.num_qubits))
+                misses = schedule.misses
+                teleports += schedule.teleports
         with _span("simulate.level_walk", gates=n):
-            if self.cqla is not None:
-                makespan, misses, cache_teleports = _run_cache(
-                    cc, self.cqla, self.tech, movement, ready, qec
+            if not cc.lean:
+                # Imported here: repro.arch.batched imports this module.
+                from repro.arch.batched import _kernel_pass
+
+                makespan = _kernel_pass(
+                    cc, 1, move_1q, move_2q, ready, qec, cqla, self.tech
+                )[0]
+            elif cqla is not None:
+                makespan = _run_cache(
+                    cc, schedule.trips, cqla.ports, teleport_latency(self.tech),
+                    move_1q, move_2q, ready, qec,
                 )
-                teleports += cache_teleports
             else:
-                makespan = _run_flat(cc, movement, ready, qec)
-                misses = 0
+                makespan = _run_flat(cc, move_1q, move_2q, ready, qec)
         commit_draws(cc, supply, spec)
         return SimulationResult(
             makespan_us=float(makespan),
@@ -500,126 +510,97 @@ def commit_draws(
 
 
 # ----------------------------------------------------------------------
-# Compiled-engine loop bodies.
+# Compiled-engine loop bodies, over lean circuits only.
 #
-# Each is a module-level function over plain locals: per-gate work is a
-# handful of list index / compare operations and nothing else. Floating-
-# point evaluation order matches the reference loop
-# (:func:`repro.testing.reference.run_reference`) exactly (same max
-# chains, same addition associativity), which is what makes the engine
-# bit-identical to it rather than merely approximately equal.
+# A lean gate has one or two operands, no classical bit, and moves by
+# its arity, so one ``b >= 0`` split picks its operand reads and its
+# movement penalty. Floating-point evaluation order matches the
+# reference loop (:func:`repro.testing.reference.run_reference`)
+# exactly (same max chains and additions; adding a zero penalty is
+# exact), which makes the engine bit-identical to it. ``supply_ready``
+# is None or a list of plain floats: np.float64 scalars from an ndarray
+# roughly halve the loops' throughput.
 
 
 def _run_flat(
     cc: CompiledCircuit,
-    movement: Optional[List[float]],
+    move_1q: float,
+    move_2q: float,
     supply_ready: Optional[Sequence[float]],
     qec: float,
 ) -> float:
-    """Hot loop for lowered supplies (:func:`lower_ready`) without a
-    cache.
-
-    ``supply_ready`` must be a list of plain floats: iterating an ndarray
-    here yields np.float64 scalars whose per-element boxing roughly
-    halves throughput, while ``.tolist()`` floats are bit-identical.
-    """
+    """Hot loop without a cache; returns the makespan."""
     qubit_free = [0.0] * cc.num_qubits
-    bits = [0.0] * cc.num_bits
-    move_iter = movement if movement is not None else repeat(0.0)
     ready_iter = supply_ready if supply_ready is not None else repeat(0.0)
-    for a, b, c, cond, move, ready, latency, result in zip(
-        cc.q0, cc.q1, cc.q2, cc.cond_id, move_iter, ready_iter,
-        cc.latency_us, cc.result_id,
-    ):
+    for a, b, ready, latency in zip(cc.q0, cc.q1, ready_iter, cc.latency_us):
         t = qubit_free[a]
         if b >= 0:
             v = qubit_free[b]
             if v > t:
                 t = v
-            if c >= 0:
-                v = qubit_free[c]
-                if v > t:
-                    t = v
-        if cond >= 0:
-            v = bits[cond]
-            if v > t:
-                t = v
-        if move:
-            t += move
-        if ready > t:
-            t = ready
-        finish = t + latency + qec
-        qubit_free[a] = finish
-        if b >= 0:
-            qubit_free[b] = finish
-            if c >= 0:
-                qubit_free[c] = finish
-        if result >= 0:
-            bits[result] = finish
-    return max(qubit_free) if qubit_free else 0.0
+            t += move_2q
+            if ready > t:
+                t = ready
+            qubit_free[a] = qubit_free[b] = t + latency + qec
+        else:
+            t += move_1q
+            if ready > t:
+                t = ready
+            qubit_free[a] = t + latency + qec
+    return max(qubit_free)
 
 
 def _run_cache(
     cc: CompiledCircuit,
-    cqla: CqlaConfig,
-    tech: TechnologyParams,
-    movement: Optional[List[float]],
+    trips: List[int],
+    ports: int,
+    t_teleport: float,
+    move_1q: float,
+    move_2q: float,
     supply_ready: Optional[Sequence[float]],
     qec: float,
-):
-    """Hot loop with CQLA compute-cache modeling.
+) -> float:
+    """Hot loop with CQLA compute-cache modeling; returns the makespan.
 
-    Returns ``(makespan, cache_misses, teleports)``. Which operands miss
-    is timing-free, so the per-gate trip counts come from the memoized
-    :func:`_cache_schedule`; only port booking runs here, on a min-heap
-    of ``(free_time, port_index)`` (ties go to the lowest index), in
-    program order. Supply constraints come from a lowered ready list
-    (plain floats, as in :func:`_run_flat`), or None when nothing
-    constrains.
+    Which operands miss is timing-free, so the per-gate trip counts come
+    from the memoized :func:`_cache_schedule`; only port booking runs
+    here, on a min-heap of ``(free_time, port_index)`` (ties go to the
+    lowest index), in program order, after the operand reads and before
+    the movement penalty.
     """
-    schedule = _cache_schedule(cc, cqla.cache_size(cc.num_qubits))
     qubit_free = [0.0] * cc.num_qubits
-    bits = [0.0] * cc.num_bits
     # Sorted, hence already a heap.
-    ports = [(0.0, i) for i in range(cqla.ports)]
-    t_teleport = teleport_latency(tech)
-    move_iter = movement if movement is not None else repeat(0.0)
+    heap = [(0.0, i) for i in range(ports)]
     ready_iter = supply_ready if supply_ready is not None else repeat(0.0)
-    for a, b, c, cond, trips, move, ready, latency, result in zip(
-        cc.q0, cc.q1, cc.q2, cc.cond_id, schedule.trips, move_iter,
-        ready_iter, cc.latency_us, cc.result_id,
+    for a, b, k, ready, latency in zip(
+        cc.q0, cc.q1, trips, ready_iter, cc.latency_us
     ):
         t = qubit_free[a]
         if b >= 0:
             v = qubit_free[b]
             if v > t:
                 t = v
-            if c >= 0:
-                v = qubit_free[c]
-                if v > t:
-                    t = v
-        if cond >= 0:
-            v = bits[cond]
-            if v > t:
-                t = v
-        while trips:
-            trips -= 1
-            free, port = ports[0]
-            if free > t:
-                t = free
-            t += t_teleport
-            heapreplace(ports, (t, port))
-        if move:
-            t += move
-        if ready > t:
-            t = ready
-        finish = t + latency + qec
-        qubit_free[a] = finish
-        if b >= 0:
-            qubit_free[b] = finish
-            if c >= 0:
-                qubit_free[c] = finish
-        if result >= 0:
-            bits[result] = finish
-    makespan = max(qubit_free) if qubit_free else 0.0
-    return makespan, schedule.misses, schedule.teleports
+            while k:
+                k -= 1
+                free, port = heap[0]
+                if free > t:
+                    t = free
+                t += t_teleport
+                heapreplace(heap, (t, port))
+            t += move_2q
+            if ready > t:
+                t = ready
+            qubit_free[a] = qubit_free[b] = t + latency + qec
+        else:
+            while k:
+                k -= 1
+                free, port = heap[0]
+                if free > t:
+                    t = free
+                t += t_teleport
+                heapreplace(heap, (t, port))
+            t += move_1q
+            if ready > t:
+                t = ready
+            qubit_free[a] = t + latency + qec
+    return max(qubit_free)

@@ -77,6 +77,9 @@ class CompiledCircuit:
         pi8_count: Number of pi/8-consuming gates.
         one_qubit_moves: Gates in movement class ``MOVE_ONE_QUBIT``.
         two_qubit_moves: Gates in movement class ``MOVE_TWO_QUBIT``.
+        lean: Whether every gate has one or two operands, no classical
+            bit and a movement class set by its arity (no prep/measure):
+            the shape the serial loops walk. Every kernel is lean.
         source_ref: Weak reference to the source circuit, so consumers
             can reject a compiled form handed to the wrong circuit (two
             different circuits can share a gate count). Weak because the
@@ -100,6 +103,7 @@ class CompiledCircuit:
     pi8_count: int
     one_qubit_moves: int
     two_qubit_moves: int
+    lean: bool
     source_ref: "weakref.ref[Circuit]"
 
     @property
@@ -195,6 +199,8 @@ def _compile_body(circuit: Circuit, tech: TechnologyParams) -> CompiledCircuit:
         pi8_count=len(pi8_indices),
         one_qubit_moves=move_kind.count(MOVE_ONE_QUBIT),
         two_qubit_moves=move_kind.count(MOVE_TWO_QUBIT),
+        lean=not bit_ids and MOVE_NONE not in move_kind
+        and max(q2, default=-1) < 0,
         source_ref=weakref.ref(circuit),
     )
 

@@ -18,9 +18,9 @@ from repro.arch.simulator import DataflowSimulator
 from repro.arch.supply import PI8, ZERO, InfiniteSupply, SteadyRateSupply
 
 #: Smallest point count the level kernel takes, per 32-bit kernel:
-#: ceil(40 * levels / gates) — qcla-32 (2,211 gates, 123 levels),
+#: ceil(80 * levels / gates) — qcla-32 (2,211 gates, 123 levels),
 #: qrca-32 (2,018 gates, 986 levels), qft-32 (7,552 gates, 3,074 levels).
-LEVEL_BOUNDARY = {"qcla": 3, "qrca": 20, "qft": 17}
+LEVEL_BOUNDARY = {"qcla": 5, "qrca": 40, "qft": 33}
 
 #: Smallest point count the CQLA lockstep kernel takes, on any circuit.
 CQLA_BOUNDARY = 14
@@ -144,10 +144,11 @@ def test_trace_reports_serial_points(qrca32):
     from the vectorized ``dedicated`` points."""
     from repro.obs import trace
 
+    vectorized = LEVEL_BOUNDARY["qrca"]
     tracer = trace.enable()
     try:
         _batch(qrca32, _supplies(qrca32, "qla", 2), "qla")
-        _batch(qrca32, _supplies(qrca32, "qla", 20), "qla")
+        _batch(qrca32, _supplies(qrca32, "qla", vectorized), "qla")
     finally:
         trace.disable()
     spans = [
@@ -155,4 +156,7 @@ def test_trace_reports_serial_points(qrca32):
         for event in tracer.events()
         if event["name"] == "batched.simulate_batch"
     ]
-    assert [(s["serial"], s["dedicated"]) for s in spans] == [(2, 0), (0, 20)]
+    assert [(s["serial"], s["dedicated"]) for s in spans] == [
+        (2, 0),
+        (0, vectorized),
+    ]

@@ -25,6 +25,20 @@ def _dataflow(ratio):
     )
 
 
+def _one_sample_per_gate():
+    """One entry carrying every gate's metric (all ratios 10)."""
+    return [
+        _entry(
+            gate.benchmark,
+            gates_per_second=10.0,
+            seed_gates_per_second=1.0,
+            speedup=10.0,
+            speedup_vs_seed=10.0,
+        )
+        for gate in check_ratchet.GATES
+    ]
+
+
 class TestCheck:
     def test_regression_beyond_tolerance_fails(self):
         history = [_dataflow(16.0), _dataflow(10.0), _dataflow(10.0),
@@ -68,10 +82,25 @@ class TestCheck:
         assert result.recent == pytest.approx(10.0)
         assert not result.ok(0.10)
 
-    def test_no_history_skips(self):
+    def test_no_history_fails(self):
+        """A gate with no recorded sample fails: otherwise a re-based
+        gate that nobody records would never be checked."""
         results = check_ratchet.check([])
         assert all(r.best is None for r in results)
-        assert all(r.ok(0.10) for r in results)
+        assert not any(r.ok(0.10) for r in results)
+
+    def test_gate_without_sample_fails_among_recorded_ones(self):
+        history = [_dataflow(16.0)]
+        results = {r.benchmark: r for r in check_ratchet.check(history)}
+        assert results["dataflow_single_point"].ok(0.10)
+        # An entry recorded under the old metric is no sample of the new.
+        history.append(_entry("steady_sweep", speedup=15.0))
+        (steady,) = [
+            r for r in check_ratchet.check(history)
+            if r.benchmark == "steady_sweep"
+        ]
+        assert steady.samples == 0
+        assert not steady.ok(0.10)
 
     def test_malformed_entries_ignored(self):
         history = [
@@ -165,7 +194,9 @@ class TestMain:
         return path
 
     def test_passing_history_exits_zero(self, tmp_path, capsys):
-        path = self._write(tmp_path, [_dataflow(16.0), _dataflow(15.5)])
+        path = self._write(
+            tmp_path, _one_sample_per_gate() + [_dataflow(16.0), _dataflow(15.5)]
+        )
         assert check_ratchet.main(["--history", str(path)]) == 0
         out = capsys.readouterr().out
         assert "perf ratchet" in out
@@ -183,10 +214,12 @@ class TestMain:
         assert "REGRESSED" in captured.out
         assert "dataflow_single_point" in captured.err
 
-    def test_empty_history_exits_zero(self, tmp_path, capsys):
+    def test_empty_history_exits_one(self, tmp_path, capsys):
         path = self._write(tmp_path, [])
-        assert check_ratchet.main(["--history", str(path)]) == 0
-        assert "SKIP" in capsys.readouterr().out
+        assert check_ratchet.main(["--history", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "MISSING" in captured.out
+        assert "steady_sweep" in captured.err
 
     def test_committed_history_passes(self, capsys):
         """The repo's own trajectory must satisfy its own gate."""

@@ -70,6 +70,13 @@ def _oracle(circuit, tech):
         pi8_count=len(pi8),
         one_qubit_moves=fields["move_kind"].count(MOVE_ONE_QUBIT),
         two_qubit_moves=fields["move_kind"].count(MOVE_TWO_QUBIT),
+        lean=all(
+            len(gate.qubits) <= 2
+            and gate.condition is None
+            and gate.result is None
+            and not (gate.is_prep or gate.is_measurement)
+            for gate in circuit
+        ),
     )
     return fields, pi8
 

@@ -9,6 +9,7 @@ run the 8-bit kernels; engine dispatch does not depend on width.
 
 import pytest
 
+import repro.arch.batched as batched_module
 import repro.arch.simulator as simulator_module
 from repro.arch.architectures import (
     CqlaConfig,
@@ -16,8 +17,9 @@ from repro.arch.architectures import (
     QlaConfig,
 )
 from repro.arch.simulator import DataflowSimulator
-from repro.arch.supply import PI8, ZERO, SteadyRateSupply
+from repro.arch.supply import PI8, ZERO, DedicatedSupply, SteadyRateSupply
 from repro.circuits import Circuit, CompiledCircuit, compile_circuit
+from repro.circuits.compiled import MOVE_ONE_QUBIT, MOVE_TWO_QUBIT
 from repro.kernels import analyze_kernel
 from repro.tech import ION_TRAP
 from repro.testing.reference import run_reference
@@ -256,3 +258,125 @@ class TestCacheScheduleReplay:
         # Every configuration misses, and the configurations differ.
         assert all(r.cache_misses > 0 for r in results.values())
         assert len({r.makespan_us for r in results.values()}) > 1
+
+
+def _lean_body(circuit, half):
+    """Append one half of a lean gate mix (one- and two-qubit gates,
+    pi/8 consumers included) to a 6-qubit circuit."""
+    if half == 0:
+        return circuit.h(0).cx(0, 1).t(2).cx(2, 3).s(4).cx(4, 5)
+    return circuit.tdg(1).cx(1, 4).cz(3, 5).t(0).h(5).cx(5, 2)
+
+
+def _measure_then_condition(circuit):
+    bit = f"m{len(circuit)}"  # a fresh bit per segment
+    return circuit.measure_z(2, bit).x(3, condition=bit)
+
+
+#: Gate shapes outside the lean one, as segments to splice into a lean
+#: circuit: a third operand, a result bit read by a condition, and a
+#: preparation (which moves in place).
+_SEGMENTS = {
+    "ccx": lambda c: c.ccx(0, 1, 2),
+    "measure": _measure_then_condition,
+    "prep": lambda c: c.prep_0(1),
+}
+
+
+def _supply_state(supply):
+    """Every tracked kind's counters (dedicated specs compare by
+    identity, so their fields are compared instead)."""
+    return {kind: vars(spec) for kind, spec in supply.ready_spec().kinds.items()}
+
+
+def _spliced(segment, placement):
+    circuit = Circuit(6)
+    add = _SEGMENTS[segment]
+    if placement == "first":
+        add(circuit)
+    _lean_body(circuit, 0)
+    if placement == "back_to_back":
+        add(add(circuit))
+    _lean_body(circuit, 1)
+    if placement == "last":
+        add(circuit)
+    return circuit
+
+
+class TestGateShapes:
+    """``run()`` walks only lean circuits in Python; any other gate
+    shape runs as a one-column numpy kernel pass, bit-identical to the
+    reference loop either way."""
+
+    @pytest.mark.parametrize("width", (4, 8, 32))
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_kernels_are_lean(self, kernel, width):
+        cc = analyze_kernel(kernel, width).compiled_circuit()
+        assert cc.lean
+        assert cc.bit_names == ()
+        assert set(cc.q2) == {-1}
+        assert cc.move_kind == [
+            MOVE_TWO_QUBIT if b >= 0 else MOVE_ONE_QUBIT for b in cc.q1
+        ]
+
+    @pytest.mark.parametrize(
+        "cqla", (None, CqlaConfig(cache_fraction=0.34, ports=1)),
+        ids=("flat", "cqla"),
+    )
+    @pytest.mark.parametrize("placement", ("first", "last", "back_to_back"))
+    @pytest.mark.parametrize("segment", sorted(_SEGMENTS))
+    def test_other_shapes_match_reference(self, segment, placement, cqla):
+        circuit = _spliced(segment, placement)
+        compiled = compile_circuit(circuit, ION_TRAP)
+        assert not compiled.lean
+        supplies = {
+            "none": lambda: None,
+            "steady": lambda: SteadyRateSupply({ZERO: 4.0, PI8: 0.5}),
+            "dedicated": lambda: DedicatedSupply({ZERO: 2.0, PI8: 0.25}, 6),
+        }
+        for move_1q, move_2q in ((0.0, 7.5e3), (30.0, 7.5e3), (0.0, 0.0)):
+            for make_supply in supplies.values():
+
+                def simulator(**kwargs):
+                    return DataflowSimulator(
+                        circuit,
+                        supply=make_supply(),
+                        movement_penalty_us=move_1q,
+                        two_qubit_movement_penalty_us=move_2q,
+                        cqla=cqla,
+                        **kwargs,
+                    )
+
+                sim, reference = simulator(compiled=compiled), simulator()
+                assert sim.run() == run_reference(reference)
+                assert _supply_state(sim.supply) == _supply_state(
+                    reference.supply
+                )
+
+    def test_other_shape_runs_one_kernel_column(self, monkeypatch):
+        calls = []
+        real = batched_module._run_levels
+
+        def spy(cc, points, *args):
+            calls.append(points)
+            return real(cc, points, *args)
+
+        monkeypatch.setattr(batched_module, "_run_levels", spy)
+        circuit = _spliced("ccx", "first")
+        assert DataflowSimulator(circuit).run() == run_reference(
+            DataflowSimulator(circuit)
+        )
+        assert calls == [1]
+
+    @pytest.mark.parametrize("mode", SUPPLY_MODES)
+    def test_lean_run_never_enters_batched(self, mode, monkeypatch):
+        def boom(*args, **kwargs):
+            raise AssertionError("a lean circuit ran a numpy kernel")
+
+        monkeypatch.setattr(batched_module, "_run_levels", boom)
+        monkeypatch.setattr(batched_module, "_run_cqla_lockstep", boom)
+        for kernel in KERNELS:
+            analysis = analyze_kernel(kernel, 8)
+            assert _build_simulator(analysis, mode).run() == run_reference(
+                _build_simulator(analysis, mode)
+            )
