@@ -296,9 +296,11 @@ def _cmd_cache(ns: argparse.Namespace) -> int:
           + (f" ({', '.join(report.foreign[:5])})" if report.foreign else ""))
     print(f"stale leases: {len(report.stale_leases)}")
     print(f"stale owner tokens: {len(report.stale_tokens)}")
+    print(f"stale temp files: {len(report.stale_temps)}")
     if ns.remove:
         print(f"removed: {report.removed}")
-    elif report.bad or report.stale_leases or report.stale_tokens:
+    elif (report.bad or report.stale_leases or report.stale_tokens
+          or report.stale_temps):
         print("run `repro cache fsck --remove` to delete the entries above")
     return 1 if report.bad and not ns.remove else 0
 

@@ -527,6 +527,8 @@ class Evaluator:
         ] = {}
         self._gates: Optional[int] = None
         self._key_base: Optional[Dict[str, object]] = None
+        #: The key base's canonical JSON split around the point's slot.
+        self._key_affixes: Optional[Tuple[str, str]] = None
 
     # ------------------------------------------------------------------
 
@@ -593,6 +595,20 @@ class Evaluator:
                 "engine": "compiled",
             }
         return {**self._key_base, "point": canonical}
+
+    def _keyed(self, canonical: Dict[str, object], text: str) -> StoreKey:
+        """The store key of a canonical point whose canonical JSON is
+        ``text``: the fixed key base is encoded once per evaluator, so a
+        point pays only for its own text and the hash."""
+        if self._key_affixes is None:
+            slot = "\x00point"  # a value no key base contains
+            encoded = canonical_json(self._store_key(slot))
+            prefix, suffix = encoded.split(canonical_json(slot))
+            self._key_affixes = (prefix, suffix)
+        prefix, suffix = self._key_affixes
+        return StoreKey.from_text(
+            self._store_key(canonical), f"{prefix}{text}{suffix}"
+        )
 
     # ------------------------------------------------------------------
     # Store (de)serialization
@@ -680,24 +696,26 @@ class Evaluator:
 
         resolved: Dict[str, Evaluation] = {}
         misses: List[Tuple[str, Dict[str, object]]] = []
-        # One store key (and digest) per unique point, shared by its get,
+        # One store key (text and digest) per unique point, shared by its get,
         # claim, heartbeats, put and release.
         store_keys: Dict[str, StoreKey] = {}
+        hits = 0
         for key, cpoint in unique.items():
             if key in self._quarantine:
                 resolved[key] = Evaluation.failure(cpoint, self._quarantine[key])
                 continue
             hit = None
             if self.store is not None:
-                store_key = store_keys[key] = StoreKey.of(self._store_key(cpoint))
+                store_key = store_keys[key] = self._keyed(cpoint, key)
                 record = self.store.get(store_key)
                 if record is not None:
                     hit = self._from_record(record, cpoint)
             if hit is not None:
                 resolved[key] = hit
-                self._count("cache_hits")
+                hits += 1
             else:
                 misses.append((key, cpoint))
+        self._count("cache_hits", hits)
 
         use_leases = self.store is not None
         owned, contested = misses, []

@@ -15,6 +15,15 @@ result:
 * the resolved design point (defaults filled in, so ``{"arch": "cqla"}``
   and an explicit default cache fraction share one entry).
 
+A :class:`StoreKey` carries the key's canonical JSON text and digest,
+computed once. Everything but the point is fixed per evaluator, so
+:class:`~repro.explore.evaluator.Evaluator` encodes that base once,
+split around the ``"point"`` slot, and a point's key text is prefix +
+the point's canonical JSON + suffix (:meth:`StoreKey.from_text`): the
+same bytes :func:`canonical_json` gives the whole document, so the
+digests are unchanged. :meth:`ResultStore.put` splices that text into
+the record instead of encoding the key again.
+
 Re-running an exploration with a warm store therefore performs zero new
 simulator evaluations, and *refined* searches only pay for points they
 have never seen. Anything that changes the simulation — new tech
@@ -34,6 +43,12 @@ Durability and fault behaviour:
   as a miss and is recomputed. Only the exploration journal
   (``journal.jsonl``, see :mod:`repro.explore.engine`) is fsync'd,
   since resume depends on it;
+* a temp file is ``explore/.inflight-<nonce>-<n>.tmp``: a per-store
+  nonce and a counter, opened ``O_CREAT | O_EXCL`` at mode 0600. A
+  writer killed before its ``os.replace`` leaves one behind; once it is
+  ``lease_ttl`` old :meth:`fsck` reports it (``stale_temps``) and
+  ``fsck --remove`` and :meth:`clear` delete it. A younger one may
+  belong to a live writer and is left alone;
 * a failed write (``ENOSPC``, read-only cache dir) degrades to a
   :class:`~repro.explore.errors.StoreDegradedWarning` instead of
   crashing the exploration — the evaluation lives on in memory;
@@ -68,10 +83,10 @@ because :meth:`put` is idempotent last-writer-wins.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import socket
-import tempfile
 import time
 import uuid
 import warnings
@@ -99,26 +114,45 @@ def canonical_json(document: Dict) -> str:
     return json.dumps(document, sort_keys=True, separators=(",", ":"))
 
 
+def text_digest(text: str) -> str:
+    """Content address of a key's canonical JSON text."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def key_digest(key: Dict) -> str:
     """Content address of a key document."""
-    return hashlib.sha256(canonical_json(key).encode("utf-8")).hexdigest()
+    return text_digest(canonical_json(key))
 
 
 class StoreKey(NamedTuple):
-    """A key document with its content address, computed once.
+    """A key document with its canonical text and content address,
+    computed once.
 
     Every :class:`ResultStore` operation accepts one wherever it accepts
     a plain key dict; a caller that touches the same key several times
     (get, claim, heartbeat, put, release) builds it once and skips
-    re-hashing the document on each call.
+    re-encoding and re-hashing the document on each call.
     """
 
     document: Dict
+    #: ``canonical_json(document)``; :meth:`ResultStore.put` splices it
+    #: into the record as is.
+    text: str
     digest: str
 
     @classmethod
     def of(cls, document: Dict) -> "StoreKey":
-        return cls(document, key_digest(document))
+        return cls.from_text(document, canonical_json(document))
+
+    @classmethod
+    def from_text(cls, document: Dict, text: str) -> "StoreKey":
+        """The key of ``document`` whose canonical JSON is ``text``.
+
+        The caller vouches that ``text == canonical_json(document)``;
+        an evaluator assembles it from a pre-encoded fixed part and the
+        point's own canonical JSON, so the fixed part is encoded once.
+        """
+        return cls(document, text, text_digest(text))
 
 
 Key = Union[Dict, StoreKey]
@@ -126,6 +160,21 @@ Key = Union[Dict, StoreKey]
 
 def _keyed(key: Key) -> StoreKey:
     return key if isinstance(key, StoreKey) else StoreKey.of(key)
+
+
+def _record_json(record: Dict, key_text: str) -> str:
+    """``canonical_json`` of ``record`` plus its schema and key, given the
+    key's canonical text: the key is spliced in, never re-encoded.
+
+    Canonical JSON sorts keys, so the record's entries that sort before
+    ``"key"`` precede it and the rest, ``"schema"`` among them, follow.
+    """
+    before = canonical_json({k: v for k, v in record.items() if k < "key"})
+    after = canonical_json(
+        {**{k: v for k, v in record.items() if k > "key"}, "schema": SCHEMA_VERSION}
+    )
+    entries = (before[1:-1], f'"key":{key_text}', after[1:-1])
+    return "{" + ",".join(entry for entry in entries if entry) + "}"
 
 
 def default_root() -> Path:
@@ -148,6 +197,9 @@ class FsckReport:
     foreign: List[str] = field(default_factory=list)
     stale_leases: List[str] = field(default_factory=list)
     stale_tokens: List[str] = field(default_factory=list)
+    #: Temp files older than ``lease_ttl``: a writer died between
+    #: creating one and publishing it.
+    stale_temps: List[str] = field(default_factory=list)
     removed: int = 0
 
     @property
@@ -176,14 +228,22 @@ class ResultStore:
     ) -> None:
         self.root = Path(root) if root is not None else default_root()
         self.directory = self.root / "explore"
+        #: ``directory`` as a string with its separator: record paths
+        #: on the get/put path are built by concatenation, not a join.
+        self._prefix = os.path.join(os.fspath(self.directory), "")
         self.owner = owner or (
             f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:8]}"
         )
         if float(lease_ttl) <= 0:
             raise ValueError(f"lease_ttl must be positive, got {lease_ttl}")
         self.lease_ttl = float(lease_ttl)
+        nonce = uuid.uuid4().hex
         # Outside explore/, so its globs and listings never see it.
-        self._token = self.root / "owners" / f"{uuid.uuid4().hex}.token"
+        self._token = self.root / "owners" / f"{nonce}.token"
+        #: Temp files are ``.inflight-<nonce>-<n>.tmp``: unique per store
+        #: instance, so one O_EXCL open never has to retry a name.
+        self._temp_prefix = f"{self._prefix}.inflight-{nonce}-"
+        self._temps = itertools.count()
         #: ``(st_ino, st_dev)`` of the token: a lease with it is ours.
         self._token_id: Optional[Tuple[int, int]] = None
         self._token_touched = 0.0
@@ -234,12 +294,12 @@ class ResultStore:
         return record
 
     def _get(self, key: StoreKey) -> Optional[Dict]:
-        path = self._path(key)
         try:
             faults.check("store_get", _fault_point(key.document))
-            with open(path, "r", encoding="utf-8") as handle:
-                record = json.load(handle)
-        except (OSError, json.JSONDecodeError):
+            path = f"{self._prefix}{key.digest}.json"
+            with open(path, "rb", buffering=0) as handle:
+                record = json.loads(handle.read())
+        except (OSError, ValueError):  # ValueError: not JSON, or not UTF-8
             return None
         if not self._valid(record):
             return None
@@ -274,19 +334,20 @@ class ResultStore:
         return ok
 
     def _put(self, key: StoreKey, record: Dict) -> bool:
-        document = dict(record)
-        document["schema"] = SCHEMA_VERSION
-        document["key"] = key.document
-        payload = faults.mangle(
-            "store_put", _fault_point(key.document), canonical_json(document)
-        )
+        point = _fault_point(key.document)
+        payload = faults.mangle("store_put", point, _record_json(record, key.text))
         temp = None
         try:
-            faults.check("store_put", _fault_point(key.document))
-            fd, temp = self._mkstemp()
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(temp, self._path(key))
+            faults.check("store_put", point)
+            temp = self._temp_path()
+            fd = self._create(temp)
+            try:
+                data = memoryview(payload.encode("utf-8"))
+                while data:
+                    data = data[os.write(fd, data):]
+            finally:
+                os.close(fd)
+            os.replace(temp, f"{self._prefix}{key.digest}.json")
             temp = None
             return True
         except OSError as exc:
@@ -304,18 +365,19 @@ class ResultStore:
                 except OSError:
                     pass
 
-    def _mkstemp(self) -> Tuple[int, str]:
+    def _temp_path(self) -> str:
         # Suffix must not be ".json": in-flight temp files would match
         # the "*.json" globs in __len__/records()/clear().
+        return f"{self._temp_prefix}{next(self._temps)}.tmp"
+
+    def _create(self, path: str) -> int:
+        """Create ``path`` for writing, readable by its owner only."""
+        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
         try:
-            return tempfile.mkstemp(
-                dir=self.directory, prefix=".inflight-", suffix=".tmp"
-            )
+            return os.open(path, flags, 0o600)
         except FileNotFoundError:  # first write, or explore/ was removed
             self.directory.mkdir(parents=True, exist_ok=True)
-            return tempfile.mkstemp(
-                dir=self.directory, prefix=".inflight-", suffix=".tmp"
-            )
+            return os.open(path, flags, 0o600)
 
     # ------------------------------------------------------------------
     # Leases
@@ -335,7 +397,7 @@ class ResultStore:
             self._token_id = (stat.st_ino, stat.st_dev)
         self._token_touched = time.time()
 
-    def _link_token(self, path: Path) -> None:
+    def _link_token(self, path: Union[Path, str]) -> None:
         """Hard-link the owner token at ``path`` (FileExistsError if taken).
 
         The link shares the token's mtime, so a token older than a
@@ -371,11 +433,20 @@ class ResultStore:
         except (OSError, json.JSONDecodeError):
             return None
 
-    def _lease_stale(self, path: Path) -> bool:
+    def _stale(self, path: Path) -> bool:
+        """Whether ``path`` has gone ``lease_ttl`` without a write or touch."""
         try:
             return (time.time() - path.stat().st_mtime) > self.lease_ttl
         except OSError:
             return False
+
+    def _stale_temps(self) -> List[Path]:
+        """Temp files a dead writer left behind; a live one's are fresh."""
+        return [
+            path
+            for path in sorted(self.directory.glob(".inflight-*.tmp"))
+            if self._stale(path)
+        ]
 
     def claim(self, key: Key) -> bool:
         """Try to take the lease on ``key``; True when this store owns it.
@@ -424,7 +495,7 @@ class ResultStore:
         # Stale: replace it with our own link, then read back — of
         # several racing reclaimers only the last writer sees its own
         # inode and proceeds.
-        temp = self.directory / f".inflight-{uuid.uuid4().hex}.tmp"
+        temp = self._temp_path()
         self._link_token(temp)
         try:
             os.replace(temp, path)
@@ -514,8 +585,11 @@ class ResultStore:
         not match the content address of the embedded key — a renamed or
         tampered file), each ``*.lease`` as live or stale, and each owner
         token as stale when no lease links it and it has not been
-        touched for ``lease_ttl``. With ``remove=True`` the unhealthy
-        entries, stale leases and stale tokens are deleted.
+        touched for ``lease_ttl``, and each ``.inflight-*.tmp`` temp file
+        older than ``lease_ttl`` as stale (its writer died before
+        publishing it; a live writer's temp file is seconds old). With
+        ``remove=True`` the unhealthy entries, stale leases, stale tokens
+        and stale temp files are deleted.
         """
         report = FsckReport()
         now = time.time()
@@ -545,8 +619,9 @@ class ResultStore:
             else:
                 report.ok += 1
         for path in sorted(self.directory.glob("*.lease")):
-            if self._lease_stale(path):
+            if self._stale(path):
                 report.stale_leases.append(path.name)
+        report.stale_temps = [path.name for path in self._stale_temps()]
         if remove:
             doomed = [
                 self.directory / name
@@ -554,6 +629,7 @@ class ResultStore:
                 + report.stale_schema
                 + report.foreign
                 + report.stale_leases
+                + report.stale_temps
             ] + [self._token.parent / name for name in report.stale_tokens]
             for path in doomed:
                 try:
@@ -564,7 +640,11 @@ class ResultStore:
         return report
 
     def clear(self) -> int:
-        """Delete every stored evaluation; returns the number removed."""
+        """Delete every stored evaluation; returns the number removed.
+
+        Leases and stale temp files go too (a live writer's temp file
+        is left to be published).
+        """
         removed = 0
         if self.directory.is_dir():
             for path in self.directory.glob("*.json"):
@@ -573,7 +653,7 @@ class ResultStore:
                     removed += 1
                 except OSError:
                     pass
-            for path in self.directory.glob("*.lease"):
+            for path in [*self.directory.glob("*.lease"), *self._stale_temps()]:
                 try:
                     path.unlink()
                 except OSError:

@@ -34,7 +34,7 @@ from repro.explore import (
     throughput_space,
 )
 from repro.explore.evaluator import KernelSummary, evaluate_design_points
-from repro.explore.store import key_digest
+from repro.explore.store import StoreKey, canonical_json, key_digest
 from repro.testing.reference import evaluate_reference
 
 
@@ -165,6 +165,46 @@ class TestResultStoreIntegration:
         assert key_digest(key) == (
             "e48fcbd81909220b53513d5a37e75245d865440d262d3a42620c66d492169aa4"
         )
+        cpoint = evaluator.canonicalize({"arch": "cqla", "factory_area": 400.0})
+        assert evaluator._keyed(cpoint, canonical_json(cpoint)).digest == (
+            key_digest(key)
+        )
+
+    @pytest.mark.parametrize(
+        "mode, point",
+        [
+            (mode, point)
+            for mode in ("spec", "analysis")
+            for point in (
+                {"arch": "qla", "factory_area": 40.0},
+                {"arch": "cqla", "factory_area": 400.0, "cqla_ports": 4},
+                {"arch": "multiplexed", "factory_area": 200.0, "region_span": 3},
+                {"zero_rate": 2.5, "pi8_ratio": 0.25},
+            )
+        ]
+        + [
+            # Re-characterizing dimensions need a kernel specification.
+            ("spec", {"arch": "qla", "factory_area": 80.0, "tech_scale": 2.0}),
+            ("spec", {"arch": "multiplexed", "factory_area": 200.0,
+                      "code_level": 2}),
+            ("spec", {"zero_rate": 1.0, "code_level": 2, "tech_scale": 0.5}),
+        ],
+    )
+    def test_spliced_store_key_matches_full_encoding(self, mode, point, qrca8):
+        """The evaluator's store key text is the key base's encoding
+        split around the point: it must equal the whole key document's
+        canonical JSON, so the digest is the one stores already hold."""
+        if mode == "analysis":
+            evaluator = Evaluator(qrca8)
+        else:
+            evaluator = Evaluator(kernel="qrca", width=8)
+        cpoint = evaluator.canonicalize(point)
+        spliced = evaluator._keyed(cpoint, canonical_json(cpoint))
+        document = evaluator._store_key(cpoint)
+        assert spliced.document == document
+        assert spliced.text == canonical_json(document)
+        assert spliced.digest == key_digest(document)
+        assert spliced == StoreKey.of(document)
 
     def test_refinement_is_incremental(self, tmp_path, qrca8):
         """A refined search only simulates points it has never seen."""

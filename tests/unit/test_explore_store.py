@@ -1,11 +1,15 @@
 """Unit tests for the content-addressed result store."""
 
+import errno
 import json
 import os
+import stat
 import time
 
+import pytest
+
 from repro.__main__ import main
-from repro.explore import ResultStore, key_digest
+from repro.explore import ResultStore, StoreDegradedWarning, key_digest
 from repro.explore.store import (
     DEFAULT_LEASE_TTL,
     SCHEMA_VERSION,
@@ -140,6 +144,91 @@ class TestResultStore:
         store.put(KEY, {"result": {"makespan_us": 1.0}})
         text = store._path(KEY).read_text()
         assert text == canonical_json(json.loads(INDENTED_RECORD))
+
+
+class TestWritePath:
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {},
+            {"areas": {"total": 1.5}, "point": {"arch": "qla"},
+             "result": {"makespan_us": 2.0}},
+            # A record's own "key"/"schema" entries are overridden.
+            {"key": "mine", "schema": 99, "a": [1, "s"], "z": None},
+        ],
+        ids=["empty", "evaluation", "overridden"],
+    )
+    def test_record_bytes_are_canonical_json(self, tmp_path, record):
+        store = ResultStore(tmp_path)
+        assert store.put(KEY, record)
+        path = store._path(KEY)
+        document = {**record, "schema": SCHEMA_VERSION, "key": KEY}
+        assert path.read_bytes() == canonical_json(document).encode("utf-8")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+
+    def test_readonly_directory_degrades(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path)
+        assert store.put(KEY, {"tag": 1})
+        os.chmod(store.directory, 0o500)
+        try:
+            if os.access(store.directory, os.W_OK):
+                # Mode bits do not bind a privileged user: refuse the
+                # create the way a read-only mount would.
+                real_open = os.open
+
+                def read_only(path, flags, *args, **kwargs):
+                    if flags & os.O_CREAT:
+                        raise OSError(errno.EROFS, "Read-only file system", path)
+                    return real_open(path, flags, *args, **kwargs)
+
+                monkeypatch.setattr(os, "open", read_only)
+            with pytest.warns(StoreDegradedWarning, match="write failed"):
+                assert store.put({**KEY, "width": 16}, {"tag": 2}) is False
+        finally:
+            os.chmod(store.directory, 0o700)
+        assert store.get(KEY)["tag"] == 1
+        assert store.get({**KEY, "width": 16}) is None
+        assert not list(store.directory.glob(".inflight-*"))
+
+
+class TestStaleTemps:
+    """A writer killed between creating its temp file and publishing it
+    leaves the file behind; fsck reports it once it is ``lease_ttl`` old
+    and a live writer's fresh one is never touched."""
+
+    def _temps(self, store):
+        store.directory.mkdir(parents=True, exist_ok=True)
+        dead = store.directory / ".inflight-dead-0.tmp"
+        live = store.directory / ".inflight-live-0.tmp"
+        dead.write_text("{ torn")
+        live.write_text("{ half")
+        long_ago = time.time() - 2 * store.lease_ttl
+        os.utime(dead, (long_ago, long_ago))
+        return dead, live
+
+    def test_fsck_reports_and_removes_only_aged_temps(self, tmp_path, capsys):
+        store = ResultStore(tmp_path)
+        store.put(KEY, {"tag": "good"})
+        dead, live = self._temps(store)
+        report = store.fsck()
+        assert report.stale_temps == [dead.name]
+        assert (report.ok, report.bad, report.removed) == (1, 0, 0)
+        assert main(["cache", "fsck", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "stale temp files: 1" in out
+        assert "fsck --remove" in out
+        report = store.fsck(remove=True)
+        assert report.removed == 1
+        assert not dead.exists() and live.exists()
+        assert store.fsck().stale_temps == []
+        assert store.get(KEY)["tag"] == "good"
+
+    def test_clear_removes_only_aged_temps(self, tmp_path):
+        store = ResultStore(tmp_path)
+        store.put(KEY, {"tag": "good"})
+        dead, live = self._temps(store)
+        assert store.clear() == 1
+        assert not dead.exists() and live.exists()
 
 
 class TestOwnerTokenCleanup:

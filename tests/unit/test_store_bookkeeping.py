@@ -2,8 +2,9 @@
 
 A cold miss builds its store key and digest once and shares them between
 its get, claim, heartbeats, put and release; the tech fingerprint is
-built once per evaluator; store records are published without ``fsync``
-while the exploration journal keeps one ``fsync`` per line.
+built and encoded once per evaluator; store records are published
+without ``fsync`` while the exploration journal keeps one ``fsync`` per
+line.
 """
 
 import importlib
@@ -35,7 +36,7 @@ POINTS = [
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of key digests, tech fingerprints and fsyncs."""
-    counts = {"key_digest": 0, "tech_fingerprint": 0, "fsync": 0}
+    counts = {"text_digest": 0, "tech_fingerprint": 0, "fsync": 0}
 
     def count(module, name):
         original = getattr(module, name)
@@ -46,7 +47,7 @@ def calls(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
 
-    count(store_module, "key_digest")
+    count(store_module, "text_digest")
     count(evaluator_module, "tech_fingerprint")
     count(os, "fsync")
     return counts
@@ -61,7 +62,7 @@ class TestColdMissBookkeeping:
         assert all(e.ok for e in evaluations)
         assert evaluator.simulations_run == len(POINTS)
         assert evaluator.dedup_hits == 2
-        assert calls["key_digest"] == len(POINTS)
+        assert calls["text_digest"] == len(POINTS)
         assert len(store) == len(POINTS)
 
     def test_tech_fingerprint_once_per_evaluator(self, tmp_path, calls):
@@ -74,6 +75,34 @@ class TestColdMissBookkeeping:
         warm.evaluate(POINTS)
         assert warm.cache_hits == len(POINTS)
         assert calls["tech_fingerprint"] == 2
+
+    def test_warm_batch_encodes_tech_fingerprint_once(
+        self, tmp_path, monkeypatch
+    ):
+        """A warm batch's keys reuse the evaluator's encoded key base: the
+        tech record is encoded once, not once per point."""
+        points = [
+            {"arch": arch, "factory_area": 40.0 * (1 + i)}
+            for arch in ("qla", "cqla", "multiplexed")
+            for i in range(17)
+        ][:50]
+        store = ResultStore(tmp_path)
+        Evaluator(kernel="qrca", width=8, store=store).evaluate(points)
+        encodings = []
+        dumps = json.dumps
+
+        def counted(*args, **kwargs):
+            text = dumps(*args, **kwargs)
+            if '"t_1q"' in text:  # a tech fingerprint field
+                encodings.append(text)
+            return text
+
+        monkeypatch.setattr(json, "dumps", counted)
+        warm = Evaluator(kernel="qrca", width=8, store=store)
+        evaluations = warm.evaluate(points)
+        assert warm.cache_hits == len(points) == 50
+        assert all(e.ok and e.from_cache for e in evaluations)
+        assert len(encodings) == 1
 
     def test_put_never_fsyncs(self, tmp_path, calls):
         store = ResultStore(tmp_path)
