@@ -63,7 +63,7 @@ from repro.arch.architectures import (
 from repro.arch.simulator import DataflowSimulator, SimulationResult
 from repro.arch.supply import PI8, ZERO, SteadyRateSupply
 from repro.circuits.compiled import CompiledCircuit, compile_circuit
-from repro.explore.store import ResultStore, StoreKey, canonical_json
+from repro.explore.store import ResultStore, StoreKey, canonical_json, text_digest
 from repro.layout.region import data_qubit_area
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
@@ -596,19 +596,21 @@ class Evaluator:
             }
         return {**self._key_base, "point": canonical}
 
-    def _keyed(self, canonical: Dict[str, object], text: str) -> StoreKey:
-        """The store key of a canonical point whose canonical JSON is
-        ``text``: the fixed key base is encoded once per evaluator, so a
-        point pays only for its own text and the hash."""
+    def _key_text(self, text: str) -> str:
+        """``canonical_json`` of the store key of the canonical point
+        whose canonical JSON is ``text``: the fixed key base is encoded
+        once per evaluator, so a point pays only for its own text."""
         if self._key_affixes is None:
             slot = "\x00point"  # a value no key base contains
             encoded = canonical_json(self._store_key(slot))
             prefix, suffix = encoded.split(canonical_json(slot))
             self._key_affixes = (prefix, suffix)
         prefix, suffix = self._key_affixes
-        return StoreKey.from_text(
-            self._store_key(canonical), f"{prefix}{text}{suffix}"
-        )
+        return f"{prefix}{text}{suffix}"
+
+    def _keyed(self, canonical: Dict[str, object], text: str) -> StoreKey:
+        """The store key of ``canonical``, whose canonical JSON is ``text``."""
+        return StoreKey(self._store_key(canonical), text_digest(self._key_text(text)))
 
     # ------------------------------------------------------------------
     # Store (de)serialization
@@ -696,7 +698,7 @@ class Evaluator:
 
         resolved: Dict[str, Evaluation] = {}
         misses: List[Tuple[str, Dict[str, object]]] = []
-        # One store key (text and digest) per unique point, shared by its get,
+        # One store key (and digest) per unique point, shared by its get,
         # claim, heartbeats, put and release.
         store_keys: Dict[str, StoreKey] = {}
         hits = 0

@@ -15,14 +15,12 @@ result:
 * the resolved design point (defaults filled in, so ``{"arch": "cqla"}``
   and an explicit default cache fraction share one entry).
 
-A :class:`StoreKey` carries the key's canonical JSON text and digest,
-computed once. Everything but the point is fixed per evaluator, so
+A :class:`StoreKey` carries the key document and its digest, computed
+once. Everything but the point is fixed per evaluator, so
 :class:`~repro.explore.evaluator.Evaluator` encodes that base once,
-split around the ``"point"`` slot, and a point's key text is prefix +
-the point's canonical JSON + suffix (:meth:`StoreKey.from_text`): the
-same bytes :func:`canonical_json` gives the whole document, so the
-digests are unchanged. :meth:`ResultStore.put` splices that text into
-the record instead of encoding the key again.
+split around the ``"point"`` slot, and hashes prefix + the point's
+canonical JSON + suffix: the same bytes :func:`canonical_json` gives
+the whole document, so the digests are unchanged.
 
 Re-running an exploration with a warm store therefore performs zero new
 simulator evaluations, and *refined* searches only pay for points they
@@ -43,12 +41,13 @@ Durability and fault behaviour:
   as a miss and is recomputed. Only the exploration journal
   (``journal.jsonl``, see :mod:`repro.explore.engine`) is fsync'd,
   since resume depends on it;
-* a temp file is ``explore/.inflight-<nonce>-<n>.tmp``: a per-store
-  nonce and a counter, opened ``O_CREAT | O_EXCL`` at mode 0600. A
-  writer killed before its ``os.replace`` leaves one behind; once it is
-  ``lease_ttl`` old :meth:`fsck` reports it (``stale_temps``) and
-  ``fsck --remove`` and :meth:`clear` delete it. A younger one may
-  belong to a live writer and is left alone;
+* a temp file is ``explore/.inflight-*.tmp`` (:func:`tempfile.mkstemp`:
+  ``O_EXCL``, mode 0600). A writer killed before its ``os.replace``
+  leaves one behind, and so does a lease reclaim killed before its
+  rename (that temp file is a link to the dead owner's token, below).
+  Once one is ``lease_ttl`` old :meth:`fsck` reports it
+  (``stale_temps``) and ``fsck --remove`` and :meth:`clear` delete it;
+  a younger one may belong to a live writer and is left alone;
 * a failed write (``ENOSPC``, read-only cache dir) degrades to a
   :class:`~repro.explore.errors.StoreDegradedWarning` instead of
   crashing the exploration — the evaluation lives on in memory;
@@ -83,17 +82,17 @@ because :meth:`put` is idempotent last-writer-wins.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import os
 import socket
+import tempfile
 import time
 import uuid
 import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
 
 from repro.explore.errors import LeaseHeld, StoreDegradedWarning
 from repro.obs import metrics as _metrics
@@ -125,34 +124,20 @@ def key_digest(key: Dict) -> str:
 
 
 class StoreKey(NamedTuple):
-    """A key document with its canonical text and content address,
-    computed once.
+    """A key document with its content address, computed once.
 
     Every :class:`ResultStore` operation accepts one wherever it accepts
     a plain key dict; a caller that touches the same key several times
     (get, claim, heartbeat, put, release) builds it once and skips
-    re-encoding and re-hashing the document on each call.
+    re-hashing the document on each call.
     """
 
     document: Dict
-    #: ``canonical_json(document)``; :meth:`ResultStore.put` splices it
-    #: into the record as is.
-    text: str
     digest: str
 
     @classmethod
     def of(cls, document: Dict) -> "StoreKey":
-        return cls.from_text(document, canonical_json(document))
-
-    @classmethod
-    def from_text(cls, document: Dict, text: str) -> "StoreKey":
-        """The key of ``document`` whose canonical JSON is ``text``.
-
-        The caller vouches that ``text == canonical_json(document)``;
-        an evaluator assembles it from a pre-encoded fixed part and the
-        point's own canonical JSON, so the fixed part is encoded once.
-        """
-        return cls(document, text, text_digest(text))
+        return cls(document, key_digest(document))
 
 
 Key = Union[Dict, StoreKey]
@@ -162,19 +147,16 @@ def _keyed(key: Key) -> StoreKey:
     return key if isinstance(key, StoreKey) else StoreKey.of(key)
 
 
-def _record_json(record: Dict, key_text: str) -> str:
-    """``canonical_json`` of ``record`` plus its schema and key, given the
-    key's canonical text: the key is spliced in, never re-encoded.
-
-    Canonical JSON sorts keys, so the record's entries that sort before
-    ``"key"`` precede it and the rest, ``"schema"`` among them, follow.
-    """
-    before = canonical_json({k: v for k, v in record.items() if k < "key"})
-    after = canonical_json(
-        {**{k: v for k, v in record.items() if k > "key"}, "schema": SCHEMA_VERSION}
-    )
-    entries = (before[1:-1], f'"key":{key_text}', after[1:-1])
-    return "{" + ",".join(entry for entry in entries if entry) + "}"
+def _unlink_all(paths: Iterable[Path]) -> int:
+    """Unlink each of ``paths`` that still exists; returns how many."""
+    removed = 0
+    for path in paths:
+        try:
+            path.unlink()
+            removed += 1
+        except OSError:
+            pass
+    return removed
 
 
 def default_root() -> Path:
@@ -228,8 +210,8 @@ class ResultStore:
     ) -> None:
         self.root = Path(root) if root is not None else default_root()
         self.directory = self.root / "explore"
-        #: ``directory`` as a string with its separator: record paths
-        #: on the get/put path are built by concatenation, not a join.
+        #: ``directory`` as a string with its separator: a read builds
+        #: its record path by concatenation, not a join.
         self._prefix = os.path.join(os.fspath(self.directory), "")
         self.owner = owner or (
             f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:8]}"
@@ -237,13 +219,8 @@ class ResultStore:
         if float(lease_ttl) <= 0:
             raise ValueError(f"lease_ttl must be positive, got {lease_ttl}")
         self.lease_ttl = float(lease_ttl)
-        nonce = uuid.uuid4().hex
         # Outside explore/, so its globs and listings never see it.
-        self._token = self.root / "owners" / f"{nonce}.token"
-        #: Temp files are ``.inflight-<nonce>-<n>.tmp``: unique per store
-        #: instance, so one O_EXCL open never has to retry a name.
-        self._temp_prefix = f"{self._prefix}.inflight-{nonce}-"
-        self._temps = itertools.count()
+        self._token = self.root / "owners" / f"{uuid.uuid4().hex}.token"
         #: ``(st_ino, st_dev)`` of the token: a lease with it is ours.
         self._token_id: Optional[Tuple[int, int]] = None
         self._token_touched = 0.0
@@ -334,20 +311,19 @@ class ResultStore:
         return ok
 
     def _put(self, key: StoreKey, record: Dict) -> bool:
-        point = _fault_point(key.document)
-        payload = faults.mangle("store_put", point, _record_json(record, key.text))
+        document = dict(record)
+        document["schema"] = SCHEMA_VERSION
+        document["key"] = key.document
+        payload = faults.mangle(
+            "store_put", _fault_point(key.document), canonical_json(document)
+        )
         temp = None
         try:
-            faults.check("store_put", point)
-            temp = self._temp_path()
-            fd = self._create(temp)
-            try:
-                data = memoryview(payload.encode("utf-8"))
-                while data:
-                    data = data[os.write(fd, data):]
-            finally:
-                os.close(fd)
-            os.replace(temp, f"{self._prefix}{key.digest}.json")
+            faults.check("store_put", _fault_point(key.document))
+            fd, temp = self._mkstemp()
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(payload)
+            os.replace(temp, self._path(key))
             temp = None
             return True
         except OSError as exc:
@@ -365,19 +341,18 @@ class ResultStore:
                 except OSError:
                     pass
 
-    def _temp_path(self) -> str:
+    def _mkstemp(self) -> Tuple[int, str]:
         # Suffix must not be ".json": in-flight temp files would match
         # the "*.json" globs in __len__/records()/clear().
-        return f"{self._temp_prefix}{next(self._temps)}.tmp"
-
-    def _create(self, path: str) -> int:
-        """Create ``path`` for writing, readable by its owner only."""
-        flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
         try:
-            return os.open(path, flags, 0o600)
+            return tempfile.mkstemp(
+                dir=self.directory, prefix=".inflight-", suffix=".tmp"
+            )
         except FileNotFoundError:  # first write, or explore/ was removed
             self.directory.mkdir(parents=True, exist_ok=True)
-            return os.open(path, flags, 0o600)
+            return tempfile.mkstemp(
+                dir=self.directory, prefix=".inflight-", suffix=".tmp"
+            )
 
     # ------------------------------------------------------------------
     # Leases
@@ -397,7 +372,7 @@ class ResultStore:
             self._token_id = (stat.st_ino, stat.st_dev)
         self._token_touched = time.time()
 
-    def _link_token(self, path: Union[Path, str]) -> None:
+    def _link_token(self, path: Path) -> None:
         """Hard-link the owner token at ``path`` (FileExistsError if taken).
 
         The link shares the token's mtime, so a token older than a
@@ -495,7 +470,7 @@ class ResultStore:
         # Stale: replace it with our own link, then read back — of
         # several racing reclaimers only the last writer sees its own
         # inode and proceeds.
-        temp = self._temp_path()
+        temp = self.directory / f".inflight-{uuid.uuid4().hex}.tmp"
         self._link_token(temp)
         try:
             os.replace(temp, path)
@@ -589,9 +564,17 @@ class ResultStore:
         older than ``lease_ttl`` as stale (its writer died before
         publishing it; a live writer's temp file is seconds old). With
         ``remove=True`` the unhealthy entries, stale leases, stale tokens
-        and stale temp files are deleted.
+        and stale temp files are deleted, the temp files first, so a
+        token whose only other link was one goes in the same pass.
         """
         report = FsckReport()
+        # Temp files go first: a lease reclaim cut short leaves a temp
+        # hard-linked to its dead owner's token, which must be unlinked
+        # before the token's link count says whether it is stale.
+        stale_temps = self._stale_temps()
+        report.stale_temps = [path.name for path in stale_temps]
+        if remove:
+            report.removed += _unlink_all(stale_temps)
         now = time.time()
         for path in sorted(self._token.parent.glob("*.token")):
             try:
@@ -621,22 +604,17 @@ class ResultStore:
         for path in sorted(self.directory.glob("*.lease")):
             if self._stale(path):
                 report.stale_leases.append(path.name)
-        report.stale_temps = [path.name for path in self._stale_temps()]
         if remove:
-            doomed = [
-                self.directory / name
-                for name in report.corrupt
-                + report.stale_schema
-                + report.foreign
-                + report.stale_leases
-                + report.stale_temps
-            ] + [self._token.parent / name for name in report.stale_tokens]
-            for path in doomed:
-                try:
-                    path.unlink()
-                    report.removed += 1
-                except OSError:
-                    pass
+            report.removed += _unlink_all(
+                [
+                    self.directory / name
+                    for name in report.corrupt
+                    + report.stale_schema
+                    + report.foreign
+                    + report.stale_leases
+                ]
+                + [self._token.parent / name for name in report.stale_tokens]
+            )
         return report
 
     def clear(self) -> int:
@@ -645,17 +623,8 @@ class ResultStore:
         Leases and stale temp files go too (a live writer's temp file
         is left to be published).
         """
-        removed = 0
-        if self.directory.is_dir():
-            for path in self.directory.glob("*.json"):
-                try:
-                    path.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-            for path in [*self.directory.glob("*.lease"), *self._stale_temps()]:
-                try:
-                    path.unlink()
-                except OSError:
-                    pass
+        if not self.directory.is_dir():
+            return 0
+        removed = _unlink_all(self.directory.glob("*.json"))
+        _unlink_all([*self.directory.glob("*.lease"), *self._stale_temps()])
         return removed

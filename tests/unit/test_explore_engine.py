@@ -199,10 +199,10 @@ class TestResultStoreIntegration:
         else:
             evaluator = Evaluator(kernel="qrca", width=8)
         cpoint = evaluator.canonicalize(point)
-        spliced = evaluator._keyed(cpoint, canonical_json(cpoint))
+        text = canonical_json(cpoint)
         document = evaluator._store_key(cpoint)
-        assert spliced.document == document
-        assert spliced.text == canonical_json(document)
+        assert evaluator._key_text(text) == canonical_json(document)
+        spliced = evaluator._keyed(cpoint, text)
         assert spliced.digest == key_digest(document)
         assert spliced == StoreKey.of(document)
 

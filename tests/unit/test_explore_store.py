@@ -223,6 +223,21 @@ class TestStaleTemps:
         assert store.fsck().stale_temps == []
         assert store.get(KEY)["tag"] == "good"
 
+    def test_fsck_remove_clears_a_cut_reclaim_and_its_token(self, tmp_path):
+        # A reclaimer killed between linking its token at a temp name
+        # and renaming it over the lease: the temp is the token's only
+        # other link, so one pass must drop both.
+        dead = ResultStore(tmp_path)
+        temp = dead.directory / ".inflight-reclaim-0.tmp"
+        dead._link_token(temp)
+        long_ago = time.time() - 2 * dead.lease_ttl
+        os.utime(dead._token, (long_ago, long_ago))  # ages the temp too
+        report = ResultStore(tmp_path).fsck(remove=True)
+        assert report.stale_temps == [temp.name]
+        assert report.stale_tokens == [dead._token.name]
+        assert report.removed == 2
+        assert not temp.exists() and not dead._token.exists()
+
     def test_clear_removes_only_aged_temps(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put(KEY, {"tag": "good"})
