@@ -29,39 +29,37 @@ What batches, and why it stays bit-identical:
   Supplies whose specs constrain nothing
   (:class:`~repro.arch.supply.InfiniteSupply`, untracked kinds) share
   one column of work.
-* **CQLA cache mode**: the LRU miss/eviction pattern depends only on the
-  operand sequence and cache size — never on time — so both engines
-  replay one memoized per-gate teleport-trip schedule per (circuit,
-  cache size) (:func:`~repro.arch.simulator._cache_schedule`). Port
-  booking couples gates *within* a point (never across points), so a
-  program-order walk over a ``(points, ports)`` earliest-free matrix
-  replays every point's port min-heap exactly, vectorized across the
-  sweep (:func:`_run_cqla_lockstep`).
 
 Within a dependency level no two gates share a qubit (a shared qubit is a
 dependency edge) and no gate reads a classical bit written in its own
 level, so gathering all start times before scattering all finish times
 reproduces the serial engine's program-order walk exactly. Every
 floating-point operation keeps the serial evaluation order (max chains,
-port-booking max/add, then movement add, then supply max, then
-``+ latency`` then ``+ qec``), which makes the batched results
-**bit-identical** to :meth:`DataflowSimulator.run` and to the reference
-loop (:func:`repro.testing.reference.run_reference`) — the equivalence
-suite asserts exact float equality, not approximation.
+then movement add, then supply max, then ``+ latency`` then ``+ qec``),
+which makes the batched results **bit-identical** to
+:meth:`DataflowSimulator.run` and to the reference loop
+(:func:`repro.testing.reference.run_reference`) — the equivalence suite
+asserts exact float equality, not approximation.
 
-What runs per point instead, through :meth:`DataflowSimulator.run`,
-is small groups, chosen by shape. A kernel pass costs a fixed ~12-20 us
-per dependency level (level kernel) or ~5.5-8 us per gate (CQLA
-lockstep) almost regardless of point count, so a few points on a deep
-circuit run faster serially: 2 points on qrca-32 (986 levels) take
-~15 ms batched against ~0.9 ms serially, and a CQLA group needs about
-23-26 points before one lockstep pass beats a serial ``run()`` per
-point (~0.6-1.8 ms each on the 32-bit kernels). Each lowering-signature
-group (and the shared unconstrained column) takes whichever route
-:func:`_vectorize` predicts is cheaper from its point count, the
-circuit's gate and level counts, and whether CQLA is on — never from
-the caller or the supply model. Both routes are bit-identical and
-advance supply state identically.
+What runs per point instead, through :meth:`DataflowSimulator.run`:
+
+* **Small groups, chosen by shape.** A kernel pass costs a fixed
+  ~12-20 us per dependency level almost regardless of point count, so
+  a few points on a deep circuit run faster serially: 2 points on
+  qrca-32 (986 levels) take ~15 ms batched against ~0.9 ms serially.
+  Each lowering-signature group (and the shared unconstrained column)
+  takes whichever route :func:`_vectorize` predicts is cheaper from its
+  point count and the circuit's gate and level counts — never from the
+  caller or the supply model. Both routes are bit-identical and advance
+  supply state identically.
+* **Every CQLA point.** Which operands miss the cache depends only on
+  the operand sequence and the cache size, never on time, so ``run()``
+  replays one memoized per-gate teleport-trip schedule per (circuit,
+  cache size) (:func:`~repro.arch.simulator._cache_schedule`) and only
+  books ports, ~0.2-0.37 us per gate-point. Port booking is ordered
+  within a point, so it does not vectorize over levels; a program-order
+  pass over the points axis paid ~5.5-8 us per gate and lost to
+  ``run()`` below ~23-26 points, more than any command batches.
 
 :meth:`DataflowSimulator.run` itself runs a circuit that is not lean
 (a gate shape its loops skip) as a one-column :func:`_kernel_pass`.
@@ -69,7 +67,7 @@ advance supply state identically.
 Callers never need to pre-sort their supplies. The
 ``batched.simulate_batch`` span reports per-path point counts, which sum
 to the batch size: ``unconstrained`` / ``steady`` / ``dedicated``
-(vectorized) and ``serial`` (sent to ``run()`` by shape).
+(vectorized) and ``serial`` (sent to ``run()``).
 """
 
 from __future__ import annotations
@@ -80,13 +78,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.arch.architectures import CqlaConfig, teleport_latency
+from repro.arch.architectures import CqlaConfig
 from repro.arch.simulator import (
     ZEROS_PER_QEC,
     DataflowSimulator,
     SimulationResult,
-    _CacheSchedule,
-    _cache_schedule,
     commit_draws,
     lower_ready,
     lowerable_spec,
@@ -256,86 +252,6 @@ def _run_levels_body(ba, nq, nb, points, movement, ready, qec):
     return qubit_free[:nq].max(axis=0)
 
 
-# ----------------------------------------------------------------------
-# CQLA: program-order lockstep kernel over the shared cache schedule
-
-
-def _run_cqla_lockstep(
-    cc: CompiledCircuit,
-    points: int,
-    movement: Optional[List[float]],
-    ready: Optional[np.ndarray],
-    qec: float,
-    schedule: _CacheSchedule,
-    ports: int,
-    t_teleport: float,
-) -> np.ndarray:
-    """Execute ``points`` CQLA columns in one program-order walk.
-
-    Port booking makes start times order-sensitive *within* a point (a
-    booked gate delays later bookers), but points never interact — so
-    the serial engine's port min-heap vectorizes into a
-    ``(points, ports)`` earliest-free matrix walked in program order:
-    per trip, each point books its earliest-free port (``argmin`` takes
-    the first minimum, matching the heap's ``(free, index)`` tie-break).
-    Level-order walking would be wrong here: bookings are not
-    commutative, and program order is the order the serial engine and
-    the reference loop book in. All other per-gate arithmetic replays the serial
-    ``_run_cache`` loop's exact operation order, so every column is
-    bit-identical to a serial run of that point.
-    """
-    nq, nb = cc.num_qubits, cc.num_bits
-    qubit_free = np.zeros((nq, points))
-    bits = np.zeros((nb, points))
-    port_free = np.zeros((points, ports))
-    rows = np.arange(points)
-    q0, q1, q2 = cc.q0, cc.q1, cc.q2
-    cond_id, result_id = cc.cond_id, cc.result_id
-    latency = cc.latency_us
-    trips = schedule.trips
-    maximum = np.maximum
-    with _span("batched.cqla_lockstep", points=points, gates=cc.num_gates,
-               ports=ports):
-        for i in range(cc.num_gates):
-            a = q0[i]
-            b = q1[i]
-            c = q2[i]
-            t = qubit_free[a].copy()
-            if b >= 0:
-                maximum(t, qubit_free[b], out=t)
-                if c >= 0:
-                    maximum(t, qubit_free[c], out=t)
-            cond = cond_id[i]
-            if cond >= 0:
-                maximum(t, bits[cond], out=t)
-            k = trips[i]
-            while k:
-                k -= 1
-                idx = port_free.argmin(axis=1)
-                maximum(t, port_free[rows, idx], out=t)
-                t += t_teleport
-                port_free[rows, idx] = t
-            if movement is not None:
-                m = movement[i]
-                if m:
-                    t += m
-            if ready is not None:
-                maximum(t, ready[i], out=t)
-            t += latency[i]
-            t += qec
-            qubit_free[a] = t
-            if b >= 0:
-                qubit_free[b] = t
-                if c >= 0:
-                    qubit_free[c] = t
-            r = result_id[i]
-            if r >= 0:
-                bits[r] = t
-    if nq == 0:
-        return np.zeros(points)
-    return qubit_free.max(axis=0)
-
-
 def _kernel_pass(
     cc: CompiledCircuit,
     points: int,
@@ -343,38 +259,25 @@ def _kernel_pass(
     move_2q: float,
     ready: Optional[np.ndarray],
     qec: float,
-    cqla: Optional[CqlaConfig],
-    tech: TechnologyParams,
 ) -> np.ndarray:
-    """Makespans of ``points`` columns from one pass of the level
-    kernel, or of the lockstep kernel under ``cqla`` (whose per-gate
-    movement is a plain list: it needs no level arrays at all)."""
+    """Makespans of ``points`` columns from one pass of the level kernel."""
     movement = None
-    table = (0.0, move_1q, move_2q)
-    if cqla is None:
-        if move_1q or move_2q:
-            movement = np.array(table)[_batch_arrays(cc).move_kind]
-        return _run_levels(cc, points, movement, ready, qec)
     if move_1q or move_2q:
-        movement = [table[k] for k in cc.move_kind]
-    return _run_cqla_lockstep(
-        cc, points, movement, ready, qec,
-        _cache_schedule(cc, cqla.cache_size(cc.num_qubits)), cqla.ports,
-        teleport_latency(tech),
-    )
+        movement = np.array((0.0, move_1q, move_2q))[_batch_arrays(cc).move_kind]
+    return _run_levels(cc, points, movement, ready, qec)
 
 
 # ----------------------------------------------------------------------
 # Supply classification and the public batch entry point
 
 
-#: Shape rule constants (see :func:`_vectorize`).
+#: Shape rule constant (see :func:`_vectorize`).
 _GATE_POINTS_PER_LEVEL = 80
-_CQLA_MIN_POINTS = 14
 
 
-def _vectorize(points: int, gates: int, levels: int, cqla: bool) -> bool:
-    """Whether one ``points``-column kernel pass beats ``points`` runs.
+def _vectorize(points: int, gates: int, levels: int) -> bool:
+    """Whether one ``points``-column level-kernel pass beats ``points``
+    runs (never asked under CQLA: every CQLA point runs serially).
 
     A level-kernel pass pays ~12-20 us per dependency level (numpy
     dispatch and fixed costs) almost regardless of point count, plus
@@ -395,22 +298,11 @@ def _vectorize(points: int, gates: int, levels: int, cqla: bool) -> bool:
     ========================  =====  ======  ========  ===========
 
     80 sits inside every model's range, within ~30% of the faster route
-    at any shape. Under CQLA the lockstep kernel walks program order at
-    ~5.5-8 us per gate whatever the point count, against ~0.2-0.37 us
-    per gate-point for ``run()`` (which replays the memoized cache
-    schedule and books ports only), so the rule is a point count alone.
-    Crossovers fitted from interleaved medians at 8 and 24 points:
-    23.7-24.3 (qcla-32), 23.1-23.6 (qrca-32), 25.3-25.6 (qft-32); at 14
-    points a lockstep pass costs 1.59-2.06x the serial runs. 14 stays
-    anyway: it keeps the default 14-point Figure 15/16 CQLA ladders on
-    the lockstep kernel, the only commands that reach it; served and
-    explored CQLA groups (at most 8 points) all run serially.
+    at any shape.
 
     Both routes are bit-identical, so the rule only moves time. It
     reads the batch's shape and nothing else.
     """
-    if cqla:
-        return points >= _CQLA_MIN_POINTS
     return points * gates >= _GATE_POINTS_PER_LEVEL * levels
 
 
@@ -434,10 +326,10 @@ def simulate_batch(
     supply state afterwards (steady and dedicated counters advance by
     the same amounts).
 
-    Points execute through the vectorized kernels, including under
-    ``cqla``, when their lowering-signature group is large enough for a
-    kernel pass to beat per-point runs (:func:`_vectorize`); smaller
-    groups run per point through :meth:`DataflowSimulator.run`,
+    Points execute through the level kernel when their
+    lowering-signature group is large enough for a kernel pass to beat
+    per-point runs (:func:`_vectorize`); smaller groups, and every point
+    under ``cqla``, run per point through :meth:`DataflowSimulator.run`,
     transparently.
 
     Raises:
@@ -445,6 +337,10 @@ def simulate_batch(
             (:func:`~repro.arch.simulator.lowerable_spec`). Every supply
             is classified before any point runs, so no supply's state
             has advanced when this is raised.
+        ValueError: Two constrained points share one supply object, or
+            ``cqla`` is given for a circuit that is not lean
+            (:attr:`~repro.circuits.compiled.CompiledCircuit.lean`).
+            Neither advances any supply's state.
     """
     with _span("batched.simulate_batch", points=len(supplies)) as sp:
         return _simulate_batch(
@@ -524,17 +420,24 @@ def _simulate_batch(
     # Route each group by its shape (see _vectorize). The unconstrained
     # points share one column, so they route as a 1-point group; a
     # serial run() commits each supply exactly as the vectorized route
-    # does (unconstrained kinds consume nothing).
-    levels = dataflow_metadata(cc).num_levels
+    # does (unconstrained kinds consume nothing). Every CQLA point runs
+    # serially: run() replays the memoized cache-trip schedule and
+    # refuses a circuit that is not lean before it commits anything, so
+    # no supply has advanced when the first point raises.
+    levels = None if cqla is not None else dataflow_metadata(cc).num_levels
+
+    def vectorize(points: int) -> bool:
+        return levels is not None and _vectorize(points, n, levels)
+
     serial_points = 0
-    if unconstrained and not _vectorize(1, n, levels, cqla is not None):
+    if unconstrained and not vectorize(1):
         shared = serial(None)
         for i in unconstrained:
             out[i] = replace(shared)
         serial_points += len(unconstrained)
         unconstrained = []
     for signature, indices in list(groups.items()):
-        if not _vectorize(len(indices), n, levels, cqla is not None):
+        if not vectorize(len(indices)):
             for i in indices:
                 out[i] = serial(supplies[i])
             serial_points += len(indices)
@@ -562,11 +465,6 @@ def _simulate_batch(
         else movement_penalty_us
     )
     teleports = movement_teleports(cc, move_1q, move_2q, tech)
-    misses = 0
-    if cqla is not None:
-        schedule = _cache_schedule(cc, cqla.cache_size(cc.num_qubits))
-        misses = schedule.misses
-        teleports += schedule.teleports
 
     def result(makespan: float) -> SimulationResult:
         return SimulationResult(
@@ -574,15 +472,12 @@ def _simulate_batch(
             gates=n,
             zero_ancillae_consumed=ZEROS_PER_QEC * n,
             pi8_ancillae_consumed=cc.pi8_count,
-            cache_misses=misses,
             teleports=teleports,
         )
 
     if unconstrained:
         # All such points produce identical results: one column suffices.
-        makespan = _kernel_pass(
-            cc, 1, move_1q, move_2q, None, qec, cqla, tech
-        )[0]
+        makespan = _kernel_pass(cc, 1, move_1q, move_2q, None, qec)[0]
         for i in unconstrained:
             out[i] = result(makespan)
             commit_draws(cc, supplies[i], specs[i])
@@ -590,7 +485,7 @@ def _simulate_batch(
     for signature, indices in groups.items():
         ready = lower_ready(cc, signature, [specs[i] for i in indices])
         makespans = _kernel_pass(
-            cc, len(indices), move_1q, move_2q, ready, qec, cqla, tech
+            cc, len(indices), move_1q, move_2q, ready, qec
         )
         for i, makespan in zip(indices, makespans):
             out[i] = result(makespan)

@@ -25,14 +25,17 @@ Two production paths execute this model:
   form and allocates no per-gate objects: ~0.15-0.22 us per gate
   (~0.2-0.37 us with a cache). Its loops walk only *lean* circuits
   (:attr:`~repro.circuits.compiled.CompiledCircuit.lean`), as every
-  kernel is; other gate shapes run as a one-column numpy kernel pass.
+  kernel is; other gate shapes run as a one-column numpy kernel pass,
+  and only without a cache (CQLA refuses them).
 * :func:`repro.arch.batched.simulate_batch` — a whole *sweep* of design
   points (one supply per point) in a single vectorized pass over
   dependency levels, bit-identical to :meth:`~DataflowSimulator.run`
-  once per point. A pass has a fixed cost per level (per gate under
-  CQLA), so a few points run faster serially; ``simulate_batch`` sends
-  those to :meth:`~DataflowSimulator.run` by shape (under CQLA, groups
-  of fewer than 14 points).
+  once per point. A pass has a fixed cost per level, so a few points
+  run faster serially; ``simulate_batch`` sends those to
+  :meth:`~DataflowSimulator.run` by shape, and every CQLA point too:
+  port booking is the one cache cost left once the trip schedule is
+  memoized, and ``run()`` books ports faster than a vectorized pass
+  at every point count a command builds.
 
 Both paths read a supply only through its declarative ready-time
 description (``ready_spec()``, see
@@ -265,11 +268,14 @@ class DataflowSimulator:
         equality), several times faster: no per-gate object allocation,
         inlined dependency updates, and the supply's ready spec lowered
         to one precomputed ready time per gate (:func:`lower_ready`).
-        A circuit that is not lean runs as a one-column numpy kernel pass.
+        A circuit that is not lean runs as a one-column numpy kernel
+        pass, and only without a cache.
 
         Raises:
             TypeError: The supply publishes no lowerable ready spec
                 (:func:`lowerable_spec`).
+            ValueError: CQLA cache mode on a circuit that is not lean
+                (every kernel is lean); the supply is left untouched.
         """
         with _span("simulate.setup"):
             cc = self.compiled
@@ -278,6 +284,12 @@ class DataflowSimulator:
                 return SimulationResult(0.0, 0, 0, 0, 0, 0)
             supply = self.supply
             cqla = self.cqla
+            if cqla is not None and not cc.lean:
+                raise ValueError(
+                    "CQLA cache mode simulates only lean circuits (one or "
+                    "two operands per gate, no classical bits, no "
+                    "prep/measure); this circuit is not lean"
+                )
             qec = self._logical.qec_interaction_latency()
             move_1q = self.move_1q
             move_2q = self.move_2q
@@ -298,9 +310,7 @@ class DataflowSimulator:
                 # Imported here: repro.arch.batched imports this module.
                 from repro.arch.batched import _kernel_pass
 
-                makespan = _kernel_pass(
-                    cc, 1, move_1q, move_2q, ready, qec, cqla, self.tech
-                )[0]
+                makespan = _kernel_pass(cc, 1, move_1q, move_2q, ready, qec)[0]
             elif cqla is not None:
                 makespan = _run_cache(
                     cc, schedule.trips, cqla.ports, teleport_latency(self.tech),

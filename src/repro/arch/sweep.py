@@ -16,15 +16,14 @@ form exactly once per sweep, and points come back in order.
 
 The evaluator resolves each sweep's homogeneous point groups through the
 **point-batched** engine (:mod:`repro.arch.batched`): the whole
-throughput axis — and each QLA/CQLA/Multiplexed area ladder — executes
-as one vectorized pass over a ``(points, qubits)`` state matrix rather
-than one interpreted walk per point, bit-identically (roughly an order
-of magnitude faster at Figure-8/15 grid sizes; see
-``benchmarks/test_bench_sweeps.py``). CQLA ladders of 14 points or
-more, the default one included, ride a program-order lockstep kernel
-(port booking couples gates within a point, never across points, so the
-cache model vectorizes over the points axis too); shorter ones run per
-point, each replaying the same memoized cache schedule.
+throughput axis — and each QLA/Multiplexed area ladder — executes as one
+vectorized pass over a ``(points, qubits)`` state matrix rather than one
+interpreted walk per point, bit-identically (roughly an order of
+magnitude faster at Figure-8/15 grid sizes; see
+``benchmarks/test_bench_sweeps.py``). CQLA ladders run per point, each
+point replaying the same memoized cache schedule and booking only its
+ports, which beats a vectorized pass at every ladder size a command
+builds.
 """
 
 from __future__ import annotations

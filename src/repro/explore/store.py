@@ -107,6 +107,19 @@ DEFAULT_LEASE_TTL = 300.0
 
 _DEFAULT_ROOT = ".repro_cache"
 
+#: Outcome counters, each resolved once: every store read and write
+#: bumps one.
+_GETS = _metrics.CounterFamily(
+    "repro_store_get_total", "outcome", help="result-store reads by outcome"
+)
+_PUTS = _metrics.CounterFamily(
+    "repro_store_put_total", "outcome", help="result-store writes by outcome"
+)
+_CLAIMS = _metrics.CounterFamily(
+    "repro_lease_claims_total", "outcome",
+    help="lease claim attempts by outcome",
+)
+
 
 def canonical_json(document: Dict) -> str:
     """Deterministic JSON: sorted keys, no whitespace drift."""
@@ -263,11 +276,7 @@ class ResultStore:
         record = self._get(_keyed(key))
         if timed:
             self._observe("get", time.perf_counter() - t0)
-        _metrics.counter(
-            "repro_store_get_total",
-            help="result-store reads by outcome",
-            outcome="hit" if record is not None else "miss",
-        ).inc()
+        _GETS.inc("hit" if record is not None else "miss")
         return record
 
     def _get(self, key: StoreKey) -> Optional[Dict]:
@@ -303,11 +312,7 @@ class ResultStore:
         ok = self._put(_keyed(key), record)
         if timed:
             self._observe("put", time.perf_counter() - t0)
-        _metrics.counter(
-            "repro_store_put_total",
-            help="result-store writes by outcome",
-            outcome="ok" if ok else "degraded",
-        ).inc()
+        _PUTS.inc("ok" if ok else "degraded")
         return ok
 
     def _put(self, key: StoreKey, record: Dict) -> bool:
@@ -445,11 +450,7 @@ class ResultStore:
                 stacklevel=2,
             )
             outcome, owned = "degraded", True  # fail open
-        _metrics.counter(
-            "repro_lease_claims_total",
-            help="lease claim attempts by outcome",
-            outcome=outcome,
-        ).inc()
+        _CLAIMS.inc(outcome)
         return owned
 
     def _claim(self, key: Key) -> Tuple[str, bool]:

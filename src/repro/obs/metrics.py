@@ -35,6 +35,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
+    "CounterFamily",
     "Gauge",
     "Histogram",
     "Registry",
@@ -220,6 +221,9 @@ class Registry:
         self._metrics: Dict[Tuple[str, _LabelKey], object] = {}
         self._types: Dict[str, str] = {}
         self._help: Dict[str, str] = {}
+        #: Bumped by :meth:`reset`, so cached metric handles
+        #: (:class:`CounterFamily`) know to look their metrics up again.
+        self.generation = 0
 
     # ------------------------------------------------------------------
 
@@ -340,6 +344,7 @@ class Registry:
             self._metrics.clear()
             self._types.clear()
             self._help.clear()
+            self.generation += 1
 
 
 #: The process-wide registry every instrumented module reports into.
@@ -371,6 +376,41 @@ def snapshot() -> Dict[str, Dict]:
 def prometheus() -> str:
     """``REGISTRY.prometheus()`` — Prometheus text of the default registry."""
     return REGISTRY.prometheus()
+
+
+class CounterFamily:
+    """The counters of :data:`REGISTRY` metric ``name`` by one label's
+    value, each looked up once (and again after ``REGISTRY.reset()``).
+
+    A registry lookup sorts the labels and takes the registry lock,
+    several times the cost of the increment; a per-operation counter
+    (store reads and writes) pays only the increment. Thread-safe:
+    racing first lookups get the same counter from the registry, and
+    only an increment racing :meth:`Registry.reset` can land on a
+    counter the reset dropped.
+    """
+
+    __slots__ = ("_name", "_help", "_label", "_generation", "_counters")
+
+    def __init__(self, name: str, label: str, help: str = "") -> None:
+        self._name = name
+        self._help = help
+        self._label = label
+        self._generation = -1
+        self._counters: Dict[str, Counter] = {}
+
+    def inc(self, value: str) -> None:
+        """Add one to the counter whose label is ``value``."""
+        if self._generation != REGISTRY.generation:
+            self._counters = {}
+            self._generation = REGISTRY.generation
+        counter = self._counters.get(value)
+        if counter is None:
+            counter = REGISTRY.counter(
+                self._name, self._help, **{self._label: value}
+            )
+            self._counters[value] = counter
+        counter.inc()
 
 
 def observe_phase(name: str, seconds: float,

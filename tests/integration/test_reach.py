@@ -14,7 +14,8 @@ a command does reach must come off the list. Code that no command
 reaches is either deliberate public API, a test oracle (which belongs
 in ``repro.testing``), or dead.
 
-The dataflow engine modules and the batched Monte Carlo engine
+The dataflow engine modules, the batched Monte Carlo engine and every
+other module whose functions the trace reaches in full
 (:data:`FUNCTION_MODULES`) are held to the same rule per function, with
 no allowlist: every function defined there is reached by a command.
 """
@@ -51,7 +52,19 @@ ALLOWLIST = {
 }
 
 #: Modules, relative to ``src/repro``, whose every function must be reached.
-FUNCTION_MODULES = ("arch/simulator.py", "arch/batched.py", "error/batched.py")
+FUNCTION_MODULES = (
+    "arch/simulator.py",
+    "arch/batched.py",
+    "error/batched.py",
+    "circuits/compiled.py",
+    "codes/steane.py",
+    "kernels/decompose.py",
+    "tech/levels.py",
+    "factory/units.py",
+    "obs/report.py",
+    "reporting/tables.py",
+    "layout/region.py",
+)
 
 #: CLI commands traced in process; ``{store}`` is the result-store root.
 COMMANDS = [

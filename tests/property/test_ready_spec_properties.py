@@ -8,7 +8,9 @@ with exact float equality — and must leave the supply's observable state
 random rate vectors (zero and infinite rates included), mixed tracked
 kinds, CQLA configurations, and point counts up to 128 — every example
 on both of ``simulate_batch``'s routes (vectorized kernels and per-point
-``run()``; see the ``batch_routes`` fixture).
+``run()``; see the ``batch_routes`` fixture). CQLA cache mode runs only
+lean circuits, so its examples use a lean circuit; the protocol circuit
+stays on the flat routes.
 """
 
 from hypothesis import HealthCheck, given, settings
@@ -49,7 +51,29 @@ def _protocol_circuit() -> Circuit:
     )
 
 
+def _lean_circuit() -> Circuit:
+    """One- and two-qubit gates with pi/8 consumers and no classical
+    bits: the shape every kernel has, and the only one CQLA runs."""
+    return (
+        Circuit(NUM_QUBITS)
+        .h(0)
+        .cx(0, 1)
+        .t(1)
+        .cx(1, 2)
+        .t(2)
+        .cx(0, 2)
+        .h(3)
+        .t(3)
+        .cx(3, 4)
+        .t(4)
+        .cx(4, 0)
+        .t(0)
+        .cx(2, 3)
+    )
+
+
 CIRCUIT = _protocol_circuit()
+LEAN_CIRCUIT = _lean_circuit()
 
 #: ``batch_routes`` re-forces its route inside every example.
 ROUTED = dict(
@@ -91,9 +115,9 @@ def _dedicated_state(supply):
     }
 
 
-def _reference(supplies, cqla=None):
+def _reference(supplies, cqla=None, circuit=CIRCUIT):
     return [
-        run_reference(DataflowSimulator(CIRCUIT, supply=supply, cqla=cqla))
+        run_reference(DataflowSimulator(circuit, supply=supply, cqla=cqla))
         for supply in supplies
     ]
 
@@ -188,6 +212,8 @@ def test_dedicated_lowering_matches_acquire_loop_and_state(
 def test_cqla_lockstep_matches_acquire_loop_and_state(
     cache_fraction, ports, picks, batch_routes
 ):
+    """CQLA points, which ``simulate_batch`` runs through ``run()`` on
+    either route, match the acquire loop and leave the same state."""
     cqla = CqlaConfig(cache_fraction=cache_fraction, ports=ports)
 
     def supplies():
@@ -199,10 +225,12 @@ def test_cqla_lockstep_matches_acquire_loop_and_state(
         ]
 
     reference_supplies = supplies()
-    reference = _reference(reference_supplies, cqla=cqla)
+    reference = _reference(reference_supplies, cqla=cqla, circuit=LEAN_CIRCUIT)
     for _ in batch_routes():
         batch_supplies = supplies()
-        assert simulate_batch(CIRCUIT, batch_supplies, cqla=cqla) == reference
+        assert simulate_batch(
+            LEAN_CIRCUIT, batch_supplies, cqla=cqla
+        ) == reference
         for batch_supply, reference_supply in zip(
             batch_supplies, reference_supplies
         ):
@@ -222,6 +250,7 @@ def test_point_count_axis_up_to_128(count, base, cqla_on, batch_routes):
     """The batching axis itself — 1 through 128 points, distinct rates
     per point — never perturbs a bit, with or without CQLA."""
     cqla = CqlaConfig() if cqla_on else None
+    circuit = LEAN_CIRCUIT if cqla_on else CIRCUIT
 
     def supplies():
         return [
@@ -231,6 +260,6 @@ def test_point_count_axis_up_to_128(count, base, cqla_on, batch_routes):
             for i in range(count)
         ]
 
-    reference = _reference(supplies(), cqla=cqla)
+    reference = _reference(supplies(), cqla=cqla, circuit=circuit)
     for _ in batch_routes():
-        assert simulate_batch(CIRCUIT, supplies(), cqla=cqla) == reference
+        assert simulate_batch(circuit, supplies(), cqla=cqla) == reference

@@ -3,10 +3,11 @@
 ``simulate_batch`` sends each lowering-signature group either through one
 vectorized kernel pass or through per-point ``DataflowSimulator.run()``,
 choosing from the group's shape alone (point count, gate count,
-dependency-level count, CQLA on/off; see ``repro.arch.batched._vectorize``).
-These tests pin the route on each side of both boundaries on the 32-bit
-kernels' real shapes, and check that the results do not move by a bit
-when a batch crosses a boundary.
+dependency-level count; see ``repro.arch.batched._vectorize``). Every
+CQLA point runs through ``run()``, whatever the point count. These tests
+pin the route on each side of the boundary on the 32-bit kernels' real
+shapes, check that the results do not move by a bit when a batch crosses
+it, and check that CQLA groups never leave ``run()``.
 """
 
 import pytest
@@ -22,37 +23,32 @@ from repro.arch.supply import PI8, ZERO, InfiniteSupply, SteadyRateSupply
 #: qrca-32 (2,018 gates, 986 levels), qft-32 (7,552 gates, 3,074 levels).
 LEVEL_BOUNDARY = {"qcla": 5, "qrca": 40, "qft": 33}
 
-#: Smallest point count the CQLA lockstep kernel takes, on any circuit.
-CQLA_BOUNDARY = 14
+#: CQLA point counts checked: one point, the default Figure 15/16 ladder
+#: and grid size, and the CQLA sweep benchmark's width.
+CQLA_POINTS = (1, 14, 96)
 
 
 @pytest.fixture
 def routes(monkeypatch):
     """Counts of kernel passes (and their points) and run() calls."""
-    seen = {"levels": [], "lockstep": [], "run": 0}
+    seen = {"levels": [], "run": 0}
     real_levels = batched_module._run_levels
-    real_lockstep = batched_module._run_cqla_lockstep
     real_run = DataflowSimulator.run
 
     def levels(cc, points, *args):
         seen["levels"].append(points)
         return real_levels(cc, points, *args)
 
-    def lockstep(cc, points, *args):
-        seen["lockstep"].append(points)
-        return real_lockstep(cc, points, *args)
-
     def run(self):
         seen["run"] += 1
         return real_run(self)
 
     monkeypatch.setattr(batched_module, "_run_levels", levels)
-    monkeypatch.setattr(batched_module, "_run_cqla_lockstep", lockstep)
     monkeypatch.setattr(DataflowSimulator, "run", run)
 
     def take():
         counts = dict(seen)
-        seen.update(levels=[], lockstep=[], run=0)
+        seen.update(levels=[], run=0)
         return counts
 
     return take
@@ -106,26 +102,42 @@ def _batch(analysis, supplies, model):
     )
 
 
-@pytest.mark.parametrize("model", ("steady", "qla", "cqla"))
+@pytest.mark.parametrize("model", ("steady", "qla"))
 @pytest.mark.parametrize("kernel", ("qrca", "qcla", "qft"))
 def test_route_flips_at_boundary_without_moving_results(
     kernel, model, request, routes
 ):
     analysis = request.getfixturevalue(f"{kernel}32")
-    boundary = CQLA_BOUNDARY if model == "cqla" else LEVEL_BOUNDARY[kernel]
-    kernel_pass = "lockstep" if model == "cqla" else "levels"
+    boundary = LEVEL_BOUNDARY[kernel]
 
     below = _batch(analysis, _supplies(analysis, model, boundary - 1), model)
-    assert routes() == {"levels": [], "lockstep": [], "run": boundary - 1}
+    assert routes() == {"levels": [], "run": boundary - 1}
     at = _batch(analysis, _supplies(analysis, model, boundary), model)
-    expected = {"levels": [], "lockstep": [], "run": 0}
-    expected[kernel_pass] = [boundary]
-    assert routes() == expected
+    assert routes() == {"levels": [boundary], "run": 0}
     # The shared points agree bit for bit across the boundary, and the
     # extra point equals its own serial run.
     assert at[:-1] == below
     last = _supplies(analysis, model, boundary)[-1]
     assert at[-1] == _batch(analysis, [last], model)[0]
+
+
+@pytest.mark.parametrize("kernel", ("qrca", "qcla", "qft"))
+def test_cqla_points_always_run_serially(kernel, request, routes):
+    """Every CQLA point goes to run(), at any point count, and a batch's
+    results equal each point's own run() bit for bit."""
+    analysis = request.getfixturevalue(f"{kernel}32")
+    batches = {}
+    for count in CQLA_POINTS:
+        batches[count] = _batch(
+            analysis, _supplies(analysis, "cqla", count), "cqla"
+        )
+        assert routes() == {"levels": [], "run": count}
+    widest = batches[max(CQLA_POINTS)]
+    assert any(r.cache_misses > 0 for r in widest)
+    for count, results in batches.items():
+        assert results == widest[:count]
+    last = _supplies(analysis, "cqla", max(CQLA_POINTS))[-1]
+    assert widest[-1] == _batch(analysis, [last], "cqla")[0]
 
 
 def test_unconstrained_column_routes_as_one_point(qcla32, routes):

@@ -6,10 +6,10 @@ and the reference loop (:func:`repro.testing.reference.run_reference`)
 — every ``SimulationResult`` field compared with exact equality, never
 approx — across all supply models (infinite, steady, pooled, dedicated,
 zero-rate and untracked edge cases), with identical observable supply
-state afterwards. CQLA cache mode rides a program-order lockstep kernel.
-The equivalence classes run every case on both routes the shape rule
-chooses between (the ``batch_routes`` fixture): the vectorized kernels
-and per-point ``run()``.
+state afterwards. The equivalence classes run every case on both routes
+the shape rule chooses between (the ``batch_routes`` fixture): the
+vectorized level kernel and per-point ``run()``. CQLA cache mode runs
+every point through ``run()`` on either route.
 """
 
 import numpy as np
@@ -264,7 +264,8 @@ class TestArchitectureBatches:
 
 
 class TestCqlaBatches:
-    """CQLA cache mode rides the lockstep kernel at large point counts."""
+    """CQLA cache mode runs every point through ``run()``, which replays
+    the memoized cache-trip schedule, whatever the route."""
 
     @staticmethod
     def _cqla_supplies(analysis, config, areas=_FACTORY_AREAS):
@@ -305,32 +306,34 @@ class TestCqlaBatches:
             )
             assert batched == serial
 
-    def test_every_cqla_point_takes_lockstep_kernel(
+    def test_every_cqla_point_takes_serial_route(
         self, qrca8, monkeypatch, batch_routes
     ):
-        """On the vectorized route the ladder must run the CQLA lockstep
-        kernel, not the level kernel. (Its 4 points are below the shape
-        rule's CQLA crossover, so the route is forced here;
-        test_batch_routing pins the rule itself.)"""
+        """Even with the shape rule forced to vectorize, every point of
+        the ladder runs through run(), never the level kernel, with its
+        results unchanged. (test_batch_routing pins the rule itself.)"""
         import repro.arch.batched as batched_module
 
-        real = batched_module._run_cqla_lockstep
+        real = DataflowSimulator.run
         calls = []
 
-        def spy(cc, points, *args, **kwargs):
-            calls.append(points)
-            return real(cc, points, *args, **kwargs)
+        def spy(self):
+            calls.append(self.supply)
+            return real(self)
 
         def boom(*args, **kwargs):
             raise AssertionError("level kernel must not run for CQLA")
 
-        monkeypatch.setattr(batched_module, "_run_cqla_lockstep", spy)
-        monkeypatch.setattr(batched_module, "_run_levels", boom)
         config = CqlaConfig()
+        serial = _serial(
+            qrca8, self._cqla_supplies(qrca8, config), config, cqla=config
+        )
+        monkeypatch.setattr(DataflowSimulator, "run", spy)
+        monkeypatch.setattr(batched_module, "_run_levels", boom)
         supplies = self._cqla_supplies(qrca8, config)
         for _ in batch_routes("vectorized"):
-            _batched(qrca8, supplies, config, cqla=config)
-        assert sum(calls) == len(supplies)
+            assert _batched(qrca8, supplies, config, cqla=config) == serial
+        assert list(map(id, calls)) == list(map(id, supplies))
 
     @pytest.mark.parametrize(
         "config",

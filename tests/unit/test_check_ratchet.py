@@ -34,6 +34,7 @@ def _one_sample_per_gate():
             seed_gates_per_second=1.0,
             speedup=10.0,
             speedup_vs_seed=10.0,
+            serial_speedup_vs_seed=10.0,
         )
         for gate in check_ratchet.GATES
     ]

@@ -140,10 +140,11 @@ class TestProfile:
         out = capsys.readouterr().out
         assert "per-phase breakdown" in out
         assert "phase" in out and "calls" in out
-        # Every fig15 ladder batches now (CQLA included), so the profile
-        # shows the batched kernels rather than per-point simulate spans.
+        # The QLA and multiplexed ladders batch through the level kernel;
+        # every CQLA point walks its gates in run().
         assert "batched.level_sweep" in out
-        assert "batched.cqla_lockstep" in out
+        assert "simulate.level_walk" in out
+        assert "batched.cqla_lockstep" not in out
 
     def test_profile_writes_trace(self, tmp_path, capsys):
         trace = tmp_path / "profile.json"

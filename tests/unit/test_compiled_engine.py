@@ -17,7 +17,14 @@ from repro.arch.architectures import (
     QlaConfig,
 )
 from repro.arch.simulator import DataflowSimulator
-from repro.arch.supply import PI8, ZERO, DedicatedSupply, SteadyRateSupply
+from repro.arch.batched import simulate_batch
+from repro.arch.supply import (
+    PI8,
+    ZERO,
+    DedicatedSupply,
+    InfiniteSupply,
+    SteadyRateSupply,
+)
 from repro.circuits import Circuit, CompiledCircuit, compile_circuit
 from repro.circuits.compiled import MOVE_ONE_QUBIT, MOVE_TWO_QUBIT
 from repro.kernels import analyze_kernel
@@ -306,7 +313,10 @@ def _spliced(segment, placement):
 class TestGateShapes:
     """``run()`` walks only lean circuits in Python; any other gate
     shape runs as a one-column numpy kernel pass, bit-identical to the
-    reference loop either way."""
+    reference loop either way. Under CQLA only lean circuits run: no
+    command builds another shape, so ``run()`` and ``simulate_batch``
+    refuse one before any supply state advances (the reference loop
+    still runs it)."""
 
     @pytest.mark.parametrize("width", (4, 8, 32))
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -326,6 +336,9 @@ class TestGateShapes:
     @pytest.mark.parametrize("placement", ("first", "last", "back_to_back"))
     @pytest.mark.parametrize("segment", sorted(_SEGMENTS))
     def test_other_shapes_match_reference(self, segment, placement, cqla):
+        """Flat: ``run()`` equals the reference loop, supply state
+        included. Under CQLA: ``run()`` raises and leaves the supply as
+        it was, while the reference loop still runs the circuit."""
         circuit = _spliced(segment, placement)
         compiled = compile_circuit(circuit, ION_TRAP)
         assert not compiled.lean
@@ -348,10 +361,47 @@ class TestGateShapes:
                     )
 
                 sim, reference = simulator(compiled=compiled), simulator()
-                assert sim.run() == run_reference(reference)
+                expected = run_reference(reference)
+                if cqla is not None:
+                    before = _supply_state(sim.supply)
+                    with pytest.raises(ValueError, match="not lean"):
+                        sim.run()
+                    assert _supply_state(sim.supply) == before
+                    continue
+                assert sim.run() == expected
                 assert _supply_state(sim.supply) == _supply_state(
                     reference.supply
                 )
+
+    @pytest.mark.parametrize("segment", sorted(_SEGMENTS))
+    def test_cqla_refuses_other_shapes_before_any_supply_moves(
+        self, segment, batch_routes
+    ):
+        """A circuit that is not lean under CQLA raises ``ValueError``
+        from ``run()`` and from ``simulate_batch`` (on either route), and
+        no supply of the batch has advanced."""
+        circuit = _spliced(segment, "last")
+        cqla = CqlaConfig(cache_fraction=0.34, ports=1)
+
+        def supplies():
+            return [
+                SteadyRateSupply({ZERO: 4.0, PI8: 0.5}),
+                DedicatedSupply({ZERO: 2.0, PI8: 0.25}, 6),
+                SteadyRateSupply({ZERO: 8.0}),
+                InfiniteSupply(),
+            ]
+
+        fresh = [_supply_state(supply) for supply in supplies()]
+        for _ in batch_routes():
+            batch = supplies()
+            with pytest.raises(ValueError, match="not lean"):
+                simulate_batch(circuit, batch, cqla=cqla)
+            assert [_supply_state(supply) for supply in batch] == fresh
+        for supply, state in zip(supplies(), fresh):
+            sim = DataflowSimulator(circuit, supply=supply, cqla=cqla)
+            with pytest.raises(ValueError, match="not lean"):
+                sim.run()
+            assert _supply_state(supply) == state
 
     def test_other_shape_runs_one_kernel_column(self, monkeypatch):
         calls = []
@@ -374,7 +424,6 @@ class TestGateShapes:
             raise AssertionError("a lean circuit ran a numpy kernel")
 
         monkeypatch.setattr(batched_module, "_run_levels", boom)
-        monkeypatch.setattr(batched_module, "_run_cqla_lockstep", boom)
         for kernel in KERNELS:
             analysis = analyze_kernel(kernel, 8)
             assert _build_simulator(analysis, mode).run() == run_reference(

@@ -4,8 +4,9 @@ The batched sweep suite exercises the happy point-batched path (and
 hypothesis drives it over random rate vectors); these tests pin the
 batching topology of :mod:`repro.explore.evaluator`:
 
-* CQLA points batch with their configuration group (the lockstep cache
-  kernel) — nothing about cache mode forces a per-point walk anymore;
+* CQLA points batch with their configuration group into one
+  ``simulate_batch`` call, which runs each of them through ``run()``
+  (the memoized cache-trip schedule);
 * singleton batches go through ``simulate_batch`` like any group, whose
   shape rule sends them to ``run()`` rather than a kernel pass;
 * the aliased rate-limited supply guard fires if a lowering ever hands
@@ -84,7 +85,6 @@ class TestSingletonBatches:
             raise AssertionError("singleton batches take the serial path")
 
         monkeypatch.setattr(batched_module, "_run_levels", boom)
-        monkeypatch.setattr(batched_module, "_run_cqla_lockstep", boom)
         summary = KernelSummary.from_analysis(qrca8)
         for point in POINTS:
             single = evaluate_design_point(summary, dict(point), None)

@@ -146,6 +146,38 @@ class TestResultStore:
         assert text == canonical_json(json.loads(INDENTED_RECORD))
 
 
+class TestOutcomeCounters:
+    """Store reads and writes count by outcome into the process-wide
+    registry, and keep counting into it after ``REGISTRY.reset()``."""
+
+    @staticmethod
+    def _round(store):
+        store.get(KEY)  # miss
+        store.put(KEY, {"result": {}})  # ok
+        store.get(KEY)  # hit
+        store.get(KEY)  # hit
+
+    def test_counts_render_after_reset(self, tmp_path):
+        from repro.obs import metrics as obs_metrics
+
+        expected = (
+            'repro_store_get_total{outcome="hit"} 2',
+            'repro_store_get_total{outcome="miss"} 1',
+            'repro_store_put_total{outcome="ok"} 1',
+        )
+        obs_metrics.REGISTRY.reset()
+        try:
+            for root in ("first", "second"):
+                self._round(ResultStore(tmp_path / root))
+                text = obs_metrics.prometheus()
+                for line in expected:
+                    assert line in text.splitlines()
+                obs_metrics.REGISTRY.reset()
+                assert obs_metrics.prometheus() == ""
+        finally:
+            obs_metrics.REGISTRY.reset()
+
+
 class TestWritePath:
     @pytest.mark.parametrize(
         "record",

@@ -192,6 +192,38 @@ class TestCounterGauge:
         g.inc(-3)
         assert g.value == 7
 
+    def test_counter_family_loses_no_increment_across_threads(self):
+        """Threads racing one family's first lookups and increments
+        land every increment on the registry's counters."""
+        import sys
+
+        family = obs_metrics.CounterFamily("race_total", "outcome")
+        n_threads, n_incs = 8, 2000
+        start = threading.Barrier(n_threads)
+
+        def work(i):
+            start.wait(timeout=10)
+            for j in range(n_incs):
+                family.inc("even" if (i + j) % 2 == 0 else "odd")
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(i,))
+                for i in range(n_threads)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        half = n_threads * n_incs // 2
+        assert obs_metrics.counter("race_total", outcome="even").value == half
+        assert obs_metrics.counter("race_total", outcome="odd").value == half
+
 
 class TestHistogramEdges:
     def test_value_on_edge_lands_in_its_bucket(self):
