@@ -52,14 +52,14 @@ What runs per point instead, through :meth:`DataflowSimulator.run`:
   point count and the circuit's gate and level counts — never from the
   caller or the supply model. Both routes are bit-identical and advance
   supply state identically.
-* **Every CQLA point.** Which operands miss the cache depends only on
-  the operand sequence and the cache size, never on time, so ``run()``
-  replays one memoized per-gate teleport-trip schedule per (circuit,
-  cache size) (:func:`~repro.arch.simulator._cache_schedule`) and only
-  books ports, ~0.2-0.37 us per gate-point. Port booking is ordered
-  within a point, so it does not vectorize over levels; a program-order
-  pass over the points axis paid ~5.5-8 us per gate and lost to
-  ``run()`` below ~23-26 points, more than any command batches.
+* **Every CQLA point.** Port booking is ordered within a point, so it
+  does not vectorize over levels (a program-order pass over the points
+  axis lost to ``run()`` below ~23-26 points). ``run()`` replays the
+  trip schedule memoized per (circuit, cache size)
+  (:func:`~repro.arch.simulator._cache_schedule`) and, when the point's
+  supply never binds, the supply-free walk memoized per cache
+  configuration (:func:`~repro.arch.simulator._supply_free_walk`); only
+  a point whose supply binds books ports, ~0.2-0.37 us per gate.
 
 :meth:`DataflowSimulator.run` itself runs a circuit that is not lean
 (a gate shape its loops skip) as a one-column :func:`_kernel_pass`.
@@ -184,8 +184,7 @@ _BATCH_CACHE: "weakref.WeakKeyDictionary[CompiledCircuit, _BatchArrays]" = (
 def _batch_arrays(cc: CompiledCircuit) -> _BatchArrays:
     arrays = _BATCH_CACHE.get(cc)
     if arrays is None:
-        arrays = _build_batch_arrays(cc)
-        _BATCH_CACHE[cc] = arrays
+        arrays = _BATCH_CACHE[cc] = _build_batch_arrays(cc)
     return arrays
 
 

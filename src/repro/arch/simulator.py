@@ -15,41 +15,33 @@ set of resident qubits, with misses teleporting qubits in through a
 limited number of ports and dirty evictions teleporting out. Which
 operands miss depends only on the operand sequence and the cache size,
 never on timing, so the LRU walk runs once per (circuit, cache size)
-(:func:`_cache_schedule`) and both engines replay its per-gate trip
-counts; only port booking is timed per point.
+(:func:`_cache_schedule`). Port booking runs once per cache
+configuration with no ancilla constraint (:func:`_supply_free_walk`): a
+point whose ancillae are ready by every gate's supply-free start
+returns that walk's makespan, and only a point whose supply binds books
+ports itself.
 
 Two production paths execute this model:
 
-* :meth:`DataflowSimulator.run` — one design point. It consumes the
+* :meth:`DataflowSimulator.run` — one design point, over the
   struct-of-arrays :class:`~repro.circuits.compiled.CompiledCircuit`
-  form and allocates no per-gate objects: ~0.15-0.22 us per gate
-  (~0.2-0.37 us with a cache). Its loops walk only *lean* circuits
+  with no per-gate objects: ~0.15-0.22 us per gate (~0.2-0.37 us when
+  it books cache ports). Its loops walk only *lean* circuits
   (:attr:`~repro.circuits.compiled.CompiledCircuit.lean`), as every
   kernel is; other gate shapes run as a one-column numpy kernel pass,
   and only without a cache (CQLA refuses them).
 * :func:`repro.arch.batched.simulate_batch` — a whole *sweep* of design
-  points (one supply per point) in a single vectorized pass over
-  dependency levels, bit-identical to :meth:`~DataflowSimulator.run`
-  once per point. A pass has a fixed cost per level, so a few points
-  run faster serially; ``simulate_batch`` sends those to
-  :meth:`~DataflowSimulator.run` by shape, and every CQLA point too:
-  port booking is the one cache cost left once the trip schedule is
-  memoized, and ``run()`` books ports faster than a vectorized pass
-  at every point count a command builds.
+  points in one vectorized pass over dependency levels; it sends small
+  groups, and every CQLA point, to :meth:`~DataflowSimulator.run`.
 
-Both paths read a supply only through its declarative ready-time
-description (``ready_spec()``, see
+Both read a supply only through its ``ready_spec()`` (see
 :class:`~repro.arch.supply.AncillaSupply`) and lower it through the
-same functions defined here: :func:`lowerable_spec` classifies it,
-:func:`lower_ready` turns a group of specs into one ready time per gate
-and point (steady kinds: the k-th ancilla exists at ``k / rate``;
-dedicated per-qubit kinds: the same division over each home qubit's own
-counter), and :func:`commit_draws` records the consumption afterwards.
-
-Both are bit-identical to the per-gate-object reference loop, the test
-oracle :func:`repro.testing.reference.run_reference` — the equivalence
-test suites assert exact equality of every :class:`SimulationResult`
-field across kernels and supplies.
+functions here: :func:`lowerable_spec` classifies it, :func:`lower_ready`
+turns a group of specs into one ready time per gate and point, and
+:func:`commit_draws` records the consumption afterwards. Both are
+bit-identical to the per-gate-object reference loop, the test oracle
+:func:`repro.testing.reference.run_reference`: the equivalence suites
+assert exact equality of every :class:`SimulationResult` field.
 """
 
 from __future__ import annotations
@@ -59,7 +51,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from heapq import heapreplace
 from itertools import repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -100,46 +92,11 @@ class SimulationResult:
         return self.makespan_us / 1000.0
 
 
-class _LruCache:
-    """LRU residency set over qubit ids.
-
-    Backed by an :class:`~collections.OrderedDict` whose iteration order
-    is recency order (oldest first), so eviction pops the front in O(1)
-    instead of scanning for the minimum timestamp.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self._order: "OrderedDict[int, None]" = OrderedDict()
-
-    def __contains__(self, qubit: int) -> bool:
-        return qubit in self._order
-
-    def touch(self, qubit: int) -> Optional[int]:
-        """Mark ``qubit`` resident; returns an evicted qubit or None."""
-        order = self._order
-        if qubit in order:
-            order.move_to_end(qubit)
-            return None
-        evicted = None
-        if len(order) >= self.capacity:
-            evicted, _ = order.popitem(last=False)
-        order[qubit] = None
-        return evicted
-
-
 @dataclass(frozen=True, eq=False)
 class _CacheSchedule:
-    """Per-gate teleport-trip counts implied by LRU residency.
-
-    Which operands miss (and whether each miss evicts a resident qubit)
-    depends only on the operand sequence and the cache capacity — never
-    on gate timing — so the whole port-booking workload is a pure
-    function of (circuit, cache size), computed once and shared by every
-    point of every run, serial or batched.
-    """
+    """Per-gate teleport trips implied by LRU residency: which operands
+    miss, and whether each miss evicts, depends only on the operand
+    sequence and the cache size, never on timing."""
 
     trips: List[int]  # bookings gate i performs (0 for full hits)
     misses: int
@@ -155,43 +112,79 @@ def _cache_schedule(cc: CompiledCircuit, cache_size: int) -> _CacheSchedule:
     """The LRU walk of ``cc``'s operands at ``cache_size``, timing-free:
     each non-resident operand is one miss and one trip, plus one trip
     when it evicts a resident qubit (the dirty copy teleports out)."""
-    per_cc = _SCHEDULE_CACHE.get(cc)
-    if per_cc is None:
-        per_cc = {}
-        _SCHEDULE_CACHE[cc] = per_cc
+    per_cc = _SCHEDULE_CACHE.setdefault(cc, {})
     schedule = per_cc.get(cache_size)
     if schedule is not None:
         return schedule
-    cache = _LruCache(cache_size)
+    # Resident qubits in recency order, oldest first.
+    resident: "OrderedDict[int, None]" = OrderedDict()
     trips = [0] * cc.num_gates
     misses = 0
     total = 0
     for i, (a, b, c) in enumerate(zip(cc.q0, cc.q1, cc.q2)):
         q = a
         while q >= 0:
-            if q in cache:
-                cache.touch(q)
+            if q in resident:
+                resident.move_to_end(q)
             else:
                 misses += 1
-                k = 1 + (1 if cache.touch(q) is not None else 0)
+                k = 1
+                if len(resident) >= cache_size:
+                    resident.popitem(last=False)
+                    k = 2
+                resident[q] = None
                 trips[i] += k
                 total += k
             q = b if q == a else (c if q == b else -1)
-    schedule = _CacheSchedule(trips=trips, misses=misses, teleports=total)
-    per_cc[cache_size] = schedule
+    per_cc[cache_size] = schedule = _CacheSchedule(trips, misses, total)
     return schedule
+
+
+class _StartLog(list):
+    """The ready time of every gate in a supply-free :func:`_run_cache`
+    walk: the loop's one ``ready > t`` test per gate appends ``t`` (the
+    gate's start before the ready max) and never binds."""
+
+    def __gt__(self, t: float) -> bool:
+        self.append(t)
+        return False
+
+
+#: Per circuit: (cache size, ports, t_teleport, move_1q, move_2q, qec)
+#: -> (supply-free starts, makespan).
+_SUPPLY_FREE: "weakref.WeakKeyDictionary[CompiledCircuit, Dict[tuple, tuple]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _supply_free_walk(
+    cc: CompiledCircuit, cache_size: int, ports: int, t_teleport: float,
+    move_1q: float, move_2q: float, qec: float,
+) -> Tuple[np.ndarray, float]:
+    """Each gate's start (float64, before the ready max) and the
+    makespan of ``cc``'s cache walk with no ancilla constraint, memoized
+    per configuration. A point whose ready times are all ``<=`` these
+    starts never trips the walk's strict ``ready > t``, so by induction
+    its walk repeats this one float for float."""
+    per_cc = _SUPPLY_FREE.setdefault(cc, {})
+    key = (cache_size, ports, t_teleport, move_1q, move_2q, qec)
+    walk = per_cc.get(key)
+    if walk is None:
+        log = _StartLog()
+        makespan = _run_cache(
+            cc, _cache_schedule(cc, cache_size).trips, ports, t_teleport,
+            move_1q, move_2q, repeat(log), qec,
+        )
+        walk = per_cc[key] = (np.array(log), makespan)
+    return walk
 
 
 def movement_teleports(
     cc: CompiledCircuit, move_1q: float, move_2q: float, tech: TechnologyParams
 ) -> int:
-    """Teleports implied by movement penalties alone (no cache traffic).
-
-    A movement penalty at least as long as a teleport is one (two for
-    two-qubit gates, which move both operands) — the accounting rule
-    the reference loop applies per gate, evaluated in closed form here
-    for both production paths.
-    """
+    """Teleports implied by movement penalties alone (no cache traffic):
+    a penalty at least as long as a teleport is one per moved operand,
+    the reference loop's per-gate rule in closed form."""
     t_teleport = teleport_latency(tech)
     teleports = 0
     if move_1q and move_1q >= t_teleport:
@@ -265,11 +258,8 @@ class DataflowSimulator:
 
         Result-identical to the reference loop
         (:func:`repro.testing.reference.run_reference`, exact float
-        equality), several times faster: no per-gate object allocation,
-        inlined dependency updates, and the supply's ready spec lowered
-        to one precomputed ready time per gate (:func:`lower_ready`).
-        A circuit that is not lean runs as a one-column numpy kernel
-        pass, and only without a cache.
+        equality) with no per-gate objects; a circuit that is not lean
+        runs as a one-column numpy kernel pass, and only without a cache.
 
         Raises:
             TypeError: The supply publishes no lowerable ready spec
@@ -299,23 +289,35 @@ class DataflowSimulator:
             if signature != (None, None):
                 ready = lower_ready(cc, signature, [spec])
                 if cc.lean:
-                    ready = ready[:, 0].tolist()  # plain floats, every bit
+                    ready = ready[:, 0]
+                    if cqla is None:
+                        ready = ready.tolist()  # plain floats, every bit
             misses = 0
             if cqla is not None:
-                schedule = _cache_schedule(cc, cqla.cache_size(cc.num_qubits))
+                cache_size = cqla.cache_size(cc.num_qubits)
+                schedule = _cache_schedule(cc, cache_size)
                 misses = schedule.misses
                 teleports += schedule.teleports
-        with _span("simulate.level_walk", gates=n):
+        with _span("simulate.level_walk", gates=n) as walk_span:
             if not cc.lean:
                 # Imported here: repro.arch.batched imports this module.
                 from repro.arch.batched import _kernel_pass
 
                 makespan = _kernel_pass(cc, 1, move_1q, move_2q, ready, qec)[0]
             elif cqla is not None:
-                makespan = _run_cache(
-                    cc, schedule.trips, cqla.ports, teleport_latency(self.tech),
-                    move_1q, move_2q, ready, qec,
+                t_teleport = teleport_latency(self.tech)
+                starts, makespan = _supply_free_walk(
+                    cc, cache_size, cqla.ports, t_teleport, move_1q, move_2q,
+                    qec,
                 )
+                # ``<=`` under all(): a NaN ready time falls through.
+                if ready is None or np.all(ready <= starts):
+                    walk_span.set(replayed=1)
+                else:
+                    makespan = _run_cache(
+                        cc, schedule.trips, cqla.ports, t_teleport,
+                        move_1q, move_2q, ready.tolist(), qec,
+                    )
             else:
                 makespan = _run_flat(cc, move_1q, move_2q, ready, qec)
         commit_draws(cc, supply, spec)
@@ -528,8 +530,8 @@ def commit_draws(
 # reference loop (:func:`repro.testing.reference.run_reference`)
 # exactly (same max chains and additions; adding a zero penalty is
 # exact), which makes the engine bit-identical to it. ``supply_ready``
-# is None or a list of plain floats: np.float64 scalars from an ndarray
-# roughly halve the loops' throughput.
+# holds plain floats (None: unconstrained, flat loop only): np.float64
+# scalars from an ndarray roughly halve the loops' throughput.
 
 
 def _run_flat(
@@ -567,23 +569,18 @@ def _run_cache(
     t_teleport: float,
     move_1q: float,
     move_2q: float,
-    supply_ready: Optional[Sequence[float]],
+    supply_ready: Iterable[float],
     qec: float,
 ) -> float:
     """Hot loop with CQLA compute-cache modeling; returns the makespan.
-
-    Which operands miss is timing-free, so the per-gate trip counts come
-    from the memoized :func:`_cache_schedule`; only port booking runs
-    here, on a min-heap of ``(free_time, port_index)`` (ties go to the
-    lowest index), in program order, after the operand reads and before
-    the movement penalty.
-    """
+    Each gate books its :func:`_cache_schedule` trips on a min-heap of
+    ``(free_time, port_index)`` (ties go to the lowest index) after its
+    operand reads and before its movement penalty."""
     qubit_free = [0.0] * cc.num_qubits
     # Sorted, hence already a heap.
     heap = [(0.0, i) for i in range(ports)]
-    ready_iter = supply_ready if supply_ready is not None else repeat(0.0)
     for a, b, k, ready, latency in zip(
-        cc.q0, cc.q1, trips, ready_iter, cc.latency_us
+        cc.q0, cc.q1, trips, supply_ready, cc.latency_us
     ):
         t = qubit_free[a]
         if b >= 0:

@@ -21,9 +21,9 @@ vectorized pass over a ``(points, qubits)`` state matrix rather than one
 interpreted walk per point, bit-identically (roughly an order of
 magnitude faster at Figure-8/15 grid sizes; see
 ``benchmarks/test_bench_sweeps.py``). CQLA ladders run per point, each
-point replaying the same memoized cache schedule and booking only its
-ports, which beats a vectorized pass at every ladder size a command
-builds.
+point replaying the same memoized cache schedule; a point whose supply
+never binds returns the memoized supply-free walk, and only the others
+book ports.
 """
 
 from __future__ import annotations

@@ -19,6 +19,7 @@ must reproduce.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from heapq import heapify, heapreplace
 from typing import Dict, List, Optional, Sequence
 
@@ -27,7 +28,6 @@ from repro.arch.simulator import (
     ZEROS_PER_QEC,
     DataflowSimulator,
     SimulationResult,
-    _LruCache,
 )
 from repro.arch.supply import PI8, ZERO
 from repro.circuits.gate import PI8_CONSUMING_GATES
@@ -38,6 +38,36 @@ from repro.explore.evaluator import (
     _evaluation,
     _lower_point,
 )
+
+
+class _LruCache:
+    """LRU residency set over qubit ids.
+
+    Backed by an :class:`~collections.OrderedDict` whose iteration order
+    is recency order (oldest first), so eviction pops the front in O(1)
+    instead of scanning for the minimum timestamp.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
+        self.capacity = capacity
+        self._order: "OrderedDict[int, None]" = OrderedDict()
+
+    def __contains__(self, qubit: int) -> bool:
+        return qubit in self._order
+
+    def touch(self, qubit: int) -> Optional[int]:
+        """Mark ``qubit`` resident; returns an evicted qubit or None."""
+        order = self._order
+        if qubit in order:
+            order.move_to_end(qubit)
+            return None
+        evicted = None
+        if len(order) >= self.capacity:
+            evicted, _ = order.popitem(last=False)
+        order[qubit] = None
+        return evicted
 
 
 class _PortBank:

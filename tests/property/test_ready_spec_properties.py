@@ -13,9 +13,10 @@ lean circuits, so its examples use a lean circuit; the protocol circuit
 stays on the flat routes.
 """
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 
+import repro.arch.simulator as simulator_module
 from repro.arch import simulate_batch
 from repro.arch.architectures import CqlaConfig
 from repro.arch.simulator import DataflowSimulator
@@ -238,6 +239,48 @@ def test_cqla_lockstep_matches_acquire_loop_and_state(
                 assert _steady_state(batch_supply) == (
                     _steady_state(reference_supply)
                 )
+
+
+#: The unpatched walk: each example patches a counter around it afresh.
+_RUN_CACHE = simulator_module._run_cache
+
+
+@settings(max_examples=30, **ROUTED)
+@given(
+    cache_fraction=st.floats(min_value=0.05, max_value=1.0, allow_nan=False),
+    ports=st.integers(min_value=1, max_value=4),
+    zero_rate=rate_values,
+    pi8_rate=rate_values,
+)
+def test_cqla_supply_free_replay_matches_acquire_loop(
+    cache_fraction, ports, zero_rate, pi8_rate, monkeypatch
+):
+    """A CQLA point either replays the memoized supply-free walk, and
+    then equals the unconstrained point, or walks; both match the
+    acquire loop, supply state included."""
+    cqla = CqlaConfig(cache_fraction=cache_fraction, ports=ports)
+    walks = []
+    monkeypatch.setattr(
+        simulator_module, "_run_cache",
+        lambda *args: walks.append(1) or _RUN_CACHE(*args),
+    )
+
+    def run(supply):
+        return DataflowSimulator(LEAN_CIRCUIT, supply=supply, cqla=cqla).run()
+
+    unconstrained = run(InfiniteSupply())  # builds the memo if absent
+    walks.clear()
+    supply = SteadyRateSupply({ZERO: zero_rate, PI8: pi8_rate})
+    result = run(supply)
+    reference_supply = SteadyRateSupply({ZERO: zero_rate, PI8: pi8_rate})
+    assert [result] == _reference([reference_supply], cqla, LEAN_CIRCUIT)
+    assert _steady_state(supply) == _steady_state(reference_supply)
+    assert walks in ([], [1])
+    event("walked" if walks else "replayed")
+    if not walks:
+        assert result == unconstrained
+    if result.makespan_us != unconstrained.makespan_us:
+        assert walks == [1]
 
 
 @settings(max_examples=10, **ROUTED)

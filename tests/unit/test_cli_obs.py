@@ -141,7 +141,7 @@ class TestProfile:
         assert "per-phase breakdown" in out
         assert "phase" in out and "calls" in out
         # The QLA and multiplexed ladders batch through the level kernel;
-        # every CQLA point walks its gates in run().
+        # every CQLA point runs in run(), which walks or replays it.
         assert "batched.level_sweep" in out
         assert "simulate.level_walk" in out
         assert "batched.cqla_lockstep" not in out
@@ -151,6 +151,18 @@ class TestProfile:
         assert main(["profile", "fig15", "--trace", str(trace)]) == 0
         doc = json.loads(trace.read_text())
         assert any(e.get("ph") == "X" for e in doc["traceEvents"])
+
+    def test_profile_trace_marks_replayed_cqla_points(self, tmp_path, capsys):
+        """Figure 15's CQLA ladder replays its supply-free walk from the
+        matched area up, and walks below it: both show on the trace."""
+        trace = tmp_path / "profile.json"
+        assert main(["profile", "fig15", "--trace", str(trace)]) == 0
+        walks = [
+            e for e in json.loads(trace.read_text())["traceEvents"]
+            if e.get("name") == "simulate.level_walk"
+        ]
+        replayed = [e for e in walks if e["args"].get("replayed") == 1]
+        assert replayed and len(replayed) < len(walks)
 
     def test_profile_show_output(self, capsys):
         assert main(["profile", "fig15", "--show-output"]) == 0

@@ -7,6 +7,9 @@ all three kernels under all five supply/architecture models. The fixtures
 run the 8-bit kernels; engine dispatch does not depend on width.
 """
 
+from dataclasses import asdict
+
+import numpy as np
 import pytest
 
 import repro.arch.batched as batched_module
@@ -18,6 +21,7 @@ from repro.arch.architectures import (
 )
 from repro.arch.simulator import DataflowSimulator
 from repro.arch.batched import simulate_batch
+from repro.arch.provisioning import area_breakdown
 from repro.arch.supply import (
     PI8,
     ZERO,
@@ -205,11 +209,13 @@ class TestCacheScheduleReplay:
         for i in range(24):
             circuit.cx(i % 8, (3 * i + 1) % 8)
         config = CqlaConfig(cache_fraction=0.25)
-        touches = []
-        real_touch = simulator_module._LruCache.touch
+        # The schedule walks its residency set inline, in an OrderedDict
+        # made per walk: one made per run means one LRU walk per run.
+        walks = []
+        ordered_dict = simulator_module.OrderedDict
         monkeypatch.setattr(
-            simulator_module._LruCache, "touch",
-            lambda cache, qubit: touches.append(qubit) or real_touch(cache, qubit),
+            simulator_module, "OrderedDict",
+            lambda: walks.append(1) or ordered_dict(),
         )
         compiled = compile_circuit(circuit, ION_TRAP)
 
@@ -219,10 +225,10 @@ class TestCacheScheduleReplay:
             ).run()
 
         first = run()
-        assert touches  # the schedule was built by one LRU walk
-        touches.clear()
+        assert walks == [1]  # the schedule was built by one LRU walk
+        walks.clear()
         second = run()
-        assert touches == []
+        assert walks == []
         assert second == first
         assert first.cache_misses > 0
         assert first == run_reference(DataflowSimulator(circuit, cqla=config))
@@ -266,6 +272,163 @@ class TestCacheScheduleReplay:
         assert all(r.cache_misses > 0 for r in results.values())
         assert len({r.makespan_us for r in results.values()}) > 1
 
+
+
+def _cqla_simulator(analysis, config, supply, **kwargs):
+    return DataflowSimulator(
+        analysis.circuit,
+        analysis.tech,
+        supply=supply,
+        movement_penalty_us=config.movement_penalty(False, analysis.tech),
+        two_qubit_movement_penalty_us=config.movement_penalty(
+            True, analysis.tech
+        ),
+        cqla=config,
+        **kwargs,
+    )
+
+
+def _fig15_supplies(analysis, config):
+    """Fresh CQLA supplies over Figure 15's default area ladder."""
+    matched = area_breakdown(analysis).factory_area
+    return [
+        config.build_supply(
+            float(area),
+            analysis.circuit.num_qubits,
+            analysis.zero_bandwidth_per_ms,
+            analysis.pi8_bandwidth_per_ms,
+            analysis.tech,
+        )
+        for area in np.geomspace(matched / 8.0, matched * 512.0, 14)
+    ]
+
+
+@pytest.fixture
+def cache_walks(monkeypatch):
+    """Counts ``_run_cache`` calls: the memoized supply-free walk's one
+    and every bound point's own."""
+    calls = []
+    run_cache = simulator_module._run_cache
+    monkeypatch.setattr(
+        simulator_module, "_run_cache",
+        lambda *args: calls.append(1) or run_cache(*args),
+    )
+    return calls
+
+
+class TestSupplyFreeReplay:
+    """A CQLA point whose ancillae are ready by every gate's supply-free
+    start returns the memoized supply-free walk without walking."""
+
+    @pytest.mark.parametrize("fraction,ports", [(0.125, 1), (0.25, 2), (0.5, 8)])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_fig15_ladder_matches_reference(
+        self, kernel, fraction, ports, cache_walks
+    ):
+        analysis = analyze_kernel(kernel, 8)
+        compiled = analysis.compiled_circuit()
+        config = CqlaConfig(cache_fraction=fraction, ports=ports)
+        walked = []
+        for supply, reference_supply in zip(
+            _fig15_supplies(analysis, config), _fig15_supplies(analysis, config)
+        ):
+            before = len(cache_walks)
+            result = _cqla_simulator(
+                analysis, config, supply, compiled=compiled
+            ).run()
+            walked.append(len(cache_walks) - before)
+            reference = run_reference(
+                _cqla_simulator(analysis, config, reference_supply)
+            )
+            assert result == reference
+            assert asdict(supply.ready_spec()) == asdict(
+                reference_supply.ready_spec()
+            )
+        # The first point also builds the memo; after it, every point
+        # either replays (0 walks) or walks once, and the ladder holds
+        # both kinds.
+        assert walked[0] >= 1 and set(walked[1:]) <= {0, 1}
+        assert walked.count(0) > 0 and walked.count(1) > 0
+
+    def test_replayed_point_skips_walk_and_bound_point_walks(
+        self, qcla8, cache_walks
+    ):
+        compiled = qcla8.compiled_circuit()
+        config = CqlaConfig()
+        ladder = _fig15_supplies(qcla8, config)
+        _cqla_simulator(qcla8, config, InfiniteSupply(), compiled=compiled).run()
+        cache_walks.clear()
+        _cqla_simulator(qcla8, config, ladder[-1], compiled=compiled).run()
+        assert cache_walks == []
+        _cqla_simulator(qcla8, config, ladder[0], compiled=compiled).run()
+        assert cache_walks == [1]
+
+    @pytest.mark.parametrize("nudge", [False, True])
+    def test_ready_equal_to_starts_replays(
+        self, qcla8, monkeypatch, cache_walks, nudge
+    ):
+        """Ready times exactly at the supply-free starts cannot bind the
+        loop's strict ``ready > t``, so they replay; one ulp later on one
+        gate walks. Either way the result is the walk's."""
+        compiled = qcla8.compiled_circuit()
+        config = CqlaConfig()
+        sim = _cqla_simulator(qcla8, config, InfiniteSupply(), compiled=compiled)
+        args = (
+            config.cache_size(compiled.num_qubits),
+            config.ports,
+            simulator_module.teleport_latency(qcla8.tech),
+            sim.move_1q,
+            sim.move_2q,
+            sim._logical.qec_interaction_latency(),
+        )
+        starts, makespan = simulator_module._supply_free_walk(compiled, *args)
+        ready = starts.copy()
+        if nudge:
+            # The last gate to finish, so the makespan must move.
+            ready[-1] = np.nextafter(ready[-1], np.inf)
+        monkeypatch.setattr(
+            simulator_module, "lower_ready",
+            lambda cc, signature, specs: ready[:, None].copy(),
+        )
+        cache_walks.clear()
+        result = _cqla_simulator(
+            qcla8, config, SteadyRateSupply({ZERO: 1.0}), compiled=compiled
+        ).run()
+        assert cache_walks == ([1] if nudge else [])
+        trips = simulator_module._cache_schedule(compiled, args[0]).trips
+        walk = simulator_module._run_cache(
+            compiled, trips, config.ports, args[2], args[3], args[4],
+            ready.tolist(), args[5],
+        )
+        assert result.makespan_us == walk
+        assert (walk != makespan) == nudge
+
+    def test_ports_and_movement_never_share_a_memo_entry(self, qcla8):
+        """One cache size, run alternately with ports 1 and 8 and with
+        each movement penalty changed: every variant keeps its own walk."""
+        compiled = qcla8.compiled_circuit()
+        tech = qcla8.tech
+        variants = []
+        for ports in (1, 8):
+            config = CqlaConfig(cache_fraction=0.25, ports=ports)
+            move_1q = config.movement_penalty(False, tech)
+            move_2q = config.movement_penalty(True, tech)
+            for moves in ((move_1q, move_2q), (5.0, move_2q), (move_1q, 0.0)):
+                variants.append((config, moves))
+        assert len({c.cache_size(compiled.num_qubits) for c, _ in variants}) == 1
+
+        def simulator(config, moves, **kwargs):
+            return DataflowSimulator(
+                qcla8.circuit, tech, movement_penalty_us=moves[0],
+                two_qubit_movement_penalty_us=moves[1], cqla=config, **kwargs,
+            )
+
+        results = {}
+        for config, moves in variants * 2:
+            result = simulator(config, moves, compiled=compiled).run()
+            assert result == run_reference(simulator(config, moves))
+            assert results.setdefault((config.ports, moves), result) == result
+        assert len({r.makespan_us for r in results.values()}) == len(variants)
 
 def _lean_body(circuit, half):
     """Append one half of a lean gate mix (one- and two-qubit gates,
