@@ -83,15 +83,20 @@ def test_bench_code_level_grid_explore(monkeypatch):
     for evaluation in (result.evaluations[0], result.evaluations[-1]):
         point = dict(evaluation.point)
         fresh = Evaluator(kernel=kernel, width=width)
-        from repro.explore.evaluator import (
-            KernelSummary,
-            _lower_point,
-            _run_lowered,
-        )
+        from repro.arch.simulator import DataflowSimulator
+        from repro.explore.evaluator import _lower_point
 
         summary, compiled = fresh._serial_context(point)
         lowered = _lower_point(summary, point)
-        serial = _run_lowered(summary, lowered, compiled)
+        serial = DataflowSimulator(
+            summary.circuit,
+            summary.tech,
+            supply=lowered.supply,
+            movement_penalty_us=lowered.move_1q,
+            two_qubit_movement_penalty_us=lowered.move_2q,
+            cqla=lowered.cqla,
+            compiled=compiled,
+        ).run()
         assert evaluation.result == serial
 
     points_per_s = budget / elapsed

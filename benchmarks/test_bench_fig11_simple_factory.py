@@ -8,7 +8,7 @@ that it matches the pipelined factory's bandwidth per unit area.
 import pytest
 
 from repro.factory import PipelinedZeroFactory, SimpleZeroFactory
-from repro.factory.simple import simple_factory_grid
+from repro.testing.floorplan import simple_factory_grid
 from repro.reporting import run_experiment
 
 

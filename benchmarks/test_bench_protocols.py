@@ -21,11 +21,11 @@ import time
 import pytest
 
 import record as bench_record
-from repro.ancilla import (
+from repro.ancilla import evaluate_pi8_ancilla_batched
+from repro.testing.protocols import (
     evaluate_cat_prep,
     evaluate_cat_prep_batched,
     evaluate_pi8_ancilla,
-    evaluate_pi8_ancilla_batched,
 )
 
 pytestmark = pytest.mark.perf

@@ -61,11 +61,21 @@ QLA_VS_SEED = 85.0
 
 
 def _seed_rate(make_simulator, supplies):
-    """Points/sec of the seed loop over ``supplies``, and its results."""
-    elapsed, results = _timed(
-        lambda: [run_reference(make_simulator(supply)) for supply in supplies]
-    )
-    return POINTS / elapsed, results
+    """Points/sec of the seed loop, best of 3 rounds over fresh
+    ``supplies()``, and its results.
+
+    The best of several rounds steadies every gate's denominator: timed
+    once per run, the steady ladder's ``speedup_vs_seed`` spread
+    223-398x on one 2-core host.
+    """
+    rate = 0.0
+    for _ in range(3):
+        fresh = supplies()
+        elapsed, results = _timed(
+            lambda: [run_reference(make_simulator(supply)) for supply in fresh]
+        )
+        rate = max(rate, POINTS / elapsed)
+    return rate, results
 
 
 def test_bench_steady_sweep_speedup(benchmark, qcla32):
@@ -112,7 +122,7 @@ def test_bench_steady_sweep_speedup(benchmark, qcla32):
     )
     seed_rate, seed_results = _seed_rate(
         lambda supply: DataflowSimulator(circuit, tech, supply=supply),
-        supplies(),
+        supplies,
     )
     # Exact equality, every field.
     assert batched_results == serial_results
@@ -214,7 +224,7 @@ def test_bench_qla_area_sweep_speedup(benchmark, qcla32):
             for supply in serial_supplies
         ]
     )
-    seed_rate, seed_results = _seed_rate(simulator, supplies())
+    seed_rate, seed_results = _seed_rate(simulator, supplies)
     assert batched_results == serial_results
     assert serial_results == seed_results
     batched_rate = POINTS / batched_s
@@ -325,12 +335,7 @@ def test_bench_cqla_sweep_speedup(benchmark, qcla32, monkeypatch):
             ]
         )
         serial_s = min(serial_s, elapsed)
-    # The seed loop too takes the best of 3 rounds, which steadies the
-    # ratio's denominator.
-    seed_rate = 0.0
-    for _ in range(3):
-        rate, seed_results = _seed_rate(simulator, supplies())
-        seed_rate = max(seed_rate, rate)
+    seed_rate, seed_results = _seed_rate(simulator, supplies)
     # Exact equality, every field.
     assert batched_results == serial_results
     assert serial_results == seed_results

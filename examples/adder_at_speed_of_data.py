@@ -21,7 +21,7 @@ SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
 WIDTH = 8 if SMOKE else 32
 
 from repro import analyze_kernel, area_breakdown, throughput_sweep
-from repro.kernels.classical import run_adder
+from repro.testing.classical import run_adder
 from repro.kernels.qrca import qrca_circuit, qrca_registers
 from repro.reporting.figures import ascii_plot
 

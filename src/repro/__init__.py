@@ -40,7 +40,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "ArchitectureKind", "DataflowSimulator", "area_breakdown",
         "area_sweep", "throughput_sweep",
     ),
-    ".circuits": ("Circuit", "GateType", "critical_path"),
+    ".circuits": ("Circuit", "GateType"),
     ".codes": ("STEANE", "CssCode", "steane_zero_prep_circuit"),
     ".error": ("MonteCarloSimulator", "PauliFrame"),
     ".factory": ("Pi8Factory", "PipelinedZeroFactory", "SimpleZeroFactory"),

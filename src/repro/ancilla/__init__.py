@@ -16,9 +16,7 @@ Implements Section 2 of the paper:
 from repro.util.lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".cat": (
-        "cat_prep_circuit", "evaluate_cat_prep", "evaluate_cat_prep_batched",
-    ),
+    ".cat": ("cat_prep_circuit",),
     ".evaluation": (
         "PrepStrategy", "StrategyReport", "evaluate_strategies",
         "evaluate_strategy",
@@ -28,8 +26,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "recursive_rotation_expected_latency",
     ),
     ".t_ancilla": (
-        "PI8_STAGE_NAMES", "evaluate_pi8_ancilla",
-        "evaluate_pi8_ancilla_batched", "pi8_ancilla_circuit",
-        "pi8_consumption_circuit",
+        "PI8_STAGE_NAMES", "evaluate_pi8_ancilla_batched",
+        "pi8_ancilla_circuit",
     ),
 })

@@ -124,8 +124,6 @@ PAPER_ERROR_RATES: Dict[PrepStrategy, float] = {
     PrepStrategy.VERIFY_AND_CORRECT: 2.9e-5,
 }
 
-PAPER_VERIFY_FAILURE_RATE = 0.002
-
 # ----------------------------------------------------------------------
 # The five sub-circuits, built once. Each lays its operands out as
 # consecutive local qubits: the block (0-6), then its cat or helper.

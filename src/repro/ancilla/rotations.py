@@ -3,11 +3,12 @@
 Arbitrary-precision phase rotations have no transversal implementation on
 the [[7,1,3]] code, so the paper adopts Fowler's technique: exhaustively
 search sequences of H and T gates for a minimum-length approximation of
-each pi/2^k rotation "up to an acceptable error". This module implements
-that search (breadth-first over the free product of H and T, deduplicated
-by canonicalized SU(2) matrix), plus the expected-latency analysis of the
-*exact* recursive pi/2^k construction of Figure 6 that the paper describes
-but conservatively declines to use.
+each pi/2^k rotation "up to an acceptable error". The words that search
+finds are precomputed here (:data:`PRECOMPUTED_WORDS`); the search itself
+is :func:`repro.testing.rotations.search_word`, which checks them. This
+module also holds the expected-latency analysis of the *exact* recursive
+pi/2^k construction of Figure 6 that the paper describes but
+conservatively declines to use.
 
 Exact cases need no search: RZ(pi/2) is S, RZ(pi/4) is T (the pi/8 gate),
 and RZ(pi) is Z.
@@ -18,24 +19,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from repro.circuits import Circuit
 from repro.circuits.gate import GateType
 from repro.tech import TechnologyParams
-
-_SQ2 = 1.0 / math.sqrt(2.0)
-_H = np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)
-_T = np.array([[1.0, 0.0], [0.0, np.exp(1j * math.pi / 4)]], dtype=complex)
-_T_DAG = _T.conj().T
-
-_GATE_MATRICES: Dict[GateType, np.ndarray] = {
-    GateType.H: _H,
-    GateType.T: _T,
-    GateType.T_DAG: _T_DAG,
-}
 
 
 def rz_matrix(angle: float) -> np.ndarray:
@@ -57,21 +46,6 @@ def trace_distance(u: np.ndarray, v: np.ndarray) -> float:
     size = abs(overlap)
     phase = overlap / size if size else 1.0
     return float(np.linalg.norm(phase * u - v)) / 2.0
-
-
-def _canonical_key(u: np.ndarray, digits: int = 8) -> Tuple[int, ...]:
-    """Hashable global-phase-invariant fingerprint of a unitary."""
-    # Normalize phase so the first nonzero entry is real positive.
-    flat = u.flatten()
-    for entry in flat:
-        if abs(entry) > 1e-9:
-            phase = entry / abs(entry)
-            u = u / phase
-            break
-    scaled = np.round(u * (10 ** digits)).astype(np.complex128)
-    return tuple(
-        int(val) for entry in scaled.flatten() for val in (entry.real, entry.imag)
-    )
 
 
 @dataclass(frozen=True)
@@ -99,32 +73,14 @@ class SynthesizedRotation:
     def length(self) -> int:
         return len(self.gates)
 
-    def as_circuit(self, qubit: int = 0, width: int = 1) -> Circuit:
-        """Materialize the sequence as a circuit on ``qubit``."""
-        circ = Circuit(max(width, qubit + 1), name=f"rz_pi_over_{2 ** self.angle_k}")
-        for gate_type in self.gates:
-            if gate_type is GateType.H:
-                circ.h(qubit)
-            elif gate_type is GateType.T:
-                circ.t(qubit)
-            elif gate_type is GateType.T_DAG:
-                circ.tdg(qubit)
-            elif gate_type is GateType.S:
-                circ.s(qubit)
-            elif gate_type is GateType.Z:
-                circ.z(qubit)
-            else:
-                raise ValueError(f"unexpected gate in rotation sequence: {gate_type}")
-        return circ
-
-
 _H_ = GateType.H
 _T_ = GateType.T
 _TD_ = GateType.T_DAG
 
-#: Precomputed minimum-length words found by this module's own search run
-#: offline at greater depth than the default ``max_length`` (reproducible
-#: via ``RotationSynthesizer(max_length=28, tolerance=0.015)._search``).
+#: Precomputed minimum-length words found by the H/T search run offline at
+#: depth 28 (reproducible via
+#: ``repro.testing.rotations.search_word(target, max_length=28,
+#: tolerance=0.015)``).
 #: Keyed by angle_k; values are (word, phase-invariant error).
 PRECOMPUTED_WORDS: Dict[int, Tuple[Tuple[GateType, ...], float]] = {
     # RZ(pi/8): 16 gates, 8 T-type, error 0.0397 (identity sits at 0.1386).
@@ -155,31 +111,27 @@ PRECOMPUTED_WORDS: Dict[int, Tuple[Tuple[GateType, ...], float]] = {
 
 
 class RotationSynthesizer:
-    """Breadth-first search for minimum-length H/T approximations.
+    """Minimum-length H/T approximations of RZ(pi/2^k).
 
-    The search enumerates products of {H, T, T_DAG} in length order,
-    deduplicating by canonical matrix fingerprint (so only the shortest
-    word reaching each unitary survives), and returns the first word within
-    ``tolerance`` of the target — i.e. the paper's "minimum length sequence
-    ... up to an acceptable error".
+    Returns the paper's "minimum length sequence ... up to an acceptable
+    error": the exact Clifford+T word for k <= 2, the precomputed
+    deep-search word for k = 3..6, and the empty word once the identity
+    is within ``tolerance``.
 
     Args:
-        max_length: Longest sequence considered before settling for the
-            best-found approximation.
         tolerance: Acceptable phase-invariant distance. The paper does
             not state its value; the default (0.01) accepts the identity
             for rotations below pi/64 — consistent with the paper's
             reported QFT gate totals, which imply very short sequences for
             small angles — while the pi/16..pi/64 range uses the
-            precomputed deep-search words above.
+            precomputed deep-search words above. A tolerance below the
+            identity's distance for some k > 6 has no word here and
+            raises.
     """
 
-    def __init__(self, max_length: int = 8, tolerance: float = 0.01) -> None:
-        if max_length < 1:
-            raise ValueError(f"max_length must be >= 1, got {max_length}")
+    def __init__(self, tolerance: float = 0.01) -> None:
         if tolerance <= 0:
             raise ValueError(f"tolerance must be positive, got {tolerance}")
-        self.max_length = max_length
         self.tolerance = tolerance
         self._cache: Dict[int, SynthesizedRotation] = {}
 
@@ -213,50 +165,16 @@ class RotationSynthesizer:
             # The rotation is within tolerance of doing nothing; emitting
             # the empty word is the minimum-length answer.
             return SynthesizedRotation(angle_k, (), identity_error, exact=False)
-        best_gates, best_error = self._search(target)
-        return SynthesizedRotation(
-            angle_k, best_gates, best_error, exact=best_error < 1e-12
+        raise ValueError(
+            f"no precomputed H/T word for pi/2^{angle_k} within tolerance "
+            f"{self.tolerance:g}"
         )
-
-    def _search(self, target: np.ndarray) -> Tuple[Tuple[GateType, ...], float]:
-        identity = np.eye(2, dtype=complex)
-        best_gates: Tuple[GateType, ...] = ()
-        best_error = trace_distance(identity, target)
-        seen = {_canonical_key(identity)}
-        frontier: List[Tuple[np.ndarray, Tuple[GateType, ...]]] = [(identity, ())]
-        alphabet = (GateType.H, GateType.T, GateType.T_DAG)
-        for _ in range(self.max_length):
-            next_frontier: List[Tuple[np.ndarray, Tuple[GateType, ...]]] = []
-            for matrix, word in frontier:
-                if word and word[-1] in (GateType.T, GateType.T_DAG):
-                    # T and T_DAG commute and partially cancel; canonical
-                    # words never mix or stack beyond what dedup allows, but
-                    # skipping immediate inverses prunes the branching.
-                    options = (GateType.H, word[-1])
-                else:
-                    options = alphabet
-                for gate_type in options:
-                    candidate = _GATE_MATRICES[gate_type] @ matrix
-                    key = _canonical_key(candidate)
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    new_word = word + (gate_type,)
-                    error = trace_distance(candidate, target)
-                    if error < best_error:
-                        best_error = error
-                        best_gates = new_word
-                        if best_error <= self.tolerance:
-                            return best_gates, best_error
-                    next_frontier.append((candidate, new_word))
-            frontier = next_frontier
-        return best_gates, best_error
 
 
 @lru_cache(maxsize=8)
-def default_synthesizer(max_length: int = 8, tolerance: float = 0.01) -> RotationSynthesizer:
+def default_synthesizer(tolerance: float = 0.01) -> RotationSynthesizer:
     """Shared synthesizer instance (sequences are pure functions of k)."""
-    return RotationSynthesizer(max_length=max_length, tolerance=tolerance)
+    return RotationSynthesizer(tolerance=tolerance)
 
 
 def recursive_rotation_expected_latency(
@@ -284,17 +202,3 @@ def recursive_rotation_expected_latency(
         + expected_meas * tech.t_meas
         + expected_x * tech.t_1q
     )
-
-
-def crz_decomposition_t_count(
-    angle_k: int, synthesizer: RotationSynthesizer
-) -> int:
-    """pi/8 ancillae consumed by one controlled-pi/2^k rotation.
-
-    A controlled rotation by pi/2^k decomposes into CX gates and three
-    single-qubit rotations by pi/2^(k+1) (Section 2.5); each of those is
-    synthesized into H/T sequences.
-    """
-    if angle_k == 1:  # controlled-Z is transversal
-        return 0
-    return 3 * synthesizer.synthesize(angle_k + 1).t_count

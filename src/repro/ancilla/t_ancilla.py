@@ -11,8 +11,8 @@ into the four pipeline stages of Table 7:
 3. decode (plus store);
 4. one-qubit H, one-qubit measure, transversal Z conditioned on it.
 
-This module builds the full circuit and exposes the per-stage slices used
-by the factory model in :mod:`repro.factory.t_factory`.
+This module builds the four stages as separate circuits and the full
+circuit as their composition.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from repro.circuits.gate import Gate, GateType
 from repro.codes.steane import (
     ENCODER_CX_ROUNDS,
     ENCODER_H_QUBITS,
-    STEANE,
     steane_zero_prep_circuit,
 )
 from repro.tech import ErrorRates
@@ -38,7 +37,7 @@ PI8_STAGE_NAMES: Tuple[str, ...] = (
 )
 
 
-def _stage_cat_prep(circ: Circuit, cat: List[int]) -> None:
+def _stage_cat_prep(circ: Circuit, cat: List[int], block: List[int]) -> None:
     circ.compose(cat_prep_circuit(7, include_prep=True), qubit_map=cat)
 
 
@@ -61,7 +60,7 @@ def _stage_transversal_interact(circ: Circuit, cat: List[int],
         circ.t(c)
 
 
-def _stage_decode(circ: Circuit, cat: List[int]) -> None:
+def _stage_decode(circ: Circuit, cat: List[int], block: List[int]) -> None:
     """Inverse of the encoding circuit, concentrating state on one qubit."""
     for round_gates in reversed(ENCODER_CX_ROUNDS):
         for control, target in reversed(round_gates):
@@ -81,21 +80,13 @@ def _stage_h_measure_correct(circ: Circuit, cat: List[int],
         )
 
 
-def pi8_ancilla_circuit() -> Circuit:
-    """The full Figure 5b encoded pi/8 ancilla preparation.
-
-    Qubits 0-6 hold the incoming encoded zero (assumed already prepared by
-    a zero factory, so no encoder is included here); qubits 7-13 hold the
-    7-qubit cat state. The output pi/8 ancilla lives on qubits 0-6.
-    """
-    circ = Circuit(14, name="pi8_ancilla_prep")
-    block = list(range(7))
-    cat = list(range(7, 14))
-    _stage_cat_prep(circ, cat)
-    _stage_transversal_interact(circ, cat, block)
-    _stage_decode(circ, cat)
-    _stage_h_measure_correct(circ, cat, block)
-    return circ
+#: The Table 7 stages in pipeline order, each ``build(circ, cat, block)``.
+_STAGE_BUILDERS = (
+    _stage_cat_prep,
+    _stage_transversal_interact,
+    _stage_decode,
+    _stage_h_measure_correct,
+)
 
 
 def pi8_stage_slices() -> Dict[str, Circuit]:
@@ -103,45 +94,23 @@ def pi8_stage_slices() -> Dict[str, Circuit]:
     block = list(range(7))
     cat = list(range(7, 14))
     stages: Dict[str, Circuit] = {}
-
-    stage = Circuit(14, name=PI8_STAGE_NAMES[0])
-    _stage_cat_prep(stage, cat)
-    stages[PI8_STAGE_NAMES[0]] = stage
-
-    stage = Circuit(14, name=PI8_STAGE_NAMES[1])
-    _stage_transversal_interact(stage, cat, block)
-    stages[PI8_STAGE_NAMES[1]] = stage
-
-    stage = Circuit(14, name=PI8_STAGE_NAMES[2])
-    _stage_decode(stage, cat)
-    stages[PI8_STAGE_NAMES[2]] = stage
-
-    stage = Circuit(14, name=PI8_STAGE_NAMES[3])
-    _stage_h_measure_correct(stage, cat, block)
-    stages[PI8_STAGE_NAMES[3]] = stage
+    for name, build in zip(PI8_STAGE_NAMES, _STAGE_BUILDERS):
+        stages[name] = Circuit(14, name=name)
+        build(stages[name], cat, block)
     return stages
 
 
-def pi8_consumption_circuit() -> Circuit:
-    """Figure 5a: applying an encoded pi/8 gate by consuming the ancilla.
+def pi8_ancilla_circuit() -> Circuit:
+    """The full Figure 5b encoded pi/8 ancilla preparation: the four
+    Table 7 stages in order.
 
-    Qubits 0-6 are the encoded data block, 7-13 the prepared pi/8 ancilla.
-    The data-side cost is one transversal CX, a transversal measurement of
-    the ancilla block, and a conditional transversal correction — which is
-    exactly what :meth:`repro.circuits.LogicalLatencyModel.
-    non_transversal_interaction_latency` prices.
+    Qubits 0-6 hold the incoming encoded zero (assumed already prepared by
+    a zero factory, so no encoder is included here); qubits 7-13 hold the
+    7-qubit cat state. The output pi/8 ancilla lives on qubits 0-6.
     """
-    circ = Circuit(14, name="pi8_consume")
-    data = list(range(7))
-    anc = list(range(7, 14))
-    for d, a in zip(data, anc):
-        circ.cx(a, d)
-    for i, a in enumerate(anc):
-        circ.measure_z(a, f"c{i}")
-    for d in data:
-        circ.append(
-            Gate(GateType.S, (d,), condition="c0", tag="conditional-correction")
-        )
+    circ = Circuit(14, name="pi8_ancilla_prep")
+    for stage in pi8_stage_slices().values():
+        circ.compose(stage)
     return circ
 
 
@@ -160,71 +129,20 @@ def pi8_consumption_circuit() -> Circuit:
 # standard Pauli-frame approximation both engines share.
 
 
-def evaluate_pi8_ancilla(
-    trials: int = 20000,
-    seed: int = 0,
-    errors: Optional[ErrorRates] = None,
-):
-    """Scalar Monte Carlo grading of the pi/8 ancilla preparation.
-
-    Reference implementation: one trial at a time on the scalar
-    Pauli-frame engine. Use :func:`evaluate_pi8_ancilla_batched` for
-    large trial counts. It replays every trial rather than calling
-    :meth:`~repro.error.montecarlo.MonteCarloSimulator.estimate`, which
-    skips fault-free trials: the protocol benchmark
-    (``benchmarks/test_bench_protocols.py``) times this driver as the
-    per-trial baseline of the batched one.
-    """
-    from repro.ancilla.evaluation import MOVES_PER_QUBIT_PER_GATE
-    from repro.error.montecarlo import (
-        MonteCarloResult,
-        MonteCarloSimulator,
-        TrialOutcome,
-    )
-    from repro.error.pauli import PauliFrame
-
-    if trials <= 0:
-        raise ValueError(f"trials must be positive, got {trials}")
-    encoder = steane_zero_prep_circuit(include_prep=True)
-    pipeline = pi8_ancilla_circuit()
-    sim = MonteCarloSimulator(errors=errors, seed=seed)
-    block = list(range(7))
-
-    def trial(s: MonteCarloSimulator) -> TrialOutcome:
-        frame = PauliFrame(14)
-        s.run_circuit(
-            encoder,
-            frame,
-            moves_per_qubit_per_gate=MOVES_PER_QUBIT_PER_GATE,
-        )
-        s.run_circuit(
-            pipeline,
-            frame,
-            moves_per_qubit_per_gate=MOVES_PER_QUBIT_PER_GATE,
-        )
-        if STEANE.is_uncorrectable(frame.x_vector(block), frame.z_vector(block)):
-            return TrialOutcome.BAD
-        return TrialOutcome.GOOD
-
-    result = MonteCarloResult()
-    for _ in range(trials):
-        result.record(trial(sim))
-    return result
-
-
 def evaluate_pi8_ancilla_batched(
     trials: int = 200_000,
     seed: int = 0,
     errors: Optional[ErrorRates] = None,
 ):
-    """Batched counterpart of :func:`evaluate_pi8_ancilla`.
+    """Batched Monte Carlo grading of the pi/8 ancilla preparation.
 
     The encoder and the Figure 5b pipeline are each lowered once by the
     general batched engine and replayed over ``(trials, 14)`` frame
     matrices; the conditional Z correction fires per trial on the
     measured ``pi8_m`` flip column. Statistically equivalent to the
-    scalar driver (checked by the test suite); the speedup is recorded
-    by the protocol benchmark in ``BENCH_protocols.json``.
+    scalar :func:`repro.testing.protocols.evaluate_pi8_ancilla` (checked
+    by the test suite); the speedup is recorded by the protocol
+    benchmark in ``BENCH_protocols.json``.
     """
     from repro.ancilla.evaluation import MOVES_PER_QUBIT_PER_GATE
     from repro.error.batched import (

@@ -8,8 +8,9 @@ then flattens at the speed-of-data floor.
 Figure 15: execution time as a function of total ancilla-factory area for
 the QLA, CQLA and Fully-Multiplexed microarchitectures.
 
-Both sweeps are grid explorations: they enumerate a fixed lattice of
-design points and batch them through
+Both sweeps are grid explorations: they enumerate the grid of
+:func:`repro.explore.space.throughput_space` or
+:func:`~repro.explore.space.architecture_space` and batch it through
 :class:`repro.explore.evaluator.Evaluator`, the same machinery behind
 ``python -m repro explore``. The kernel is lowered to its compiled array
 form exactly once per sweep, and points come back in order.
@@ -17,8 +18,9 @@ form exactly once per sweep, and points come back in order.
 The evaluator resolves each sweep's homogeneous point groups through the
 **point-batched** engine (:mod:`repro.arch.batched`): the whole
 throughput axis — and each QLA/Multiplexed area ladder — executes as one
-vectorized pass over a ``(points, qubits)`` state matrix rather than one
-interpreted walk per point, bit-identically (roughly an order of
+vectorized pass over a gate-major ``(num_qubits + 1, points)`` state
+matrix rather than one interpreted walk per point, bit-identically
+(roughly an order of
 magnitude faster at Figure-8/15 grid sizes; see
 ``benchmarks/test_bench_sweeps.py``). CQLA ladders run per point, each
 point replaying the same memoized cache schedule; a point whose supply
@@ -29,9 +31,7 @@ book ports.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence
 
 from repro.arch.architectures import ArchitectureKind, CqlaConfig
 from repro.arch.simulator import SimulationResult
@@ -66,22 +66,14 @@ def throughput_sweep(
         compiled: Optional prebuilt compiled circuit to reuse; compiled
             once for the whole sweep when omitted.
     """
-    avg = analysis.zero_bandwidth_per_ms
-    if throughputs_per_ms is None:
-        throughputs_per_ms = np.geomspace(avg / 16.0, avg * 16.0, 17)
-    rates = [float(rate) for rate in throughputs_per_ms]
-    pi8_ratio = (
-        analysis.pi8_bandwidth_per_ms / avg if avg > 0 else 0.0
-    )
     from repro.explore.evaluator import Evaluator
+    from repro.explore.space import throughput_space
 
-    evaluator = Evaluator(analysis=analysis, compiled=compiled)
-    evaluations = evaluator.evaluate(
-        [{"zero_rate": rate, "pi8_ratio": pi8_ratio} for rate in rates]
-    )
+    points = throughput_space(analysis, throughputs_per_ms).grid_points()
+    evaluations = Evaluator(analysis=analysis, compiled=compiled).evaluate(points)
     return [
-        SweepPoint(rate, evaluation.result.makespan_us, evaluation.result)
-        for rate, evaluation in zip(rates, evaluations)
+        SweepPoint(point["zero_rate"], evaluation.result.makespan_us, evaluation.result)
+        for point, evaluation in zip(points, evaluations)
     ]
 
 
@@ -120,25 +112,20 @@ def area_sweep(
         compiled: Optional prebuilt compiled circuit to reuse; compiled
             once for the whole sweep when omitted.
     """
-    from repro.arch.provisioning import area_breakdown
     from repro.explore.evaluator import Evaluator
+    from repro.explore.space import architecture_space
 
-    if areas is None:
-        matched = area_breakdown(analysis).factory_area
-        areas = np.geomspace(matched / 8.0, matched * 512.0, 14)
-    areas = [float(area) for area in areas]
-    kinds = tuple(kinds)
-    flat: List[Tuple[ArchitectureKind, float]] = [
-        (kind, area) for kind in kinds for area in areas
-    ]
+    points = architecture_space(analysis, areas, kinds).grid_points()
     evaluator = Evaluator(analysis=analysis, compiled=compiled, cqla=cqla)
-    evaluations = evaluator.evaluate(
-        [{"arch": kind.value, "factory_area": area} for kind, area in flat]
-    )
+    evaluations = evaluator.evaluate(points)
     curves: Dict[ArchitectureKind, List[SweepPoint]] = {kind: [] for kind in kinds}
-    for (kind, area), evaluation in zip(flat, evaluations):
-        curves[kind].append(
-            SweepPoint(area, evaluation.result.makespan_us, evaluation.result)
+    for point, evaluation in zip(points, evaluations):
+        curves[ArchitectureKind(point["arch"])].append(
+            SweepPoint(
+                point["factory_area"],
+                evaluation.result.makespan_us,
+                evaluation.result,
+            )
         )
     return curves
 

@@ -2,8 +2,9 @@
 
 This package provides the gate-level IR used throughout the library: a
 :class:`~repro.circuits.gate.Gate` record, a :class:`~repro.circuits.circuit.Circuit`
-container, and dataflow analyses (dependency DAG, ASAP schedule, critical
-path) in :mod:`repro.circuits.dag`.
+container, and its compiled array form (:mod:`repro.circuits.compiled`),
+which carries the dependency and critical-path analyses every engine
+reads.
 
 Circuits are used at two levels:
 
@@ -19,13 +20,10 @@ from repro.util.lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".circuit": ("Circuit", "CircuitError"),
     ".compiled": ("CompiledCircuit", "compile_circuit"),
-    ".dag": ("CircuitDag", "ScheduleEntry", "asap_schedule", "critical_path"),
     ".gate": (
         "CLIFFORD_GATES", "GATE_ARITY", "NON_TRANSVERSAL_GATES",
-        "PI8_CONSUMING_GATES", "TRANSVERSAL_GATES", "TWO_QUBIT_GATES", "Gate",
+        "PI8_CONSUMING_GATES", "TRANSVERSAL_GATES", "Gate",
         "GateKind", "GateType",
     ),
-    ".latency": (
-        "LatencyModel", "LogicalLatencyModel", "PhysicalLatencyModel",
-    ),
+    ".latency": ("LogicalLatencyModel",),
 })

@@ -176,9 +176,6 @@ class Circuit:
     def prep_0(self, q: int, **kw) -> "Circuit":
         return self._add(GateType.PREP_0, q, **kw)
 
-    def prep_plus(self, q: int, **kw) -> "Circuit":
-        return self._add(GateType.PREP_PLUS, q, **kw)
-
     def x(self, q: int, **kw) -> "Circuit":
         return self._add(GateType.X, q, **kw)
 

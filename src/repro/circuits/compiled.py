@@ -209,7 +209,7 @@ def _compile_body(circuit: Circuit, tech: TechnologyParams) -> CompiledCircuit:
 class CompiledDataflow:
     """Dependency structure of a compiled circuit, in flat array form.
 
-    The dependency rule matches :class:`repro.circuits.dag.CircuitDag`
+    The dependency rule matches :class:`repro.testing.dag.CircuitDag`
     exactly: two gates touching the same qubit are ordered, and a
     conditioned gate depends on the measurement writing its condition
     bit. Per-gate predecessor lists are stored as a CSR pair

@@ -123,8 +123,6 @@ CLIFFORD_GATES = frozenset(
     }
 )
 
-TWO_QUBIT_GATES = frozenset(t for t, n in GATE_ARITY.items() if n == 2)
-
 _ROTATION_GATES = (GateType.RZ, GateType.CRZ)
 _MEASUREMENT_GATES = (GateType.MEASURE_Z, GateType.MEASURE_X)
 
@@ -202,10 +200,6 @@ class Gate:
     @property
     def is_non_transversal(self) -> bool:
         return self.gate_type in NON_TRANSVERSAL_GATES
-
-    @property
-    def is_clifford(self) -> bool:
-        return self.gate_type in CLIFFORD_GATES
 
     def describe(self) -> str:
         """Human-readable one-line description."""

@@ -1,9 +1,5 @@
-"""Latency models mapping gates to durations in microseconds.
+"""The latency model mapping encoded gates to durations in microseconds.
 
-Two levels exist, matching the paper:
-
-* :class:`PhysicalLatencyModel` prices physical gates straight from
-  :class:`repro.tech.TechnologyParams` (Table 1).
 * :class:`LogicalLatencyModel` prices *encoded* gates: a transversal gate
   costs one physical gate of the same kind (all seven physical gates fire in
   parallel), while non-transversal gates cost the data-side interaction
@@ -15,35 +11,9 @@ Two levels exist, matching the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 from repro.circuits.gate import Gate, GateKind
 from repro.tech import TechnologyParams
-
-
-class LatencyModel(Protocol):
-    """Anything that can price a gate in microseconds."""
-
-    def gate_latency(self, gate: Gate) -> float:
-        """Latency of executing ``gate``, in microseconds."""
-        ...
-
-
-@dataclass(frozen=True)
-class PhysicalLatencyModel:
-    """Prices physical gates from technology parameters (Table 1)."""
-
-    tech: TechnologyParams
-
-    def gate_latency(self, gate: Gate) -> float:
-        kind = gate.kind
-        if kind is GateKind.PREP:
-            return self.tech.t_prep
-        if kind is GateKind.MEASURE:
-            return self.tech.t_meas
-        if kind is GateKind.TWO_QUBIT:
-            return self.tech.t_2q
-        return self.tech.t_1q
 
 
 @dataclass(frozen=True)

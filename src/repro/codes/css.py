@@ -9,7 +9,7 @@ numpy uint8 arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -166,11 +166,6 @@ class CssCode:
         """X correction for a measured Z-stabilizer syndrome."""
         key = tuple(int(b) % 2 for b in syndrome)
         return self._x_syndrome_table.get(key, np.zeros(self.n, dtype=np.uint8)).copy()
-
-    def correction_from_z_syndrome(self, syndrome: np.ndarray) -> np.ndarray:
-        """Z correction for a measured X-stabilizer syndrome."""
-        key = tuple(int(b) % 2 for b in syndrome)
-        return self._z_syndrome_table.get(key, np.zeros(self.n, dtype=np.uint8)).copy()
 
     # ------------------------------------------------------------------
     # Logical-error grading

@@ -12,20 +12,13 @@ exactly: an X passing through T picks up an S component. Following standard
 Pauli-frame practice we propagate the Pauli part and ignore the Clifford
 remainder; the circuits this library grades by Monte Carlo (the Figure 4
 zero-prep strategies) are Clifford-only, so the approximation never affects
-a reported number. Attempting to propagate through a T is allowed but
-flagged via :data:`NON_CLIFFORD_APPROXIMATED`.
+a reported number.
 """
 
 from __future__ import annotations
 
 from repro.circuits.gate import Gate, GateType
 from repro.error.pauli import PauliFrame
-
-#: Gate types whose Pauli propagation is approximate (Pauli part only).
-NON_CLIFFORD_APPROXIMATED = frozenset(
-    {GateType.T, GateType.T_DAG, GateType.RZ, GateType.CRZ, GateType.CS}
-)
-
 
 def _propagate_h(frame: PauliFrame, q: int) -> None:
     # H swaps X and Z.

@@ -43,12 +43,11 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "pareto_front",
     ),
     ".errors": (
-        "EvaluationFailed", "LeaseHeld", "PoisonPoint", "ServeDegradedWarning",
-        "ServeRecoveredWarning", "StoreDegradedWarning",
+        "LeaseHeld", "ServeDegradedWarning", "ServeRecoveredWarning",
+        "StoreDegradedWarning",
     ),
     ".evaluator": (
-        "Evaluation", "Evaluator", "KernelSummary", "evaluate_design_point",
-        "evaluate_design_points",
+        "Evaluation", "Evaluator", "KernelSummary", "evaluate_design_points",
     ),
     ".objectives": (
         "AdcrObjective", "AncillaQualityObjective", "AreaObjective",
@@ -62,6 +61,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".store": ("FsckReport", "ResultStore", "key_digest"),
     ".strategies": (
         "AdaptiveStrategy", "GridStrategy", "RandomStrategy", "Strategy",
-        "get_strategy", "strategy_names",
+        "get_strategy",
     ),
 })

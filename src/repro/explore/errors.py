@@ -2,15 +2,12 @@
 
 Exploration is a long-running workload, often sharing one store with
 other processes; the failure modes it must survive are first-class
-types here rather than bare ``RuntimeError`` strings:
+types here rather than bare ``RuntimeError`` strings.
 
-* :class:`EvaluationFailed` — a design point could not be evaluated
-  (the root of the taxonomy; carries the canonical point);
-* :class:`PoisonPoint` — one design point failed repeatedly after
-  its batch was split point by point; the evaluator quarantines it and
-  returns a structured failed ``Evaluation`` instead of raising;
-* :class:`LeaseHeld` — a cooperative claim on a store key is held by
-  another live evaluator (see :meth:`ResultStore.hold`).
+:class:`LeaseHeld` is raised when a cooperative claim on a store key is
+held by another live evaluator (see :meth:`ResultStore.hold`). A design
+point that keeps failing is not raised at all: the evaluator quarantines
+it and returns a structured failed ``Evaluation``.
 
 :class:`StoreDegradedWarning` is the warning category emitted when the
 result store cannot persist an evaluation (``ENOSPC``, read-only cache
@@ -27,23 +24,7 @@ to the fleet.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-
-class EvaluationFailed(Exception):
-    """A design point could not be evaluated.
-
-    Attributes:
-        point: The canonical design point, when known.
-    """
-
-    def __init__(self, message: str, point: Optional[Dict] = None) -> None:
-        super().__init__(message)
-        self.point = dict(point) if point is not None else None
-
-
-class PoisonPoint(EvaluationFailed):
-    """A point that keeps failing after retries; quarantined."""
+from typing import Optional
 
 
 class LeaseHeld(Exception):

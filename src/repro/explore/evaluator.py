@@ -15,8 +15,9 @@ the compiled dataflow engine. It
   movement discipline, and CQLA configuration — every steady-supply
   point, and every QLA/CQLA/Multiplexed architecture point of one
   configuration — go in one call, which picks per group, from its
-  shape alone, between one numpy pass over a ``(points, qubits)`` state
-  matrix and N serial :meth:`DataflowSimulator.run` walks,
+  shape alone, between one numpy pass over a gate-major
+  ``(num_qubits + 1, points)`` state matrix and N serial
+  :meth:`~repro.arch.simulator.DataflowSimulator.run` walks,
   bit-identically either way;
 * **isolates failures in-process**: a batch that raises is re-run point
   by point, each failing point is retried ``retries`` times with
@@ -49,7 +50,6 @@ Two construction modes:
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -60,7 +60,7 @@ from repro.arch.architectures import (
     MultiplexedConfig,
     QlaConfig,
 )
-from repro.arch.simulator import DataflowSimulator, SimulationResult
+from repro.arch.simulator import SimulationResult
 from repro.arch.supply import PI8, ZERO, SteadyRateSupply
 from repro.circuits.compiled import CompiledCircuit, compile_circuit
 from repro.explore.store import ResultStore, StoreKey, canonical_json, text_digest
@@ -147,10 +147,6 @@ class Evaluation:
     @property
     def point_dict(self) -> Dict[str, object]:
         return dict(self.point)
-
-    @property
-    def makespan_ms(self) -> float:
-        return math.inf if self.result is None else self.result.makespan_ms
 
 
 def tech_fingerprint(tech: TechnologyParams) -> Dict[str, object]:
@@ -305,23 +301,6 @@ def _lower_point(summary: KernelSummary, point: Dict[str, object]) -> _LoweredPo
     )
 
 
-def _run_lowered(
-    summary: KernelSummary,
-    lowered: _LoweredPoint,
-    compiled: Optional[CompiledCircuit],
-) -> SimulationResult:
-    """One serial simulator run of an already-lowered point."""
-    return DataflowSimulator(
-        summary.circuit,
-        summary.tech,
-        supply=lowered.supply,
-        movement_penalty_us=lowered.move_1q,
-        two_qubit_movement_penalty_us=lowered.move_2q,
-        cqla=lowered.cqla,
-        compiled=compiled,
-    ).run()
-
-
 def _evaluation(
     summary: KernelSummary,
     point: Dict[str, object],
@@ -336,17 +315,6 @@ def _evaluation(
         data_area=data_area,
         total_area=lowered.factory_area + data_area,
     )
-
-
-def evaluate_design_point(
-    summary: KernelSummary,
-    point: Dict[str, object],
-    compiled: Optional[CompiledCircuit],
-) -> Evaluation:
-    """Run one *canonical* design point through the dataflow simulator."""
-    lowered = _lower_point(summary, point)
-    result = _run_lowered(summary, lowered, compiled)
-    return _evaluation(summary, point, lowered, result)
 
 
 def _simulate_groups(

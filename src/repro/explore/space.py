@@ -226,10 +226,15 @@ class DesignSpace:
         return {dim.name: dim.sample(rng) for dim in self.dimensions}
 
     def neighbor(self, point: Dict, rng: random.Random, scale: float) -> Dict:
-        """A local perturbation of ``point`` (categoricals held fixed)."""
+        """A local perturbation of ``point`` (categoricals held fixed).
+
+        A dimension ``point`` lacks stays absent: a canonical point drops
+        the axes at their default (a level-1 point has no ``code_level``).
+        """
         return {
             dim.name: dim.neighbor(point[dim.name], rng, scale)
             for dim in self.dimensions
+            if dim.name in point
         }
 
 

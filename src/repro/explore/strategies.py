@@ -164,10 +164,6 @@ _STRATEGIES = {
 }
 
 
-def strategy_names():
-    return sorted(_STRATEGIES)
-
-
 def get_strategy(name: str, space: DesignSpace, seed: int = 0) -> Strategy:
     """Strategy by CLI name."""
     if name == "grid":
@@ -176,6 +172,6 @@ def get_strategy(name: str, space: DesignSpace, seed: int = 0) -> Strategy:
         cls = _STRATEGIES[name]
     except KeyError:
         raise ValueError(
-            f"unknown strategy {name!r}; choose from {strategy_names()}"
+            f"unknown strategy {name!r}; choose from {sorted(_STRATEGIES)}"
         ) from None
     return cls(space, seed=seed)

@@ -16,16 +16,9 @@ macroblocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.factory.units import CAT_QUBITS, ENCODED_QUBITS
-from repro.layout.grid import Grid
-from repro.layout.macroblock import (
-    Direction,
-    four_way,
-    straight_channel_gate,
-    three_way,
-)
 from repro.layout.schedules import SIMPLE_FACTORY_SCHEDULE, OpSchedule
 from repro.tech import ION_TRAP, TechnologyParams
 
@@ -35,32 +28,10 @@ ROW_WIDTH = ENCODED_QUBITS + CAT_QUBITS
 #: Three gate rows, each sandwiched by communication rows (Figure 11).
 GATE_ROWS = 3
 
-
-def simple_factory_grid() -> Grid:
-    """The Figure 11 floorplan: alternating gate and channel rows.
-
-    Nine rows of ten macroblocks (seven encoding plus three cat qubits),
-    totalling the paper's 90 macroblocks: channel rows above, between and
-    below the three gate rows. Channel rows are built from intersections
-    so qubits can enter or leave any column; gate rows are vertical
-    straight-channel gate blocks so qubits can cross between the adjacent
-    channels.
-    """
-    grid = Grid(name="simple_factory")
-    total_rows = 2 * GATE_ROWS + 3  # channel, gate, channel, gate, ...
-    gate_row_indices = {1, 4, 7}
-    for row in range(total_rows):
-        for col in range(ROW_WIDTH):
-            if row in gate_row_indices:
-                grid.place((row, col), straight_channel_gate("ns"))
-            else:
-                if col == 0:
-                    grid.place((row, col), three_way(Direction.WEST))
-                elif col == ROW_WIDTH - 1:
-                    grid.place((row, col), three_way(Direction.EAST))
-                else:
-                    grid.place((row, col), four_way())
-    return grid
+#: Macroblock rows of the Figure 11 floorplan: a channel row above and
+#: below every gate row. :func:`repro.testing.floorplan.simple_factory_grid`
+#: builds the floorplan block by block and checks this count.
+FLOORPLAN_ROWS = 3 * GATE_ROWS
 
 
 @dataclass(frozen=True)
@@ -71,12 +42,10 @@ class SimpleZeroFactory:
         tech: Technology parameters used for latency evaluation.
         schedule: Critical-path operation counts (the paper's hand-optimized
             schedule by default).
-        grid: The Figure 11 floorplan (area 90).
     """
 
     tech: TechnologyParams = ION_TRAP
     schedule: OpSchedule = SIMPLE_FACTORY_SCHEDULE
-    grid: Grid = field(default_factory=simple_factory_grid, compare=False)
 
     @property
     def latency_us(self) -> float:
@@ -95,7 +64,7 @@ class SimpleZeroFactory:
     @property
     def area(self) -> int:
         """Area in macroblocks (90 for the paper's [[7,1,3]] layout)."""
-        return self.grid.area
+        return FLOORPLAN_ROWS * ROW_WIDTH
 
     @property
     def bandwidth_per_area(self) -> float:

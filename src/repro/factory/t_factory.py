@@ -15,7 +15,6 @@ supply from zero factories (accounted in Table 9's last column).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Dict, List
 
 from repro.factory.pipelined import StageProvision

@@ -11,8 +11,6 @@ The paper's three benchmarks, all parameterized by bit width here:
 
 Supporting machinery:
 
-* :mod:`repro.kernels.classical` — bit-vector evaluation of reversible
-  circuits, used to property-test adder correctness;
 * :mod:`repro.kernels.decompose` — lowering to the [[7,1,3]] encoded gate
   set (transversal gates plus T);
 * :mod:`repro.kernels.analysis` — critical-path and ancilla-bandwidth
@@ -23,7 +21,6 @@ from repro.util.lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".analysis": ("KernelAnalysis", "analyze_kernel", "standard_kernels"),
-    ".classical": ("evaluate_reversible",),
     ".decompose": ("decompose_to_encoded_gates",),
     ".qcla": ("qcla_circuit",),
     ".qft": ("qft_circuit",),

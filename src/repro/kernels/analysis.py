@@ -23,12 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.circuits import Circuit
-from repro.circuits.gate import PI8_CONSUMING_GATES, Gate, GateType
+from repro.circuits.gate import PI8_CONSUMING_GATES
 from repro.circuits.latency import LogicalLatencyModel
 from repro.factory.simple import SimpleZeroFactory
 from repro.factory.t_factory import Pi8Factory
@@ -42,21 +42,6 @@ from repro.tech import ION_TRAP, TechnologyParams
 ZEROS_PER_QEC = 2
 
 _PI8_TYPES = PI8_CONSUMING_GATES
-
-
-@dataclass(frozen=True)
-class QecAwareLatency:
-    """Gate latency including the data-side QEC interaction that follows.
-
-    Used to compute the speed-of-data makespan (Table 2 columns 2+3): the
-    qubit is busy for the gate plus its QEC step before the next gate can
-    touch it.
-    """
-
-    logical: LogicalLatencyModel
-
-    def gate_latency(self, gate: Gate) -> float:
-        return self.logical.gate_latency(gate) + self.logical.qec_interaction_latency()
 
 
 @dataclass
@@ -102,7 +87,7 @@ class KernelAnalysis:
         every gate of a level has all predecessors in earlier levels, so
         one ``np.maximum.reduceat`` segment-max per level yields the
         start times of the whole level at once. Matches
-        :func:`repro.circuits.dag.asap_schedule` bit for bit (same max /
+        :func:`repro.testing.dag.asap_schedule` bit for bit (same max /
         add ordering), which the test suite asserts on all kernels.
         """
         if self._asap_times is not None:

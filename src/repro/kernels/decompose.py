@@ -23,7 +23,7 @@ from typing import Optional
 
 from repro.ancilla.rotations import RotationSynthesizer, default_synthesizer
 from repro.circuits import Circuit
-from repro.circuits.gate import Gate, GateType
+from repro.circuits.gate import GateType
 
 #: Gate types legal in the lowered circuit.
 ENCODED_GATE_SET = frozenset(

@@ -18,7 +18,6 @@ For n=32 this uses 123 qubits — matching the paper's Table 9 data area of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
@@ -65,9 +64,6 @@ class QclaRegisters:
             return self.b[i]
         return self._p_tree[(t, i)]
 
-    def has_p(self, t: int, i: int) -> bool:
-        return t == 0 or (t, i) in self._p_tree
-
     @property
     def tree_ancillae(self) -> int:
         return len(self._p_tree)
@@ -75,11 +71,6 @@ class QclaRegisters:
     @property
     def num_qubits(self) -> int:
         return 3 * self.width + 1 + self.tree_ancillae
-
-    @property
-    def data_ancillae(self) -> int:
-        """Long-lived ancillae beyond the two inputs: sum + tree."""
-        return self.width + 1 + self.tree_ancillae
 
 
 def _p_rounds(circ: Circuit, regs: QclaRegisters, inverse: bool = False) -> None:

@@ -48,13 +48,3 @@ def qft_circuit(
         for i in range(width // 2):
             circ.swap(i, width - 1 - i)
     return circ
-
-
-def qft_rotation_count(width: int, max_rotation_k: Optional[int] = None) -> int:
-    """Number of controlled rotations in the QFT (n(n-1)/2 untruncated)."""
-    if max_rotation_k is None:
-        return width * (width - 1) // 2
-    total = 0
-    for i in range(width):
-        total += min(width - 1 - i, max_rotation_k - 1)
-    return total

@@ -40,7 +40,6 @@ from __future__ import annotations
 import datetime
 import email.utils
 import http.client
-import json
 import socket
 import time
 import urllib.parse
@@ -327,9 +326,8 @@ class RemoteEvaluator:
     """Evaluator-compatible facade: remote first, local fallback.
 
     Drop-in for :func:`repro.explore.engine.explore` — it exposes the
-    same ``evaluate`` / ``canonicalize`` / ``canonical_key`` / ``stats``
-    surface and the ``simulations_run`` / ``cache_hits`` counters the
-    engine reads. Canonicalization is always local (it is pure), so
+    ``evaluate`` / ``canonical_key`` / ``stats`` surface and the
+    ``simulations_run`` / ``cache_hits`` counters the engine reads. Canonicalization is always local (it is pure), so
     dedupe and journal keys never depend on the server being up.
 
     The degrade ladder depends on the transport. With a plain
@@ -394,9 +392,6 @@ class RemoteEvaluator:
     @property
     def cache_hits(self) -> int:
         return self._remote_stats.get("cache_hits", 0) + self._local.cache_hits
-
-    def canonicalize(self, point: Dict[str, object]) -> Dict[str, object]:
-        return self._local.canonicalize(point)
 
     def canonical_key(self, point: Dict[str, object]) -> str:
         return self._local.canonical_key(point)
@@ -478,6 +473,3 @@ class RemoteEvaluator:
             ServeRecoveredWarning,
             stacklevel=3,
         )
-
-    def release_leases(self) -> int:
-        return self._local.release_leases()

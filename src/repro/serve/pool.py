@@ -1,8 +1,6 @@
 """Replica-set serving: client-side failover across an exploration fleet.
 
-PR 8 made one exploration server survivable; this module makes a *fleet*
-of them survivable. A :class:`ReplicaSet` takes an ordered list of
-server URLs and routes every ``/evaluate`` through three layers of
+A :class:`ReplicaSet` takes an ordered list of server URLs and routes every ``/evaluate`` through three layers of
 defense, so a request only fails when the whole fleet does:
 
 * **Per-replica circuit breakers** (:class:`CircuitBreaker`). Each

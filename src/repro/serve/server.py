@@ -54,7 +54,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.explore.evaluator import Evaluation, Evaluator
-from repro.explore.store import DEFAULT_LEASE_TTL, ResultStore
+from repro.explore.store import ResultStore
 from repro.obs import metrics as _metrics
 from repro.obs.metrics import REQUEST_SECONDS_EDGES
 from repro.obs.trace import span as _span

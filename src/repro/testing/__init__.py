@@ -8,7 +8,11 @@ unless a fault plan is armed.
 
 :mod:`repro.testing.reference` holds the per-gate reference dataflow
 loop (:func:`~repro.testing.reference.run_reference`), the oracle the
-production engines are checked against. Nothing is imported here
+production engines are checked against. The other modules are oracles
+too: :mod:`~repro.testing.dag` (gate-by-gate dependency and critical
+path analysis), :mod:`~repro.testing.classical` (bit-vector evaluation
+of the reversible adders) and :mod:`~repro.testing.protocols` (the
+stand-alone cat and pi/8 Monte Carlo drivers). Nothing is imported here
 until first use, so loading the fault hooks never pulls in the simulator.
 """
 

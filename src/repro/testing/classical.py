@@ -5,6 +5,7 @@ on computational-basis states), so their functional correctness — QRCA and
 QCLA actually computing a + b — is checked by propagating basis states
 through the gate list. Gates outside the reversible set raise, which also
 guards against accidentally grading a non-classical kernel this way.
+No command needs it: it is the adder kernels' test oracle.
 """
 
 from __future__ import annotations

@@ -1,6 +1,8 @@
 """Dataflow analysis over circuits: dependency DAG, schedules, critical path.
 
-Dependencies follow qubit lines (two gates touching the same qubit are
+The gate-by-gate oracle for :func:`repro.circuits.compiled.dataflow_metadata`
+and the compiled critical-path analysis, which compute the same
+dependencies and schedules as arrays. Dependencies follow qubit lines (two gates touching the same qubit are
 ordered) and classical bits (a conditioned gate depends on the measurement
 producing its condition bit).
 """
@@ -8,11 +10,51 @@ producing its condition bit).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Protocol, Sequence, Tuple
 
 from repro.circuits.circuit import Circuit
-from repro.circuits.gate import Gate
-from repro.circuits.latency import LatencyModel
+from repro.circuits.gate import Gate, GateKind
+from repro.circuits.latency import LogicalLatencyModel
+from repro.tech import TechnologyParams
+
+
+class LatencyModel(Protocol):
+    """Anything that can price a gate in microseconds."""
+
+    def gate_latency(self, gate: Gate) -> float:
+        """Latency of executing ``gate``, in microseconds."""
+        ...
+
+
+@dataclass(frozen=True)
+class PhysicalLatencyModel:
+    """Prices physical gates from technology parameters (Table 1)."""
+
+    tech: TechnologyParams
+
+    def gate_latency(self, gate: Gate) -> float:
+        kind = gate.kind
+        if kind is GateKind.PREP:
+            return self.tech.t_prep
+        if kind is GateKind.MEASURE:
+            return self.tech.t_meas
+        if kind is GateKind.TWO_QUBIT:
+            return self.tech.t_2q
+        return self.tech.t_1q
+
+
+@dataclass(frozen=True)
+class QecAwareLatency:
+    """Gate latency including the data-side QEC interaction that follows.
+
+    The speed-of-data makespan (Table 2 columns 2+3): the qubit is busy
+    for the gate plus its QEC step before the next gate can touch it.
+    """
+
+    logical: LogicalLatencyModel
+
+    def gate_latency(self, gate: Gate) -> float:
+        return self.logical.gate_latency(gate) + self.logical.qec_interaction_latency()
 
 
 @dataclass(frozen=True)

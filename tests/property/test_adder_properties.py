@@ -2,7 +2,7 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.kernels.classical import run_adder
+from repro.testing.classical import run_adder
 from repro.kernels.qcla import qcla_circuit, qcla_registers
 from repro.kernels.qrca import qrca_circuit, qrca_registers
 

@@ -2,9 +2,14 @@
 
 from hypothesis import given, settings, strategies as st
 
-from repro.circuits import Circuit, CircuitDag, asap_schedule, critical_path
+from repro.circuits import Circuit
+from repro.testing.dag import (
+    CircuitDag,
+    PhysicalLatencyModel,
+    asap_schedule,
+    critical_path,
+)
 from repro.circuits.gate import Gate, GateType
-from repro.circuits.latency import PhysicalLatencyModel
 from repro.tech import ION_TRAP
 
 LAT = PhysicalLatencyModel(ION_TRAP)

@@ -78,9 +78,8 @@ class TestMonotonicity:
     @settings(max_examples=40)
     def test_makespan_at_least_dependency_floor(self, circ):
         """Supply constraints can only add to the pure dataflow bound."""
-        from repro.circuits import asap_schedule
+        from repro.testing.dag import QecAwareLatency, asap_schedule
         from repro.circuits.latency import LogicalLatencyModel
-        from repro.kernels.analysis import QecAwareLatency
         from repro.tech import ION_TRAP
 
         floor = max(

@@ -10,9 +10,8 @@ exact (==) equality — same floats, same chain, same profile — on the
 
 import pytest
 
-from repro.circuits import asap_schedule
-from repro.circuits.dag import CircuitDag
-from repro.kernels.analysis import QecAwareLatency, ZEROS_PER_QEC, _PI8_TYPES
+from repro.testing.dag import CircuitDag, QecAwareLatency, asap_schedule
+from repro.kernels.analysis import ZEROS_PER_QEC, _PI8_TYPES
 
 
 def _seed_schedule(ka):

@@ -41,11 +41,7 @@ from repro.arch.supply import (
     SteadyRateSupply,
 )
 from repro.circuits import Circuit
-from repro.explore.evaluator import (
-    Evaluator,
-    KernelSummary,
-    evaluate_design_point,
-)
+from repro.explore.evaluator import Evaluator
 from repro.testing.reference import evaluate_reference, run_reference
 
 KERNELS = ("qrca", "qcla", "qft")
@@ -554,22 +550,17 @@ class TestSweepGrids:
     def test_evaluator_batch_equals_per_point_evaluation(
         self, qrca8, batch_routes
     ):
-        """A mixed miss batch resolves to the same evaluations as N
-        single-point calls (the pre-batching code path)."""
+        """A mixed miss batch resolves to the same evaluations as the
+        per-gate reference loop, one point at a time."""
         points = (
             [{"zero_rate": r, "pi8_ratio": 0.3} for r in (1.0, 8.0, 64.0)]
             + [{"arch": "qla", "factory_area": a} for a in (200.0, 900.0)]
             + [{"arch": "multiplexed", "factory_area": a} for a in (200.0, 900.0)]
             + [{"arch": "cqla", "factory_area": 400.0}]
         )
-        summary = KernelSummary.from_analysis(qrca8)
+        singles = evaluate_reference(qrca8, points)
         for _ in batch_routes():
-            evaluator = Evaluator(analysis=qrca8)
-            singles = [
-                evaluate_design_point(summary, evaluator.canonicalize(p), None)
-                for p in points
-            ]
-            assert evaluator.evaluate(points) == singles
+            assert Evaluator(analysis=qrca8).evaluate(points) == singles
 
 
 def _starve_even_qubits(supply):

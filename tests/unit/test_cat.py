@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ancilla.cat import cat_prep_circuit, cat_prep_cx_count
+from repro.ancilla.cat import cat_prep_circuit
 from repro.circuits.gate import GateType
 
 
@@ -30,14 +30,6 @@ class TestCatPrep:
     def test_minimum_width(self):
         with pytest.raises(ValueError):
             cat_prep_circuit(1)
-
-    def test_cx_count_helper(self):
-        assert cat_prep_cx_count(3) == 2
-        assert cat_prep_cx_count(7) == 6
-
-    def test_cx_count_rejects_small(self):
-        with pytest.raises(ValueError):
-            cat_prep_cx_count(1)
 
     def test_cat_state_x_on_head_spreads_everywhere(self):
         """An X before the chain fans out to all cat qubits — the defining

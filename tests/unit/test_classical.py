@@ -1,9 +1,9 @@
-"""Unit tests for repro.kernels.classical."""
+"""Unit tests for repro.testing.classical."""
 
 import pytest
 
 from repro.circuits import Circuit
-from repro.kernels.classical import (
+from repro.testing.classical import (
     evaluate_reversible,
     pack_bits,
     run_adder,

@@ -38,6 +38,22 @@ class TestCodeLevelDimension:
         with pytest.raises(ValueError):
             architecture_space(qrca8, code_levels=(0, 1))
 
+    def test_neighbor_of_a_level1_canonical_point(self, qrca8):
+        """A canonical level-1 point carries no ``code_level``; the
+        adaptive strategy perturbs it without one rather than failing."""
+        import random
+
+        from repro.explore.evaluator import Evaluator
+
+        space = architecture_space(qrca8, code_levels=(1, 2))
+        canonical = Evaluator(kernel="qrca", width=8).canonicalize(
+            {"arch": "qla", "factory_area": 500.0, "code_level": 1}
+        )
+        assert "code_level" not in canonical
+        moved = space.neighbor(canonical, random.Random(0), 0.2)
+        assert "code_level" not in moved
+        assert moved["arch"] == "qla"
+
     def test_fractional_code_level_rejected_not_truncated(self):
         from repro.explore.evaluator import Evaluator
 

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.circuits import Circuit, CircuitDag, compile_circuit
+from repro.circuits import Circuit, compile_circuit
+from repro.testing.dag import CircuitDag
 from repro.circuits import compiled as compiled_mod
 from repro.circuits.compiled import (
     GATE_CODES,

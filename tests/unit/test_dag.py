@@ -1,10 +1,16 @@
-"""Unit tests for repro.circuits.dag: dependency analysis and scheduling."""
+"""Unit tests for repro.testing.dag: dependency analysis and scheduling."""
 
 import pytest
 
-from repro.circuits import Circuit, CircuitDag, asap_schedule, critical_path
-from repro.circuits.dag import critical_path_gates, schedule_makespan
-from repro.circuits.latency import PhysicalLatencyModel
+from repro.circuits import Circuit
+from repro.testing.dag import (
+    CircuitDag,
+    PhysicalLatencyModel,
+    asap_schedule,
+    critical_path,
+    critical_path_gates,
+    schedule_makespan,
+)
 from repro.tech import ION_TRAP
 
 LAT = PhysicalLatencyModel(ION_TRAP)

@@ -22,7 +22,6 @@ from repro.explore.evaluator import (
     Evaluator,
     KernelSummary,
     _lower_point,
-    evaluate_design_point,
     evaluate_design_points,
 )
 from repro.testing.reference import evaluate_reference
@@ -57,7 +56,7 @@ class TestCqlaBatching:
         summary = KernelSummary.from_analysis(qrca8)
         canonical = [dict(p) for p in POINTS]
         batch = evaluate_design_points(summary, canonical, None)
-        serial = [evaluate_design_point(summary, dict(p), None) for p in POINTS]
+        serial = evaluate_reference(qrca8, POINTS)
         assert [e.result for e in batch] == [e.result for e in serial]
         assert [e.point for e in batch] == [e.point for e in serial]
         # Every point entered the batched engine: the two QLA points
@@ -87,7 +86,7 @@ class TestSingletonBatches:
         monkeypatch.setattr(batched_module, "_run_levels", boom)
         summary = KernelSummary.from_analysis(qrca8)
         for point in POINTS:
-            single = evaluate_design_point(summary, dict(point), None)
+            single = evaluate_reference(qrca8, [point])[0]
             assert evaluate_design_points(summary, [dict(point)], None) == [
                 single
             ]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.factory import Pi8Factory, PipelinedZeroFactory, SimpleZeroFactory
-from repro.factory.simple import simple_factory_grid
+from repro.testing.floorplan import simple_factory_grid
 from repro.tech import ION_TRAP
 
 
@@ -21,6 +21,9 @@ class TestSimpleFactory:
 
     def test_grid_connected(self):
         simple_factory_grid().validate_connected()
+
+    def test_grid_area_is_the_priced_area(self):
+        assert simple_factory_grid().area == self.factory.area
 
     def test_grid_has_30_gate_locations(self):
         # Three rows of ten (seven encode + three verify qubits each).

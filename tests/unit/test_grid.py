@@ -1,10 +1,11 @@
-"""Unit tests for repro.layout.grid."""
+"""Unit tests for the Grid of repro.testing.floorplan."""
 
 import pytest
 
-from repro.layout.grid import Grid, GridError
-from repro.layout.macroblock import (
+from repro.testing.floorplan import (
     Direction,
+    Grid,
+    GridError,
     four_way,
     straight_channel,
     straight_channel_gate,

@@ -30,16 +30,16 @@ EAGER_SUBMODULES = {
         "architectures", "batched", "provisioning", "simulator", "supply",
         "sweep",
     ),
-    "repro.circuits": ("circuit", "compiled", "dag", "gate", "latency"),
-    "repro.codes": ("css", "steane", "transversal"),
+    "repro.circuits": ("circuit", "compiled", "gate", "latency"),
+    "repro.codes": ("css", "steane"),
     "repro.error": ("batched", "montecarlo", "pauli", "propagation"),
     "repro.explore": (
         "engine", "errors", "evaluator", "objectives", "space", "store",
         "strategies",
     ),
     "repro.factory": ("pipelined", "simple", "t_factory", "units"),
-    "repro.kernels": ("analysis", "classical", "decompose", "qcla", "qft", "qrca"),
-    "repro.layout": ("grid", "macroblock", "region", "schedules"),
+    "repro.kernels": ("analysis", "decompose", "qcla", "qft", "qrca"),
+    "repro.layout": ("region", "schedules"),
     "repro.obs": ("metrics", "report", "trace"),
     "repro.reporting": ("figures", "registry", "tables"),
     "repro.serve": ("client", "pool", "protocol", "server"),

@@ -1,7 +1,8 @@
 """Unit tests for repro.circuits.latency."""
 
 from repro.circuits.gate import Gate, GateType
-from repro.circuits.latency import LogicalLatencyModel, PhysicalLatencyModel
+from repro.circuits.latency import LogicalLatencyModel
+from repro.testing.dag import PhysicalLatencyModel
 from repro.tech import ION_TRAP
 
 

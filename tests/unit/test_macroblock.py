@@ -1,8 +1,8 @@
-"""Unit tests for repro.layout.macroblock."""
+"""Unit tests for the macroblocks of repro.testing.floorplan."""
 
 import pytest
 
-from repro.layout.macroblock import (
+from repro.testing.floorplan import (
     Direction,
     Macroblock,
     MacroblockType,

@@ -13,9 +13,9 @@ re-records them.
 
 import pytest
 
-from repro.ancilla.cat import evaluate_cat_prep_batched
 from repro.ancilla.evaluation import PrepStrategy, evaluate_strategy
 from repro.ancilla.t_ancilla import evaluate_pi8_ancilla_batched
+from repro.testing.protocols import evaluate_cat_prep_batched
 from repro.tech import ION_TRAP, ErrorRates
 
 #: Ten times the paper's rates, readout included, so every stream draws.

@@ -8,11 +8,11 @@ the Wilson intervals resolve in fractions of a second.
 
 import pytest
 
-from repro.ancilla import (
+from repro.ancilla import evaluate_pi8_ancilla_batched
+from repro.testing.protocols import (
     evaluate_cat_prep,
     evaluate_cat_prep_batched,
     evaluate_pi8_ancilla,
-    evaluate_pi8_ancilla_batched,
 )
 from repro.tech import ErrorRates
 

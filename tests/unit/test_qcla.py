@@ -3,7 +3,7 @@
 import pytest
 
 from repro.circuits.gate import GateType
-from repro.kernels.classical import run_adder
+from repro.testing.classical import run_adder
 from repro.kernels.qcla import qcla_circuit, qcla_registers
 
 

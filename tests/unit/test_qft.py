@@ -3,7 +3,8 @@
 import pytest
 
 from repro.circuits.gate import GateType
-from repro.kernels.qft import qft_circuit, qft_rotation_count
+from repro.kernels.qft import qft_circuit
+from repro.testing.rotations import qft_rotation_count
 
 
 class TestStructure:

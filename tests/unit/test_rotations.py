@@ -8,14 +8,16 @@ import pytest
 from repro.ancilla.rotations import (
     PRECOMPUTED_WORDS,
     RotationSynthesizer,
-    crz_decomposition_t_count,
     default_synthesizer,
     recursive_rotation_expected_latency,
     rz_matrix,
     trace_distance,
 )
+from repro.circuits import Circuit
 from repro.circuits.gate import GateType
+from repro.kernels.decompose import decompose_to_encoded_gates
 from repro.tech import ION_TRAP
+from repro.testing.rotations import crz_decomposition_t_count, search_word
 
 _MATRICES = {
     GateType.H: np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
@@ -91,6 +93,19 @@ class TestPrecomputedWords:
         r = default_synthesizer().synthesize(4)
         assert r.gates == PRECOMPUTED_WORDS[4][0]
 
+    @pytest.mark.parametrize("k", sorted(PRECOMPUTED_WORDS))
+    def test_word_beats_a_shallow_search(self, k):
+        """No word of up to eight gates gets closer than the deep word."""
+        word, claimed = PRECOMPUTED_WORDS[k]
+        _, shallow = search_word(
+            rz_matrix(math.pi / 2 ** k), max_length=8, tolerance=claimed / 2
+        )
+        assert claimed <= shallow + 1e-4
+
+    def test_no_word_within_a_tight_tolerance(self):
+        with pytest.raises(ValueError):
+            RotationSynthesizer(tolerance=1e-4).synthesize(8)
+
 
 class TestSynthesizedRotation:
     def test_t_count_counts_both_t_types(self):
@@ -98,25 +113,25 @@ class TestSynthesizedRotation:
         manual = sum(1 for g in r.gates if g in (GateType.T, GateType.T_DAG))
         assert r.t_count == manual
 
-    def test_as_circuit_roundtrip(self):
-        r = default_synthesizer().synthesize(4)
-        circ = r.as_circuit()
-        assert len(circ) == r.length
-
     def test_tiny_rotation_is_identity_word(self):
         r = default_synthesizer().synthesize(12)
         assert r.length == 0
         assert r.error < 0.01
 
     def test_search_improves_with_tolerance_for_k3(self):
-        loose = RotationSynthesizer(max_length=6, tolerance=0.2).synthesize(3)
-        assert loose.error <= 0.2
+        word, error = search_word(
+            rz_matrix(math.pi / 8), max_length=6, tolerance=0.2
+        )
+        assert error <= 0.2
+        assert trace_distance(
+            word_matrix(word), rz_matrix(math.pi / 8)
+        ) == pytest.approx(error)
 
 
 class TestSynthesizerValidation:
     def test_bad_max_length(self):
         with pytest.raises(ValueError):
-            RotationSynthesizer(max_length=0)
+            search_word(np.eye(2), max_length=0)
 
     def test_bad_tolerance(self):
         with pytest.raises(ValueError):
@@ -158,3 +173,17 @@ class TestCrzTCount:
         synth = default_synthesizer()
         expected = 3 * synth.synthesize(4).t_count
         assert crz_decomposition_t_count(3, synth) == expected
+
+    def test_matches_the_kernel_decomposition(self):
+        """Lowering one controlled rotation spends exactly the T gates
+        the analytic count predicts. (k = 2 lowers to the exact
+        controlled-S, three T gates, and is left out.)"""
+        synth = default_synthesizer()
+        for k in (1, 3, 4, 6):
+            circ = Circuit(2)
+            circ.crz(0, 1, k)
+            lowered = decompose_to_encoded_gates(circ, synth)
+            t_gates = sum(
+                1 for g in lowered if g.gate_type in (GateType.T, GateType.T_DAG)
+            )
+            assert t_gates == crz_decomposition_t_count(k, synth)

@@ -3,7 +3,6 @@
 from repro.ancilla.t_ancilla import (
     PI8_STAGE_NAMES,
     pi8_ancilla_circuit,
-    pi8_consumption_circuit,
     pi8_stage_slices,
 )
 from repro.circuits.gate import GateType
@@ -56,14 +55,6 @@ class TestStageSlices:
 
 
 class TestConsumption:
-    def test_figure_5a_structure(self):
-        circ = pi8_consumption_circuit()
-        # Transversal CX, transversal measure, conditional correction.
-        assert circ.count(GateType.CX) == 7
-        assert circ.count(GateType.MEASURE_Z) == 7
-        conditionals = [g for g in circ if g.condition]
-        assert len(conditionals) == 7
-
     def test_data_side_cost_matches_latency_model(self):
         """The consumption circuit's data-side critical path equals the
         LogicalLatencyModel interaction price (CX + measure + correct)."""

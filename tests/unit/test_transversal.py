@@ -1,7 +1,15 @@
-"""Unit tests for repro.codes.transversal."""
+"""Unit tests for repro.testing.transversal, and the gate classification
+it is the oracle for."""
 
-from repro.circuits.gate import GATE_ARITY, Gate, GateType
-from repro.codes.transversal import (
+from repro.circuits.gate import (
+    GATE_ARITY,
+    NON_TRANSVERSAL_GATES,
+    PI8_CONSUMING_GATES,
+    TRANSVERSAL_GATES,
+    Gate,
+    GateType,
+)
+from repro.testing.transversal import (
     Implementation,
     is_directly_executable,
     pi8_ancillae_for,
@@ -49,3 +57,23 @@ class TestHelpers:
 
     def test_pi8_ancillae_for_clifford(self):
         assert pi8_ancillae_for(Gate(GateType.H, (0,))) == 0
+
+
+class TestGateClassification:
+    """The sets the engines read agree with the Section 2.1 table."""
+
+    def test_transversal_gates_have_transversal_rules(self):
+        for gate_type in TRANSVERSAL_GATES:
+            rule = transversal_rule(gate_type)
+            assert rule.implementation is Implementation.TRANSVERSAL
+
+    def test_non_transversal_gates_need_ancillae_or_decomposition(self):
+        for gate_type in NON_TRANSVERSAL_GATES:
+            rule = transversal_rule(gate_type)
+            assert rule.implementation is not Implementation.TRANSVERSAL
+
+    def test_pi8_consumers_are_the_ancilla_gates(self):
+        assert PI8_CONSUMING_GATES == {
+            gate_type for gate_type in GATE_ARITY
+            if transversal_rule(gate_type).ancillae_required
+        }
