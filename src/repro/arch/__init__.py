@@ -33,7 +33,6 @@ from repro.util.lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     ".architectures": (
         "ArchitectureKind", "CqlaConfig", "MultiplexedConfig", "QlaConfig",
-        "architecture_for_area",
     ),
     ".batched": ("simulate_batch",),
     ".provisioning": ("AreaBreakdown", "area_breakdown"),

@@ -254,12 +254,3 @@ class GqlaConfig(QlaConfig):
     def area_for(self, num_qubits: int, zero_factory_area: int = 298) -> int:
         """Total generation area implied by the per-qubit allowance."""
         return num_qubits * self.per_qubit_area(zero_factory_area)
-
-
-def architecture_for_area(kind: ArchitectureKind):
-    """Default configuration instance for an architecture kind."""
-    return {
-        ArchitectureKind.QLA: QlaConfig(),
-        ArchitectureKind.CQLA: CqlaConfig(),
-        ArchitectureKind.MULTIPLEXED: MultiplexedConfig(),
-    }[kind]

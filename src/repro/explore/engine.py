@@ -2,7 +2,8 @@
 
 :func:`explore` wires a :class:`~repro.explore.space.DesignSpace`, an
 objective, a strategy and an :class:`~repro.explore.evaluator.Evaluator`
-into one bounded search. The engine owns cross-batch deduplication (a
+into one bounded search. The engine canonicalizes each proposed point
+once (through the evaluator) and owns cross-batch deduplication (a
 strategy re-proposing a seen point costs nothing) and the evaluation
 budget (counted in *unique evaluated points*, whether they came from the
 simulator or the warm result store).
@@ -240,8 +241,11 @@ def explore(
             result metadata and sanity).
         objective: Scoring rule; lower is better.
         strategy: Proposal policy (grid / random / adaptive / custom).
-        evaluator: Point evaluator; its result store makes re-runs and
-            refinements incremental.
+        evaluator: An :class:`Evaluator` or a served
+            :class:`~repro.serve.client.RemoteEvaluator`, used through
+            ``canonicalize`` (once per proposed point; ``key`` dedupes),
+            ``evaluate`` (of those canonical points), ``stats`` and
+            ``label``. Its result store makes re-runs incremental.
         budget: Maximum unique design points to evaluate.
         journal: Optional checkpoint path (``journal.jsonl`` beside the
             result store, by convention); completed rounds are logged so
@@ -256,10 +260,9 @@ def explore(
     """
     if budget < 1:
         raise ValueError(f"budget must be >= 1, got {budget}")
-    sims_before = evaluator.simulations_run
-    hits_before = evaluator.cache_hits
+    before = evaluator.stats()
     result = ExplorationResult(
-        kernel=_kernel_label(evaluator),
+        kernel=evaluator.label,
         objective_name=objective.name,
         strategy_name=type(strategy).__name__,
     )
@@ -280,6 +283,16 @@ def explore(
     seen: set = set()
     replayed_points = 0
 
+    def unseen(points: List[Dict]) -> List[Dict]:
+        """Canonical forms of ``points`` not seen yet; marks them seen."""
+        fresh: Dict[str, Dict] = {}
+        for point in points:
+            canonical = evaluator.canonicalize(point)
+            if canonical.key not in seen:
+                fresh.setdefault(canonical.key, canonical)
+        seen.update(fresh)
+        return list(fresh.values())
+
     def run_round(points: List[Dict], checkpoint: bool) -> None:
         from repro.obs.trace import span as _span
 
@@ -297,19 +310,12 @@ def explore(
 
     try:
         for points in replayed:
-            fresh = []
-            fresh_keys: set = set()
-            for point in points:
-                key = evaluator.canonical_key(point)
-                if key in seen or key in fresh_keys:
-                    continue
-                fresh.append(point)
-                fresh_keys.add(key)
-            if not fresh or result.evaluated >= budget:
-                continue
-            seen |= fresh_keys
-            replayed_points += len(fresh)
-            run_round(fresh, checkpoint=False)
+            if result.evaluated >= budget:
+                break
+            fresh = unseen(points)
+            if fresh:
+                replayed_points += len(fresh)
+                run_round(fresh, checkpoint=False)
 
         # A resumed grid-style strategy re-proposes the replayed prefix
         # before reaching new ground; allow it that many duplicate asks.
@@ -319,33 +325,20 @@ def explore(
             asked = strategy.ask(budget - result.evaluated)
             if not asked:
                 break
-            fresh = []
-            fresh_keys = set()
-            for point in asked:
-                key = evaluator.canonical_key(point)
-                if key in seen or key in fresh_keys:
-                    continue
-                fresh.append(point)
-                fresh_keys.add(key)
+            fresh = unseen(asked)
             if not fresh:
                 stalls += 1
                 strategy.tell([])
                 continue
             stalls = 0
-            seen |= fresh_keys
             run_round(fresh, checkpoint=True)
     finally:
         if log is not None:
             log.close()
-    result.simulations_run = evaluator.simulations_run - sims_before
-    result.cache_hits = evaluator.cache_hits - hits_before
+    after = evaluator.stats()
+    result.simulations_run = after["simulations_run"] - before["simulations_run"]
+    result.cache_hits = after["cache_hits"] - before["cache_hits"]
     return result
-
-
-def _kernel_label(evaluator: Evaluator) -> str:
-    if evaluator._kernel is not None:
-        return f"{evaluator._kernel}-{evaluator._width}"
-    return evaluator._summary.name
 
 
 # ----------------------------------------------------------------------

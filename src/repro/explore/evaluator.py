@@ -6,7 +6,8 @@ the compiled dataflow engine. It
 
 * canonicalizes points (fills architecture-specific defaults, drops
   irrelevant dimensions) so equivalent configurations collapse to one
-  evaluation;
+  evaluation. The result, a :class:`CanonicalPoint`, is never
+  canonicalized again; raw dicts are always fully validated;
 * deduplicates repeated points within a batch;
 * consults a :class:`~repro.explore.store.ResultStore` so warm re-runs
   and refined searches perform zero repeat simulations;
@@ -46,6 +47,10 @@ Two construction modes:
   (``tech.at_level(L)``). Misses are grouped per (scale, level), so a
   ``code_level`` sweep still resolves through the point-batched engine
   one level at a time.
+
+Either way, :func:`~repro.explore.engine.explore` reads only
+``canonicalize``, ``evaluate``, ``stats`` and ``label``;
+:class:`repro.serve.client.RemoteEvaluator` meets the same four names.
 """
 
 from __future__ import annotations
@@ -167,17 +172,26 @@ def tech_fingerprint(tech: TechnologyParams) -> Dict[str, object]:
 # Lowering
 
 
+class CanonicalPoint(dict):
+    """A canonical design point (a plain ``dict`` to every reader) whose
+    ``key`` is its canonical JSON, encoded once by :func:`_canonicalize`:
+    the dedup key and the point's slice of the store key text. Never
+    mutate one, or ``key`` goes stale."""
+
+    __slots__ = ("key",)
+
+
 def _canonicalize(
     point: Dict[str, object],
     cqla: Optional[CqlaConfig],
     allow_recharacterize: bool,
-) -> Dict[str, object]:
+) -> CanonicalPoint:
     """Resolve defaults and drop irrelevant dimensions.
 
     Equivalent configurations (a QLA point annotated with CQLA cache
     dims, an explicit default region span, ``tech_scale == 1``,
-    ``code_level == 1``) collapse to one canonical dict, which is what
-    the dedupe pass and the result store key on.
+    ``code_level == 1``) collapse to one canonical point, which is what
+    the dedupe passes and the result store key on.
     """
     unknown = set(point) - KNOWN_DIMENSIONS
     if unknown:
@@ -185,7 +199,7 @@ def _canonicalize(
             f"unknown dimensions {sorted(unknown)}; "
             f"supported: {sorted(KNOWN_DIMENSIONS)}"
         )
-    canonical: Dict[str, object] = {}
+    canonical = CanonicalPoint()
     scale = float(point.get("tech_scale", 1.0))
     if scale != 1.0:
         if not allow_recharacterize:
@@ -221,27 +235,27 @@ def _canonicalize(
             )
         canonical["zero_rate"] = float(point["zero_rate"])
         canonical["pi8_ratio"] = float(point.get("pi8_ratio", 0.0))
-        return canonical
-
-    if "arch" not in point or "factory_area" not in point:
+    elif "arch" not in point or "factory_area" not in point:
         raise ValueError(
             f"an architecture point needs 'arch' and 'factory_area': {point}"
         )
-    kind = point["arch"]
-    kind = kind.value if isinstance(kind, ArchitectureKind) else str(kind)
-    ArchitectureKind(kind)  # validates
-    canonical["arch"] = kind
-    canonical["factory_area"] = float(point["factory_area"])
-    if kind == ArchitectureKind.CQLA.value:
-        default = cqla or CqlaConfig()
-        canonical["cqla_cache_fraction"] = float(
-            point.get("cqla_cache_fraction", default.cache_fraction)
-        )
-        canonical["cqla_ports"] = int(point.get("cqla_ports", default.ports))
-    elif kind == ArchitectureKind.MULTIPLEXED.value:
-        canonical["region_span"] = int(
-            point.get("region_span", MultiplexedConfig().region_span)
-        )
+    else:
+        kind = point["arch"]
+        kind = kind.value if isinstance(kind, ArchitectureKind) else str(kind)
+        ArchitectureKind(kind)  # validates
+        canonical["arch"] = kind
+        canonical["factory_area"] = float(point["factory_area"])
+        if kind == ArchitectureKind.CQLA.value:
+            default = cqla or CqlaConfig()
+            canonical["cqla_cache_fraction"] = float(
+                point.get("cqla_cache_fraction", default.cache_fraction)
+            )
+            canonical["cqla_ports"] = int(point.get("cqla_ports", default.ports))
+        elif kind == ArchitectureKind.MULTIPLEXED.value:
+            canonical["region_span"] = int(
+                point.get("region_span", MultiplexedConfig().region_span)
+            )
+    canonical.key = canonical_json(canonical)
     return canonical
 
 
@@ -500,14 +514,29 @@ class Evaluator:
 
     # ------------------------------------------------------------------
 
-    def canonicalize(self, point: Dict[str, object]) -> Dict[str, object]:
+    @property
+    def label(self) -> str:
+        """The kernel evaluated, as an exploration reports it."""
+        if self._kernel is not None:
+            return f"{self._kernel}-{self._width}"
+        return self._summary.name
+
+    def canonicalize(self, point: Dict[str, object]) -> CanonicalPoint:
+        """``point`` with defaults resolved and irrelevant dimensions
+        dropped; a :class:`CanonicalPoint` comes back unchanged (unless
+        it needs re-characterizing, which analysis mode refuses)."""
+        if isinstance(point, CanonicalPoint) and (
+            self._analysis is None
+            or point.keys().isdisjoint(("tech_scale", "code_level"))
+        ):
+            return point
         return _canonicalize(
             point, self._cqla, allow_recharacterize=self._analysis is None
         )
 
     def canonical_key(self, point: Dict[str, object]) -> str:
         """Stable identity string for dedupe across batches."""
-        return canonical_json(self.canonicalize(point))
+        return self.canonicalize(point).key
 
     def _serial_context(
         self, point: Dict[str, object]
@@ -564,21 +593,18 @@ class Evaluator:
             }
         return {**self._key_base, "point": canonical}
 
-    def _key_text(self, text: str) -> str:
-        """``canonical_json`` of the store key of the canonical point
-        whose canonical JSON is ``text``: the fixed key base is encoded
-        once per evaluator, so a point pays only for its own text."""
+    def _keyed(self, canonical: CanonicalPoint) -> StoreKey:
+        """The store key of ``canonical``. Its text is the fixed key base,
+        encoded once per evaluator, spliced around the point's own
+        ``key``, so a point pays only for its own digest."""
         if self._key_affixes is None:
             slot = "\x00point"  # a value no key base contains
             encoded = canonical_json(self._store_key(slot))
             prefix, suffix = encoded.split(canonical_json(slot))
             self._key_affixes = (prefix, suffix)
         prefix, suffix = self._key_affixes
-        return f"{prefix}{text}{suffix}"
-
-    def _keyed(self, canonical: Dict[str, object], text: str) -> StoreKey:
-        """The store key of ``canonical``, whose canonical JSON is ``text``."""
-        return StoreKey(self._store_key(canonical), text_digest(self._key_text(text)))
+        text = f"{prefix}{canonical.key}{suffix}"
+        return StoreKey(self._store_key(canonical), text_digest(text))
 
     # ------------------------------------------------------------------
     # Store (de)serialization
@@ -651,80 +677,70 @@ class Evaluator:
         get the failure back without touching the simulator.
         """
         with _span("evaluate.batch", points=len(points)) as sp:
-            return self._evaluate_batch(points, sp)
+            canonical = [self.canonicalize(p) for p in points]
+            unique: Dict[str, CanonicalPoint] = {}
+            for cpoint in canonical:
+                unique.setdefault(cpoint.key, cpoint)
+            self._count("dedup_hits", len(canonical) - len(unique))
 
-    def _evaluate_batch(
-        self, points: Sequence[Dict[str, object]], sp
-    ) -> List[Evaluation]:
-        canonical = [self.canonicalize(p) for p in points]
-        keys = [canonical_json(c) for c in canonical]
-        unique: Dict[str, Dict[str, object]] = {}
-        for key, cpoint in zip(keys, canonical):
-            if key not in unique:
-                unique[key] = cpoint
-        self._count("dedup_hits", len(keys) - len(unique))
-
-        resolved: Dict[str, Evaluation] = {}
-        misses: List[Tuple[str, Dict[str, object]]] = []
-        # One store key (and digest) per unique point, shared by its get,
-        # claim, heartbeats, put and release.
-        store_keys: Dict[str, StoreKey] = {}
-        hits = 0
-        for key, cpoint in unique.items():
-            if key in self._quarantine:
-                resolved[key] = Evaluation.failure(cpoint, self._quarantine[key])
-                continue
-            hit = None
-            if self.store is not None:
-                store_key = store_keys[key] = self._keyed(cpoint, key)
-                record = self.store.get(store_key)
-                if record is not None:
-                    hit = self._from_record(record, cpoint)
-            if hit is not None:
-                resolved[key] = hit
-                hits += 1
-            else:
-                misses.append((key, cpoint))
-        self._count("cache_hits", hits)
-
-        use_leases = self.store is not None
-        owned, contested = misses, []
-        if use_leases and misses:
-            owned, contested = [], []
-            for key, cpoint in misses:
-                if self.store.claim(store_keys[key]):
-                    owned.append((key, cpoint))
+            resolved: Dict[str, Evaluation] = {}
+            misses: List[CanonicalPoint] = []
+            # One store key (and digest) per unique point, shared by its
+            # get, claim, heartbeats, put and release.
+            store_keys: Dict[str, StoreKey] = {}
+            hits = 0
+            for key, cpoint in unique.items():
+                if key in self._quarantine:
+                    resolved[key] = Evaluation.failure(cpoint, self._quarantine[key])
+                    continue
+                hit = None
+                if self.store is not None:
+                    store_key = store_keys[key] = self._keyed(cpoint)
+                    record = self.store.get(store_key)
+                    if record is not None:
+                        hit = self._from_record(record, cpoint)
+                if hit is not None:
+                    resolved[key] = hit
+                    hits += 1
                 else:
-                    contested.append((key, cpoint))
+                    misses.append(cpoint)
+            self._count("cache_hits", hits)
 
-        if owned:
-            if use_leases:
-                self._active_leases = [store_keys[key] for key, _ in owned]
-                # The throttle clock starts at the claim: a batch shorter
-                # than the interval never refreshes its fresh leases.
-                self._last_heartbeat = time.monotonic()
-            try:
-                fresh = self._run_serial([cpoint for _, cpoint in owned])
-            finally:
-                self._active_leases = []
-            self._count("simulations_run", sum(1 for e in fresh if e.ok))
-            for (key, cpoint), evaluation in zip(owned, fresh):
-                resolved[key] = evaluation
-                if evaluation.ok:
-                    if self.store is not None:
-                        self.store.put(store_keys[key], self._to_record(evaluation))
-                else:
-                    self._quarantine[key] = evaluation.error
+            use_leases = self.store is not None
+            owned, contested = misses, []
+            if use_leases and misses:
+                owned, contested = [], []
+                for cpoint in misses:
+                    if self.store.claim(store_keys[cpoint.key]):
+                        owned.append(cpoint)
+                    else:
+                        contested.append(cpoint)
+
+            if owned:
                 if use_leases:
-                    self.store.release(store_keys[key])
-        for key, cpoint in contested:
-            resolved[key] = self._await_contested(key, cpoint, store_keys[key])
-        sp.set(
-            unique=len(unique),
-            misses=len(misses),
-            contested=len(contested),
-        )
-        return [resolved[key] for key in keys]
+                    self._active_leases = [store_keys[c.key] for c in owned]
+                    # The throttle clock starts at the claim: a batch
+                    # shorter than the interval never refreshes its leases.
+                    self._last_heartbeat = time.monotonic()
+                try:
+                    fresh = self._run_serial(owned)
+                finally:
+                    self._active_leases = []
+                self._count("simulations_run", sum(1 for e in fresh if e.ok))
+                for cpoint, evaluation in zip(owned, fresh):
+                    key = cpoint.key
+                    resolved[key] = evaluation
+                    if not evaluation.ok:
+                        self._quarantine[key] = evaluation.error
+                    elif self.store is not None:
+                        self.store.put(store_keys[key], self._to_record(evaluation))
+                    if use_leases:
+                        self.store.release(store_keys[key])
+            for cpoint in contested:
+                key = cpoint.key
+                resolved[key] = self._await_contested(cpoint, store_keys[key])
+            sp.set(unique=len(unique), misses=len(misses), contested=len(contested))
+            return [resolved[cpoint.key] for cpoint in canonical]
 
     # ------------------------------------------------------------------
     # Fault-tolerant execution
@@ -815,7 +831,7 @@ class Evaluator:
             return [self._evaluate_one_serial(cpoint) for cpoint in tasks]
 
     def _await_contested(
-        self, key: str, cpoint: Dict[str, object], store_key: StoreKey
+        self, cpoint: CanonicalPoint, store_key: StoreKey
     ) -> Evaluation:
         """Wait out another evaluator's lease on ``cpoint``.
 
@@ -824,35 +840,30 @@ class Evaluator:
         died — we reclaim and simulate the point ourselves.
         """
         with _span("evaluate.lease_wait"):
-            return self._await_contested_loop(key, cpoint, store_key)
-
-    def _await_contested_loop(
-        self, key: str, cpoint: Dict[str, object], store_key: StoreKey
-    ) -> Evaluation:
-        while True:
-            record = self.store.get(store_key)
-            if record is not None:
-                hit = self._from_record(record, cpoint)
-                if hit is not None:
-                    self._count("cache_hits")
-                    return hit
-            if self.store.claim(store_key):
-                try:
-                    # The owner may have landed the record between our
-                    # miss above and the claim.
-                    record = self.store.get(store_key)
-                    if record is not None:
-                        hit = self._from_record(record, cpoint)
-                        if hit is not None:
-                            self._count("cache_hits")
-                            return hit
-                    evaluation = self._evaluate_one_serial(cpoint)
-                    if evaluation.ok:
-                        self._count("simulations_run")
-                        self.store.put(store_key, self._to_record(evaluation))
-                    else:
-                        self._quarantine[key] = evaluation.error
-                    return evaluation
-                finally:
-                    self.store.release(store_key)
-            time.sleep(self._lease_poll)
+            while True:
+                record = self.store.get(store_key)
+                if record is not None:
+                    hit = self._from_record(record, cpoint)
+                    if hit is not None:
+                        self._count("cache_hits")
+                        return hit
+                if self.store.claim(store_key):
+                    try:
+                        # The owner may have landed the record between
+                        # our miss above and the claim.
+                        record = self.store.get(store_key)
+                        if record is not None:
+                            hit = self._from_record(record, cpoint)
+                            if hit is not None:
+                                self._count("cache_hits")
+                                return hit
+                        evaluation = self._evaluate_one_serial(cpoint)
+                        if evaluation.ok:
+                            self._count("simulations_run")
+                            self.store.put(store_key, self._to_record(evaluation))
+                        else:
+                            self._quarantine[cpoint.key] = evaluation.error
+                        return evaluation
+                    finally:
+                        self.store.release(store_key)
+                time.sleep(self._lease_poll)

@@ -69,18 +69,6 @@ class OpSchedule:
                 parts.append(f"{count}x{symbol}")
         return " + ".join(parts) if parts else "0"
 
-    def combined(self, other: "OpSchedule", name: str) -> "OpSchedule":
-        """Serial composition of two schedules."""
-        return OpSchedule(
-            name=name,
-            preps=self.preps + other.preps,
-            one_qubit=self.one_qubit + other.one_qubit,
-            two_qubit=self.two_qubit + other.two_qubit,
-            measurements=self.measurements + other.measurements,
-            turns=self.turns + other.turns,
-            moves=self.moves + other.moves,
-        )
-
 
 #: Section 4.3: the simple (non-pipelined) factory's hand-optimized
 #: schedule for one complete Figure 4c preparation.

@@ -8,7 +8,7 @@ regenerates the corresponding rows or series.
 from repro.util.lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    ".figures": ("ascii_plot", "series_to_csv"),
+    ".figures": ("ascii_plot",),
     ".registry": ("EXPERIMENTS", "Experiment", "run_experiment"),
     ".tables": ("format_table",),
 })

@@ -8,14 +8,6 @@ from typing import Dict, List, Sequence, Tuple
 Series = Sequence[Tuple[float, float]]
 
 
-def series_to_csv(series: Series, x_name: str = "x", y_name: str = "y") -> str:
-    """Render a series as CSV text (for downstream plotting)."""
-    lines = [f"{x_name},{y_name}"]
-    for x, y in series:
-        lines.append(f"{x:g},{y:g}")
-    return "\n".join(lines)
-
-
 def ascii_plot(
     curves: Dict[str, Series],
     width: int = 64,

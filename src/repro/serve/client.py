@@ -44,11 +44,12 @@ import socket
 import time
 import urllib.parse
 import warnings
+from collections import Counter
 from random import Random
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.explore.errors import ServeDegradedWarning, ServeRecoveredWarning
-from repro.explore.evaluator import Evaluation, Evaluator
+from repro.explore.evaluator import CanonicalPoint, Evaluation, Evaluator
 from repro.explore.store import ResultStore
 from repro.obs import metrics as _metrics
 from repro.serve import protocol
@@ -279,11 +280,16 @@ class Client:
             "POST", protocol.EVALUATE_PATH, body=body, deadline=deadline
         )
         try:
-            return protocol.decode_response(payload)
+            evaluations, stats = protocol.decode_response(payload)
         except protocol.ProtocolError as exc:
             # A complete-but-garbled body got past the transport layer;
             # surface it as unavailability rather than bad data.
             raise ServerUnavailable(f"undecodable response: {exc}") from exc
+        if len(evaluations) != len(points):  # as unusable as garbled
+            raise ServerUnavailable(
+                f"{len(evaluations)} evaluation(s) for {len(points)} point(s)"
+            )
+        return evaluations, stats
 
     def health(self) -> bool:
         try:
@@ -325,10 +331,11 @@ class Client:
 class RemoteEvaluator:
     """Evaluator-compatible facade: remote first, local fallback.
 
-    Drop-in for :func:`repro.explore.engine.explore` — it exposes the
-    ``evaluate`` / ``canonical_key`` / ``stats`` surface and the
-    ``simulations_run`` / ``cache_hits`` counters the engine reads. Canonicalization is always local (it is pure), so
-    dedupe and journal keys never depend on the server being up.
+    Drop-in for :func:`repro.explore.engine.explore` through the same
+    four names as :class:`~repro.explore.evaluator.Evaluator`.
+    ``canonicalize`` and ``label`` are the local fallback's (they are
+    pure), so dedupe and journal keys never depend on the server;
+    ``stats()`` adds the server's counter deltas to the fallback's.
 
     The degrade ladder depends on the transport. With a plain
     :class:`Client` the first :class:`ServerUnavailable` flips the
@@ -368,44 +375,32 @@ class RemoteEvaluator:
         self._kernel = kernel
         self._width = width
         self._local = Evaluator(
-            kernel=kernel,
-            width=width,
-            store=store,
-            retries=retries,
+            kernel=kernel, width=width, store=store, retries=retries
         )
-        self.store = store
         self.degraded = False
         self.remote_batches = 0
         self.fallback_batches = 0
         self.recoveries = 0
-        self._remote_stats: Dict[str, int] = {}
+        self._remote_stats: Counter = Counter()
 
     # -- Evaluator surface ---------------------------------------------
 
     @property
-    def simulations_run(self) -> int:
-        return (
-            self._remote_stats.get("simulations_run", 0)
-            + self._local.simulations_run
-        )
+    def label(self) -> str:
+        return self._local.label
 
-    @property
-    def cache_hits(self) -> int:
-        return self._remote_stats.get("cache_hits", 0) + self._local.cache_hits
-
-    def canonical_key(self, point: Dict[str, object]) -> str:
-        return self._local.canonical_key(point)
+    def canonicalize(self, point: Dict[str, object]) -> CanonicalPoint:
+        return self._local.canonicalize(point)
 
     def stats(self) -> Dict[str, int]:
         """Merged health counters (remote deltas + local fallback)."""
-        merged = dict(self._local.stats())
-        for name, value in self._remote_stats.items():
-            merged[name] = merged.get(name, 0) + value
+        merged = Counter(self._local.stats())
+        merged.update(self._remote_stats)
         merged["remote_batches"] = self.remote_batches
         merged["fallback_batches"] = self.fallback_batches
         merged["degraded"] = int(self.degraded)
         merged["recoveries"] = self.recoveries
-        return merged
+        return dict(merged)
 
     def evaluate(self, points: Sequence[Dict[str, object]]) -> List[Evaluation]:
         """Evaluate ``points`` remotely, degrading to local on outage.
@@ -426,11 +421,10 @@ class RemoteEvaluator:
                 evaluations, stats = self.client.evaluate(
                     self._kernel, self._width, points
                 )
-                for name, value in stats.items():
-                    if isinstance(value, (int, float)):
-                        self._remote_stats[name] = (
-                            self._remote_stats.get(name, 0) + int(value)
-                        )
+                self._remote_stats.update({
+                    name: int(value) for name, value in stats.items()
+                    if isinstance(value, (int, float))
+                })
                 self.remote_batches += 1
                 return evaluations
             except ServerUnavailable as exc:

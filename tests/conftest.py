@@ -5,9 +5,12 @@ Kernel characterizations are session-scoped: building and analyzing the
 few seconds each, and they are immutable once constructed.
 """
 
+import threading
+
 import pytest
 
 import repro.arch.batched as batched_module
+import repro.explore.evaluator as evaluator_module
 from repro.kernels import analyze_kernel
 
 #: simulate_batch's two routes for a lowerable group: one vectorized
@@ -38,6 +41,44 @@ def batch_routes(monkeypatch):
             yield route
 
     return routes
+
+
+class CanonicalizeCounter:
+    """``_canonicalize`` calls made by the test's own thread, and the
+    points the strategies it watches proposed."""
+
+    def __init__(self) -> None:
+        self.calls = 0
+        self.proposed = 0
+
+    def watch(self, strategy):
+        ask = strategy.ask
+
+        def counted(remaining):
+            asked = ask(remaining)
+            self.proposed += len(asked)
+            return asked
+
+        strategy.ask = counted
+        return strategy
+
+
+@pytest.fixture
+def canonicalize_counter(monkeypatch):
+    """Count ``repro.explore.evaluator._canonicalize`` calls on the
+    calling thread (an in-process server's handler threads are not
+    counted) against the points ``counter.watch(strategy)`` proposes."""
+    counter = CanonicalizeCounter()
+    real = evaluator_module._canonicalize
+    caller = threading.get_ident()
+
+    def counting(*args, **kwargs):
+        if threading.get_ident() == caller:
+            counter.calls += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(evaluator_module, "_canonicalize", counting)
+    return counter
 
 
 @pytest.fixture(scope="session")

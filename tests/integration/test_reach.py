@@ -70,10 +70,6 @@ ALLOWLIST = {
         "Section 5.2's GQLA generalization; no command builds it "
         "(tests/unit/test_cli_gqla.py)"
     ),
-    "arch/architectures.py:architecture_for_area": (
-        "default configuration per kind, read by "
-        "tests/unit/test_architectures.py"
-    ),
     "arch/provisioning.py:AreaBreakdown.ancilla_fraction": (
         "area share read by the Table 9 benchmark, examples and tests"
     ),
@@ -265,12 +261,12 @@ ALLOWLIST = {
         "contested lease: another live evaluator holds the point "
         "(tests/faults/test_leases.py)"
     ),
-    "explore/evaluator.py:Evaluator._await_contested_loop": (
-        "contested lease: another live evaluator holds the point "
-        "(tests/faults/test_leases.py)"
-    ),
     "explore/evaluator.py:Evaluator._evaluate_one_serial": (
         "failure path: per-point retry once a batch raised (tests/faults)"
+    ),
+    "explore/evaluator.py:Evaluator.canonical_key": (
+        "the dedup key perfbench's serve check and traffic_mix.py read; "
+        "explore() reads CanonicalPoint.key"
     ),
     "explore/evaluator.py:evaluate_design_points": (
         "the local reference perfbench's serve check compares served "
@@ -334,9 +330,6 @@ ALLOWLIST = {
     "kernels/qrca.py:QrcaRegisters.data_ancillae": (
         "register layout read by tests/unit/test_qrca.py"
     ),
-    "layout/schedules.py:OpSchedule.combined": (
-        "schedule arithmetic read by tests/unit/test_region_schedules.py"
-    ),
     "obs/metrics.py:Gauge.inc": (
         "metric kinds no production metric uses yet "
         "(tests/unit/test_obs.py)"
@@ -350,9 +343,6 @@ ALLOWLIST = {
     ),
     "obs/trace.py:Tracer.export_jsonl": (
         "JSON-lines trace export read by tests/unit/test_obs.py"
-    ),
-    "reporting/figures.py:series_to_csv": (
-        "CSV export read by tests/unit/test_reporting.py"
     ),
     "serve/client.py:RequestError.__init__": (
         "failure path: a server's terminal 4xx"
@@ -416,7 +406,7 @@ ALLOWLIST = {
 
 #: The most entries :data:`ALLOWLIST` may hold. Lower it when an entry
 #: goes; never raise it.
-ALLOWLIST_CAP = 104
+ALLOWLIST_CAP = 101
 
 #: CLI commands traced in process. ``{store}`` is the result-store root
 #: and ``{tmp}`` a temporary directory.

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.arch.architectures import (
-    ArchitectureKind,
     CqlaConfig,
     MultiplexedConfig,
     QlaConfig,
-    architecture_for_area,
     ballistic_hop_latency,
     factory_exchange_rates,
     split_area,
@@ -96,8 +94,3 @@ class TestConfigs:
             CqlaConfig(cache_fraction=0.0)
         with pytest.raises(ValueError):
             CqlaConfig(ports=0)
-
-    def test_architecture_for_area_covers_all_kinds(self):
-        for kind in ArchitectureKind:
-            config = architecture_for_area(kind)
-            assert config.kind is kind

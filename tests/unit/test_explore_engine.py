@@ -153,6 +153,30 @@ class TestResultStoreIntegration:
         assert warm.best_score == cold.best_score
         assert warm.best.point_dict == cold.best.point_dict
 
+    def test_warm_explore_canonicalizes_each_proposed_point_once(
+        self, tmp_path, qrca8, canonicalize_counter
+    ):
+        """``explore()`` canonicalizes a proposed point once and hands the
+        evaluator that canonical point, which it does not re-encode."""
+        space = architecture_space(qrca8)
+
+        def run():
+            return explore(
+                space, AdcrObjective(),
+                canonicalize_counter.watch(AdaptiveStrategy(space, seed=1)),
+                evaluator=Evaluator(kernel="qrca", width=8,
+                                    store=ResultStore(tmp_path)),
+                budget=24,
+            )
+
+        cold = run()
+        canonicalize_counter.calls = canonicalize_counter.proposed = 0
+        warm = run()
+        assert warm.simulations_run == 0
+        assert warm.evaluations == cold.evaluations
+        assert canonicalize_counter.proposed > warm.evaluated  # re-proposals
+        assert canonicalize_counter.calls == canonicalize_counter.proposed
+
     def test_store_key_digest_pinned(self):
         """The store key keeps its ``"engine": "compiled"`` field, so the
         digest of a fixed point is unchanged and existing stores and
@@ -166,9 +190,8 @@ class TestResultStoreIntegration:
             "e48fcbd81909220b53513d5a37e75245d865440d262d3a42620c66d492169aa4"
         )
         cpoint = evaluator.canonicalize({"arch": "cqla", "factory_area": 400.0})
-        assert evaluator._keyed(cpoint, canonical_json(cpoint)).digest == (
-            key_digest(key)
-        )
+        assert cpoint.key == canonical_json(cpoint)
+        assert evaluator._keyed(cpoint).digest == key_digest(key)
 
     @pytest.mark.parametrize(
         "mode, point",
@@ -199,10 +222,9 @@ class TestResultStoreIntegration:
         else:
             evaluator = Evaluator(kernel="qrca", width=8)
         cpoint = evaluator.canonicalize(point)
-        text = canonical_json(cpoint)
+        assert cpoint.key == canonical_json(cpoint)
         document = evaluator._store_key(cpoint)
-        assert evaluator._key_text(text) == canonical_json(document)
-        spliced = evaluator._keyed(cpoint, text)
+        spliced = evaluator._keyed(cpoint)
         assert spliced.digest == key_digest(document)
         assert spliced == StoreKey.of(document)
 

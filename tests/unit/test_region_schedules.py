@@ -43,13 +43,6 @@ class TestOpSchedule:
     def test_symbolic_empty(self):
         assert OpSchedule("x").symbolic() == "0"
 
-    def test_combined_adds_counts(self):
-        a = OpSchedule("a", two_qubit=1)
-        b = OpSchedule("b", two_qubit=2, moves=3)
-        c = a.combined(b, "c")
-        assert c.two_qubit == 3
-        assert c.moves == 3
-
     def test_scaling_with_technology(self):
         sched = OpSchedule("x", measurements=2)
         assert sched.latency(ION_TRAP.scaled(2.0)) == 200.0

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.reporting import EXPERIMENTS, ascii_plot, format_table, run_experiment
-from repro.reporting.figures import series_to_csv
 
 
 class TestFormatTable:
@@ -56,12 +55,6 @@ class TestAsciiPlot:
     def test_title_first_line(self):
         text = ascii_plot({"a": [(0, 1)]}, title="T")
         assert text.splitlines()[0] == "T"
-
-
-class TestSeriesCsv:
-    def test_format(self):
-        text = series_to_csv([(1.0, 2.0), (3.0, 4.5)], "area", "time")
-        assert text.splitlines() == ["area,time", "1,2", "3,4.5"]
 
 
 class TestRegistry:

@@ -262,9 +262,73 @@ class TestRemoteEvaluator:
             kernel="qrca", width=8, store=ResultStore(tmp_path),
         )
         evaluator.evaluate(POINTS[:2])
-        assert evaluator.simulations_run + evaluator.cache_hits == 2
-        assert evaluator.canonical_key(POINTS[0])  # local, server-free
-        assert evaluator.stats()["remote_batches"] == 1
+        stats = evaluator.stats()
+        assert stats["simulations_run"] + stats["cache_hits"] == 2
+        assert stats["remote_batches"] == 1
+        # Local and server-free:
+        assert evaluator.canonicalize(POINTS[0]).key
+        assert evaluator.label == "qrca-8"
+
+    def test_short_response_degrades_to_local(self, server, reference, tmp_path):
+        """A response one evaluation short is unavailability, not data: a
+        misaligned round must never reach the exploration."""
+        from repro.serve import ReplicaSet, protocol
+
+        class ShortAnswer(Client):
+            def _attempt(self, method, path, body, timeout):
+                count = len(json.loads(body)["points"])
+                return 200, protocol.encode_response(
+                    reference[: count - 1], {}
+                ), {}
+
+        client = ShortAnswer("http://127.0.0.1:9", retries=0)
+        with pytest.raises(ServerUnavailable, match="3 evaluation"):
+            client.evaluate("qrca", 8, POINTS)
+        evaluator = RemoteEvaluator(
+            client, kernel="qrca", width=8, store=ResultStore(tmp_path)
+        )
+        with pytest.warns(ServeDegradedWarning, match="degrading to"):
+            evaluations = evaluator.evaluate(POINTS)
+        assert evaluator.degraded
+        assert len(evaluations) == len(POINTS)
+        assert_identical(evaluations, reference)
+        # A fleet fails over from the short replica to a whole answer.
+        pool = ReplicaSet([client, Client(server.url, retries=0)])
+        evaluations, _ = pool.evaluate("qrca", 8, POINTS)
+        assert len(evaluations) == len(POINTS)
+        assert_identical(evaluations, reference)
+
+    @pytest.mark.parametrize("reachable", [True, False],
+                             ids=["served", "degraded"])
+    def test_explore_canonicalizes_each_proposed_point_once(
+        self, server, tmp_path, reachable, canonicalize_counter
+    ):
+        """On the client side a served (or degraded) exploration
+        canonicalizes each proposed point once."""
+        import warnings
+
+        from repro.explore import (
+            AdaptiveStrategy, AdcrObjective, architecture_space, explore,
+        )
+        from repro.kernels import analyze_kernel
+
+        space = architecture_space(analyze_kernel("qrca", 8))
+        evaluator = RemoteEvaluator(
+            Client(server.url if reachable else "http://127.0.0.1:9",
+                   timeout=30.0, retries=0, backoff=Backoff(base=0.0)),
+            kernel="qrca", width=8, store=ResultStore(tmp_path),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", ServeDegradedWarning)
+            result = explore(
+                space, AdcrObjective(),
+                canonicalize_counter.watch(AdaptiveStrategy(space, seed=1)),
+                evaluator=evaluator, budget=24,
+            )
+        assert evaluator.degraded is not reachable
+        assert result.evaluated == 24
+        assert canonicalize_counter.proposed > result.evaluated
+        assert canonicalize_counter.calls == canonicalize_counter.proposed
 
 
 class TestClientValidation:
