@@ -277,6 +277,8 @@ def _cmd_cache(ns: argparse.Namespace) -> int:
     if ns.action == "stats":
         print(f"store root: {store.root}")
         print(f"valid records: {len(store)}")
+        sizes = store.segments()
+        print(f"segments: {len(sizes)} ({sum(sizes)} bytes)")
         leases = list(store.leases())
         stale = sum(1 for _, _, _, is_stale in leases if is_stale)
         print(f"leases: {len(leases)} ({stale} stale)")
@@ -294,13 +296,15 @@ def _cmd_cache(ns: argparse.Namespace) -> int:
     print(f"stale schema: {len(report.stale_schema)}")
     print(f"foreign (digest mismatch): {len(report.foreign)}"
           + (f" ({', '.join(report.foreign[:5])})" if report.foreign else ""))
+    print(f"torn tails: {len(report.torn)}")
     print(f"stale leases: {len(report.stale_leases)}")
     print(f"stale owner tokens: {len(report.stale_tokens)}")
-    print(f"stale temp files: {len(report.stale_temps)}")
+    print(f"legacy per-record files: {len(report.legacy)}")
     if ns.remove:
+        print(f"segments compacted: {report.compacted}")
         print(f"removed: {report.removed}")
     elif (report.bad or report.stale_leases or report.stale_tokens
-          or report.stale_temps):
+          or report.legacy):
         print("run `repro cache fsck --remove` to delete the entries above")
     return 1 if report.bad and not ns.remove else 0
 
@@ -659,9 +663,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect or repair the result store",
         description=(
             "Maintenance for the content-addressed result store: fsck "
-            "reports (and with --remove deletes) corrupt, stale-schema "
-            "and foreign entries plus stale evaluator leases; stats "
-            "summarizes the store; clear wipes it."
+            "reports (and with --remove deletes, compacting dead writers' "
+            "segments) damaged records, stale leases and legacy files; "
+            "stats summarizes the store; clear wipes it."
         ),
     )
     p_cache.add_argument(

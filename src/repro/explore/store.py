@@ -1,95 +1,65 @@
 """Disk-backed, content-addressed store for exploration evaluations.
 
-Every simulator evaluation an exploration performs is persisted as one
-JSON file under ``<root>/explore/`` (default root: ``.repro_cache/`` in
-the working directory, overridable via the ``REPRO_CACHE_DIR``
-environment variable). The filename is the SHA-256 of the evaluation's
-*key* — a canonical JSON document naming everything that determines the
-result:
+Each simulator evaluation is one record under ``<root>/explore/``
+(default root ``.repro_cache/``, or ``$REPRO_CACHE_DIR``), addressed by
+the SHA-256 of its *key*: canonical JSON naming everything that decides
+the result (schema version, kernel identity and gate count, the full
+technology record, the engine, the resolved design point). A
+:class:`StoreKey` carries the document and its digest, computed once.
+A warm re-run simulates nothing; a changed input lands on new digests,
+leaving old records as garbage for :meth:`ResultStore.fsck`.
 
-* a schema version (bump :data:`SCHEMA_VERSION` to invalidate the world);
-* the kernel identity (name/width, or analysis fingerprint) and the
-  gate count of its decomposed circuit;
-* the full technology-parameter record, error rates included;
-* the simulation engine;
-* the resolved design point (defaults filled in, so ``{"arch": "cqla"}``
-  and an explicit default cache fraction share one entry).
+Layout (Bitcask, a hash index over append-only files: Sheehy & Smith
+2010). Each store instance appends to its own
+``explore/segments/<token>.log``, named after its owner token, made at
+its first put and opened once with ``O_APPEND``. A record is one frame
+of two lines, written with one ``write``: the header ``<digest> <length>
+<crc32>`` and the record's compact canonical JSON (no raw newline).
+:meth:`get` finds a frame through an in-memory index (one int per
+digest: segment, offset, length), reads it with one ``pread`` and checks
+header, length and CRC; a miss first indexes what other segments gained
+since the last look (one ``listdir``, one ``stat`` each), so concurrent
+explorers, serve replicas and lease waiters share results.
 
-A :class:`StoreKey` carries the key document and its digest, computed
-once. Everything but the point is fixed per evaluator, so
-:class:`~repro.explore.evaluator.Evaluator` encodes that base once,
-split around the ``"point"`` slot, and hashes prefix + the point's
-canonical JSON + suffix: the same bytes :func:`canonical_json` gives
-the whole document, so the digests are unchanged.
+Durability. Nothing is fsync'd but the resume journal: a frame a crash
+or power loss leaves torn, short or failing its CRC reads as a miss,
+and readers resynchronise at the next header. A put checks its segment
+is still linked (one ``fstat``): one removed under a live writer is
+replaced by a fresh one readers see, while what a store has indexed
+stays readable to it through open descriptors. A failed write degrades
+to a :class:`~repro.explore.errors.StoreDegradedWarning`. ``fsck
+--remove`` folds the segments whose owner token is stale or gone into
+one ownerless segment, each valid digest once; a lone clean one is left
+as it is, so a second pass finds nothing. Older per-record
+``<digest>.json`` files are ``legacy``: reported, deleted, never read.
 
-Re-running an exploration with a warm store therefore performs zero new
-simulator evaluations, and *refined* searches only pay for points they
-have never seen. Anything that changes the simulation — new tech
-params, a different kernel width, an engine fix that bumps the schema —
-lands on different digests, so stale entries are never returned; they
-are merely garbage, reportable and reclaimable with
-:meth:`ResultStore.fsck` (``repro cache fsck``) or wholesale with
-:meth:`ResultStore.clear`.
-
-Durability and fault behaviour:
-
-* the store is a cache of deterministic recomputations, so records are
-  written as compact canonical JSON (older ``indent=1`` records read
-  the same) and published atomically (temp file + ``os.replace``) but
-  not fsync'd: concurrent explorations sharing a store never observe
-  torn records, and a record that power loss leaves empty or torn reads
-  as a miss and is recomputed. Only the exploration journal
-  (``journal.jsonl``, see :mod:`repro.explore.engine`) is fsync'd,
-  since resume depends on it;
-* a temp file is ``explore/.inflight-*.tmp`` (:func:`tempfile.mkstemp`:
-  ``O_EXCL``, mode 0600). A writer killed before its ``os.replace``
-  leaves one behind, and so does a lease reclaim killed before its
-  rename (that temp file is a link to the dead owner's token, below).
-  Once one is ``lease_ttl`` old :meth:`fsck` reports it
-  (``stale_temps``) and ``fsck --remove`` and :meth:`clear` delete it;
-  a younger one may belong to a live writer and is left alone;
-* a failed write (``ENOSPC``, read-only cache dir) degrades to a
-  :class:`~repro.explore.errors.StoreDegradedWarning` instead of
-  crashing the exploration — the evaluation lives on in memory;
-* corrupt, torn or stale-schema files read as misses everywhere
-  (:meth:`get`, :meth:`records`, :meth:`__len__` all apply the same
-  schema gate).
-
-Concurrency — the lease protocol:
-
-Multiple evaluators sharing one store coordinate through *leases*
-(``<digest>.lease`` beside the record). Each store instance keeps one
-*owner token* under ``<root>/owners/`` holding its ``{"owner", "pid",
-"claimed"}`` JSON, and a lease is a hard link to that token:
-:meth:`claim` takes it with ``os.link`` (``EEXIST``: someone holds it),
-so a cold miss creates one inode, the record's. A lease is ours when its
-inode is our token's (one ``stat``), and its mtime is the token's: one
-:meth:`heartbeat` at a batch boundary keeps every lease of the store
-live, and :meth:`claim` refreshes a token older than ``lease_ttl / 4``
-so no lease is born stale. A contender that fails to claim waits for the
-record to appear; if the owner dies, its leases go stale (no heartbeat
-for ``lease_ttl`` seconds) and a contender reclaims one by linking its
-own token to a fresh temp name, ``os.replace``-ing that over the lease
-and reading back the inode, so of several racing reclaimers exactly one
-(the last writer) proceeds. ``fsck --remove`` deletes a token that is
-stale and linked by no lease; its store recreates it on the next claim.
-Where hard links are unsupported, :meth:`claim` fails open with a
-:class:`~repro.explore.errors.StoreDegradedWarning`. The protocol is
-cooperative — it deduplicates work; correctness never depends on it
-because :meth:`put` is idempotent last-writer-wins.
+Leases. Evaluators sharing a store dedupe work through leases
+(``explore/<digest>.lease``): hard links to the instance's owner token
+(``<root>/owners/<nonce>.token``), taken with ``os.link``. A lease
+shares the token's inode and mtime: one :meth:`heartbeat` keeps all of
+a store's leases live, and a claim or put refreshes a token older than
+``lease_ttl / 4``. A dead owner's leases go stale after ``lease_ttl``;
+a contender links its token at ``.reclaim-<nonce>.lease``,
+``os.replace``-s it over the lease and reads back the inode, so one of
+racing reclaimers proceeds. Without hard links :meth:`claim` fails open.
+Each store syscall sits behind a
+:data:`~repro.testing.faults.STORE_STAGES` fault stage.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
+import re
 import socket
-import tempfile
 import time
 import uuid
 import warnings
-from contextlib import contextmanager
+import weakref
+import zlib
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
@@ -107,18 +77,16 @@ DEFAULT_LEASE_TTL = 300.0
 
 _DEFAULT_ROOT = ".repro_cache"
 
-#: Outcome counters, each resolved once: every store read and write
-#: bumps one.
+#: One frame: ``<digest> <length> <crc32>\n<payload>\n``.
+_FRAME = re.compile(rb"([0-9a-f]{64}) (\d+) (\d+)\n([^\n]*)\n")
+
+#: Outcome counters: every store read, write and claim bumps one.
 _GETS = _metrics.CounterFamily(
-    "repro_store_get_total", "outcome", help="result-store reads by outcome"
-)
+    "repro_store_get_total", "outcome", help="result-store reads by outcome")
 _PUTS = _metrics.CounterFamily(
-    "repro_store_put_total", "outcome", help="result-store writes by outcome"
-)
+    "repro_store_put_total", "outcome", help="result-store writes by outcome")
 _CLAIMS = _metrics.CounterFamily(
-    "repro_lease_claims_total", "outcome",
-    help="lease claim attempts by outcome",
-)
+    "repro_lease_claims_total", "outcome", help="lease claim attempts by outcome")
 
 
 def canonical_json(document: Dict) -> str:
@@ -137,13 +105,8 @@ def key_digest(key: Dict) -> str:
 
 
 class StoreKey(NamedTuple):
-    """A key document with its content address, computed once.
-
-    Every :class:`ResultStore` operation accepts one wherever it accepts
-    a plain key dict; a caller that touches the same key several times
-    (get, claim, heartbeat, put, release) builds it once and skips
-    re-hashing the document on each call.
-    """
+    """A key document with its content address, computed once: every
+    :class:`ResultStore` operation takes one wherever it takes a key."""
 
     document: Dict
     digest: str
@@ -160,16 +123,53 @@ def _keyed(key: Key) -> StoreKey:
     return key if isinstance(key, StoreKey) else StoreKey.of(key)
 
 
-def _unlink_all(paths: Iterable[Path]) -> int:
+def _unlink_all(paths: Iterable[Path], stage: str = "unlink") -> int:
     """Unlink each of ``paths`` that still exists; returns how many."""
     removed = 0
     for path in paths:
-        try:
+        faults.check(stage)
+        with suppress(FileNotFoundError):
             path.unlink()
             removed += 1
-        except OSError:
-            pass
     return removed
+
+
+def _close_all(fds: List[int]) -> None:
+    for fd in fds:
+        os.close(fd)
+    fds.clear()
+
+
+def _sound(match: "re.Match[bytes]") -> bool:
+    """Whether a frame's length and CRC agree with its payload."""
+    payload = match.group(4)
+    return (int(match.group(2)) == len(payload)
+            and int(match.group(3)) == zlib.crc32(payload))
+
+
+def _frames(data: bytes) -> Iterator["re.Match[bytes]"]:
+    """The sound frames of ``data``, skipping damaged bytes; after an
+    unsound frame the search resumes past its header line, so a frame
+    glued to a torn one is still found."""
+    pos = 0
+    while True:
+        match = _FRAME.search(data, pos)
+        if match is None:
+            return
+        sound = _sound(match)
+        if sound:
+            yield match
+        pos = match.end() if sound else match.end(3) + 1
+
+
+def _stale(paths: Iterable[Path], ttl: float) -> List[Path]:
+    """Those of ``paths`` untouched for ``ttl`` seconds."""
+    now, aged = time.time(), []
+    for path in sorted(paths):
+        with suppress(FileNotFoundError):  # removed between glob and stat
+            if now - path.stat().st_mtime > ttl:
+                aged.append(path)
+    return aged
 
 
 def default_root() -> Path:
@@ -184,51 +184,43 @@ def _fault_point(key: Dict) -> Optional[Dict]:
 
 @dataclass
 class FsckReport:
-    """What :meth:`ResultStore.fsck` found (and optionally removed)."""
+    """What :meth:`ResultStore.fsck` found (and optionally removed);
+    frames are named ``<segment>@<offset>``."""
 
     ok: int = 0
     corrupt: List[str] = field(default_factory=list)
     stale_schema: List[str] = field(default_factory=list)
     foreign: List[str] = field(default_factory=list)
+    torn: List[str] = field(default_factory=list)  # a dead segment's tail
     stale_leases: List[str] = field(default_factory=list)
     stale_tokens: List[str] = field(default_factory=list)
-    #: Temp files older than ``lease_ttl``: a writer died between
-    #: creating one and publishing it.
-    stale_temps: List[str] = field(default_factory=list)
+    legacy: List[str] = field(default_factory=list)  # older-layout files
+    compacted: int = 0  # dead segments folded into one
     removed: int = 0
 
     @property
     def bad(self) -> int:
-        return len(self.corrupt) + len(self.stale_schema) + len(self.foreign)
+        return sum(map(len, (self.corrupt, self.stale_schema, self.foreign, self.torn)))
 
 
 class ResultStore:
-    """One JSON file per evaluation, named by the key's SHA-256.
+    """Evaluations in one append-only segment per writer, by key SHA-256.
 
     Args:
-        root: Cache root directory; evaluations live in ``root/explore``.
-            Defaults to ``.repro_cache`` (or ``$REPRO_CACHE_DIR``).
-        owner: Lease-owner identity; defaults to a unique
-            ``host:pid:nonce`` token per store instance.
+        root: Cache root (default ``.repro_cache`` or ``$REPRO_CACHE_DIR``).
+        owner: Lease-owner identity (default: a ``host:pid:nonce``).
         lease_ttl: Seconds without a heartbeat before a lease counts as
             stale and may be reclaimed.
     """
 
-    def __init__(
-        self,
-        root: Optional[os.PathLike] = None,
-        *,
-        owner: Optional[str] = None,
-        lease_ttl: float = DEFAULT_LEASE_TTL,
-    ) -> None:
+    def __init__(self, root: Optional[os.PathLike] = None, *,
+                 owner: Optional[str] = None,
+                 lease_ttl: float = DEFAULT_LEASE_TTL) -> None:
         self.root = Path(root) if root is not None else default_root()
         self.directory = self.root / "explore"
-        #: ``directory`` as a string with its separator: a read builds
-        #: its record path by concatenation, not a join.
-        self._prefix = os.path.join(os.fspath(self.directory), "")
+        self._segments = os.path.join(os.fspath(self.directory), "segments")
         self.owner = owner or (
-            f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:8]}"
-        )
+            f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:8]}")
         if float(lease_ttl) <= 0:
             raise ValueError(f"lease_ttl must be positive, got {lease_ttl}")
         self.lease_ttl = float(lease_ttl)
@@ -237,11 +229,17 @@ class ResultStore:
         #: ``(st_ino, st_dev)`` of the token: a lease with it is ours.
         self._token_id: Optional[Tuple[int, int]] = None
         self._token_touched = 0.0
+        #: Our segment's name, and its descriptor and number once made.
+        self._own, self._fd, self._number = f"{self._token.stem}.log", None, 0
+        self._fds: List[int] = []  # by segment number; closed with us
+        weakref.finalize(self, _close_all, self._fds)
+        #: ``digest[:16] -> offset << 52 | frame length << 20 | segment``;
+        #: a frame's header holds the whole digest, checked on each read.
+        self._index: Dict[str, int] = {}
+        #: Other segments: ``name -> (number, st_ino, bytes indexed)``.
+        self._seen: Dict[str, Tuple[int, int, int]] = {}
 
     # ------------------------------------------------------------------
-
-    def _path(self, key: Key) -> Path:
-        return self.directory / f"{_keyed(key).digest}.json"
 
     def _lease_path(self, key: Key) -> Path:
         return self.directory / f"{_keyed(key).digest}.lease"
@@ -251,67 +249,87 @@ class ResultStore:
         return self.root / "journal.jsonl"
 
     @staticmethod
-    def _valid(record: object) -> bool:
-        return isinstance(record, dict) and record.get("schema") == SCHEMA_VERSION
-
-    @staticmethod
-    def _observe(op: str, seconds: float) -> None:
-        """Record one store-operation latency (tracing-gated callers)."""
+    def _timed(op: str, call, *args):
+        """``call(*args)``; with tracing on, its latency lands in
+        ``repro_store_op_seconds{op=...}``."""
+        if not _tracing():
+            return call(*args)
+        t0 = time.perf_counter()
+        result = call(*args)
         _metrics.REGISTRY.histogram(
-            "repro_store_op_seconds",
-            _metrics.LATENCY_SECONDS_EDGES,
-            help="result-store operation latency (seconds)",
-            op=op,
-        ).observe(seconds)
+            "repro_store_op_seconds", _metrics.LATENCY_SECONDS_EDGES,
+            help="result-store operation latency (seconds)", op=op,
+        ).observe(time.perf_counter() - t0)
+        return result
 
     def get(self, key: Key) -> Optional[Dict]:
-        """The stored record for ``key``, or None (corrupt files miss).
-
-        Always counts into ``repro_store_get_total{outcome=hit|miss}``;
-        with tracing enabled the latency also lands in
-        ``repro_store_op_seconds{op=get}``.
-        """
-        timed = _tracing()
-        t0 = time.perf_counter() if timed else 0.0
-        record = self._get(_keyed(key))
-        if timed:
-            self._observe("get", time.perf_counter() - t0)
+        """The stored record for ``key``, or None (damaged frames miss);
+        counts into ``repro_store_get_total{outcome=hit|miss}``."""
+        record = self._timed("get", self._get, _keyed(key))
         _GETS.inc("hit" if record is not None else "miss")
         return record
 
     def _get(self, key: StoreKey) -> Optional[Dict]:
         try:
             faults.check("store_get", _fault_point(key.document))
-            path = f"{self._prefix}{key.digest}.json"
-            with open(path, "rb", buffering=0) as handle:
-                record = json.loads(handle.read())
+            entry = self._index.get(key.digest[:16])
+            if entry is None and self._scan():
+                entry = self._index.get(key.digest[:16])
+            return None if entry is None else self._read(entry, key.digest)
         except (OSError, ValueError):  # ValueError: not JSON, or not UTF-8
             return None
-        if not self._valid(record):
+
+    def _read(self, entry: int, digest: str) -> Optional[Dict]:
+        """The record ``entry`` places, if sound and under ``digest``."""
+        fd = self._fds[entry & 0xFFFFF]
+        match = _FRAME.fullmatch(os.pread(fd, entry >> 20 & 0xFFFFFFFF, entry >> 52))
+        if (match is None or not match.group(1).startswith(digest.encode("ascii"))
+                or not _sound(match)):
             return None
-        return record
+        record = json.loads(match.group(4))
+        valid = isinstance(record, dict) and record.get("schema") == SCHEMA_VERSION
+        return record if valid else None
+
+    def _scan(self) -> bool:
+        """Index the frames other segments gained since the last look;
+        True if any. An indexed digest keeps its entry."""
+        try:
+            names = os.listdir(self._segments)
+        except OSError:
+            return False
+        grew = False
+        for name in names:
+            if name == self._own or not name.endswith(".log"):
+                continue
+            path = os.path.join(self._segments, name)
+            try:
+                stat = os.stat(path)
+                seen = self._seen.get(name)
+                if seen is None or seen[1] != stat.st_ino:  # new, or remade
+                    self._fds.append(os.open(path, os.O_RDONLY))
+                    stat = os.fstat(self._fds[-1])
+                    seen = self._seen[name] = (len(self._fds) - 1, stat.st_ino, 0)
+                number, inode, done = seen
+                if stat.st_size <= done:
+                    continue
+                data = os.pread(self._fds[number], stat.st_size - done, done)
+            except OSError:
+                continue  # removed between listdir and open
+            end = 0
+            for match in _frames(data):
+                start, end = match.span()
+                entry = (done + start) << 52 | (end - start) << 20 | number
+                self._index.setdefault(match.group(1)[:16].decode("ascii"), entry)
+                grew = True
+            self._seen[name] = (number, inode, done + end)
+        return grew
 
     def put(self, key: Key, record: Dict) -> bool:
-        """Persist ``record`` under ``key`` (atomic, last-writer-wins).
-
-        Not fsync'd: after power loss the record may read as a
-        miss, and the point is then recomputed.
-
-        Returns True on success. On I/O failure (``ENOSPC``, read-only
-        cache directory) the store degrades: a
-        :class:`StoreDegradedWarning` is emitted and False returned, so
-        a long exploration keeps its in-memory results instead of
-        crashing on a full disk.
-
-        Always counts into ``repro_store_put_total{outcome=ok|degraded}``;
-        with tracing enabled the latency also lands in
-        ``repro_store_op_seconds{op=put}``.
-        """
-        timed = _tracing()
-        t0 = time.perf_counter() if timed else 0.0
-        ok = self._put(_keyed(key), record)
-        if timed:
-            self._observe("put", time.perf_counter() - t0)
+        """Append ``record`` under ``key`` to this store's segment; on I/O
+        failure (``ENOSPC``, read-only cache directory) warn with
+        :class:`StoreDegradedWarning` and return False. Counts into
+        ``repro_store_put_total{outcome=ok|degraded}``."""
+        ok = self._timed("put", self._put, _keyed(key), record)
         _PUTS.inc("ok" if ok else "degraded")
         return ok
 
@@ -319,70 +337,76 @@ class ResultStore:
         document = dict(record)
         document["schema"] = SCHEMA_VERSION
         document["key"] = key.document
-        payload = faults.mangle(
-            "store_put", _fault_point(key.document), canonical_json(document)
-        )
-        temp = None
+        point = _fault_point(key.document)
+        payload = faults.mangle("store_put", point, canonical_json(document))
+        payload = payload.encode("utf-8")
+        frame = b"%s %d %d\n%s\n" % (
+            key.digest.encode("ascii"), len(payload), zlib.crc32(payload), payload)
         try:
-            faults.check("store_put", _fault_point(key.document))
-            fd, temp = self._mkstemp()
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                handle.write(payload)
-            os.replace(temp, self._path(key))
-            temp = None
+            faults.check("store_put", point)
+            fd = self._segment()
+            faults.check("segment_append", point)
+            written = os.write(fd, frame)
+            if written != len(frame):  # readers skip the partial frame
+                raise OSError(errno.ENOSPC, "short write to the result store")
+            offset = os.lseek(fd, 0, os.SEEK_CUR) - written
+            self._index[key.digest[:16]] = offset << 52 | written << 20 | self._number
             return True
         except OSError as exc:
             warnings.warn(
                 f"result store write failed ({exc}); continuing without "
-                f"persistence for this evaluation",
-                StoreDegradedWarning,
-                stacklevel=2,
-            )
+                f"persistence for this evaluation", StoreDegradedWarning, stacklevel=2)
             return False
-        finally:
-            if temp is not None:
-                try:
-                    os.unlink(temp)
-                except OSError:
-                    pass
 
-    def _mkstemp(self) -> Tuple[int, str]:
-        # Suffix must not be ".json": in-flight temp files would match
-        # the "*.json" globs in __len__/records()/clear().
+    def _segment(self) -> int:
+        """Our segment's descriptor: opened at the first put, and again
+        once the file is unlinked (``explore/`` removed, compacted,
+        cleared), so no put lands where no reader looks. The token is
+        made or refreshed first: a listed segment has a live token."""
+        if time.time() - self._token_touched > self.lease_ttl / 4:
+            self._touch_token()
+        if self._fd is not None and os.fstat(self._fd).st_nlink:
+            return self._fd
+        faults.check("segment_create")
+        path = os.path.join(self._segments, self._own)
+        flags = os.O_RDWR | os.O_APPEND | os.O_CREAT
         try:
-            return tempfile.mkstemp(
-                dir=self.directory, prefix=".inflight-", suffix=".tmp"
-            )
+            fd = os.open(path, flags, 0o600)
         except FileNotFoundError:  # first write, or explore/ was removed
-            self.directory.mkdir(parents=True, exist_ok=True)
-            return tempfile.mkstemp(
-                dir=self.directory, prefix=".inflight-", suffix=".tmp"
-            )
+            os.makedirs(self._segments, exist_ok=True)
+            fd = os.open(path, flags, 0o600)
+        self._fd, self._number = fd, len(self._fds)
+        self._fds.append(fd)
+        return fd
+
+    def segments(self) -> List[int]:
+        """Byte sizes of the segment files on disk."""
+        sizes: List[int] = []
+        for path in Path(self._segments).glob("*.log"):
+            with suppress(FileNotFoundError):  # compacted away meanwhile
+                sizes.append(path.stat().st_size)
+        return sizes
 
     # ------------------------------------------------------------------
     # Leases
 
     def _touch_token(self) -> None:
         """Refresh the owner token's mtime, recreating it if missing."""
+        faults.check("token_refresh")
         try:
             os.utime(self._token)
         except FileNotFoundError:
             self._token.parent.mkdir(parents=True, exist_ok=True)
             with open(self._token, "w", encoding="utf-8") as handle:
                 handle.write(canonical_json(
-                    {"owner": self.owner, "pid": os.getpid(),
-                     "claimed": time.time()}
-                ))
+                    {"owner": self.owner, "pid": os.getpid(), "claimed": time.time()}))
                 stat = os.fstat(handle.fileno())
             self._token_id = (stat.st_ino, stat.st_dev)
         self._token_touched = time.time()
 
     def _link_token(self, path: Path) -> None:
-        """Hard-link the owner token at ``path`` (FileExistsError if taken).
-
-        The link shares the token's mtime, so a token older than a
-        quarter TTL is refreshed first: no lease is born stale.
-        """
+        """Hard-link the owner token at ``path`` (FileExistsError if taken),
+        refreshing a token older than a quarter TTL first."""
         if time.time() - self._token_touched > self.lease_ttl / 4:
             self._touch_token()
         try:
@@ -401,11 +425,9 @@ class ResultStore:
 
     def lease_owner(self, key_or_path) -> Optional[str]:
         """Owner token of the live lease for ``key``, or None."""
-        path = (
-            key_or_path
-            if isinstance(key_or_path, Path)
-            else self._lease_path(key_or_path)
-        )
+        path = key_or_path
+        if not isinstance(path, Path):
+            path = self._lease_path(key_or_path)
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 lease = json.load(handle)
@@ -413,42 +435,17 @@ class ResultStore:
         except (OSError, json.JSONDecodeError):
             return None
 
-    def _stale(self, path: Path) -> bool:
-        """Whether ``path`` has gone ``lease_ttl`` without a write or touch."""
-        try:
-            return (time.time() - path.stat().st_mtime) > self.lease_ttl
-        except OSError:
-            return False
-
-    def _stale_temps(self) -> List[Path]:
-        """Temp files a dead writer left behind; a live one's are fresh."""
-        return [
-            path
-            for path in sorted(self.directory.glob(".inflight-*.tmp"))
-            if self._stale(path)
-        ]
-
     def claim(self, key: Key) -> bool:
         """Try to take the lease on ``key``; True when this store owns it.
-
-        A missing lease is claimed atomically; a stale one (mtime older
-        than ``lease_ttl``) is reclaimed; a live one held by someone
-        else — or already by us — yields False/True respectively without
-        touching the file.
-
-        Outcomes count into ``repro_lease_claims_total{outcome=...}`` with
-        ``claimed`` (fresh take), ``held`` (already ours), ``reclaimed``
-        (stale lease replaced), ``contested`` (someone else's), or
-        ``degraded`` (the link failed, so we proceed unclaimed).
-        """
+        Counts into ``repro_lease_claims_total{outcome=...}``: ``claimed``
+        (fresh take), ``held`` (already ours), ``reclaimed`` (a stale one
+        replaced), ``contested`` (someone else's, live), or ``degraded``
+        (the link failed, so we proceed unclaimed)."""
         try:
             outcome, owned = self._claim(key)
         except OSError as exc:  # no hard links here (EPERM, ENOTSUP, EXDEV)
-            warnings.warn(
-                f"lease link failed ({exc}); proceeding without a claim",
-                StoreDegradedWarning,
-                stacklevel=2,
-            )
+            warnings.warn(f"lease link failed ({exc}); proceeding without a claim",
+                          StoreDegradedWarning, stacklevel=2)
             outcome, owned = "degraded", True  # fail open
         _CLAIMS.inc(outcome)
         return owned
@@ -456,6 +453,7 @@ class ResultStore:
     def _claim(self, key: Key) -> Tuple[str, bool]:
         path = self._lease_path(key)
         try:
+            faults.check("lease_link")
             self._link_token(path)
             return "claimed", True
         except FileExistsError:
@@ -468,12 +466,13 @@ class ResultStore:
             return "held", True
         if time.time() - lease.st_mtime <= self.lease_ttl:
             return "contested", False
-        # Stale: replace it with our own link, then read back — of
-        # several racing reclaimers only the last writer sees its own
-        # inode and proceeds.
-        temp = self.directory / f".inflight-{uuid.uuid4().hex}.tmp"
+        # Stale: replace it with our own link, then read back — of racing
+        # reclaimers only the last writer sees its own inode and proceeds.
+        temp = self.directory / f".reclaim-{uuid.uuid4().hex}.lease"
+        faults.check("reclaim_link")
         self._link_token(temp)
         try:
+            faults.check("reclaim_replace")
             os.replace(temp, path)
         except OSError:
             os.unlink(temp)
@@ -487,29 +486,23 @@ class ResultStore:
         """Drop our lease on ``key`` (a lease we don't own is left alone)."""
         path = self._lease_path(key)
         if self._owns(path):
-            try:
+            faults.check("lease_release")
+            with suppress(OSError):
                 path.unlink()
-            except OSError:
-                pass
 
     def heartbeat(self, key: Key) -> None:
         """Refresh our lease's mtime so it doesn't go stale mid-run (and
         every other lease of this store: they all link one token)."""
         path = self._lease_path(key)
         if self._owns(path):
-            try:
+            faults.check("lease_heartbeat")
+            with suppress(OSError):
                 os.utime(path)
                 self._token_touched = time.time()
-            except OSError:
-                pass
 
     def leases(self) -> Iterator[Tuple[str, Optional[str], float, bool]]:
-        """Live lease files: ``(digest, owner, age_seconds, stale)`` rows.
-
-        What ``repro cache stats`` reports and a draining server logs —
-        a lease outliving its owner shows up here until a peer reclaims
-        it or ``fsck --remove`` sweeps it.
-        """
+        """Lease files as ``(digest, owner, age_seconds, stale)`` rows, for
+        ``repro cache stats`` and a draining server's log."""
         if not self.directory.is_dir():
             return
         now = time.time()
@@ -525,10 +518,8 @@ class ResultStore:
         """Context-managed claim; raises :class:`LeaseHeld` if contested."""
         key = _keyed(key)
         if not self.claim(key):
-            raise LeaseHeld(
-                f"lease on {key.digest[:12]}… held by another evaluator",
-                owner=self.lease_owner(key),
-            )
+            raise LeaseHeld(f"lease on {key.digest[:12]}… held by another "
+                            "evaluator", owner=self.lease_owner(key))
         try:
             yield
         finally:
@@ -541,91 +532,96 @@ class ResultStore:
         return sum(1 for _ in self.records())
 
     def records(self) -> Iterator[Dict]:
-        """All valid records (corrupt and stale-schema files skipped)."""
-        if not self.directory.is_dir():
-            return
-        for path in sorted(self.directory.glob("*.json")):
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    record = json.load(handle)
-            except (OSError, json.JSONDecodeError):
-                continue
-            if self._valid(record):
+        """All valid records, one per digest, in digest order."""
+        self._scan()
+        for prefix in sorted(self._index):
+            record = self._get(StoreKey(None, prefix))
+            if record is not None:
                 yield record
 
     def fsck(self, remove: bool = False) -> FsckReport:
-        """Audit the store; optionally remove everything unhealthy.
-
-        Classifies each ``*.json`` entry as ok / ``corrupt`` (unreadable
-        or not a record) / ``stale_schema`` / ``foreign`` (filename does
-        not match the content address of the embedded key — a renamed or
-        tampered file), each ``*.lease`` as live or stale, and each owner
-        token as stale when no lease links it and it has not been
-        touched for ``lease_ttl``, and each ``.inflight-*.tmp`` temp file
-        older than ``lease_ttl`` as stale (its writer died before
-        publishing it; a live writer's temp file is seconds old). With
-        ``remove=True`` the unhealthy entries, stale leases, stale tokens
-        and stale temp files are deleted, the temp files first, so a
-        token whose only other link was one goes in the same pass.
-        """
+        """Audit the store (see :class:`FsckReport`); ``remove=True``
+        deletes stale leases, then stale tokens (a dead owner's goes in
+        the pass that drops its last lease) and legacy files, then folds
+        the dead segments (owner token stale or gone) into one if there
+        are several or they hold anything to drop."""
         report = FsckReport()
-        # Temp files go first: a lease reclaim cut short leaves a temp
-        # hard-linked to its dead owner's token, which must be unlinked
-        # before the token's link count says whether it is stale.
-        stale_temps = self._stale_temps()
-        report.stale_temps = [path.name for path in stale_temps]
-        if remove:
-            report.removed += _unlink_all(stale_temps)
-        now = time.time()
-        for path in sorted(self._token.parent.glob("*.token")):
+        leases = _stale(self.directory.glob("*.lease"), self.lease_ttl)
+        # Segments are listed before tokens: a writer makes its token
+        # before its segment, so a listed segment with no token is dead.
+        segments = sorted(Path(self._segments).glob("*.log"))
+        tokens = set(self._token.parent.glob("*.token"))
+        dead_tokens = _stale(tokens, self.lease_ttl)
+        live = {path.stem for path in tokens.difference(dead_tokens)}
+        legacy = sorted(self.directory.glob("*.json"))
+        report.stale_leases = [path.name for path in leases]
+        report.stale_tokens = [path.name for path in dead_tokens]
+        report.legacy = [path.name for path in legacy]
+        valid, dead, kept, dropped, copies = set(), [], {}, 0, 0
+        for path in segments:
             try:
-                stat = path.stat()
+                data = path.read_bytes()
             except OSError:
-                continue  # removed between glob and stat
-            if stat.st_nlink == 1 and now - stat.st_mtime > self.lease_ttl:
-                report.stale_tokens.append(path.name)
-        for path in sorted(self.directory.glob("*.json")):
-            try:
-                with open(path, "r", encoding="utf-8") as handle:
-                    record = json.load(handle)
-            except (OSError, json.JSONDecodeError):
-                report.corrupt.append(path.name)
-                continue
-            if not isinstance(record, dict):
-                report.corrupt.append(path.name)
-            elif record.get("schema") != SCHEMA_VERSION:
-                report.stale_schema.append(path.name)
-            elif (
-                not isinstance(record.get("key"), dict)
-                or key_digest(record["key"]) != path.stem
-            ):
-                report.foreign.append(path.name)
-            else:
-                report.ok += 1
-        for path in sorted(self.directory.glob("*.lease")):
-            if self._stale(path):
-                report.stale_leases.append(path.name)
+                continue  # compacted away between glob and read
+            owned, done = path.stem in live, 0
+            for match in _frames(data):
+                start, end = match.span()
+                verdict = self._verdict(match)
+                if start > done:  # damaged bytes before this frame
+                    report.corrupt.append(f"{path.name}@{done}")
+                    dropped += not owned
+                if verdict:
+                    getattr(report, verdict).append(f"{path.name}@{start}")
+                    dropped += not owned
+                else:
+                    valid.add(match.group(1))
+                    if not owned:
+                        copies += 1
+                        kept.setdefault(match.group(1), match.group(0))
+                done = end
+            if not owned:
+                dead.append(path)
+                if done < len(data):
+                    report.torn.append(f"{path.name}@{done}")
+                    dropped += 1
+        report.ok = len(valid)
         if remove:
-            report.removed += _unlink_all(
-                [
-                    self.directory / name
-                    for name in report.corrupt
-                    + report.stale_schema
-                    + report.foreign
-                    + report.stale_leases
-                ]
-                + [self._token.parent / name for name in report.stale_tokens]
-            )
+            report.removed = _unlink_all(leases + dead_tokens + legacy)
+            if len(dead) > 1 or dropped or copies > len(kept):
+                if kept:
+                    faults.check("compact_write")
+                    target = os.path.join(self._segments, f"{uuid.uuid4().hex}.log")
+                    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+                    with os.fdopen(os.open(target, flags, 0o600), "wb") as handle:
+                        handle.write(b"".join(kept.values()))
+                _unlink_all(dead, "compact_unlink")
+                report.compacted, report.removed = len(dead), report.removed + dropped
         return report
 
-    def clear(self) -> int:
-        """Delete every stored evaluation; returns the number removed.
+    @staticmethod
+    def _verdict(match: "re.Match[bytes]") -> Optional[str]:
+        """The :class:`FsckReport` list a sound frame goes on (None: ok)."""
+        try:
+            record = json.loads(match.group(4))
+        except ValueError:
+            record = None
+        if not isinstance(record, dict):
+            return "corrupt"
+        if record.get("schema") != SCHEMA_VERSION:
+            return "stale_schema"
+        key = record.get("key")
+        if not isinstance(key, dict) or key_digest(key).encode() != match.group(1):
+            return "foreign"  # filed under another key's address
+        return None
 
-        Leases and stale temp files go too (a live writer's temp file
-        is left to be published).
-        """
-        if not self.directory.is_dir():
-            return 0
-        removed = _unlink_all(self.directory.glob("*.json"))
-        _unlink_all([*self.directory.glob("*.lease"), *self._stale_temps()])
+    def clear(self) -> int:
+        """Delete every stored evaluation (leases and legacy files too);
+        returns how many. A live writer's next put makes a fresh segment."""
+        removed = len(self)
+        _unlink_all([*Path(self._segments).glob("*.log"),
+                     *self.directory.glob("*.lease"), *self.directory.glob("*.json")])
+        _close_all(self._fds)
+        self._fd = None
+        self._index.clear()
+        self._seen.clear()
         return removed

@@ -69,6 +69,18 @@ from typing import Dict, List, Optional, Tuple
 ENV_PLAN = "REPRO_FAULTS"
 ENV_STATE = "REPRO_FAULTS_DIR"
 
+#: The result store's syscalls, one stage before each (see
+#: :mod:`repro.explore.store`): a put's segment create and frame append;
+#: a claim's lease link, token refresh, heartbeat and release; a stale
+#: lease's reclaim link and rename; ``fsck --remove``'s unlinks of
+#: leases, tokens and legacy files, its compacted write and its unlinks
+#: of the segments that write replaced.
+STORE_STAGES = (
+    "segment_create", "segment_append", "token_refresh", "lease_link",
+    "lease_heartbeat", "lease_release", "reclaim_link", "reclaim_replace",
+    "unlink", "compact_write", "compact_unlink",
+)
+
 #: Stages the production hooks announce. The ``serve_*`` trio are the
 #: exploration server's seams: ``serve_request`` fires after a request
 #: is parsed (refuse / hang / 5xx), ``serve_response`` just before the
@@ -78,7 +90,7 @@ ENV_STATE = "REPRO_FAULTS_DIR"
 STAGES = (
     "evaluate", "store_put", "store_get",
     "serve_request", "serve_response", "serve_probe",
-)
+) + STORE_STAGES
 
 
 class Refused(Exception):

@@ -6,11 +6,15 @@ few seconds each, and they are immutable once constructed.
 """
 
 import threading
+import uuid
+import zlib
+from pathlib import Path
 
 import pytest
 
 import repro.arch.batched as batched_module
 import repro.explore.evaluator as evaluator_module
+from repro.explore.store import canonical_json, key_digest
 from repro.kernels import analyze_kernel
 
 #: simulate_batch's two routes for a lowerable group: one vectorized
@@ -114,3 +118,35 @@ def qft8():
 @pytest.fixture(scope="session")
 def all_kernels32(qrca32, qcla32, qft32):
     return [qrca32, qcla32, qft32]
+
+
+def _frame(digest, payload):
+    if isinstance(payload, dict):
+        payload = canonical_json(payload).encode("utf-8")
+    return b"%s %d %d\n%s\n" % (
+        digest.encode("ascii"), len(payload), zlib.crc32(payload), payload
+    )
+
+
+@pytest.fixture
+def dead_segment():
+    """``dead_segment(root, *chunks)`` writes a result-store segment that
+    no live store owns (no owner token bears its name) and returns its
+    path. A record dict is framed under its key's digest, a ``(digest,
+    record or payload bytes)`` pair under that digest, and bytes go in
+    as they are (damage, a torn tail)."""
+
+    def write(root, *chunks):
+        directory = Path(root) / "explore" / "segments"
+        directory.mkdir(parents=True, exist_ok=True)
+        path = directory / f"{uuid.uuid4().hex}.log"
+        with open(path, "wb") as handle:
+            for chunk in chunks:
+                if isinstance(chunk, dict):
+                    chunk = _frame(key_digest(chunk["key"]), chunk)
+                elif isinstance(chunk, tuple):
+                    chunk = _frame(*chunk)
+                handle.write(chunk)
+        return path
+
+    return write

@@ -1,8 +1,6 @@
 """CLI surface of the robustness work: `repro cache` and the explore
 resume/retry flags."""
 
-import json
-
 import pytest
 
 from repro.__main__ import main
@@ -27,6 +25,7 @@ class TestCacheSubcommand:
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "valid records: 0" in out
+        assert "segments: 0 (0 bytes)" in out
         assert "journal: none" in out
 
     def test_fsck_healthy_store_exits_zero(self, tmp_path, capsys):
@@ -35,28 +34,40 @@ class TestCacheSubcommand:
         assert main(["cache", "fsck", "--cache-dir", str(tmp_path)]) == 0
         assert "ok: 1" in capsys.readouterr().out
 
-    def test_fsck_reports_corruption_and_exits_nonzero(self, tmp_path, capsys):
-        store = ResultStore(tmp_path)
-        store.directory.mkdir(parents=True, exist_ok=True)
-        (store.directory / "corrupt.json").write_text("{ torn")
-        (store.directory / "stale.json").write_text(
-            json.dumps({"schema": SCHEMA_VERSION + 1})
+    def test_fsck_reports_corruption_and_exits_nonzero(
+        self, tmp_path, capsys, dead_segment
+    ):
+        segment = dead_segment(
+            tmp_path,
+            b"{ torn\n",
+            {"key": {"k": "stale"}, "schema": SCHEMA_VERSION + 1},
         )
         assert main(["cache", "fsck", "--cache-dir", str(tmp_path)]) == 1
         out = capsys.readouterr().out
-        assert "corrupt: 1 (corrupt.json)" in out
+        assert f"corrupt: 1 ({segment.name}@0)" in out
         assert "stale schema: 1" in out
         assert "fsck --remove" in out
 
-    def test_fsck_remove_heals_and_exits_zero(self, tmp_path, capsys):
+    def test_fsck_remove_heals_and_exits_zero(
+        self, tmp_path, capsys, dead_segment
+    ):
         store = ResultStore(tmp_path)
         store.put({"point": {"arch": "qla"}}, {"tag": 1})
-        (store.directory / "corrupt.json").write_text("{ torn")
+        dead_segment(tmp_path, b"{ torn\n")
         assert main(
             ["cache", "fsck", "--remove", "--cache-dir", str(tmp_path)]
         ) == 0
-        assert "removed: 1" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "removed: 1" in out
+        assert "segments compacted: 1" in out
         assert main(["cache", "fsck", "--cache-dir", str(tmp_path)]) == 0
+
+    def test_stats_counts_segments(self, tmp_path, capsys):
+        store = ResultStore(tmp_path)
+        store.put({"point": {"arch": "qla"}}, {"tag": 1})
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        size = sum(store.segments())
+        assert f"segments: 1 ({size} bytes)" in capsys.readouterr().out
 
     def test_clear(self, tmp_path, capsys):
         store = ResultStore(tmp_path)

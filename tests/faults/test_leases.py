@@ -99,7 +99,10 @@ class TestOwnerTokenLeases:
         store.put(self.KEY, {"tag": 1})
         store.release(self.KEY)
         names = [path.name for path in store.directory.iterdir()]
-        assert names == [f"{key_digest(self.KEY)}.json"]
+        assert names == ["segments"]  # the lease is gone, the record kept
+        (segment,) = (store.directory / "segments").iterdir()
+        assert segment.stem == token.stem
+        assert segment.read_bytes().startswith(key_digest(self.KEY).encode())
 
     def test_idle_store_claims_a_live_lease(self, tmp_path):
         """A token untouched for longer than the TTL is refreshed before
@@ -134,6 +137,7 @@ class TestOwnerTokenLeases:
         assert got[0].ok
         assert evaluator.simulations_run == 1
         assert len(store) == 1
+        assert len(ResultStore(tmp_path)) == 1  # the record is on disk
         assert not list(store.directory.glob("*.lease"))
 
     def test_deleted_token_is_recreated(self, tmp_path):
@@ -151,13 +155,22 @@ class TestOwnerTokenLeases:
         assert b.claim(self.KEY)
 
     def test_removed_explore_dir_is_recreated(self, tmp_path):
+        """A put after ``explore/`` or the segment was removed under a
+        live writer lands in a fresh segment readers see, not in the
+        unlinked inode."""
         store = ResultStore(tmp_path)
         assert store.put(self.KEY, {"tag": 1})
+        other = {**self.KEY, "width": 16}
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             shutil.rmtree(store.directory)
             assert store.put(self.KEY, {"tag": 2})
             assert store.get(self.KEY)["tag"] == 2
+            assert ResultStore(tmp_path).get(self.KEY)["tag"] == 2
+            (segment,) = (store.directory / "segments").iterdir()
+            segment.unlink()
+            assert store.put(other, {"tag": 3})
+            assert ResultStore(tmp_path).get(other)["tag"] == 3
             shutil.rmtree(store.directory)
             assert store.claim(self.KEY)  # so does a claim
         assert store._lease_path(self.KEY).exists()

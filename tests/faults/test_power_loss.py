@@ -1,29 +1,41 @@
-"""Power loss after an un-fsync'd put: the record's name reached the disk
-but its bytes did not, leaving a zero-byte ``<digest>.json``."""
+"""Power loss after an un-fsync'd put: the segment's last frame reached
+the disk only in part, leaving a torn tail."""
+
+import os
+import time
 
 from repro.explore import Evaluator, ResultStore
 from repro.explore.store import StoreKey
 
 
-def test_zero_byte_record_is_a_miss_and_is_rewritten(tmp_path, points):
-    store = ResultStore(tmp_path)
-    first = Evaluator(kernel="qrca", width=8, store=store)
+def test_torn_tail_frame_is_a_miss_and_is_rewritten(tmp_path, points):
+    first = Evaluator(kernel="qrca", width=8, store=ResultStore(tmp_path))
     reference = first.evaluate(points[:2])
-    key = StoreKey.of(first._store_key(first.canonicalize(points[0])))
-    path = store._path(key)
-    written = path.read_bytes()
-    path.write_bytes(b"")
+    key = StoreKey.of(first._store_key(first.canonicalize(points[1])))
+    (segment,) = (tmp_path / "explore" / "segments").glob("*.log")
+    data = segment.read_bytes()
+    written = data[data.rindex(key.digest.encode()):]
+    segment.write_bytes(data[: len(data) - len(written) // 2])
+    # The writer is gone: its token ages past the lease TTL.
+    (token,) = (tmp_path / "owners").iterdir()
+    long_ago = time.time() - 1000
+    os.utime(token, (long_ago, long_ago))
 
+    store = ResultStore(tmp_path)
     assert store.get(key) is None
     report = store.fsck()
-    assert report.corrupt == [path.name]
+    assert report.torn == [f"{segment.name}@{len(data) - len(written)}"]
     assert report.ok == 1
 
     second = Evaluator(kernel="qrca", width=8, store=store)
     again = second.evaluate(points[:2])
-    assert second.simulations_run == 1  # only the emptied record
+    assert second.simulations_run == 1  # only the torn record
     assert second.cache_hits == 1
     assert [e.result for e in again] == [e.result for e in reference]
-    assert path.read_bytes() == written
+    assert ResultStore(tmp_path).get(key) is not None
+    assert written in b"".join(
+        path.read_bytes() for path in segment.parent.glob("*.log")
+    )
+    assert store.fsck(remove=True).removed == 2  # the torn tail + token
     assert store.fsck().ok == 2
     assert store.fsck().bad == 0

@@ -1,11 +1,11 @@
 """Store-side fault injection: torn writes, I/O errors, fsck."""
 
-import json
+import time
 import warnings
 
 import pytest
 
-from repro.explore import Evaluator, ResultStore, StoreDegradedWarning
+from repro.explore import Evaluator, ResultStore, StoreDegradedWarning, key_digest
 from repro.explore.store import SCHEMA_VERSION
 from repro.testing import faults
 from repro.testing.faults import FaultPlan, FaultRule
@@ -83,61 +83,61 @@ class TestStoreIOErrors:
 class TestSchemaGate:
     """records()/__len__ apply the same schema gate as get()."""
 
-    def _write(self, store, name, record):
-        store.directory.mkdir(parents=True, exist_ok=True)
-        (store.directory / name).write_text(json.dumps(record))
-
-    def test_stale_schema_not_counted_or_yielded(self, tmp_path):
+    def test_stale_schema_not_counted_or_yielded(self, tmp_path, dead_segment):
         store = ResultStore(tmp_path)
         store.put(KEY, {"tag": "good"})
-        self._write(store, "stale.json",
-                    {"schema": SCHEMA_VERSION + 1, "tag": "stale"})
-        self._write(store, "schemaless.json", {"tag": "foreign"})
+        dead_segment(
+            tmp_path,
+            {"key": {"k": "stale"}, "schema": SCHEMA_VERSION + 1, "tag": "stale"},
+            (key_digest({"k": "schemaless"}), {"tag": "foreign"}),
+        )
         assert len(store) == 1
         assert [r["tag"] for r in store.records()] == ["good"]
 
-    def test_corrupt_but_parseable_not_counted(self, tmp_path):
+    def test_corrupt_but_parseable_not_counted(self, tmp_path, dead_segment):
+        dead_segment(tmp_path, (key_digest(KEY), b"[1,2,3]"))
         store = ResultStore(tmp_path)
-        self._write(store, "list.json", [1, 2, 3])
         assert len(store) == 0
         assert list(store.records()) == []
 
 
 class TestFsck:
-    def test_fsck_classifies_everything(self, tmp_path):
+    def test_fsck_classifies_everything(self, tmp_path, dead_segment):
         store = ResultStore(tmp_path, lease_ttl=0.1)
         store.put(KEY, {"tag": "good"})
-        (store.directory / "corrupt.json").write_text("{ not json")
-        (store.directory / "stale.json").write_text(
-            json.dumps({"schema": SCHEMA_VERSION + 1, "key": {}})
+        good = store.get(KEY)
+        segment = dead_segment(
+            tmp_path,
+            b"{ not json\n",
+            {"key": {"k": "stale"}, "schema": SCHEMA_VERSION + 1},
+            # A record filed under another key's address is foreign.
+            (key_digest({"k": "other"}), good),
         )
-        # A record renamed away from its content address is foreign.
-        good_path = store._path(KEY)
-        (store.directory / "renamed.json").write_text(good_path.read_text())
         store.claim({"point": "other"})
-        import time
-
         time.sleep(0.2)  # the lease goes stale
         report = store.fsck()
         assert report.ok == 1
-        assert report.corrupt == ["corrupt.json"]
-        assert report.stale_schema == ["stale.json"]
-        assert report.foreign == ["renamed.json"]
+        stale_at = len(b"{ not json\n")
+        foreign_at = segment.read_bytes().index(key_digest({"k": "other"}).encode())
+        assert report.corrupt == [f"{segment.name}@0"]
+        assert report.stale_schema == [f"{segment.name}@{stale_at}"]
+        assert report.foreign == [f"{segment.name}@{foreign_at}"]
         assert len(report.stale_leases) == 1
         assert report.removed == 0  # report-only by default
 
-    def test_fsck_remove_heals_the_store(self, tmp_path):
+    def test_fsck_remove_heals_the_store(self, tmp_path, dead_segment):
         store = ResultStore(tmp_path, lease_ttl=0.05)
         store.put(KEY, {"tag": "good"})
-        (store.directory / "corrupt.json").write_text("nope")
+        dead_segment(tmp_path, b"nope\n")
         store.claim({"point": "other"})
-        import time
-
         time.sleep(0.15)
         report = store.fsck(remove=True)
-        assert report.removed == 2  # corrupt entry + stale lease
+        # The corrupt bytes, the stale lease and (its owner idle past the
+        # TTL) the writer's token; its segment is folded into one.
+        assert report.removed == 3
         assert store.fsck().bad == 0
         assert store.get(KEY)["tag"] == "good"  # healthy entries untouched
+        assert ResultStore(tmp_path).get(KEY)["tag"] == "good"
 
 
 class TestFaultHarness:

@@ -283,9 +283,6 @@ ALLOWLIST = {
     "explore/space.py:DesignSpace.dimension": (
         "perfbench's serve workload reads the arch axis through it"
     ),
-    "explore/store.py:ResultStore._stale": (
-        "failure path: ages a temp file a killed writer left (fsck)"
-    ),
     "explore/store.py:ResultStore.hold": (
         "context-managed claim raising LeaseHeld; "
         "tests/faults/test_leases.py drives it"
@@ -406,7 +403,7 @@ ALLOWLIST = {
 
 #: The most entries :data:`ALLOWLIST` may hold. Lower it when an entry
 #: goes; never raise it.
-ALLOWLIST_CAP = 101
+ALLOWLIST_CAP = 100
 
 #: CLI commands traced in process. ``{store}`` is the result-store root
 #: and ``{tmp}`` a temporary directory.

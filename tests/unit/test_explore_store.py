@@ -5,6 +5,7 @@ import json
 import os
 import stat
 import time
+import zlib
 
 import pytest
 
@@ -50,6 +51,16 @@ class TestKeyDigest:
         assert canonical_json({"b": 1, "a": [1.5, "s"]}) == '{"a":[1.5,"s"],"b":1}'
 
 
+def _segments(root):
+    return sorted((root / "explore" / "segments").glob("*.log"))
+
+
+def _age(*paths):
+    long_ago = time.time() - 2 * DEFAULT_LEASE_TTL
+    for path in paths:
+        os.utime(path, (long_ago, long_ago))
+
+
 class TestResultStore:
     def test_roundtrip(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -65,25 +76,24 @@ class TestResultStore:
     def test_lives_under_explore_subdir(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put(KEY, {})
-        files = list((tmp_path / "explore").glob("*.json"))
-        assert len(files) == 1
-        assert files[0].stem == key_digest(KEY)
+        (segment,) = _segments(tmp_path)
+        (token,) = (tmp_path / "owners").iterdir()
+        assert segment.stem == token.stem  # named after its owner
+        assert segment.read_bytes().startswith(f"{key_digest(KEY)} ".encode())
 
-    def test_corrupt_file_is_a_miss(self, tmp_path):
+    def test_corrupt_frame_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put(KEY, {"result": {}})
-        path = store._path(KEY)
-        path.write_text("{ not json")
+        (segment,) = _segments(tmp_path)
+        data = bytearray(segment.read_bytes())
+        data[-3] ^= 1  # one flipped payload bit: the CRC no longer matches
+        segment.write_bytes(bytes(data))
         assert store.get(KEY) is None
+        assert ResultStore(tmp_path).get(KEY) is None
 
-    def test_wrong_schema_is_a_miss(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.put(KEY, {"result": {}})
-        path = store._path(KEY)
-        record = json.loads(path.read_text())
-        record["schema"] = SCHEMA_VERSION + 1
-        path.write_text(json.dumps(record))
-        assert store.get(KEY) is None
+    def test_wrong_schema_is_a_miss(self, tmp_path, dead_segment):
+        dead_segment(tmp_path, {"key": KEY, "schema": SCHEMA_VERSION + 1})
+        assert ResultStore(tmp_path).get(KEY) is None
 
     def test_len_and_clear(self, tmp_path):
         store = ResultStore(tmp_path)
@@ -95,10 +105,10 @@ class TestResultStore:
         assert len(store) == 0
         assert store.clear() == 0
 
-    def test_records_iteration_skips_corrupt(self, tmp_path):
+    def test_records_iteration_skips_corrupt(self, tmp_path, dead_segment):
         store = ResultStore(tmp_path)
         store.put(KEY, {"tag": "good"})
-        (tmp_path / "explore" / "junk.json").write_text("nope")
+        dead_segment(tmp_path, b"nope\n", (key_digest({"k": 1}), b"{ not json"))
         records = list(store.records())
         assert len(records) == 1
         assert records[0]["tag"] == "good"
@@ -110,20 +120,35 @@ class TestResultStore:
         assert store.get(KEY)["tag"] == 2
         assert len(store) == 1
 
-    def test_inflight_temp_files_invisible(self, tmp_path):
-        """Crash-leftover temp files must not pollute len/records/clear."""
+    def test_torn_tails_invisible(self, tmp_path, dead_segment):
+        """A frame a dead writer left half-written must not pollute
+        len/records/clear."""
         store = ResultStore(tmp_path)
         store.put(KEY, {"tag": "good"})
-        (tmp_path / "explore" / ".inflight-dead.tmp").write_text("{ torn")
+        dead_segment(tmp_path, _segments(tmp_path)[0].read_bytes()[:-9])
         assert len(store) == 1
         assert len(list(store.records())) == 1
         assert store.clear() == 1
 
-    def test_put_leaves_no_temp_files(self, tmp_path):
+    def test_duplicate_digest_counts_once(self, tmp_path, dead_segment):
+        store = ResultStore(tmp_path)
+        store.put(KEY, {"tag": "good"})
+        record = store.get(KEY)
+        dead_segment(tmp_path, record, record)
+        dead_segment(tmp_path, record)
+        assert len(store) == 1
+        assert list(store.records()) == [record]
+        assert len(ResultStore(tmp_path)) == 1
+        assert store.fsck().ok == 1
+
+    def test_put_writes_one_segment_and_nothing_else(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put(KEY, {})
+        store.put({**KEY, "width": 16}, {})
         names = [p.name for p in (tmp_path / "explore").iterdir()]
-        assert names == [f"{key_digest(KEY)}.json"]
+        assert names == ["segments"]
+        assert len(_segments(tmp_path)) == 1
+        assert store.segments() == [_segments(tmp_path)[0].stat().st_size]
 
     def test_env_var_default_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "custom"))
@@ -131,19 +156,34 @@ class TestResultStore:
         store.put(KEY, {})
         assert (tmp_path / "custom" / "explore").is_dir()
 
-    def test_indented_record_reads_warm(self, tmp_path):
+    @pytest.mark.parametrize(
+        "text", [INDENTED_RECORD, canonical_json(json.loads(INDENTED_RECORD))],
+        ids=["indented", "compact"],
+    )
+    def test_legacy_record_files_are_garbage(self, tmp_path, capsys, text):
+        """Per-record files of the older layout are never read: fsck
+        reports them and ``--remove`` deletes them."""
         store = ResultStore(tmp_path)
         store.directory.mkdir(parents=True)
-        store._path(KEY).write_text(INDENTED_RECORD)
-        assert store.get(KEY)["result"] == {"makespan_us": 1.0}
+        legacy = store.directory / f"{key_digest(KEY)}.json"
+        legacy.write_text(text)
+        assert store.get(KEY) is None
+        assert len(store) == 0
         report = store.fsck()
-        assert (report.ok, report.bad) == (1, 0)
+        assert (report.ok, report.bad, report.legacy) == (0, 0, [legacy.name])
+        assert main(["cache", "fsck", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "legacy per-record files: 1" in out
+        assert "fsck --remove" in out
+        assert store.fsck(remove=True).removed == 1
+        assert not legacy.exists()
 
     def test_records_are_written_compact(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put(KEY, {"result": {"makespan_us": 1.0}})
-        text = store._path(KEY).read_text()
-        assert text == canonical_json(json.loads(INDENTED_RECORD))
+        (segment,) = _segments(tmp_path)
+        payload = segment.read_bytes().split(b"\n")[1].decode()
+        assert payload == canonical_json(json.loads(INDENTED_RECORD))
 
 
 class TestOutcomeCounters:
@@ -193,10 +233,12 @@ class TestWritePath:
     def test_record_bytes_are_canonical_json(self, tmp_path, record):
         store = ResultStore(tmp_path)
         assert store.put(KEY, record)
-        path = store._path(KEY)
+        (segment,) = _segments(tmp_path)
         document = {**record, "schema": SCHEMA_VERSION, "key": KEY}
-        assert path.read_bytes() == canonical_json(document).encode("utf-8")
-        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        payload = canonical_json(document).encode("utf-8")
+        header = f"{key_digest(KEY)} {len(payload)} {zlib.crc32(payload)}\n"
+        assert segment.read_bytes() == header.encode() + payload + b"\n"
+        assert stat.S_IMODE(segment.stat().st_mode) == 0o600
 
     def test_readonly_directory_degrades(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path)
@@ -214,85 +256,116 @@ class TestWritePath:
                     return real_open(path, flags, *args, **kwargs)
 
                 monkeypatch.setattr(os, "open", read_only)
+            later = ResultStore(tmp_path)  # its segment cannot be made
             with pytest.warns(StoreDegradedWarning, match="write failed"):
-                assert store.put({**KEY, "width": 16}, {"tag": 2}) is False
+                assert later.put({**KEY, "width": 16}, {"tag": 2}) is False
+            assert later.get(KEY)["tag"] == 1
         finally:
             os.chmod(store.directory, 0o700)
-        assert store.get(KEY)["tag"] == 1
-        assert store.get({**KEY, "width": 16}) is None
-        assert not list(store.directory.glob(".inflight-*"))
+        assert later.get({**KEY, "width": 16}) is None
+        assert len(_segments(tmp_path)) == 1
 
 
-class TestStaleTemps:
-    """A writer killed between creating its temp file and publishing it
-    leaves the file behind; fsck reports it once it is ``lease_ttl`` old
-    and a live writer's fresh one is never touched."""
+class TestDeadWriters:
+    """fsck takes a segment for a dead writer's only once its owner
+    token is ``lease_ttl`` old or gone; a live writer's segment and
+    leases are never touched."""
 
-    def _temps(self, store):
-        store.directory.mkdir(parents=True, exist_ok=True)
-        dead = store.directory / ".inflight-dead-0.tmp"
-        live = store.directory / ".inflight-live-0.tmp"
-        dead.write_text("{ torn")
-        live.write_text("{ half")
-        long_ago = time.time() - 2 * store.lease_ttl
-        os.utime(dead, (long_ago, long_ago))
-        return dead, live
-
-    def test_fsck_reports_and_removes_only_aged_temps(self, tmp_path, capsys):
-        store = ResultStore(tmp_path)
-        store.put(KEY, {"tag": "good"})
-        dead, live = self._temps(store)
-        report = store.fsck()
-        assert report.stale_temps == [dead.name]
-        assert (report.ok, report.bad, report.removed) == (1, 0, 0)
-        assert main(["cache", "fsck", "--cache-dir", str(tmp_path)]) == 0
+    def test_fsck_compacts_only_dead_segments(self, tmp_path, capsys):
+        dead, live = ResultStore(tmp_path), ResultStore(tmp_path)
+        dead.put(KEY, {"tag": "dead"})
+        live.put({**KEY, "width": 16}, {"tag": "live"})
+        torn = f"{'0' * 64} 99 1\n{{".encode()
+        dead_segment = tmp_path / "explore" / "segments" / f"{dead._token.stem}.log"
+        with open(dead_segment, "ab") as handle:
+            handle.write(torn)  # it died mid-append
+        live_segment = tmp_path / "explore" / "segments" / f"{live._token.stem}.log"
+        with open(live_segment, "ab") as handle:
+            handle.write(torn)  # an append in flight
+        _age(dead._token)
+        report = live.fsck()
+        assert report.torn == [f"{dead_segment.name}@{dead_segment.stat().st_size - len(torn)}"]
+        assert report.stale_tokens == [dead._token.name]
+        assert (report.ok, report.bad, report.removed) == (2, 1, 0)
+        assert main(["cache", "fsck", "--cache-dir", str(tmp_path)]) == 1
         out = capsys.readouterr().out
-        assert "stale temp files: 1" in out
-        assert "fsck --remove" in out
-        report = store.fsck(remove=True)
-        assert report.removed == 1
-        assert not dead.exists() and live.exists()
-        assert store.fsck().stale_temps == []
-        assert store.get(KEY)["tag"] == "good"
+        assert "torn tails: 1" in out and "fsck --remove" in out
+        report = live.fsck(remove=True)
+        assert (report.compacted, report.removed) == (1, 2)  # torn tail + token
+        assert not dead_segment.exists() and live_segment.exists()
+        assert len(_segments(tmp_path)) == 2
+        fresh = ResultStore(tmp_path)
+        assert fresh.get(KEY)["tag"] == "dead"
+        assert fresh.get({**KEY, "width": 16})["tag"] == "live"
+        again = live.fsck(remove=True)
+        assert (again.compacted, again.removed, again.bad) == (0, 0, 0)
 
     def test_fsck_remove_clears_a_cut_reclaim_and_its_token(self, tmp_path):
         # A reclaimer killed between linking its token at a temp name
-        # and renaming it over the lease: the temp is the token's only
-        # other link, so one pass must drop both.
+        # and renaming it over the lease: the temp is a lease-named link
+        # to the token, so one pass must drop both.
         dead = ResultStore(tmp_path)
-        temp = dead.directory / ".inflight-reclaim-0.tmp"
+        temp = dead.directory / ".reclaim-0.lease"
         dead._link_token(temp)
-        long_ago = time.time() - 2 * dead.lease_ttl
-        os.utime(dead._token, (long_ago, long_ago))  # ages the temp too
+        _age(dead._token)  # ages the temp too
         report = ResultStore(tmp_path).fsck(remove=True)
-        assert report.stale_temps == [temp.name]
+        assert report.stale_leases == [temp.name]
         assert report.stale_tokens == [dead._token.name]
         assert report.removed == 2
         assert not temp.exists() and not dead._token.exists()
 
-    def test_clear_removes_only_aged_temps(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.put(KEY, {"tag": "good"})
-        dead, live = self._temps(store)
-        assert store.clear() == 1
-        assert not dead.exists() and live.exists()
+    def test_clear_then_live_writer_starts_a_fresh_segment(self, tmp_path):
+        writer = ResultStore(tmp_path)
+        writer.put(KEY, {"tag": "before"})
+        assert ResultStore(tmp_path).clear() == 1
+        assert _segments(tmp_path) == []
+        writer.put({**KEY, "width": 16}, {"tag": "after"})
+        fresh = ResultStore(tmp_path)
+        assert fresh.get({**KEY, "width": 16})["tag"] == "after"
+        assert fresh.get(KEY) is None
+
+
+class TestCompaction:
+    """A miss lists every segment, so ``fsck --remove`` folds dead
+    writers' segments into one."""
+
+    def test_two_hundred_dead_segments_fold_into_one(self, tmp_path):
+        writers = [ResultStore(tmp_path) for _ in range(200)]
+        keys = [{**KEY, "width": index} for index in range(200)]
+        for writer, key in zip(writers, keys):
+            assert writer.put(key, {"result": {"index": key["width"]}})
+        writers[0].put(keys[1], {"result": {"index": 1}})  # a duplicate
+        before = [ResultStore(tmp_path).get(key) for key in keys]
+        assert len(_segments(tmp_path)) == 200
+        _age(*(tmp_path / "owners").iterdir())
+        report = ResultStore(tmp_path).fsck(remove=True)
+        assert (report.compacted, report.ok, report.bad) == (200, 200, 0)
+        assert len(report.stale_tokens) == 200
+        (segment,) = _segments(tmp_path)
+        assert segment.read_bytes().count(b"\n") == 2 * 200
+        after = ResultStore(tmp_path)
+        assert [after.get(key) for key in keys] == before
+        assert len(after) == 200
+        again = after.fsck(remove=True)
+        assert (again.compacted, again.removed, again.ok) == (0, 0, 200)
+        assert _segments(tmp_path) == [segment]
 
 
 class TestOwnerTokenCleanup:
-    def test_fsck_removes_stale_unlinked_tokens(self, tmp_path, capsys):
+    def test_fsck_removes_stale_tokens_and_their_leases(self, tmp_path, capsys):
         idle, holder, live = (ResultStore(tmp_path) for _ in range(3))
         assert idle.claim(KEY)
         idle.release(KEY)
         assert holder.claim({**KEY, "width": 16})
         assert live.claim({**KEY, "width": 32})
         live.release({**KEY, "width": 32})
-        long_ago = time.time() - 2 * DEFAULT_LEASE_TTL
-        for store in (idle, holder):  # holder's lease ages with its token
-            os.utime(store._token, (long_ago, long_ago))
+        _age(idle._token, holder._token)  # holder's lease ages with its token
         assert main(["cache", "fsck", "--cache-dir", str(tmp_path)]) == 0
-        assert "stale owner tokens: 1" in capsys.readouterr().out
+        assert "stale owner tokens: 2" in capsys.readouterr().out
         report = live.fsck(remove=True)
-        assert report.stale_tokens == [idle._token.name]
-        assert report.removed == 2  # holder's stale lease + idle's token
-        owners = sorted(path.name for path in (tmp_path / "owners").iterdir())
-        assert owners == sorted([holder._token.name, live._token.name])
+        assert report.stale_tokens == sorted([idle._token.name, holder._token.name])
+        assert report.removed == 3  # holder's stale lease + both tokens
+        owners = [path.name for path in (tmp_path / "owners").iterdir()]
+        assert owners == [live._token.name]
+        assert not list(live.directory.glob("*.lease"))
+        assert live.fsck(remove=True).removed == 0
