@@ -277,8 +277,8 @@ def _cmd_cache(ns: argparse.Namespace) -> int:
     if ns.action == "stats":
         print(f"store root: {store.root}")
         print(f"valid records: {len(store)}")
-        sizes = store.segments()
-        print(f"segments: {len(sizes)} ({sum(sizes)} bytes)")
+        size = store.log.stat().st_size if store.log.exists() else 0
+        print(f"record log: {size} bytes")
         leases = list(store.leases())
         stale = sum(1 for _, _, _, is_stale in leases if is_stale)
         print(f"leases: {len(leases)} ({stale} stale)")
@@ -301,7 +301,7 @@ def _cmd_cache(ns: argparse.Namespace) -> int:
     print(f"stale owner tokens: {len(report.stale_tokens)}")
     print(f"legacy per-record files: {len(report.legacy)}")
     if ns.remove:
-        print(f"segments compacted: {report.compacted}")
+        print(f"log compacted: {'yes' if report.compacted else 'no'}")
         print(f"removed: {report.removed}")
     elif (report.bad or report.stale_leases or report.stale_tokens
           or report.legacy):
@@ -663,8 +663,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="inspect or repair the result store",
         description=(
             "Maintenance for the content-addressed result store: fsck "
-            "reports (and with --remove deletes, compacting dead writers' "
-            "segments) damaged records, stale leases and legacy files; "
+            "reports (and with --remove deletes, rewriting the record "
+            "log) damaged records, stale leases and legacy files; "
             "stats summarizes the store; clear wipes it."
         ),
     )

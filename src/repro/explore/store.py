@@ -1,48 +1,97 @@
 """Disk-backed, content-addressed store for exploration evaluations.
 
-Each simulator evaluation is one record under ``<root>/explore/``
-(default root ``.repro_cache/``, or ``$REPRO_CACHE_DIR``), addressed by
-the SHA-256 of its *key*: canonical JSON naming everything that decides
-the result (schema version, kernel identity and gate count, the full
-technology record, the engine, the resolved design point). A
-:class:`StoreKey` carries the document and its digest, computed once.
-A warm re-run simulates nothing; a changed input lands on new digests,
-leaving old records as garbage for :meth:`ResultStore.fsck`.
+Every simulator evaluation an exploration performs is persisted as one
+record under ``<root>/explore/`` (default root: ``.repro_cache/`` in
+the working directory, overridable via the ``REPRO_CACHE_DIR``
+environment variable), addressed by the SHA-256 of the evaluation's
+*key* — a canonical JSON document naming everything that determines the
+result:
 
-Layout (Bitcask, a hash index over append-only files: Sheehy & Smith
-2010). Each store instance appends to its own
-``explore/segments/<token>.log``, named after its owner token, made at
-its first put and opened once with ``O_APPEND``. A record is one frame
-of two lines, written with one ``write``: the header ``<digest> <length>
-<crc32>`` and the record's compact canonical JSON (no raw newline).
-:meth:`get` finds a frame through an in-memory index (one int per
-digest: segment, offset, length), reads it with one ``pread`` and checks
-header, length and CRC; a miss first indexes what other segments gained
-since the last look (one ``listdir``, one ``stat`` each), so concurrent
-explorers, serve replicas and lease waiters share results.
+* a schema version (bump :data:`SCHEMA_VERSION` to invalidate the world);
+* the kernel identity (name/width, or analysis fingerprint) and the
+  gate count of its decomposed circuit;
+* the full technology-parameter record, error rates included;
+* the simulation engine;
+* the resolved design point (defaults filled in, so ``{"arch": "cqla"}``
+  and an explicit default cache fraction share one entry).
 
-Durability. Nothing is fsync'd but the resume journal: a frame a crash
-or power loss leaves torn, short or failing its CRC reads as a miss,
-and readers resynchronise at the next header. A put checks its segment
-is still linked (one ``fstat``): one removed under a live writer is
-replaced by a fresh one readers see, while what a store has indexed
-stays readable to it through open descriptors. A failed write degrades
-to a :class:`~repro.explore.errors.StoreDegradedWarning`. ``fsck
---remove`` folds the segments whose owner token is stale or gone into
-one ownerless segment, each valid digest once; a lone clean one is left
-as it is, so a second pass finds nothing. Older per-record
-``<digest>.json`` files are ``legacy``: reported, deleted, never read.
+A :class:`StoreKey` carries the key document and its digest, computed
+once. Everything but the point is fixed per evaluator, so
+:class:`~repro.explore.evaluator.Evaluator` encodes that base once,
+split around the ``"point"`` slot, and hashes prefix + the point's
+canonical JSON + suffix: the same bytes :func:`canonical_json` gives
+the whole document, so the digests are unchanged.
 
-Leases. Evaluators sharing a store dedupe work through leases
-(``explore/<digest>.lease``): hard links to the instance's owner token
-(``<root>/owners/<nonce>.token``), taken with ``os.link``. A lease
-shares the token's inode and mtime: one :meth:`heartbeat` keeps all of
-a store's leases live, and a claim or put refreshes a token older than
-``lease_ttl / 4``. A dead owner's leases go stale after ``lease_ttl``;
-a contender links its token at ``.reclaim-<nonce>.lease``,
-``os.replace``-s it over the lease and reads back the inode, so one of
-racing reclaimers proceeds. Without hard links :meth:`claim` fails open.
-Each store syscall sits behind a
+Re-running an exploration with a warm store therefore performs zero new
+simulator evaluations, and *refined* searches only pay for points they
+have never seen. Anything that changes the simulation — new tech
+params, a different kernel width, an engine fix that bumps the schema —
+lands on different digests, so stale entries are never returned; they
+are merely garbage, reportable and reclaimable with
+:meth:`ResultStore.fsck` (``repro cache fsck``) or wholesale with
+:meth:`ResultStore.clear`.
+
+Layout — one append-only log (Bitcask, a hash index over an append-only
+file: Sheehy & Smith 2010):
+
+* every writer appends to ``explore/records.log``, opened once with
+  ``O_APPEND`` at its first put (a warm all-hit run creates nothing). A
+  record is one *frame* written with one ``write``: a header line
+  ``<digest> <length> <crc32>`` and the record's compact canonical JSON
+  on one line. Appends of concurrent writers do not interleave;
+* :meth:`get` finds a frame through an in-memory index (one int per
+  digest: offset and length), reads it with one ``pread`` and checks
+  digest, length and CRC. A miss first indexes what the log gained
+  since the last look (one ``fstat``), so concurrent explorers, serve
+  replicas and lease waiters share results, at a cost that does not
+  grow with the number of writers. A store's first miss indexes the
+  whole log.
+
+Durability and fault behaviour:
+
+* the store is a cache of deterministic recomputations, so frames are
+  not fsync'd: a frame that a crash or power loss leaves torn, short or
+  failing its CRC reads as a miss and is recomputed, and readers
+  resynchronise at the next header. Only the exploration journal
+  (``journal.jsonl``, see :mod:`repro.explore.engine`) is fsync'd,
+  since resume depends on it;
+* a put checks that the log is still linked (one ``fstat``), so a log
+  removed under a live writer (``explore/`` deleted, :meth:`clear`) is
+  made again where readers look, and a reader indexes a removed or
+  replaced log afresh;
+* a failed write (``ENOSPC``, read-only cache dir) degrades to a
+  :class:`~repro.explore.errors.StoreDegradedWarning` instead of
+  crashing the exploration — the evaluation lives on in memory;
+* ``fsck --remove`` rewrites the log without its damaged, stale-schema,
+  foreign and repeated frames (into ``records.log.compact``, renamed
+  over it; frames appended meanwhile are carried over). The per-record
+  ``<digest>.json`` files of the older layout are ``legacy``: reported,
+  deleted, never read.
+
+Concurrency — the lease protocol:
+
+Multiple evaluators sharing one store coordinate through *leases*
+(``explore/<digest>.lease``). Each store instance keeps one *owner
+token* under ``<root>/owners/`` holding its ``{"owner", "pid",
+"claimed"}`` JSON, and a lease is a hard link to that token:
+:meth:`claim` takes it with ``os.link`` (``EEXIST``: someone holds it),
+so a cold miss creates no inode. A lease is ours when its inode is our
+token's (one ``stat``), and its mtime is the token's: one
+:meth:`heartbeat` at a batch boundary keeps every lease of the store
+live, and :meth:`claim` refreshes a token older than ``lease_ttl / 4``
+so no lease is born stale. A contender that fails to claim waits for the
+record to appear; if the owner dies, its leases go stale (no heartbeat
+for ``lease_ttl`` seconds) and a contender reclaims one by linking its
+own token at ``.reclaim-<nonce>.lease``, ``os.replace``-ing that over
+the lease and reading back the inode, so of several racing reclaimers
+exactly one (the last writer) proceeds. ``fsck --remove`` deletes stale
+leases and then stale tokens (a dead owner's token and leases share one
+mtime, so they go in one pass); a store recreates its token on the next
+claim. Where hard links are unsupported, :meth:`claim` fails open with a
+:class:`~repro.explore.errors.StoreDegradedWarning`. The protocol is
+cooperative — it deduplicates work; correctness never depends on it
+because a record is a deterministic recomputation: a repeated put
+appends an equal frame. Each store syscall sits behind a
 :data:`~repro.testing.faults.STORE_STAGES` fault stage.
 """
 
@@ -59,7 +108,7 @@ import uuid
 import warnings
 import weakref
 import zlib
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple, Union
@@ -80,13 +129,22 @@ _DEFAULT_ROOT = ".repro_cache"
 #: One frame: ``<digest> <length> <crc32>\n<payload>\n``.
 _FRAME = re.compile(rb"([0-9a-f]{64}) (\d+) (\d+)\n([^\n]*)\n")
 
-#: Outcome counters: every store read, write and claim bumps one.
+#: Bytes of the log a miss reads at once, so indexing a large log does
+#: not hold all of it in memory.
+_CHUNK = 1 << 22
+
+#: Outcome counters, each resolved once: every store read and write
+#: bumps one.
 _GETS = _metrics.CounterFamily(
-    "repro_store_get_total", "outcome", help="result-store reads by outcome")
+    "repro_store_get_total", "outcome", help="result-store reads by outcome"
+)
 _PUTS = _metrics.CounterFamily(
-    "repro_store_put_total", "outcome", help="result-store writes by outcome")
+    "repro_store_put_total", "outcome", help="result-store writes by outcome"
+)
 _CLAIMS = _metrics.CounterFamily(
-    "repro_lease_claims_total", "outcome", help="lease claim attempts by outcome")
+    "repro_lease_claims_total", "outcome",
+    help="lease claim attempts by outcome",
+)
 
 
 def canonical_json(document: Dict) -> str:
@@ -105,8 +163,13 @@ def key_digest(key: Dict) -> str:
 
 
 class StoreKey(NamedTuple):
-    """A key document with its content address, computed once: every
-    :class:`ResultStore` operation takes one wherever it takes a key."""
+    """A key document with its content address, computed once.
+
+    Every :class:`ResultStore` operation accepts one wherever it accepts
+    a plain key dict; a caller that touches the same key several times
+    (get, claim, heartbeat, put, release) builds it once and skips
+    re-hashing the document on each call.
+    """
 
     document: Dict
     digest: str
@@ -123,21 +186,34 @@ def _keyed(key: Key) -> StoreKey:
     return key if isinstance(key, StoreKey) else StoreKey.of(key)
 
 
-def _unlink_all(paths: Iterable[Path], stage: str = "unlink") -> int:
-    """Unlink each of ``paths`` that still exists; returns how many."""
+def _unlink_all(paths: Iterable[Path]) -> int:
+    """Unlink each of ``paths`` that still exists; returns how many. One
+    that cannot be removed (a read-only cache directory) is left, with a
+    :class:`StoreDegradedWarning`."""
     removed = 0
     for path in paths:
-        faults.check(stage)
-        with suppress(FileNotFoundError):
+        try:
+            faults.check("unlink")
             path.unlink()
             removed += 1
+        except FileNotFoundError:
+            pass
+        except OSError as exc:
+            warnings.warn(f"could not remove {path} ({exc})",
+                          StoreDegradedWarning, stacklevel=3)
     return removed
 
 
-def _close_all(fds: List[int]) -> None:
-    for fd in fds:
-        os.close(fd)
-    fds.clear()
+def _stale(paths: Iterable[Path], ttl: float) -> List[Path]:
+    """Those of ``paths`` that have gone ``ttl`` seconds untouched."""
+    now, aged = time.time(), []
+    for path in sorted(paths):
+        try:
+            if now - path.stat().st_mtime > ttl:
+                aged.append(path)
+        except OSError:
+            pass  # removed between glob and stat
+    return aged
 
 
 def _sound(match: "re.Match[bytes]") -> bool:
@@ -162,16 +238,6 @@ def _frames(data: bytes) -> Iterator["re.Match[bytes]"]:
         pos = match.end() if sound else match.end(3) + 1
 
 
-def _stale(paths: Iterable[Path], ttl: float) -> List[Path]:
-    """Those of ``paths`` untouched for ``ttl`` seconds."""
-    now, aged = time.time(), []
-    for path in sorted(paths):
-        with suppress(FileNotFoundError):  # removed between glob and stat
-            if now - path.stat().st_mtime > ttl:
-                aged.append(path)
-    return aged
-
-
 def default_root() -> Path:
     return Path(os.environ.get("REPRO_CACHE_DIR", _DEFAULT_ROOT))
 
@@ -185,42 +251,58 @@ def _fault_point(key: Dict) -> Optional[Dict]:
 @dataclass
 class FsckReport:
     """What :meth:`ResultStore.fsck` found (and optionally removed);
-    frames are named ``<segment>@<offset>``."""
+    frames are named ``records.log@<offset>``."""
 
     ok: int = 0
     corrupt: List[str] = field(default_factory=list)
     stale_schema: List[str] = field(default_factory=list)
     foreign: List[str] = field(default_factory=list)
-    torn: List[str] = field(default_factory=list)  # a dead segment's tail
+    #: Bytes after the log's last sound frame: a writer died mid-frame
+    #: (or is still writing one).
+    torn: List[str] = field(default_factory=list)
     stale_leases: List[str] = field(default_factory=list)
     stale_tokens: List[str] = field(default_factory=list)
-    legacy: List[str] = field(default_factory=list)  # older-layout files
-    compacted: int = 0  # dead segments folded into one
+    #: ``<digest>.json`` files of the older one-file-per-record layout.
+    legacy: List[str] = field(default_factory=list)
+    #: Whether ``remove=True`` rewrote the log.
+    compacted: bool = False
     removed: int = 0
 
     @property
     def bad(self) -> int:
-        return sum(map(len, (self.corrupt, self.stale_schema, self.foreign, self.torn)))
+        return (len(self.corrupt) + len(self.stale_schema) + len(self.foreign)
+                + len(self.torn))
 
 
 class ResultStore:
-    """Evaluations in one append-only segment per writer, by key SHA-256.
+    """Evaluations as frames in one append-only log, by key SHA-256.
+
+    Processes and store instances share the log freely; one instance
+    keeps its index and descriptor unlocked, so threads sharing it take
+    turns (the server holds its work lock).
 
     Args:
-        root: Cache root (default ``.repro_cache`` or ``$REPRO_CACHE_DIR``).
-        owner: Lease-owner identity (default: a ``host:pid:nonce``).
+        root: Cache root directory; evaluations live in ``root/explore``.
+            Defaults to ``.repro_cache`` (or ``$REPRO_CACHE_DIR``).
+        owner: Lease-owner identity; defaults to a unique
+            ``host:pid:nonce`` token per store instance.
         lease_ttl: Seconds without a heartbeat before a lease counts as
             stale and may be reclaimed.
     """
 
-    def __init__(self, root: Optional[os.PathLike] = None, *,
-                 owner: Optional[str] = None,
-                 lease_ttl: float = DEFAULT_LEASE_TTL) -> None:
+    def __init__(
+        self,
+        root: Optional[os.PathLike] = None,
+        *,
+        owner: Optional[str] = None,
+        lease_ttl: float = DEFAULT_LEASE_TTL,
+    ) -> None:
         self.root = Path(root) if root is not None else default_root()
         self.directory = self.root / "explore"
-        self._segments = os.path.join(os.fspath(self.directory), "segments")
+        self.log = self.directory / "records.log"
         self.owner = owner or (
-            f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:8]}")
+            f"{socket.gethostname()}:{os.getpid()}:{uuid.uuid4().hex[:8]}"
+        )
         if float(lease_ttl) <= 0:
             raise ValueError(f"lease_ttl must be positive, got {lease_ttl}")
         self.lease_ttl = float(lease_ttl)
@@ -229,15 +311,14 @@ class ResultStore:
         #: ``(st_ino, st_dev)`` of the token: a lease with it is ours.
         self._token_id: Optional[Tuple[int, int]] = None
         self._token_touched = 0.0
-        #: Our segment's name, and its descriptor and number once made.
-        self._own, self._fd, self._number = f"{self._token.stem}.log", None, 0
-        self._fds: List[int] = []  # by segment number; closed with us
-        weakref.finalize(self, _close_all, self._fds)
-        #: ``digest[:16] -> offset << 52 | frame length << 20 | segment``;
-        #: a frame's header holds the whole digest, checked on each read.
+        #: Our descriptor on the log once open, and its closer (it also
+        #: runs when the store is collected).
+        self._fd: Optional[int] = None
+        self._close: Optional[weakref.finalize] = None
+        #: ``digest[:16] -> offset << 32 | frame length``; the frame's
+        #: header holds the whole digest, checked on each read.
         self._index: Dict[str, int] = {}
-        #: Other segments: ``name -> (number, st_ino, bytes indexed)``.
-        self._seen: Dict[str, Tuple[int, int, int]] = {}
+        self._indexed = 0  # bytes of the log looked at
 
     # ------------------------------------------------------------------
 
@@ -249,23 +330,31 @@ class ResultStore:
         return self.root / "journal.jsonl"
 
     @staticmethod
-    def _timed(op: str, call, *args):
-        """``call(*args)``; with tracing on, its latency lands in
-        ``repro_store_op_seconds{op=...}``."""
-        if not _tracing():
-            return call(*args)
-        t0 = time.perf_counter()
-        result = call(*args)
+    def _valid(record: object) -> bool:
+        return isinstance(record, dict) and record.get("schema") == SCHEMA_VERSION
+
+    @staticmethod
+    def _observe(op: str, seconds: float) -> None:
+        """Record one store-operation latency (tracing-gated callers)."""
         _metrics.REGISTRY.histogram(
-            "repro_store_op_seconds", _metrics.LATENCY_SECONDS_EDGES,
-            help="result-store operation latency (seconds)", op=op,
-        ).observe(time.perf_counter() - t0)
-        return result
+            "repro_store_op_seconds",
+            _metrics.LATENCY_SECONDS_EDGES,
+            help="result-store operation latency (seconds)",
+            op=op,
+        ).observe(seconds)
 
     def get(self, key: Key) -> Optional[Dict]:
-        """The stored record for ``key``, or None (damaged frames miss);
-        counts into ``repro_store_get_total{outcome=hit|miss}``."""
-        record = self._timed("get", self._get, _keyed(key))
+        """The stored record for ``key``, or None (damaged frames miss).
+
+        Always counts into ``repro_store_get_total{outcome=hit|miss}``;
+        with tracing enabled the latency also lands in
+        ``repro_store_op_seconds{op=get}``.
+        """
+        timed = _tracing()
+        t0 = time.perf_counter() if timed else 0.0
+        record = self._get(_keyed(key))
+        if timed:
+            self._observe("get", time.perf_counter() - t0)
         _GETS.inc("hit" if record is not None else "miss")
         return record
 
@@ -280,56 +369,79 @@ class ResultStore:
             return None
 
     def _read(self, entry: int, digest: str) -> Optional[Dict]:
-        """The record ``entry`` places, if sound and under ``digest``."""
-        fd = self._fds[entry & 0xFFFFF]
-        match = _FRAME.fullmatch(os.pread(fd, entry >> 20 & 0xFFFFFFFF, entry >> 52))
-        if (match is None or not match.group(1).startswith(digest.encode("ascii"))
-                or not _sound(match)):
+        """The record at index ``entry``, if sound and filed under
+        ``digest`` (or a prefix of it)."""
+        frame = os.pread(self._fd, entry & 0xFFFFFFFF, entry >> 32)
+        match = _FRAME.fullmatch(frame)
+        if (match is None or not _sound(match)
+                or not match.group(1).startswith(digest.encode("ascii"))):
             return None
         record = json.loads(match.group(4))
-        valid = isinstance(record, dict) and record.get("schema") == SCHEMA_VERSION
-        return record if valid else None
+        if not self._valid(record):
+            return None
+        return record
+
+    def _open(self, create: bool) -> int:
+        """Open the log (making it if ``create``) and index it afresh: the
+        log the old descriptor reads, if any, was removed or replaced."""
+        faults.check("log_open")
+        flags = os.O_RDWR | os.O_APPEND
+        if create:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            flags |= os.O_CREAT
+        try:
+            fd = os.open(self.log, flags, 0o600)
+        except OSError as exc:  # a read-only log (EACCES, EROFS) still reads
+            if create or exc.errno not in (errno.EACCES, errno.EROFS):
+                raise
+            fd = os.open(self.log, os.O_RDONLY)  # and puts degrade
+        if self._close is not None:
+            self._close()
+        self._fd, self._close = fd, weakref.finalize(self, os.close, fd)
+        self._index.clear()
+        self._indexed = 0
+        return fd
 
     def _scan(self) -> bool:
-        """Index the frames other segments gained since the last look;
-        True if any. An indexed digest keeps its entry."""
-        try:
-            names = os.listdir(self._segments)
-        except OSError:
-            return False
+        """Index the frames the log gained since the last look; True if
+        any. An indexed digest keeps its entry."""
+        stat = None if self._fd is None else os.fstat(self._fd)
+        if stat is None or not stat.st_nlink:
+            stat = os.fstat(self._open(create=False))
         grew = False
-        for name in names:
-            if name == self._own or not name.endswith(".log"):
-                continue
-            path = os.path.join(self._segments, name)
-            try:
-                stat = os.stat(path)
-                seen = self._seen.get(name)
-                if seen is None or seen[1] != stat.st_ino:  # new, or remade
-                    self._fds.append(os.open(path, os.O_RDONLY))
-                    stat = os.fstat(self._fds[-1])
-                    seen = self._seen[name] = (len(self._fds) - 1, stat.st_ino, 0)
-                number, inode, done = seen
-                if stat.st_size <= done:
-                    continue
-                data = os.pread(self._fds[number], stat.st_size - done, done)
-            except OSError:
-                continue  # removed between listdir and open
+        while stat.st_size > self._indexed:
+            start = self._indexed
+            data = os.pread(self._fd, min(stat.st_size - start, _CHUNK), start)
             end = 0
             for match in _frames(data):
-                start, end = match.span()
-                entry = (done + start) << 52 | (end - start) << 20 | number
+                begin, end = match.span()
+                entry = (start + begin) << 32 | (end - begin)
                 self._index.setdefault(match.group(1)[:16].decode("ascii"), entry)
-                grew = True
-            self._seen[name] = (number, inode, done + end)
+            if not end:
+                break  # damage, or a frame still being written
+            self._indexed, grew = start + end, True
         return grew
 
     def put(self, key: Key, record: Dict) -> bool:
-        """Append ``record`` under ``key`` to this store's segment; on I/O
-        failure (``ENOSPC``, read-only cache directory) warn with
-        :class:`StoreDegradedWarning` and return False. Counts into
-        ``repro_store_put_total{outcome=ok|degraded}``."""
-        ok = self._timed("put", self._put, _keyed(key), record)
+        """Append ``record`` under ``key`` to the log, not fsync'd: after
+        power loss the record may read as a miss, and the point is then
+        recomputed.
+
+        Returns True on success. On I/O failure (``ENOSPC``, read-only
+        cache directory) the store degrades: a
+        :class:`StoreDegradedWarning` is emitted and False returned, so
+        a long exploration keeps its in-memory results instead of
+        crashing on a full disk.
+
+        Always counts into ``repro_store_put_total{outcome=ok|degraded}``;
+        with tracing enabled the latency also lands in
+        ``repro_store_op_seconds{op=put}``.
+        """
+        timed = _tracing()
+        t0 = time.perf_counter() if timed else 0.0
+        ok = self._put(_keyed(key), record)
+        if timed:
+            self._observe("put", time.perf_counter() - t0)
         _PUTS.inc("ok" if ok else "degraded")
         return ok
 
@@ -337,55 +449,34 @@ class ResultStore:
         document = dict(record)
         document["schema"] = SCHEMA_VERSION
         document["key"] = key.document
-        point = _fault_point(key.document)
-        payload = faults.mangle("store_put", point, canonical_json(document))
-        payload = payload.encode("utf-8")
+        payload = faults.mangle(
+            "store_put", _fault_point(key.document), canonical_json(document)
+        ).encode("utf-8")
         frame = b"%s %d %d\n%s\n" % (
-            key.digest.encode("ascii"), len(payload), zlib.crc32(payload), payload)
+            key.digest.encode("ascii"), len(payload), zlib.crc32(payload), payload
+        )
         try:
-            faults.check("store_put", point)
-            fd = self._segment()
-            faults.check("segment_append", point)
+            faults.check("store_put", _fault_point(key.document))
+            fd = self._fd
+            if fd is None or not os.fstat(fd).st_nlink:
+                fd = self._open(create=True)
+            faults.check("log_append", _fault_point(key.document))
             written = os.write(fd, frame)
             if written != len(frame):  # readers skip the partial frame
                 raise OSError(errno.ENOSPC, "short write to the result store")
-            offset = os.lseek(fd, 0, os.SEEK_CUR) - written
-            self._index[key.digest[:16]] = offset << 52 | written << 20 | self._number
+            end = os.lseek(fd, 0, os.SEEK_CUR)
+            self._index[key.digest[:16]] = (end - written) << 32 | written
+            if end - written == self._indexed:  # no other writer since
+                self._indexed = end
             return True
         except OSError as exc:
             warnings.warn(
                 f"result store write failed ({exc}); continuing without "
-                f"persistence for this evaluation", StoreDegradedWarning, stacklevel=2)
+                f"persistence for this evaluation",
+                StoreDegradedWarning,
+                stacklevel=2,
+            )
             return False
-
-    def _segment(self) -> int:
-        """Our segment's descriptor: opened at the first put, and again
-        once the file is unlinked (``explore/`` removed, compacted,
-        cleared), so no put lands where no reader looks. The token is
-        made or refreshed first: a listed segment has a live token."""
-        if time.time() - self._token_touched > self.lease_ttl / 4:
-            self._touch_token()
-        if self._fd is not None and os.fstat(self._fd).st_nlink:
-            return self._fd
-        faults.check("segment_create")
-        path = os.path.join(self._segments, self._own)
-        flags = os.O_RDWR | os.O_APPEND | os.O_CREAT
-        try:
-            fd = os.open(path, flags, 0o600)
-        except FileNotFoundError:  # first write, or explore/ was removed
-            os.makedirs(self._segments, exist_ok=True)
-            fd = os.open(path, flags, 0o600)
-        self._fd, self._number = fd, len(self._fds)
-        self._fds.append(fd)
-        return fd
-
-    def segments(self) -> List[int]:
-        """Byte sizes of the segment files on disk."""
-        sizes: List[int] = []
-        for path in Path(self._segments).glob("*.log"):
-            with suppress(FileNotFoundError):  # compacted away meanwhile
-                sizes.append(path.stat().st_size)
-        return sizes
 
     # ------------------------------------------------------------------
     # Leases
@@ -399,14 +490,19 @@ class ResultStore:
             self._token.parent.mkdir(parents=True, exist_ok=True)
             with open(self._token, "w", encoding="utf-8") as handle:
                 handle.write(canonical_json(
-                    {"owner": self.owner, "pid": os.getpid(), "claimed": time.time()}))
+                    {"owner": self.owner, "pid": os.getpid(),
+                     "claimed": time.time()}
+                ))
                 stat = os.fstat(handle.fileno())
             self._token_id = (stat.st_ino, stat.st_dev)
         self._token_touched = time.time()
 
     def _link_token(self, path: Path) -> None:
-        """Hard-link the owner token at ``path`` (FileExistsError if taken),
-        refreshing a token older than a quarter TTL first."""
+        """Hard-link the owner token at ``path`` (FileExistsError if taken).
+
+        The link shares the token's mtime, so a token older than a
+        quarter TTL is refreshed first: no lease is born stale.
+        """
         if time.time() - self._token_touched > self.lease_ttl / 4:
             self._touch_token()
         try:
@@ -425,9 +521,11 @@ class ResultStore:
 
     def lease_owner(self, key_or_path) -> Optional[str]:
         """Owner token of the live lease for ``key``, or None."""
-        path = key_or_path
-        if not isinstance(path, Path):
-            path = self._lease_path(key_or_path)
+        path = (
+            key_or_path
+            if isinstance(key_or_path, Path)
+            else self._lease_path(key_or_path)
+        )
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 lease = json.load(handle)
@@ -437,15 +535,25 @@ class ResultStore:
 
     def claim(self, key: Key) -> bool:
         """Try to take the lease on ``key``; True when this store owns it.
-        Counts into ``repro_lease_claims_total{outcome=...}``: ``claimed``
-        (fresh take), ``held`` (already ours), ``reclaimed`` (a stale one
-        replaced), ``contested`` (someone else's, live), or ``degraded``
-        (the link failed, so we proceed unclaimed)."""
+
+        A missing lease is claimed atomically; a stale one (mtime older
+        than ``lease_ttl``) is reclaimed; a live one held by someone
+        else — or already by us — yields False/True respectively without
+        touching the file.
+
+        Outcomes count into ``repro_lease_claims_total{outcome=...}`` with
+        ``claimed`` (fresh take), ``held`` (already ours), ``reclaimed``
+        (stale lease replaced), ``contested`` (someone else's), or
+        ``degraded`` (the link failed, so we proceed unclaimed).
+        """
         try:
             outcome, owned = self._claim(key)
         except OSError as exc:  # no hard links here (EPERM, ENOTSUP, EXDEV)
-            warnings.warn(f"lease link failed ({exc}); proceeding without a claim",
-                          StoreDegradedWarning, stacklevel=2)
+            warnings.warn(
+                f"lease link failed ({exc}); proceeding without a claim",
+                StoreDegradedWarning,
+                stacklevel=2,
+            )
             outcome, owned = "degraded", True  # fail open
         _CLAIMS.inc(outcome)
         return owned
@@ -466,8 +574,10 @@ class ResultStore:
             return "held", True
         if time.time() - lease.st_mtime <= self.lease_ttl:
             return "contested", False
-        # Stale: replace it with our own link, then read back — of racing
-        # reclaimers only the last writer sees its own inode and proceeds.
+        # Stale: replace it with our own link, then read back — of
+        # several racing reclaimers only the last writer sees its own
+        # inode and proceeds. A reclaim cut before its rename leaves a
+        # link that fsck ages out like any lease.
         temp = self.directory / f".reclaim-{uuid.uuid4().hex}.lease"
         faults.check("reclaim_link")
         self._link_token(temp)
@@ -486,23 +596,31 @@ class ResultStore:
         """Drop our lease on ``key`` (a lease we don't own is left alone)."""
         path = self._lease_path(key)
         if self._owns(path):
-            faults.check("lease_release")
-            with suppress(OSError):
+            try:
+                faults.check("lease_release")
                 path.unlink()
+            except OSError:
+                pass
 
     def heartbeat(self, key: Key) -> None:
         """Refresh our lease's mtime so it doesn't go stale mid-run (and
         every other lease of this store: they all link one token)."""
         path = self._lease_path(key)
         if self._owns(path):
-            faults.check("lease_heartbeat")
-            with suppress(OSError):
+            try:
+                faults.check("lease_heartbeat")
                 os.utime(path)
                 self._token_touched = time.time()
+            except OSError:
+                pass
 
     def leases(self) -> Iterator[Tuple[str, Optional[str], float, bool]]:
-        """Lease files as ``(digest, owner, age_seconds, stale)`` rows, for
-        ``repro cache stats`` and a draining server's log."""
+        """Live lease files: ``(digest, owner, age_seconds, stale)`` rows.
+
+        What ``repro cache stats`` reports and a draining server logs —
+        a lease outliving its owner shows up here until a peer reclaims
+        it or ``fsck --remove`` sweeps it.
+        """
         if not self.directory.is_dir():
             return
         now = time.time()
@@ -518,8 +636,10 @@ class ResultStore:
         """Context-managed claim; raises :class:`LeaseHeld` if contested."""
         key = _keyed(key)
         if not self.claim(key):
-            raise LeaseHeld(f"lease on {key.digest[:12]}… held by another "
-                            "evaluator", owner=self.lease_owner(key))
+            raise LeaseHeld(
+                f"lease on {key.digest[:12]}… held by another evaluator",
+                owner=self.lease_owner(key),
+            )
         try:
             yield
         finally:
@@ -532,70 +652,84 @@ class ResultStore:
         return sum(1 for _ in self.records())
 
     def records(self) -> Iterator[Dict]:
-        """All valid records, one per digest, in digest order."""
-        self._scan()
+        """All valid records, one per digest (damaged and stale-schema
+        frames skipped)."""
+        try:
+            self._scan()
+        except OSError:
+            return  # no log yet
         for prefix in sorted(self._index):
             record = self._get(StoreKey(None, prefix))
             if record is not None:
                 yield record
 
     def fsck(self, remove: bool = False) -> FsckReport:
-        """Audit the store (see :class:`FsckReport`); ``remove=True``
-        deletes stale leases, then stale tokens (a dead owner's goes in
-        the pass that drops its last lease) and legacy files, then folds
-        the dead segments (owner token stale or gone) into one if there
-        are several or they hold anything to drop."""
+        """Audit the store; optionally remove everything unhealthy.
+
+        Classifies each frame of the log as ok (once per digest) /
+        ``corrupt`` (damaged bytes, or a payload that is not a record) /
+        ``stale_schema`` / ``foreign`` (the header digest is not the
+        content address of the embedded key — a tampered frame), bytes
+        after the last sound frame as ``torn``, each ``*.lease`` and
+        owner token as stale when it has gone ``lease_ttl`` untouched,
+        and each ``*.json`` file as ``legacy``. With ``remove=True``
+        stale leases, then stale tokens and legacy files are deleted,
+        and a log holding anything but one sound frame per digest is
+        rewritten without the rest, so a second pass finds nothing.
+        """
         report = FsckReport()
         leases = _stale(self.directory.glob("*.lease"), self.lease_ttl)
-        # Segments are listed before tokens: a writer makes its token
-        # before its segment, so a listed segment with no token is dead.
-        segments = sorted(Path(self._segments).glob("*.log"))
-        tokens = set(self._token.parent.glob("*.token"))
-        dead_tokens = _stale(tokens, self.lease_ttl)
-        live = {path.stem for path in tokens.difference(dead_tokens)}
+        tokens = _stale(self._token.parent.glob("*.token"), self.lease_ttl)
         legacy = sorted(self.directory.glob("*.json"))
         report.stale_leases = [path.name for path in leases]
-        report.stale_tokens = [path.name for path in dead_tokens]
+        report.stale_tokens = [path.name for path in tokens]
         report.legacy = [path.name for path in legacy]
-        valid, dead, kept, dropped, copies = set(), [], {}, 0, 0
-        for path in segments:
-            try:
-                data = path.read_bytes()
-            except OSError:
-                continue  # compacted away between glob and read
-            owned, done = path.stem in live, 0
+        compact = Path(f"{self.log}.compact")  # what a cut compaction left
+        if remove:
+            report.removed = _unlink_all(leases + tokens + legacy + [compact])
+        try:
+            log = open(self.log, "rb")
+        except FileNotFoundError:
+            return report
+        with log:
+            data = log.read()
+            kept, done, dropped = {}, 0, 0
             for match in _frames(data):
                 start, end = match.span()
-                verdict = self._verdict(match)
                 if start > done:  # damaged bytes before this frame
-                    report.corrupt.append(f"{path.name}@{done}")
-                    dropped += not owned
-                if verdict:
-                    getattr(report, verdict).append(f"{path.name}@{start}")
-                    dropped += not owned
-                else:
-                    valid.add(match.group(1))
-                    if not owned:
-                        copies += 1
-                        kept.setdefault(match.group(1), match.group(0))
-                done = end
-            if not owned:
-                dead.append(path)
-                if done < len(data):
-                    report.torn.append(f"{path.name}@{done}")
+                    report.corrupt.append(f"{self.log.name}@{done}")
                     dropped += 1
-        report.ok = len(valid)
-        if remove:
-            report.removed = _unlink_all(leases + dead_tokens + legacy)
-            if len(dead) > 1 or dropped or copies > len(kept):
-                if kept:
-                    faults.check("compact_write")
-                    target = os.path.join(self._segments, f"{uuid.uuid4().hex}.log")
-                    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
-                    with os.fdopen(os.open(target, flags, 0o600), "wb") as handle:
-                        handle.write(b"".join(kept.values()))
-                _unlink_all(dead, "compact_unlink")
-                report.compacted, report.removed = len(dead), report.removed + dropped
+                verdict = self._verdict(match)
+                if verdict:
+                    getattr(report, verdict).append(f"{self.log.name}@{start}")
+                if verdict or match.group(1) in kept:
+                    dropped += 1
+                else:
+                    kept[match.group(1)] = match.group(0)
+                done = end
+            if done < len(data):
+                report.torn.append(f"{self.log.name}@{done}")
+                dropped += 1
+            report.ok = len(kept)
+            if not (remove and dropped):
+                return report
+            try:  # write the kept frames as the new log, renamed over it
+                faults.check("compact_write")
+                flags = os.O_WRONLY | os.O_CREAT | os.O_TRUNC
+                with os.fdopen(os.open(compact, flags, 0o600), "wb") as handle:
+                    handle.write(b"".join(kept.values()))
+                faults.check("compact_rename")
+                os.replace(compact, self.log)
+                log.seek(done)  # and carry over what writers added meanwhile
+                late = b"".join(match.group(0) for match in _frames(log.read()))
+                if late:
+                    with open(self.log, "ab") as handle:
+                        handle.write(late)
+            except OSError as exc:
+                warnings.warn(f"could not compact {self.log} ({exc})",
+                              StoreDegradedWarning, stacklevel=2)
+                return report
+        report.compacted, report.removed = True, report.removed + dropped
         return report
 
     @staticmethod
@@ -615,13 +749,18 @@ class ResultStore:
         return None
 
     def clear(self) -> int:
-        """Delete every stored evaluation (leases and legacy files too);
-        returns how many. A live writer's next put makes a fresh segment."""
+        """Delete every stored evaluation; returns the number removed.
+
+        The log, leases and legacy per-record files all go; a live
+        writer's next put makes a fresh log.
+        """
         removed = len(self)
-        _unlink_all([*Path(self._segments).glob("*.log"),
-                     *self.directory.glob("*.lease"), *self.directory.glob("*.json")])
-        _close_all(self._fds)
-        self._fd = None
+        _unlink_all([self.log, Path(f"{self.log}.compact"),
+                     *self.directory.glob("*.lease"),
+                     *self.directory.glob("*.json")])
+        if self._close is not None:
+            self._close()
+        self._fd = self._close = None
         self._index.clear()
-        self._seen.clear()
+        self._indexed = 0
         return removed

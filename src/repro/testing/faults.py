@@ -70,15 +70,14 @@ ENV_PLAN = "REPRO_FAULTS"
 ENV_STATE = "REPRO_FAULTS_DIR"
 
 #: The result store's syscalls, one stage before each (see
-#: :mod:`repro.explore.store`): a put's segment create and frame append;
-#: a claim's lease link, token refresh, heartbeat and release; a stale
+#: :mod:`repro.explore.store`): opening the log and a put's frame append; a
+#: claim's lease link, token refresh, heartbeat and release; a stale
 #: lease's reclaim link and rename; ``fsck --remove``'s unlinks of
-#: leases, tokens and legacy files, its compacted write and its unlinks
-#: of the segments that write replaced.
+#: leases, tokens and legacy files, and its compacted write and rename.
 STORE_STAGES = (
-    "segment_create", "segment_append", "token_refresh", "lease_link",
+    "log_open", "log_append", "token_refresh", "lease_link",
     "lease_heartbeat", "lease_release", "reclaim_link", "reclaim_replace",
-    "unlink", "compact_write", "compact_unlink",
+    "unlink", "compact_write", "compact_rename",
 )
 
 #: Stages the production hooks announce. The ``serve_*`` trio are the

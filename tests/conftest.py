@@ -6,7 +6,6 @@ few seconds each, and they are immutable once constructed.
 """
 
 import threading
-import uuid
 import zlib
 from pathlib import Path
 
@@ -129,18 +128,17 @@ def _frame(digest, payload):
 
 
 @pytest.fixture
-def dead_segment():
-    """``dead_segment(root, *chunks)`` writes a result-store segment that
-    no live store owns (no owner token bears its name) and returns its
-    path. A record dict is framed under its key's digest, a ``(digest,
-    record or payload bytes)`` pair under that digest, and bytes go in
-    as they are (damage, a torn tail)."""
+def append_log():
+    """``append_log(root, *chunks)`` appends to a result store's record
+    log as another writer would, and returns the log's path. A record
+    dict is framed under its key's digest, a ``(digest, record or
+    payload bytes)`` pair under that digest, and bytes go in as they
+    are (damage, a torn tail)."""
 
     def write(root, *chunks):
-        directory = Path(root) / "explore" / "segments"
-        directory.mkdir(parents=True, exist_ok=True)
-        path = directory / f"{uuid.uuid4().hex}.log"
-        with open(path, "wb") as handle:
+        path = Path(root) / "explore" / "records.log"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        with open(path, "ab") as handle:
             for chunk in chunks:
                 if isinstance(chunk, dict):
                     chunk = _frame(key_digest(chunk["key"]), chunk)

@@ -99,10 +99,8 @@ class TestOwnerTokenLeases:
         store.put(self.KEY, {"tag": 1})
         store.release(self.KEY)
         names = [path.name for path in store.directory.iterdir()]
-        assert names == ["segments"]  # the lease is gone, the record kept
-        (segment,) = (store.directory / "segments").iterdir()
-        assert segment.stem == token.stem
-        assert segment.read_bytes().startswith(key_digest(self.KEY).encode())
+        assert names == ["records.log"]  # the lease is gone, the record kept
+        assert store.log.read_bytes().startswith(key_digest(self.KEY).encode())
 
     def test_idle_store_claims_a_live_lease(self, tmp_path):
         """A token untouched for longer than the TTL is refreshed before
@@ -155,9 +153,9 @@ class TestOwnerTokenLeases:
         assert b.claim(self.KEY)
 
     def test_removed_explore_dir_is_recreated(self, tmp_path):
-        """A put after ``explore/`` or the segment was removed under a
-        live writer lands in a fresh segment readers see, not in the
-        unlinked inode."""
+        """A put after ``explore/`` or the log was removed under a live
+        writer lands in a fresh log readers see, not in the unlinked
+        inode."""
         store = ResultStore(tmp_path)
         assert store.put(self.KEY, {"tag": 1})
         other = {**self.KEY, "width": 16}
@@ -167,8 +165,7 @@ class TestOwnerTokenLeases:
             assert store.put(self.KEY, {"tag": 2})
             assert store.get(self.KEY)["tag"] == 2
             assert ResultStore(tmp_path).get(self.KEY)["tag"] == 2
-            (segment,) = (store.directory / "segments").iterdir()
-            segment.unlink()
+            store.log.unlink()
             assert store.put(other, {"tag": 3})
             assert ResultStore(tmp_path).get(other)["tag"] == 3
             shutil.rmtree(store.directory)

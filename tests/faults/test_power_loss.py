@@ -1,8 +1,5 @@
-"""Power loss after an un-fsync'd put: the segment's last frame reached
-the disk only in part, leaving a torn tail."""
-
-import os
-import time
+"""Power loss after an un-fsync'd put: the log's last frame reached the
+disk only in part, leaving a torn tail."""
 
 from repro.explore import Evaluator, ResultStore
 from repro.explore.store import StoreKey
@@ -12,19 +9,15 @@ def test_torn_tail_frame_is_a_miss_and_is_rewritten(tmp_path, points):
     first = Evaluator(kernel="qrca", width=8, store=ResultStore(tmp_path))
     reference = first.evaluate(points[:2])
     key = StoreKey.of(first._store_key(first.canonicalize(points[1])))
-    (segment,) = (tmp_path / "explore" / "segments").glob("*.log")
-    data = segment.read_bytes()
+    log = tmp_path / "explore" / "records.log"
+    data = log.read_bytes()
     written = data[data.rindex(key.digest.encode()):]
-    segment.write_bytes(data[: len(data) - len(written) // 2])
-    # The writer is gone: its token ages past the lease TTL.
-    (token,) = (tmp_path / "owners").iterdir()
-    long_ago = time.time() - 1000
-    os.utime(token, (long_ago, long_ago))
+    log.write_bytes(data[: len(data) - len(written) // 2])
 
     store = ResultStore(tmp_path)
     assert store.get(key) is None
     report = store.fsck()
-    assert report.torn == [f"{segment.name}@{len(data) - len(written)}"]
+    assert report.torn == [f"records.log@{len(data) - len(written)}"]
     assert report.ok == 1
 
     second = Evaluator(kernel="qrca", width=8, store=store)
@@ -33,9 +26,8 @@ def test_torn_tail_frame_is_a_miss_and_is_rewritten(tmp_path, points):
     assert second.cache_hits == 1
     assert [e.result for e in again] == [e.result for e in reference]
     assert ResultStore(tmp_path).get(key) is not None
-    assert written in b"".join(
-        path.read_bytes() for path in segment.parent.glob("*.log")
-    )
-    assert store.fsck(remove=True).removed == 2  # the torn tail + token
+    assert log.read_bytes().endswith(written)  # behind the torn bytes
+    assert store.fsck().corrupt == [f"records.log@{len(data) - len(written)}"]
+    assert store.fsck(remove=True).removed == 1
     assert store.fsck().ok == 2
     assert store.fsck().bad == 0

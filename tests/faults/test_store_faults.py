@@ -83,10 +83,10 @@ class TestStoreIOErrors:
 class TestSchemaGate:
     """records()/__len__ apply the same schema gate as get()."""
 
-    def test_stale_schema_not_counted_or_yielded(self, tmp_path, dead_segment):
+    def test_stale_schema_not_counted_or_yielded(self, tmp_path, append_log):
         store = ResultStore(tmp_path)
         store.put(KEY, {"tag": "good"})
-        dead_segment(
+        append_log(
             tmp_path,
             {"key": {"k": "stale"}, "schema": SCHEMA_VERSION + 1, "tag": "stale"},
             (key_digest({"k": "schemaless"}), {"tag": "foreign"}),
@@ -94,19 +94,20 @@ class TestSchemaGate:
         assert len(store) == 1
         assert [r["tag"] for r in store.records()] == ["good"]
 
-    def test_corrupt_but_parseable_not_counted(self, tmp_path, dead_segment):
-        dead_segment(tmp_path, (key_digest(KEY), b"[1,2,3]"))
+    def test_corrupt_but_parseable_not_counted(self, tmp_path, append_log):
+        append_log(tmp_path, (key_digest(KEY), b"[1,2,3]"))
         store = ResultStore(tmp_path)
         assert len(store) == 0
         assert list(store.records()) == []
 
 
 class TestFsck:
-    def test_fsck_classifies_everything(self, tmp_path, dead_segment):
+    def test_fsck_classifies_everything(self, tmp_path, append_log):
         store = ResultStore(tmp_path, lease_ttl=0.1)
         store.put(KEY, {"tag": "good"})
         good = store.get(KEY)
-        segment = dead_segment(
+        first = store.log.stat().st_size
+        log = append_log(
             tmp_path,
             b"{ not json\n",
             {"key": {"k": "stale"}, "schema": SCHEMA_VERSION + 1},
@@ -117,23 +118,23 @@ class TestFsck:
         time.sleep(0.2)  # the lease goes stale
         report = store.fsck()
         assert report.ok == 1
-        stale_at = len(b"{ not json\n")
-        foreign_at = segment.read_bytes().index(key_digest({"k": "other"}).encode())
-        assert report.corrupt == [f"{segment.name}@0"]
-        assert report.stale_schema == [f"{segment.name}@{stale_at}"]
-        assert report.foreign == [f"{segment.name}@{foreign_at}"]
+        stale_at = first + len(b"{ not json\n")
+        foreign_at = log.read_bytes().index(key_digest({"k": "other"}).encode())
+        assert report.corrupt == [f"records.log@{first}"]
+        assert report.stale_schema == [f"records.log@{stale_at}"]
+        assert report.foreign == [f"records.log@{foreign_at}"]
         assert len(report.stale_leases) == 1
         assert report.removed == 0  # report-only by default
 
-    def test_fsck_remove_heals_the_store(self, tmp_path, dead_segment):
+    def test_fsck_remove_heals_the_store(self, tmp_path, append_log):
         store = ResultStore(tmp_path, lease_ttl=0.05)
         store.put(KEY, {"tag": "good"})
-        dead_segment(tmp_path, b"nope\n")
+        append_log(tmp_path, b"nope\n")
         store.claim({"point": "other"})
         time.sleep(0.15)
         report = store.fsck(remove=True)
-        # The corrupt bytes, the stale lease and (its owner idle past the
-        # TTL) the writer's token; its segment is folded into one.
+        # The corrupt bytes (the log is rewritten without them), the
+        # stale lease and (its owner idle past the TTL) its token.
         assert report.removed == 3
         assert store.fsck().bad == 0
         assert store.get(KEY)["tag"] == "good"  # healthy entries untouched

@@ -5,7 +5,7 @@ Each store stage (:data:`repro.testing.faults.STORE_STAGES`, plus the
 child process running a whole store session: one batch over points the
 first of which a dead owner's stale lease blocks (so the reclaim runs),
 slowed once so the batch heartbeats its leases, then ``fsck --remove``
-over a dead owner's segment and a damaged one (so compaction runs).
+over a log holding damaged bytes (so compaction runs).
 
 After the kill every owner is dead; their tokens are aged past the
 lease TTL (what waiting it out does, without the wait). Then:
@@ -83,14 +83,14 @@ def cold(tmp_path_factory):
     return results[: len(POINTS)], records
 
 
-def _setup(root, dead_segment):
+def _setup(root, append_log):
     """A dead owner: a stale lease on the first point and on its own
-    point, whose record it stored; and a damaged ownerless segment."""
+    point, whose record it stored; and damaged bytes in the log."""
     dead = _evaluator(root)
     dead_key, first_key = _keys(dead, [DEAD_POINT, POINTS[0]])
     dead.evaluate([DEAD_POINT])
     assert dead.store.claim(first_key) and dead.store.claim(dead_key)
-    dead_segment(root, b"damaged\n")
+    append_log(root, b"damaged\n")
     _age_tokens(root)
 
 
@@ -104,17 +104,17 @@ def _assert_cold_or_missing(root, keys, records):
 
 #: Each stage's first call, and one append in the middle of the batch.
 KILLS = [(stage, {}) for stage in ("store_get", "store_put") + STORE_STAGES] + [
-    ("segment_append", POINTS[2]),
+    ("log_append", POINTS[2]),
 ]
 
 
 @pytest.mark.parametrize(
     "stage, match", KILLS, ids=[f"{s}{'-mid' if m else ''}" for s, m in KILLS]
 )
-def test_kill_at_every_store_stage(tmp_path, stage, match, cold, dead_segment):
+def test_kill_at_every_store_stage(tmp_path, stage, match, cold, append_log):
     results, records = cold
     root = tmp_path / "store"
-    _setup(root, dead_segment)
+    _setup(root, append_log)
     keys = _keys(_evaluator(root), POINTS + [DEAD_POINT])
 
     child = multiprocessing.get_context("spawn").Process(
@@ -126,7 +126,7 @@ def test_kill_at_every_store_stage(tmp_path, stage, match, cold, dead_segment):
 
     _age_tokens(root)
     _assert_cold_or_missing(root, keys, records)
-    assert ResultStore(root).fsck().bad <= 1  # the damaged segment only
+    assert ResultStore(root).fsck().bad <= 1  # the damaged bytes only
 
     rerun = _evaluator(root)
     assert [e.result for e in rerun.evaluate(POINTS)] == results
@@ -137,7 +137,7 @@ def test_kill_at_every_store_stage(tmp_path, stage, match, cold, dead_segment):
     owners = {t.name for t in (root / "owners").iterdir()}
     assert owners <= {rerun.store._token.name}
     again = rerun.store.fsck(remove=True)
-    assert (again.bad, again.removed, again.compacted) == (0, 0, 0)
+    assert (again.bad, again.removed, again.compacted) == (0, 0, False)
     assert not (again.stale_leases or again.stale_tokens or again.legacy)
     fresh = ResultStore(root)
     assert all(fresh.get(key) == records[key.digest] for key in keys)

@@ -2,10 +2,15 @@
 
 import errno
 import json
+import multiprocessing
 import os
 import stat
+import subprocess
+import sys
+import textwrap
 import time
 import zlib
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +21,8 @@ from repro.explore.store import (
     SCHEMA_VERSION,
     canonical_json,
 )
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 KEY = {"kernel": "qrca", "width": 8, "point": {"arch": "qla", "factory_area": 10.0}}
@@ -51,8 +58,8 @@ class TestKeyDigest:
         assert canonical_json({"b": 1, "a": [1.5, "s"]}) == '{"a":[1.5,"s"],"b":1}'
 
 
-def _segments(root):
-    return sorted((root / "explore" / "segments").glob("*.log"))
+def _log(root):
+    return root / "explore" / "records.log"
 
 
 def _age(*paths):
@@ -76,23 +83,20 @@ class TestResultStore:
     def test_lives_under_explore_subdir(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put(KEY, {})
-        (segment,) = _segments(tmp_path)
-        (token,) = (tmp_path / "owners").iterdir()
-        assert segment.stem == token.stem  # named after its owner
-        assert segment.read_bytes().startswith(f"{key_digest(KEY)} ".encode())
+        assert store.log == _log(tmp_path)
+        assert _log(tmp_path).read_bytes().startswith(f"{key_digest(KEY)} ".encode())
 
     def test_corrupt_frame_is_a_miss(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put(KEY, {"result": {}})
-        (segment,) = _segments(tmp_path)
-        data = bytearray(segment.read_bytes())
+        data = bytearray(_log(tmp_path).read_bytes())
         data[-3] ^= 1  # one flipped payload bit: the CRC no longer matches
-        segment.write_bytes(bytes(data))
+        _log(tmp_path).write_bytes(bytes(data))
         assert store.get(KEY) is None
         assert ResultStore(tmp_path).get(KEY) is None
 
-    def test_wrong_schema_is_a_miss(self, tmp_path, dead_segment):
-        dead_segment(tmp_path, {"key": KEY, "schema": SCHEMA_VERSION + 1})
+    def test_wrong_schema_is_a_miss(self, tmp_path, append_log):
+        append_log(tmp_path, {"key": KEY, "schema": SCHEMA_VERSION + 1})
         assert ResultStore(tmp_path).get(KEY) is None
 
     def test_len_and_clear(self, tmp_path):
@@ -105,10 +109,10 @@ class TestResultStore:
         assert len(store) == 0
         assert store.clear() == 0
 
-    def test_records_iteration_skips_corrupt(self, tmp_path, dead_segment):
+    def test_records_iteration_skips_corrupt(self, tmp_path, append_log):
         store = ResultStore(tmp_path)
         store.put(KEY, {"tag": "good"})
-        dead_segment(tmp_path, b"nope\n", (key_digest({"k": 1}), b"{ not json"))
+        append_log(tmp_path, b"nope\n", (key_digest({"k": 1}), b"{ not json"))
         records = list(store.records())
         assert len(records) == 1
         assert records[0]["tag"] == "good"
@@ -120,35 +124,36 @@ class TestResultStore:
         assert store.get(KEY)["tag"] == 2
         assert len(store) == 1
 
-    def test_torn_tails_invisible(self, tmp_path, dead_segment):
+    def test_torn_tails_invisible(self, tmp_path, append_log):
         """A frame a dead writer left half-written must not pollute
-        len/records/clear."""
+        len/records/clear, nor hide a frame appended after it."""
         store = ResultStore(tmp_path)
         store.put(KEY, {"tag": "good"})
-        dead_segment(tmp_path, _segments(tmp_path)[0].read_bytes()[:-9])
+        append_log(tmp_path, _log(tmp_path).read_bytes()[:-9])
         assert len(store) == 1
         assert len(list(store.records())) == 1
-        assert store.clear() == 1
+        other = {**KEY, "width": 16}
+        assert ResultStore(tmp_path).put(other, {"tag": "after"})
+        assert store.get(other)["tag"] == "after"
+        assert store.clear() == 2
 
-    def test_duplicate_digest_counts_once(self, tmp_path, dead_segment):
+    def test_duplicate_digest_counts_once(self, tmp_path, append_log):
         store = ResultStore(tmp_path)
         store.put(KEY, {"tag": "good"})
         record = store.get(KEY)
-        dead_segment(tmp_path, record, record)
-        dead_segment(tmp_path, record)
+        append_log(tmp_path, record, record)
         assert len(store) == 1
         assert list(store.records()) == [record]
         assert len(ResultStore(tmp_path)) == 1
         assert store.fsck().ok == 1
 
-    def test_put_writes_one_segment_and_nothing_else(self, tmp_path):
+    def test_put_writes_one_log_and_nothing_else(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put(KEY, {})
-        store.put({**KEY, "width": 16}, {})
-        names = [p.name for p in (tmp_path / "explore").iterdir()]
-        assert names == ["segments"]
-        assert len(_segments(tmp_path)) == 1
-        assert store.segments() == [_segments(tmp_path)[0].stat().st_size]
+        ResultStore(tmp_path).put({**KEY, "width": 16}, {})
+        assert [p.name for p in tmp_path.iterdir()] == ["explore"]  # no token
+        assert [p.name for p in store.directory.iterdir()] == ["records.log"]
+        assert _log(tmp_path).read_bytes().count(b"\n") == 4
 
     def test_env_var_default_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "custom"))
@@ -181,8 +186,7 @@ class TestResultStore:
     def test_records_are_written_compact(self, tmp_path):
         store = ResultStore(tmp_path)
         store.put(KEY, {"result": {"makespan_us": 1.0}})
-        (segment,) = _segments(tmp_path)
-        payload = segment.read_bytes().split(b"\n")[1].decode()
+        payload = _log(tmp_path).read_bytes().split(b"\n")[1].decode()
         assert payload == canonical_json(json.loads(INDENTED_RECORD))
 
 
@@ -233,72 +237,68 @@ class TestWritePath:
     def test_record_bytes_are_canonical_json(self, tmp_path, record):
         store = ResultStore(tmp_path)
         assert store.put(KEY, record)
-        (segment,) = _segments(tmp_path)
         document = {**record, "schema": SCHEMA_VERSION, "key": KEY}
         payload = canonical_json(document).encode("utf-8")
         header = f"{key_digest(KEY)} {len(payload)} {zlib.crc32(payload)}\n"
-        assert segment.read_bytes() == header.encode() + payload + b"\n"
-        assert stat.S_IMODE(segment.stat().st_mode) == 0o600
+        assert _log(tmp_path).read_bytes() == header.encode() + payload + b"\n"
+        assert stat.S_IMODE(_log(tmp_path).stat().st_mode) == 0o600
 
-    def test_readonly_directory_degrades(self, tmp_path, monkeypatch):
+    def test_readonly_store_degrades_and_still_reads(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path)
         assert store.put(KEY, {"tag": 1})
-        os.chmod(store.directory, 0o500)
-        try:
-            if os.access(store.directory, os.W_OK):
-                # Mode bits do not bind a privileged user: refuse the
-                # create the way a read-only mount would.
-                real_open = os.open
+        real_open = os.open
 
-                def read_only(path, flags, *args, **kwargs):
-                    if flags & os.O_CREAT:
-                        raise OSError(errno.EROFS, "Read-only file system", path)
-                    return real_open(path, flags, *args, **kwargs)
+        def read_only(path, flags, *args, **kwargs):  # a read-only mount
+            if flags & (os.O_CREAT | os.O_WRONLY | os.O_RDWR):
+                raise OSError(errno.EROFS, "Read-only file system", path)
+            return real_open(path, flags, *args, **kwargs)
 
-                monkeypatch.setattr(os, "open", read_only)
-            later = ResultStore(tmp_path)  # its segment cannot be made
-            with pytest.warns(StoreDegradedWarning, match="write failed"):
-                assert later.put({**KEY, "width": 16}, {"tag": 2}) is False
-            assert later.get(KEY)["tag"] == 1
-        finally:
-            os.chmod(store.directory, 0o700)
-        assert later.get({**KEY, "width": 16}) is None
-        assert len(_segments(tmp_path)) == 1
+        monkeypatch.setattr(os, "open", read_only)
+        later = ResultStore(tmp_path)
+        with pytest.warns(StoreDegradedWarning, match="write failed"):
+            assert later.put({**KEY, "width": 16}, {"tag": 2}) is False
+        assert later.get(KEY)["tag"] == 1
+        with pytest.warns(StoreDegradedWarning, match="write failed"):
+            assert later.put({**KEY, "width": 16}, {"tag": 2}) is False
+        monkeypatch.undo()
+        assert ResultStore(tmp_path).get({**KEY, "width": 16}) is None
+        assert len(ResultStore(tmp_path)) == 1
 
 
-class TestDeadWriters:
-    """fsck takes a segment for a dead writer's only once its owner
-    token is ``lease_ttl`` old or gone; a live writer's segment and
-    leases are never touched."""
+class TestLogRepair:
+    """``fsck --remove`` rewrites the shared log without what readers
+    skip; writers that keep running land in the new log."""
 
-    def test_fsck_compacts_only_dead_segments(self, tmp_path, capsys):
-        dead, live = ResultStore(tmp_path), ResultStore(tmp_path)
-        dead.put(KEY, {"tag": "dead"})
-        live.put({**KEY, "width": 16}, {"tag": "live"})
+    def test_fsck_drops_damage_and_a_torn_tail(self, tmp_path, capsys):
+        first, second = ResultStore(tmp_path), ResultStore(tmp_path)
+        first.put(KEY, {"tag": "first"})
         torn = f"{'0' * 64} 99 1\n{{".encode()
-        dead_segment = tmp_path / "explore" / "segments" / f"{dead._token.stem}.log"
-        with open(dead_segment, "ab") as handle:
-            handle.write(torn)  # it died mid-append
-        live_segment = tmp_path / "explore" / "segments" / f"{live._token.stem}.log"
-        with open(live_segment, "ab") as handle:
-            handle.write(torn)  # an append in flight
-        _age(dead._token)
-        report = live.fsck()
-        assert report.torn == [f"{dead_segment.name}@{dead_segment.stat().st_size - len(torn)}"]
-        assert report.stale_tokens == [dead._token.name]
-        assert (report.ok, report.bad, report.removed) == (2, 1, 0)
+        with open(_log(tmp_path), "ab") as handle:
+            handle.write(torn)  # a writer died mid-append
+        damaged_at = _log(tmp_path).stat().st_size - len(torn)
+        second.put({**KEY, "width": 16}, {"tag": "second"})
+        with open(_log(tmp_path), "ab") as handle:
+            handle.write(torn)  # and another one at the end
+        torn_at = _log(tmp_path).stat().st_size - len(torn)
+        report = second.fsck()
+        assert report.corrupt == [f"records.log@{damaged_at}"]
+        assert report.torn == [f"records.log@{torn_at}"]
+        assert (report.ok, report.bad, report.removed) == (2, 2, 0)
         assert main(["cache", "fsck", "--cache-dir", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "torn tails: 1" in out and "fsck --remove" in out
-        report = live.fsck(remove=True)
-        assert (report.compacted, report.removed) == (1, 2)  # torn tail + token
-        assert not dead_segment.exists() and live_segment.exists()
-        assert len(_segments(tmp_path)) == 2
+        report = second.fsck(remove=True)
+        assert (report.compacted, report.removed) == (True, 2)
+        assert _log(tmp_path).read_bytes().count(b"\n") == 4
         fresh = ResultStore(tmp_path)
-        assert fresh.get(KEY)["tag"] == "dead"
-        assert fresh.get({**KEY, "width": 16})["tag"] == "live"
-        again = live.fsck(remove=True)
-        assert (again.compacted, again.removed, again.bad) == (0, 0, 0)
+        assert fresh.get(KEY)["tag"] == "first"
+        assert fresh.get({**KEY, "width": 16})["tag"] == "second"
+        assert first.get({**KEY, "width": 16})["tag"] == "second"
+        assert first.put({**KEY, "width": 32}, {"tag": "later"})
+        assert ResultStore(tmp_path).get({**KEY, "width": 32})["tag"] == "later"
+        again = second.fsck(remove=True)
+        assert (again.compacted, again.removed, again.bad, again.ok) == (
+            False, 0, 0, 3)
 
     def test_fsck_remove_clears_a_cut_reclaim_and_its_token(self, tmp_path):
         # A reclaimer killed between linking its token at a temp name
@@ -314,41 +314,110 @@ class TestDeadWriters:
         assert report.removed == 2
         assert not temp.exists() and not dead._token.exists()
 
-    def test_clear_then_live_writer_starts_a_fresh_segment(self, tmp_path):
+    def test_clear_then_live_writer_starts_a_fresh_log(self, tmp_path):
         writer = ResultStore(tmp_path)
         writer.put(KEY, {"tag": "before"})
         assert ResultStore(tmp_path).clear() == 1
-        assert _segments(tmp_path) == []
+        assert not _log(tmp_path).exists()
         writer.put({**KEY, "width": 16}, {"tag": "after"})
         fresh = ResultStore(tmp_path)
         assert fresh.get({**KEY, "width": 16})["tag"] == "after"
         assert fresh.get(KEY) is None
 
 
-class TestCompaction:
-    """A miss lists every segment, so ``fsck --remove`` folds dead
-    writers' segments into one."""
+class TestManyWriters:
+    """Every writer appends to the one log, so what a miss costs, and
+    how many descriptors a reader holds, does not grow with writers."""
 
-    def test_two_hundred_dead_segments_fold_into_one(self, tmp_path):
-        writers = [ResultStore(tmp_path) for _ in range(200)]
+    def test_two_hundred_writers_share_one_log(self, tmp_path, monkeypatch):
         keys = [{**KEY, "width": index} for index in range(200)]
-        for writer, key in zip(writers, keys):
-            assert writer.put(key, {"result": {"index": key["width"]}})
-        writers[0].put(keys[1], {"result": {"index": 1}})  # a duplicate
-        before = [ResultStore(tmp_path).get(key) for key in keys]
-        assert len(_segments(tmp_path)) == 200
-        _age(*(tmp_path / "owners").iterdir())
+        for key in keys:
+            assert ResultStore(tmp_path).put(key, {"result": {"index": key["width"]}})
+        ResultStore(tmp_path).put(keys[1], {"result": {"index": 1}})  # a duplicate
+        assert [p.name for p in (tmp_path / "explore").iterdir()] == ["records.log"]
+        reader = ResultStore(tmp_path)
+        before = [reader.get(key) for key in keys]
+        assert [record["result"]["index"] for record in before] == list(range(200))
+        assert len(reader) == 200
+        assert len(list(reader.records())) == 200
+        calls = []
+        for name in ("fstat", "stat", "listdir", "pread", "open"):
+            monkeypatch.setattr(os, name, _counted(calls, name, getattr(os, name)))
+        assert reader.get({**KEY, "width": 999}) is None
+        assert calls == ["fstat"]  # one per miss, whatever the writer count
+        monkeypatch.undo()
         report = ResultStore(tmp_path).fsck(remove=True)
-        assert (report.compacted, report.ok, report.bad) == (200, 200, 0)
-        assert len(report.stale_tokens) == 200
-        (segment,) = _segments(tmp_path)
-        assert segment.read_bytes().count(b"\n") == 2 * 200
+        assert (report.compacted, report.ok, report.bad, report.removed) == (
+            True, 200, 0, 1)
+        assert _log(tmp_path).read_bytes().count(b"\n") == 2 * 200
         after = ResultStore(tmp_path)
         assert [after.get(key) for key in keys] == before
-        assert len(after) == 200
+        assert [reader.get(key) for key in keys] == before
         again = after.fsck(remove=True)
-        assert (again.compacted, again.removed, again.ok) == (0, 0, 200)
-        assert _segments(tmp_path) == [segment]
+        assert (again.compacted, again.removed, again.ok) == (False, 0, 200)
+
+    def test_concurrent_appends_never_interleave(self, tmp_path):
+        """More writer processes than cores append to the log at once:
+        every frame stays whole and readable."""
+        context = multiprocessing.get_context("spawn")
+        workers = [
+            context.Process(target=_append_many, args=(str(tmp_path), worker, 300))
+            for worker in range(4)
+        ]
+        for process in workers:
+            process.start()
+        for process in workers:
+            process.join(timeout=120)
+        assert [process.exitcode for process in workers] == [0] * 4
+        report = ResultStore(tmp_path).fsck()
+        assert (report.ok, report.bad) == (1200, 0)
+        store = ResultStore(tmp_path)
+        for worker in range(4):
+            for index in range(300):
+                record = store.get({"w": worker, "i": index})
+                assert record["pad"] == "x" * (100 * (index % 40))
+
+    def test_descriptors_do_not_grow_under_a_low_fd_limit(self, tmp_path):
+        """A reader outlives 300 writers and 100 compactions under
+        ``RLIMIT_NOFILE`` 32 and still reads and writes."""
+        script = textwrap.dedent(f"""
+            import resource
+            resource.setrlimit(resource.RLIMIT_NOFILE, (32, 32))
+            from repro.explore import ResultStore
+            root = {str(tmp_path)!r}
+            reader = ResultStore(root)
+            for index in range(300):
+                key = {{"k": index}}
+                writer = ResultStore(root)
+                assert writer.put(key, {{"v": index}})
+                if index % 3 == 0:
+                    writer.put(key, {{"v": index}})  # a duplicate to drop
+                    assert writer.fsck(remove=True).compacted
+                assert reader.get(key)["v"] == index
+                assert reader.put({{"r": index}}, {{}})
+            assert len(ResultStore(root)) == 600
+            print("ok")
+        """)
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)}, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "ok"
+
+
+def _append_many(root, worker, count):
+    store = ResultStore(root)
+    for index in range(count):  # frames of ~0.1-4 KB
+        assert store.put({"w": worker, "i": index}, {"pad": "x" * (100 * (index % 40))})
+
+
+def _counted(calls, name, real):
+    def call(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    return call
 
 
 class TestOwnerTokenCleanup:

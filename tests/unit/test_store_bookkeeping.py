@@ -111,11 +111,10 @@ class TestColdMissBookkeeping:
         Evaluator(kernel="qrca", width=8, store=store).evaluate(POINTS)
         assert store.put({"point": "direct"}, {"tag": 1})
         assert calls["fsync"] == 0
-        # One frame per record in one segment; no lease survives.
+        # One frame per record in the log; no lease survives.
         names = [path.name for path in store.directory.iterdir()]
-        assert names == ["segments"]
-        (segment,) = (store.directory / "segments").iterdir()
-        assert segment.read_bytes().count(b"\n") == 2 * (len(POINTS) + 1)
+        assert names == ["records.log"]
+        assert store.log.read_bytes().count(b"\n") == 2 * (len(POINTS) + 1)
 
     def test_journaled_explore_fsyncs_once_per_round(
         self, tmp_path, qrca8, calls
