@@ -50,9 +50,9 @@ What runs per point instead, through :meth:`DataflowSimulator.run`:
   qrca-32 (986 levels) take ~15 ms batched against ~0.9 ms serially.
   Each lowering-signature group (and the shared unconstrained column)
   takes whichever route :func:`_vectorize` predicts is cheaper from its
-  point count and the circuit's gate and level counts — never from the
-  caller or the supply model. Both routes are bit-identical and advance
-  supply state identically.
+  point count, the circuit's gate and level counts and the steps a
+  serial walk takes — never from the caller or the supply model. Both
+  routes are bit-identical and advance supply state identically.
 * **Every CQLA point.** Port booking is ordered within a point, so it
   does not vectorize over levels (a program-order pass over the points
   axis lost to ``run()`` below ~23-26 points). ``run()`` replays the
@@ -84,6 +84,8 @@ from repro.arch.simulator import (
     ZEROS_PER_QEC,
     DataflowSimulator,
     SimulationResult,
+    _cache_schedule,
+    _ops,
     commit_draws,
     lower_ready,
     lowerable_spec,
@@ -271,34 +273,43 @@ def _kernel_pass(
 # Supply classification and the public batch entry point
 
 
-#: Shape rule constant (see :func:`_vectorize`).
-_GATE_POINTS_PER_LEVEL = 80
+#: Shape rule constants (see :func:`_vectorize`).
+_STEP_POINTS_PER_LEVEL = 90
+_GATES_PER_STEP = 4
 
 
-def _vectorize(points: int, gates: int, levels: int) -> bool:
+def _vectorize(points: int, steps: int, gates: int, levels: int) -> bool:
     """Whether one ``points``-column level-kernel pass beats ``points``
     runs (never asked under CQLA: every CQLA point runs serially).
 
     A level-kernel pass pays ~12-20 us per dependency level (numpy
     dispatch and fixed costs) almost regardless of point count, plus
-    ~0.01-0.06 us per gate-point; a serial :meth:`DataflowSimulator.run`
-    pays ~0.15-0.22 us per gate per point. So the kernel wins once
-    ``points * gates`` outgrows ``levels`` by a constant factor.
-    Crossovers fitted from each route's interleaved medians (kernel
-    passes at 4 and 32 points, runs at 8; three sets of 5-7 rounds, the
-    median taken; Python 3.11, numpy, one 2-core x86 host), in units of
-    ``points * gates / levels``:
+    ~0.01-0.06 us per gate-point. A serial :meth:`DataflowSimulator.run`
+    pays per point ~0.25 us per walked step (a gate, or a chain of
+    one-qubit gates taken as one step; see
+    :class:`~repro.arch.simulator._Ops`) plus ~0.05-0.07 us per gate
+    (ready lowering and chain candidates): about one step per
+    ``_GATES_PER_STEP`` gates, fitted on qrca-32 against qft-32 (3.8-4.7
+    across the three supply models). So the kernel wins once
+    ``points * (steps + gates / _GATES_PER_STEP)`` outgrows ``levels``
+    by a constant factor. Crossovers fitted from each route's
+    interleaved medians (kernel passes at 4 and 32 points, runs at 8;
+    three sets of 6 rounds, in each of two processes; Python 3.11,
+    numpy, one 2-core x86 host), in units of
+    ``points * (steps + gates / 4) / levels``:
 
-    ========================  =====  ======  ========  ===========
-    kernel (gates, levels)    QLA    steady  multipl.  crossover pts
-    ========================  =====  ======  ========  ===========
-    qcla-32 (2,211, 123)      103    94      109       5.2-6.1
-    qrca-32 (2,018, 986)      77     63      78        30.6-38.4
-    qft-32 (7,552, 3,074)     94     68      92        27.8-40.0
-    ========================  =====  ======  ========  ===========
+    ===============================  ======  ======  ========  =============
+    kernel (gates, steps, levels)    QLA     steady  multipl.  crossover pts
+    ===============================  ======  ======  ========  =============
+    qcla-32 (2,211, 2,211, 123)      103-126 88-121  110-128   3.9-5.7
+    qrca-32 (2,018, 2,018, 986)      54-98   62-78   71-92     21-38
+    qft-32 (7,552, 1,378, 3,074)     70-117  53-81   64-122    50-115
+    ===============================  ======  ======  ========  =============
 
-    80 sits inside every model's range, within ~30% of the faster route
-    at any shape.
+    90 sits inside every kernel's range. Steps alone do not fit: in
+    units of ``points * steps / levels`` qft-32 crosses at 22-51 and
+    qcla-32 at 70-102. (Before chains were taken as one step, qft-32
+    crossed at 27.8-40.0 points.)
 
     The kernel earns its code (one 2-core host, three runs): forced
     False, one pass of every artifact but fig4 takes 1.27-1.30x as long;
@@ -309,7 +320,8 @@ def _vectorize(points: int, gates: int, levels: int) -> bool:
     Both routes are bit-identical, so the rule only moves time. It
     reads the batch's shape and nothing else.
     """
-    return points * gates >= _GATE_POINTS_PER_LEVEL * levels
+    work = steps + gates / _GATES_PER_STEP
+    return points * work >= _STEP_POINTS_PER_LEVEL * levels
 
 
 def simulate_batch(
@@ -430,10 +442,20 @@ def _simulate_batch(
     # serially: run() replays the memoized cache-trip schedule and
     # refuses a circuit that is not lean before it commits anything, so
     # no supply has advanced when the first point raises.
-    levels = None if cqla is not None else dataflow_metadata(cc).num_levels
+    qec = LogicalLatencyModel(tech).qec_interaction_latency()
+    move_1q = movement_penalty_us
+    move_2q = (
+        two_qubit_movement_penalty_us
+        if two_qubit_movement_penalty_us is not None
+        else movement_penalty_us
+    )
+    levels = steps = None
+    if cqla is None:
+        levels = dataflow_metadata(cc).num_levels
+        steps = len(_ops(cc, _cache_schedule(cc, None), move_1q, qec).q0)
 
     def vectorize(points: int) -> bool:
-        return levels is not None and _vectorize(points, n, levels)
+        return levels is not None and _vectorize(points, steps, n, levels)
 
     serial_points = 0
     if unconstrained and not vectorize(1):
@@ -463,13 +485,6 @@ def _simulate_batch(
     if not unconstrained and not groups:
         return out
 
-    qec = LogicalLatencyModel(tech).qec_interaction_latency()
-    move_1q = movement_penalty_us
-    move_2q = (
-        two_qubit_movement_penalty_us
-        if two_qubit_movement_penalty_us is not None
-        else movement_penalty_us
-    )
     teleports = movement_teleports(cc, move_1q, move_2q, tech)
 
     def result(makespan: float) -> SimulationResult:

@@ -15,18 +15,27 @@ set of resident qubits, with misses teleporting qubits in through a
 limited number of ports and dirty evictions teleporting out. Which
 operands miss depends only on the operand sequence and the cache size,
 never on timing, so the LRU walk runs once per (circuit, cache size)
-(:func:`_cache_schedule`). Port booking runs once per cache
-configuration with no ancilla constraint (:func:`_supply_free_walk`): a
+(:func:`_cache_schedule`). The walk runs once per configuration (cache
+or none) with no ancilla constraint (:func:`_supply_free_walk`): a
 point whose ancillae are ready by every gate's supply-free start
-returns that walk's makespan, and only a point whose supply binds books
-ports itself.
+returns that walk's makespan, and only a point whose supply binds walks
+itself.
 
 Two production paths execute this model:
 
 * :meth:`DataflowSimulator.run` — one design point, over the
   struct-of-arrays :class:`~repro.circuits.compiled.CompiledCircuit`
-  with no per-gate objects: ~0.15-0.22 us per gate (~0.2-0.37 us when
-  it books cache ports). Its loops walk only *lean* circuits
+  with no per-gate objects. Its loops walk *steps* (:class:`_Ops`): a
+  gate, or a *chain* of consecutive one-qubit gates on one qubit taken
+  as one closed-form step, ``max(x + C0, max_j(r_j + C_j))`` over the
+  chain's integer latency sums. The closed form is used only when every
+  addend is a non-negative integer and an error-free-addition check
+  shows that no sum the per-gate walk would form rounds; a chain that
+  fails is walked gate by gate, so the result is the same bit for bit.
+  A step costs ~0.15-0.25 us (~0.2-0.37 us when it books cache ports),
+  plus ~0.05 us of numpy per gate; qft-32's 7,552 gates walk in 1,378
+  steps, while qrca and qcla have no chains and walk one step per gate.
+  The loops walk only *lean* circuits
   (:attr:`~repro.circuits.compiled.CompiledCircuit.lean`), as every
   kernel is; other gate shapes run as a one-column numpy kernel pass,
   and only without a cache (CQLA refuses them).
@@ -48,7 +57,7 @@ from __future__ import annotations
 
 import weakref
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from heapq import heapreplace
 from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -96,25 +105,34 @@ class SimulationResult:
 class _CacheSchedule:
     """Per-gate teleport trips implied by LRU residency: which operands
     miss, and whether each miss evicts, depends only on the operand
-    sequence and the cache size, never on timing."""
+    sequence and the cache size, never on timing. Without a cache
+    (cache size None) ``trips`` is None."""
 
-    trips: List[int]  # bookings gate i performs (0 for full hits)
+    trips: Optional[List[int]]  # bookings gate i performs (0 for full hits)
     misses: int
     teleports: int  # total bookings == sum(trips)
+    #: The serial walk's steps per (one-qubit penalty, qec), built by
+    #: the first walk that needs them (:func:`_ops`).
+    ops: Dict[Tuple[float, float], "_Ops"] = field(default_factory=dict)
 
 
-_SCHEDULE_CACHE: "weakref.WeakKeyDictionary[CompiledCircuit, Dict[int, _CacheSchedule]]" = (
+_SCHEDULE_CACHE: "weakref.WeakKeyDictionary[CompiledCircuit, Dict[Optional[int], _CacheSchedule]]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _cache_schedule(cc: CompiledCircuit, cache_size: int) -> _CacheSchedule:
+def _cache_schedule(
+    cc: CompiledCircuit, cache_size: Optional[int]
+) -> _CacheSchedule:
     """The LRU walk of ``cc``'s operands at ``cache_size``, timing-free:
     each non-resident operand is one miss and one trip, plus one trip
     when it evicts a resident qubit (the dirty copy teleports out)."""
     per_cc = _SCHEDULE_CACHE.setdefault(cc, {})
     schedule = per_cc.get(cache_size)
     if schedule is not None:
+        return schedule
+    if cache_size is None:
+        per_cc[None] = schedule = _CacheSchedule(None, 0, 0)
         return schedule
     # Resident qubits in recency order, oldest first.
     resident: "OrderedDict[int, None]" = OrderedDict()
@@ -140,41 +158,242 @@ def _cache_schedule(cc: CompiledCircuit, cache_size: int) -> _CacheSchedule:
     return schedule
 
 
+#: Shortest run of one-qubit gates the serial walk takes as one step
+#: (:class:`_Ops`). The kernels' runs are bimodal: qrca and qcla have
+#: none longer than 3 gates, qft's are 24-25 gates (its rotations) or at
+#: most 2. Per point (``run()`` over QLA and steady ladders, medians of
+#: 7 interleaved rounds, one 2-core host), at 2 / 3 / 4 / no chains:
+#: qrca-32 0.555 / 0.557 / 0.527 / 0.529 ms, qcla-32 0.630 / 0.614 /
+#: 0.586 / 0.575 ms, qft-32 0.608 / 0.602 / 0.605 / 1.606 ms. Chains of
+#: 2-3 gates cost qrca and qcla 5-10% and gain qft nothing; 4 is the
+#: shortest length at which qrca and qcla collapse nothing.
+_CHAIN_MIN = 4
+
+#: Every integer below this is a float64: a sum of non-negative
+#: integers that stays below it is exact in any order.
+_EXACT = 2.0**53
+
+
+@dataclass(frozen=True, eq=False)
+class _Ops:
+    """The steps of one serial walk: the gates in program order, with
+    every *chain* taken as one step.
+
+    A chain is ``_CHAIN_MIN`` or more consecutive one-qubit gates on one
+    qubit ``a`` (in ``a``'s own gate order) that book no cache trips. Its
+    step sits at its first gate: no other gate touches ``a`` before its
+    last, and it books no port, so moving its later gates up changes no
+    other step. Step ``k``'s ``q1`` is the sentinel ``-2 - k`` and its
+    ``latency`` is ``C0 = sum(move_1q + latency_j + qec)``. Entered with
+    ``x = qubit_free[a]``, the per-gate walk leaves ``a`` at
+
+        ``max(x + C0, max over kept j of (r_j + C_j))``, where
+        ``C_j = latency_j + qec
+        + sum over k > j of (move_1q + latency_k + qec)``
+
+    (``chain_tail``), where ``r_j`` is gate ``j``'s ready time, kept only
+    when ``r_j > s_j``, its supply-free start (:func:`_supply_free_walk`).
+    The walk is monotone in ready times (the sorted port-free times
+    too), so every real start is ``>= s_j`` and a dropped ``r_j`` never
+    binds the strict ``ready > t``. A NaN ``r_j``, which binds nothing,
+    sends its chain to the gate-by-gate walk.
+
+    Exactness (the error-free-addition test, Dekker 1971). Chains exist
+    only when every addend (each latency, ``qec``, ``move_1q``) is a
+    non-negative integer, as for ION_TRAP at code levels 1-3; otherwise
+    the steps are the gates. For ``y >= 0`` and an integer ``C`` with
+    ``fl(y + C) < 2**53``, ``fl(fl(y + C) - C)`` is exact, so it equals
+    ``y`` only when ``y + C`` did not round; and then every ``y + P``
+    for integer ``0 <= P <= C`` is a float too. So when the entry
+    passes ``(x + C0) - C0 == x`` (checked in the loop), every kept
+    candidate passes ``(r_j + C_j) - C_j == r_j`` (checked vectorized,
+    :func:`_op_ready`) and the result is below ``2**53``, every partial
+    sum the per-gate walk forms is exact: that walk equals the
+    real-number max, which is the closed form, bit for bit. A chain
+    that fails is walked gate by gate (:class:`_Rewalk`); an inf entry
+    or candidate stays inf either way.
+    """
+
+    num_qubits: int
+    q0: List[int]
+    q1: List[int]  # -1: one-qubit gate; -2 - k: chain k
+    latency: List[float]
+    trips: Optional[List[int]]  # None: no cache
+    #: Per step, the gate whose ready time it reads; None when every
+    #: step is one gate.
+    gate: Optional[np.ndarray] = None
+    chain_ops: Optional[np.ndarray] = None  # the step of each chain
+    #: Every chain's gates, chain after chain, from chain_offsets[k] to
+    #: chain_offsets[k + 1]; chain_tail holds each gate's C_j.
+    chain_gates: Optional[np.ndarray] = None
+    chain_offsets: Optional[np.ndarray] = None
+    chain_tail: Optional[np.ndarray] = None
+
+
+def _gate_ops(cc: CompiledCircuit, trips: Optional[List[int]]) -> _Ops:
+    """One step per gate."""
+    return _Ops(cc.num_qubits, cc.q0, cc.q1, cc.latency_us, trips)
+
+
+def _ops(
+    cc: CompiledCircuit, schedule: _CacheSchedule, move_1q: float, qec: float
+) -> _Ops:
+    """The serial walk's steps for ``cc`` under ``schedule``, memoized."""
+    key = (move_1q, qec)
+    ops = schedule.ops.get(key)
+    if ops is None:
+        ops = schedule.ops[key] = _build_ops(cc, schedule.trips, move_1q, qec)
+    return ops
+
+
+def _build_ops(
+    cc: CompiledCircuit, trips: Optional[List[int]], move_1q: float, qec: float
+) -> _Ops:
+    addends = {move_1q, qec, *cc.latency_us}
+    if not cc.lean or not all(
+        x >= 0 and float(x).is_integer() for x in addends
+    ):
+        return _gate_ops(cc, trips)
+    # Each qubit's open run of one-qubit gates; a two-qubit gate, or a
+    # gate that books cache trips, ends its qubits' runs.
+    runs: List[List[int]] = []
+    open_runs: Dict[int, List[int]] = {}
+    for i, (a, b) in enumerate(zip(cc.q0, cc.q1)):
+        if b < 0 and not (trips and trips[i]):
+            open_runs.setdefault(a, []).append(i)
+            continue
+        for q in (a, b):
+            run = open_runs.pop(q, None)
+            if run is not None:
+                runs.append(run)
+    runs.extend(open_runs.values())
+    chains = sorted(
+        (run for run in runs if len(run) >= _CHAIN_MIN), key=lambda run: run[0]
+    )
+    if not chains:
+        return _gate_ops(cc, trips)
+    c0: List[float] = []
+    tail: List[float] = []
+    for run in chains:
+        total = 0.0
+        run_tail = []
+        for j in reversed(run):
+            run_tail.append(total + cc.latency_us[j] + qec)
+            total += move_1q + cc.latency_us[j] + qec
+        c0.append(total)
+        tail.extend(reversed(run_tail))
+    # Each chain's step sits at its first gate; its other gates go.
+    first = {run[0]: k for k, run in enumerate(chains)}
+    inside = set().union(*chains)
+    kept = [i for i in range(cc.num_gates) if i in first or i not in inside]
+    q1 = [-2 - first[i] if i in first else cc.q1[i] for i in kept]
+    latency = [c0[first[i]] if i in first else cc.latency_us[i] for i in kept]
+    return _Ops(
+        num_qubits=cc.num_qubits,
+        q0=[cc.q0[i] for i in kept],
+        q1=q1,
+        latency=latency,
+        trips=None if trips is None else [trips[i] for i in kept],
+        gate=np.array(kept, dtype=np.intp),
+        chain_ops=np.flatnonzero(np.array(q1) <= -2),
+        chain_gates=np.array([j for run in chains for j in run], np.intp),
+        chain_offsets=np.cumsum([0] + [len(run) for run in chains]),
+        chain_tail=np.array(tail),
+    )
+
+
+def _op_ready(ops: _Ops, ready: np.ndarray, starts: np.ndarray) -> List[float]:
+    """One ready time per step, as plain floats: a gate's own, or a
+    chain's max over its kept candidates of ``r_j + C_j`` (-inf when none
+    is kept; ``2**53`` when one rounds or is NaN, which sends the chain
+    to its gate-by-gate walk). See :class:`_Ops`."""
+    if ops.gate is None:
+        return ready.tolist()
+    out = ready[ops.gate]
+    tail = ops.chain_tail
+    r = ready[ops.chain_gates]
+    candidate = r + tail
+    candidate[candidate - tail != r] = _EXACT
+    candidate[r <= starts[ops.chain_gates]] = -np.inf
+    out[ops.chain_ops] = np.maximum.reduceat(candidate, ops.chain_offsets[:-1])
+    return out.tolist()
+
+
+class _Rewalk:
+    """Walks one chain gate by gate, as the per-gate loop would: the
+    fallback for a chain whose closed form might round (:class:`_Ops`).
+    ``count`` tallies the chains walked so."""
+
+    def __init__(
+        self, ops: _Ops, ready: np.ndarray, latency_us: List[float],
+        move_1q: float, qec: float,
+    ) -> None:
+        self.ops = ops
+        self.ready = ready
+        self.latency_us = latency_us
+        self.move_1q = move_1q
+        self.qec = qec
+        self.count = 0
+
+    def __call__(self, b: int, t: float, closed_form: float) -> float:
+        """Chain ``-2 - b``'s exit, entered at ``t``."""
+        if closed_form == float("inf"):
+            return closed_form  # inf stays inf through every gate
+        self.count += 1
+        k = -2 - b
+        offsets = self.ops.chain_offsets
+        gates = self.ops.chain_gates[offsets[k]:offsets[k + 1]]
+        move_1q, qec = self.move_1q, self.qec
+        for ready, j in zip(self.ready[gates].tolist(), gates.tolist()):
+            t += move_1q
+            if ready > t:
+                t = ready
+            t = t + self.latency_us[j] + qec
+        return t
+
+
 class _StartLog(list):
-    """The ready time of every gate in a supply-free :func:`_run_cache`
-    walk: the loop's one ``ready > t`` test per gate appends ``t`` (the
-    gate's start before the ready max) and never binds."""
+    """The ready time of every gate in a supply-free walk: the loops'
+    one ``ready > t`` test per gate appends ``t`` (the gate's start
+    before the ready max) and never binds."""
 
     def __gt__(self, t: float) -> bool:
         self.append(t)
         return False
 
 
-#: Per circuit: (cache size, ports, t_teleport, move_1q, move_2q, qec)
-#: -> (supply-free starts, makespan).
+#: Per circuit: (cache size or None, ports, t_teleport, move_1q,
+#: move_2q, qec) -> (supply-free starts, makespan).
 _SUPPLY_FREE: "weakref.WeakKeyDictionary[CompiledCircuit, Dict[tuple, tuple]]" = (
     weakref.WeakKeyDictionary()
 )
 
 
 def _supply_free_walk(
-    cc: CompiledCircuit, cache_size: int, ports: int, t_teleport: float,
-    move_1q: float, move_2q: float, qec: float,
+    cc: CompiledCircuit, cache_size: Optional[int], ports: int,
+    t_teleport: float, move_1q: float, move_2q: float, qec: float,
 ) -> Tuple[np.ndarray, float]:
     """Each gate's start (float64, before the ready max) and the
-    makespan of ``cc``'s cache walk with no ancilla constraint, memoized
-    per configuration. A point whose ready times are all ``<=`` these
-    starts never trips the walk's strict ``ready > t``, so by induction
-    its walk repeats this one float for float."""
+    makespan of ``cc``'s walk with no ancilla constraint (``cache_size``
+    None: no cache; ``ports`` and ``t_teleport`` then go unread),
+    memoized per configuration. A point whose ready times are all
+    ``<=`` these starts never trips the walk's strict ``ready > t``, so
+    by induction its walk repeats this one float for float."""
     per_cc = _SUPPLY_FREE.setdefault(cc, {})
     key = (cache_size, ports, t_teleport, move_1q, move_2q, qec)
     walk = per_cc.get(key)
     if walk is None:
         log = _StartLog()
-        makespan = _run_cache(
-            cc, _cache_schedule(cc, cache_size).trips, ports, t_teleport,
-            move_1q, move_2q, repeat(log), qec,
-        )
+        gates = _gate_ops(cc, _cache_schedule(cc, cache_size).trips)
+        if cache_size is None:
+            makespan = _run_flat(
+                gates, move_1q, move_2q, repeat(log), qec, None
+            )
+        else:
+            makespan = _run_cache(
+                gates, ports, t_teleport, move_1q, move_2q, repeat(log), qec,
+                None,
+            )
         walk = per_cc[key] = (np.array(log), makespan)
     return walk
 
@@ -290,43 +509,47 @@ class DataflowSimulator:
                 ready = lower_ready(cc, signature, [spec])
                 if cc.lean:
                     ready = ready[:, 0]
-                    if cqla is None:
-                        ready = ready.tolist()  # plain floats, every bit
-            misses = 0
+            cache_size = None
+            ports, t_teleport = 0, 0.0
             if cqla is not None:
                 cache_size = cqla.cache_size(cc.num_qubits)
-                schedule = _cache_schedule(cc, cache_size)
-                misses = schedule.misses
-                teleports += schedule.teleports
+                ports, t_teleport = cqla.ports, teleport_latency(self.tech)
+            schedule = _cache_schedule(cc, cache_size)
+            teleports += schedule.teleports
         with _span("simulate.level_walk", gates=n) as walk_span:
             if not cc.lean:
                 # Imported here: repro.arch.batched imports this module.
                 from repro.arch.batched import _kernel_pass
 
                 makespan = _kernel_pass(cc, 1, move_1q, move_2q, ready, qec)[0]
-            elif cqla is not None:
-                t_teleport = teleport_latency(self.tech)
+            else:
                 starts, makespan = _supply_free_walk(
-                    cc, cache_size, cqla.ports, t_teleport, move_1q, move_2q,
-                    qec,
+                    cc, cache_size, ports, t_teleport, move_1q, move_2q, qec
                 )
                 # ``<=`` under all(): a NaN ready time falls through.
                 if ready is None or np.all(ready <= starts):
-                    walk_span.set(replayed=1)
+                    walk_span.set(replayed=1, steps=0, rewalked=0)
                 else:
-                    makespan = _run_cache(
-                        cc, schedule.trips, cqla.ports, t_teleport,
-                        move_1q, move_2q, ready.tolist(), qec,
-                    )
-            else:
-                makespan = _run_flat(cc, move_1q, move_2q, ready, qec)
+                    ops = _ops(cc, schedule, move_1q, qec)
+                    rewalk = _Rewalk(ops, ready, cc.latency_us, move_1q, qec)
+                    op_ready = _op_ready(ops, ready, starts)
+                    if cqla is None:
+                        makespan = _run_flat(
+                            ops, move_1q, move_2q, op_ready, qec, rewalk
+                        )
+                    else:
+                        makespan = _run_cache(
+                            ops, ports, t_teleport, move_1q, move_2q,
+                            op_ready, qec, rewalk,
+                        )
+                    walk_span.set(steps=len(ops.q0), rewalked=rewalk.count)
         commit_draws(cc, supply, spec)
         return SimulationResult(
             makespan_us=float(makespan),
             gates=n,
             zero_ancillae_consumed=ZEROS_PER_QEC * n,
             pi8_ancillae_consumed=cc.pi8_count,
-            cache_misses=misses,
+            cache_misses=schedule.misses,
             teleports=teleports,
         )
 
@@ -522,29 +745,34 @@ def commit_draws(
 
 
 # ----------------------------------------------------------------------
-# Compiled-engine loop bodies, over lean circuits only.
+# Compiled-engine loop bodies, over the steps (:class:`_Ops`) of lean
+# circuits only.
 #
 # A lean gate has one or two operands, no classical bit, and moves by
 # its arity, so one ``b >= 0`` split picks its operand reads and its
-# movement penalty. Floating-point evaluation order matches the
-# reference loop (:func:`repro.testing.reference.run_reference`)
-# exactly (same max chains and additions; adding a zero penalty is
-# exact), which makes the engine bit-identical to it. ``supply_ready``
-# holds plain floats (None: unconstrained, flat loop only): np.float64
-# scalars from an ndarray roughly halve the loops' throughput.
+# movement penalty; ``b < -1`` marks a chain. Floating-point evaluation
+# order matches the reference loop
+# (:func:`repro.testing.reference.run_reference`) exactly (same max
+# chains and additions; adding a zero penalty is exact), and a chain
+# step is exact or walked gate by gate, which makes the engine
+# bit-identical to it. ``supply_ready`` holds one plain float per step
+# (:func:`_op_ready`): np.float64 scalars from an ndarray roughly halve
+# the loops' throughput. ``rewalk`` walks a chain whose closed form
+# might round (None: the steps hold no chain).
 
 
 def _run_flat(
-    cc: CompiledCircuit,
+    ops: _Ops,
     move_1q: float,
     move_2q: float,
-    supply_ready: Optional[Sequence[float]],
+    supply_ready: Iterable[float],
     qec: float,
+    rewalk: Optional[_Rewalk],
 ) -> float:
     """Hot loop without a cache; returns the makespan."""
-    qubit_free = [0.0] * cc.num_qubits
-    ready_iter = supply_ready if supply_ready is not None else repeat(0.0)
-    for a, b, ready, latency in zip(cc.q0, cc.q1, ready_iter, cc.latency_us):
+    qubit_free = [0.0] * ops.num_qubits
+    exact = _EXACT
+    for a, b, ready, latency in zip(ops.q0, ops.q1, supply_ready, ops.latency):
         t = qubit_free[a]
         if b >= 0:
             v = qubit_free[b]
@@ -554,33 +782,40 @@ def _run_flat(
             if ready > t:
                 t = ready
             qubit_free[a] = qubit_free[b] = t + latency + qec
-        else:
+        elif b == -1:
             t += move_1q
             if ready > t:
                 t = ready
             qubit_free[a] = t + latency + qec
+        else:
+            s = t + latency
+            closed = s - latency == t
+            if ready > s:
+                s = ready
+            qubit_free[a] = s if closed and s < exact else rewalk(b, t, s)
     return max(qubit_free)
 
 
 def _run_cache(
-    cc: CompiledCircuit,
-    trips: List[int],
+    ops: _Ops,
     ports: int,
     t_teleport: float,
     move_1q: float,
     move_2q: float,
     supply_ready: Iterable[float],
     qec: float,
+    rewalk: Optional[_Rewalk],
 ) -> float:
     """Hot loop with CQLA compute-cache modeling; returns the makespan.
     Each gate books its :func:`_cache_schedule` trips on a min-heap of
     ``(free_time, port_index)`` (ties go to the lowest index) after its
-    operand reads and before its movement penalty."""
-    qubit_free = [0.0] * cc.num_qubits
+    operand reads and before its movement penalty; a chain books none."""
+    qubit_free = [0.0] * ops.num_qubits
+    exact = _EXACT
     # Sorted, hence already a heap.
     heap = [(0.0, i) for i in range(ports)]
     for a, b, k, ready, latency in zip(
-        cc.q0, cc.q1, trips, supply_ready, cc.latency_us
+        ops.q0, ops.q1, ops.trips, supply_ready, ops.latency
     ):
         t = qubit_free[a]
         if b >= 0:
@@ -598,7 +833,7 @@ def _run_cache(
             if ready > t:
                 t = ready
             qubit_free[a] = qubit_free[b] = t + latency + qec
-        else:
+        elif b == -1:
             while k:
                 k -= 1
                 free, port = heap[0]
@@ -610,4 +845,10 @@ def _run_cache(
             if ready > t:
                 t = ready
             qubit_free[a] = t + latency + qec
+        else:
+            s = t + latency
+            closed = s - latency == t
+            if ready > s:
+                s = ready
+            qubit_free[a] = s if closed and s < exact else rewalk(b, t, s)
     return max(qubit_free)

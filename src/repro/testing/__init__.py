@@ -12,7 +12,8 @@ production engines are checked against. The other modules are oracles
 too: :mod:`~repro.testing.dag` (gate-by-gate dependency and critical
 path analysis), :mod:`~repro.testing.classical` (bit-vector evaluation
 of the reversible adders) and :mod:`~repro.testing.protocols` (the
-stand-alone cat and pi/8 Monte Carlo drivers). Nothing is imported here
+stand-alone cat and pi/8 Monte Carlo drivers); :mod:`~repro.testing.supplies`
+holds a supply shape only the tests build. Nothing is imported here
 until first use, so loading the fault hooks never pulls in the simulator.
 """
 

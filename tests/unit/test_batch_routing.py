@@ -2,9 +2,10 @@
 
 ``simulate_batch`` sends each lowering-signature group either through one
 vectorized kernel pass or through per-point ``DataflowSimulator.run()``,
-choosing from the group's shape alone (point count, gate count,
-dependency-level count; see ``repro.arch.batched._vectorize``). Every
-CQLA point runs through ``run()``, whatever the point count. These tests
+choosing from the group's shape alone (point count, gate count, the
+steps a serial walk takes, dependency-level count; see
+``repro.arch.batched._vectorize``). Every CQLA point runs through
+``run()``, whatever the point count. These tests
 pin the route on each side of the boundary on the 32-bit kernels' real
 shapes, check that the results do not move by a bit when a batch crosses
 it, and check that CQLA groups never leave ``run()``.
@@ -19,9 +20,10 @@ from repro.arch.simulator import DataflowSimulator
 from repro.arch.supply import PI8, ZERO, InfiniteSupply, SteadyRateSupply
 
 #: Smallest point count the level kernel takes, per 32-bit kernel:
-#: ceil(80 * levels / gates) — qcla-32 (2,211 gates, 123 levels),
-#: qrca-32 (2,018 gates, 986 levels), qft-32 (7,552 gates, 3,074 levels).
-LEVEL_BOUNDARY = {"qcla": 5, "qrca": 40, "qft": 33}
+#: ceil(90 * levels / (steps + gates / 4)) — qcla-32 (2,211 gates and
+#: steps, 123 levels), qrca-32 (2,018 gates and steps, 986 levels),
+#: qft-32 (7,552 gates, 1,378 steps, 3,074 levels).
+LEVEL_BOUNDARY = {"qcla": 5, "qrca": 36, "qft": 85}
 
 #: CQLA point counts checked: one point, the default Figure 15/16 ladder
 #: and grid size, and the CQLA sweep benchmark's width.

@@ -36,13 +36,13 @@ from repro.arch.supply import (
     DedicatedSupply,
     InfiniteSupply,
     PooledSupply,
-    ReadySpec,
     SteadyKindSpec,
     SteadyRateSupply,
 )
 from repro.circuits import Circuit
 from repro.explore.evaluator import Evaluator
 from repro.testing.reference import evaluate_reference, run_reference
+from repro.testing.supplies import SteadyZerosDedicatedPi8
 
 KERNELS = ("qrca", "qcla", "qft")
 
@@ -79,30 +79,6 @@ def _batched(analysis, supplies, config=None, cqla=None):
         two_qubit_movement_penalty_us=move_2q,
         cqla=cqla,
     )
-
-
-class _SplitSupply:
-    """Custom spec publisher: a steady zero pool over dedicated pi/8
-    generators, so one spec mixes both lowering modes."""
-
-    def __init__(self, zero_rate, pi8_rate, num_qubits):
-        self._zero = SteadyRateSupply({ZERO: zero_rate})
-        self._pi8 = DedicatedSupply({PI8: pi8_rate}, num_qubits)
-
-    def acquire(self, kind, qubit, count, earliest):
-        part = self._zero if kind == ZERO else self._pi8
-        return part.acquire(kind, qubit, count, earliest)
-
-    def advance(self, kind, count):
-        self._zero.advance(kind, count)
-
-    def advance_per_qubit(self, kind, counts):
-        self._pi8.advance_per_qubit(kind, counts)
-
-    def ready_spec(self):
-        return ReadySpec(
-            {**self._zero.ready_spec().kinds, **self._pi8.ready_spec().kinds}
-        )
 
 
 def _spec_state(supply):
@@ -386,7 +362,7 @@ class TestCqlaBatches:
 
         def supplies():
             return self._cqla_supplies(qrca8, config, _FACTORY_AREAS[:2]) + [
-                _SplitSupply(2.0, 0.01, nq)
+                SteadyZerosDedicatedPi8(2.0, 0.01, nq)
             ]
 
         for _ in batch_routes():
@@ -404,7 +380,7 @@ class TestFallbacks:
             return [
                 SteadyRateSupply({ZERO: 3.0, PI8: 0.5}),
                 InfiniteSupply(),
-                _SplitSupply(2.0, 0.01, nq),
+                SteadyZerosDedicatedPi8(2.0, 0.01, nq),
                 DedicatedSupply({ZERO: 0.05, PI8: 0.01}, nq),
                 SteadyRateSupply({ZERO: 30.0, PI8: 5.0}),
             ]
@@ -583,7 +559,7 @@ _LOWERING_CASES = {
     "dedicated": lambda r, nq: DedicatedSupply(
         {ZERO: r / nq, PI8: 0.3 * r / nq}, nq
     ),
-    "steady-zero-dedicated-pi8": lambda r, nq: _SplitSupply(
+    "steady-zero-dedicated-pi8": lambda r, nq: SteadyZerosDedicatedPi8(
         r, 0.3 * r / nq, nq
     ),
     "zero-rate-kind": lambda r, nq: SteadyRateSupply({ZERO: 0.0, PI8: r}),

@@ -305,14 +305,15 @@ def _fig15_supplies(analysis, config):
 
 @pytest.fixture
 def cache_walks(monkeypatch):
-    """Counts ``_run_cache`` calls: the memoized supply-free walk's one
-    and every bound point's own."""
+    """Counts walks by either loop (``_run_flat`` or ``_run_cache``): the
+    memoized supply-free walk's one and every bound point's own."""
     calls = []
-    run_cache = simulator_module._run_cache
-    monkeypatch.setattr(
-        simulator_module, "_run_cache",
-        lambda *args: calls.append(1) or run_cache(*args),
-    )
+    for name in ("_run_flat", "_run_cache"):
+        loop = getattr(simulator_module, name)
+        monkeypatch.setattr(
+            simulator_module, name,
+            lambda *args, loop=loop: calls.append(1) or loop(*args),
+        )
     return calls
 
 
@@ -395,10 +396,14 @@ class TestSupplyFreeReplay:
             qcla8, config, SteadyRateSupply({ZERO: 1.0}), compiled=compiled
         ).run()
         assert cache_walks == ([1] if nudge else [])
-        trips = simulator_module._cache_schedule(compiled, args[0]).trips
+        schedule = simulator_module._cache_schedule(compiled, args[0])
+        ops = simulator_module._ops(compiled, schedule, args[3], args[5])
         walk = simulator_module._run_cache(
-            compiled, trips, config.ports, args[2], args[3], args[4],
-            ready.tolist(), args[5],
+            ops, config.ports, args[2], args[3], args[4],
+            simulator_module._op_ready(ops, ready, starts), args[5],
+            simulator_module._Rewalk(
+                ops, ready, compiled.latency_us, args[3], args[5]
+            ),
         )
         assert result.makespan_us == walk
         assert (walk != makespan) == nudge

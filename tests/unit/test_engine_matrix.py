@@ -25,16 +25,11 @@ from repro.arch.architectures import (
 )
 from repro.arch.batched import simulate_batch
 from repro.arch.simulator import DataflowSimulator
-from repro.arch.supply import (
-    PI8,
-    ZERO,
-    DedicatedSupply,
-    ReadySpec,
-    SteadyRateSupply,
-)
+from repro.arch.supply import PI8, ZERO, SteadyRateSupply
 from repro.kernels import analyze_kernel
 from repro.tech import ION_TRAP
 from repro.testing.reference import run_reference
+from repro.testing.supplies import SteadyZerosDedicatedPi8
 
 KERNELS = ("qrca", "qcla", "qft")
 
@@ -54,31 +49,6 @@ CODE_LEVELS = (1, 2)
 _FACTORY_AREA = 500.0
 
 
-class _SteadyZerosDedicatedPi8:
-    """Custom spec publisher: a steady zero pool over dedicated pi/8
-    generators, one spec mixing both lowering modes. ``acquire`` is the
-    per-gate form the reference loop replays."""
-
-    def __init__(self, zero_rate, pi8_rate, num_qubits):
-        self._zero = SteadyRateSupply({ZERO: zero_rate})
-        self._pi8 = DedicatedSupply({PI8: pi8_rate}, num_qubits)
-
-    def acquire(self, kind, qubit, count, earliest):
-        part = self._zero if kind == ZERO else self._pi8
-        return part.acquire(kind, qubit, count, earliest)
-
-    def advance(self, kind, count):
-        self._zero.advance(kind, count)
-
-    def advance_per_qubit(self, kind, counts):
-        self._pi8.advance_per_qubit(kind, counts)
-
-    def ready_spec(self):
-        return ReadySpec(
-            {**self._zero.ready_spec().kinds, **self._pi8.ready_spec().kinds}
-        )
-
-
 def _configuration(analysis, mode):
     """(supply, move_1q, move_2q, cqla) with *fresh* supply state."""
     tech = analysis.tech
@@ -96,7 +66,7 @@ def _configuration(analysis, mode):
     if mode == "custom":
         # Half the matched demand on both kinds, split over the qubits'
         # private pi/8 generators.
-        supply = _SteadyZerosDedicatedPi8(zero_bw / 2.0, pi8_bw / 2.0 / nq, nq)
+        supply = SteadyZerosDedicatedPi8(zero_bw / 2.0, pi8_bw / 2.0 / nq, nq)
         return supply, 0.0, 0.0, None
     config = {
         "qla": QlaConfig(),
