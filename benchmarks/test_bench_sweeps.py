@@ -21,6 +21,8 @@ With REPRO_PERF_SMOKE=1 (CI), the speedup gates are skipped and only
 exact equality is checked; REPRO_SWEEP_POINTS rescales the sweep width.
 """
 
+import gc
+import itertools
 import os
 import time
 
@@ -59,6 +61,15 @@ def _timed(fn):
 STEADY_VS_SEED = 185.0
 QLA_VS_SEED = 85.0
 
+#: The steady gate alternates rounds: one seed-loop round, then
+#: ``BATCHES_PER_ROUND`` batched runs; each side takes its best. Timed
+#: apart (3 batched runs, then 3 seed rounds), one 2-core host read
+#: 181.7-246.2x under varying load. A batched run lasts ~2.5 ms and
+#: its time drifts with the host's state over seconds, so it takes
+#: several runs per round.
+STEADY_ROUNDS = 5
+BATCHES_PER_ROUND = 4
+
 
 def _seed_rate(make_simulator, supplies):
     """Points/sec of the seed loop, best of 3 rounds over fresh
@@ -93,22 +104,45 @@ def test_bench_steady_sweep_speedup(benchmark, qcla32):
             SteadyRateSupply({ZERO: rate, PI8: rate * ratio}) for rate in rates
         ]
 
-    # Warm the per-circuit caches so both sides measure steady state,
-    # with a full-size batch: a small one routes to run() and would leave
-    # the vectorized kernel's arrays to fault in during the timed rounds.
-    # Fresh supplies every round (simulate_batch advances supply state),
+    # Fresh supplies every run (simulate_batch advances supply state),
     # pre-built outside the timed region: the gate compares the engines,
     # not supply construction, which both paths share identically.
-    simulate_batch(circuit, supplies(), tech, compiled=compiled)
-    rounds = iter([supplies() for _ in range(3)])
     holder = {}
+    seed = {"rate": 0.0}
+    calls = itertools.count()
 
-    def run_batched():
-        holder["results"] = simulate_batch(
-            circuit, next(rounds), tech, compiled=compiled
+    def seed_round():
+        """One timed seed-loop round. The two sides alternate, so load
+        on a shared host slows both alike. The seed round's garbage is
+        collected and one untimed full-size batch re-warms the kernel's
+        arrays (a small batch routes to run()), so the batched runs meet
+        the state back-to-back batches would (without that, ~15%
+        slower)."""
+        fresh = supplies()
+        elapsed, seed["results"] = _timed(
+            lambda: [
+                run_reference(DataflowSimulator(circuit, tech, supply=supply))
+                for supply in fresh
+            ]
         )
+        seed["rate"] = max(seed["rate"], POINTS / elapsed)
+        gc.collect()
+        simulate_batch(circuit, supplies(), tech, compiled=compiled)
 
-    benchmark.pedantic(run_batched, rounds=3, iterations=1)
+    def setup():
+        if next(calls) % BATCHES_PER_ROUND == 0:
+            seed_round()
+        return (supplies(),), {}
+
+    def run_batched(batch):
+        holder["results"] = simulate_batch(circuit, batch, tech, compiled=compiled)
+
+    benchmark.pedantic(
+        run_batched,
+        setup=setup,
+        rounds=STEADY_ROUNDS * BATCHES_PER_ROUND,
+        iterations=1,
+    )
     batched_s = benchmark.stats.stats.min
     batched_results = holder["results"]
     serial_supplies = supplies()
@@ -120,10 +154,7 @@ def test_bench_steady_sweep_speedup(benchmark, qcla32):
             for supply in serial_supplies
         ]
     )
-    seed_rate, seed_results = _seed_rate(
-        lambda supply: DataflowSimulator(circuit, tech, supply=supply),
-        supplies,
-    )
+    seed_rate, seed_results = seed["rate"], seed["results"]
     # Exact equality, every field.
     assert batched_results == serial_results
     assert serial_results == seed_results

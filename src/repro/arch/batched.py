@@ -6,9 +6,9 @@ at many design points differing only in supply rates and movement
 penalties. The serial engine in :mod:`repro.arch.simulator` re-walks the
 full gate list once per point, so sweep cost is ``points x gates``
 interpreted Python. This module carries a leading ``points`` axis
-instead: simulator state becomes gate-major ``(num_qubits + 1, points)``
-/ ``(num_bits + 1, points)`` float64 matrices (one row per qubit or bit,
-plus a dummy row for absent operands), and the engine walks the
+instead: simulator state becomes one gate-major ``(num_qubits + 1,
+points)`` float64 matrix (one row per qubit, plus a dummy row for a
+one-qubit gate's absent second operand), and the engine walks the
 circuit's *dependency levels* (from
 :func:`repro.circuits.compiled.dataflow_metadata`) exactly once total —
 each level's ready/finish update is a handful of vectorized numpy ops
@@ -32,11 +32,10 @@ What batches, and why it stays bit-identical:
   one column of work.
 
 Within a dependency level no two gates share a qubit (a shared qubit is a
-dependency edge) and no gate reads a classical bit written in its own
-level, so gathering all start times before scattering all finish times
-reproduces the serial engine's program-order walk exactly. Every
-floating-point operation keeps the serial evaluation order (max chains,
-then movement add, then supply max, then ``+ latency`` then ``+ qec``),
+dependency edge), so gathering all start times before scattering all
+finish times reproduces the serial engine's program-order walk exactly.
+Every floating-point operation keeps the serial evaluation order (operand
+max, then movement add, then supply max, then ``+ latency`` then ``+ qec``),
 which makes the batched results **bit-identical** to
 :meth:`DataflowSimulator.run` and to the reference loop
 (:func:`repro.testing.reference.run_reference`) — the equivalence suite
@@ -62,8 +61,9 @@ What runs per point instead, through :meth:`DataflowSimulator.run`:
   configuration (:func:`~repro.arch.simulator._supply_free_walk`); only
   a point whose supply binds books ports, ~0.2-0.37 us per gate.
 
-:meth:`DataflowSimulator.run` itself runs a circuit that is not lean
-(a gate shape its loops skip) as a one-column :func:`_kernel_pass`.
+The level arrays (:func:`_batch_arrays`), like everything else derived
+from one compiled circuit, live in that circuit's memo
+(:meth:`~repro.circuits.compiled.CompiledCircuit.memoized`).
 
 Callers never need to pre-sort their supplies. The
 ``batched.simulate_batch`` span reports per-path point counts, which sum
@@ -73,7 +73,6 @@ to the batch size: ``unconstrained`` / ``steady`` / ``dedicated``
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -84,7 +83,6 @@ from repro.arch.simulator import (
     ZEROS_PER_QEC,
     DataflowSimulator,
     SimulationResult,
-    _cache_schedule,
     _ops,
     commit_draws,
     lower_ready,
@@ -110,27 +108,19 @@ class _Level:
     """One dependency level's operand arrays, pre-gathered.
 
     State matrices are *gate-major* — ``(num_qubits + 1, points)`` — so
-    each per-level gather/scatter touches contiguous rows. ``q1``/``q2``
-    map absent operands to the dummy qubit row ``num_qubits`` and
-    ``cond``/``result`` map absent bits to the dummy bit row
-    ``num_bits``; the dummy rows are re-pinned to 0.0 after a level's
-    scatters, so a max against them is a no-op and a scatter into them
-    is discarded — no per-level boolean masking needed. The ``has_*``
-    flags let the kernel skip whole operand classes (second/third
-    operands, condition reads, result writes) when a level has none.
+    each per-level gather/scatter touches contiguous rows. ``q1`` maps a
+    one-qubit gate's absent second operand to the dummy qubit row
+    ``num_qubits``, which is re-pinned to 0.0 after a level's scatters,
+    so a max against it is a no-op and a scatter into it is discarded —
+    no per-level boolean masking needed. ``has_q1`` lets the kernel skip
+    the second operand when a level has only one-qubit gates.
     """
 
     gates: np.ndarray  # gate indices, program order within the level
     q0: np.ndarray
     q1: np.ndarray
-    q2: np.ndarray
-    cond: np.ndarray
-    result: np.ndarray
     latency: np.ndarray  # (k, 1): broadcasts over the points axis
     has_q1: bool
-    has_q2: bool
-    has_cond: bool
-    has_result: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,22 +128,18 @@ class _BatchArrays:
     """Everything the batched kernel needs, built once per compiled form."""
 
     levels: Tuple[_Level, ...]
-    move_kind: np.ndarray  # (gates,) int8: MOVE_* class per gate
+    two_qubit: np.ndarray  # (gates,) bool: takes the two-qubit penalty
 
 
-def _build_batch_arrays(cc: CompiledCircuit) -> _BatchArrays:
-    nq, nb = cc.num_qubits, cc.num_bits
+def _batch_arrays(cc: CompiledCircuit) -> _BatchArrays:
+    """The level kernel's arrays for ``cc``; read through
+    ``cc.memoized``."""
+    nq = cc.num_qubits
     q0 = np.array(cc.q0, dtype=np.intp)
     q1 = np.array(cc.q1, dtype=np.intp)
-    q2 = np.array(cc.q2, dtype=np.intp)
-    cond = np.array(cc.cond_id, dtype=np.intp)
-    result = np.array(cc.result_id, dtype=np.intp)
     latency = np.array(cc.latency_us, dtype=np.float64)
-    # -1 sentinels -> dummy columns.
-    q1 = np.where(q1 < 0, nq, q1)
-    q2 = np.where(q2 < 0, nq, q2)
-    cond = np.where(cond < 0, nb, cond)
-    result = np.where(result < 0, nb, result)
+    two_qubit = q1 >= 0
+    q1 = np.where(two_qubit, q1, nq)  # -1 sentinels -> the dummy row
     df = dataflow_metadata(cc)
     levels = []
     for lv in range(df.num_levels):
@@ -163,32 +149,11 @@ def _build_batch_arrays(cc: CompiledCircuit) -> _BatchArrays:
                 gates=g,
                 q0=q0[g],
                 q1=q1[g],
-                q2=q2[g],
-                cond=cond[g],
-                result=result[g],
                 latency=latency[g][:, None],
-                has_q1=bool((q1[g] != nq).any()),
-                has_q2=bool((q2[g] != nq).any()),
-                has_cond=bool((cond[g] != nb).any()),
-                has_result=bool((result[g] != nb).any()),
+                has_q1=bool(two_qubit[g].any()),
             )
         )
-    return _BatchArrays(
-        levels=tuple(levels),
-        move_kind=np.array(cc.move_kind, dtype=np.int8),
-    )
-
-
-_BATCH_CACHE: "weakref.WeakKeyDictionary[CompiledCircuit, _BatchArrays]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _batch_arrays(cc: CompiledCircuit) -> _BatchArrays:
-    arrays = _BATCH_CACHE.get(cc)
-    if arrays is None:
-        arrays = _BATCH_CACHE[cc] = _build_batch_arrays(cc)
-    return arrays
+    return _BatchArrays(levels=tuple(levels), two_qubit=two_qubit)
 
 
 # ----------------------------------------------------------------------
@@ -198,75 +163,48 @@ def _batch_arrays(cc: CompiledCircuit) -> _BatchArrays:
 def _run_levels(
     cc: CompiledCircuit,
     points: int,
-    movement: Optional[np.ndarray],
-    ready: Optional[np.ndarray],
-    qec: float,
-) -> np.ndarray:
-    """Execute all ``points`` columns in one sweep over dependency levels.
-
-    State is gate-major — ``(num_qubits + 1, points)`` — so per-level
-    gathers and scatters touch contiguous rows; ``ready`` (when given)
-    is likewise ``(gates, points)``. Per-point arithmetic replays the
-    serial hot loops' exact operation order — operand/bit max chain,
-    movement add, supply max, then ``+ latency`` followed by ``+ qec``
-    as two separate additions (fusing them would change rounding) — so
-    every column is bit-identical to a serial run of that point.
-    """
-    nq, nb = cc.num_qubits, cc.num_bits
-    ba = _batch_arrays(cc)
-    with _span("batched.level_sweep", points=points, levels=len(ba.levels),
-               gates=cc.num_gates):
-        return _run_levels_body(ba, nq, nb, points, movement, ready, qec)
-
-
-def _run_levels_body(ba, nq, nb, points, movement, ready, qec):
-    qubit_free = np.zeros((nq + 1, points))
-    bits = np.zeros((nb + 1, points))
-    for level in ba.levels:
-        t = qubit_free[level.q0]  # fancy gather: a fresh copy
-        if level.has_q1:
-            np.maximum(t, qubit_free[level.q1], out=t)
-            if level.has_q2:
-                np.maximum(t, qubit_free[level.q2], out=t)
-        if level.has_cond:
-            np.maximum(t, bits[level.cond], out=t)
-        if movement is not None:
-            t += movement[level.gates][:, None]
-        if ready is not None:
-            np.maximum(t, ready[level.gates], out=t)
-        t += level.latency
-        t += qec
-        # Scatters cannot collide: same-level gates touch disjoint qubits
-        # (a shared qubit is a dependency edge), and duplicate result-bit
-        # writers resolve last-in-program-order, like the serial loop.
-        qubit_free[level.q0] = t
-        if level.has_q1:
-            qubit_free[level.q1] = t
-            if level.has_q2:
-                qubit_free[level.q2] = t
-            # Re-pin the dummy row the sentinel scatters just dirtied.
-            qubit_free[nq] = 0.0
-        if level.has_result:
-            bits[level.result] = t
-            bits[nb] = 0.0
-    if nq == 0:
-        return np.zeros(points)
-    return qubit_free[:nq].max(axis=0)
-
-
-def _kernel_pass(
-    cc: CompiledCircuit,
-    points: int,
     move_1q: float,
     move_2q: float,
     ready: Optional[np.ndarray],
     qec: float,
 ) -> np.ndarray:
-    """Makespans of ``points`` columns from one pass of the level kernel."""
+    """Makespans of ``points`` columns from one sweep over dependency
+    levels.
+
+    State is gate-major — ``(num_qubits + 1, points)`` — so per-level
+    gathers and scatters touch contiguous rows; ``ready`` (when given)
+    is likewise ``(gates, points)``. Per-point arithmetic replays the
+    serial hot loops' exact operation order — operand max, movement
+    add, supply max, then ``+ latency`` followed by ``+ qec`` as two
+    separate additions (fusing them would change rounding) — so every
+    column is bit-identical to a serial run of that point.
+    """
+    nq = cc.num_qubits
+    ba = cc.memoized(_batch_arrays)
     movement = None
     if move_1q or move_2q:
-        movement = np.array((0.0, move_1q, move_2q))[_batch_arrays(cc).move_kind]
-    return _run_levels(cc, points, movement, ready, qec)
+        movement = np.where(ba.two_qubit, move_2q, move_1q)
+    with _span("batched.level_sweep", points=points, levels=len(ba.levels),
+               gates=cc.num_gates):
+        qubit_free = np.zeros((nq + 1, points))
+        for level in ba.levels:
+            t = qubit_free[level.q0]  # fancy gather: a fresh copy
+            if level.has_q1:
+                np.maximum(t, qubit_free[level.q1], out=t)
+            if movement is not None:
+                t += movement[level.gates][:, None]
+            if ready is not None:
+                np.maximum(t, ready[level.gates], out=t)
+            t += level.latency
+            t += qec
+            # Scatters cannot collide: same-level gates touch disjoint
+            # qubits (a shared qubit is a dependency edge).
+            qubit_free[level.q0] = t
+            if level.has_q1:
+                qubit_free[level.q1] = t
+                # Re-pin the dummy row the sentinel scatters just dirtied.
+                qubit_free[nq] = 0.0
+        return qubit_free[:nq].max(axis=0)
 
 
 # ----------------------------------------------------------------------
@@ -356,8 +294,8 @@ def simulate_batch(
             is classified before any point runs, so no supply's state
             has advanced when this is raised.
         ValueError: Two constrained points share one supply object, or
-            ``cqla`` is given for a circuit that is not lean
-            (:attr:`~repro.circuits.compiled.CompiledCircuit.lean`).
+            the circuit has a gate shape
+            :func:`~repro.circuits.compiled.compile_circuit` refuses.
             Neither advances any supply's state.
     """
     with _span("batched.simulate_batch", points=len(supplies)) as sp:
@@ -439,9 +377,7 @@ def _simulate_batch(
     # points share one column, so they route as a 1-point group; a
     # serial run() commits each supply exactly as the vectorized route
     # does (unconstrained kinds consume nothing). Every CQLA point runs
-    # serially: run() replays the memoized cache-trip schedule and
-    # refuses a circuit that is not lean before it commits anything, so
-    # no supply has advanced when the first point raises.
+    # serially: run() replays the memoized cache-trip schedule.
     qec = LogicalLatencyModel(tech).qec_interaction_latency()
     move_1q = movement_penalty_us
     move_2q = (
@@ -452,7 +388,7 @@ def _simulate_batch(
     levels = steps = None
     if cqla is None:
         levels = dataflow_metadata(cc).num_levels
-        steps = len(_ops(cc, _cache_schedule(cc, None), move_1q, qec).q0)
+        steps = len(cc.memoized(_ops, None, move_1q, qec).q0)
 
     def vectorize(points: int) -> bool:
         return levels is not None and _vectorize(points, steps, n, levels)
@@ -498,16 +434,14 @@ def _simulate_batch(
 
     if unconstrained:
         # All such points produce identical results: one column suffices.
-        makespan = _kernel_pass(cc, 1, move_1q, move_2q, None, qec)[0]
+        makespan = _run_levels(cc, 1, move_1q, move_2q, None, qec)[0]
         for i in unconstrained:
             out[i] = result(makespan)
             commit_draws(cc, supplies[i], specs[i])
 
     for signature, indices in groups.items():
         ready = lower_ready(cc, signature, [specs[i] for i in indices])
-        makespans = _kernel_pass(
-            cc, len(indices), move_1q, move_2q, ready, qec
-        )
+        makespans = _run_levels(cc, len(indices), move_1q, move_2q, ready, qec)
         for i, makespan in zip(indices, makespans):
             out[i] = result(makespan)
             commit_draws(cc, supplies[i], specs[i])

@@ -19,7 +19,10 @@ never on timing, so the LRU walk runs once per (circuit, cache size)
 or none) with no ancilla constraint (:func:`_supply_free_walk`): a
 point whose ancillae are ready by every gate's supply-free start
 returns that walk's makespan, and only a point whose supply binds walks
-itself.
+itself. Each of these, like the ancilla draw order (:func:`_draws`) and
+the serial steps (:func:`_ops`), is built once per compiled circuit and
+kept in its memo
+(:meth:`~repro.circuits.compiled.CompiledCircuit.memoized`).
 
 Two production paths execute this model:
 
@@ -35,10 +38,8 @@ Two production paths execute this model:
   A step costs ~0.15-0.25 us (~0.2-0.37 us when it books cache ports),
   plus ~0.05 us of numpy per gate; qft-32's 7,552 gates walk in 1,378
   steps, while qrca and qcla have no chains and walk one step per gate.
-  The loops walk only *lean* circuits
-  (:attr:`~repro.circuits.compiled.CompiledCircuit.lean`), as every
-  kernel is; other gate shapes run as a one-column numpy kernel pass,
-  and only without a cache (CQLA refuses them).
+  Every gate has one or two operands and no classical bit, the only
+  shape :func:`~repro.circuits.compiled.compile_circuit` accepts.
 * :func:`repro.arch.batched.simulate_batch` — a whole *sweep* of design
   points in one vectorized pass over dependency levels; it sends small
   groups, and every CQLA point, to :meth:`~DataflowSimulator.run`.
@@ -55,9 +56,8 @@ assert exact equality of every :class:`SimulationResult` field.
 
 from __future__ import annotations
 
-import weakref
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heapreplace
 from itertools import repeat
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -111,14 +111,6 @@ class _CacheSchedule:
     trips: Optional[List[int]]  # bookings gate i performs (0 for full hits)
     misses: int
     teleports: int  # total bookings == sum(trips)
-    #: The serial walk's steps per (one-qubit penalty, qec), built by
-    #: the first walk that needs them (:func:`_ops`).
-    ops: Dict[Tuple[float, float], "_Ops"] = field(default_factory=dict)
-
-
-_SCHEDULE_CACHE: "weakref.WeakKeyDictionary[CompiledCircuit, Dict[Optional[int], _CacheSchedule]]" = (
-    weakref.WeakKeyDictionary()
-)
 
 
 def _cache_schedule(
@@ -126,20 +118,16 @@ def _cache_schedule(
 ) -> _CacheSchedule:
     """The LRU walk of ``cc``'s operands at ``cache_size``, timing-free:
     each non-resident operand is one miss and one trip, plus one trip
-    when it evicts a resident qubit (the dirty copy teleports out)."""
-    per_cc = _SCHEDULE_CACHE.setdefault(cc, {})
-    schedule = per_cc.get(cache_size)
-    if schedule is not None:
-        return schedule
+    when it evicts a resident qubit (the dirty copy teleports out).
+    Read through ``cc.memoized``, like every builder here."""
     if cache_size is None:
-        per_cc[None] = schedule = _CacheSchedule(None, 0, 0)
-        return schedule
+        return _CacheSchedule(None, 0, 0)
     # Resident qubits in recency order, oldest first.
     resident: "OrderedDict[int, None]" = OrderedDict()
     trips = [0] * cc.num_gates
     misses = 0
     total = 0
-    for i, (a, b, c) in enumerate(zip(cc.q0, cc.q1, cc.q2)):
+    for i, (a, b) in enumerate(zip(cc.q0, cc.q1)):
         q = a
         while q >= 0:
             if q in resident:
@@ -153,9 +141,8 @@ def _cache_schedule(
                 resident[q] = None
                 trips[i] += k
                 total += k
-            q = b if q == a else (c if q == b else -1)
-    per_cc[cache_size] = schedule = _CacheSchedule(trips, misses, total)
-    return schedule
+            q = b if q == a else -1
+    return _CacheSchedule(trips, misses, total)
 
 
 #: Shortest run of one-qubit gates the serial walk takes as one step
@@ -236,23 +223,13 @@ def _gate_ops(cc: CompiledCircuit, trips: Optional[List[int]]) -> _Ops:
 
 
 def _ops(
-    cc: CompiledCircuit, schedule: _CacheSchedule, move_1q: float, qec: float
+    cc: CompiledCircuit, cache_size: Optional[int], move_1q: float, qec: float
 ) -> _Ops:
-    """The serial walk's steps for ``cc`` under ``schedule``, memoized."""
-    key = (move_1q, qec)
-    ops = schedule.ops.get(key)
-    if ops is None:
-        ops = schedule.ops[key] = _build_ops(cc, schedule.trips, move_1q, qec)
-    return ops
-
-
-def _build_ops(
-    cc: CompiledCircuit, trips: Optional[List[int]], move_1q: float, qec: float
-) -> _Ops:
+    """The serial walk's steps for ``cc`` under the trip schedule at
+    ``cache_size``."""
+    trips = cc.memoized(_cache_schedule, cache_size).trips
     addends = {move_1q, qec, *cc.latency_us}
-    if not cc.lean or not all(
-        x >= 0 and float(x).is_integer() for x in addends
-    ):
+    if not all(x >= 0 and float(x).is_integer() for x in addends):
         return _gate_ops(cc, trips)
     # Each qubit's open run of one-qubit gates; a two-qubit gate, or a
     # gate that books cache trips, ends its qubits' runs.
@@ -362,13 +339,6 @@ class _StartLog(list):
         return False
 
 
-#: Per circuit: (cache size or None, ports, t_teleport, move_1q,
-#: move_2q, qec) -> (supply-free starts, makespan).
-_SUPPLY_FREE: "weakref.WeakKeyDictionary[CompiledCircuit, Dict[tuple, tuple]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def _supply_free_walk(
     cc: CompiledCircuit, cache_size: Optional[int], ports: int,
     t_teleport: float, move_1q: float, move_2q: float, qec: float,
@@ -379,23 +349,15 @@ def _supply_free_walk(
     memoized per configuration. A point whose ready times are all
     ``<=`` these starts never trips the walk's strict ``ready > t``, so
     by induction its walk repeats this one float for float."""
-    per_cc = _SUPPLY_FREE.setdefault(cc, {})
-    key = (cache_size, ports, t_teleport, move_1q, move_2q, qec)
-    walk = per_cc.get(key)
-    if walk is None:
-        log = _StartLog()
-        gates = _gate_ops(cc, _cache_schedule(cc, cache_size).trips)
-        if cache_size is None:
-            makespan = _run_flat(
-                gates, move_1q, move_2q, repeat(log), qec, None
-            )
-        else:
-            makespan = _run_cache(
-                gates, ports, t_teleport, move_1q, move_2q, repeat(log), qec,
-                None,
-            )
-        walk = per_cc[key] = (np.array(log), makespan)
-    return walk
+    log = _StartLog()
+    gates = _gate_ops(cc, cc.memoized(_cache_schedule, cache_size).trips)
+    if cache_size is None:
+        makespan = _run_flat(gates, move_1q, move_2q, repeat(log), qec, None)
+    else:
+        makespan = _run_cache(
+            gates, ports, t_teleport, move_1q, move_2q, repeat(log), qec, None
+        )
+    return np.array(log), makespan
 
 
 def movement_teleports(
@@ -477,14 +439,14 @@ class DataflowSimulator:
 
         Result-identical to the reference loop
         (:func:`repro.testing.reference.run_reference`, exact float
-        equality) with no per-gate objects; a circuit that is not lean
-        runs as a one-column numpy kernel pass, and only without a cache.
+        equality) with no per-gate objects.
 
         Raises:
             TypeError: The supply publishes no lowerable ready spec
                 (:func:`lowerable_spec`).
-            ValueError: CQLA cache mode on a circuit that is not lean
-                (every kernel is lean); the supply is left untouched.
+            ValueError: The circuit has a gate shape
+                :func:`~repro.circuits.compiled.compile_circuit` refuses
+                (every kernel compiles); the supply is left untouched.
         """
         with _span("simulate.setup"):
             cc = self.compiled
@@ -493,12 +455,6 @@ class DataflowSimulator:
                 return SimulationResult(0.0, 0, 0, 0, 0, 0)
             supply = self.supply
             cqla = self.cqla
-            if cqla is not None and not cc.lean:
-                raise ValueError(
-                    "CQLA cache mode simulates only lean circuits (one or "
-                    "two operands per gate, no classical bits, no "
-                    "prep/measure); this circuit is not lean"
-                )
             qec = self._logical.qec_interaction_latency()
             move_1q = self.move_1q
             move_2q = self.move_2q
@@ -506,43 +462,36 @@ class DataflowSimulator:
             spec, signature = lowerable_spec(cc, supply)
             ready = None
             if signature != (None, None):
-                ready = lower_ready(cc, signature, [spec])
-                if cc.lean:
-                    ready = ready[:, 0]
+                ready = lower_ready(cc, signature, [spec])[:, 0]
             cache_size = None
             ports, t_teleport = 0, 0.0
             if cqla is not None:
                 cache_size = cqla.cache_size(cc.num_qubits)
                 ports, t_teleport = cqla.ports, teleport_latency(self.tech)
-            schedule = _cache_schedule(cc, cache_size)
+            schedule = cc.memoized(_cache_schedule, cache_size)
             teleports += schedule.teleports
         with _span("simulate.level_walk", gates=n) as walk_span:
-            if not cc.lean:
-                # Imported here: repro.arch.batched imports this module.
-                from repro.arch.batched import _kernel_pass
-
-                makespan = _kernel_pass(cc, 1, move_1q, move_2q, ready, qec)[0]
+            starts, makespan = cc.memoized(
+                _supply_free_walk,
+                cache_size, ports, t_teleport, move_1q, move_2q, qec,
+            )
+            # ``<=`` under all(): a NaN ready time falls through.
+            if ready is None or np.all(ready <= starts):
+                walk_span.set(replayed=1, steps=0, rewalked=0)
             else:
-                starts, makespan = _supply_free_walk(
-                    cc, cache_size, ports, t_teleport, move_1q, move_2q, qec
-                )
-                # ``<=`` under all(): a NaN ready time falls through.
-                if ready is None or np.all(ready <= starts):
-                    walk_span.set(replayed=1, steps=0, rewalked=0)
+                ops = cc.memoized(_ops, cache_size, move_1q, qec)
+                rewalk = _Rewalk(ops, ready, cc.latency_us, move_1q, qec)
+                op_ready = _op_ready(ops, ready, starts)
+                if cqla is None:
+                    makespan = _run_flat(
+                        ops, move_1q, move_2q, op_ready, qec, rewalk
+                    )
                 else:
-                    ops = _ops(cc, schedule, move_1q, qec)
-                    rewalk = _Rewalk(ops, ready, cc.latency_us, move_1q, qec)
-                    op_ready = _op_ready(ops, ready, starts)
-                    if cqla is None:
-                        makespan = _run_flat(
-                            ops, move_1q, move_2q, op_ready, qec, rewalk
-                        )
-                    else:
-                        makespan = _run_cache(
-                            ops, ports, t_teleport, move_1q, move_2q,
-                            op_ready, qec, rewalk,
-                        )
-                    walk_span.set(steps=len(ops.q0), rewalked=rewalk.count)
+                    makespan = _run_cache(
+                        ops, ports, t_teleport, move_1q, move_2q,
+                        op_ready, qec, rewalk,
+                    )
+                walk_span.set(steps=len(ops.q0), rewalked=rewalk.count)
         commit_draws(cc, supply, spec)
         return SimulationResult(
             makespan_us=float(makespan),
@@ -585,15 +534,8 @@ class _Draws:
     pi8_home_totals: List[int]
 
 
-_DRAWS: "weakref.WeakKeyDictionary[CompiledCircuit, _Draws]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def _draws(cc: CompiledCircuit) -> _Draws:
-    draws = _DRAWS.get(cc)
-    if draws is not None:
-        return draws
+    """The order in which ``cc``'s gates draw ancillae."""
     zero_count = [0] * cc.num_qubits
     pi8_count = [0] * cc.num_qubits
     home_zero_rank = []
@@ -606,7 +548,7 @@ def _draws(cc: CompiledCircuit) -> _Draws:
             pi8_count[a] += 1
             pi8_home.append(a)
             home_pi8_rank.append(pi8_count[a])
-    draws = _Draws(
+    return _Draws(
         zero_seq=ZEROS_PER_QEC
         * np.arange(1, cc.num_gates + 1, dtype=np.float64),
         pi8_seq=np.arange(1, cc.pi8_count + 1, dtype=np.float64),
@@ -617,8 +559,6 @@ def _draws(cc: CompiledCircuit) -> _Draws:
         zero_home_totals=zero_count,
         pi8_home_totals=pi8_count,
     )
-    _DRAWS[cc] = draws
-    return draws
 
 
 Signature = Tuple[Optional[str], Optional[str]]
@@ -702,7 +642,7 @@ def lower_ready(
     kinds' ready times, the order the reference loop applies them in.
     Returns None when no kind constrains this circuit.
     """
-    draws = _draws(cc)
+    draws = cc.memoized(_draws)
     zero_mode, pi8_mode = signature
     with _span("simulate.ready_lowering", kind=f"{zero_mode}/{pi8_mode}",
                points=len(specs), gates=cc.num_gates):
@@ -732,7 +672,7 @@ def commit_draws(
     dedicated kinds. (The built-in ``advance`` / ``advance_per_qubit``
     skip zero-rate counters, matching ``acquire``'s
     return-inf-without-recording.)"""
-    draws = _draws(cc)
+    draws = cc.memoized(_draws)
     for kind, total, home_totals in (
         (ZERO, ZEROS_PER_QEC * cc.num_gates, draws.zero_home_totals),
         (PI8, cc.pi8_count, draws.pi8_home_totals),
@@ -745,12 +685,11 @@ def commit_draws(
 
 
 # ----------------------------------------------------------------------
-# Compiled-engine loop bodies, over the steps (:class:`_Ops`) of lean
-# circuits only.
+# Compiled-engine loop bodies, over the steps (:class:`_Ops`).
 #
-# A lean gate has one or two operands, no classical bit, and moves by
-# its arity, so one ``b >= 0`` split picks its operand reads and its
-# movement penalty; ``b < -1`` marks a chain. Floating-point evaluation
+# A gate has one or two operands and moves by its arity, so one
+# ``b >= 0`` split picks its operand reads and its movement penalty;
+# ``b < -1`` marks a chain. Floating-point evaluation
 # order matches the reference loop
 # (:func:`repro.testing.reference.run_reference`) exactly (same max
 # chains and additions; adding a zero penalty is exact), and a chain

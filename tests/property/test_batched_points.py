@@ -22,26 +22,31 @@ from repro.testing.reference import run_reference
 NUM_QUBITS = 5
 
 
-def _protocol_circuit() -> Circuit:
-    """A small circuit exercising every batching hazard: two-qubit and
-    Toffoli dependencies, pi/8 consumers, measurements and conditions."""
+def _lean_circuit() -> Circuit:
+    """A small circuit exercising every batching hazard in the one gate
+    shape the engines compile: two-qubit dependencies, pi/8 consumers,
+    and four one-qubit gates in a row on qubit 3 (one chain step for
+    ``run()``)."""
     return (
         Circuit(NUM_QUBITS)
         .h(0)
         .cx(0, 1)
         .t(1)
-        .ccx(0, 1, 2)
-        .measure_z(2, "m0")
-        .x(3, condition="m0")
+        .cx(1, 2)
+        .tdg(2)
+        .t(3)
+        .h(3)
+        .s(3)
         .t(3)
         .cx(3, 4)
-        .measure_x(4, "m1")
-        .z(0, condition="m1")
+        .t(4)
+        .cz(4, 0)
         .t(0)
+        .cx(2, 3)
     )
 
 
-CIRCUIT = _protocol_circuit()
+CIRCUIT = _lean_circuit()
 
 #: ``batch_routes`` re-forces its route inside every example.
 ROUTED = dict(

@@ -8,9 +8,7 @@ with exact float equality — and must leave the supply's observable state
 random rate vectors (zero and infinite rates included), mixed tracked
 kinds, CQLA configurations, and point counts up to 128 — every example
 on both of ``simulate_batch``'s routes (vectorized kernels and per-point
-``run()``; see the ``batch_routes`` fixture). CQLA cache mode runs only
-lean circuits, so its examples use a lean circuit; the protocol circuit
-stays on the flat routes.
+``run()``; see the ``batch_routes`` fixture).
 """
 
 from hypothesis import HealthCheck, event, given, settings
@@ -33,28 +31,9 @@ from repro.testing.reference import run_reference
 NUM_QUBITS = 5
 
 
-def _protocol_circuit() -> Circuit:
-    """Every lowering hazard: multi-qubit deps, pi/8 consumers,
-    measurements and classically-conditioned gates."""
-    return (
-        Circuit(NUM_QUBITS)
-        .h(0)
-        .cx(0, 1)
-        .t(1)
-        .ccx(0, 1, 2)
-        .measure_z(2, "m0")
-        .x(3, condition="m0")
-        .t(3)
-        .cx(3, 4)
-        .measure_x(4, "m1")
-        .z(0, condition="m1")
-        .t(0)
-    )
-
-
 def _lean_circuit() -> Circuit:
-    """One- and two-qubit gates with pi/8 consumers and no classical
-    bits: the shape every kernel has, and the only one CQLA runs."""
+    """Every lowering hazard: two-qubit deps and pi/8 consumers, in the
+    one gate shape the engines compile (every kernel's)."""
     return (
         Circuit(NUM_QUBITS)
         .h(0)
@@ -73,8 +52,7 @@ def _lean_circuit() -> Circuit:
     )
 
 
-CIRCUIT = _protocol_circuit()
-LEAN_CIRCUIT = _lean_circuit()
+CIRCUIT = _lean_circuit()
 
 #: ``batch_routes`` re-forces its route inside every example.
 ROUTED = dict(
@@ -116,9 +94,9 @@ def _dedicated_state(supply):
     }
 
 
-def _reference(supplies, cqla=None, circuit=CIRCUIT):
+def _reference(supplies, cqla=None):
     return [
-        run_reference(DataflowSimulator(circuit, supply=supply, cqla=cqla))
+        run_reference(DataflowSimulator(CIRCUIT, supply=supply, cqla=cqla))
         for supply in supplies
     ]
 
@@ -226,12 +204,10 @@ def test_cqla_lockstep_matches_acquire_loop_and_state(
         ]
 
     reference_supplies = supplies()
-    reference = _reference(reference_supplies, cqla=cqla, circuit=LEAN_CIRCUIT)
+    reference = _reference(reference_supplies, cqla=cqla)
     for _ in batch_routes():
         batch_supplies = supplies()
-        assert simulate_batch(
-            LEAN_CIRCUIT, batch_supplies, cqla=cqla
-        ) == reference
+        assert simulate_batch(CIRCUIT, batch_supplies, cqla=cqla) == reference
         for batch_supply, reference_supply in zip(
             batch_supplies, reference_supplies
         ):
@@ -266,14 +242,14 @@ def test_cqla_supply_free_replay_matches_acquire_loop(
     )
 
     def run(supply):
-        return DataflowSimulator(LEAN_CIRCUIT, supply=supply, cqla=cqla).run()
+        return DataflowSimulator(CIRCUIT, supply=supply, cqla=cqla).run()
 
     unconstrained = run(InfiniteSupply())  # builds the memo if absent
     walks.clear()
     supply = SteadyRateSupply({ZERO: zero_rate, PI8: pi8_rate})
     result = run(supply)
     reference_supply = SteadyRateSupply({ZERO: zero_rate, PI8: pi8_rate})
-    assert [result] == _reference([reference_supply], cqla, LEAN_CIRCUIT)
+    assert [result] == _reference([reference_supply], cqla)
     assert _steady_state(supply) == _steady_state(reference_supply)
     assert walks in ([], [1])
     event("walked" if walks else "replayed")
@@ -293,7 +269,6 @@ def test_point_count_axis_up_to_128(count, base, cqla_on, batch_routes):
     """The batching axis itself — 1 through 128 points, distinct rates
     per point — never perturbs a bit, with or without CQLA."""
     cqla = CqlaConfig() if cqla_on else None
-    circuit = LEAN_CIRCUIT if cqla_on else CIRCUIT
 
     def supplies():
         return [
@@ -303,6 +278,6 @@ def test_point_count_axis_up_to_128(count, base, cqla_on, batch_routes):
             for i in range(count)
         ]
 
-    reference = _reference(supplies(), cqla=cqla, circuit=circuit)
+    reference = _reference(supplies(), cqla=cqla)
     for _ in batch_routes():
-        assert simulate_batch(circuit, supplies(), cqla=cqla) == reference
+        assert simulate_batch(CIRCUIT, supplies(), cqla=cqla) == reference

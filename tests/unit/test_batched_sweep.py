@@ -426,16 +426,19 @@ class TestEdgeShapes:
         assert [r.makespan_us for r in results] == [0.0, 0.0]
         assert all(r.gates == 0 for r in results)
 
-    def test_conditional_toffoli_circuit(self, batch_routes):
-        """Arity-3 gates, measurements and condition bits, batched."""
+    def test_small_lean_circuit(self, batch_routes):
+        """A small mix of one- and two-qubit gates, pi/8 consumers on
+        both sides of a two-qubit gate, batched."""
         circuit = (
             Circuit(4)
-            .ccx(0, 1, 2)
-            .measure_z(2, "m0")
-            .x(3, condition="m0")
+            .t(0)
+            .cx(0, 1)
+            .tdg(1)
+            .cz(1, 2)
             .t(3)
-            .measure_x(3, "m1")
-            .z(0, condition="m1")
+            .h(2)
+            .cx(2, 3)
+            .t(3)
         )
         rates = [0.5, 2.0, 0.0]
 

@@ -1,11 +1,13 @@
 """Table-driven compilation against a per-gate oracle.
 
-``compile_circuit`` reads each gate's code, latency, movement class and
-pi/8 flag from one row per gate type. The oracle here derives the same
-columns gate by gate from ``Gate`` properties and
-``LogicalLatencyModel.gate_latency``, the way compilation did before the
-tables, and every ``CompiledCircuit`` field must match it exactly. The
-dependency arrays of ``dataflow_metadata`` must match ``CircuitDag``.
+``compile_circuit`` reads each gate's latency and pi/8 flag from one row
+per gate type. The oracle here derives the same columns gate by gate
+from ``Gate`` properties and ``LogicalLatencyModel.gate_latency``, the
+way compilation did before the tables, and every ``CompiledCircuit``
+field must match it exactly. The dependency arrays of
+``dataflow_metadata`` must match ``CircuitDag``. Compilation accepts one
+gate shape (one or two operands, no classical bit, no prep/measure) and
+refuses every other gate by name.
 """
 
 import numpy as np
@@ -15,13 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.circuits import Circuit, compile_circuit
 from repro.testing.dag import CircuitDag
 from repro.circuits import compiled as compiled_mod
-from repro.circuits.compiled import (
-    GATE_CODES,
-    MOVE_NONE,
-    MOVE_ONE_QUBIT,
-    MOVE_TWO_QUBIT,
-    dataflow_metadata,
-)
+from repro.circuits.compiled import dataflow_metadata
 from repro.circuits.gate import GATE_ARITY, PI8_CONSUMING_GATES, Gate, GateType
 from repro.circuits.latency import LogicalLatencyModel
 from repro.kernels import analyze_kernel
@@ -34,50 +30,45 @@ TECHS = {
 }
 
 
+def _gate(gate_type, qubits=None, **kwargs):
+    """A valid gate of ``gate_type``: rotations carry an angle and
+    measurements a result bit."""
+    if gate_type in (GateType.RZ, GateType.CRZ):
+        kwargs.setdefault("angle_k", 3)
+    if gate_type in (GateType.MEASURE_Z, GateType.MEASURE_X):
+        kwargs.setdefault("result", f"m_{gate_type.value}")
+    if qubits is None:
+        qubits = tuple(range(GATE_ARITY[gate_type]))
+    return Gate(gate_type, qubits, **kwargs)
+
+
+#: The gate types compilation accepts, from gate properties alone.
+LEAN_TYPES = [
+    t for t in GateType
+    if len(_gate(t).qubits) <= 2 and not (_gate(t).is_prep or _gate(t).is_measurement)
+]
+OTHER_TYPES = [t for t in GateType if t not in LEAN_TYPES]
+
+
 def _oracle(circuit, tech):
     """Every ``CompiledCircuit`` field, derived gate by gate."""
     logical = LogicalLatencyModel(tech)
-    fields = {
-        name: []
-        for name in ("gate_codes", "q0", "q1", "q2", "latency_us", "move_kind",
-                     "cond_id", "result_id", "pi8_flag")
-    }
-    bit_ids = {}
+    fields = {name: [] for name in ("q0", "q1", "latency_us", "pi8_flag")}
+    two_qubit = 0
     for gate in circuit:
-        qubits = gate.qubits + (-1, -1)
+        qubits = gate.qubits + (-1,)
         fields["q0"].append(qubits[0])
         fields["q1"].append(qubits[1])
-        fields["q2"].append(qubits[2])
-        fields["gate_codes"].append(list(GateType).index(gate.gate_type))
         fields["latency_us"].append(logical.gate_latency(gate))
-        if gate.is_prep or gate.is_measurement:
-            fields["move_kind"].append(MOVE_NONE)
-        elif gate.is_two_qubit:
-            fields["move_kind"].append(MOVE_TWO_QUBIT)
-        else:
-            fields["move_kind"].append(MOVE_ONE_QUBIT)
-        for name, key in ((gate.condition, "cond_id"), (gate.result, "result_id")):
-            if name is None:
-                fields[key].append(-1)
-            else:
-                fields[key].append(bit_ids.setdefault(name, len(bit_ids)))
         fields["pi8_flag"].append(int(gate.gate_type in PI8_CONSUMING_GATES))
-    fields["gate_codes"] = tuple(fields["gate_codes"])
+        two_qubit += gate.is_two_qubit
     pi8 = [i for i, flag in enumerate(fields["pi8_flag"]) if flag]
     fields.update(
         num_qubits=circuit.num_qubits,
         num_gates=len(circuit),
-        bit_names=tuple(bit_ids),
         pi8_count=len(pi8),
-        one_qubit_moves=fields["move_kind"].count(MOVE_ONE_QUBIT),
-        two_qubit_moves=fields["move_kind"].count(MOVE_TWO_QUBIT),
-        lean=all(
-            len(gate.qubits) <= 2
-            and gate.condition is None
-            and gate.result is None
-            and not (gate.is_prep or gate.is_measurement)
-            for gate in circuit
-        ),
+        one_qubit_moves=len(circuit) - two_qubit,
+        two_qubit_moves=two_qubit,
     )
     return fields, pi8
 
@@ -92,7 +83,7 @@ def _assert_matches_oracle(circuit, tech):
     assert compiled.tech is tech
     assert compiled.compiled_from(circuit)
     fields = set(compiled.__dataclass_fields__)
-    assert fields == set(expected) | {"pi8_indices", "tech", "source_ref"}
+    assert fields == set(expected) | {"pi8_indices", "tech", "source_ref", "_memo"}
 
 
 def _assert_dataflow_matches_dag(circuit, tech):
@@ -114,56 +105,49 @@ def _assert_dataflow_matches_dag(circuit, tech):
     ]
 
 
-def _one_of_every_type():
-    """One gate per ``GateType`` member, plus a conditioned gate."""
+def _one_of_every_lean_type():
     circ = Circuit(4)
-    for gate_type in GateType:
-        circ.append(
-            Gate(
-                gate_type,
-                tuple(range(GATE_ARITY[gate_type])),
-                angle_k=3 if gate_type in (GateType.RZ, GateType.CRZ) else None,
-                result=f"m_{gate_type.value}"
-                if gate_type in (GateType.MEASURE_Z, GateType.MEASURE_X)
-                else None,
-            )
-        )
-    circ.x(3, condition="m_measure_z")
+    for gate_type in LEAN_TYPES:
+        circ.append(_gate(gate_type))
     return circ
 
 
 @pytest.mark.parametrize("tech", list(TECHS.values()), ids=list(TECHS))
-def test_every_gate_type_matches_oracle(tech):
-    circ = _one_of_every_type()
-    assert {g.gate_type for g in circ} == set(GateType)
+def test_every_lean_gate_type_matches_oracle(tech):
+    circ = _one_of_every_lean_type()
     _assert_matches_oracle(circ, tech)
     _assert_dataflow_matches_dag(circ, tech)
 
 
-def test_ccx_takes_the_one_qubit_movement_class():
-    circ = Circuit(3).ccx(0, 1, 2)
-    compiled = compile_circuit(circ, ION_TRAP)
-    assert compiled.move_kind == [MOVE_ONE_QUBIT]
-    assert compiled.q2 == [2]
+@pytest.mark.parametrize(
+    "gate",
+    [_gate(t, tuple(range(1, 1 + GATE_ARITY[t]))) for t in OTHER_TYPES]
+    + [_gate(GateType.H, (1,), result="r")],
+    ids=[t.value for t in OTHER_TYPES] + ["result"],
+)
+def test_other_gate_shapes_are_refused_by_name(gate):
+    circ = Circuit(4).h(0).cx(0, 1)
+    circ.append(gate)
+    circ.t(2)
+    with pytest.raises(ValueError, match=rf"^gate 2 \({gate.describe()}\)"):
+        compile_circuit(circ, ION_TRAP)
 
 
-def test_every_gate_type_has_a_row():
-    rows = compiled_mod._gate_type_rows(ION_TRAP)
-    assert set(rows) == set(GateType)
-    assert [rows[t][0] for t in GateType] == [GATE_CODES[t] for t in GateType]
+def test_every_lean_gate_type_has_a_row():
+    assert list(compiled_mod._gate_type_rows(ION_TRAP)) == LEAN_TYPES
 
 
 def test_gate_type_without_a_row_fails_loudly(monkeypatch):
     full = compiled_mod._gate_type_rows
 
-    def missing_ccx(tech):
+    def missing_cx(tech):
         rows = full(tech)
-        del rows[GateType.CCX]
+        del rows[GateType.CX]
         return rows
 
-    monkeypatch.setattr(compiled_mod, "_gate_type_rows", missing_ccx)
-    with pytest.raises(KeyError):
-        compiled_mod._compile_body(Circuit(3).ccx(0, 1, 2), ION_TRAP)
+    monkeypatch.setattr(compiled_mod, "_gate_type_rows", missing_cx)
+    with pytest.raises(ValueError, match=r"^gate 0 \(CX q0,q1\)"):
+        compiled_mod._compile_body(Circuit(2).cx(0, 1), ION_TRAP)
 
 
 def test_gate_type_without_an_arity_fails_loudly(monkeypatch):
@@ -175,36 +159,21 @@ def test_gate_type_without_an_arity_fails_loudly(monkeypatch):
 
 
 N = 5
-_ONE_QUBIT = [t for t in GateType if GATE_ARITY[t] == 1]
-_TWO_QUBIT = [t for t in GateType if GATE_ARITY[t] == 2]
+_ONE_QUBIT = [t for t in LEAN_TYPES if GATE_ARITY[t] == 1]
+_TWO_QUBIT = [t for t in LEAN_TYPES if GATE_ARITY[t] == 2]
 
 
 @st.composite
 def random_circuits(draw, max_gates=25):
-    """Circuits over every gate type: rotations carry an angle,
-    measurements a fresh result bit, and some gates a condition on an
-    earlier result."""
+    """Circuits over every gate type compilation accepts, pi/8
+    consumers included; rotations carry an angle."""
     circ = Circuit(N)
-    written = []
     for _ in range(draw(st.integers(0, max_gates))):
-        arity = draw(st.sampled_from([1, 1, 2, 3]))
+        arity = draw(st.sampled_from([1, 1, 2]))
         qubits = tuple(draw(st.permutations(range(N)))[:arity])
-        gate_type = {
-            1: lambda: draw(st.sampled_from(_ONE_QUBIT)),
-            2: lambda: draw(st.sampled_from(_TWO_QUBIT)),
-            3: lambda: GateType.CCX,
-        }[arity]()
+        gate_type = draw(st.sampled_from(_ONE_QUBIT if arity == 1 else _TWO_QUBIT))
         angle = draw(st.integers(1, 6)) if gate_type in (GateType.RZ, GateType.CRZ) else None
-        result = None
-        if gate_type in (GateType.MEASURE_Z, GateType.MEASURE_X):
-            result = f"m{len(circ)}"
-        condition = None
-        if written and draw(st.booleans()):
-            condition = draw(st.sampled_from(written))
-        circ.append(Gate(gate_type, qubits, angle_k=angle,
-                         condition=condition, result=result))
-        if result is not None:
-            written.append(result)
+        circ.append(Gate(gate_type, qubits, angle_k=angle))
     return circ
 
 

@@ -7,6 +7,9 @@ all three kernels under all five supply/architecture models. The fixtures
 run the 8-bit kernels; engine dispatch does not depend on width.
 """
 
+import functools
+import gc
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -30,7 +33,7 @@ from repro.arch.supply import (
     SteadyRateSupply,
 )
 from repro.circuits import Circuit, CompiledCircuit, compile_circuit
-from repro.circuits.compiled import MOVE_ONE_QUBIT, MOVE_TWO_QUBIT
+from repro.circuits.compiled import _build_dataflow, dataflow_metadata
 from repro.kernels import analyze_kernel
 from repro.tech import ION_TRAP
 from repro.testing.reference import run_reference
@@ -115,20 +118,21 @@ class TestEngineEquivalence:
         assert legacy.makespan_us == float("inf")
         assert compiled == legacy
 
-    def test_conditional_toffoli_circuit(self):
-        """Exercises arity-3 gates, measurements and condition bits."""
-        circuit = (
-            Circuit(4)
-            .ccx(0, 1, 2)
-            .measure_z(2, "m0")
-            .x(3, condition="m0")
-            .t(3)
-            .measure_x(3, "m1")
-            .z(0, condition="m1")
-        )
-        legacy = run_reference(DataflowSimulator(circuit))
-        compiled = DataflowSimulator(circuit).run()
-        assert compiled == legacy
+    @pytest.mark.parametrize("cqla", (None, CqlaConfig(cache_fraction=0.34, ports=1)))
+    def test_small_lean_circuit(self, cqla):
+        """A hand-built mix of one- and two-qubit gates with pi/8
+        consumers, under both movement penalties and a binding supply."""
+
+        def simulator():
+            return DataflowSimulator(
+                _lean_mix(),
+                supply=SteadyRateSupply({ZERO: 4.0, PI8: 0.5}),
+                movement_penalty_us=30.0,
+                two_qubit_movement_penalty_us=7.5e3,
+                cqla=cqla,
+            )
+
+        assert simulator().run() == run_reference(simulator())
 
     def test_empty_circuit(self):
         result = DataflowSimulator(Circuit(3)).run()
@@ -152,23 +156,17 @@ class TestCompilation:
         assert second.num_gates == 2
 
     def test_compiled_form_contents(self):
-        circuit = Circuit(3).t(0).ccx(0, 1, 2).measure_z(1, "m").x(2, condition="m")
+        circuit = Circuit(3).t(0).cx(0, 1).h(2).cz(2, 1)
         compiled = compile_circuit(circuit, ION_TRAP)
         assert isinstance(compiled, CompiledCircuit)
         assert compiled.num_gates == 4
-        assert compiled.q0 == [0, 0, 1, 2]
-        assert compiled.q1 == [-1, 1, -1, -1]
-        assert compiled.q2 == [-1, 2, -1, -1]
+        assert compiled.q0 == [0, 0, 2, 2]
+        assert compiled.q1 == [-1, 1, -1, 1]
         assert compiled.pi8_flag == [1, 0, 0, 0]
         assert compiled.pi8_count == 1
-        assert compiled.bit_names == ("m",)
-        assert compiled.result_id == [-1, -1, 0, -1]
-        assert compiled.cond_id == [-1, -1, -1, 0]
-        # prep/measure gates are movement-exempt; CCX (arity 3) takes the
-        # one-qubit movement penalty, mirroring the reference loop's
-        # ``is_two_qubit`` dispatch.
-        assert compiled.one_qubit_moves == 3  # T, CCX, conditional X
-        assert compiled.two_qubit_moves == 0
+        # A gate's movement class is its arity.
+        assert compiled.one_qubit_moves == 2  # T, H
+        assert compiled.two_qubit_moves == 2  # CX, CZ
 
     def test_mismatched_compiled_circuit_rejected(self):
         circuit = Circuit(2).h(0).cx(0, 1)
@@ -185,12 +183,42 @@ class TestCompilation:
 
     def test_orphaned_compiled_circuit_rejected(self):
         """A compiled form whose source was collected is never accepted."""
-        import gc
-
         compiled = compile_circuit(Circuit(2).h(0).cx(0, 1), ION_TRAP)
         gc.collect()
         with pytest.raises(ValueError):
             DataflowSimulator(Circuit(2).h(0).cx(0, 1), compiled=compiled)
+
+    def test_one_memo_per_compiled_form_dies_with_it(self, batch_routes):
+        """Both engines and ``dataflow_metadata`` keep what they derive
+        in the compiled form's one memo; a repeat run adds no entry, and
+        the memo goes with the form."""
+        circuit = _lean_mix()
+        compiled = compile_circuit(circuit, ION_TRAP)
+        cqla = CqlaConfig(cache_fraction=0.34, ports=1)
+
+        def supply():
+            return SteadyRateSupply({ZERO: 4.0, PI8: 0.5})  # binds
+
+        for config in (None, cqla):
+            DataflowSimulator(circuit, supply=supply(), cqla=config).run()
+            filled = len(compiled._memo)
+            DataflowSimulator(circuit, supply=supply(), cqla=config).run()
+            assert len(compiled._memo) == filled
+        for _ in batch_routes():
+            simulate_batch(circuit, [supply() for _ in range(3)])
+        dataflow_metadata(compiled)
+        assert {key[0] for key in compiled._memo} == {
+            simulator_module._cache_schedule,
+            simulator_module._supply_free_walk,
+            simulator_module._ops,
+            simulator_module._draws,
+            batched_module._batch_arrays,
+            _build_dataflow,
+        }
+        form = weakref.ref(compiled)
+        del circuit, compiled
+        gc.collect()
+        assert form() is None
 
     def test_prebuilt_compiled_circuit_reused(self, qrca8):
         compiled = qrca8.compiled_circuit()
@@ -382,7 +410,9 @@ class TestSupplyFreeReplay:
             sim.move_2q,
             sim._logical.qec_interaction_latency(),
         )
-        starts, makespan = simulator_module._supply_free_walk(compiled, *args)
+        starts, makespan = compiled.memoized(
+            simulator_module._supply_free_walk, *args
+        )
         ready = starts.copy()
         if nudge:
             # The last gate to finish, so the makespan must move.
@@ -396,8 +426,7 @@ class TestSupplyFreeReplay:
             qcla8, config, SteadyRateSupply({ZERO: 1.0}), compiled=compiled
         ).run()
         assert cache_walks == ([1] if nudge else [])
-        schedule = simulator_module._cache_schedule(compiled, args[0])
-        ops = simulator_module._ops(compiled, schedule, args[3], args[5])
+        ops = compiled.memoized(simulator_module._ops, args[0], args[3], args[5])
         walk = simulator_module._run_cache(
             ops, config.ports, args[2], args[3], args[4],
             simulator_module._op_ready(ops, ready, starts), args[5],
@@ -435,20 +464,20 @@ class TestSupplyFreeReplay:
             assert results.setdefault((config.ports, moves), result) == result
         assert len({r.makespan_us for r in results.values()}) == len(variants)
 
-def _lean_body(circuit, half):
-    """Append one half of a lean gate mix (one- and two-qubit gates,
-    pi/8 consumers included) to a 6-qubit circuit."""
-    if half == 0:
-        return circuit.h(0).cx(0, 1).t(2).cx(2, 3).s(4).cx(4, 5)
-    return circuit.tdg(1).cx(1, 4).cz(3, 5).t(0).h(5).cx(5, 2)
+
+def _lean_mix():
+    """One- and two-qubit gates, pi/8 consumers included."""
+    return (
+        Circuit(6).h(0).cx(0, 1).t(2).cx(2, 3).s(4).cx(4, 5)
+        .tdg(1).cx(1, 4).cz(3, 5).t(0).h(5).cx(5, 2)
+    )
 
 
 def _measure_then_condition(circuit):
-    bit = f"m{len(circuit)}"  # a fresh bit per segment
-    return circuit.measure_z(2, bit).x(3, condition=bit)
+    return circuit.measure_z(2, "m").x(3, condition="m")
 
 
-#: Gate shapes outside the lean one, as segments to splice into a lean
+#: Gate shapes outside the lean one, as segments to append to a lean
 #: circuit: a third operand, a result bit read by a condition, and a
 #: preparation (which moves in place).
 _SEGMENTS = {
@@ -464,92 +493,40 @@ def _supply_state(supply):
     return {kind: vars(spec) for kind, spec in supply.ready_spec().kinds.items()}
 
 
-def _spliced(segment, placement):
-    circuit = Circuit(6)
-    add = _SEGMENTS[segment]
-    if placement == "first":
-        add(circuit)
-    _lean_body(circuit, 0)
-    if placement == "back_to_back":
-        add(add(circuit))
-    _lean_body(circuit, 1)
-    if placement == "last":
-        add(circuit)
-    return circuit
-
-
 class TestGateShapes:
-    """``run()`` walks only lean circuits in Python; any other gate
-    shape runs as a one-column numpy kernel pass, bit-identical to the
-    reference loop either way. Under CQLA only lean circuits run: no
-    command builds another shape, so ``run()`` and ``simulate_batch``
-    refuse one before any supply state advances (the reference loop
-    still runs it)."""
+    """``compile_circuit`` accepts one gate shape, the one every kernel
+    has: one or two operands, no classical bit, no prep/measure. Any
+    other shape is a ``ValueError`` from it, and so from ``run()`` and
+    ``simulate_batch``, before any supply state advances (the reference
+    loop still runs every shape)."""
 
     @pytest.mark.parametrize("width", (4, 8, 32))
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_kernels_are_lean(self, kernel, width):
-        cc = analyze_kernel(kernel, width).compiled_circuit()
-        assert cc.lean
-        assert cc.bit_names == ()
-        assert set(cc.q2) == {-1}
-        assert cc.move_kind == [
-            MOVE_TWO_QUBIT if b >= 0 else MOVE_ONE_QUBIT for b in cc.q1
-        ]
+        analysis = analyze_kernel(kernel, width)
+        cc = analysis.compiled_circuit()
+        assert cc.num_gates == len(analysis.circuit)
+        assert cc.one_qubit_moves + cc.two_qubit_moves == cc.num_gates
 
     @pytest.mark.parametrize(
         "cqla", (None, CqlaConfig(cache_fraction=0.34, ports=1)),
         ids=("flat", "cqla"),
     )
-    @pytest.mark.parametrize("placement", ("first", "last", "back_to_back"))
-    @pytest.mark.parametrize("segment", sorted(_SEGMENTS))
-    def test_other_shapes_match_reference(self, segment, placement, cqla):
-        """Flat: ``run()`` equals the reference loop, supply state
-        included. Under CQLA: ``run()`` raises and leaves the supply as
-        it was, while the reference loop still runs the circuit."""
-        circuit = _spliced(segment, placement)
-        compiled = compile_circuit(circuit, ION_TRAP)
-        assert not compiled.lean
-        supplies = {
-            "none": lambda: None,
-            "steady": lambda: SteadyRateSupply({ZERO: 4.0, PI8: 0.5}),
-            "dedicated": lambda: DedicatedSupply({ZERO: 2.0, PI8: 0.25}, 6),
-        }
-        for move_1q, move_2q in ((0.0, 7.5e3), (30.0, 7.5e3), (0.0, 0.0)):
-            for make_supply in supplies.values():
-
-                def simulator(**kwargs):
-                    return DataflowSimulator(
-                        circuit,
-                        supply=make_supply(),
-                        movement_penalty_us=move_1q,
-                        two_qubit_movement_penalty_us=move_2q,
-                        cqla=cqla,
-                        **kwargs,
-                    )
-
-                sim, reference = simulator(compiled=compiled), simulator()
-                expected = run_reference(reference)
-                if cqla is not None:
-                    before = _supply_state(sim.supply)
-                    with pytest.raises(ValueError, match="not lean"):
-                        sim.run()
-                    assert _supply_state(sim.supply) == before
-                    continue
-                assert sim.run() == expected
-                assert _supply_state(sim.supply) == _supply_state(
-                    reference.supply
-                )
-
     @pytest.mark.parametrize("segment", sorted(_SEGMENTS))
     def test_cqla_refuses_other_shapes_before_any_supply_moves(
-        self, segment, batch_routes
+        self, segment, cqla, batch_routes
     ):
-        """A circuit that is not lean under CQLA raises ``ValueError``
-        from ``run()`` and from ``simulate_batch`` (on either route), and
-        no supply of the batch has advanced."""
-        circuit = _spliced(segment, "last")
-        cqla = CqlaConfig(cache_fraction=0.34, ports=1)
+        """A circuit with another gate shape raises ``ValueError`` from
+        ``compile_circuit``, ``run()`` and ``simulate_batch`` (on either
+        route), with or without a cache, and no supply has advanced."""
+        circuit = _lean_mix()
+        first = len(circuit)  # the segment's first gate: the one named
+        _SEGMENTS[segment](circuit)
+        refused = functools.partial(
+            pytest.raises, ValueError, match=rf"^gate {first} \("
+        )
+        with refused():
+            compile_circuit(circuit, ION_TRAP)
 
         def supplies():
             return [
@@ -562,29 +539,18 @@ class TestGateShapes:
         fresh = [_supply_state(supply) for supply in supplies()]
         for _ in batch_routes():
             batch = supplies()
-            with pytest.raises(ValueError, match="not lean"):
+            with refused():
                 simulate_batch(circuit, batch, cqla=cqla)
             assert [_supply_state(supply) for supply in batch] == fresh
         for supply, state in zip(supplies(), fresh):
             sim = DataflowSimulator(circuit, supply=supply, cqla=cqla)
-            with pytest.raises(ValueError, match="not lean"):
+            with refused():
                 sim.run()
             assert _supply_state(supply) == state
-
-    def test_other_shape_runs_one_kernel_column(self, monkeypatch):
-        calls = []
-        real = batched_module._run_levels
-
-        def spy(cc, points, *args):
-            calls.append(points)
-            return real(cc, points, *args)
-
-        monkeypatch.setattr(batched_module, "_run_levels", spy)
-        circuit = _spliced("ccx", "first")
-        assert DataflowSimulator(circuit).run() == run_reference(
-            DataflowSimulator(circuit)
+        # The reference loop still runs it.
+        assert run_reference(DataflowSimulator(circuit, cqla=cqla)).gates == (
+            len(circuit)
         )
-        assert calls == [1]
 
     @pytest.mark.parametrize("mode", SUPPLY_MODES)
     def test_lean_run_never_enters_batched(self, mode, monkeypatch):

@@ -79,12 +79,6 @@ class TestMovementPenalty:
         ).run()
         assert result.makespan_us == 100.0 + ION_TRAP.t_2q + QEC
 
-    def test_preps_and_measurements_skip_movement(self):
-        circ = Circuit(1).prep_0(0)
-        base = DataflowSimulator(circ).run().makespan_us
-        moved = DataflowSimulator(circ, movement_penalty_us=50.0).run().makespan_us
-        assert moved == base
-
 
 class TestCqlaCache:
     def test_misses_counted(self):
@@ -109,9 +103,3 @@ class TestCqlaCache:
             circ, cqla=CqlaConfig(cache_fraction=1.0, ports=8)
         ).run()
         assert narrow.makespan_us > wide.makespan_us
-
-    def test_conditional_gate_waits_for_result(self):
-        circ = Circuit(2).measure_z(0, "m").x(1, condition="m")
-        result = DataflowSimulator(circ).run()
-        # The conditional X cannot start before the measurement finishes.
-        assert result.makespan_us >= ION_TRAP.t_meas + QEC + ION_TRAP.t_1q
