@@ -34,8 +34,10 @@ from repro.arch.supply import (
 )
 from repro.circuits import Circuit, CompiledCircuit, compile_circuit
 from repro.circuits.compiled import _build_dataflow, dataflow_metadata
+from repro.circuits.latency import LogicalLatencyModel
 from repro.kernels import analyze_kernel
 from repro.tech import ION_TRAP
+from repro.testing.dag import QecAwareLatency, asap_schedule
 from repro.testing.reference import run_reference
 
 KERNELS = ("qrca", "qcla", "qft")
@@ -465,19 +467,24 @@ class TestSupplyFreeReplay:
         assert len({r.makespan_us for r in results.values()}) == len(variants)
 
 
+def _lean_body(circuit, half):
+    """Append one half of a lean mix (one- and two-qubit gates,
+    pi/8 consumers included) to a 6-qubit circuit."""
+    if half == 0:
+        return circuit.h(0).cx(0, 1).t(2).cx(2, 3).s(4).cx(4, 5)
+    return circuit.tdg(1).cx(1, 4).cz(3, 5).t(0).h(5).cx(5, 2)
+
+
 def _lean_mix():
-    """One- and two-qubit gates, pi/8 consumers included."""
-    return (
-        Circuit(6).h(0).cx(0, 1).t(2).cx(2, 3).s(4).cx(4, 5)
-        .tdg(1).cx(1, 4).cz(3, 5).t(0).h(5).cx(5, 2)
-    )
+    return _lean_body(_lean_body(Circuit(6), 0), 1)
 
 
 def _measure_then_condition(circuit):
-    return circuit.measure_z(2, "m").x(3, condition="m")
+    bit = f"m{len(circuit)}"  # a fresh bit per segment
+    return circuit.measure_z(2, bit).x(3, condition=bit)
 
 
-#: Gate shapes outside the lean one, as segments to append to a lean
+#: Gate shapes outside the lean one, as segments to splice into a lean
 #: circuit: a third operand, a result bit read by a condition, and a
 #: preparation (which moves in place).
 _SEGMENTS = {
@@ -491,6 +498,25 @@ def _supply_state(supply):
     """Every tracked kind's counters (dedicated specs compare by
     identity, so their fields are compared instead)."""
     return {kind: vars(spec) for kind, spec in supply.ready_spec().kinds.items()}
+
+
+def _spliced(segment, placement):
+    """A lean mix with ``segment`` spliced in first, last or twice in
+    its middle, and the index of the segment's first gate."""
+    circuit = Circuit(6)
+    add = _SEGMENTS[segment]
+    first = 0
+    if placement == "first":
+        add(circuit)
+    _lean_body(circuit, 0)
+    if placement == "back_to_back":
+        first = len(circuit)
+        add(add(circuit))
+    _lean_body(circuit, 1)
+    if placement == "last":
+        first = len(circuit)
+        add(circuit)
+    return circuit, first
 
 
 class TestGateShapes:
@@ -551,6 +577,36 @@ class TestGateShapes:
         assert run_reference(DataflowSimulator(circuit, cqla=cqla)).gates == (
             len(circuit)
         )
+
+    @pytest.mark.parametrize("placement", ("first", "last", "back_to_back"))
+    @pytest.mark.parametrize("segment", sorted(_SEGMENTS))
+    def test_refusal_names_the_first_other_shape(self, segment, placement):
+        """Wherever another shape sits, and however often, the refusal
+        names its first gate, from ``compile_circuit`` and ``run()``."""
+        circuit, first = _spliced(segment, placement)
+        refused = functools.partial(
+            pytest.raises, ValueError, match=rf"^gate {first} \("
+        )
+        with refused():
+            compile_circuit(circuit, ION_TRAP)
+        with refused():
+            DataflowSimulator(circuit).run()
+
+    @pytest.mark.parametrize("placement", ("first", "last", "back_to_back"))
+    @pytest.mark.parametrize("segment", sorted(_SEGMENTS))
+    def test_reference_runs_other_shapes_at_the_dependency_floor(
+        self, segment, placement
+    ):
+        """The two oracles stay general: on an unlimited supply with no
+        movement, the reference loop's makespan is the QEC-aware ASAP
+        finish of ``CircuitDag``'s schedule, condition edges included."""
+        circuit, _ = _spliced(segment, placement)
+        result = run_reference(DataflowSimulator(circuit))
+        schedule = asap_schedule(
+            circuit, QecAwareLatency(LogicalLatencyModel(ION_TRAP))
+        )
+        assert result.gates == len(circuit)
+        assert result.makespan_us == max(entry.finish for entry in schedule)
 
     @pytest.mark.parametrize("mode", SUPPLY_MODES)
     def test_lean_run_never_enters_batched(self, mode, monkeypatch):

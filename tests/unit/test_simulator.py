@@ -8,6 +8,7 @@ from repro.arch.supply import PI8, ZERO, SteadyRateSupply
 from repro.circuits import Circuit
 from repro.circuits.latency import LogicalLatencyModel
 from repro.tech import ION_TRAP
+from repro.testing.reference import run_reference
 
 QEC = LogicalLatencyModel(ION_TRAP).qec_interaction_latency()
 
@@ -79,6 +80,18 @@ class TestMovementPenalty:
         ).run()
         assert result.makespan_us == 100.0 + ION_TRAP.t_2q + QEC
 
+    def test_preps_and_measurements_skip_movement(self):
+        """The simulator refuses a prep; the reference loop, which still
+        runs every gate shape, prepares and measures in place."""
+        for circ in (Circuit(1).prep_0(0), Circuit(1).measure_z(0, "m")):
+            with pytest.raises(ValueError, match="^gate 0 "):
+                DataflowSimulator(circ).run()
+            base = run_reference(DataflowSimulator(circ)).makespan_us
+            moved = run_reference(
+                DataflowSimulator(circ, movement_penalty_us=50.0)
+            ).makespan_us
+            assert moved == base
+
 
 class TestCqlaCache:
     def test_misses_counted(self):
@@ -103,3 +116,13 @@ class TestCqlaCache:
             circ, cqla=CqlaConfig(cache_fraction=1.0, ports=8)
         ).run()
         assert narrow.makespan_us > wide.makespan_us
+
+    def test_conditional_gate_waits_for_result(self):
+        """The simulator refuses a condition bit; in the reference loop,
+        which still runs one, the conditioned gate waits for it."""
+        circ = Circuit(2).measure_z(0, "m").x(1, condition="m")
+        with pytest.raises(ValueError, match="^gate 0 "):
+            DataflowSimulator(circ).run()
+        result = run_reference(DataflowSimulator(circ))
+        # The conditional X cannot start before the measurement finishes.
+        assert result.makespan_us >= ION_TRAP.t_meas + QEC + ION_TRAP.t_1q
