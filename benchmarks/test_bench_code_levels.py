@@ -86,7 +86,7 @@ def test_bench_code_level_grid_explore(monkeypatch):
         from repro.arch.simulator import DataflowSimulator
         from repro.explore.evaluator import _lower_point
 
-        summary, compiled = fresh._serial_context(point)
+        summary = fresh._serial_context(point)
         lowered = _lower_point(summary, point)
         serial = DataflowSimulator(
             summary.circuit,
@@ -95,7 +95,6 @@ def test_bench_code_level_grid_explore(monkeypatch):
             movement_penalty_us=lowered.move_1q,
             two_qubit_movement_penalty_us=lowered.move_2q,
             cqla=lowered.cqla,
-            compiled=compiled,
         ).run()
         assert evaluation.result == serial
 

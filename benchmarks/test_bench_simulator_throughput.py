@@ -52,7 +52,7 @@ def _best_of(fn, rounds=3):
 
 def test_bench_single_point_gates_per_second(benchmark, qcla32):
     """Simulation rate of one steady-rate sweep point, compiled engine."""
-    compiled = compile_circuit(qcla32.circuit, qcla32.tech)
+    compile_circuit(qcla32.circuit, qcla32.tech)  # compiled before any timed run
     rates = {
         ZERO: qcla32.zero_bandwidth_per_ms,
         PI8: qcla32.pi8_bandwidth_per_ms,
@@ -61,7 +61,7 @@ def test_bench_single_point_gates_per_second(benchmark, qcla32):
     def run_point():
         supply = SteadyRateSupply(dict(rates))
         return DataflowSimulator(
-            qcla32.circuit, qcla32.tech, supply=supply, compiled=compiled
+            qcla32.circuit, qcla32.tech, supply=supply
         ).run()
 
     def run_point_legacy():
@@ -153,7 +153,7 @@ def test_bench_small_batch_no_slower_than_serial(kernel, request):
     cancels; 1.25x leaves room for timing noise and routing overhead.
     """
     analysis = request.getfixturevalue(f"{kernel}32")
-    compiled = analysis.compiled_circuit()
+    analysis.compiled_circuit()  # compiled before any timed run
     config = QlaConfig()
     tech = analysis.tech
     move_1q = config.movement_penalty(False, tech)
@@ -178,7 +178,6 @@ def test_bench_small_batch_no_slower_than_serial(kernel, request):
             tech,
             movement_penalty_us=move_1q,
             two_qubit_movement_penalty_us=move_2q,
-            compiled=compiled,
         )
 
     def serial(points):
@@ -189,7 +188,6 @@ def test_bench_small_batch_no_slower_than_serial(kernel, request):
                 supply=supply,
                 movement_penalty_us=move_1q,
                 two_qubit_movement_penalty_us=move_2q,
-                compiled=compiled,
             ).run()
             for supply in points
         ]

@@ -94,7 +94,7 @@ def test_bench_steady_sweep_speedup(benchmark, qcla32):
     64 points, bit-identical to the serial engine and the seed loop."""
     analysis = qcla32
     circuit, tech = analysis.circuit, analysis.tech
-    compiled = analysis.compiled_circuit()
+    analysis.compiled_circuit()  # compiled before any timed run
     bandwidth = analysis.zero_bandwidth_per_ms
     ratio = analysis.pi8_bandwidth_per_ms / bandwidth
     rates = np.geomspace(bandwidth / 16.0, bandwidth * 16.0, POINTS)
@@ -127,7 +127,7 @@ def test_bench_steady_sweep_speedup(benchmark, qcla32):
         )
         seed["rate"] = max(seed["rate"], POINTS / elapsed)
         gc.collect()
-        simulate_batch(circuit, supplies(), tech, compiled=compiled)
+        simulate_batch(circuit, supplies(), tech)
 
     def setup():
         if next(calls) % BATCHES_PER_ROUND == 0:
@@ -135,7 +135,7 @@ def test_bench_steady_sweep_speedup(benchmark, qcla32):
         return (supplies(),), {}
 
     def run_batched(batch):
-        holder["results"] = simulate_batch(circuit, batch, tech, compiled=compiled)
+        holder["results"] = simulate_batch(circuit, batch, tech)
 
     benchmark.pedantic(
         run_batched,
@@ -149,7 +149,7 @@ def test_bench_steady_sweep_speedup(benchmark, qcla32):
     serial_s, serial_results = _timed(
         lambda: [
             DataflowSimulator(
-                circuit, tech, supply=supply, compiled=compiled
+                circuit, tech, supply=supply
             ).run()
             for supply in serial_supplies
         ]
@@ -193,7 +193,7 @@ def test_bench_qla_area_sweep_speedup(benchmark, qcla32):
     seed loop, bit-identical to the serial engine and the seed loop."""
     analysis = qcla32
     circuit, tech = analysis.circuit, analysis.tech
-    compiled = analysis.compiled_circuit()
+    analysis.compiled_circuit()  # compiled before any timed run
     config = QlaConfig()
     num_qubits = circuit.num_qubits
     areas = np.geomspace(50.0, 50_000.0, POINTS)
@@ -219,7 +219,6 @@ def test_bench_qla_area_sweep_speedup(benchmark, qcla32):
         tech,
         movement_penalty_us=move_1q,
         two_qubit_movement_penalty_us=move_2q,
-        compiled=compiled,
     )
     rounds = iter([supplies() for _ in range(3)])
     holder = {}
@@ -231,7 +230,6 @@ def test_bench_qla_area_sweep_speedup(benchmark, qcla32):
             tech,
             movement_penalty_us=move_1q,
             two_qubit_movement_penalty_us=move_2q,
-            compiled=compiled,
         )
 
     benchmark.pedantic(run_batched, rounds=3, iterations=1)
@@ -251,7 +249,7 @@ def test_bench_qla_area_sweep_speedup(benchmark, qcla32):
     serial_supplies = supplies()
     serial_s, serial_results = _timed(
         lambda: [
-            simulator(supply, compiled=compiled).run()
+            simulator(supply).run()
             for supply in serial_supplies
         ]
     )
@@ -299,7 +297,7 @@ def test_bench_cqla_sweep_speedup(benchmark, qcla32, monkeypatch):
     over a ladder that both replays and walks."""
     analysis = qcla32
     circuit, tech = analysis.circuit, analysis.tech
-    compiled = analysis.compiled_circuit()
+    analysis.compiled_circuit()  # compiled before any timed run
     config = CqlaConfig()
     num_qubits = circuit.num_qubits
     areas = np.geomspace(50.0, 50_000.0, POINTS)
@@ -337,7 +335,6 @@ def test_bench_cqla_sweep_speedup(benchmark, qcla32, monkeypatch):
         movement_penalty_us=move_1q,
         two_qubit_movement_penalty_us=move_2q,
         cqla=config,
-        compiled=compiled,
     )
     rounds = iter([supplies() for _ in range(3)])
     holder = {}
@@ -350,7 +347,6 @@ def test_bench_cqla_sweep_speedup(benchmark, qcla32, monkeypatch):
             movement_penalty_us=move_1q,
             two_qubit_movement_penalty_us=move_2q,
             cqla=config,
-            compiled=compiled,
         )
 
     benchmark.pedantic(run_batched, rounds=3, iterations=1)
@@ -361,7 +357,7 @@ def test_bench_cqla_sweep_speedup(benchmark, qcla32, monkeypatch):
         serial_supplies = supplies()
         elapsed, serial_results = _timed(
             lambda: [
-                simulator(supply, compiled=compiled).run()
+                simulator(supply).run()
                 for supply in serial_supplies
             ]
         )
@@ -380,7 +376,7 @@ def test_bench_cqla_sweep_speedup(benchmark, qcla32, monkeypatch):
         lambda *args: walks.append(1) or run_cache(*args),
     )
     assert [
-        simulator(supply, compiled=compiled).run() for supply in supplies()
+        simulator(supply).run() for supply in supplies()
     ] == seed_results
     replayed = POINTS - len(walks)
     assert 0 < replayed < POINTS

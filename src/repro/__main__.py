@@ -98,9 +98,11 @@ def _obs_export(trace_path: Optional[str], metrics_path: Optional[str]) -> None:
 
 
 def _lease_knob_error(ns: argparse.Namespace) -> Optional[str]:
-    """Validate --lease-ttl."""
+    """Validate --lease-ttl and --retries."""
     if ns.lease_ttl is not None and ns.lease_ttl <= 0:
         return f"--lease-ttl must be positive, got {ns.lease_ttl}"
+    if ns.retries < 0:
+        return f"--retries must be >= 0, got {ns.retries}"
     return None
 
 

@@ -205,6 +205,10 @@ class MultiplexedConfig:
     kind: ArchitectureKind = ArchitectureKind.MULTIPLEXED
     name: str = "Fully-Multiplexed"
 
+    def __post_init__(self) -> None:
+        if self.region_span < 1:
+            raise ValueError("region_span must be >= 1")
+
     def build_supply(
         self,
         area: float,

@@ -91,7 +91,7 @@ from repro.arch.simulator import (
 )
 from repro.arch.supply import AncillaSupply, ReadySpec
 from repro.circuits import Circuit
-from repro.circuits.compiled import CompiledCircuit, dataflow_metadata
+from repro.circuits.compiled import CompiledCircuit, compile_circuit, dataflow_metadata
 from repro.circuits.latency import LogicalLatencyModel
 from repro.obs.trace import span as _span
 from repro.tech import ION_TRAP, TechnologyParams
@@ -270,7 +270,6 @@ def simulate_batch(
     movement_penalty_us: float = 0.0,
     two_qubit_movement_penalty_us: Optional[float] = None,
     cqla: Optional[CqlaConfig] = None,
-    compiled: Optional[CompiledCircuit] = None,
 ) -> List[SimulationResult]:
     """Simulate one design point per entry of ``supplies``, batched.
 
@@ -286,7 +285,8 @@ def simulate_batch(
     lowering-signature group is large enough for a kernel pass to beat
     per-point runs (:func:`_vectorize`); smaller groups, and every point
     under ``cqla``, run per point through :meth:`DataflowSimulator.run`,
-    transparently.
+    transparently. Both routes read the one compilation kept in the
+    circuit's memo (:func:`~repro.circuits.compiled.compile_circuit`).
 
     Raises:
         TypeError: A supply publishes no lowerable ready spec
@@ -301,7 +301,7 @@ def simulate_batch(
     with _span("batched.simulate_batch", points=len(supplies)) as sp:
         return _simulate_batch(
             circuit, supplies, tech, movement_penalty_us,
-            two_qubit_movement_penalty_us, cqla, compiled, sp,
+            two_qubit_movement_penalty_us, cqla, sp,
         )
 
 
@@ -312,7 +312,6 @@ def _simulate_batch(
     movement_penalty_us: float,
     two_qubit_movement_penalty_us: Optional[float],
     cqla: Optional[CqlaConfig],
-    compiled: Optional[CompiledCircuit],
     sp,
 ) -> List[SimulationResult]:
 
@@ -324,19 +323,11 @@ def _simulate_batch(
             movement_penalty_us=movement_penalty_us,
             two_qubit_movement_penalty_us=two_qubit_movement_penalty_us,
             cqla=cqla,
-            compiled=compiled,
         ).run()
 
     if not supplies:
         return []
-    probe = DataflowSimulator(
-        circuit,
-        tech,
-        movement_penalty_us=movement_penalty_us,
-        two_qubit_movement_penalty_us=two_qubit_movement_penalty_us,
-        compiled=compiled,
-    )
-    cc = probe.compiled
+    cc = compile_circuit(circuit, tech)
     n = cc.num_gates
     if n == 0:
         return [SimulationResult(0.0, 0, 0, 0, 0, 0) for _ in supplies]

@@ -30,7 +30,6 @@ from repro.arch.architectures import (
 )
 from repro.arch.simulator import DataflowSimulator, SimulationResult
 from repro.arch.sweep import _simulate_architecture
-from repro.circuits.compiled import compile_circuit
 from repro.factory.pipelined import PipelinedZeroFactory
 from repro.factory.t_factory import Pi8Factory
 from repro.kernels.analysis import KernelAnalysis
@@ -148,7 +147,6 @@ def compare_with_cqla(
     tile = tile_for_kernel(analysis)
     if factory_area <= 0.0:
         factory_area = float(tile.factory_area)
-    compiled = compile_circuit(analysis.circuit, analysis.tech)
     multiplexed = MultiplexedConfig(region_span=tile.region_span_blocks)
     supply = multiplexed.build_supply(
         factory_area,
@@ -163,11 +161,9 @@ def compare_with_cqla(
         supply=supply,
         movement_penalty_us=0.0,
         two_qubit_movement_penalty_us=tile.distribution_latency_us(),
-        compiled=compiled,
     ).run()
     cqla_result = _simulate_architecture(
-        analysis, ArchitectureKind.CQLA, factory_area, cqla,
-        compiled=compiled,
+        analysis, ArchitectureKind.CQLA, factory_area, cqla
     )
     return QalypsoComparison(
         kernel=analysis.name,

@@ -385,10 +385,9 @@ class DataflowSimulator:
         movement_penalty_us: Per-gate movement latency added before the
             gate (architecture-dependent; 0 for the pure dataflow bound).
         cqla: When given, enables compute-cache modeling with this config.
-        compiled: Optional pre-lowered form of ``circuit`` (from
-            :func:`~repro.circuits.compiled.compile_circuit`), letting
-            sweeps share one compilation across many simulator instances.
-            Compiled lazily on first :meth:`run` when omitted.
+
+    Every simulator of one circuit reads the one compilation kept in its
+    memo (:func:`~repro.circuits.compiled.compile_circuit`).
     """
 
     def __init__(
@@ -399,7 +398,6 @@ class DataflowSimulator:
         movement_penalty_us: float = 0.0,
         two_qubit_movement_penalty_us: Optional[float] = None,
         cqla: Optional[CqlaConfig] = None,
-        compiled: Optional[CompiledCircuit] = None,
     ) -> None:
         self.circuit = circuit
         self.tech = tech
@@ -412,27 +410,11 @@ class DataflowSimulator:
         )
         self.cqla = cqla
         self._logical = LogicalLatencyModel(tech)
-        if compiled is not None:
-            if (
-                not compiled.compiled_from(circuit)
-                or compiled.num_gates != len(circuit)
-                or compiled.num_qubits != circuit.num_qubits
-                or compiled.tech != tech
-            ):
-                raise ValueError(
-                    "compiled circuit does not match this simulator's "
-                    f"circuit/tech (compiled {compiled.num_gates} gates under "
-                    f"{compiled.tech.name!r}, simulating {len(circuit)} gates "
-                    f"under {tech.name!r}); pass compiled=None to recompile"
-                )
-        self._compiled = compiled
 
     @property
     def compiled(self) -> CompiledCircuit:
-        """The circuit's array form, compiled on first access."""
-        if self._compiled is None:
-            self._compiled = compile_circuit(self.circuit, self.tech)
-        return self._compiled
+        """The circuit's array form, from the circuit's memo."""
+        return compile_circuit(self.circuit, self.tech)
 
     def run(self) -> SimulationResult:
         """Execute via the compiled array-form engine.

@@ -13,7 +13,7 @@ Both sweeps are grid explorations: they enumerate the grid of
 :func:`~repro.explore.space.architecture_space` and batch it through
 :class:`repro.explore.evaluator.Evaluator`, the same machinery behind
 ``python -m repro explore``. The kernel is lowered to its compiled array
-form exactly once per sweep, and points come back in order.
+form once, in the circuit's memo, and points come back in order.
 
 The evaluator resolves each sweep's homogeneous point groups through the
 **point-batched** engine (:mod:`repro.arch.batched`): the whole
@@ -35,7 +35,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.arch.architectures import ArchitectureKind, CqlaConfig
 from repro.arch.simulator import SimulationResult
-from repro.circuits.compiled import CompiledCircuit
 from repro.kernels.analysis import KernelAnalysis
 
 
@@ -51,8 +50,6 @@ class SweepPoint:
 def throughput_sweep(
     analysis: KernelAnalysis,
     throughputs_per_ms: Optional[Sequence[float]] = None,
-    *,
-    compiled: Optional[CompiledCircuit] = None,
 ) -> List[SweepPoint]:
     """Figure 8: execution time vs steady encoded-zero throughput.
 
@@ -63,14 +60,12 @@ def throughput_sweep(
         analysis: Characterized kernel.
         throughputs_per_ms: Zero-ancilla rates to sample; defaults to a
             logarithmic sweep bracketing the kernel's average bandwidth.
-        compiled: Optional prebuilt compiled circuit to reuse; compiled
-            once for the whole sweep when omitted.
     """
     from repro.explore.evaluator import Evaluator
     from repro.explore.space import throughput_space
 
     points = throughput_space(analysis, throughputs_per_ms).grid_points()
-    evaluations = Evaluator(analysis=analysis, compiled=compiled).evaluate(points)
+    evaluations = Evaluator(analysis=analysis).evaluate(points)
     return [
         SweepPoint(point["zero_rate"], evaluation.result.makespan_us, evaluation.result)
         for point, evaluation in zip(points, evaluations)
@@ -82,13 +77,12 @@ def _simulate_architecture(
     kind: ArchitectureKind,
     area: float,
     cqla: Optional[CqlaConfig] = None,
-    compiled: Optional[CompiledCircuit] = None,
 ) -> SimulationResult:
     """One architecture point under ``analysis.tech`` (shared with the
     Qalypso comparison)."""
     from repro.explore.evaluator import Evaluator
 
-    evaluator = Evaluator(analysis=analysis, compiled=compiled, cqla=cqla)
+    evaluator = Evaluator(analysis=analysis, cqla=cqla)
     point = {"arch": kind.value, "factory_area": float(area)}
     return evaluator.evaluate([point])[0].result
 
@@ -98,8 +92,6 @@ def area_sweep(
     areas: Optional[Sequence[float]] = None,
     kinds: Sequence[ArchitectureKind] = tuple(ArchitectureKind),
     cqla: Optional[CqlaConfig] = None,
-    *,
-    compiled: Optional[CompiledCircuit] = None,
 ) -> Dict[ArchitectureKind, List[SweepPoint]]:
     """Figure 15: execution time vs total ancilla-factory area per arch.
 
@@ -109,14 +101,12 @@ def area_sweep(
             from 1/8x to 512x the kernel's matched-demand area.
         kinds: Architectures to simulate.
         cqla: Optional CQLA configuration override.
-        compiled: Optional prebuilt compiled circuit to reuse; compiled
-            once for the whole sweep when omitted.
     """
     from repro.explore.evaluator import Evaluator
     from repro.explore.space import architecture_space
 
     points = architecture_space(analysis, areas, kinds).grid_points()
-    evaluator = Evaluator(analysis=analysis, compiled=compiled, cqla=cqla)
+    evaluator = Evaluator(analysis=analysis, cqla=cqla)
     evaluations = evaluator.evaluate(points)
     curves: Dict[ArchitectureKind, List[SweepPoint]] = {kind: [] for kind in kinds}
     for point, evaluation in zip(points, evaluations):

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple, TypeVar)
 
 from repro.circuits.gate import Gate, GateType
+
+
+_T = TypeVar("_T")
 
 
 class CircuitError(ValueError):
@@ -32,6 +36,7 @@ class Circuit:
         self._num_qubits = num_qubits
         self._gates: List[Gate] = []
         self._result_bits: Dict[str, int] = {}
+        self._memo: Dict[tuple, Any] = {}
         self.name = name
 
     # ------------------------------------------------------------------
@@ -64,6 +69,22 @@ class Circuit:
             f"Circuit({self.name!r}, qubits={self._num_qubits}, "
             f"gates={len(self._gates)})"
         )
+
+    def memoized(self, build: Callable[..., _T], *args: Any) -> _T:
+        """``build(self, *args)``, built on first use and kept under
+        ``(build, len(self), *args)`` for as long as this circuit lives.
+
+        The one memo for every lowering of this circuit (dataflow compile,
+        Monte Carlo mapped gates, protocol programs); each builder stays in
+        the module that owns what it builds. Keying on the gate count keeps
+        an entry valid, since circuits are append-only by convention.
+        """
+        key = (build, len(self._gates), *args)
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = build(self, *args)
+            return value
 
     def gate_counts(self) -> Counter:
         """Histogram of gate types."""

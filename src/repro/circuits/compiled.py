@@ -23,10 +23,11 @@ other circuit with a ``ValueError``, so a gate's movement class is just
 its arity (``q1 >= 0``).
 
 The compiled form is immutable and safe to share between simulators
-and sweep points. :func:`compile_circuit` memoizes per
-circuit object (keyed by gate count and technology, since circuits are
-append-only by convention), so repeated sweeps over the same kernel
-compile exactly once. Everything the engines derive from one compiled
+and sweep points. :func:`compile_circuit` keeps it in the circuit's
+own memo (:meth:`~repro.circuits.circuit.Circuit.memoized`, keyed by
+gate count and technology), so every engine, sweep and evaluator that
+simulates one kernel reads the same compilation and no caller hands a
+compiled form around. Everything the engines derive from one compiled
 form (its dependency levels, trip schedules, serial steps, ancilla draw
 order) lives in that form's own memo (:meth:`CompiledCircuit.memoized`),
 built by the module that owns it and freed with the form.
@@ -34,7 +35,6 @@ built by the module that owns it and freed with the form.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Tuple, TypeVar
 
@@ -72,10 +72,6 @@ class CompiledCircuit:
         one_qubit_moves: One-qubit gates (each takes the one-qubit
             movement penalty).
         two_qubit_moves: Two-qubit gates.
-        source_ref: Weak reference to the source circuit, so consumers
-            can reject a compiled form handed to the wrong circuit (two
-            different circuits can share a gate count). Weak because the
-            compilation cache must not keep its own keys alive.
     """
 
     num_qubits: int
@@ -89,20 +85,9 @@ class CompiledCircuit:
     pi8_count: int
     one_qubit_moves: int
     two_qubit_moves: int
-    source_ref: "weakref.ref[Circuit]"
     _memo: Dict[tuple, Any] = field(
         default_factory=dict, init=False, repr=False
     )
-
-    def compiled_from(self, circuit: Circuit) -> bool:
-        """Whether this form was compiled from ``circuit``.
-
-        False when the source weak reference has died: simulating needs
-        the source circuit in hand, which keeps the reference alive, so
-        a dead reference means ``circuit`` is necessarily some other
-        object — shape checks alone could not tell it apart.
-        """
-        return self.source_ref() is circuit
 
     def memoized(self, build: Callable[..., _T], *args: Any) -> _T:
         """``build(self, *args)``, built on first use and kept under
@@ -183,7 +168,6 @@ def _compile_body(circuit: Circuit, tech: TechnologyParams) -> CompiledCircuit:
         pi8_count=len(pi8_indices),
         one_qubit_moves=len(q1) - two_qubit_moves,
         two_qubit_moves=two_qubit_moves,
-        source_ref=weakref.ref(circuit),
     )
 
 
@@ -283,34 +267,14 @@ def dataflow_metadata(compiled: CompiledCircuit) -> CompiledDataflow:
     return compiled.memoized(_build_dataflow)
 
 
-_CACHE: "weakref.WeakKeyDictionary[Circuit, Dict[tuple, CompiledCircuit]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def compile_circuit(circuit: Circuit, tech: TechnologyParams) -> CompiledCircuit:
-    """Lower ``circuit`` to array form, memoized per ``(circuit, tech)``.
-
-    The cache is keyed on the circuit object plus its current gate count:
-    circuits are append-only by convention, so a changed length is the
-    only mutation that can invalidate a previous compilation. Entries die
-    with their circuit (weak keys), so sweeping many kernels does not
-    accumulate garbage.
+    """Lower ``circuit`` to array form, memoized per ``(circuit, tech)``
+    in the circuit's own memo, so it is freed with the circuit and an
+    appended gate yields a fresh compilation.
 
     Raises:
         ValueError: A gate has three operands, a classical condition or
             result bit, or is a preparation or measurement (the message
             names the first such gate).
     """
-    per_circuit = _CACHE.get(circuit)
-    key = (len(circuit), tech)
-    if per_circuit is not None:
-        cached = per_circuit.get(key)
-        if cached is not None:
-            return cached
-    compiled = _compile(circuit, tech)
-    if per_circuit is None:
-        per_circuit = {}
-        _CACHE[circuit] = per_circuit
-    per_circuit[key] = compiled
-    return compiled
+    return circuit.memoized(_compile, tech)

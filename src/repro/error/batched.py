@@ -9,8 +9,8 @@ uses (:mod:`repro.circuits.compiled`):
   optional qubit map into a larger simulation register — into a
   :class:`CompiledProtocol`: int-coded ops, flat qubit indices, and
   interned classical-bit ids for measurements and classically conditioned
-  corrections. Lowering is memoized per ``(circuit, qubit_map)`` exactly
-  like the scalar engine's mapped-gate cache.
+  corrections. Lowering is memoized per ``(circuit, qubit_map)`` in the
+  circuit's own memo, like the scalar engine's mapped gates.
 * :class:`BatchedSimulator` executes a compiled program over
   ``(trials, qubits)`` uint8 X/Z matrices (:class:`BatchFrames`), drawing
   each gate's, movement charge's and measurement's faults as a sparse
@@ -37,7 +37,6 @@ without per-trial Python.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -185,34 +184,25 @@ def _lower(circuit: Circuit, qubit_map: Dict[int, int]) -> CompiledProtocol:
     )
 
 
-_CACHE: "weakref.WeakKeyDictionary[Circuit, Dict[tuple, CompiledProtocol]]" = (
-    weakref.WeakKeyDictionary()
-)
+def _compile_protocol(
+    circuit: Circuit, items: Tuple[Tuple[int, int], ...]
+) -> CompiledProtocol:
+    with _span("protocol.compile", gates=len(circuit)):
+        return _lower(circuit, dict(items))
 
 
 def compile_protocol(
     circuit: Circuit, qubit_map: Optional[Dict[int, int]] = None
 ) -> CompiledProtocol:
-    """Lower ``circuit`` to a protocol program, memoized per (circuit, map).
+    """Lower ``circuit`` to a protocol program, memoized per (circuit, map)
+    in the circuit's memo.
 
     Protocols run the same sub-circuit at the same register offset for
     every batch, so lowering once and replaying the arrays is the whole
-    point. The cache key includes the gate count (circuits are
-    append-only by convention) and the map items; entries die with their
-    circuit (weak keys).
+    point.
     """
-    qm = qubit_map or {}
-    key = (len(circuit), tuple(sorted(qm.items())))
-    per_circuit = _CACHE.get(circuit)
-    if per_circuit is None:
-        per_circuit = {}
-        _CACHE[circuit] = per_circuit
-    program = per_circuit.get(key)
-    if program is None:
-        with _span("protocol.compile", gates=len(circuit)):
-            program = _lower(circuit, qm)
-        per_circuit[key] = program
-    return program
+    items = tuple(sorted((qubit_map or {}).items()))
+    return circuit.memoized(_compile_protocol, items)
 
 
 class BatchFrames:

@@ -28,7 +28,6 @@ grade the surviving output block.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, NamedTuple, Optional, Tuple
@@ -72,49 +71,38 @@ class _MappedCircuit(NamedTuple):
     zero_flips: Dict[str, int]  # the flips of a fault-free run on a clean frame
 
 
-_REMAP_CACHE: "weakref.WeakKeyDictionary[Circuit, Dict[tuple, _MappedCircuit]]" = (
-    weakref.WeakKeyDictionary()
-)
+def _map_gates(circuit: Circuit, items: Tuple[Tuple[int, int], ...]) -> _MappedCircuit:
+    qubit_map = dict(items)
+    gates = tuple(
+        Gate(
+            gate.gate_type,
+            tuple(qubit_map.get(q, q) for q in gate.qubits),
+            angle_k=gate.angle_k,
+            condition=gate.condition,
+            result=gate.result,
+        )
+        for gate in circuit
+    )
+    always = [gate for gate in gates if gate.condition is None]
+    measured = [gate for gate in always if gate.is_measurement]
+    return _MappedCircuit(
+        gates=gates,
+        gate_ops=len(always) - len(measured),
+        qubit_moves=sum(len(gate.qubits) for gate in always),
+        readouts=len(measured),
+        zero_flips={gate.result: 0 for gate in measured},
+    )
 
 
 def _mapped_gates(circuit: Circuit, qubit_map: Dict[int, int]) -> _MappedCircuit:
     """The circuit's gates with qubits remapped, and their fault
-    opportunities, memoized per (circuit, map).
+    opportunities, memoized per (circuit, map) in the circuit's memo.
 
     Protocols run the same sub-circuit at the same register offset for
     every Monte Carlo trial; rebuilding a mapped ``Gate`` per gate per
-    trial dominated injection cost. The cache key includes the gate count
-    (circuits are append-only by convention) and the map items; entries
-    die with their circuit.
+    trial dominated injection cost.
     """
-    key = (len(circuit), tuple(sorted(qubit_map.items())))
-    per_circuit = _REMAP_CACHE.get(circuit)
-    if per_circuit is None:
-        per_circuit = {}
-        _REMAP_CACHE[circuit] = per_circuit
-    mapped = per_circuit.get(key)
-    if mapped is None:
-        gates = tuple(
-            Gate(
-                gate.gate_type,
-                tuple(qubit_map.get(q, q) for q in gate.qubits),
-                angle_k=gate.angle_k,
-                condition=gate.condition,
-                result=gate.result,
-            )
-            for gate in circuit
-        )
-        always = [gate for gate in gates if gate.condition is None]
-        measured = [gate for gate in always if gate.is_measurement]
-        mapped = _MappedCircuit(
-            gates=gates,
-            gate_ops=len(always) - len(measured),
-            qubit_moves=sum(len(gate.qubits) for gate in always),
-            readouts=len(measured),
-            zero_flips={gate.result: 0 for gate in measured},
-        )
-        per_circuit[key] = mapped
-    return mapped
+    return circuit.memoized(_map_gates, tuple(sorted(qubit_map.items())))
 
 
 class TrialOutcome(Enum):

@@ -55,6 +55,7 @@ Either way, :func:`~repro.explore.engine.explore` reads only
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -181,6 +182,22 @@ class CanonicalPoint(dict):
     __slots__ = ("key",)
 
 
+def _non_negative(point: Dict[str, object], name: str) -> float:
+    """``point[name]`` (default 0) as a float, refused unless finite, >= 0."""
+    value = float(point.get(name, 0.0))
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return value
+
+
+def _whole(point: Dict[str, object], name: str, default: int) -> int:
+    """``point[name]`` (default ``default``) as an int, refused if infinite."""
+    try:
+        return int(point.get(name, default))
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got {point[name]!r}") from None
+
+
 def _canonicalize(
     point: Dict[str, object],
     cqla: Optional[CqlaConfig],
@@ -191,7 +208,9 @@ def _canonicalize(
     Equivalent configurations (a QLA point annotated with CQLA cache
     dims, an explicit default region span, ``tech_scale == 1``,
     ``code_level == 1``) collapse to one canonical point, which is what
-    the dedupe passes and the result store key on.
+    the dedupe passes and the result store key on. A value the engines
+    cannot simulate (a NaN, infinite or negative rate or area, or a bad
+    cache or region setting) raises ``ValueError`` before any store I/O.
     """
     unknown = set(point) - KNOWN_DIMENSIONS
     if unknown:
@@ -208,11 +227,11 @@ def _canonicalize(
                 "(Evaluator(kernel=..., width=...)); an evaluator built "
                 "from a fixed analysis cannot re-characterize the kernel"
             )
-        if scale <= 0:
-            raise ValueError(f"tech_scale must be positive, got {scale}")
+        if not (math.isfinite(scale) and scale > 0):
+            raise ValueError(f"tech_scale must be finite and positive, got {scale}")
         canonical["tech_scale"] = scale
     raw_level = point.get("code_level", 1)
-    if float(raw_level) != int(raw_level):
+    if not float(raw_level).is_integer():
         raise ValueError(f"code_level must be an integer, got {raw_level!r}")
     level = int(raw_level)
     if level != 1:
@@ -233,8 +252,8 @@ def _canonicalize(
                 "a point is either a steady-supply point (zero_rate) or an "
                 f"architecture point (arch/factory_area), not both: {point}"
             )
-        canonical["zero_rate"] = float(point["zero_rate"])
-        canonical["pi8_ratio"] = float(point.get("pi8_ratio", 0.0))
+        canonical["zero_rate"] = _non_negative(point, "zero_rate")
+        canonical["pi8_ratio"] = _non_negative(point, "pi8_ratio")
     elif "arch" not in point or "factory_area" not in point:
         raise ValueError(
             f"an architecture point needs 'arch' and 'factory_area': {point}"
@@ -244,17 +263,19 @@ def _canonicalize(
         kind = kind.value if isinstance(kind, ArchitectureKind) else str(kind)
         ArchitectureKind(kind)  # validates
         canonical["arch"] = kind
-        canonical["factory_area"] = float(point["factory_area"])
+        canonical["factory_area"] = _non_negative(point, "factory_area")
         if kind == ArchitectureKind.CQLA.value:
             default = cqla or CqlaConfig()
-            canonical["cqla_cache_fraction"] = float(
-                point.get("cqla_cache_fraction", default.cache_fraction)
+            config = CqlaConfig(  # validates
+                float(point.get("cqla_cache_fraction", default.cache_fraction)),
+                _whole(point, "cqla_ports", default.ports),
             )
-            canonical["cqla_ports"] = int(point.get("cqla_ports", default.ports))
+            canonical["cqla_cache_fraction"] = config.cache_fraction
+            canonical["cqla_ports"] = config.ports
         elif kind == ArchitectureKind.MULTIPLEXED.value:
-            canonical["region_span"] = int(
-                point.get("region_span", MultiplexedConfig().region_span)
-            )
+            canonical["region_span"] = MultiplexedConfig(  # validates
+                _whole(point, "region_span", MultiplexedConfig.region_span)
+            ).region_span
     canonical.key = canonical_json(canonical)
     return canonical
 
@@ -332,9 +353,7 @@ def _evaluation(
 
 
 def _simulate_groups(
-    summary: KernelSummary,
-    points: Sequence[Dict[str, object]],
-    compiled: Optional[CompiledCircuit],
+    summary: KernelSummary, points: Sequence[Dict[str, object]]
 ) -> Iterator[Tuple[List[int], List[Evaluation]]]:
     """Yield ``(indices, evaluations)`` for each homogeneous group.
 
@@ -362,7 +381,6 @@ def _simulate_groups(
             movement_penalty_us=move_1q,
             two_qubit_movement_penalty_us=move_2q,
             cqla=cqla,
-            compiled=compiled,
         )
         yield indices, [
             _evaluation(summary, points[i], lowered[i], result)
@@ -382,33 +400,22 @@ def evaluate_design_points(
     :func:`repro.arch.batched.simulate_batch` call (see
     :func:`_simulate_groups`); output order matches input order.
 
-    ``engine`` accepts only ``"compiled"`` (anything else raises
-    ``ValueError``): it survives solely so existing four-argument
-    callers keep working, and a later benchmark change removes it.
+    ``compiled`` and ``engine`` survive solely for existing four-argument
+    callers, and a later benchmark change removes them: anything but
+    ``None`` or the circuit's memoized :func:`compile_circuit` and
+    ``"compiled"`` raises ``ValueError``.
     """
     if engine != "compiled":
         raise ValueError(
             f"unknown engine {engine!r}; the only dataflow engine is 'compiled'"
         )
+    if compiled not in (None, compile_circuit(summary.circuit, summary.tech)):
+        raise ValueError("compiled must be None or the circuit's memoized compile")
     out: List[Optional[Evaluation]] = [None] * len(points)
-    for indices, evaluations in _simulate_groups(summary, points, compiled):
+    for indices, evaluations in _simulate_groups(summary, points):
         for i, evaluation in zip(indices, evaluations):
             out[i] = evaluation
     return out
-
-
-def _summary_for_spec(
-    kernel: str,
-    width: int,
-    tech: TechnologyParams,
-    scale: float,
-    level: int = 1,
-) -> Tuple[KernelSummary, CompiledCircuit]:
-    from repro.kernels.analysis import analyze_kernel
-
-    scaled = tech if scale == 1.0 else tech.scaled(scale)
-    analysis = analyze_kernel(kernel, width, scaled, code_level=level)
-    return KernelSummary.from_analysis(analysis), analysis.compiled_circuit()
 
 
 def _recharacterize_key(point: Dict[str, object]) -> Tuple[float, int]:
@@ -434,7 +441,6 @@ class Evaluator:
         width: Kernel bit width (spec mode).
         tech: Technology parameters (spec mode; analysis mode inherits
             the analysis's).
-        compiled: Optional prebuilt compiled circuit (analysis mode).
         cqla: Default CQLA configuration for points that do not pin
             ``cqla_cache_fraction`` / ``cqla_ports`` explicitly.
         store: Optional :class:`ResultStore`; every evaluation is
@@ -466,7 +472,6 @@ class Evaluator:
         kernel: Optional[str] = None,
         width: Optional[int] = None,
         tech: TechnologyParams = ION_TRAP,
-        compiled: Optional[CompiledCircuit] = None,
         cqla: Optional[CqlaConfig] = None,
         store: Optional[ResultStore] = None,
         retries: int = 2,
@@ -503,11 +508,7 @@ class Evaluator:
         self._summary: Optional[KernelSummary] = (
             KernelSummary.from_analysis(analysis) if analysis is not None else None
         )
-        self._compiled = compiled
-        self._scales: Dict[
-            Tuple[float, int], Tuple[KernelSummary, CompiledCircuit]
-        ] = {}
-        self._gates: Optional[int] = None
+        self._scales: Dict[Tuple[float, int], KernelSummary] = {}
         self._key_base: Optional[Dict[str, object]] = None
         #: The key base's canonical JSON split around the point's slot.
         self._key_affixes: Optional[Tuple[str, str]] = None
@@ -538,54 +539,42 @@ class Evaluator:
         """Stable identity string for dedupe across batches."""
         return self.canonicalize(point).key
 
-    def _serial_context(
-        self, point: Dict[str, object]
-    ) -> Tuple[KernelSummary, CompiledCircuit]:
+    def _serial_context(self, point: Dict[str, object]) -> KernelSummary:
+        """The kernel summary ``point`` simulates against: the analysis's,
+        or the spec's re-characterized at its (tech_scale, code_level)."""
         if self._summary is not None:
-            if self._compiled is None:
-                self._compiled = compile_circuit(
-                    self._summary.circuit, self._summary.tech
-                )
-            return self._summary, self._compiled
-        scale, level = _recharacterize_key(point)
-        cached = self._scales.get((scale, level))
-        if cached is None:
-            cached = _summary_for_spec(
-                self._kernel, self._width, self._tech, scale, level
-            )
-            self._scales[(scale, level)] = cached
-        return cached
-
-    def _gate_count(self) -> int:
-        """Decomposed gate count (circuit fingerprint) — no compilation.
-
-        Spec mode reads it off the (memoized) kernel analysis directly so
-        fully-warm runs never pay the array-form lowering.
-        """
-        if self._summary is not None:
-            return len(self._summary.circuit)
-        if self._gates is None:
+            return self._summary
+        key = _recharacterize_key(point)
+        if key not in self._scales:
             from repro.kernels.analysis import analyze_kernel
 
-            self._gates = len(
-                analyze_kernel(self._kernel, self._width, self._tech).circuit
+            scale, level = key
+            tech = self._tech if scale == 1.0 else self._tech.scaled(scale)
+            self._scales[key] = KernelSummary.from_analysis(
+                analyze_kernel(self._kernel, self._width, tech, code_level=level)
             )
-        return self._gates
+        return self._scales[key]
 
     def _store_key(self, canonical: Dict[str, object]) -> Dict[str, object]:
         if self._key_base is None:
             # Everything but the point is fixed for this evaluator (the
-            # tech is immutable), so it is built on first use only.
+            # tech is immutable), so it is built on first use only. The
+            # gate count fingerprints the circuit; spec mode reads it off
+            # the memoized analysis, so a warm run never compiles.
             if self._kernel is not None:
+                from repro.kernels.analysis import analyze_kernel
+
                 identity: Dict[str, object] = {
                     "kernel": self._kernel,
                     "width": self._width,
                 }
+                circuit = analyze_kernel(self._kernel, self._width, self._tech).circuit
             else:
                 identity = {"kernel": self._summary.name, "width": None}
+                circuit = self._summary.circuit
             self._key_base = {
                 **identity,
-                "gates": self._gate_count(),
+                "gates": len(circuit),
                 "tech": tech_fingerprint(self._tech),
                 # A constant now that there is one engine; kept in the
                 # key so stores and journals written before it stay warm.
@@ -778,7 +767,7 @@ class Evaluator:
         """Evaluate ``points``, batching per (tech_scale, code_level) group.
 
         Points sharing a technology scale and a concatenation level share
-        one summary/compiled context; each group then resolves through
+        one kernel summary; each group then resolves through
         :func:`_simulate_groups`, so a sweep over ``code_level`` runs each
         level's homogeneous points through the point-batched engine.
         Owned leases are heartbeat after every ``simulate_batch`` group.
@@ -791,9 +780,9 @@ class Evaluator:
         for i, point in enumerate(points):
             by_key.setdefault(_recharacterize_key(point), []).append(i)
         for indices in by_key.values():
-            summary, compiled = self._serial_context(points[indices[0]])
+            summary = self._serial_context(points[indices[0]])
             subset = [points[i] for i in indices]
-            for group, evaluations in _simulate_groups(summary, subset, compiled):
+            for group, evaluations in _simulate_groups(summary, subset):
                 for j, evaluation in zip(group, evaluations):
                     out[indices[j]] = evaluation
                 self._heartbeat_leases()

@@ -100,6 +100,8 @@ class ExploreService:
     ) -> None:
         if max_queue < 1:
             raise ValueError(f"max_queue must be >= 1, got {max_queue}")
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
         self.store = store
         self._retries = retries
         self.max_queue = max_queue

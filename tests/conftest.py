@@ -5,6 +5,7 @@ Kernel characterizations are session-scoped: building and analyzing the
 few seconds each, and they are immutable once constructed.
 """
 
+import math
 import threading
 import zlib
 from pathlib import Path
@@ -82,6 +83,37 @@ def canonicalize_counter(monkeypatch):
 
     monkeypatch.setattr(evaluator_module, "_canonicalize", counting)
     return counter
+
+
+#: Point values the engines cannot simulate; canonicalization refuses
+#: each with ``ValueError`` (a served request answers 400).
+OUT_OF_RANGE_POINTS = (
+    {"arch": "cqla", "factory_area": 100.0, "cqla_ports": 0},
+    {"arch": "cqla", "factory_area": 100.0, "cqla_cache_fraction": 0.0},
+    {"arch": "cqla", "factory_area": 100.0, "cqla_cache_fraction": 5.0},
+    {"arch": "cqla", "factory_area": 100.0, "cqla_cache_fraction": math.nan},
+    {"arch": "cqla", "factory_area": 100.0, "cqla_ports": math.inf},
+    {"arch": "multiplexed", "factory_area": 100.0, "region_span": 0},
+    {"arch": "multiplexed", "factory_area": 100.0, "region_span": -3},
+    {"arch": "multiplexed", "factory_area": 100.0, "region_span": math.inf},
+    {"arch": "qla", "factory_area": -1.0},
+    {"arch": "qla", "factory_area": math.nan},
+    {"arch": "qla", "factory_area": math.inf},
+    {"zero_rate": -1.0},
+    {"zero_rate": math.nan},
+    {"zero_rate": math.inf},
+    {"zero_rate": 1.0, "pi8_ratio": -0.5},
+    {"zero_rate": 1.0, "pi8_ratio": math.nan},
+    {"zero_rate": 1.0, "tech_scale": math.nan},
+    {"zero_rate": 1.0, "tech_scale": math.inf},
+    {"zero_rate": 1.0, "tech_scale": -2.0},
+    {"zero_rate": 1.0, "code_level": math.inf},
+)
+
+
+@pytest.fixture(params=OUT_OF_RANGE_POINTS, ids=repr)
+def out_of_range_point(request):
+    return request.param
 
 
 @pytest.fixture(scope="session")

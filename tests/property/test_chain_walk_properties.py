@@ -104,7 +104,7 @@ def test_run_matches_reference(
             two_qubit_movement_penalty_us=move_2q, cqla=cqla, **kwargs,
         )
 
-    sim = simulator(compiled=analysis.compiled_circuit())
+    sim = simulator()
     reference = simulator()
     assert sim.run() == run_reference(reference)
     assert _state(sim.supply) == _state(reference.supply)
@@ -125,14 +125,11 @@ def walk_spans():
 
 def test_qft_takes_the_collapsed_path(walk_spans):
     analysis = analyze_kernel("qft", 8)
-    cc = analysis.compiled_circuit()
     supply = SteadyRateSupply({ZERO: analysis.zero_bandwidth_per_ms / 4})
     reference_supply = SteadyRateSupply(
         {ZERO: analysis.zero_bandwidth_per_ms / 4}
     )
-    result = DataflowSimulator(
-        analysis.circuit, supply=supply, compiled=cc
-    ).run()
+    result = DataflowSimulator(analysis.circuit, supply=supply).run()
     assert result == run_reference(
         DataflowSimulator(analysis.circuit, supply=reference_supply)
     )

@@ -100,7 +100,6 @@ def _batch(analysis, supplies, model):
         movement_penalty_us=move_1q,
         two_qubit_movement_penalty_us=move_2q,
         cqla=cqla,
-        compiled=analysis.compiled_circuit(),
     )
 
 

@@ -55,6 +55,16 @@ class TestLeaseKnobs:
         assert main(argv) == 2
         assert "--lease-ttl" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["explore", "serve"])
+    def test_negative_retries_rejected(self, command, tmp_path, capsys):
+        argv = [command, "--retries", "-1", "--cache-dir", str(tmp_path)]
+        if command == "explore":
+            argv.insert(1, "qrca-8")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "error: --retries must be >= 0" in err
+        assert "Traceback" not in err
+
     def test_valid_knobs_accepted(self, tmp_path, capsys):
         code = main([
             "explore", "qrca-8", "--budget", "2",

@@ -81,9 +81,8 @@ def _assert_matches_oracle(circuit, tech):
     assert compiled.pi8_indices.dtype == np.intp
     assert compiled.pi8_indices.tolist() == pi8
     assert compiled.tech is tech
-    assert compiled.compiled_from(circuit)
     fields = set(compiled.__dataclass_fields__)
-    assert fields == set(expected) | {"pi8_indices", "tech", "source_ref", "_memo"}
+    assert fields == set(expected) | {"pi8_indices", "tech", "_memo"}
 
 
 def _assert_dataflow_matches_dag(circuit, tech):

@@ -33,7 +33,9 @@ from repro.arch.supply import (
     SteadyRateSupply,
 )
 from repro.circuits import Circuit, CompiledCircuit, compile_circuit
-from repro.circuits.compiled import _build_dataflow, dataflow_metadata
+from repro.circuits.compiled import _build_dataflow, _compile, dataflow_metadata
+from repro.error.batched import _compile_protocol, compile_protocol
+from repro.error.montecarlo import _map_gates, _mapped_gates
 from repro.circuits.latency import LogicalLatencyModel
 from repro.kernels import analyze_kernel
 from repro.tech import ION_TRAP
@@ -170,26 +172,6 @@ class TestCompilation:
         assert compiled.one_qubit_moves == 2  # T, H
         assert compiled.two_qubit_moves == 2  # CX, CZ
 
-    def test_mismatched_compiled_circuit_rejected(self):
-        circuit = Circuit(2).h(0).cx(0, 1)
-        other = compile_circuit(Circuit(2).h(0), ION_TRAP)
-        with pytest.raises(ValueError):
-            DataflowSimulator(circuit, compiled=other)
-
-    def test_same_shape_different_circuit_rejected(self):
-        """Equal gate/qubit counts are not enough: identity is checked."""
-        circuit = Circuit(2).h(0).cx(0, 1)
-        twin = Circuit(2).h(0).cx(0, 1)
-        with pytest.raises(ValueError):
-            DataflowSimulator(circuit, compiled=compile_circuit(twin, ION_TRAP))
-
-    def test_orphaned_compiled_circuit_rejected(self):
-        """A compiled form whose source was collected is never accepted."""
-        compiled = compile_circuit(Circuit(2).h(0).cx(0, 1), ION_TRAP)
-        gc.collect()
-        with pytest.raises(ValueError):
-            DataflowSimulator(Circuit(2).h(0).cx(0, 1), compiled=compiled)
-
     def test_one_memo_per_compiled_form_dies_with_it(self, batch_routes):
         """Both engines and ``dataflow_metadata`` keep what they derive
         in the compiled form's one memo; a repeat run adds no entry, and
@@ -222,12 +204,43 @@ class TestCompilation:
         gc.collect()
         assert form() is None
 
-    def test_prebuilt_compiled_circuit_reused(self, qrca8):
-        compiled = qrca8.compiled_circuit()
-        sim = DataflowSimulator(qrca8.circuit, qrca8.tech, compiled=compiled)
-        assert sim.compiled is compiled
-        reference = DataflowSimulator(qrca8.circuit, qrca8.tech)
-        assert sim.run() == run_reference(reference)
+    def test_one_memo_per_circuit_dies_with_it(self):
+        """The dataflow compile, the scalar Monte Carlo engine's mapped
+        gates and the batched protocol lowering all live in the circuit's
+        one memo: a repeat call adds no entry, an appended gate gets
+        fresh forms, and every form goes with the circuit."""
+        circuit = _lean_mix()
+
+        def forms():
+            return (
+                compile_circuit(circuit, ION_TRAP),
+                _mapped_gates(circuit, {0: 6}),
+                compile_protocol(circuit, {0: 6}),
+            )
+
+        first = forms()
+        assert {key[0] for key in circuit._memo} == {
+            _compile, _map_gates, _compile_protocol,
+        }
+        assert len(circuit._memo) == 3
+        assert all(again is form for again, form in zip(forms(), first))
+        assert DataflowSimulator(circuit).compiled is first[0]
+        assert len(circuit._memo) == 3
+        circuit.h(0)
+        second = forms()
+        assert all(new is not old for new, old in zip(second, first))
+        assert second[0].num_gates == len(circuit) == first[0].num_gates + 1
+        assert len(second[1].gates) == len(second[2].ops) == len(circuit)
+        # A mapped circuit is a tuple, which takes no weak reference: its
+        # first remapped gate, held by nothing else, stands in for it.
+        refs = [
+            weakref.ref(target)
+            for compiled, mapped, program in (first, second)
+            for target in (compiled, mapped.gates[0], program)
+        ]
+        del circuit, first, second
+        gc.collect()
+        assert [ref() for ref in refs] == [None] * 6
 
 
 class TestCacheScheduleReplay:
@@ -247,12 +260,9 @@ class TestCacheScheduleReplay:
             simulator_module, "OrderedDict",
             lambda: walks.append(1) or ordered_dict(),
         )
-        compiled = compile_circuit(circuit, ION_TRAP)
 
         def run():
-            return DataflowSimulator(
-                circuit, cqla=config, compiled=compiled
-            ).run()
+            return DataflowSimulator(circuit, cqla=config).run()
 
         first = run()
         assert walks == [1]  # the schedule was built by one LRU walk
@@ -264,7 +274,6 @@ class TestCacheScheduleReplay:
         assert first == run_reference(DataflowSimulator(circuit, cqla=config))
 
     def test_alternating_cache_sizes_and_ports_match_reference(self, qcla8):
-        compiled = qcla8.compiled_circuit()
         configs = [
             CqlaConfig(cache_fraction=fraction, ports=ports)
             for fraction in (0.125, 0.5)
@@ -294,7 +303,7 @@ class TestCacheScheduleReplay:
 
         results = {}
         for config in configs * 2:
-            result = simulator(config, compiled=compiled).run()
+            result = simulator(config).run()
             assert result == run_reference(simulator(config))
             results.setdefault(config, result)
             assert result == results[config]
@@ -357,7 +366,6 @@ class TestSupplyFreeReplay:
         self, kernel, fraction, ports, cache_walks
     ):
         analysis = analyze_kernel(kernel, 8)
-        compiled = analysis.compiled_circuit()
         config = CqlaConfig(cache_fraction=fraction, ports=ports)
         walked = []
         for supply, reference_supply in zip(
@@ -365,7 +373,7 @@ class TestSupplyFreeReplay:
         ):
             before = len(cache_walks)
             result = _cqla_simulator(
-                analysis, config, supply, compiled=compiled
+                analysis, config, supply
             ).run()
             walked.append(len(cache_walks) - before)
             reference = run_reference(
@@ -384,14 +392,13 @@ class TestSupplyFreeReplay:
     def test_replayed_point_skips_walk_and_bound_point_walks(
         self, qcla8, cache_walks
     ):
-        compiled = qcla8.compiled_circuit()
         config = CqlaConfig()
         ladder = _fig15_supplies(qcla8, config)
-        _cqla_simulator(qcla8, config, InfiniteSupply(), compiled=compiled).run()
+        _cqla_simulator(qcla8, config, InfiniteSupply()).run()
         cache_walks.clear()
-        _cqla_simulator(qcla8, config, ladder[-1], compiled=compiled).run()
+        _cqla_simulator(qcla8, config, ladder[-1]).run()
         assert cache_walks == []
-        _cqla_simulator(qcla8, config, ladder[0], compiled=compiled).run()
+        _cqla_simulator(qcla8, config, ladder[0]).run()
         assert cache_walks == [1]
 
     @pytest.mark.parametrize("nudge", [False, True])
@@ -403,7 +410,7 @@ class TestSupplyFreeReplay:
         gate walks. Either way the result is the walk's."""
         compiled = qcla8.compiled_circuit()
         config = CqlaConfig()
-        sim = _cqla_simulator(qcla8, config, InfiniteSupply(), compiled=compiled)
+        sim = _cqla_simulator(qcla8, config, InfiniteSupply())
         args = (
             config.cache_size(compiled.num_qubits),
             config.ports,
@@ -425,7 +432,7 @@ class TestSupplyFreeReplay:
         )
         cache_walks.clear()
         result = _cqla_simulator(
-            qcla8, config, SteadyRateSupply({ZERO: 1.0}), compiled=compiled
+            qcla8, config, SteadyRateSupply({ZERO: 1.0})
         ).run()
         assert cache_walks == ([1] if nudge else [])
         ops = compiled.memoized(simulator_module._ops, args[0], args[3], args[5])
@@ -461,7 +468,7 @@ class TestSupplyFreeReplay:
 
         results = {}
         for config, moves in variants * 2:
-            result = simulator(config, moves, compiled=compiled).run()
+            result = simulator(config, moves).run()
             assert result == run_reference(simulator(config, moves))
             assert results.setdefault((config.ports, moves), result) == result
         assert len({r.makespan_us for r in results.values()}) == len(variants)

@@ -348,6 +348,54 @@ class TestEvaluator:
                 [{"zero_rate": 1.0, "arch": "qla", "factory_area": 1.0}]
             )
 
+    def test_out_of_range_values_refused_before_the_store(
+        self, out_of_range_point, tmp_path, monkeypatch
+    ):
+        """Refused at canonicalization: no store read, lease or write, no
+        retry and no quarantine."""
+        store = ResultStore(tmp_path)
+        touched = []
+        for name in ("get", "claim", "put", "release"):
+            monkeypatch.setattr(
+                store, name, lambda *args, name=name: touched.append(name)
+            )
+        evaluator = Evaluator(kernel="qrca", width=8, store=store)
+        with pytest.raises(ValueError, match="must be"):
+            evaluator.evaluate([out_of_range_point])
+        assert touched == []
+        assert evaluator.stats() == dict.fromkeys(evaluator.stats(), 0)
+
+    def test_in_range_points_canonicalize_as_before(self):
+        """Validation adds no field and converts nothing: store digests of
+        valid points stay the ones stores already hold."""
+        evaluator = Evaluator(kernel="qrca", width=8)
+        for point, expected in (
+            ({"arch": "cqla", "factory_area": 0, "cqla_ports": 1,
+              "cqla_cache_fraction": 1},
+             '{"arch":"cqla","cqla_cache_fraction":1.0,"cqla_ports":1,'
+             '"factory_area":0.0}'),
+            ({"arch": "multiplexed", "factory_area": 5, "region_span": 1.0},
+             '{"arch":"multiplexed","factory_area":5.0,"region_span":1}'),
+            ({"zero_rate": 0, "tech_scale": 2},
+             '{"pi8_ratio":0.0,"tech_scale":2.0,"zero_rate":0.0}'),
+        ):
+            assert evaluator.canonicalize(point).key == expected
+
+    def test_four_argument_call_takes_only_the_memoized_compile(self, qrca8):
+        """``evaluate_design_points`` keeps its ``compiled`` slot for
+        existing callers: ``None`` or the circuit's memoized compile give
+        one answer, and any other compiled form is refused."""
+        from repro.circuits.compiled import compile_circuit
+
+        summary = KernelSummary.from_analysis(qrca8)
+        points = [{"arch": "qla", "factory_area": a} for a in (100.0, 400.0)]
+        assert evaluate_design_points(
+            summary, points, qrca8.compiled_circuit(), "compiled"
+        ) == evaluate_design_points(summary, points, None)
+        other = compile_circuit(qrca8.circuit.copy(), qrca8.tech)
+        with pytest.raises(ValueError, match="compil"):
+            evaluate_design_points(summary, points, other, "compiled")
+
     def test_bad_engine_rejected(self, qrca8):
         """The four-argument ``evaluate_design_points`` call keeps working
         with ``"compiled"``; any other engine name is refused."""

@@ -74,6 +74,11 @@ class TestEvaluate:
             client.evaluate("nosuchkernel", 8, POINTS[:1])
         assert excinfo.value.status == 400
 
+    def test_out_of_range_point_is_terminal_400(self, client, out_of_range_point):
+        with pytest.raises(RequestError) as excinfo:
+            client.evaluate("qrca", 8, [out_of_range_point])
+        assert excinfo.value.status == 400
+
     def test_legacy_engine_field_answered_identically(self, client, reference):
         """An older client's ``"engine": "legacy"`` is ignored: the answer
         is bit-identical to the same request without the field."""
@@ -201,6 +206,10 @@ class TestDrainAndShutdown:
     def test_max_queue_validated(self):
         with pytest.raises(ValueError, match="max_queue"):
             ExploreService(max_queue=0)
+
+    def test_retries_validated(self):
+        with pytest.raises(ValueError, match="retries"):
+            ExploreService(retries=-1)
 
 
 class TestRemoteEvaluator:
