@@ -27,9 +27,6 @@ What batches, and why it stays bit-identical:
   draw sequence and dedicated per-qubit kinds (the QLA model) over each
   home qubit's draw rank. Consumption is committed afterwards through
   :func:`~repro.arch.simulator.commit_draws`, as ``run()`` commits it.
-  Supplies whose specs constrain nothing
-  (:class:`~repro.arch.supply.InfiniteSupply`, untracked kinds) share
-  one column of work.
 
 Within a dependency level no two gates share a qubit (a shared qubit is a
 dependency edge), so gathering all start times before scattering all
@@ -43,15 +40,20 @@ asserts exact float equality, not approximation.
 
 What runs per point instead, through :meth:`DataflowSimulator.run`:
 
+* **Unconstrained points.** Supplies whose specs constrain nothing
+  (:class:`~repro.arch.supply.InfiniteSupply`, untracked kinds) share
+  one ``run()``, which replays the supply-free walk memoized per
+  configuration (:func:`~repro.arch.simulator._supply_free_walk`),
+  the walk kernel analysis reads its speed-of-data schedule from.
 * **Small groups, chosen by shape.** A kernel pass costs a fixed
   ~12-20 us per dependency level almost regardless of point count, so
   a few points on a deep circuit run faster serially: 2 points on
   qrca-32 (986 levels) take ~15 ms batched against ~0.9 ms serially.
-  Each lowering-signature group (and the shared unconstrained column)
-  takes whichever route :func:`_vectorize` predicts is cheaper from its
-  point count, the circuit's gate and level counts and the steps a
-  serial walk takes — never from the caller or the supply model. Both
-  routes are bit-identical and advance supply state identically.
+  Each lowering-signature group takes whichever route
+  :func:`_vectorize` predicts is cheaper from its point count, the
+  circuit's gate and level counts and the steps a serial walk takes —
+  never from the caller or the supply model. Both routes are
+  bit-identical and advance supply state identically.
 * **Every CQLA point.** Port booking is ordered within a point, so it
   does not vectorize over levels (a program-order pass over the points
   axis lost to ``run()`` below ~23-26 points). ``run()`` replays the
@@ -67,8 +69,8 @@ from one compiled circuit, live in that circuit's memo
 
 Callers never need to pre-sort their supplies. The
 ``batched.simulate_batch`` span reports per-path point counts, which sum
-to the batch size: ``unconstrained`` / ``steady`` / ``dedicated``
-(vectorized) and ``serial`` (sent to ``run()``).
+to the batch size: ``steady`` / ``dedicated`` (vectorized) and
+``serial`` (sent to ``run()``, unconstrained points included).
 """
 
 from __future__ import annotations
@@ -165,16 +167,16 @@ def _run_levels(
     points: int,
     move_1q: float,
     move_2q: float,
-    ready: Optional[np.ndarray],
+    ready: np.ndarray,
     qec: float,
 ) -> np.ndarray:
     """Makespans of ``points`` columns from one sweep over dependency
     levels.
 
     State is gate-major — ``(num_qubits + 1, points)`` — so per-level
-    gathers and scatters touch contiguous rows; ``ready`` (when given)
-    is likewise ``(gates, points)``. Per-point arithmetic replays the
-    serial hot loops' exact operation order — operand max, movement
+    gathers and scatters touch contiguous rows; ``ready`` is likewise
+    ``(gates, points)``. Per-point arithmetic replays the serial hot
+    loops' exact operation order — operand max, movement
     add, supply max, then ``+ latency`` followed by ``+ qec`` as two
     separate additions (fusing them would change rounding) — so every
     column is bit-identical to a serial run of that point.
@@ -193,8 +195,7 @@ def _run_levels(
                 np.maximum(t, qubit_free[level.q1], out=t)
             if movement is not None:
                 t += movement[level.gates][:, None]
-            if ready is not None:
-                np.maximum(t, ready[level.gates], out=t)
+            np.maximum(t, ready[level.gates], out=t)
             t += level.latency
             t += qec
             # Scatters cannot collide: same-level gates touch disjoint
@@ -285,7 +286,8 @@ def simulate_batch(
     lowering-signature group is large enough for a kernel pass to beat
     per-point runs (:func:`_vectorize`); smaller groups, and every point
     under ``cqla``, run per point through :meth:`DataflowSimulator.run`,
-    transparently. Both routes read the one compilation kept in the
+    transparently. Points whose supply constrains nothing share one
+    ``run()``. Both routes read the one compilation kept in the
     circuit's memo (:func:`~repro.circuits.compiled.compile_circuit`).
 
     Raises:
@@ -364,11 +366,15 @@ def _simulate_batch(
                     "within one batch)"
                 )
 
-    # Route each group by its shape (see _vectorize). The unconstrained
-    # points share one column, so they route as a 1-point group; a
-    # serial run() commits each supply exactly as the vectorized route
-    # does (unconstrained kinds consume nothing). Every CQLA point runs
-    # serially: run() replays the memoized cache-trip schedule.
+    # Unconstrained points share one run(), which replays the memoized
+    # supply-free walk; they consume nothing, so there is nothing to
+    # commit. Route each group by its shape (see _vectorize); every CQLA
+    # point runs serially: run() replays the memoized cache-trip schedule.
+    serial_points = len(unconstrained)
+    if unconstrained:
+        shared = serial(None)
+        for i in unconstrained:
+            out[i] = replace(shared)
     qec = LogicalLatencyModel(tech).qec_interaction_latency()
     move_1q = movement_penalty_us
     move_2q = (
@@ -381,26 +387,15 @@ def _simulate_batch(
         levels = dataflow_metadata(cc).num_levels
         steps = len(cc.memoized(_ops, None, move_1q, qec).q0)
 
-    def vectorize(points: int) -> bool:
-        return levels is not None and _vectorize(points, steps, n, levels)
-
-    serial_points = 0
-    if unconstrained and not vectorize(1):
-        shared = serial(None)
-        for i in unconstrained:
-            out[i] = replace(shared)
-        serial_points += len(unconstrained)
-        unconstrained = []
     for signature, indices in list(groups.items()):
-        if not vectorize(len(indices)):
+        if levels is None or not _vectorize(len(indices), steps, n, levels):
             for i in indices:
                 out[i] = serial(supplies[i])
             serial_points += len(indices)
             del groups[signature]
     # Per-path point counts on the batch span; ``serial`` counts points
-    # the shape rule sent to run().
+    # sent to run().
     sp.set(
-        unconstrained=len(unconstrained),
         steady=sum(
             len(v) for sig, v in groups.items() if "dedicated" not in sig
         ),
@@ -409,7 +404,7 @@ def _simulate_batch(
         ),
         serial=serial_points,
     )
-    if not unconstrained and not groups:
+    if not groups:
         return out
 
     teleports = movement_teleports(cc, move_1q, move_2q, tech)
@@ -422,13 +417,6 @@ def _simulate_batch(
             pi8_ancillae_consumed=cc.pi8_count,
             teleports=teleports,
         )
-
-    if unconstrained:
-        # All such points produce identical results: one column suffices.
-        makespan = _run_levels(cc, 1, move_1q, move_2q, None, qec)[0]
-        for i in unconstrained:
-            out[i] = result(makespan)
-            commit_draws(cc, supplies[i], specs[i])
 
     for signature, indices in groups.items():
         ready = lower_ready(cc, signature, [specs[i] for i in indices])

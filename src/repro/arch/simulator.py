@@ -348,7 +348,9 @@ def _supply_free_walk(
     None: no cache; ``ports`` and ``t_teleport`` then go unread),
     memoized per configuration. A point whose ready times are all
     ``<=`` these starts never trips the walk's strict ``ready > t``, so
-    by induction its walk repeats this one float for float."""
+    by induction its walk repeats this one float for float. Kernel
+    analysis reads its speed-of-data schedule from the no-cache,
+    zero-movement entry (:mod:`repro.kernels.analysis`)."""
     log = _StartLog()
     gates = _gate_ops(cc, cc.memoized(_cache_schedule, cache_size).trips)
     if cache_size is None:

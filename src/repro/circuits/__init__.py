@@ -3,8 +3,8 @@
 This package provides the gate-level IR used throughout the library: a
 :class:`~repro.circuits.gate.Gate` record, a :class:`~repro.circuits.circuit.Circuit`
 container, and its compiled array form (:mod:`repro.circuits.compiled`),
-which carries the dependency and critical-path analyses every engine
-reads.
+which every engine walks: the serial engine and kernel analysis in
+program order, the batched kernel by dependency level.
 
 Circuits are used at two levels:
 

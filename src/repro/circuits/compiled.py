@@ -173,96 +173,61 @@ def _compile_body(circuit: Circuit, tech: TechnologyParams) -> CompiledCircuit:
 
 @dataclass(frozen=True, eq=False)
 class CompiledDataflow:
-    """Dependency structure of a compiled circuit, in flat array form.
+    """Dependency levels of a compiled circuit, in flat array form.
 
     The dependency rule matches :class:`repro.testing.dag.CircuitDag`
-    exactly: two gates touching the same qubit are ordered. Per-gate
-    predecessor lists are stored as a CSR pair
-    (``pred_offsets``/``pred_indices``, ascending within each gate), plus
-    a level grouping that lets ASAP-style longest-path sweeps run as one
-    vectorized segment-reduction per dependency level instead of a
-    per-gate Python walk over ``ScheduleEntry`` objects.
+    exactly: two gates touching the same qubit are ordered, and a gate's
+    level is one more than its latest predecessor's. The batched kernel
+    walks these levels (:mod:`repro.arch.batched`), and its shape rule
+    reads their count.
 
     Attributes:
-        pred_offsets: ``pred_offsets[i]:pred_offsets[i+1]`` slices
-            ``pred_indices`` to gate ``i``'s predecessors (ascending).
-        pred_indices: Concatenated predecessor gate indices.
         num_levels: Number of dependency levels (circuit unit-depth).
         level_order: Gate indices grouped by level, program order within
             a level. All predecessors of a gate sit in earlier levels.
         level_offsets: ``level_order[level_offsets[L]:level_offsets[L+1]]``
             are the gates of level ``L``.
-        level_pred_seg: Segment starts into ``level_pred_flat`` aligned
-            with ``level_order`` positions (length ``num_gates + 1``).
-        level_pred_flat: ``pred_indices`` reordered to follow
-            ``level_order``, so one ``np.maximum.reduceat`` per level
-            computes every gate-of-that-level's start time.
     """
 
-    pred_offsets: np.ndarray
-    pred_indices: np.ndarray
     num_levels: int
     level_order: np.ndarray
     level_offsets: np.ndarray
-    level_pred_seg: np.ndarray
-    level_pred_flat: np.ndarray
 
 
 def _build_dataflow(compiled: CompiledCircuit) -> CompiledDataflow:
     with _span("compile.dataflow_metadata", gates=compiled.num_gates):
         n = compiled.num_gates
-        last_on_qubit = [-1] * compiled.num_qubits
-        # Candidate predecessors of each gate, one list per operand: the
-        # last gate on that qubit, or -1. ``level[-1]`` is a -1 sentinel,
-        # so a missing candidate never raises a gate's level and a gate
-        # without predecessors gets 0.
-        cand0, cand1 = [-1] * n, [-1] * n
-        level = [0] * n + [-1]
-        for i, (a, b) in enumerate(zip(compiled.q0, compiled.q1)):
-            p0 = cand0[i] = last_on_qubit[a]
-            last_on_qubit[a] = i
-            p1 = -1
+        # ``qubit_level[q]``: the level of the last gate on qubit ``q``
+        # so far (-1 before any); the last slot is the -1 sentinel a
+        # one-qubit gate's absent second operand reads.
+        qubit_level = [-1] * (compiled.num_qubits + 1)
+        level = []
+        for a, b in zip(compiled.q0, compiled.q1):
+            lv = max(qubit_level[a], qubit_level[b]) + 1
+            qubit_level[a] = lv
             if b >= 0:
-                p1 = cand1[i] = last_on_qubit[b]
-                last_on_qubit[b] = i
-            level[i] = max(level[p0], level[p1]) + 1
-        # Sorting each gate's candidates puts a -1 first and a duplicate
-        # side by side; what survives is the ascending predecessor list.
-        cand = np.array([cand0, cand1], dtype=np.intp).T.copy()
-        cand.sort(axis=1)
-        keep = cand >= 0
-        keep[:, 1] &= cand[:, 1] != cand[:, 0]
-        counts = np.count_nonzero(keep, axis=1).astype(np.intp)
-        pred_offsets = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(counts, out=pred_offsets[1:])
-        level_arr = np.array(level[:n], dtype=np.intp)
+                qubit_level[b] = lv
+            level.append(lv)
+        level_arr = np.array(level, dtype=np.intp)
         num_levels = int(level_arr.max()) + 1 if n else 0
-        order = np.argsort(level_arr, kind="stable").astype(np.intp)
         level_offsets = np.zeros(num_levels + 1, dtype=np.intp)
         np.cumsum(
             np.bincount(level_arr, minlength=num_levels), out=level_offsets[1:]
         )
-        seg = np.zeros(n + 1, dtype=np.intp)
-        np.cumsum(counts[order], out=seg[1:])
         return CompiledDataflow(
-            pred_offsets=pred_offsets,
-            pred_indices=cand[keep],
             num_levels=num_levels,
-            level_order=order,
+            level_order=np.argsort(level_arr, kind="stable").astype(np.intp),
             level_offsets=level_offsets,
-            level_pred_seg=seg,
-            level_pred_flat=cand[order][keep[order]],
         )
 
 
 def dataflow_metadata(compiled: CompiledCircuit) -> CompiledDataflow:
-    """Dependency arrays for ``compiled``, memoized per compiled form.
+    """Dependency levels for ``compiled``, memoized per compiled form.
 
-    Built lazily because only level-walking consumers (kernel analysis,
-    the batched kernel and its shape rule) need it; the dataflow
-    simulator's sequential replay does not. The build is one pass over
-    the already-flattened operand arrays — no ``Gate`` objects are
-    touched.
+    Built lazily because only the batched kernel and its shape rule read
+    them; the serial engine and kernel analysis walk program order. The
+    build is one pass over the already-flattened operand arrays — no
+    ``Gate`` objects are touched.
     """
     return compiled.memoized(_build_dataflow)
 

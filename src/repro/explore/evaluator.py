@@ -183,19 +183,21 @@ class CanonicalPoint(dict):
 
 
 def _non_negative(point: Dict[str, object], name: str) -> float:
-    """``point[name]`` (default 0) as a float, refused unless finite, >= 0."""
+    """``point[name]`` (default 0) as a float, refused unless finite, >= 0;
+    ``-0.0`` comes back as ``0.0``, so both share one key."""
     value = float(point.get(name, 0.0))
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-    return value
+    return value + 0.0
 
 
 def _whole(point: Dict[str, object], name: str, default: int) -> int:
-    """``point[name]`` (default ``default``) as an int, refused if infinite."""
-    try:
-        return int(point.get(name, default))
-    except OverflowError:
-        raise ValueError(f"{name} must be finite, got {point[name]!r}") from None
+    """``point[name]`` (default ``default``) as an int, refused unless a
+    finite whole number (``2.5`` is refused, not truncated)."""
+    value = point.get(name, default)
+    if not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _canonicalize(

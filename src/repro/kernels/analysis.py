@@ -6,7 +6,12 @@ correction, Figure 2); every pi/8-type gate additionally consumes one
 encoded pi/8 ancilla. "Speed of data" is the ASAP schedule where every
 gate starts as soon as its data dependencies allow, with ancillae assumed
 ready — its makespan is the sum of the data-op and QEC-interaction
-components (Table 2 columns 2+3).
+components (Table 2 columns 2+3). That schedule is the dataflow
+engine's own supply-free walk at zero movement
+(:func:`repro.arch.simulator._supply_free_walk`), read from the compiled
+circuit's memo, so the analysis and an unconstrained
+:meth:`~repro.arch.simulator.DataflowSimulator.run` share one walk and
+one makespan.
 
 Table 2's three components per critical-path gate:
 
@@ -71,50 +76,38 @@ class KernelAnalysis:
         # The pi/8 conversion pipeline runs downstream of zero production;
         # its input zero is prepared concurrently with the QEC zeros.
         self._pi8_serial_us = Pi8Factory(self.tech).serial_latency_us()
-        # The QEC-aware ASAP schedule is computed lazily as flat start /
-        # finish arrays over the memoized compiled-circuit form — no
-        # per-gate ScheduleEntry or Gate objects on the hot path.
+        # The speed-of-data schedule, read lazily from the dataflow
+        # engine's memoized supply-free walk and kept per analysis.
         self._asap_times: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._chain: Optional[List[int]] = None
 
     # ------------------------------------------------------------------
-    # Compiled ASAP schedule (speed of data, flat arrays)
+    # Speed-of-data schedule (flat arrays)
 
     def _times(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(start, finish) arrays of the QEC-aware ASAP schedule.
+        """(start, finish) arrays of the speed-of-data schedule.
 
-        Longest-path over the dependency DAG, computed level by level:
-        every gate of a level has all predecessors in earlier levels, so
-        one ``np.maximum.reduceat`` segment-max per level yields the
-        start times of the whole level at once. Matches
-        :func:`repro.testing.dag.asap_schedule` bit for bit (same max /
-        add ordering), which the test suite asserts on all kernels.
+        The starts are the per-gate starts of the dataflow engine's
+        supply-free walk at zero movement, read through the compiled
+        circuit's memo under the key an unconstrained flat
+        :meth:`~repro.arch.simulator.DataflowSimulator.run` uses, so the
+        analysis and such a run share one walk. Finish times add
+        ``latency`` then ``qec`` in the walk's order, so their maximum is
+        that run's makespan bit for bit.
         """
         if self._asap_times is not None:
             return self._asap_times
-        from repro.circuits.compiled import dataflow_metadata
+        from repro.arch.simulator import _supply_free_walk
 
         compiled = self.compiled_circuit()
-        n = compiled.num_gates
-        dur = np.asarray(compiled.latency_us, dtype=np.float64)
-        dur = dur + self._logical.qec_interaction_latency()
-        starts = np.zeros(n, dtype=np.float64)
-        finish = np.empty(n, dtype=np.float64)
-        if n:
-            df = dataflow_metadata(compiled)
-            order, loff = df.level_order, df.level_offsets
-            seg, flat = df.level_pred_seg, df.level_pred_flat
-            first = order[loff[0]:loff[1]]
-            finish[first] = dur[first]  # level 0 gates start at 0
-            for lvl in range(1, df.num_levels):
-                nodes = order[loff[lvl]:loff[lvl + 1]]
-                s0, s1 = seg[loff[lvl]], seg[loff[lvl + 1]]
-                pred_finish = finish[flat[s0:s1]]
-                st = np.maximum.reduceat(
-                    pred_finish, seg[loff[lvl]:loff[lvl + 1]] - s0
-                )
-                starts[nodes] = st
-                finish[nodes] = st + dur[nodes]
+        qec = self._logical.qec_interaction_latency()
+        if compiled.num_gates:
+            starts, _ = compiled.memoized(
+                _supply_free_walk, None, 0, 0.0, 0.0, 0.0, qec
+            )
+        else:
+            starts = np.zeros(0)
+        finish = starts + np.asarray(compiled.latency_us) + qec
         self._asap_times = (starts, finish)
         return self._asap_times
 
@@ -155,30 +148,33 @@ class KernelAnalysis:
     def _critical_chain(self) -> List[int]:
         """Gate indices of one maximal chain through the ASAP schedule.
 
-        Backwalk over the compiled predecessor CSR from the last-finishing
-        gate, always following the predecessor that gates the start time
-        (ties broken toward the lowest index, matching the seed's
-        ``max``-over-sorted-predecessors walk). Memoized: every
-        ``table2_row`` call used to rebuild a ``CircuitDag`` and re-walk
-        ``ScheduleEntry`` objects; now the chain is computed once per
-        analysis from flat arrays.
+        One pass over ``q0``/``q1`` finds each gate's blocker: whichever
+        of the last earlier gates on its operands finishes later, ties
+        to the lower index. The chain walks the blockers back from the
+        last-finishing gate (the lowest index among ties). Memoized per
+        analysis.
         """
         if self._chain is not None:
             return self._chain
         _, finish = self._times()
-        if not finish.size:
-            self._chain = []
-            return self._chain
-        from repro.circuits.compiled import dataflow_metadata
-
-        df = dataflow_metadata(self.compiled_circuit())
-        offsets, indices = df.pred_offsets, df.pred_indices
-        current = int(np.argmax(finish))
-        chain = [current]
-        while offsets[current] != offsets[current + 1]:
-            preds = indices[offsets[current]:offsets[current + 1]]
-            current = int(preds[np.argmax(finish[preds])])
+        cc = self.compiled_circuit()
+        end = finish.tolist()
+        last = [-1] * cc.num_qubits
+        blocker = []
+        for i, (a, b) in enumerate(zip(cc.q0, cc.q1)):
+            p = last[a]
+            if b >= 0:
+                r = last[b]
+                if r >= 0 and (p < 0 or (end[r], -r) > (end[p], -p)):
+                    p = r
+                last[b] = i
+            last[a] = i
+            blocker.append(p)
+        chain: List[int] = []
+        current = int(np.argmax(finish)) if finish.size else -1
+        while current >= 0:
             chain.append(current)
+            current = blocker[current]
         chain.reverse()
         self._chain = chain
         return chain

@@ -1,9 +1,10 @@
 """Dataflow analysis over circuits: dependency DAG, schedules, critical path.
 
 The gate-by-gate oracle for :func:`repro.circuits.compiled.dataflow_metadata`
-and the compiled critical-path analysis, which compute the same
-dependencies and schedules as arrays. Dependencies follow qubit lines (two gates touching the same qubit are
-ordered) and classical bits (a conditioned gate depends on the measurement
+(dependency levels) and for kernel analysis's speed-of-data schedule and
+critical chain, which compute the same dependencies and schedules over
+the compiled operand arrays. Dependencies follow qubit lines (two gates
+touching the same qubit are ordered) and classical bits (a conditioned gate depends on the measurement
 producing its condition bit).
 """
 

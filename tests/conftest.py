@@ -93,9 +93,11 @@ OUT_OF_RANGE_POINTS = (
     {"arch": "cqla", "factory_area": 100.0, "cqla_cache_fraction": 5.0},
     {"arch": "cqla", "factory_area": 100.0, "cqla_cache_fraction": math.nan},
     {"arch": "cqla", "factory_area": 100.0, "cqla_ports": math.inf},
+    {"arch": "cqla", "factory_area": 100.0, "cqla_ports": 2.5},
     {"arch": "multiplexed", "factory_area": 100.0, "region_span": 0},
     {"arch": "multiplexed", "factory_area": 100.0, "region_span": -3},
     {"arch": "multiplexed", "factory_area": 100.0, "region_span": math.inf},
+    {"arch": "multiplexed", "factory_area": 100.0, "region_span": 1.5},
     {"arch": "qla", "factory_area": -1.0},
     {"arch": "qla", "factory_area": math.nan},
     {"arch": "qla", "factory_area": math.inf},

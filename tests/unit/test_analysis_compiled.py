@@ -2,16 +2,22 @@
 
 The seed implementation walked per-gate ``ScheduleEntry`` objects (ASAP
 schedule, critical-path extraction, and an O(gates x buckets) bucket
-loop). The compiled implementation reduces the memoized compiled-circuit
-arrays with numpy. These tests re-run the seed logic verbatim and demand
-exact (==) equality — same floats, same chain, same profile — on the
-8-bit kernels and on all three 32-bit kernels the paper reports.
+loop). The analysis now reads its schedule from the dataflow engine's
+memoized supply-free walk and reduces it with numpy. These tests re-run
+the seed logic verbatim and demand exact (==) equality — same floats,
+same chain, same profile — on the 8-bit kernels and on all three 32-bit
+kernels the paper reports, and check that the analysis and the engine
+agree on the speed-of-data makespan.
 """
 
 import pytest
 
+from repro.arch.simulator import DataflowSimulator, _supply_free_walk
+from repro.circuits import Circuit
+from repro.kernels import analyze_kernel
 from repro.testing.dag import CircuitDag, QecAwareLatency, asap_schedule
-from repro.kernels.analysis import ZEROS_PER_QEC, _PI8_TYPES
+from repro.kernels.analysis import ZEROS_PER_QEC, _PI8_TYPES, KernelAnalysis
+from repro.tech import ION_TRAP
 
 
 def _seed_schedule(ka):
@@ -105,7 +111,48 @@ class TestMemoization:
         assert qrca8._critical_chain() is first
 
     def test_times_computed_once(self, qrca8):
+        """The starts are the compiled memo's supply-free walk, under the
+        key an unconstrained run() reads, and the schedule is kept."""
+        cc = qrca8.compiled_circuit()
+        qec = qrca8._logical.qec_interaction_latency()
+        starts, _ = cc.memoized(_supply_free_walk, None, 0, 0.0, 0.0, 0.0, qec)
+        assert qrca8._times()[0] is starts
         assert qrca8._times() is qrca8._times()
+
+
+def _supply_free_walks(cc):
+    return sorted(
+        repr(key[1:]) for key in cc._memo if key[0] is _supply_free_walk
+    )
+
+
+#: Technologies the speed-of-data agreement is checked at: integer
+#: latencies (ION_TRAP, level 2), a dyadic scale and a non-dyadic one.
+SPEED_OF_DATA_TECHS = {
+    "ion_trap": ION_TRAP,
+    "level2": ION_TRAP.at_level(2),
+    "scaled0.5": ION_TRAP.scaled(0.5),
+    "scaled0.7": ION_TRAP.scaled(0.7),
+}
+
+
+@pytest.mark.parametrize("name", ["qrca", "qcla", "qft"])
+@pytest.mark.parametrize(
+    "width, tech",
+    [(8, tech) for tech in SPEED_OF_DATA_TECHS.values()] + [(32, ION_TRAP)],
+    ids=[f"8-{t}" for t in SPEED_OF_DATA_TECHS] + ["32-ion_trap"],
+)
+def test_analysis_makespan_is_the_engines(name, width, tech):
+    """Table 2's execution time is the engine's own unconstrained
+    makespan, float for float, and the run replays the analysis's walk
+    rather than adding one."""
+    ka = analyze_kernel(name, width, tech)
+    execution_time = ka.execution_time_us
+    cc = ka.compiled_circuit()
+    walks = _supply_free_walks(cc)
+    result = DataflowSimulator(ka.circuit, ka.tech).run()
+    assert execution_time == result.makespan_us
+    assert _supply_free_walks(cc) == walks
 
 
 @pytest.mark.parametrize("name", ["qrca", "qcla", "qft"])
@@ -113,8 +160,16 @@ class TestMemoization:
 def test_pi8_gate_count_equals_a_gate_walk(name, width):
     """The count read from the compiled form is the count of pi/8
     consumers in the decomposed circuit."""
-    from repro.kernels import analyze_kernel
-
     ka = analyze_kernel(name, width)
     walked = sum(1 for g in ka.circuit if g.gate_type in _PI8_TYPES)
     assert ka.pi8_gate_count == walked
+
+
+@pytest.mark.parametrize("num_qubits", [0, 3])
+def test_empty_circuit_has_no_schedule(num_qubits):
+    """No gates: execution time 0, no chain and no demand profile."""
+    ka = KernelAnalysis("empty", Circuit(num_qubits), ION_TRAP, num_qubits)
+    assert ka.execution_time_us == 0.0
+    assert ka._critical_chain() == []
+    assert ka.ancilla_demand_profile() == []
+    assert ka.table2_row()["critical_path_gates"] == 0.0

@@ -141,12 +141,12 @@ def test_cqla_points_always_run_serially(kernel, request, routes):
     assert widest[-1] == _batch(analysis, [last], "cqla")[0]
 
 
-def test_unconstrained_column_routes_as_one_point(qcla32, routes):
-    """Unconstrained points share one column: one run() for all of them
-    on a circuit too deep for a 1-column kernel pass."""
+def test_unconstrained_points_share_one_run(qcla32, routes):
+    """Unconstrained points never take a kernel pass: one run() for all
+    of them, whatever the point count."""
     supplies = [InfiniteSupply() for _ in range(5)]
     results = _batch(qcla32, supplies, "steady")
-    assert routes()["run"] == 1
+    assert routes() == {"levels": [], "run": 1}
     assert len({id(r) for r in results}) == len(results)
     alone = DataflowSimulator(qcla32.circuit, qcla32.tech).run()
     assert results == [alone] * len(results)

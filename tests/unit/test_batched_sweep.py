@@ -522,7 +522,7 @@ class TestSweepGrids:
             )  # Figure-16-shaped: the Qalypso-vs-CQLA cache configuration
         spans = self._batch_spans(traced)
         assert spans, "paper sweeps must route through simulate_batch"
-        paths = ("unconstrained", "steady", "dedicated", "serial")
+        paths = ("steady", "dedicated", "serial")
         for span in spans:
             assert sum(span[path] for path in paths) == span["points"], span
 

@@ -4,8 +4,10 @@
 per gate type. The oracle here derives the same columns gate by gate
 from ``Gate`` properties and ``LogicalLatencyModel.gate_latency``, the
 way compilation did before the tables, and every ``CompiledCircuit``
-field must match it exactly. The dependency arrays of
-``dataflow_metadata`` must match ``CircuitDag``. Compilation accepts one
+field must match it exactly. The dependency levels of
+``dataflow_metadata`` must match ``CircuitDag``, and so must kernel
+analysis's speed-of-data schedule and critical chain, which walk the
+operand lists rather than dependency arrays. Compilation accepts one
 gate shape (one or two operands, no classical bit, no prep/measure) and
 refuses every other gate by name.
 """
@@ -15,12 +17,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.circuits import Circuit, compile_circuit
-from repro.testing.dag import CircuitDag
+from repro.testing.dag import CircuitDag, QecAwareLatency, asap_schedule
 from repro.circuits import compiled as compiled_mod
 from repro.circuits.compiled import dataflow_metadata
 from repro.circuits.gate import GATE_ARITY, PI8_CONSUMING_GATES, Gate, GateType
 from repro.circuits.latency import LogicalLatencyModel
 from repro.kernels import analyze_kernel
+from repro.kernels.analysis import KernelAnalysis
 from repro.tech import ION_TRAP
 
 TECHS = {
@@ -87,21 +90,55 @@ def _assert_matches_oracle(circuit, tech):
 
 def _assert_dataflow_matches_dag(circuit, tech):
     df = dataflow_metadata(compile_circuit(circuit, tech))
-    dag = CircuitDag(circuit)
     n = len(circuit)
-    assert df.pred_offsets.tolist()[0] == 0
-    for i in range(n):
-        preds = df.pred_indices[df.pred_offsets[i]:df.pred_offsets[i + 1]]
-        assert tuple(preds.tolist()) == dag.predecessors(i)
-    levels = dag.levels()
+    levels = CircuitDag(circuit).levels()
     assert df.num_levels == (max(levels) + 1 if n else 0)
     order = df.level_order.tolist()
     assert order == sorted(range(n), key=lambda g: levels[g])
-    flat = [p for g in order for p in dag.predecessors(g)]
-    assert df.level_pred_flat.tolist() == flat
-    assert np.diff(df.level_pred_seg).tolist() == [
-        len(dag.predecessors(g)) for g in order
+    assert np.diff(df.level_offsets).tolist() == [
+        levels.count(lv) for lv in range(df.num_levels)
     ]
+
+
+def _dag_schedule(circuit, tech):
+    """ASAP starts and finishes over ``CircuitDag``, and the seed's
+    backtrack: from the first last-finishing gate, step to the
+    latest-finishing predecessor (the lowest index among ties).
+
+    A finish adds the gate latency, then the QEC interaction, in the
+    dataflow walk's order; ``asap_schedule`` adds their sum, which is
+    the same float wherever the latencies are integers."""
+    logical = LogicalLatencyModel(tech)
+    qec = logical.qec_interaction_latency()
+    dag = CircuitDag(circuit)
+    starts, finish = [], []
+    for i, gate in enumerate(circuit):
+        start = max((finish[p] for p in dag.predecessors(i)), default=0.0)
+        starts.append(start)
+        finish.append(start + logical.gate_latency(gate) + qec)
+    chain = []
+    if finish:
+        current = max(range(len(finish)), key=finish.__getitem__)
+        chain.append(current)
+        while dag.predecessors(current):
+            current = max(dag.predecessors(current), key=finish.__getitem__)
+            chain.append(current)
+    chain.reverse()
+    return starts, finish, chain
+
+
+def _assert_schedule_matches_dag(circuit, tech):
+    analysis = KernelAnalysis("random", circuit, tech, circuit.num_qubits)
+    starts, finish, chain = _dag_schedule(circuit, tech)
+    got_starts, got_finish = analysis._times()
+    assert got_starts.tolist() == starts
+    assert got_finish.tolist() == finish
+    assert analysis._critical_chain() == chain
+    assert analysis.execution_time_us == max(finish, default=0.0)
+    if all(float(x).is_integer() for x in compile_circuit(circuit, tech).latency_us):
+        entries = asap_schedule(circuit, QecAwareLatency(LogicalLatencyModel(tech)))
+        assert [e.start for e in entries] == starts
+        assert [e.finish for e in entries] == finish
 
 
 def _one_of_every_lean_type():
@@ -116,6 +153,7 @@ def test_every_lean_gate_type_matches_oracle(tech):
     circ = _one_of_every_lean_type()
     _assert_matches_oracle(circ, tech)
     _assert_dataflow_matches_dag(circ, tech)
+    _assert_schedule_matches_dag(circ, tech)
 
 
 @pytest.mark.parametrize(
@@ -182,6 +220,7 @@ def random_circuits(draw, max_gates=25):
 def test_random_circuits_match_oracle(tech, circ):
     _assert_matches_oracle(circ, tech)
     _assert_dataflow_matches_dag(circ, tech)
+    _assert_schedule_matches_dag(circ, tech)
 
 
 @pytest.mark.parametrize("kernel", ["qrca", "qcla", "qft"])
@@ -190,3 +229,4 @@ def test_kernels_match_oracle(kernel, code_level):
     analysis = analyze_kernel(kernel, 8, code_level=code_level)
     _assert_matches_oracle(analysis.circuit, analysis.tech)
     _assert_dataflow_matches_dag(analysis.circuit, analysis.tech)
+    _assert_schedule_matches_dag(analysis.circuit, analysis.tech)

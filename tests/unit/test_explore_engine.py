@@ -263,6 +263,27 @@ class TestResultStoreIntegration:
         e2.evaluate([point])
         assert e2.cache_hits == 0 and e2.simulations_run == 1
 
+    @pytest.mark.parametrize(
+        "zero, negative",
+        [
+            ({"zero_rate": 0.0, "pi8_ratio": 0.0},
+             {"zero_rate": -0.0, "pi8_ratio": -0.0}),
+            ({"arch": "qla", "factory_area": 0.0},
+             {"arch": "qla", "factory_area": -0.0}),
+        ],
+        ids=["steady", "arch"],
+    )
+    def test_negative_zero_shares_the_zero_key(self, tmp_path, zero, negative):
+        """``-0.0`` canonicalizes to ``0.0``'s key, so a store holding the
+        one serves the other as a hit."""
+        store = ResultStore(tmp_path)
+        first = Evaluator(kernel="qrca", width=8, store=store)
+        assert first.canonicalize(negative).key == first.canonicalize(zero).key
+        first.evaluate([zero])
+        second = Evaluator(kernel="qrca", width=8, store=store)
+        second.evaluate([negative])
+        assert second.cache_hits == 1 and second.simulations_run == 0
+
 
 class TestEvaluator:
     def test_matches_area_sweep_bit_for_bit(self, qrca8):
